@@ -67,6 +67,7 @@ def cmd_expand(args) -> int:
         "family": fam.to_json(),
         "N": args.N,
         "entries": box.entry_count(),
+        "entries_stored": len(box.data),
         "ring": box.ring,
     }
     status = 0
@@ -100,8 +101,14 @@ def cmd_expand(args) -> int:
 
 def _diag_values(args):
     if args.from_cache:
-        with open(_cache_path(args.from_cache)) as fh:
-            box = load_cache(fh)
+        path = _cache_path(args.from_cache)
+        with open(path) as fh:
+            try:
+                box = load_cache(fh)
+            except ValueError as exc:
+                print(f"diagonalis diag: error: cannot load cache {path}: {exc}",
+                      file=sys.stderr)
+                raise SystemExit(2) from None
         fam = None
     else:
         fam = _resolve_family(args)

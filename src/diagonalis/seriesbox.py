@@ -1,19 +1,44 @@
 """Exact Taylor expansion of 1/p on a coefficient box.
 
 The box holds all coefficients u_n of 1/p for multi-indices n in [0..N]^d,
-computed layer by layer (total degree) from the convolution recurrence
+computed layer by layer (total degree t = |n|) from the convolution
+recurrence
 
     c_0 * u_n = [n = 0] - sum_{0 != m <= n} p_m * u_{n-m}.
 
+The recurrence runs on integers.  With L > 0 the smallest integer that
+makes every w_m = L^|m| * p_m / c_0 integral, the scaled values
+v_n = c_0 * L^|n| * u_n satisfy v_0 = 1 and
+
+    v_n = - sum_{0 != m <= n} w_m * v_{n-m},
+
+so over Q each v_n is an `int`, and over Q[lambda] a tuple of `int`
+lambda-coefficients.  Which predecessors n - m exist, and where they land,
+depends only on the local shape of n: each coordinate capped at the largest
+exponent K of p (for p = sum c_k e_k, K = 1 and the shape is the zero
+pattern).  Each shape met is compiled once per call into a stencil of
+predecessor offsets with merged integer weights.  Offsets are differences
+of mixed-radix codes, so a predecessor is found with one integer
+subtraction and one dict lookup.  Only the last deg(p) integer layers are
+kept; every finished entry is stored once in `CoeffBox.data` as the exact
+`Fraction` v_n / (c_0 * L^t), or a `UniPoly` of such coefficients.
+
 For symmetric denominators an optional reduced mode stores only the sorted
-representative of each index orbit (a d!-fold saving for d=4 boxes).
+representative of each index orbit (a d!-fold saving for d=4 boxes).  The
+sorted predecessor of n - m is n - delta, where delta depends only on m and
+on the gaps between consecutive coordinates of n, capped at K; for K = 1
+that is the zero pattern plus the run-equality pattern of n, so at most 2^d
+stencils are compiled.  Orbit multiplicities are merged into the weights.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Iterator, Optional, TextIO, Union
+from itertools import repeat
+from operator import mul, sub
+from typing import Iterator, Optional, TextIO
 
 from .exactalg import UniPoly, rat, rat_str
 from .multipoly import Coeff, Exponent, MultiPoly, grlex_key
@@ -27,30 +52,26 @@ class BoxTooLargeError(Exception):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _layer_indices(d: int, N: int, t: int) -> Iterator[Exponent]:
-    """All indices in [0..N]^d with total degree t, lexicographic."""
-    def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[Exponent]:
-        if slots == 1:
-            if remaining <= N:
-                yield tuple(prefix + [remaining])
-            return
-        for v in range(min(remaining, N) + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1)
+def _layer(d: int, N: int, t: int, symmetric: bool, cap: int = 1) -> list:
+    """(n, code, shape) for every index n in [0..N]^d of total degree t, in
+    lexicographic order; only the non-decreasing n when `symmetric`.
 
-    yield from rec([], t, d)
-
-
-def _sorted_layer_indices(d: int, N: int, t: int) -> Iterator[Exponent]:
-    """Non-decreasing indices in [0..N]^d with total degree t."""
-    def rec(prefix: list[int], remaining: int, slots: int, lo: int) -> Iterator[Exponent]:
-        if slots == 1:
-            if lo <= remaining <= N:
-                yield tuple(prefix + [remaining])
-            return
-        for v in range(lo, min(remaining, N) + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1, v)
-
-    yield from rec([], t, d, 0)
+    code is n read as a base-(N+1) number.  shape caps at `cap` each
+    coordinate of n, or in symmetric mode each gap n_i - n_{i-1} (n_{-1} = 0).
+    """
+    parts = [((), 0, (), 0, t)]  # prefix, code, shape, last coordinate, rest
+    for slots in range(d, 1, -1):
+        grown = []
+        for prefix, code, shape, prev, rest in parts:
+            lo = prev if symmetric else 0
+            hi = min(rest // slots if symmetric else rest, N)
+            for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
+                grown.append((prefix + (v,), code * (N + 1) + v,
+                              shape + (min(v - lo, cap),), v, rest - v))
+        parts = grown
+    return [(prefix + (rest,), code * (N + 1) + rest,
+             shape + (min(rest - (prev if symmetric else 0), cap),))
+            for prefix, code, shape, prev, rest in parts if rest <= N]
 
 
 class CoeffBox:
@@ -78,10 +99,66 @@ class CoeffBox:
 
     def indices(self) -> Iterator[Exponent]:
         """Stored representatives in graded-lex order."""
-        for t in range((self.N) * self.dim + 1):
-            it = (_sorted_layer_indices if self.symmetric else _layer_indices)(
-                self.dim, self.N, t)
-            yield from sorted(it, key=grlex_key)
+        for t in range(self.N * self.dim + 1):
+            layer = _layer(self.dim, self.N, t, self.symmetric)
+            yield from sorted((n for n, _, _ in layer), key=grlex_key)
+
+
+def _smallest_scale(requirements) -> int:
+    """Smallest L > 0 with den | L**k for every (den, k) in `requirements`.
+
+    Denominators are factored by trial division below 10**4; a cofactor
+    left over with no such prime factor and not known to be prime is taken
+    whole, which keeps L valid (though possibly not minimal) without
+    factoring large numbers.
+    """
+    exps: dict[int, int] = {}
+    rest = 1
+    for den, k in requirements:
+        f = 2
+        while f * f <= den and f < 10 ** 4:
+            e = 0
+            while den % f == 0:
+                den //= f
+                e += 1
+            if e:
+                exps[f] = max(exps.get(f, 0), -(-e // k))
+            f += 1 if f == 2 else 2
+        if f * f <= den:  # stopped by the trial-division bound
+            rest = math.lcm(rest, den)
+        elif den > 1:  # a prime
+            exps[den] = max(exps.get(den, 0), 1)
+    return math.lcm(math.prod(f ** e for f, e in exps.items()), rest)
+
+
+def _combine_int(stencil, code: int) -> int:
+    """-sum of w * v[code - off] over a resolved stencil, over Z."""
+    acc = 0
+    for layer, off, w in stencil:
+        acc -= w * layer[code - off]
+    return acc
+
+
+def _combine_poly(stencil, code: int) -> tuple[int, ...]:
+    """The same over Z[lambda], on coefficient tuples (lowest degree first)."""
+    acc: list[int] = []
+    for layer, off, w in stencil:
+        v = layer[code - off]
+        if len(acc) < len(w) + len(v) - 1:
+            acc.extend(repeat(0, len(w) + len(v) - 1 - len(acc)))
+        for i, wi in enumerate(w):
+            if wi:
+                acc[i:i + len(v)] = [a - wi * b for a, b in zip(acc[i:i + len(v)], v)]
+    while acc and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
@@ -93,15 +170,11 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
     if isinstance(c0, UniPoly):
         if not c0.is_constant() or not c0:
             raise ValueError("not expandable at origin: constant term not invertible")
-        c0inv: Union[Fraction, None] = 1 / c0.constant_value()
-        ring = "Qlambda"
-    else:
-        if not c0:
-            raise ValueError("not expandable at origin: zero constant term")
-        c0inv = 1 / c0
-        ring = "Q"
-    if ring == "Q" and any(isinstance(c, UniPoly) for c in p.terms.values()):
-        ring = "Qlambda"
+        c0 = c0.constant_value()
+    elif not c0:
+        raise ValueError("not expandable at origin: zero constant term")
+    c0 = Fraction(c0)
+    lam = any(isinstance(c, UniPoly) for c in p.terms.values())
 
     if symmetric is None:
         symmetric = p.dim > 1 and p.is_symmetric()
@@ -111,30 +184,60 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
             f"limit {entry_limit}")
 
     d = p.dim
-    origin = (0,) * d
-    monomials = [(e, c) for e, c in p.terms.items() if e != origin]
-    one: Coeff = UniPoly.const(1) if ring == "Qlambda" else Fraction(1)
-    data: dict[Exponent, Coeff] = {}
-    layer = _sorted_layer_indices if symmetric else _layer_indices
-    for t in range(d * N + 1):
-        for n in layer(d, N, t):
-            if t == 0:
-                data[n] = one * c0inv
+    monomials = []  # (m, p_m / c_0 as lambda-coefficients; one over Q)
+    for m, c in p.terms.items():
+        if any(m):
+            qs = c.coeffs if isinstance(c, UniPoly) else [c]
+            monomials.append((m, [Fraction(q) / c0 for q in qs]))
+    L = _smallest_scale((q.denominator, sum(m)) for m, qs in monomials for q in qs)
+    weights = [(m, tuple(int(q * L ** sum(m)) for q in qs)) for m, qs in monomials]
+    if not lam:
+        weights = [(m, w) for m, (w,) in weights]
+    combine, add = (_combine_poly, _poly_add) if lam else (_combine_int, int.__add__)
+    K = max((max(m) for m, _ in weights), default=1)
+    deg = max((sum(m) for m, _ in weights), default=0)
+    radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
+
+    def compile_stencil(n: Exponent, code: int) -> list:
+        """Merged (layer lag, code offset, weight) triples for n's shape."""
+        merged: dict = {}
+        for m, w in weights:
+            prev = tuple(map(sub, n, m))
+            if min(prev) < 0:
                 continue
-            acc: Coeff = Fraction(0)
-            for m, pm in monomials:
-                prev = tuple(a - b for a, b in zip(n, m))
-                if any(e < 0 for e in prev):
-                    continue
-                if symmetric:
-                    prev = tuple(sorted(prev))
-                acc = acc + pm * data[prev]
-            data[n] = -acc * c0inv
-    return CoeffBox(p, N, data, symmetric, ring)
+            if symmetric:
+                prev = tuple(sorted(prev))
+            key = (sum(m), code - sum(map(mul, prev, radix)))
+            merged[key] = add(merged[key], w) if key in merged else w
+        return [(k, off, w) for (k, off), w in merged.items() if w]
 
-
-def coefficient_at(box: CoeffBox, n) -> Coeff:
-    return box.coefficient_at(n)
+    stencils: dict[Exponent, list] = {}
+    num0, den0 = c0.numerator, c0.denominator
+    data: dict[Exponent, Coeff] = {}
+    recent: list[dict[int, object]] = []  # recent[k - 1] holds layer t - k
+    for t in range(d * N + 1):
+        current: dict[int, object] = {}
+        bound: dict[Exponent, list] = {}  # stencils with this layer's lags resolved
+        den_t = num0 * L ** t
+        for n, code, shape in _layer(d, N, t, symmetric, K):
+            if t == 0:
+                v = (1,) if lam else 1
+            else:
+                st = bound.get(shape)
+                if st is None:
+                    if shape not in stencils:
+                        stencils[shape] = compile_stencil(n, code)
+                    st = bound[shape] = [(recent[k - 1], off, w)
+                                         for k, off, w in stencils[shape]]
+                v = combine(st, code)
+            current[code] = v
+            if lam:
+                data[n] = UniPoly([Fraction(c * den0, den_t) for c in v])
+            else:
+                data[n] = Fraction(v * den0, den_t)
+        recent.insert(0, current)
+        del recent[deg:]
+    return CoeffBox(p, N, data, symmetric, "Qlambda" if lam else "Q")
 
 
 def first_nonpositive(box: CoeffBox, strict: bool = True):
@@ -148,18 +251,12 @@ def first_nonpositive(box: CoeffBox, strict: bool = True):
                          "use lambda_coefficient_check")
     for t in range(box.dim * box.N + 1):
         hits = []
-        if box.symmetric:
-            for n in _sorted_layer_indices(box.dim, box.N, t):
-                c = box.data[n]
-                if (c <= 0) if strict else (c < 0):
-                    # graded-lex-first permutation of the orbit is the
-                    # descending rearrangement
-                    hits.append((tuple(sorted(n, reverse=True)), c))
-        else:
-            for n in _layer_indices(box.dim, box.N, t):
-                c = box.data[n]
-                if (c <= 0) if strict else (c < 0):
-                    hits.append((n, c))
+        for n, _, _ in _layer(box.dim, box.N, t, box.symmetric):
+            c = box.data[n]
+            if (c <= 0) if strict else (c < 0):
+                # the graded-lex-first member of a stored orbit
+                # representative is its descending rearrangement
+                hits.append((tuple(sorted(n, reverse=True)) if box.symmetric else n, c))
         if hits:
             return min(hits, key=lambda h: grlex_key(h[0]))
     return None
@@ -201,6 +298,13 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
 
 
 def load_cache(fh: TextIO) -> CoeffBox:
+    """Read a cache file written by `save_cache`.
+
+    Raises ValueError, naming the offending line, for a malformed line, a
+    duplicate index, an index outside [0..N]^d, an entry count that is
+    neither (N+1)^d (full box) nor C(N+d, d) (sorted orbit representatives),
+    or an unsorted index in a file of the second kind.
+    """
     header = fh.readline().rstrip("\n")
     if not header.startswith(CACHE_MAGIC + "; "):
         raise ValueError("not a diagonalis box cache file")
@@ -214,14 +318,36 @@ def load_cache(fh: TextIO) -> CoeffBox:
     ring = meta["ring"]
     denom = MultiPoly.from_json(json.loads(meta["denom"]))
     data: dict[Exponent, Coeff] = {}
-    for line in fh:
+    first_unsorted = None
+    lineno = 1
+    for lineno, line in enumerate(fh, 2):
         line = line.rstrip("\n")
         if not line:
             continue
-        idx_s, coeff_s = line.split(":", 1)
-        data[tuple(int(x) for x in idx_s.split(","))] = _coeff_from_text(coeff_s)
+        try:
+            idx_s, coeff_s = line.split(":", 1)
+            n = tuple(int(x) for x in idx_s.split(","))
+            c = _coeff_from_text(coeff_s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
+        if len(n) != dim or any(e < 0 or e > N for e in n):
+            raise ValueError(f"line {lineno}: index {n} outside box [0..{N}]^{dim}")
+        if n in data:
+            raise ValueError(f"line {lineno}: duplicate index {n}")
+        if first_unsorted is None and list(n) != sorted(n):
+            first_unsorted = lineno
+        data[n] = c
     full = (N + 1) ** dim
-    symmetric = len(data) < full if dim > 1 else False
+    reduced = math.comb(N + dim, dim)
     if len(data) == full:
         symmetric = False
+    elif len(data) == reduced:
+        if first_unsorted is not None:
+            raise ValueError(f"line {first_unsorted}: unsorted index in a cache "
+                             f"of {reduced} sorted orbit representatives")
+        symmetric = True
+    else:
+        raise ValueError(f"line {lineno}: cache ends after {len(data)} entries; "
+                         f"expected {full} (full box) or {reduced} (sorted orbit "
+                         f"representatives)")
     return CoeffBox(denom, N, data, symmetric, ring)

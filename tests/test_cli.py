@@ -38,6 +38,13 @@ def test_expand_json_format(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "v1" and data["entries"] == 27
+    assert data["entries_stored"] == 10  # sorted triples in [0..2]^3
+
+
+def test_expand_text_reports_stored_entries(capsys):
+    code, out = run(capsys, "expand", "--family", "KZ-D", "--N", "3")
+    assert code == 0
+    assert "entries: 256\n" in out and "entries_stored: 35\n" in out
 
 
 def test_diag_oracle_match(capsys):
@@ -71,6 +78,18 @@ def test_cache_roundtrip_via_env(capsys, tmp_path, monkeypatch):
                     "--oracle", "franel")
     assert code == 0
     assert "match" in out
+
+
+def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "kzd3.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-6]))  # truncated: 29 of 35 entries
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "--from-cache", str(path), "--oracle", "kzd"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot load cache" in err and "line 30" in err and "Traceback" not in err
 
 
 def test_expand_deterministic_output(capsys, tmp_path):

@@ -5,21 +5,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diagonalis.exactalg import UniPoly
-from diagonalis.multipoly import MultiPoly, substitute_zero, symmetric_denominator
-from diagonalis.seriesbox import (BoxTooLargeError, expand_reciprocal,
-                                  first_nonpositive, lambda_coefficient_check,
-                                  load_cache, save_cache)
+from diagonalis.multipoly import (MultiPoly, scale_variables, substitute_zero,
+                                  symmetric_denominator)
+from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale,
+                                  expand_reciprocal, first_nonpositive,
+                                  lambda_coefficient_check, load_cache,
+                                  save_cache)
 
 
 def geometric_oracle(p: MultiPoly, N: int) -> dict:
     """Independent expansion of 1/p: truncated geometric series in (1 - p/c0).
 
     Completely separate route from the layered convolution recurrence.
+    Works over Q and over Q[lambda] (the constant term must be a number).
     """
     d = p.dim
     c0 = p.constant_term()
+    if isinstance(c0, UniPoly):
+        c0 = c0.constant_value()
     r = {}  # r = 1 - p/c0, no constant term
     for exp, c in p.terms.items():
         if any(exp):
@@ -196,3 +202,129 @@ def test_cache_roundtrip_lambda():
 def test_cache_rejects_other_files():
     with pytest.raises(ValueError):
         load_cache(io.StringIO("not a cache\n"))
+
+
+# --- differential test: integer stencil kernel vs geometric series ---------
+
+denominators = st.sampled_from([1, 1, 2, 3, 4, 9])
+small_rationals = st.builds(F, st.integers(-4, 4), denominators)
+nonzero_rationals = st.builds(F, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), denominators)
+lambda_polys = st.lists(small_rationals, min_size=1, max_size=3).map(UniPoly)
+
+
+@st.composite
+def reciprocal_cases(draw):
+    """(p, N, symmetric) for small boxes over Q or Q[lambda]."""
+    d = draw(st.integers(1, 3))
+    over_lambda = draw(st.booleans())
+    coeff = st.one_of(small_rationals, lambda_polys) if over_lambda else small_rationals
+    c0 = draw(nonzero_rationals)
+    if draw(st.integers(0, 4)) == 0:  # constant p
+        rest = [F(0)] * d
+    else:
+        rest = [draw(coeff) for _ in range(d)]
+    p = symmetric_denominator([c0] + rest)
+    reshape = draw(st.sampled_from(["none", "scale", "drop", "square"]))
+    if reshape == "square":  # exponents up to 2: shapes are capped at 2
+        p = p * p
+    elif reshape == "scale":
+        p = scale_variables(p, draw(st.lists(nonzero_rationals,
+                                             min_size=d, max_size=d)))
+    elif reshape == "drop" and d > 1:
+        p = substitute_zero(p, draw(st.integers(0, d - 1)))
+    symmetric = p.dim > 1 and p.is_symmetric() and draw(st.booleans())
+    return p, draw(st.integers(0, 4)), symmetric
+
+
+lam = UniPoly.x()
+
+
+@settings(deadline=None, max_examples=40)
+@given(reciprocal_cases())
+@example((symmetric_denominator([F(-2), F(1, 2), F(2, 9), F(-4, 3)]), 4, True))
+@example((symmetric_denominator([F(3), F(0), F(0)]), 3, False))
+@example((symmetric_denominator([1, -1, 0, F(1, 4)]), 4, True))
+@example((symmetric_denominator([1, -1, F(1, 3), 2]) ** 2, 4, True))
+@example((scale_variables(symmetric_denominator([1, -1, F(3, 4), 1]),
+                          [2, F(1, 3), 1]), 3, False))
+@example((substitute_zero(symmetric_denominator([1, -1, F(1, 3), -2]), 1), 4, False))
+@example((symmetric_denominator([UniPoly([F(-1)]), -(lam + 1), lam * (lam + F(1, 2)),
+                                 UniPoly([F(1, 4), 0, -1])]), 3, True))
+@example((symmetric_denominator([1, -lam, lam * lam - 1]), 4, False))
+def test_kernel_matches_geometric_oracle(case):
+    p, N, symmetric = case
+    box = expand_reciprocal(p, N, symmetric=symmetric)
+    lam_ring = any(isinstance(c, UniPoly) for c in p.terms.values())
+    assert box.ring == ("Qlambda" if lam_ring else "Q")
+    assert all(isinstance(v, UniPoly if lam_ring else F) for v in box.data.values())
+    oracle = geometric_oracle(p, N)
+    for n in itertools.product(range(N + 1), repeat=p.dim):
+        assert box.coefficient_at(n) == oracle.get(n, 0), n
+
+
+def test_smallest_scale():
+    assert _smallest_scale([(27, 3), (1, 1)]) == 3  # Kauers: 64/27 on e_3
+    assert _smallest_scale([(27, 1)]) == 27
+    assert _smallest_scale([(12, 2)]) == 6
+    assert _smallest_scale([(8, 2), (4, 3)]) == 4
+    assert _smallest_scale([(72, 2)]) == 12
+    assert _smallest_scale([(12, 2), (9, 1)]) == 18
+    assert _smallest_scale([(4, 2), (9, 1)]) == 18
+    assert _smallest_scale([]) == 1
+    big = 10007 ** 2  # prime cofactor above the trial-division range
+    assert _smallest_scale([(big, 2)]) ** 2 % big == 0
+
+
+# --- damaged cache files ------------------------------------------------------
+
+def _kzd3_cache_lines():
+    buf = io.StringIO()
+    save_cache(expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 3), buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_cache_rejects_truncated_file():
+    lines = _kzd3_cache_lines()
+    assert len(lines) == 1 + 35
+    with pytest.raises(ValueError, match=r"line 30: cache ends after 29 entries; "
+                                         r"expected 256 .* or 35"):
+        load_cache(io.StringIO("".join(lines[:30])))
+
+
+def test_cache_rejects_duplicate_index():
+    lines = _kzd3_cache_lines()
+    lines[5] = lines[4].split(":")[0] + ":" + lines[5].split(":", 1)[1]
+    with pytest.raises(ValueError, match=r"line 6: duplicate index"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("index", ["0,0,0,4", "0,0,1", "-1,0,0,2"])
+def test_cache_rejects_index_outside_box(index):
+    lines = _kzd3_cache_lines()
+    lines[7] = index + ":" + lines[7].split(":", 1)[1]
+    with pytest.raises(ValueError, match=r"line 8: index .* outside box \[0\.\.3\]\^4"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_rejects_unsorted_index_in_symmetric_file():
+    lines = _kzd3_cache_lines()
+    assert lines[2].startswith("0,0,0,1:")
+    lines[2] = "1,0,0,0:" + lines[2].split(":", 1)[1]
+    with pytest.raises(ValueError, match=r"line 3: unsorted index"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_rejects_malformed_line():
+    lines = _kzd3_cache_lines()
+    lines[3] = "0,0,1,1=12\n"
+    with pytest.raises(ValueError, match=r"line 4: malformed entry"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_full_box_roundtrip_keeps_unsorted_indices():
+    box = expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 2, symmetric=False)
+    buf = io.StringIO()
+    save_cache(box, buf)
+    buf.seek(0)
+    loaded = load_cache(buf)
+    assert not loaded.symmetric and loaded.data == box.data

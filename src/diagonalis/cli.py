@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: expand, diag, recur, identity, geometry.  Output is text by
-default; --format json/csv where it makes sense.  Exit code 0 iff all
-requested checks pass.  Box caches use the versioned text format from
-`seriesbox`; relative cache paths resolve against $DIAGONALIS_CACHE.
+Subcommands: expand, diag, recur, identity, geometry.  Reports are text by
+default and JSON with --format json; `geometry grid` always writes CSV.
+Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on bad
+input, with a one-line message on stderr.  Box caches use the versioned
+text format from `seriesbox`; relative cache paths resolve against
+$DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ import os
 import sys
 from fractions import Fraction
 
-from . import family as family_mod
-from .exactalg import UniPoly, rat, rat_str
-from .family import FamilySpec, named_instance
+from .exactalg import rat, rat_str
+from .family import FamilySpec, make_family, named_instance
 from .geometry import (box_positivity_bisect, critical_points_diag,
-                       nonsmooth_locus_3d, sturm_isolate)
+                       nonsmooth_locus_3d)
 from .identities import IDENTITIES, verify_identity
 from .multipoly import scale_variables
-from .sequences import (SequenceWindow, binomial_oracle, builtin_recurrence,
-                        characteristic_polynomial, extract_diagonal,
-                        recurrence_check, recurrence_extend, recurrence_guess,
-                        recurrence_seed)
+from .sequences import (PRecurrence, SequenceWindow, binomial_oracle,
+                        builtin_recurrence, characteristic_polynomial,
+                        extract_diagonal, recurrence_check, recurrence_extend,
+                        recurrence_guess, recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
                         first_nonpositive, lambda_coefficient_check,
                         load_cache, save_cache)
@@ -35,18 +36,19 @@ def _resolve_family(args) -> FamilySpec:
         cs = [rat(s) for s in args.coeffs.split(",")]
         d = args.d if getattr(args, "d", None) else len(cs) - 1
         if d != len(cs) - 1:
-            raise SystemExit(f"--d {d} inconsistent with {len(cs)} coefficients")
-        return family_mod.make_family(d, cs)
+            raise ValueError(f"--d {d} inconsistent with {len(cs)} coefficients")
+        return make_family(d, cs)
     if not getattr(args, "family", None):
-        raise SystemExit("need --family or --coeffs")
-    params = {}
-    for key in ("a", "b", "c", "lam"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = rat(v)
-    if getattr(args, "d", None):
-        params["d"] = args.d
+        raise ValueError("need --family or --coeffs")
+    params = {key: getattr(args, key) for key in ("a", "b", "c", "lam", "d")
+              if getattr(args, key, None) is not None}
     return named_instance(args.family, **params)
+
+
+def _box_bound(args) -> int:
+    if args.N is None:
+        raise ValueError("--N is required to expand a box")
+    return args.N
 
 
 def _cache_path(path: str) -> str:
@@ -106,9 +108,7 @@ def _diag_values(args):
             try:
                 box = load_cache(fh)
             except ValueError as exc:
-                print(f"diagonalis diag: error: cannot load cache {path}: {exc}",
-                      file=sys.stderr)
-                raise SystemExit(2) from None
+                raise ValueError(f"cannot load cache {path}: {exc}") from None
         fam = None
     else:
         fam = _resolve_family(args)
@@ -116,7 +116,8 @@ def _diag_values(args):
         if args.scale and args.scale != "9-power":
             s = rat(args.scale)
             denom = scale_variables(denom, (s,) * denom.dim)
-        box = expand_reciprocal(denom, args.N, entry_limit=args.entry_limit)
+        box = expand_reciprocal(denom, _box_bound(args),
+                                entry_limit=args.entry_limit)
     seq = extract_diagonal(box)
     vals = list(seq.values)
     if args.scale == "9-power":
@@ -126,19 +127,13 @@ def _diag_values(args):
 
 def cmd_diag(args) -> int:
     fam, vals = _diag_values(args)
-    report = {"N": args.N, "diagonal": [rat_str(v) for v in vals]}
+    report = {"N": len(vals) - 1, "diagonal": [rat_str(v) for v in vals]}
     if fam is not None:
         report["family"] = fam.to_json()
     status = 0
     if args.oracle:
-        kwargs = {"a": rat(args.a)} if args.a is not None else {}
-        if args.oracle.lower().replace("-", "").replace("_", "") == "lewyaskey":
-            u = recurrence_seed(builtin_recurrence("lewyaskey"), len(vals) - 1)
-            from .exactalg import binomial
-            expected = [binomial(2 * n, n) * u[n] for n in range(len(vals))]
-        else:
-            expected = [binomial_oracle(args.oracle, n, **kwargs)
-                        for n in range(len(vals))]
+        expected = [binomial_oracle(args.oracle, n, args.a)
+                    for n in range(len(vals))]
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
                 report["oracle"] = (f"mismatch at n={n}: "
@@ -157,19 +152,17 @@ def _parse_terms(s: str) -> SequenceWindow:
 
 def _recur_object(args):
     if args.builtin:
-        kwargs = {"a": rat(args.a)} if args.a is not None else {}
-        return builtin_recurrence(args.builtin, **kwargs)
+        return builtin_recurrence(args.builtin, args.a)
     if args.rec_json:
-        from .sequences import PRecurrence
         return PRecurrence.from_json(json.loads(args.rec_json))
-    raise SystemExit("need --builtin or --rec-json")
+    raise ValueError("need --builtin or --rec-json")
 
 
 def _recur_sequence(args) -> SequenceWindow:
     if args.terms:
         return _parse_terms(args.terms)
     fam = _resolve_family(args)
-    box = expand_reciprocal(fam.denominator(), args.N,
+    box = expand_reciprocal(fam.denominator(), _box_bound(args),
                             entry_limit=args.entry_limit)
     return extract_diagonal(box)
 
@@ -200,6 +193,8 @@ def cmd_recur(args) -> int:
             status = 1
     elif args.mode == "extend":
         rec = _recur_object(args)
+        if args.upto is None:
+            raise ValueError("extend needs --upto")
         if args.terms:
             init = _parse_terms(args.terms)
             seq = recurrence_extend(rec, init, args.upto)
@@ -215,8 +210,6 @@ def cmd_recur(args) -> int:
             disc = b_ * b_ - 4 * a_ * c
             report["discriminant"] = rat_str(disc)
             report["roots"] = "complex" if disc < 0 else "real"
-    else:
-        raise SystemExit(f"unknown recur mode {args.mode!r}")
     _emit(args, report)
     return status
 
@@ -233,14 +226,20 @@ def cmd_identity(args) -> int:
     return 1
 
 
-def _grid(spec: str):
-    lo, hi, step = (rat(x) for x in spec.split(":"))
-    vals = []
-    v = lo
-    while v <= hi:
-        vals.append(v)
-        v += step
-    return vals
+def _positive_rational(s: str) -> Fraction:
+    q = rat(s)
+    if q <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {s!r}")
+    return q
+
+
+def _grid(spec: str) -> list[Fraction]:
+    """lo, lo + step, ... <= hi for the spec "lo:hi:step"; step > 0."""
+    if spec is None:
+        raise ValueError("grid needs --a and --b as lo:hi:step")
+    lo, hi, step = spec.split(":")
+    lo, hi, step = rat(lo), rat(hi), _positive_rational(step)
+    return [lo + k * step for k in range((hi - lo) // step + 1)]
 
 
 def cmd_geometry(args) -> int:
@@ -273,14 +272,13 @@ def cmd_geometry(args) -> int:
             out.close()
         return 0
     if args.mode == "bisect":
-        lo, hi = box_positivity_bisect(args.N, args.prec,
+        lo, hi = box_positivity_bisect(_box_bound(args), args.prec,
                                        b_lo=rat(args.b_lo),
                                        strict=not args.non_strict)
         _emit(args, {"N": args.N,
                      "threshold_interval": [rat_str(lo), rat_str(hi)],
-                     "precision": args.prec})
+                     "precision": rat_str(args.prec)})
         return 0
-    raise SystemExit(f"unknown geometry mode {args.mode!r}")
 
 
 def _emit(args, report: dict) -> None:
@@ -303,11 +301,9 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--entry-limit", type=int, default=DEFAULT_ENTRY_LIMIT,
                    help="refuse boxes with more entries than this")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     _add_common(p)
     p.add_argument("--N", type=int, help="box bound for bisect")
-    p.add_argument("--prec", default="1/64", help="bisection precision")
+    p.add_argument("--prec", type=_positive_rational, default="1/64",
+                   help="bisection precision")
     p.add_argument("--b-lo", default="4", help="bisection lower start")
     p.add_argument("--non-strict", action="store_true")
     p.add_argument("--output", help="CSV output path for grid mode")
@@ -370,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        print(f"diagonalis {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

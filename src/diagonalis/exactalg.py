@@ -279,16 +279,3 @@ class UniPoly:
                 parts.append(f"{rat_str(c)}*x^{i}")
         return "UniPoly(" + " + ".join(parts) + ")"
 
-
-def unipoly_eval(p: UniPoly, x: RatLike) -> Fraction:
-    return p(x)
-
-
-def unipoly_arith(p: UniPoly, q: UniPoly, op: str) -> UniPoly:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")

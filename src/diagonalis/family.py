@@ -3,12 +3,14 @@ canonical normalization (c_0 = 1, c_1 = -1)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactalg import UniPoly, rat, rat_str
 from .multipoly import MultiPoly, symmetric_denominator
+from .registry import catalog, lookup
 
 Coeff = Union[Fraction, UniPoly]
 
@@ -52,8 +54,47 @@ def make_family(d: int, coefficients: Sequence, name: Optional[str] = None) -> F
     return FamilySpec(d, cs, name)
 
 
-def _lam() -> UniPoly:
-    return UniPoly.x()
+def _grz(params) -> FamilySpec:
+    d = int(params.get("d", 4))
+    if d < 2:
+        raise ValueError("GRZ needs d >= 2")
+    c = params.get("c", math.factorial(d))
+    return make_family(d, [1, -1] + [0] * (d - 2) + [c], f"GRZ-{d}")
+
+
+def _h0b(params) -> FamilySpec:
+    b = rat(params["b"])
+    return make_family(4, [1, -1, 0, b, -b * b], "h0b")
+
+
+def _straub_lambda(params) -> FamilySpec:
+    lam = params.get("lam")
+    t = UniPoly.x() if lam is None else UniPoly.const(rat(lam))
+    cs = [UniPoly.const(1), -(t + 1), t * (t + 2), -((t - 1) * (t + 2) ** 2)]
+    if lam is not None:
+        cs = [c.constant_value() for c in cs]
+    return make_family(3, cs, "StraubLambda")
+
+
+# catalog name -> (keyword parameters -> family), in catalog order
+_FAMILIES = {
+    "AG3": lambda p: make_family(3, [1, -1, 0, 4], "AG3"),
+    "Szego3": lambda p: make_family(3, [1, -1, Fraction(3, 4), 0], "Szego3"),
+    "LewyAskey": lambda p: make_family(4, [1, -1, Fraction(2, 3), 0, 0], "LewyAskey"),
+    "KZ-D": lambda p: make_family(4, [1, -1, 0, 2, 4], "KZ-D"),
+    "Kauers": lambda p: make_family(4, [1, -1, 0, Fraction(64, 27), 0], "Kauers"),
+    "GRZ": _grz,
+    "Koornwinder": lambda p: make_family(4, [1, -1, 0, 4, -16], "Koornwinder"),
+    "Szego4": lambda p: make_family(
+        4, [1, -1, Fraction(8, 9), Fraction(-16, 27), 0], "Szego4"),
+    "hab": lambda p: make_family(3, [1, -1, p["a"], p["b"]], "hab"),
+    "habc": lambda p: make_family(4, [1, -1, p["a"], p["b"], p["c"]], "habc"),
+    "h0b": _h0b,
+    "h2var": lambda p: make_family(2, [1, -1, p["a"]], "h2var"),
+    "StraubLambda": _straub_lambda,
+}
+_CATALOG = catalog(_FAMILIES, h0bb2="h0b")
+CATALOG_NAMES = list(_FAMILIES)
 
 
 def named_instance(name: str, **params) -> FamilySpec:
@@ -64,58 +105,11 @@ def named_instance(name: str, **params) -> FamilySpec:
     h_{0,b,-b^2}); h2var takes a; StraubLambda takes an optional lam to
     specialize the parameter.
     """
-    key = name.lower().replace("-", "").replace("_", "")
-    if key == "ag3":
-        return make_family(3, [1, -1, 0, 4], "AG3")
-    if key == "szego3":
-        return make_family(3, [1, -1, Fraction(3, 4), 0], "Szego3")
-    if key == "lewyaskey":
-        return make_family(4, [1, -1, Fraction(2, 3), 0, 0], "LewyAskey")
-    if key == "kzd":
-        return make_family(4, [1, -1, 0, 2, 4], "KZ-D")
-    if key == "kauers":
-        return make_family(4, [1, -1, 0, Fraction(64, 27), 0], "Kauers")
-    if key == "koornwinder":
-        return make_family(4, [1, -1, 0, 4, -16], "Koornwinder")
-    if key == "szego4":
-        return make_family(4, [1, -1, Fraction(8, 9), Fraction(-16, 27), 0], "Szego4")
-    if key == "grz":
-        d = int(params.get("d", 4))
-        if d < 2:
-            raise ValueError("GRZ needs d >= 2")
-        import math
-        c = rat(params.get("c", math.factorial(d)))
-        cs = [Fraction(1), Fraction(-1)] + [Fraction(0)] * (d - 2) + [c]
-        return make_family(d, cs, f"GRZ-{d}")
-    if key == "hab":
-        a, b = rat(params["a"]), rat(params["b"])
-        return make_family(3, [1, -1, a, b], "hab")
-    if key == "habc":
-        a, b, c = rat(params["a"]), rat(params["b"]), rat(params["c"])
-        return make_family(4, [1, -1, a, b, c], "habc")
-    if key in ("h0b", "h0bb2"):
-        b = rat(params["b"])
-        return make_family(4, [1, -1, 0, b, -b * b], "h0b")
-    if key == "h2var":
-        a = rat(params["a"])
-        return make_family(2, [1, -1, a], "h2var")
-    if key == "straublambda":
-        lam = params.get("lam")
-        t = _lam() if lam is None else UniPoly.const(rat(lam))
-        one = UniPoly.const(1)
-        cs = [one,
-              -(t + 1),
-              t * (t + 2),
-              -((t - 1) * (t + 2) ** 2)]
-        if lam is not None:
-            cs = [c.constant_value() for c in cs]
-        return make_family(3, cs, "StraubLambda")
-    raise ValueError(f"unknown family {name!r}")
-
-
-CATALOG_NAMES = ["AG3", "Szego3", "LewyAskey", "KZ-D", "Kauers", "GRZ",
-                 "Koornwinder", "Szego4", "hab", "habc", "h0b", "h2var",
-                 "StraubLambda"]
+    build = lookup(_CATALOG, name, "family")
+    try:
+        return build(params)
+    except KeyError as exc:
+        raise ValueError(f"family {name!r} needs parameter {exc.args[0]}") from None
 
 
 def canonicalize(spec: FamilySpec) -> tuple[FamilySpec, Fraction]:

@@ -369,6 +369,8 @@ def box_positivity_bisect(N: int, prec, b_lo=4, b_hi=None,
     Returns (lo, hi) with box positive at lo, not at hi, hi - lo <= prec.
     """
     prec = rat(prec)
+    if prec <= 0:
+        raise ValueError(f"bisection precision must be positive, got {rat_str(prec)}")
 
     def box_ok(b: Fraction) -> bool:
         fam = named_instance("h0b", b=b)

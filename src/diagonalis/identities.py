@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactalg import binomial
 from .family import named_instance
 from .sequences import (binomial_oracle, builtin_recurrence, extract_diagonal,
                         recurrence_seed)
@@ -44,13 +43,9 @@ def check_sd_gf(M: int) -> Mismatch:
     return verify_series_identity(lhs, rhs)
 
 
-def _lewy_askey_y0(M: int) -> UniSeries:
-    return _series_from_recurrence("lewyaskey", M)
-
-
 def check_duco(M: int) -> Mismatch:
     """Lewy-Askey u_n generating function, quartic-root form."""
-    lhs = _lewy_askey_y0(M)
+    lhs = _series_from_recurrence("lewyaskey", M)
     pref_poly = UniSeries([1, -48, 0, 12288], M)
     num = (UniSeries([0, 0, -1728], M) * UniSeries([3, -64], M)
            * UniSeries([1, -16], M) ** 6)
@@ -62,7 +57,7 @@ def check_duco(M: int) -> Mismatch:
 
 def check_ducox(M: int) -> Mismatch:
     """Lewy-Askey u_n generating function, square-root form."""
-    lhs = _lewy_askey_y0(M)
+    lhs = _series_from_recurrence("lewyaskey", M)
     pref_poly = UniSeries([1, -24], M)
     arg = UniSeries([0, 0, -64], M) * UniSeries([3, -64], M) / (pref_poly * pref_poly)
     rhs = pref_poly.power("-1/2") * hypergeometric_2f1("1/4", "3/4", 1, M).compose(arg)
@@ -112,8 +107,7 @@ def check_lewy_askey_binomial(M: int) -> Mismatch:
     box = expand_reciprocal(fam.denominator(), M)
     diag = extract_diagonal(box)
     lhs = UniSeries([Fraction(9) ** n * diag[n] for n in range(M + 1)], M)
-    u = _lewy_askey_y0(M)
-    rhs = UniSeries([binomial(2 * n, n) * u[n] for n in range(M + 1)], M)
+    rhs = UniSeries([binomial_oracle("lewy-askey", n) for n in range(M + 1)], M)
     return verify_series_identity(lhs, rhs)
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
-from .exactalg import Rational, UniPoly, binomial, factorial, rat
+from .exactalg import UniPoly, binomial, factorial, rat
+from .registry import catalog, lookup
 from .seriesbox import CoeffBox
 
 
@@ -96,23 +98,6 @@ def extract_diagonal(box: CoeffBox) -> SequenceWindow:
 
 # --- closed-form oracles ----------------------------------------------------
 
-def _franel(n: int) -> Fraction:
-    return Fraction(sum(binomial(n, k).numerator ** 3 for k in range(n + 1)))
-
-
-def _kzd(n: int) -> Fraction:
-    return Fraction(sum(
-        binomial(n, k).numerator ** 2 * binomial(2 * k, n).numerator ** 2
-        for k in range(n + 1)))
-
-
-def _koornwinder(n: int) -> Fraction:
-    return Fraction(sum(
-        binomial(2 * k, k).numerator ** 2
-        * binomial(2 * (n - k), n - k).numerator ** 2
-        for k in range(n + 1)))
-
-
 def _szego3(n: int) -> Fraction:
     s = Fraction(0)
     for k in range(n + 1):
@@ -122,7 +107,10 @@ def _szego3(n: int) -> Fraction:
     return s
 
 
-def _twovar(n: int, a: Fraction) -> Fraction:
+def _twovar(n: int, a) -> Fraction:
+    if a is None:
+        raise ValueError("2var oracle needs parameter a")
+    a = rat(a)
     s = Fraction(0)
     for k in range(n + 1):
         s += (Fraction(factorial(2 * n - k), factorial(k) * factorial(n - k) ** 2)
@@ -130,65 +118,62 @@ def _twovar(n: int, a: Fraction) -> Fraction:
     return s
 
 
+# oracle name -> (n, parameter a) -> closed-form diagonal value
+_ORACLES = catalog({
+    "franel": lambda n, a: Fraction(sum(comb(n, k) ** 3 for k in range(n + 1))),
+    "kzd": lambda n, a: Fraction(sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2
+                                     for k in range(n + 1))),
+    "koornwinder": lambda n, a: Fraction(sum(
+        comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
+        for k in range(n + 1))),
+    "szego3": lambda n, a: _szego3(n),
+    "2var": _twovar,
+    # C(2n, n) u_n with u_n from the seeded recurrence: 9^n times the
+    # LewyAskey diagonal
+    "lewy-askey": lambda n, a: binomial(2 * n, n) * recurrence_seed(
+        builtin_recurrence("lewyaskey"), n)[n],
+}, szego3binomial="szego3")
+
+
 def binomial_oracle(name: str, n: int, a=None) -> Fraction:
     """Closed-form diagonal value for the named family."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    key = name.lower().replace("-", "").replace("_", "")
-    if key == "franel":
-        return _franel(n)
-    if key == "kzd":
-        return _kzd(n)
-    if key == "koornwinder":
-        return _koornwinder(n)
-    if key in ("szego3", "szego3binomial"):
-        return _szego3(n)
-    if key == "2var":
-        if a is None:
-            raise ValueError("2var oracle needs parameter a")
-        return _twovar(n, rat(a))
-    raise ValueError(f"unknown oracle {name!r}")
+    return lookup(_ORACLES, name, "oracle")(n, a)
 
 
 # --- built-in paper recurrences --------------------------------------------
 
+def _twovar_recurrence(a) -> tuple:
+    if a is None:
+        raise ValueError("2var recurrence needs parameter a")
+    a = rat(a)
+    return ((a * a, a * a),                      # a^2 (n+1)
+            (-3 * (2 - a), -2 * (2 - a)),        # -(2-a)(2n+3)
+            (2, 1))                              # (n+2)
+
+
+# recurrence name -> parameter a -> coefficients of p_0, ..., p_r in n
+_RECURRENCES = catalog({
+    "franel": lambda a: ((-8, -16, -8),          # -8(n+1)^2
+                         (-16, -21, -7),         # -(7(n+1)^2 + 7(n+1) + 2)
+                         (4, 4, 1)),             # (n+2)^2
+    "szego3": lambda a: ((648, 1458, 729),       # 81(3n+2)(3n+4)
+                         (-186, -243, -81),      # -3(27n^2 + 81n + 62)
+                         (8, 8, 2)),             # 2(n+2)^2
+    "lewyaskey": lambda a: ((960, 2048, 1024),   # 64(4n+3)(4n+5)
+                            (-260, -336, -112),  # -4(28n^2 + 84n + 65)
+                            (12, 12, 3)),        # 3(n+2)^2
+    "kzd": lambda a: ((16, 48, 48, 16),          # 16(n+1)^3
+                      (-84, -164, -108, -24),    # -4(2n+3)(3n^2+9n+7)
+                      (8, 12, 6, 1)),            # (n+2)^3
+    "2var": _twovar_recurrence,
+}, sd="szego3", lewyaskeyu="lewyaskey")
+
+
 def builtin_recurrence(name: str, a=None) -> PRecurrence:
-    key = name.lower().replace("-", "").replace("_", "")
-    if key == "franel":
-        return PRecurrence((
-            UniPoly([-8, -16, -8]),          # -8(n+1)^2
-            UniPoly([-16, -21, -7]),         # -(7(n+1)^2 + 7(n+1) + 2)
-            UniPoly([4, 4, 1]),              # (n+2)^2
-        ))
-    if key in ("szego3", "sd"):
-        return PRecurrence((
-            UniPoly([648, 1458, 729]),       # 81(3n+2)(3n+4)
-            UniPoly([-186, -243, -81]),      # -3(27n^2 + 81n + 62)
-            UniPoly([8, 8, 2]),              # 2(n+2)^2
-        ))
-    if key in ("lewyaskey", "lewyaskeyu"):
-        return PRecurrence((
-            UniPoly([960, 2048, 1024]),      # 64(4n+3)(4n+5)
-            UniPoly([-260, -336, -112]),     # -4(28n^2 + 84n + 65)
-            UniPoly([12, 12, 3]),            # 3(n+2)^2
-        ))
-    if key == "kzd":
-        p1 = -4 * (UniPoly([3, 2]) * UniPoly([7, 9, 3]))  # -4(2n+3)(3n^2+9n+7)
-        return PRecurrence((
-            UniPoly([16, 48, 48, 16]),       # 16(n+1)^3
-            p1,
-            UniPoly([8, 12, 6, 1]),          # (n+2)^3
-        ))
-    if key == "2var":
-        if a is None:
-            raise ValueError("2var recurrence needs parameter a")
-        a = rat(a)
-        return PRecurrence((
-            UniPoly([a * a, a * a]),             # a^2 (n+1)
-            UniPoly([-3 * (2 - a), -2 * (2 - a)]),  # -(2-a)(2n+3)
-            UniPoly([2, 1]),                     # (n+2)
-        ))
-    raise ValueError(f"unknown recurrence {name!r}")
+    coeffs = lookup(_RECURRENCES, name, "recurrence")(a)
+    return PRecurrence(tuple(UniPoly(p) for p in coeffs))
 
 
 # --- recurrence operations --------------------------------------------------
@@ -227,25 +212,30 @@ def recurrence_extend(rec: PRecurrence, initial: SequenceWindow,
     return SequenceWindow(start, tuple(vals))
 
 
+def _run_extended(coeffs, upto: int, u0, forcing=None) -> list[Fraction]:
+    """u_0..u_upto of sum_j p_j(n) u_{n+j} = -forcing(n), extended by
+    u_k = 0 for k < 0: the instances n = 1-r .. upto-r, each solved for
+    u_{n+r}.  `coeffs` are the p_j; no forcing means the homogeneous case."""
+    r = len(coeffs) - 1
+    vals = [rat(u0)] + [Fraction(0)] * upto
+    for n in range(1 - r, upto - r + 1):
+        lead = coeffs[r](n)
+        if lead == 0:
+            raise ValueError(f"leading coefficient vanishes at n={n}")
+        s = forcing(n) if forcing else Fraction(0)
+        for j in range(max(0, -n), r):
+            s += coeffs[j](n) * vals[n + j]
+        vals[n + r] = -s / lead
+    return vals
+
+
 def recurrence_seed(rec: PRecurrence, upto: int, u0=Fraction(1)) -> SequenceWindow:
     """Run the recurrence extended by u_k = 0 for k < 0, starting from u_0.
 
     For the paper's second-order recurrences this reproduces the analytic
     normalization (u_1 is forced by the n = -1 instance).
     """
-    r = rec.order
-    vals = [rat(u0)] + [Fraction(0)] * upto
-    for n in range(-r + 1, upto - r + 1):
-        lead = rec.coeffs[r](n)
-        if lead == 0:
-            raise ValueError(f"leading coefficient vanishes at n={n}")
-        s = Fraction(0)
-        for j in range(r):
-            idx = n + j
-            if 0 <= idx <= upto:
-                s += rec.coeffs[j](n) * vals[idx]
-        vals[n + r] = -s / lead
-    return SequenceWindow(0, tuple(vals))
+    return SequenceWindow(0, tuple(_run_extended(rec.coeffs, upto, u0)))
 
 
 GUESS_SAFETY_MARGIN = 5

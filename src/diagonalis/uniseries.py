@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import RatLike, UniPoly, rat, rat_str
+from .sequences import _run_extended
 
 
 class UniSeries:
@@ -224,38 +225,6 @@ class UniSeries:
         return f"UniSeries([{shown}{tail}]; order={self.order})"
 
 
-def series_arith(f: UniSeries, g: UniSeries, op: str) -> UniSeries:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_compose(f: UniSeries, g: UniSeries) -> UniSeries:
-    return f.compose(g)
-
-
-def series_power(f: UniSeries, r: RatLike) -> UniSeries:
-    return f.power(r)
-
-
-def series_exp_log(f: UniSeries, op: str) -> UniSeries:
-    if op == "exp":
-        return f.exp()
-    if op == "log":
-        return f.log()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_reversion(f: UniSeries) -> UniSeries:
-    return f.reversion()
-
-
 def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
     """Truncated 2F1(a, b; c; z) = sum z^n prod_{j<n} (a+j)(b+j)/((1+j)(c+j))."""
     a, b, c = rat(a), rat(b), rat(c)
@@ -324,32 +293,8 @@ def recurrence_to_frobenius(rec, M: int) -> LogSolution:
     if pr(-r) != 0 or pr.derivative()(-r) != 0:
         raise ValueError("no log solution at origin: indicial roots not doubled at 0")
 
-    # analytic solution: run the extended recurrence with u_0 = 1, u_{<0} = 0
-    y0 = [Fraction(1)] + [Fraction(0)] * M
-    for n in range(-r + 1, M - r + 1):
-        lead = pr(n)
-        if lead == 0:
-            raise ValueError(f"leading recurrence coefficient vanishes at n={n}")
-        s = Fraction(0)
-        for j in range(r):
-            idx = n + j
-            if 0 <= idx <= M:
-                s += ps[j](n) * y0[idx]
-        y0[n + r] = -s / lead
-
+    y0 = _run_extended(ps, M, 1)
     dps = [p.derivative() for p in ps]
-    g = [Fraction(0)] * (M + 1)
-    for n in range(-r + 1, M - r + 1):
-        lead = pr(n)
-        s = Fraction(0)
-        for j in range(r):
-            idx = n + j
-            if 0 <= idx <= M:
-                s += ps[j](n) * g[idx]
-        for j in range(r + 1):
-            idx = n + j
-            if 0 <= idx <= M:
-                s += dps[j](n) * y0[idx]
-        g[n + r] = -s / lead
-
+    g = _run_extended(ps, M, 0, lambda n: sum(
+        (dps[j](n) * y0[n + j] for j in range(max(0, -n), r + 1)), Fraction(0)))
     return LogSolution(UniSeries(y0, M), UniSeries(g, M))

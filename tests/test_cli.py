@@ -1,8 +1,10 @@
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from diagonalis.cli import main
+from diagonalis.cli import _grid, _positive_rational, build_parser, main
 
 
 def run(capsys, *argv):
@@ -78,6 +80,9 @@ def test_cache_roundtrip_via_env(capsys, tmp_path, monkeypatch):
                     "--oracle", "franel")
     assert code == 0
     assert "match" in out
+    code, out = run(capsys, "diag", "--from-cache", "ag3.box", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["N"] == 5  # the cache's bound, without --N
 
 
 def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
@@ -177,3 +182,50 @@ def test_geometry_bisect(capsys):
 def test_missing_family_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["expand", "--N", "3"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--family", "AG3"],
+    ["recur", "guess", "--family", "AG3"],
+    ["recur", "extend", "--builtin", "franel"],
+    ["identity", "fran", "--M", "-1"],
+    ["expand", "--family", "AG3", "--N", "-1"],
+    ["expand", "--N", "3"],
+    ["expand", "--family", "hab", "--N", "3"],
+    ["diag", "--family", "AG3", "--N", "3", "--oracle", "nosuch"],
+    ["geometry", "grid", "--b", "0:1:1"],
+    ["diag", "--from-cache", "/nonexistent/no-such.box"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
+
+
+def test_positive_rational_validator():
+    assert _positive_rational("1/64") == Fraction(1, 64)
+    for bad in ("0", "-1/4"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _positive_rational(bad)
+
+
+def test_prec_is_validated_while_parsing(capsys):
+    args = build_parser().parse_args(["geometry", "bisect", "--N", "4"])
+    assert args.prec == Fraction(1, 64)
+    for bad in ("0", "-1/64"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["geometry", "bisect", "--N", "4",
+                                       f"--prec={bad}"])
+        assert exc.value.code == 2
+    assert "expected a positive rational" in capsys.readouterr().err
+
+
+def test_grid_step_is_validated():
+    assert _grid("0:1:1/4") == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]
+    assert _grid("-1:0:2/3") == [-1, Fraction(-1, 3)]
+    assert _grid("1:0:1") == []
+    for bad in ("0:1:0", "0:1:-1/4"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _grid(bad)

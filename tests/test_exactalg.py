@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from diagonalis.exactalg import (UniPoly, binomial, rat, rat_str,
-                                 unipoly_arith, unipoly_eval)
+from diagonalis.exactalg import UniPoly, binomial, rat, rat_str
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 4)
 
@@ -33,23 +32,23 @@ def test_binomial_negative_n_rejected():
 def test_unipoly_eval_franel_step():
     # oracle: term-by-term sum 7*1 + 7*1 + 2
     p = UniPoly([2, 7, 7])
-    assert unipoly_eval(p, 1) == 7 + 7 + 2 == 16
+    assert p(1) == 7 + 7 + 2 == 16
 
 
 def test_unipoly_eval_zero_poly():
-    assert unipoly_eval(UniPoly(), 5) == 0
+    assert UniPoly()(5) == 0
 
 
 def test_unipoly_eval_root():
-    assert unipoly_eval(UniPoly([1, 1]), -1) == 0
+    assert UniPoly([1, 1])(-1) == 0
 
 
 def test_unipoly_mul_difference_of_squares():
-    assert unipoly_arith(UniPoly([1, 1]), UniPoly([1, -1]), "mul") == UniPoly([1, 0, -1])
+    assert UniPoly([1, 1]) * UniPoly([1, -1]) == UniPoly([1, 0, -1])
 
 
 def test_unipoly_sub_cancels_to_zero():
-    z = unipoly_arith(UniPoly([0, 0, 1]), UniPoly([0, 0, 1]), "sub")
+    z = UniPoly([0, 0, 1]) - UniPoly([0, 0, 1])
     assert z.is_zero()
     assert z.degree == -1
 
@@ -61,7 +60,7 @@ def test_unipoly_mul_convolution_oracle():
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] += x * y
-    assert unipoly_arith(UniPoly(a), UniPoly(b), "mul") == UniPoly(conv)
+    assert UniPoly(a) * UniPoly(b) == UniPoly(conv)
     assert conv == [6, 5, 1]
 
 

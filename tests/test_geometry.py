@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diagonalis import geometry
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (AlgebraicNumber, boundary_curve_3d,
@@ -205,3 +206,12 @@ def test_box_positivity_bisect_small():
     lo, hi = box_positivity_bisect(4, F(1, 4))
     assert 4 <= lo < hi
     assert hi - lo <= F(1, 4)
+
+
+def test_box_positivity_bisect_rejects_nonpositive_prec(monkeypatch):
+    def no_box(*args, **kwargs):
+        raise AssertionError("a box was expanded before prec was checked")
+    monkeypatch.setattr(geometry, "expand_reciprocal", no_box)
+    for prec in (0, F(-1, 64)):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            box_positivity_bisect(4, prec)

@@ -3,11 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diagonalis.identities import Q_EXPANSION_LITERAL
 from diagonalis.sequences import builtin_recurrence, recurrence_seed
 from diagonalis.uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
-                                  recurrence_to_frobenius, series_arith,
-                                  series_compose, series_exp_log, series_power,
-                                  series_reversion, theta_hexagonal,
+                                  recurrence_to_frobenius, theta_hexagonal,
                                   verify_series_identity)
 
 
@@ -28,12 +27,12 @@ def test_inverse_geometric():
     assert inv == geometric(6)
 
 
-def test_div_and_arith_wrappers():
+def test_div_and_arith_operators():
     one = UniSeries.one(5)
     f = UniSeries([1, -1], 5)
-    assert series_arith(one, f, "div") == geometric(5)
-    assert series_arith(f, f, "sub") == UniSeries.zero(5)
-    assert series_arith(f, geometric(5), "mul") == one
+    assert one / f == geometric(5)
+    assert f - f == UniSeries.zero(5)
+    assert f * geometric(5) == one
 
 
 def test_2f1_first_coefficients():
@@ -69,7 +68,7 @@ def binomial_series_oracle(r, x_coeff, order):
 
 def test_power_against_binomial_oracle():
     base = UniSeries([1, -27], 8)
-    got = series_power(base, "2/3")
+    got = base.power("2/3")
     want = binomial_series_oracle(F(2, 3), F(-27), 8)
     assert verify_series_identity(got, want) is None
     assert got[1] == -18 and got[2] == -81
@@ -77,7 +76,7 @@ def test_power_against_binomial_oracle():
 
 def test_log_oracle():
     # log(1-z) = -sum z^n/n
-    got = series_exp_log(UniSeries([1, -1], 7), "log")
+    got = UniSeries([1, -1], 7).log()
     want = UniSeries([0] + [F(-1, n) for n in range(1, 8)])
     assert got == want
 
@@ -85,7 +84,7 @@ def test_log_oracle():
 def test_compose_szego_argument():
     # 2F1(1/3,2/3;1; 27z(2-27z)) starts 1 + 12z
     f = hypergeometric_2f1("1/3", "2/3", 1, 3)
-    g = series_compose(f, UniSeries([0, 54, -729], 3))
+    g = f.compose(UniSeries([0, 54, -729], 3))
     assert g[0] == 1 and g[1] == 12
 
 
@@ -102,7 +101,7 @@ def lagrange_inversion_oracle(f: UniSeries) -> UniSeries:
 
 def test_reversion_z_plus_z2():
     f = UniSeries([0, 1, 1], 5)
-    g = series_reversion(f)
+    g = f.reversion()
     assert g.coeffs == [0, 1, -1, 2, -5, 14]
     assert g == lagrange_inversion_oracle(f)
 
@@ -147,6 +146,17 @@ def test_frobenius_q_series_literal():
     sol = recurrence_to_frobenius(builtin_recurrence("szego3"), 5)
     q = sol.q_series()
     assert q.coeffs == [0, 1, F(33, 2), 306, F(12203, 2), 128109]
+
+
+def test_frobenius_g_solves_forced_recurrence():
+    rec = builtin_recurrence("szego3")
+    sol = recurrence_to_frobenius(rec, 12)
+    assert verify_series_identity(sol.q_series(), Q_EXPANSION_LITERAL) is None
+    # L g = -L' y0 on every instance of the extended recurrence
+    dps = [p.derivative() for p in rec.coeffs]
+    for n in range(-1, 11):
+        assert sum(rec.coeffs[j](n) * sol.g[n + j] + dps[j](n) * sol.y0[n + j]
+                   for j in range(3) if n + j >= 0) == 0
 
 
 def test_frobenius_rejects_simple_indicial_root():

@@ -21,7 +21,6 @@ from .family import FamilySpec, make_family, named_instance
 from .geometry import (box_positivity_bisect, critical_points_diag,
                        nonsmooth_locus_3d)
 from .identities import IDENTITIES, verify_identity
-from .multipoly import scale_variables
 from .sequences import (PRecurrence, SequenceWindow, binomial_oracle,
                         builtin_recurrence, characteristic_polynomial,
                         extract_diagonal, recurrence_check, recurrence_extend,
@@ -112,16 +111,13 @@ def _diag_values(args):
         fam = None
     else:
         fam = _resolve_family(args)
-        denom = fam.denominator()
-        if args.scale and args.scale != "9-power":
-            s = rat(args.scale)
-            denom = scale_variables(denom, (s,) * denom.dim)
-        box = expand_reciprocal(denom, _box_bound(args),
+        box = expand_reciprocal(fam.denominator(), _box_bound(args),
                                 entry_limit=args.entry_limit)
-    seq = extract_diagonal(box)
-    vals = list(seq.values)
-    if args.scale == "9-power":
-        vals = [Fraction(9) ** n * v for n, v in enumerate(vals)]
+    vals = list(extract_diagonal(box).values)
+    if args.scale is not None:
+        # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
+        ratio = 9 if args.scale == "9-power" else args.scale ** box.dim
+        vals = [ratio ** n * v for n, v in enumerate(vals)]
     return fam, vals
 
 
@@ -226,6 +222,10 @@ def cmd_identity(args) -> int:
     return 1
 
 
+def _scale(s: str):
+    return s if s == "9-power" else rat(s)
+
+
 def _positive_rational(s: str) -> Fraction:
     q = rat(s)
     if q <= 0:
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(p)
     _add_common(p)
     p.add_argument("--N", type=int)
-    p.add_argument("--scale", help="variable prescale s, or '9-power' for 9^n")
+    p.add_argument("--scale", type=_scale,
+                   help="variable prescale s, or '9-power' for 9^n")
     p.add_argument("--oracle", help="closed-form oracle name to compare against")
     p.add_argument("--from-cache", help="load box from cache instead of expanding")
     p.set_defaults(func=cmd_diag)
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", help="critical-point and locus reports")
     p.add_argument("mode", choices=["point", "grid", "bisect"])
     _add_family_args(p)
-    _add_common(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--N", type=int, help="box bound for bisect")
     p.add_argument("--prec", type=_positive_rational, default="1/64",
                    help="bisection precision")

@@ -240,15 +240,6 @@ class UniPoly:
             return self.monic()
         return self.divmod(g)[0].monic()
 
-    def shift_argument(self, a: RatLike) -> "UniPoly":
-        """Return p(x + a)."""
-        a = rat(a)
-        result = UniPoly()
-        base = UniPoly([a, 1])
-        for c in reversed(self.coeffs):
-            result = result * base + UniPoly.const(c)
-        return result
-
     def to_json(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
 

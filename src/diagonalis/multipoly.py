@@ -73,9 +73,6 @@ class MultiPoly:
     def constant_term(self) -> Coeff:
         return self.terms.get((0,) * self.dim, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_dim(other)
         out = dict(self.terms)

@@ -12,16 +12,18 @@ v_n = c_0 * L^|n| * u_n satisfy v_0 = 1 and
 
     v_n = - sum_{0 != m <= n} w_m * v_{n-m},
 
-so over Q each v_n is an `int`, and over Q[lambda] a tuple of `int`
-lambda-coefficients.  Which predecessors n - m exist, and where they land,
-depends only on the local shape of n: each coordinate capped at the largest
-exponent K of p (for p = sum c_k e_k, K = 1 and the shape is the zero
-pattern).  Each shape met is compiled once per call into a stencil of
-predecessor offsets with merged integer weights.  Offsets are differences
-of mixed-radix codes, so a predecessor is found with one integer
-subtraction and one dict lookup.  Only the last deg(p) integer layers are
-kept; every finished entry is stored once in `CoeffBox.data` as the exact
-`Fraction` v_n / (c_0 * L^t), or a `UniPoly` of such coefficients.
+so each v_n is an `int`; over Q[lambda] the integer weight polynomials w
+are packed as w(2^B) (Kronecker substitution), and the balanced base-2^B
+digits of the resulting v_n(2^B) are the lambda-coefficients of v_n.  Which
+predecessors n - m exist, and where they land, depends only on the local
+shape of n: each coordinate capped at the largest exponent K of p
+(for p = sum c_k e_k, K = 1 and the shape is the zero pattern).  Each
+shape met is compiled once per call into a stencil of predecessor offsets
+with merged integer weights.  Offsets are differences of mixed-radix
+codes, so a predecessor is found with one integer subtraction and one
+dict lookup.  Only the last deg(p) integer layers are kept; every
+finished entry is stored once in `CoeffBox.data` as the exact `Fraction`
+v_n / (c_0 * L^t), or a `UniPoly` of such coefficients.
 
 For symmetric denominators an optional reduced mode stores only the sorted
 representative of each index orbit (a d!-fold saving for d=4 boxes).  The
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import repeat
 from operator import mul, sub
 from typing import Iterator, Optional, TextIO
 
@@ -48,7 +49,7 @@ DEFAULT_ENTRY_LIMIT = 10 ** 8
 CACHE_MAGIC = "diagonalis-box v1"
 
 
-class BoxTooLargeError(Exception):
+class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
@@ -131,34 +132,24 @@ def _smallest_scale(requirements) -> int:
     return math.lcm(math.prod(f ** e for f, e in exps.items()), rest)
 
 
-def _combine_int(stencil, code: int) -> int:
-    """-sum of w * v[code - off] over a resolved stencil, over Z."""
+def _unpack(v: int, B: int) -> list[int]:
+    """Balanced base-2^B digits of v, lowest first, without trailing zeros:
+    the coefficients of the integer polynomial q with q(2^B) = v, provided
+    they are all of absolute value < 2^(B-1)."""
+    digits, half = [], 1 << (B - 1)
+    while v:
+        c = ((v & (2 * half - 1)) ^ half) - half  # low B bits, sign-extended
+        digits.append(c)
+        v = (v - c) >> B
+    return digits
+
+
+def _combine(stencil, code: int) -> int:
+    """-sum of w * v[code - off] over a resolved stencil."""
     acc = 0
     for layer, off, w in stencil:
         acc -= w * layer[code - off]
     return acc
-
-
-def _combine_poly(stencil, code: int) -> tuple[int, ...]:
-    """The same over Z[lambda], on coefficient tuples (lowest degree first)."""
-    acc: list[int] = []
-    for layer, off, w in stencil:
-        v = layer[code - off]
-        if len(acc) < len(w) + len(v) - 1:
-            acc.extend(repeat(0, len(w) + len(v) - 1 - len(acc)))
-        for i, wi in enumerate(w):
-            if wi:
-                acc[i:i + len(v)] = [a - wi * b for a, b in zip(acc[i:i + len(v)], v)]
-    while acc and not acc[-1]:
-        acc.pop()
-    return tuple(acc)
-
-
-def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):])
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
@@ -190,10 +181,15 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
             qs = c.coeffs if isinstance(c, UniPoly) else [c]
             monomials.append((m, [Fraction(q) / c0 for q in qs]))
     L = _smallest_scale((q.denominator, sum(m)) for m, qs in monomials for q in qs)
-    weights = [(m, tuple(int(q * L ** sum(m)) for q in qs)) for m, qs in monomials]
-    if not lam:
-        weights = [(m, w) for m, (w,) in weights]
-    combine, add = (_combine_poly, _poly_add) if lam else (_combine_int, int.__add__)
+    weights = [(m, [int(q * L ** sum(m)) for q in qs]) for m, qs in monomials]
+    # Over Q[lambda] each weight w is packed as w(2^B), a ring homomorphism
+    # Z[lambda] -> Z, so the loop computes v_n(2^B).  With W the sum of |c|
+    # over all weight coefficients, ||v_n||_1 <= W^|n| by induction (every
+    # predecessor is at least one layer lower; merged weights only add terms
+    # already counted), so 2^(B-1) > max(1, W^(dN)) lets `_unpack` decode v_n.
+    W = sum(abs(c) for _, w in weights for c in w)
+    B = max(1, W ** (d * N)).bit_length() + 1 if lam else 0
+    weights = [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
     K = max((max(m) for m, _ in weights), default=1)
     deg = max((sum(m) for m, _ in weights), default=0)
     radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
@@ -208,20 +204,20 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
             if symmetric:
                 prev = tuple(sorted(prev))
             key = (sum(m), code - sum(map(mul, prev, radix)))
-            merged[key] = add(merged[key], w) if key in merged else w
+            merged[key] = merged.get(key, 0) + w
         return [(k, off, w) for (k, off), w in merged.items() if w]
 
     stencils: dict[Exponent, list] = {}
     num0, den0 = c0.numerator, c0.denominator
     data: dict[Exponent, Coeff] = {}
-    recent: list[dict[int, object]] = []  # recent[k - 1] holds layer t - k
+    recent: list[dict[int, int]] = []  # recent[k - 1] holds layer t - k
     for t in range(d * N + 1):
-        current: dict[int, object] = {}
+        current: dict[int, int] = {}
         bound: dict[Exponent, list] = {}  # stencils with this layer's lags resolved
         den_t = num0 * L ** t
         for n, code, shape in _layer(d, N, t, symmetric, K):
             if t == 0:
-                v = (1,) if lam else 1
+                v = 1
             else:
                 st = bound.get(shape)
                 if st is None:
@@ -229,10 +225,10 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
                         stencils[shape] = compile_stencil(n, code)
                     st = bound[shape] = [(recent[k - 1], off, w)
                                          for k, off, w in stencils[shape]]
-                v = combine(st, code)
+                v = _combine(st, code)
             current[code] = v
             if lam:
-                data[n] = UniPoly([Fraction(c * den0, den_t) for c in v])
+                data[n] = UniPoly([Fraction(c * den0, den_t) for c in _unpack(v, B)])
             else:
                 data[n] = Fraction(v * den0, den_t)
         recent.insert(0, current)

@@ -52,10 +52,6 @@ class UniSeries:
     def z(cls, order: int) -> "UniSeries":
         return cls([0, 1], order)
 
-    @classmethod
-    def from_poly(cls, coeffs: Sequence[RatLike], order: int) -> "UniSeries":
-        return cls(coeffs, order)
-
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
@@ -71,12 +67,6 @@ class UniSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return UniSeries(self.coeffs[:order + 1])
-
-    def valuation(self) -> Optional[int]:
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
 
     def __add__(self, other: "UniSeries") -> "UniSeries":
         m = min(self.order, other.order)

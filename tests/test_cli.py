@@ -85,6 +85,15 @@ def test_cache_roundtrip_via_env(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["N"] == 5  # the cache's bound, without --N
 
 
+def test_diag_from_cache_applies_numeric_scale(capsys, tmp_path):
+    path = tmp_path / "sz.box"
+    run(capsys, "expand", "--family", "Szego3", "--N", "4", "--cache", str(path))
+    code, out = run(capsys, "diag", "--from-cache", str(path),
+                    "--scale", "2", "--oracle", "szego3")
+    assert code == 0
+    assert "match" in out
+
+
 def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
     path = tmp_path / "kzd3.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
@@ -195,6 +204,8 @@ def test_missing_family_is_usage_error(capsys):
     ["diag", "--family", "AG3", "--N", "3", "--oracle", "nosuch"],
     ["geometry", "grid", "--b", "0:1:1"],
     ["diag", "--from-cache", "/nonexistent/no-such.box"],
+    ["expand", "--family", "AG3", "--N", "1000"],
+    ["diag", "--family", "AG3", "--N", "3", "--entry-limit", "10"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -202,6 +213,13 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
+
+
+def test_geometry_takes_no_entry_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "bisect", "--N", "4", "--entry-limit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --entry-limit" in capsys.readouterr().err
 
 
 def test_positive_rational_validator():

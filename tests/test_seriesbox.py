@@ -11,7 +11,7 @@ from diagonalis.exactalg import UniPoly
 from diagonalis.multipoly import (MultiPoly, scale_variables, substitute_zero,
                                   symmetric_denominator)
 from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale,
-                                  expand_reciprocal, first_nonpositive,
+                                  _unpack, expand_reciprocal, first_nonpositive,
                                   lambda_coefficient_check, load_cache,
                                   save_cache)
 
@@ -251,6 +251,8 @@ lam = UniPoly.x()
 @example((symmetric_denominator([UniPoly([F(-1)]), -(lam + 1), lam * (lam + F(1, 2)),
                                  UniPoly([F(1, 4), 0, -1])]), 3, True))
 @example((symmetric_denominator([1, -lam, lam * lam - 1]), 4, False))
+@example((symmetric_denominator([F(1, 3), UniPoly([4, -3, 9]),
+                                 UniPoly([F(-9, 2), 0, -4])]), 4, True))
 def test_kernel_matches_geometric_oracle(case):
     p, N, symmetric = case
     box = expand_reciprocal(p, N, symmetric=symmetric)
@@ -260,6 +262,37 @@ def test_kernel_matches_geometric_oracle(case):
     oracle = geometric_oracle(p, N)
     for n in itertools.product(range(N + 1), repeat=p.dim):
         assert box.coefficient_at(n) == oracle.get(n, 0), n
+
+
+@st.composite
+def packable(draw):
+    """(B, integer coefficients of absolute value < 2^(B-1))."""
+    B = draw(st.integers(2, 80))
+    bound = 2 ** (B - 1) - 1
+    return B, draw(st.lists(st.one_of(st.just(0), st.just(bound), st.just(-bound),
+                                      st.integers(-bound, bound)), max_size=8))
+
+
+@given(packable())
+@example((2, []))
+@example((2, [0, 0, 0]))
+@example((3, [-3, 0, 3, -3, 0]))
+def test_pack_unpack_roundtrip(case):
+    B, coeffs = case
+    trimmed = list(coeffs)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert _unpack(int(UniPoly(coeffs)(2 ** B)), B) == trimmed
+
+
+def test_constant_lambda_denominator():
+    # every packed weight is 0, so the digit width must not shrink to 1 bit
+    box = expand_reciprocal(MultiPoly.constant(2, UniPoly.const(3)), 2)
+    assert box.ring == "Qlambda"
+    assert box.data[(0, 0)] == UniPoly([F(1, 3)])
+    for n in itertools.product(range(3), repeat=2):
+        if any(n):
+            assert box.coefficient_at(n) == UniPoly([])
 
 
 def test_smallest_scale():

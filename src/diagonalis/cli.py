@@ -21,10 +21,10 @@ from .family import FamilySpec, make_family, named_instance
 from .geometry import (box_positivity_bisect, critical_points_diag,
                        nonsmooth_locus_3d)
 from .identities import IDENTITIES, verify_identity
-from .sequences import (PRecurrence, SequenceWindow, binomial_oracle,
-                        builtin_recurrence, characteristic_polynomial,
-                        extract_diagonal, recurrence_check, recurrence_extend,
-                        recurrence_guess, recurrence_seed)
+from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
+                        characteristic_polynomial, extract_diagonal,
+                        recurrence_check, recurrence_extend, recurrence_guess,
+                        recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
                         first_nonpositive, lambda_coefficient_check,
                         load_cache, save_cache)
@@ -62,6 +62,9 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
+    if args.non_strict and fam.has_lambda():
+        raise ValueError("--non-strict applies to rational boxes only; a "
+                         "Q[lambda] box is checked coefficient by coefficient")
     box = expand_reciprocal(fam.denominator(), args.N,
                             entry_limit=args.entry_limit)
     report = {
@@ -113,7 +116,7 @@ def _diag_values(args):
         fam = _resolve_family(args)
         box = expand_reciprocal(fam.denominator(), _box_bound(args),
                                 entry_limit=args.entry_limit)
-    vals = list(extract_diagonal(box).values)
+    vals = list(extract_diagonal(box))
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
         ratio = 9 if args.scale == "9-power" else args.scale ** box.dim
@@ -142,8 +145,8 @@ def cmd_diag(args) -> int:
     return status
 
 
-def _parse_terms(s: str) -> SequenceWindow:
-    return SequenceWindow(0, tuple(rat(t) for t in s.split(",")))
+def _parse_terms(s: str) -> tuple[Fraction, ...]:
+    return tuple(rat(t) for t in s.split(","))
 
 
 def _recur_object(args):
@@ -154,7 +157,7 @@ def _recur_object(args):
     raise ValueError("need --builtin or --rec-json")
 
 
-def _recur_sequence(args) -> SequenceWindow:
+def _recur_sequence(args) -> tuple[Fraction, ...]:
     if args.terms:
         return _parse_terms(args.terms)
     fam = _resolve_family(args)
@@ -196,7 +199,7 @@ def cmd_recur(args) -> int:
             seq = recurrence_extend(rec, init, args.upto)
         else:
             seq = recurrence_seed(rec, args.upto)
-        report["values"] = [rat_str(v) for v in seq.values]
+        report["values"] = [rat_str(v) for v in seq]
     elif args.mode == "charpoly":
         rec = _recur_object(args)
         cp = characteristic_polynomial(rec)

@@ -1,9 +1,9 @@
 """Exact arithmetic foundation: rationals, univariate polynomials, binomials.
 
-Rationals are `fractions.Fraction` (always reduced, positive denominator),
-aliased as `Rational`.  `UniPoly` is a dense univariate polynomial over the
-rationals, used both for recurrence coefficients in n and as the coefficient
-ring Q[lambda] when series are expanded with a symbolic parameter.
+Rationals are `fractions.Fraction` (always reduced, positive denominator).
+`UniPoly` is a dense univariate polynomial over the rationals, used both for
+recurrence coefficients in n and as the coefficient ring Q[lambda] when
+series are expanded with a symbolic parameter.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RatLike = Union[int, Fraction, str]
 
 
@@ -21,9 +19,12 @@ def rat(x: RatLike) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    try:
         return Fraction(x)
-    return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+    except TypeError:
+        raise ValueError(f"not a rational number: {x!r}") from None
 
 
 def rat_str(q: Fraction) -> str:
@@ -31,12 +32,6 @@ def rat_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> Fraction:

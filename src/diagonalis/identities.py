@@ -21,9 +21,7 @@ Mismatch = Optional[tuple]
 
 
 def _series_from_recurrence(name: str, M: int) -> UniSeries:
-    rec = builtin_recurrence(name)
-    seq = recurrence_seed(rec, M)
-    return UniSeries(seq.values, M)
+    return UniSeries(recurrence_seed(builtin_recurrence(name), M), M)
 
 
 def check_fran(M: int) -> Mismatch:

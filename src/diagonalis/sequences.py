@@ -4,42 +4,20 @@ A `PRecurrence` is sum_{j=0..r} p_j(n) * u_{n+j} = 0 with polynomial
 coefficients p_j; all paper recurrences are stored re-indexed into this
 homogeneous convention.  Guessing solves the ansatz linear system exactly
 over Q and accepts the smallest (order, degree) recurrence that also
-verifies on every supplied term.
+verifies on every supplied term.  A sequence is a plain tuple (or any
+sequence) u_0, u_1, ... of rationals, indexed from 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
-from .exactalg import UniPoly, binomial, factorial, rat
+from .exactalg import UniPoly, binomial, rat
 from .registry import catalog, lookup
 from .seriesbox import CoeffBox
-
-
-@dataclass(frozen=True)
-class SequenceWindow:
-    """Contiguous window of exact sequence values starting at `start`."""
-    start: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def end(self) -> int:
-        """Index one past the last stored value."""
-        return self.start + len(self.values)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not self.start <= n < self.end:
-            raise IndexError(f"index {n} outside window [{self.start}, {self.end})")
-        return self.values[n - self.start]
 
 
 @dataclass(frozen=True)
@@ -64,10 +42,7 @@ class PRecurrence:
     def normalized(self) -> "PRecurrence":
         """Content-normalized: integer primitive coefficients, leading
         polynomial with positive leading coefficient."""
-        contents = [p.content() for p in self.coeffs if p]
-        content = contents[0]
-        for c in contents[1:]:
-            content = _gcd_frac(content, c)
+        content = UniPoly([c for p in self.coeffs for c in p.coeffs]).content()
         ps = [p / content for p in self.coeffs]
         if ps[-1].leading_coefficient() < 0:
             ps = [-p for p in ps]
@@ -77,23 +52,18 @@ class PRecurrence:
         return [p.to_json() for p in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "PRecurrence":
+    def from_json(cls, data: list[list[str]]) -> "PRecurrence":
+        if not (isinstance(data, list) and all(isinstance(p, list) for p in data)):
+            raise ValueError(f"recurrence JSON must be a list of coefficient "
+                             f"lists, got {data!r}")
         return cls(tuple(UniPoly.from_json(p) for p in data))
 
 
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    import math
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
-def extract_diagonal(box: CoeffBox) -> SequenceWindow:
+def extract_diagonal(box: CoeffBox) -> tuple[Fraction, ...]:
     """u_{n,...,n} for n = 0..N."""
     if box.ring != "Q":
         raise ValueError("diagonal extraction requires a rational box")
-    vals = [box.coefficient_at((n,) * box.dim) for n in range(box.N + 1)]
-    return SequenceWindow(0, tuple(vals))
+    return tuple(box.coefficient_at((n,) * box.dim) for n in range(box.N + 1))
 
 
 # --- closed-form oracles ----------------------------------------------------
@@ -178,12 +148,12 @@ def builtin_recurrence(name: str, a=None) -> PRecurrence:
 
 # --- recurrence operations --------------------------------------------------
 
-def recurrence_check(rec: PRecurrence, seq: SequenceWindow):
+def recurrence_check(rec: PRecurrence, seq: Sequence[Fraction]):
     """None if the recurrence holds on every checkable n; else (n, residual)."""
     r = rec.order
     if len(seq) < r + 1:
         raise ValueError(f"window too short: need at least {r + 1} terms")
-    for n in range(seq.start, seq.end - r):
+    for n in range(len(seq) - r):
         resid = sum((rec.coeffs[j](n) * seq[n + j] for j in range(r + 1)),
                     Fraction(0))
         if resid:
@@ -191,37 +161,21 @@ def recurrence_check(rec: PRecurrence, seq: SequenceWindow):
     return None
 
 
-def recurrence_extend(rec: PRecurrence, initial: SequenceWindow,
-                      upto: int) -> SequenceWindow:
-    """Extend forward to index `upto` (inclusive) by solving for u_{n+r}."""
-    r = rec.order
-    if len(initial) < r:
-        raise ValueError(f"need at least {r} initial terms")
-    vals = list(initial.values)
-    start = initial.start
-    while start + len(vals) <= upto:
-        n = start + len(vals) - r
-        lead = rec.coeffs[r](n)
-        if lead == 0:
-            raise ValueError(
-                f"leading coefficient vanishes at n={n}; extension blocked "
-                f"at index {n + r}")
-        s = sum((rec.coeffs[j](n) * vals[n + j - start] for j in range(r)),
-                Fraction(0))
-        vals.append(-s / lead)
-    return SequenceWindow(start, tuple(vals))
-
-
-def _run_extended(coeffs, upto: int, u0, forcing=None) -> list[Fraction]:
+def _run_extended(coeffs, upto: int, initial, forcing=None) -> list[Fraction]:
     """u_0..u_upto of sum_j p_j(n) u_{n+j} = -forcing(n), extended by
-    u_k = 0 for k < 0: the instances n = 1-r .. upto-r, each solved for
-    u_{n+r}.  `coeffs` are the p_j; no forcing means the homogeneous case."""
+    u_k = 0 for k < 0: u_0, u_1, ... are `initial`, then the instances
+    n = len(initial)-r .. upto-r are each solved for u_{n+r}.  `coeffs` are
+    the p_j; no forcing means the homogeneous case.  Initial terms past
+    `upto` are kept."""
+    if upto < 0:
+        raise ValueError(f"cannot extend up to a negative index {upto}")
     r = len(coeffs) - 1
-    vals = [rat(u0)] + [Fraction(0)] * upto
-    for n in range(1 - r, upto - r + 1):
+    vals = [rat(u) for u in initial] + [Fraction(0)] * (upto + 1 - len(initial))
+    for n in range(len(initial) - r, upto - r + 1):
         lead = coeffs[r](n)
         if lead == 0:
-            raise ValueError(f"leading coefficient vanishes at n={n}")
+            raise ValueError(f"leading coefficient vanishes at n={n}; "
+                             f"extension blocked at index {n + r}")
         s = forcing(n) if forcing else Fraction(0)
         for j in range(max(0, -n), r):
             s += coeffs[j](n) * vals[n + j]
@@ -229,25 +183,38 @@ def _run_extended(coeffs, upto: int, u0, forcing=None) -> list[Fraction]:
     return vals
 
 
-def recurrence_seed(rec: PRecurrence, upto: int, u0=Fraction(1)) -> SequenceWindow:
+def recurrence_extend(rec: PRecurrence, initial: Sequence[Fraction],
+                      upto: int) -> tuple[Fraction, ...]:
+    """Extend u_0, u_1, ... forward to index `upto` (inclusive) by solving
+    for u_{n+r}."""
+    if len(initial) < rec.order:
+        raise ValueError(f"need at least {rec.order} initial terms")
+    return tuple(_run_extended(rec.coeffs, upto, initial))
+
+
+def recurrence_seed(rec: PRecurrence, upto: int,
+                    u0=Fraction(1)) -> tuple[Fraction, ...]:
     """Run the recurrence extended by u_k = 0 for k < 0, starting from u_0.
 
     For the paper's second-order recurrences this reproduces the analytic
     normalization (u_1 is forced by the n = -1 instance).
     """
-    return SequenceWindow(0, tuple(_run_extended(rec.coeffs, upto, u0)))
+    return tuple(_run_extended(rec.coeffs, upto, (u0,)))
 
 
 GUESS_SAFETY_MARGIN = 5
 
 
-def recurrence_guess(seq: SequenceWindow, max_order: int,
+def recurrence_guess(seq: Sequence[Fraction], max_order: int,
                      max_degree: int) -> Optional[PRecurrence]:
     """Smallest (order, degree) recurrence verifying on all supplied terms.
 
     Requires at least (order+1)(degree+1) + order + GUESS_SAFETY_MARGIN terms
     for the candidate size before it is attempted.
     """
+    if max_order < 1 or max_degree < 0:
+        raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
+                         f"max_order={max_order}, max_degree={max_degree}")
     min_needed = (max_order + 1) * (max_degree + 1) + max_order + GUESS_SAFETY_MARGIN
     if len(seq) < min_needed:
         raise ValueError(
@@ -260,7 +227,7 @@ def recurrence_guess(seq: SequenceWindow, max_order: int,
             if rows < unknowns + GUESS_SAFETY_MARGIN:
                 continue
             matrix = []
-            for n in range(seq.start, seq.end - order):
+            for n in range(len(seq) - order):
                 row = []
                 for j in range(order + 1):
                     u = seq[n + j]
@@ -327,10 +294,9 @@ def characteristic_polynomial(rec: PRecurrence) -> UniPoly:
     return poly.primitive() if poly else poly
 
 
-def sequence_sign_scan(seq: SequenceWindow, strict: bool = True):
+def sequence_sign_scan(seq: Sequence[Fraction], strict: bool = True):
     """First index with a nonpositive (strict) or negative value, or None."""
-    for n in range(seq.start, seq.end):
-        v = seq[n]
+    for n, v in enumerate(seq):
         if (v <= 0) if strict else (v < 0):
             return (n, v)
     return None

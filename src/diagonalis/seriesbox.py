@@ -324,7 +324,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
             idx_s, coeff_s = line.split(":", 1)
             n = tuple(int(x) for x in idx_s.split(","))
             c = _coeff_from_text(coeff_s)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
         if len(n) != dim or any(e < 0 or e > N for e in n):
             raise ValueError(f"line {lineno}: index {n} outside box [0..{N}]^{dim}")

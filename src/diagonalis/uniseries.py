@@ -283,8 +283,8 @@ def recurrence_to_frobenius(rec, M: int) -> LogSolution:
     if pr(-r) != 0 or pr.derivative()(-r) != 0:
         raise ValueError("no log solution at origin: indicial roots not doubled at 0")
 
-    y0 = _run_extended(ps, M, 1)
+    y0 = _run_extended(ps, M, (1,))
     dps = [p.derivative() for p in ps]
-    g = _run_extended(ps, M, 0, lambda n: sum(
+    g = _run_extended(ps, M, (0,), lambda n: sum(
         (dps[j](n) * y0[n + j] for j in range(max(0, -n), r + 1)), Fraction(0)))
     return LogSolution(UniSeries(y0, M), UniSeries(g, M))

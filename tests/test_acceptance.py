@@ -12,10 +12,10 @@ from diagonalis.geometry import (asymptotic_ratio_2d, cubic_discriminant,
                                  necessity_test, nonsmooth_locus_4d)
 from diagonalis.identities import verify_identity
 from diagonalis.multipoly import MultiPoly, scale_variables
-from diagonalis.sequences import (SequenceWindow, binomial_oracle,
-                                  builtin_recurrence, extract_diagonal,
-                                  recurrence_check, recurrence_guess,
-                                  recurrence_seed, sequence_sign_scan)
+from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
+                                  extract_diagonal, recurrence_check,
+                                  recurrence_guess, recurrence_seed,
+                                  sequence_sign_scan)
 from diagonalis.seriesbox import (expand_reciprocal, first_nonpositive,
                                   lambda_coefficient_check)
 
@@ -55,18 +55,14 @@ def test_criterion_1_diagonal_identities(capsys):
 def test_criterion_2_recurrence_suite(capsys):
     terms = 30
     windows = {
-        "franel": SequenceWindow(0, tuple(binomial_oracle("franel", n)
-                                          for n in range(terms))),
-        "szego3": SequenceWindow(0, tuple(binomial_oracle("szego3", n)
-                                          for n in range(terms))),
-        "kzd": SequenceWindow(0, tuple(binomial_oracle("kzd", n)
-                                       for n in range(terms))),
+        "franel": tuple(binomial_oracle("franel", n) for n in range(terms)),
+        "szego3": tuple(binomial_oracle("szego3", n) for n in range(terms)),
+        "kzd": tuple(binomial_oracle("kzd", n) for n in range(terms)),
     }
     # Lewy-Askey u_n oracle: u_n = 9^n diag_n / C(2n,n) from the box
     diag = _diag(named_instance("LewyAskey").denominator(), terms - 1)
-    windows["lewyaskey"] = SequenceWindow(
-        0, tuple(F(9) ** n * diag[n] / binomial(2 * n, n)
-                 for n in range(terms)))
+    windows["lewyaskey"] = tuple(F(9) ** n * diag[n] / binomial(2 * n, n)
+                                 for n in range(terms))
     ok = True
     bounds = {"franel": (2, 2), "szego3": (2, 2), "kzd": (2, 3),
               "lewyaskey": (2, 2)}
@@ -112,8 +108,8 @@ def test_criterion_5_two_variable_region(capsys):
         ok &= first_nonpositive(box, strict=True) is None
     scan_bound = 40
     for a in (F(3, 2), F(2)):
-        seq = SequenceWindow(0, tuple(binomial_oracle("2var", n, a=a)
-                                      for n in range(scan_bound + 1)))
+        seq = tuple(binomial_oracle("2var", n, a=a)
+                    for n in range(scan_bound + 1))
         ok &= sequence_sign_scan(seq) is not None
     _report(capsys, 5, ok, f"boxes N=20 positive for a in {{1, 1/2, 0, -3}}; sign "
                    f"change on the diagonal within n <= {scan_bound} for "

@@ -206,6 +206,15 @@ def test_missing_family_is_usage_error(capsys):
     ["diag", "--from-cache", "/nonexistent/no-such.box"],
     ["expand", "--family", "AG3", "--N", "1000"],
     ["diag", "--family", "AG3", "--N", "3", "--entry-limit", "10"],
+    ["expand", "--coeffs", "1,1/0", "--N", "2"],
+    ["recur", "extend", "--builtin", "franel", "--terms", "1/0,1", "--upto", "3"],
+    ["recur", "extend", "--rec-json", "[1,2]", "--upto", "3"],
+    ["recur", "extend", "--builtin", "franel", "--upto", "-3"],
+    ["recur", "extend", "--builtin", "franel", "--terms", "1,2,10", "--upto", "-1"],
+    ["recur", "guess", "--terms", "1,2,10,56,346,2252", "--max-degree", "-1"],
+    ["recur", "guess", "--terms", "1,2,10,56,346,2252", "--max-order", "0"],
+    ["expand", "--family", "StraubLambda", "--N", "3", "--check-positive",
+     "--non-strict"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -238,6 +247,18 @@ def test_prec_is_validated_while_parsing(capsys):
                                        f"--prec={bad}"])
         assert exc.value.code == 2
     assert "expected a positive rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--family", "AG3", "--N", "3", "--scale", "1/0"],
+    ["geometry", "bisect", "--N", "4", "--prec", "1/0"],
+], ids=" ".join)
+def test_zero_denominator_is_rejected_while_parsing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "'1/0'" in err and "Traceback" not in err
 
 
 def test_grid_step_is_validated():

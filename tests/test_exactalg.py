@@ -112,6 +112,13 @@ def test_rational_serialization():
     assert rat("-16/27") == F(-16, 27)
 
 
+def test_rat_rejects_zero_denominator_and_non_numbers():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        rat("1/0")
+    with pytest.raises(ValueError, match=r"not a rational number: \[1\]"):
+        rat([1])
+
+
 def test_unipoly_json_roundtrip():
     p = UniPoly([F(1, 2), 0, -3])
     assert UniPoly.from_json(p.to_json()) == p

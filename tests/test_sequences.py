@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from diagonalis.exactalg import UniPoly, binomial
 from diagonalis.family import named_instance
-from diagonalis.sequences import (PRecurrence, SequenceWindow, binomial_oracle,
+from diagonalis.sequences import (PRecurrence, binomial_oracle,
                                   builtin_recurrence,
                                   characteristic_polynomial, extract_diagonal,
                                   recurrence_check, recurrence_extend,
@@ -48,8 +49,7 @@ def test_oracle_validation():
 
 
 def _oracle_window(name, upto, **kw):
-    return SequenceWindow(0, tuple(binomial_oracle(name, n, **kw)
-                                   for n in range(upto + 1)))
+    return tuple(binomial_oracle(name, n, **kw) for n in range(upto + 1))
 
 
 def test_builtin_recurrences_verify_on_oracles():
@@ -64,26 +64,23 @@ def test_builtin_recurrences_verify_on_oracles():
 def test_recurrence_check_flags_tampered_term():
     vals = [binomial_oracle("franel", n) for n in range(10)]
     vals[7] += 1
-    bad = recurrence_check(builtin_recurrence("franel"),
-                           SequenceWindow(0, tuple(vals)))
+    bad = recurrence_check(builtin_recurrence("franel"), tuple(vals))
     assert bad is not None and bad[0] <= 7
 
 
 def test_recurrence_check_window_too_short():
     with pytest.raises(ValueError, match="window too short"):
-        recurrence_check(builtin_recurrence("franel"), SequenceWindow(0, (1, 2)))
+        recurrence_check(builtin_recurrence("franel"), (1, 2))
 
 
 def test_extend_franel():
-    ext = recurrence_extend(builtin_recurrence("franel"),
-                            SequenceWindow(0, (1, 2)), 5)
-    assert ext.values == (1, 2, 10, 56, 346, 2252)
+    ext = recurrence_extend(builtin_recurrence("franel"), (1, 2), 5)
+    assert ext == (1, 2, 10, 56, 346, 2252)
 
 
 def test_seed_matches_extend_for_franel():
     rec = builtin_recurrence("franel")
-    assert recurrence_seed(rec, 8).values == \
-        recurrence_extend(rec, SequenceWindow(0, (1, 2)), 8).values
+    assert recurrence_seed(rec, 8) == recurrence_extend(rec, (1, 2), 8)
 
 
 def test_twovar_recurrence_matches_oracle():
@@ -107,19 +104,19 @@ def test_guess_recovers_kzd():
 
 def test_guess_needs_enough_terms():
     with pytest.raises(ValueError, match="need >= "):
-        recurrence_guess(SequenceWindow(0, tuple(range(1, 9))), 3, 3)
+        recurrence_guess(tuple(range(1, 9)), 3, 3)
 
 
 def test_guess_prefers_minimal_order():
     # geometric sequence: order 1 suffices even when order 2 is allowed
-    seq = SequenceWindow(0, tuple(F(3) ** n for n in range(20)))
+    seq = tuple(F(3) ** n for n in range(20))
     rec = recurrence_guess(seq, 2, 1)
     assert rec.order == 1
 
 
 def test_guess_labels_nothing_for_random_junk():
-    seq = SequenceWindow(0, (1, 1, 2, 3, 5, 8, 14, 21, 34, 55, 89, 144,
-                             233, 378, 610, 987, 1597, 2584))
+    seq = (1, 1, 2, 3, 5, 8, 14, 21, 34, 55, 89, 144,
+           233, 378, 610, 987, 1597, 2584)
     assert recurrence_guess(seq, 1, 1) is None
 
 
@@ -160,9 +157,9 @@ def test_normalized_is_integer_primitive():
 
 
 def test_sign_scan():
-    assert sequence_sign_scan(SequenceWindow(0, (1, 2, 3))) is None
-    assert sequence_sign_scan(SequenceWindow(0, (1, 0, -2))) == (1, 0)
-    assert sequence_sign_scan(SequenceWindow(0, (1, 0, -2)), strict=False) == (2, -2)
+    assert sequence_sign_scan((1, 2, 3)) is None
+    assert sequence_sign_scan((1, 0, -2)) == (1, 0)
+    assert sequence_sign_scan((1, 0, -2), strict=False) == (2, -2)
 
 
 def test_sign_scan_on_mixed_two_var_diagonal():
@@ -192,8 +189,98 @@ def test_guess_then_extend_reproduces_data(u0):
     vals = [u0]
     for n in range(15):
         vals.append((n + 2) * vals[-1])
-    seq = SequenceWindow(0, tuple(vals))
+    seq = tuple(vals)
     rec = recurrence_guess(seq, 1, 1)
     assert rec is not None
-    ext = recurrence_extend(rec, SequenceWindow(0, tuple(vals[:2])), len(vals) - 1)
-    assert ext.values == seq.values
+    ext = recurrence_extend(rec, tuple(vals[:2]), len(vals) - 1)
+    assert ext == seq
+
+
+def test_recurrence_from_json_rejects_non_nested_lists():
+    for bad in ([1, 2], {}, "x", [["1"], 2]):
+        with pytest.raises(ValueError, match="list of coefficient lists"):
+            PRecurrence.from_json(bad)
+
+
+def test_guess_rejects_empty_search_ranges():
+    seq = _oracle_window("franel", 29)
+    for max_order, max_degree in ((0, 2), (2, -1)):
+        with pytest.raises(ValueError, match="max_order >= 1 and max_degree >= 0"):
+            recurrence_guess(seq, max_order, max_degree)
+
+
+def test_extension_rejects_negative_upto():
+    rec = builtin_recurrence("franel")
+    with pytest.raises(ValueError, match="negative index -3"):
+        recurrence_seed(rec, -3)
+    with pytest.raises(ValueError, match="negative index -1"):
+        recurrence_extend(rec, (1, 2, 10), -1)
+
+
+def test_extend_keeps_initial_terms_past_upto():
+    assert recurrence_extend(builtin_recurrence("franel"), (1, 2, 10, 7), 1) == \
+        (1, 2, 10, 7)
+
+
+_small_ints = st.integers(-3, 3)
+_small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _recurrence_and_upto(draw):
+    """An integer recurrence of order 1 or 2 with coefficients of degree
+    <= 2, and upto <= 15, whose leading polynomial has no root at the
+    instances n = 1-r .. upto-r that seeding and extension solve."""
+    r = draw(st.integers(1, 2))
+    upto = draw(st.integers(r, 15))
+    coeffs = [UniPoly(draw(st.lists(_small_ints, max_size=3)))
+              for _ in range(r + 1)]
+    assume(all(coeffs[r](n) for n in range(1 - r, upto - r + 1)))
+    return PRecurrence(tuple(coeffs)), upto
+
+
+@settings(max_examples=60, deadline=None)
+@given(_recurrence_and_upto(), st.lists(_small_fracs, min_size=2, max_size=2),
+       st.data())
+def test_one_runner_extends_and_resumes_the_seed(rec_upto, init, data):
+    rec, upto = rec_upto
+    r = rec.order
+    ext = recurrence_extend(rec, init[:r], upto)
+    assert len(ext) == upto + 1 and ext[:r] == tuple(init[:r])
+    assert recurrence_check(rec, ext) is None
+    seed = recurrence_seed(rec, upto, init[0])
+    # the seed also solves the instances n < 0, read with u_k = 0 for k < 0
+    assert all(sum(rec.coeffs[j](n) * seed[n + j] for j in range(-n, r + 1)) == 0
+               for n in range(1 - r, 0))
+    k = data.draw(st.integers(r, upto + 1))
+    assert recurrence_extend(rec, seed[:k], upto) == seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 10),
+       st.lists(_small_ints, min_size=2, max_size=2))
+def test_vanishing_leading_coefficient_names_the_blocked_index(r, m, lower):
+    # p_r(n) = n - m vanishes only at the instance n = m, which solves for
+    # u_(m+r); seeding starts at n = 1-r and extension at n = 0
+    rec = PRecurrence(tuple(UniPoly([c]) for c in lower[:r]) + (UniPoly([-m, 1]),))
+    blocked = rf"at n={m}; extension blocked at index {m + r}$"
+    with pytest.raises(ValueError, match=blocked):
+        recurrence_seed(rec, m + r + 2)
+    with pytest.raises(ValueError, match=blocked):
+        recurrence_extend(rec, (1,) * r, m + r + 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.fractions(min_value=-6, max_value=6,
+                                      max_denominator=5), max_size=3),
+                min_size=2, max_size=3).filter(lambda ps: any(ps[-1])))
+def test_normalized_is_primitive_and_proportional(ps):
+    rec = PRecurrence(tuple(UniPoly(p) for p in ps))
+    norm = rec.normalized()
+    cs = [c for p in norm.coeffs for c in p.coeffs]
+    assert all(c.denominator == 1 for c in cs)
+    assert math.gcd(*(c.numerator for c in cs)) == 1
+    assert norm.coeffs[-1].leading_coefficient() > 0
+    ratio = (norm.coeffs[-1].leading_coefficient()
+             / rec.coeffs[-1].leading_coefficient())
+    assert norm.coeffs == tuple(p * ratio for p in rec.coeffs)

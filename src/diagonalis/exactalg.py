@@ -16,9 +16,13 @@ RatLike = Union[int, Fraction, str]
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce ints, Fractions and "num/den" strings to a Fraction."""
+    """Coerce ints, Fractions and "num/den" strings to a Fraction.
+
+    A float is refused: its binary value is rarely the rational meant."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise ValueError(f"not an exact rational: float {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-
 from .exactalg import UniPoly, rat, rat_str
 from .family import FamilySpec, named_instance
 from .sequences import binomial_oracle
@@ -150,24 +148,23 @@ class AlgebraicNumber:
     minpoly: UniPoly
     interval: tuple[Fraction, Fraction]
 
-    def approx(self, dps: int = 30) -> mpmath.mpf:
-        with mpmath.workdps(dps):
-            lo, hi = self.interval
-            p = self.minpoly
-            flo = p(lo)
-            for _ in range(dps * 4):
-                if hi - lo == 0:
-                    break
-                mid = (lo + hi) / 2
-                fm = p(mid)
-                if fm == 0:
-                    return mpmath.mpf(mid.numerator) / mid.denominator
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            m = (lo + hi) / 2
-            return mpmath.mpf(m.numerator) / m.denominator
+    def approx(self, dps: int = 30) -> Fraction:
+        """Midpoint of the interval after dps*4 bisection steps."""
+        lo, hi = self.interval
+        p = self.minpoly
+        flo = p(lo)
+        for _ in range(dps * 4):
+            if hi - lo == 0:
+                break
+            mid = (lo + hi) / 2
+            fm = p(mid)
+            if fm == 0:
+                return mid
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 # --- boundary curve and critical points ------------------------------------
@@ -342,21 +339,21 @@ def necessity_test(family: FamilySpec) -> str:
 
 # --- two-variable asymptotics ----------------------------------------------
 
-def asymptotic_ratio_2d(a, n: int, dps: int = 64) -> float:
+def asymptotic_ratio_2d(a, n: int) -> float:
     """Ratio of the exact diagonal term u_{n,n} of 1/(1-(x+y)+axy) to the
-    smooth-point asymptotic (1+sqrt(1-a))^(2n+1) / (2 sqrt(pi n sqrt(1-a)))."""
+    smooth-point asymptotic (1+sqrt(1-a))^(2n+1) / (2 sqrt(pi n sqrt(1-a))).
+
+    Both sides are taken in log space, where doubles suffice for terms far
+    beyond the float range; log(num) and log(den) read the exact integers."""
     a = rat(a)
     if a >= 1:
         raise ValueError("asymptotic formula requires a < 1")
     if n < 1:
         raise ValueError("need n >= 1")
     u = binomial_oracle("2var", n, a=a)
-    with mpmath.workdps(dps):
-        am = mpmath.mpf(a.numerator) / a.denominator
-        s = mpmath.sqrt(1 - am)
-        formula = (1 + s) ** (2 * n + 1) / (2 * mpmath.sqrt(mpmath.pi * n * s))
-        exact = mpmath.mpf(u.numerator) / u.denominator
-        return float(exact / formula)
+    s = math.sqrt(1 - a)
+    log_formula = (2 * n + 1) * math.log1p(s) - math.log(2 * math.sqrt(math.pi * n * s))
+    return math.exp(math.log(u.numerator) - math.log(u.denominator) - log_formula)
 
 
 # --- box-positivity threshold bisection ------------------------------------

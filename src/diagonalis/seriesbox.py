@@ -264,8 +264,7 @@ def lambda_coefficient_check(box: CoeffBox):
     if box.ring != "Qlambda":
         raise ValueError("lambda_coefficient_check requires a Q[lambda] box")
     for n in box.indices():
-        c = box.data[n]
-        poly = c if isinstance(c, UniPoly) else UniPoly.const(c)
+        poly = box.data[n]
         ok = poly.coeffs and all(q >= 0 for q in poly.coeffs)
         if not ok:
             return (n, poly)
@@ -278,10 +277,13 @@ def _coeff_to_text(c: Coeff) -> str:
     return rat_str(c)
 
 
-def _coeff_from_text(s: str) -> Coeff:
-    if s.startswith("["):
-        return UniPoly.from_json(json.loads(s))
-    return rat(s)
+def _coeff_from_text(s: str, ring: str) -> Coeff:
+    if ring == "Q":
+        return rat(s)
+    cs = json.loads(s)
+    if not isinstance(cs, list):
+        raise ValueError("not a Q[lambda] coefficient list")
+    return UniPoly.from_json(cs)
 
 
 def save_cache(box: CoeffBox, fh: TextIO) -> None:
@@ -296,23 +298,36 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
-    Raises ValueError, naming the offending line, for a malformed line, a
-    duplicate index, an index outside [0..N]^d, an entry count that is
-    neither (N+1)^d (full box) nor C(N+d, d) (sorted orbit representatives),
-    or an unsorted index in a file of the second kind.
+    Raises ValueError, naming the header field, for a missing or malformed
+    d, N, ring (Q or Qlambda) or denom (a polynomial in d variables); and,
+    naming the offending line, for an entry that is malformed or not of the
+    header's ring, a duplicate index, an index outside [0..N]^d, an entry
+    count that is neither (N+1)^d (full box) nor C(N+d, d) (sorted orbit
+    representatives), or an unsorted index in a file of the second kind.
     """
     header = fh.readline().rstrip("\n")
     if not header.startswith(CACHE_MAGIC + "; "):
         raise ValueError("not a diagonalis box cache file")
     fields = header[len(CACHE_MAGIC) + 2:].split("; ", 3)
-    meta = {}
-    for f in fields:
-        k, v = f.split("=", 1)
-        meta[k] = v
-    dim = int(meta["d"])
-    N = int(meta["N"])
-    ring = meta["ring"]
-    denom = MultiPoly.from_json(json.loads(meta["denom"]))
+    meta = dict(f.partition("=")[::2] for f in fields)
+
+    def field(key: str, parse):
+        try:
+            return parse(meta[key])
+        except (KeyError, TypeError, ValueError) as exc:  # any JSON shape may come
+            raise ValueError(f"cache header: missing or malformed {key}= "
+                             f"({exc})") from None
+
+    dim = field("d", int)
+    N = field("N", int)
+    ring = meta.get("ring")
+    denom = field("denom", lambda s: MultiPoly.from_json(json.loads(s)))
+    if N < 0:
+        raise ValueError(f"cache header: negative N={N}")
+    if ring not in ("Q", "Qlambda"):
+        raise ValueError(f"cache header: ring={ring} is neither Q nor Qlambda")
+    if denom.dim != dim:
+        raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
     data: dict[Exponent, Coeff] = {}
     first_unsorted = None
     lineno = 1
@@ -323,7 +338,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
         try:
             idx_s, coeff_s = line.split(":", 1)
             n = tuple(int(x) for x in idx_s.split(","))
-            c = _coeff_from_text(coeff_s)
+            c = _coeff_from_text(coeff_s, ring)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
         if len(n) != dim or any(e < 0 or e > N for e in n):

@@ -112,16 +112,7 @@ class UniSeries:
     def inverse(self) -> "UniSeries":
         if not self.coeffs[0]:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        m = self.order
-        inv = [Fraction(0)] * (m + 1)
-        inv[0] = 1 / self.coeffs[0]
-        for n in range(1, m + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if k < len(self.coeffs) and self.coeffs[k]:
-                    s += self.coeffs[k] * inv[n - k]
-            inv[n] = -s * inv[0]
-        return UniSeries(inv)
+        return self._ode(1 / self.coeffs[0], self.coeffs[0], 0, 1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -136,10 +127,13 @@ class UniSeries:
         if inner.coeffs[0]:
             raise ValueError("composition requires inner constant term 0")
         m = min(self.order, inner.order)
-        acc = UniSeries.zero(m)
-        # Horner from the top coefficient down
-        for c in reversed(self.coeffs[:m + 1]):
-            acc = acc * inner.truncate(m) + UniSeries([c], m)
+        acc = UniSeries.zero(0)
+        # Horner from the top down.  inner(0) = 0, so the partial sum at c_i,
+        # multiplied by inner i more times, reaches the result only up to
+        # z^(m-i), and its unknown z^(m-i) term may be padded with 0.
+        for i in range(m, -1, -1):
+            acc = (UniSeries(acc.coeffs, m - i) * inner.truncate(m - i)
+                   + UniSeries([self.coeffs[i]], m - i))
         return acc
 
     def derivative(self) -> "UniSeries":
@@ -156,17 +150,7 @@ class UniSeries:
         """exp(f) for f with f(0) = 0, via g' = f' g."""
         if self.coeffs[0]:
             raise ValueError("exp requires zero constant term")
-        m = self.order
-        out = [Fraction(0)] * (m + 1)
-        out[0] = Fraction(1)
-        for n in range(1, m + 1):
-            # n*g_n = sum_{k=1..n} k*f_k*g_{n-k}
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += k * self.coeffs[k] * out[n - k]
-            out[n] = s / n
-        return UniSeries(out)
+        return self._ode(Fraction(1), 1, 1, 0)
 
     def log(self) -> "UniSeries":
         """log(f) for f with f(0) = 1."""
@@ -181,33 +165,40 @@ class UniSeries:
         """f^r for rational r; requires f(0) = 1."""
         if self.coeffs[0] != 1:
             raise ValueError("fractional power requires constant term 1")
-        return (self.log() * rat(r)).exp()
+        return self._ode(Fraction(1), 1, rat(r) + 1, 1)
+
+    def _ode(self, g0: Fraction, c: RatLike, a: RatLike, b: RatLike) -> "UniSeries":
+        """g with g(0) = g0 and (c + b*(f - f0))*g' = (a - b)*f'*g for f = self, that
+        is c*n*g_n = sum_{k=1..n} (a*k - b*n)*f_k*g_{n-k}: J. C. P. Miller's
+        recurrence for 1/f, f^r and exp f (Knuth, TAOCP 2, 4.7)."""
+        f = self.coeffs
+        g = [g0]
+        for n in range(1, len(f)):
+            g.append(sum(((a * k - b * n) * f[k] * g[n - k]
+                          for k in range(1, n + 1) if f[k]), Fraction(0)) / (c * n))
+        return UniSeries(g)
 
     def reversion(self) -> "UniSeries":
-        """Compositional inverse g with self(g(q)) = q, to the same order."""
+        """Compositional inverse g with self(g(q)) = q, to the same order.
+
+        Lagrange inversion: g_n = [z^(n-1)] h^n / n with h = z/self.
+        """
         if self.coeffs[0]:
             raise ValueError("reversion requires zero constant term")
         if self.order < 1 or not self.coeffs[1]:
             raise ValueError("reversion requires nonzero linear coefficient")
-        m = self.order
-        f1 = self.coeffs[1]
-        g = UniSeries([0, 1 / f1], m)
-        for n in range(2, m + 1):
-            resid = UniSeries.z(m) - self.compose(g)
-            g = g + UniSeries([0] * n + [resid.coeffs[n] / f1], m)
-        return g
+        h = UniSeries(self.coeffs[1:]).inverse()
+        hn = UniSeries.one(h.order)
+        g = [Fraction(0)]
+        for n in range(1, self.order + 1):
+            hn = hn * h
+            g.append(hn.coeffs[n - 1] / n)
+        return UniSeries(g)
 
     def scale_argument(self, s: RatLike) -> "UniSeries":
         """f(s*z)."""
         s = rat(s)
         return UniSeries([c * s ** n for n, c in enumerate(self.coeffs)])
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [rat_str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "UniSeries":
-        return cls([rat(s) for s in data["coeffs"]], data["order"])
 
     def __repr__(self) -> str:
         shown = ", ".join(rat_str(c) for c in self.coeffs[:8])

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import diagonalis
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 
 
@@ -97,13 +102,25 @@ def test_diag_from_cache_applies_numeric_scale(capsys, tmp_path):
 def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
     path = tmp_path / "kzd3.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-6]))  # truncated: 29 of 35 entries
-    with pytest.raises(SystemExit) as exc:
-        main(["diag", "--from-cache", str(path), "--oracle", "kzd"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "cannot load cache" in err and "line 30" in err and "Traceback" not in err
+    text = path.read_text()
+    header = text.split("\n", 1)[0]
+    damaged = [  # (file text, what the message must name)
+        ("".join(text.splitlines(keepends=True)[:-6]), "line 30"),  # 29 of 35 entries
+        (text.replace("d=4; ", "", 1), "d="),
+        (text.replace(header[header.index("denom="):], "denom=[1]", 1), "denom="),
+        (text.replace("d=4", "d=3", 1), "denom has 4 variables"),
+        (text.replace("ring=Q", "ring=foo", 1), "ring="),
+        (text.replace("ring=Q", "ring=Qlambda", 1), "line 2"),  # rational entries
+        (text.replace(":1\n", ':["1"]\n', 1), "line 2"),  # a Q[lambda] entry
+    ]
+    for bad, named in damaged:
+        path.write_text(bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["diag", "--from-cache", str(path), "--oracle", "kzd"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot load cache" in err and named in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_expand_deterministic_output(capsys, tmp_path):
@@ -209,6 +226,7 @@ def test_missing_family_is_usage_error(capsys):
     ["expand", "--coeffs", "1,1/0", "--N", "2"],
     ["recur", "extend", "--builtin", "franel", "--terms", "1/0,1", "--upto", "3"],
     ["recur", "extend", "--rec-json", "[1,2]", "--upto", "3"],
+    ["recur", "extend", "--rec-json", "[[0.1],[-1]]", "--upto", "2"],
     ["recur", "extend", "--builtin", "franel", "--upto", "-3"],
     ["recur", "extend", "--builtin", "franel", "--terms", "1,2,10", "--upto", "-1"],
     ["recur", "guess", "--terms", "1,2,10,56,346,2252", "--max-degree", "-1"],
@@ -268,3 +286,11 @@ def test_grid_step_is_validated():
     for bad in ("0:1:0", "0:1:-1/4"):
         with pytest.raises(argparse.ArgumentTypeError):
             _grid(bad)
+
+
+def test_cli_import_needs_no_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(diagonalis.__file__).parent.parent))
+    code = "import sys, diagonalis.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout == "False\n"

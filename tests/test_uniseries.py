@@ -10,6 +10,63 @@ from diagonalis.uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
                                   verify_series_identity)
 
 
+# Test-only oracles: the plain O(M^2) coefficient loops and the compose-based
+# reversion, independent of UniSeries._ode and of Lagrange inversion.
+
+def inverse_oracle(f):
+    m = f.order
+    inv = [F(0)] * (m + 1)
+    inv[0] = 1 / f.coeffs[0]
+    for n in range(1, m + 1):
+        s = F(0)
+        for k in range(1, n + 1):
+            if f.coeffs[k]:
+                s += f.coeffs[k] * inv[n - k]
+        inv[n] = -s * inv[0]
+    return UniSeries(inv)
+
+
+def exp_oracle(f):
+    m = f.order
+    out = [F(0)] * (m + 1)
+    out[0] = F(1)
+    for n in range(1, m + 1):
+        # n*g_n = sum_{k=1..n} k*f_k*g_{n-k}
+        s = F(0)
+        for k in range(1, n + 1):
+            if f.coeffs[k]:
+                s += k * f.coeffs[k] * out[n - k]
+        out[n] = s / n
+    return UniSeries(out)
+
+
+def power_oracle(f, r):
+    m = f.order
+    if m == 0:
+        return UniSeries([1])
+    log = (f.derivative() * inverse_oracle(f).truncate(m - 1)).integrate()
+    return exp_oracle(log * F(r))
+
+
+def compose_oracle(f, inner):
+    # Horner with every partial sum kept to the full order
+    m = min(f.order, inner.order)
+    acc = UniSeries.zero(m)
+    for c in reversed(f.coeffs[:m + 1]):
+        acc = acc * inner.truncate(m) + UniSeries([c], m)
+    return acc
+
+
+def reversion_oracle(f):
+    # fix g_n from the z^n coefficient of z - f(g), one order at a time
+    m = f.order
+    g = UniSeries([0, 1 / f.coeffs[1]], m)
+    for n in range(2, m + 1):
+        resid = UniSeries.z(m) - compose_oracle(f, g)
+        g = g + UniSeries([0] * n + [resid.coeffs[n] / f.coeffs[1]], m)
+    return g
+
+
 def geometric(order):
     # 1/(1-z)
     return UniSeries([1] * (order + 1))
@@ -88,22 +145,11 @@ def test_compose_szego_argument():
     assert g[0] == 1 and g[1] == 12
 
 
-def lagrange_inversion_oracle(f: UniSeries) -> UniSeries:
-    """Compositional inverse via g_n = (1/n) [w^(n-1)] (w/f)^n; needs f_1 = 1."""
-    m = f.order
-    assert f.coeffs[0] == 0 and f.coeffs[1] == 1
-    h = UniSeries(f.coeffs[1:], m - 1)  # f/w, constant term 1
-    out = [F(0), F(1)] + [F(0)] * (m - 1)
-    for n in range(2, m + 1):
-        out[n] = h.power(-n).coeffs[n - 1] / n
-    return UniSeries(out, m)
-
-
 def test_reversion_z_plus_z2():
     f = UniSeries([0, 1, 1], 5)
     g = f.reversion()
     assert g.coeffs == [0, 1, -1, 2, -5, 14]
-    assert g == lagrange_inversion_oracle(f)
+    assert g == reversion_oracle(f)
 
 
 def test_reversion_requires_unit_linear_term():
@@ -176,14 +222,8 @@ def test_verify_series_identity_reports_first_mismatch():
     assert verify_series_identity(f, f) is None
 
 
-def test_json_roundtrip():
-    f = UniSeries([F(1, 2), -3, 0], 4)
-    assert UniSeries.from_json(f.to_json()) == f
-
-
-small_series_units = st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=12),
-    min_size=0, max_size=5)
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+small_series_units = st.lists(small_fractions, min_size=0, max_size=5)
 
 
 @settings(max_examples=40)
@@ -209,3 +249,42 @@ def test_reversion_roundtrip(tail):
     z = UniSeries.z(f.order)
     assert f.compose(g) == z
     assert g.compose(f) == z
+
+
+nonzero_fractions = small_fractions.filter(bool)
+small_tails = st.lists(small_fractions, min_size=0, max_size=7)
+
+
+@settings(max_examples=40)
+@given(nonzero_fractions, small_tails)
+def test_inverse_against_loop_oracle(f0, tail):
+    f = UniSeries([f0] + tail)
+    assert f.inverse().coeffs == inverse_oracle(f).coeffs
+
+
+@settings(max_examples=40)
+@given(small_tails)
+def test_exp_against_loop_oracle(tail):
+    f = UniSeries([0] + tail)
+    assert f.exp().coeffs == exp_oracle(f).coeffs
+
+
+@settings(max_examples=40)
+@given(small_tails, small_fractions)
+def test_power_against_log_exp_oracle(tail, r):
+    f = UniSeries([1] + tail)
+    assert f.power(r).coeffs == power_oracle(f, r).coeffs
+
+
+@settings(max_examples=40)
+@given(st.lists(small_fractions, min_size=1, max_size=8), small_tails)
+def test_compose_against_full_horner(outer, tail):
+    f, inner = UniSeries(outer), UniSeries([0] + tail)
+    assert f.compose(inner).coeffs == compose_oracle(f, inner).coeffs
+
+
+@settings(max_examples=40)
+@given(nonzero_fractions, small_tails)
+def test_reversion_against_compose_oracle(f1, tail):
+    f = UniSeries([0, f1] + tail)
+    assert f.reversion().coeffs == reversion_oracle(f).coeffs

@@ -10,7 +10,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed, sequence_sign_scan)
 from .seriesbox import (CoeffBox, expand_reciprocal, first_nonpositive,
-                        lambda_coefficient_check, load_cache, save_cache)
+                        load_cache, save_cache)
 from .uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
                         recurrence_to_frobenius, theta_hexagonal,
                         verify_series_identity)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -26,8 +27,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
-                        first_nonpositive, lambda_coefficient_check,
-                        load_cache, save_cache)
+                        first_nonpositive, load_cache, save_cache)
 
 
 def _resolve_family(args) -> FamilySpec:
@@ -70,30 +70,25 @@ def cmd_expand(args) -> int:
     report = {
         "family": fam.to_json(),
         "N": args.N,
-        "entries": box.entry_count(),
-        "entries_stored": len(box.data),
+        "entries": (box.N + 1) ** box.dim,
+        "entries_stored": len(box.ints),
         "ring": box.ring,
     }
     status = 0
     if args.check_positive:
-        if box.ring == "Qlambda":
-            hit = lambda_coefficient_check(box)
-            if hit is None:
-                report["check"] = (f"all lambda-coefficients in [0..{args.N}]^"
-                                   f"{box.dim} have nonnegative coefficients")
-            else:
-                n, poly = hit
-                report["check"] = f"flagged {_fmt_index(n)} -> {poly!r}"
-                status = 1
+        hit = first_nonpositive(box, strict=not args.non_strict)
+        lam = box.ring == "Qlambda"
+        if hit is None and lam:
+            report["check"] = (f"all lambda-coefficients in [0..{args.N}]^"
+                               f"{box.dim} have nonnegative coefficients")
+        elif hit is None:
+            word = "nonpositive" if not args.non_strict else "negative"
+            report["check"] = f"no {word} coefficient in [0..{args.N}]^{box.dim}"
         else:
-            hit = first_nonpositive(box, strict=not args.non_strict)
-            if hit is None:
-                word = "nonpositive" if not args.non_strict else "negative"
-                report["check"] = f"no {word} coefficient in [0..{args.N}]^{box.dim}"
-            else:
-                n, c = hit
-                report["check"] = f"{_fmt_index(n)} -> {rat_str(c)}"
-                status = 1
+            n, c = hit
+            report["check"] = (f"flagged {_fmt_index(n)} -> {c!r}" if lam
+                               else f"{_fmt_index(n)} -> {rat_str(c)}")
+            status = 1
     if args.cache:
         path = _cache_path(args.cache)
         with open(path, "w") as fh:
@@ -252,7 +247,7 @@ def cmd_geometry(args) -> int:
         _emit(args, rep.to_json())
         return 0
     if args.mode == "grid":
-        rows = []
+        rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
         for a in _grid(args.a):
             for b in _grid(args.b):
                 val, member = nonsmooth_locus_3d(a, b)
@@ -263,16 +258,12 @@ def cmd_geometry(args) -> int:
                     count, verdict = "", "unsupported (a > 1 off canonical range)"
                 rows.append((rat_str(a), rat_str(b), rat_str(val),
                              "member" if member else "smooth", count, verdict))
-        out = args.output or sys.stdout
-        close = False
-        if isinstance(out, str):
-            out = open(out, "w")
-            close = True
-        out.write("a,b,locus_value,locus,orthant_count,verdict\n")
-        for row in rows:
-            out.write(",".join(str(x) for x in row) + "\n")
-        if close:
-            out.close()
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        if args.output:
+            with open(args.output, "w") as out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
         return 0
     if args.mode == "bisect":
         lo, hi = box_positivity_bisect(_box_bound(args), args.prec,
@@ -370,6 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1/8 or -1,1,0,5 for an option, so each
+    # is joined to the option before it: --b -1/8 becomes --b=-1/8
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -358,7 +358,7 @@ def asymptotic_ratio_2d(a, n: int) -> float:
 
 # --- box-positivity threshold bisection ------------------------------------
 
-def box_positivity_bisect(N: int, prec, b_lo=4, b_hi=None,
+def box_positivity_bisect(N: int, prec, b_lo=4,
                           strict: bool = False) -> tuple[Fraction, Fraction]:
     """Bisect in b for the largest b at which the [0..N]^4 box of
     h_{0,b,-b^2} stays free of nonpositive (or negative) coefficients.
@@ -377,16 +377,11 @@ def box_positivity_bisect(N: int, prec, b_lo=4, b_hi=None,
     lo = rat(b_lo)
     if not box_ok(lo):
         raise ValueError(f"expected the box to be positive at b = {rat_str(lo)}")
-    if b_hi is None:
-        hi = lo + 1
-        while box_ok(hi):
-            hi += 1
-            if hi > lo + 8:
-                raise ValueError("no nonpositive coefficient found up to b_lo + 8")
-    else:
-        hi = rat(b_hi)
-        if box_ok(hi):
-            raise ValueError(f"box still positive at b = {rat_str(hi)}")
+    hi = lo + 1
+    while box_ok(hi):
+        hi += 1
+        if hi > lo + 8:
+            raise ValueError("no nonpositive coefficient found up to b_lo + 8")
     while hi - lo > prec:
         mid = (lo + hi) / 2
         if box_ok(mid):

@@ -21,9 +21,10 @@ shape of n: each coordinate capped at the largest exponent K of p
 shape met is compiled once per call into a stencil of predecessor offsets
 with merged integer weights.  Offsets are differences of mixed-radix
 codes, so a predecessor is found with one integer subtraction and one
-dict lookup.  Only the last deg(p) integer layers are kept; every
-finished entry is stored once in `CoeffBox.data` as the exact `Fraction`
-v_n / (c_0 * L^t), or a `UniPoly` of such coefficients.
+dict lookup.  Only the last deg(p) integer layers are kept, and every
+finished v_n is stored once in `CoeffBox.ints`; the exact `Fraction`
+u_n = v_n / (c_0 * L^t), or `UniPoly` of such coefficients, is built only
+when an entry is read.
 
 For symmetric denominators an optional reduced mode stores only the sorted
 representative of each index orbit (a d!-fold saving for d=4 boxes).  The
@@ -39,7 +40,7 @@ import json
 import math
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterator, Optional, TextIO
+from typing import Optional, TextIO
 
 from .exactalg import UniPoly, rat, rat_str
 from .multipoly import Coeff, Exponent, MultiPoly, grlex_key
@@ -53,7 +54,7 @@ class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _layer(d: int, N: int, t: int, symmetric: bool, cap: int = 1) -> list:
+def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> list:
     """(n, code, shape) for every index n in [0..N]^d of total degree t, in
     lexicographic order; only the non-decreasing n when `symmetric`.
 
@@ -76,16 +77,32 @@ def _layer(d: int, N: int, t: int, symmetric: bool, cap: int = 1) -> list:
 
 
 class CoeffBox:
-    """Dense box of Taylor coefficients of 1/p on [0..N]^d."""
+    """Dense box of Taylor coefficients of 1/p on [0..N]^d, held as the
+    kernel's integers ints[n] = v_n with scale (c_0, L, B); B = 0 over Q."""
 
-    def __init__(self, denom: MultiPoly, N: int, data: dict[Exponent, Coeff],
-                 symmetric: bool, ring: str):
+    def __init__(self, denom: MultiPoly, N: int, ints: dict[Exponent, int],
+                 symmetric: bool, scale: tuple):
         self.denom = denom
         self.dim = denom.dim
         self.N = N
-        self.data = data
+        self.ints = ints
         self.symmetric = symmetric
-        self.ring = ring  # "Q" or "Qlambda"
+        self.scale = scale
+        self.ring = "Qlambda" if scale[2] else "Q"
+
+    def value(self, n: Exponent) -> Coeff:
+        """The exact coefficient v_n / (c_0 * L^|n|) at a stored index n."""
+        c0, L, B = self.scale
+        den = c0.numerator * L ** sum(n)
+        if B:
+            return UniPoly([Fraction(c * c0.denominator, den)
+                            for c in _unpack(self.ints[n], B)])
+        return Fraction(self.ints[n] * c0.denominator, den)
+
+    @property
+    def data(self) -> dict[Exponent, Coeff]:
+        """Every stored entry as an exact value, built on each read."""
+        return {n: self.value(n) for n in self.ints}
 
     def coefficient_at(self, n) -> Coeff:
         n = tuple(n)
@@ -93,16 +110,7 @@ class CoeffBox:
             raise IndexError(f"index {n} outside box [0..{self.N}]^{self.dim}")
         if self.symmetric:
             n = tuple(sorted(n))
-        return self.data[n]
-
-    def entry_count(self) -> int:
-        return (self.N + 1) ** self.dim
-
-    def indices(self) -> Iterator[Exponent]:
-        """Stored representatives in graded-lex order."""
-        for t in range(self.N * self.dim + 1):
-            layer = _layer(self.dim, self.N, t, self.symmetric)
-            yield from sorted((n for n, _, _ in layer), key=grlex_key)
+        return self.value(n)
 
 
 def _smallest_scale(requirements) -> int:
@@ -152,11 +160,9 @@ def _combine(stencil, code: int) -> int:
     return acc
 
 
-def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
-                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
-    """Expand 1/p on [0..N]^d.  Requires an invertible constant term."""
-    if N < 0:
-        raise ValueError("box bound must be >= 0")
+def _kernel_scale(p: MultiPoly, N: int) -> tuple:
+    """(c_0, L, B, packed weights [(m, w_m(2^B))]) of the kernel for 1/p on
+    [0..N]^d; B = 0 over Q.  Requires an invertible constant term."""
     c0 = p.constant_term()
     if isinstance(c0, UniPoly):
         if not c0.is_constant() or not c0:
@@ -166,15 +172,6 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
         raise ValueError("not expandable at origin: zero constant term")
     c0 = Fraction(c0)
     lam = any(isinstance(c, UniPoly) for c in p.terms.values())
-
-    if symmetric is None:
-        symmetric = p.dim > 1 and p.is_symmetric()
-    if (N + 1) ** p.dim > entry_limit:
-        raise BoxTooLargeError(
-            f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
-            f"limit {entry_limit}")
-
-    d = p.dim
     monomials = []  # (m, p_m / c_0 as lambda-coefficients; one over Q)
     for m, c in p.terms.items():
         if any(m):
@@ -188,8 +185,23 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
     # predecessor is at least one layer lower; merged weights only add terms
     # already counted), so 2^(B-1) > max(1, W^(dN)) lets `_unpack` decode v_n.
     W = sum(abs(c) for _, w in weights for c in w)
-    B = max(1, W ** (d * N)).bit_length() + 1 if lam else 0
-    weights = [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
+    B = max(1, W ** (p.dim * N)).bit_length() + 1 if lam else 0
+    return c0, L, B, [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
+
+
+def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
+                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
+    """Expand 1/p on [0..N]^d.  Requires an invertible constant term."""
+    if N < 0:
+        raise ValueError("box bound must be >= 0")
+    if symmetric is None:
+        symmetric = p.dim > 1 and p.is_symmetric()
+    if (N + 1) ** p.dim > entry_limit:
+        raise BoxTooLargeError(
+            f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
+            f"limit {entry_limit}")
+    c0, L, B, weights = _kernel_scale(p, N)
+    d = p.dim
     K = max((max(m) for m, _ in weights), default=1)
     deg = max((sum(m) for m, _ in weights), default=0)
     radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
@@ -208,82 +220,51 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
         return [(k, off, w) for (k, off), w in merged.items() if w]
 
     stencils: dict[Exponent, list] = {}
-    num0, den0 = c0.numerator, c0.denominator
-    data: dict[Exponent, Coeff] = {}
-    recent: list[dict[int, int]] = []  # recent[k - 1] holds layer t - k
-    for t in range(d * N + 1):
+    ints: dict[Exponent, int] = {(0,) * d: 1}
+    recent: list[dict[int, int]] = [{0: 1}]  # recent[k - 1] holds layer t - k
+    for t in range(1, d * N + 1):
         current: dict[int, int] = {}
         bound: dict[Exponent, list] = {}  # stencils with this layer's lags resolved
-        den_t = num0 * L ** t
         for n, code, shape in _layer(d, N, t, symmetric, K):
-            if t == 0:
-                v = 1
-            else:
-                st = bound.get(shape)
-                if st is None:
-                    if shape not in stencils:
-                        stencils[shape] = compile_stencil(n, code)
-                    st = bound[shape] = [(recent[k - 1], off, w)
-                                         for k, off, w in stencils[shape]]
-                v = _combine(st, code)
-            current[code] = v
-            if lam:
-                data[n] = UniPoly([Fraction(c * den0, den_t) for c in _unpack(v, B)])
-            else:
-                data[n] = Fraction(v * den0, den_t)
+            st = bound.get(shape)
+            if st is None:
+                if shape not in stencils:
+                    stencils[shape] = compile_stencil(n, code)
+                st = bound[shape] = [(recent[k - 1], off, w)
+                                     for k, off, w in stencils[shape]]
+            current[code] = ints[n] = _combine(st, code)
         recent.insert(0, current)
         del recent[deg:]
-    return CoeffBox(p, N, data, symmetric, "Qlambda" if lam else "Q")
+    return CoeffBox(p, N, ints, symmetric, (c0, L, B))
 
 
 def first_nonpositive(box: CoeffBox, strict: bool = True):
-    """Graded-lex-first index with coefficient <= 0 (strict) or < 0.
+    """Graded-lex-first index of the full box whose coefficient is <= 0
+    (strict) or < 0; over Q[lambda] (strict only), whose coefficient is not
+    a nonzero lambda-polynomial with coefficients >= 0.
 
-    Returns (index, coefficient) or None.  Rational boxes only; use
-    `lambda_coefficient_check` for boxes over Q[lambda].
+    Returns (index, coefficient) or None.
     """
-    if box.ring != "Q":
-        raise ValueError("first_nonpositive requires a rational box; "
-                         "use lambda_coefficient_check")
-    for t in range(box.dim * box.N + 1):
-        hits = []
-        for n, _, _ in _layer(box.dim, box.N, t, box.symmetric):
-            c = box.data[n]
-            if (c <= 0) if strict else (c < 0):
-                # the graded-lex-first member of a stored orbit
-                # representative is its descending rearrangement
-                hits.append((tuple(sorted(n, reverse=True)) if box.symmetric else n, c))
-        if hits:
-            return min(hits, key=lambda h: grlex_key(h[0]))
-    return None
-
-
-def lambda_coefficient_check(box: CoeffBox):
-    """First entry that is not a lambda-polynomial with coefficients >= 0
-    (and at least one > 0), or None."""
-    if box.ring != "Qlambda":
-        raise ValueError("lambda_coefficient_check requires a Q[lambda] box")
-    for n in box.indices():
-        poly = box.data[n]
-        ok = poly.coeffs and all(q >= 0 for q in poly.coeffs)
-        if not ok:
-            return (n, poly)
-    return None
-
-
-def _coeff_to_text(c: Coeff) -> str:
-    if isinstance(c, UniPoly):
-        return json.dumps(c.to_json(), separators=(",", ":"))
-    return rat_str(c)
-
-
-def _coeff_from_text(s: str, ring: str) -> Coeff:
-    if ring == "Q":
-        return rat(s)
-    cs = json.loads(s)
-    if not isinstance(cs, list):
-        raise ValueError("not a Q[lambda] coefficient list")
-    return UniPoly.from_json(cs)
+    c0, _, B = box.scale
+    if B and not strict:
+        raise ValueError("a Q[lambda] box has no non-strict check")
+    # u_n = v_n / (c_0 L^|n|) has the sign of s * v_n, s = sign(c_0).  Over
+    # Q[lambda], the lambda-coefficients of u_n times |c_0| L^|n| are the
+    # balanced base-2^B digits of s * v_n, each of absolute value < 2^(B-1).
+    # They are all >= 0 iff they are also its plain base-2^B digits, i.e. iff
+    # s * v_n >= 0 and no digit has its top bit (`mask`) set.
+    s = 1 if c0 > 0 else -1
+    lo = 1 if strict else 0
+    top = max(map(abs, box.ints.values())).bit_length() // B + 1 if B else 0
+    mask = sum(1 << (B * i + B - 1) for i in range(top))
+    # the graded-lex-first member of a stored orbit representative is its
+    # descending rearrangement
+    hits = [(tuple(sorted(n, reverse=True)) if box.symmetric else n, n)
+            for n, v in box.ints.items() if s * v < lo or s * v & mask]
+    if not hits:
+        return None
+    first, n = min(hits, key=lambda h: grlex_key(h[0]))
+    return first, box.value(n)
 
 
 def save_cache(box: CoeffBox, fh: TextIO) -> None:
@@ -291,19 +272,22 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
     header = (f"{CACHE_MAGIC}; d={box.dim}; N={box.N}; ring={box.ring}; "
               f"denom={json.dumps(box.denom.to_json(), separators=(',', ':'))}")
     fh.write(header + "\n")
-    for n in box.indices():
-        fh.write(",".join(map(str, n)) + ":" + _coeff_to_text(box.data[n]) + "\n")
+    for n in sorted(box.ints, key=grlex_key):
+        c = box.value(n)
+        text = json.dumps(c.to_json(), separators=(",", ":")) if box.scale[2] else rat_str(c)
+        fh.write(",".join(map(str, n)) + ":" + text + "\n")
 
 
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
     Raises ValueError, naming the header field, for a missing or malformed
-    d, N, ring (Q or Qlambda) or denom (a polynomial in d variables); and,
-    naming the offending line, for an entry that is malformed or not of the
-    header's ring, a duplicate index, an index outside [0..N]^d, an entry
-    count that is neither (N+1)^d (full box) nor C(N+d, d) (sorted orbit
-    representatives), or an unsorted index in a file of the second kind.
+    d, N, ring (Q or Qlambda, as denom's) or denom (a polynomial in d
+    variables, invertible at 0); and, naming the offending line, for an
+    entry that is malformed or not of the header's ring, a duplicate index,
+    an index outside [0..N]^d, an entry count that is neither (N+1)^d (full
+    box) nor C(N+d, d) (sorted orbit representatives), an unsorted index in
+    a file of the second kind, or an entry that is no kernel integer v_n.
     """
     header = fh.readline().rstrip("\n")
     if not header.startswith(CACHE_MAGIC + "; "):
@@ -328,7 +312,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
         raise ValueError(f"cache header: ring={ring} is neither Q nor Qlambda")
     if denom.dim != dim:
         raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
-    data: dict[Exponent, Coeff] = {}
+    data: dict[Exponent, tuple] = {}  # n -> (line, lambda-coefficients; one over Q)
     first_unsorted = None
     lineno = 1
     for lineno, line in enumerate(fh, 2):
@@ -338,7 +322,10 @@ def load_cache(fh: TextIO) -> CoeffBox:
         try:
             idx_s, coeff_s = line.split(":", 1)
             n = tuple(int(x) for x in idx_s.split(","))
-            c = _coeff_from_text(coeff_s, ring)
+            qs = [coeff_s] if ring == "Q" else json.loads(coeff_s)
+            if not isinstance(qs, list):
+                raise ValueError("not a Q[lambda] coefficient list")
+            qs = [rat(q) for q in qs]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
         if len(n) != dim or any(e < 0 or e > N for e in n):
@@ -347,7 +334,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
             raise ValueError(f"line {lineno}: duplicate index {n}")
         if first_unsorted is None and list(n) != sorted(n):
             first_unsorted = lineno
-        data[n] = c
+        data[n] = (lineno, qs)
     full = (N + 1) ** dim
     reduced = math.comb(N + dim, dim)
     if len(data) == full:
@@ -361,4 +348,21 @@ def load_cache(fh: TextIO) -> CoeffBox:
         raise ValueError(f"line {lineno}: cache ends after {len(data)} entries; "
                          f"expected {full} (full box) or {reduced} (sorted orbit "
                          f"representatives)")
-    return CoeffBox(denom, N, data, symmetric, ring)
+    try:
+        c0, L, B, _ = _kernel_scale(denom, N)
+    except ValueError as exc:
+        raise ValueError(f"cache header: denom= {exc}") from None
+    if ring != ("Qlambda" if B else "Q"):
+        raise ValueError(f"cache header: ring={ring} disagrees with denom")
+    ints: dict[Exponent, int] = {}
+    for n, (lineno, qs) in data.items():
+        scale = c0.numerator * L ** sum(n)  # v_n = u_n * scale / den(c_0)
+        digits = [divmod(q.numerator * scale, q.denominator * c0.denominator) for q in qs]
+        if any(r for _, r in digits):
+            raise ValueError(f"line {lineno}: entry is not an integer after "
+                             f"scaling by c_0 L^|n|")
+        if B and any(2 * abs(v) >= 1 << B for v, _ in digits):
+            raise ValueError(f"line {lineno}: a lambda-coefficient is wider "
+                             f"than the {B}-bit digit")
+        ints[n] = sum(v << B * i for i, (v, _) in enumerate(digits))
+    return CoeffBox(denom, N, ints, symmetric, (c0, L, B))

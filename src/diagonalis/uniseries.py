@@ -185,7 +185,9 @@ class UniSeries:
         """
         if self.coeffs[0]:
             raise ValueError("reversion requires zero constant term")
-        if self.order < 1 or not self.coeffs[1]:
+        if self.order == 0:
+            return UniSeries([Fraction(0)])
+        if not self.coeffs[1]:
             raise ValueError("reversion requires nonzero linear coefficient")
         h = UniSeries(self.coeffs[1:]).inverse()
         hn = UniSeries.one(h.order)

@@ -16,8 +16,7 @@ from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   extract_diagonal, recurrence_check,
                                   recurrence_guess, recurrence_seed,
                                   sequence_sign_scan)
-from diagonalis.seriesbox import (expand_reciprocal, first_nonpositive,
-                                  lambda_coefficient_check)
+from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
 
 
 def _report(capsys, criterion: int, ok: bool, detail: str = "") -> None:
@@ -141,7 +140,7 @@ def test_criterion_6_geometry(capsys):
 def test_criterion_7_lambda_positivity(capsys):
     fam = named_instance("StraubLambda")
     box = expand_reciprocal(fam.denominator(), 10)
-    ok = box.ring == "Qlambda" and lambda_coefficient_check(box) is None
+    ok = box.ring == "Qlambda" and first_nonpositive(box) is None
     _report(capsys, 7, ok, "all coefficients with indices <= 10 are lambda-"
                    "polynomials with nonnegative coefficients")
 
@@ -160,6 +159,6 @@ def test_criterion_9_property_substitution(capsys):
     box = expand_reciprocal(named_instance("h2var", a=F(1, 2)).denominator(), 8)
     ok = first_nonpositive(box, strict=True) is None
     lam_box = expand_reciprocal(named_instance("StraubLambda").denominator(), 4)
-    ok &= lambda_coefficient_check(lam_box) is None
+    ok &= first_nonpositive(lam_box) is None
     ok &= necessity_test(make_family(3, [1, -1, 0, 5])) == "violated"
     _report(capsys, 9, ok, "substituted by the exact finite-box suites of criteria 5-7")

@@ -205,6 +205,20 @@ def test_geometry_bisect(capsys):
     assert lo != hi
 
 
+@pytest.mark.parametrize("argv", [
+    "expand --family h0b --b=-1/8 --N 2",
+    "expand --coeffs=-1,1,0,5 --N 3",
+    "geometry grid --a 0:1:1/2 --b=-1:0:1/2",
+    "geometry point --family hab --a=-1/2 --b 1",
+    "recur extend --builtin franel --terms=-1,2 --upto 3",
+])
+def test_negative_values_parse_after_a_space(capsys, argv):
+    # `--b -1/8` reads like `--b=-1/8`, not like an unknown option -1/8
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert run(capsys, *argv.replace("=", " ").split()) == (code, out)
+
+
 def test_missing_family_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["expand", "--N", "3"])

@@ -24,6 +24,11 @@ def test_identity_passes(name):
     assert verify_identity(name, FAST_ORDERS[name]) is None
 
 
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_identity_passes_at_order_zero(name):
+    assert verify_identity(name, 0) is None
+
+
 def test_unknown_identity():
     with pytest.raises(ValueError, match="unknown identity"):
         verify_identity("nope", 5)

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagonalis.exactalg import UniPoly
-from diagonalis.multipoly import (MultiPoly, scale_variables, substitute_zero,
-                                  symmetric_denominator)
+from diagonalis.multipoly import (MultiPoly, grlex_key, scale_variables,
+                                  substitute_zero, symmetric_denominator)
 from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale,
                                   _unpack, expand_reciprocal, first_nonpositive,
-                                  lambda_coefficient_check, load_cache,
-                                  save_cache)
+                                  load_cache, save_cache)
 
 
 def geometric_oracle(p: MultiPoly, N: int) -> dict:
@@ -145,12 +144,12 @@ def test_first_nonpositive_koornwinder_nonstrict():
     assert all(v >= 0 for v in oracle.values())
 
 
-def test_first_nonpositive_rejects_lambda_box():
+def test_first_nonpositive_lambda_box_refuses_non_strict():
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
     box = expand_reciprocal(p, 3)
-    with pytest.raises(ValueError):
-        first_nonpositive(box)
+    with pytest.raises(ValueError, match="no non-strict check"):
+        first_nonpositive(box, strict=False)
 
 
 def test_lambda_check_geometric():
@@ -158,7 +157,7 @@ def test_lambda_check_geometric():
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
     box = expand_reciprocal(p, 3)
-    assert lambda_coefficient_check(box) is None
+    assert first_nonpositive(box) is None
     assert box.coefficient_at((3,)) == lam ** 3
 
 
@@ -167,8 +166,18 @@ def test_lambda_check_flags_negative():
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)})
     box = expand_reciprocal(p, 2)
-    hit = lambda_coefficient_check(box)
+    hit = first_nonpositive(box)
     assert hit == ((1,), lam - 1)
+
+
+def test_lambda_check_flags_graded_lex_first_of_full_box():
+    # 1/(1 - (lambda - 1) e_1) at d = 3: every degree-1 entry is lambda - 1,
+    # and (1,0,0) precedes (0,1,0) and the stored (0,0,1) in graded-lex order
+    lam = UniPoly.x()
+    p = symmetric_denominator([UniPoly.const(1), -(lam - 1), 0, 0])
+    for symmetric in (True, False):
+        box = expand_reciprocal(p, 2, symmetric=symmetric)
+        assert first_nonpositive(box) == ((1, 0, 0), lam - 1)
 
 
 def test_cache_roundtrip_rational():
@@ -264,6 +273,38 @@ def test_kernel_matches_geometric_oracle(case):
         assert box.coefficient_at(n) == oracle.get(n, 0), n
 
 
+def brute_force_first_nonpositive(box, strict: bool):
+    """Graded-lex-first flagged index of the full box, reading every entry
+    through `coefficient_at`."""
+    for n in sorted(itertools.product(range(box.N + 1), repeat=box.dim),
+                    key=grlex_key):
+        c = box.coefficient_at(n)
+        if isinstance(c, UniPoly):
+            flagged = not c.coeffs or any(q < 0 for q in c.coeffs)
+        else:
+            flagged = c <= 0 if strict else c < 0
+        if flagged:
+            return n, c
+    return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(reciprocal_cases(), st.booleans())
+@example((MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)}), 3, False), True)
+@example((symmetric_denominator([1, -(lam + 1), lam * (lam + 2),  # StraubLambda
+                                 UniPoly([4, 0, -3, -1])]), 4, True), True)
+@example((symmetric_denominator([-1, lam + 1, 0, lam]), 2, False), True)
+@example((symmetric_denominator([-1, 1, 0, -4]), 3, True), False)
+@example((symmetric_denominator([1, -1, 0, 4, -16]), 3, True), False)
+@example((symmetric_denominator([1, -1, 0, 4, -16]), 3, False), True)
+@example((symmetric_denominator([1, 1, 0]), 3, False), True)
+def test_first_nonpositive_matches_brute_force(case, strict):
+    p, N, symmetric = case
+    box = expand_reciprocal(p, N, symmetric=symmetric)
+    strict = strict or box.ring == "Qlambda"  # a lambda box has no other check
+    assert first_nonpositive(box, strict) == brute_force_first_nonpositive(box, strict)
+
+
 @st.composite
 def packable(draw):
     """(B, integer coefficients of absolute value < 2^(B-1))."""
@@ -352,6 +393,33 @@ def test_cache_rejects_malformed_line():
     lines[3] = "0,0,1,1=12\n"
     with pytest.raises(ValueError, match=r"line 4: malformed entry"):
         load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_rejects_entry_that_is_not_a_kernel_integer():
+    lines = _kzd3_cache_lines()
+    assert lines[3].startswith("0,0,1,1:")
+    lines[3] = "0,0,1,1:1/3\n"
+    with pytest.raises(ValueError, match=r"line 4: entry is not an integer"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_rejects_lambda_coefficient_wider_than_the_digit():
+    buf = io.StringIO()
+    save_cache(expand_reciprocal(MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam}), 3),
+               buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    lines[2] = f'1:["0","{2 ** 80}"]\n'
+    with pytest.raises(ValueError, match=r"line 3: a lambda-coefficient is wider"):
+        load_cache(io.StringIO("".join(lines)))
+
+
+def test_cache_rejects_ring_that_disagrees_with_denom():
+    lines = _kzd3_cache_lines()
+    header = lines[0].replace("ring=Q;", "ring=Qlambda;")
+    entries = [n + ':["' + c.rstrip("\n") + '"]\n'
+               for n, c in (line.split(":") for line in lines[1:])]
+    with pytest.raises(ValueError, match=r"ring=Qlambda disagrees with denom"):
+        load_cache(io.StringIO(header + "".join(entries)))
 
 
 def test_cache_full_box_roundtrip_keeps_unsorted_indices():

@@ -159,6 +159,12 @@ def test_reversion_requires_unit_linear_term():
         UniSeries([1, 1], 3).reversion()
 
 
+def test_reversion_at_order_zero():
+    # to order 0 the compositional inverse is 0, whatever the linear term
+    assert UniSeries([0], 0).reversion().coeffs == [0]
+    assert UniSeries([0, 2, 1], 3).truncate(0).reversion().coeffs == [0]
+
+
 def theta_double_loop_oracle(M):
     counts = [0] * (M + 1)
     # generous bound, deliberately cruder than the library's

@@ -33,10 +33,9 @@ from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
 def _resolve_family(args) -> FamilySpec:
     if getattr(args, "coeffs", None):
         cs = [rat(s) for s in args.coeffs.split(",")]
-        d = args.d if getattr(args, "d", None) else len(cs) - 1
-        if d != len(cs) - 1:
-            raise ValueError(f"--d {d} inconsistent with {len(cs)} coefficients")
-        return make_family(d, cs)
+        if getattr(args, "d", None) not in (None, len(cs) - 1):
+            raise ValueError(f"--d {args.d} inconsistent with {len(cs)} coefficients")
+        return make_family(len(cs) - 1, cs)
     if not getattr(args, "family", None):
         raise ValueError("need --family or --coeffs")
     params = {key: getattr(args, key) for key in ("a", "b", "c", "lam", "d")
@@ -51,8 +50,6 @@ def _box_bound(args) -> int:
 
 
 def _cache_path(path: str) -> str:
-    if os.path.isabs(path):
-        return path
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
@@ -62,9 +59,9 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
-    if args.non_strict and fam.has_lambda():
-        raise ValueError("--non-strict applies to rational boxes only; a "
-                         "Q[lambda] box is checked coefficient by coefficient")
+    if args.non_strict and (fam.has_lambda() or not args.check_positive):
+        raise ValueError("--non-strict applies only to --check-positive on a rational "
+                         "box; a Q[lambda] box is checked coefficient by coefficient")
     box = expand_reciprocal(fam.denominator(), args.N,
                             entry_limit=args.entry_limit)
     report = {
@@ -91,8 +88,15 @@ def cmd_expand(args) -> int:
             status = 1
     if args.cache:
         path = _cache_path(args.cache)
-        with open(path, "w") as fh:
-            save_cache(box, fh)
+        # renamed over the path only when whole: a failed write keeps the old cache
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                save_cache(box, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         report["cache"] = path
     _emit(args, report)
     return status

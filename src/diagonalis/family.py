@@ -55,20 +55,20 @@ def make_family(d: int, coefficients: Sequence, name: Optional[str] = None) -> F
 
 
 def _grz(params) -> FamilySpec:
-    d = int(params.get("d", 4))
+    d = int(params.pop("d", 4))
     if d < 2:
         raise ValueError("GRZ needs d >= 2")
-    c = params.get("c", math.factorial(d))
+    c = params.pop("c", math.factorial(d))
     return make_family(d, [1, -1] + [0] * (d - 2) + [c], f"GRZ-{d}")
 
 
 def _h0b(params) -> FamilySpec:
-    b = rat(params["b"])
+    b = rat(params.pop("b"))
     return make_family(4, [1, -1, 0, b, -b * b], "h0b")
 
 
 def _straub_lambda(params) -> FamilySpec:
-    lam = params.get("lam")
+    lam = params.pop("lam", None)
     t = UniPoly.x() if lam is None else UniPoly.const(rat(lam))
     cs = [UniPoly.const(1), -(t + 1), t * (t + 2), -((t - 1) * (t + 2) ** 2)]
     if lam is not None:
@@ -76,7 +76,7 @@ def _straub_lambda(params) -> FamilySpec:
     return make_family(3, cs, "StraubLambda")
 
 
-# catalog name -> (keyword parameters -> family), in catalog order
+# catalog name -> (keyword parameters -> family, popping those it takes), in catalog order
 _FAMILIES = {
     "AG3": lambda p: make_family(3, [1, -1, 0, 4], "AG3"),
     "Szego3": lambda p: make_family(3, [1, -1, Fraction(3, 4), 0], "Szego3"),
@@ -87,10 +87,10 @@ _FAMILIES = {
     "Koornwinder": lambda p: make_family(4, [1, -1, 0, 4, -16], "Koornwinder"),
     "Szego4": lambda p: make_family(
         4, [1, -1, Fraction(8, 9), Fraction(-16, 27), 0], "Szego4"),
-    "hab": lambda p: make_family(3, [1, -1, p["a"], p["b"]], "hab"),
-    "habc": lambda p: make_family(4, [1, -1, p["a"], p["b"], p["c"]], "habc"),
+    "hab": lambda p: make_family(3, [1, -1, p.pop("a"), p.pop("b")], "hab"),
+    "habc": lambda p: make_family(4, [1, -1, p.pop("a"), p.pop("b"), p.pop("c")], "habc"),
     "h0b": _h0b,
-    "h2var": lambda p: make_family(2, [1, -1, p["a"]], "h2var"),
+    "h2var": lambda p: make_family(2, [1, -1, p.pop("a")], "h2var"),
     "StraubLambda": _straub_lambda,
 }
 _CATALOG = catalog(_FAMILIES, h0bb2="h0b")
@@ -107,9 +107,12 @@ def named_instance(name: str, **params) -> FamilySpec:
     """
     build = lookup(_CATALOG, name, "family")
     try:
-        return build(params)
+        fam = build(params)
     except KeyError as exc:
         raise ValueError(f"family {name!r} needs parameter {exc.args[0]}") from None
+    if params:
+        raise ValueError(f"family {name!r} takes no parameter {next(iter(params))}")
+    return fam
 
 
 def canonicalize(spec: FamilySpec) -> tuple[FamilySpec, Fraction]:

@@ -38,16 +38,17 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from fractions import Fraction
 from operator import mul, sub
 from typing import Optional, TextIO
 
-from .exactalg import UniPoly, rat, rat_str
+from .exactalg import UniPoly
 from .multipoly import Coeff, Exponent, MultiPoly, grlex_key
 
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
-CACHE_MAGIC = "diagonalis-box v1"
+CACHE_MAGIC = "diagonalis-box v2"
 
 
 class BoxTooLargeError(ValueError):
@@ -196,6 +197,8 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
         raise ValueError("box bound must be >= 0")
     if symmetric is None:
         symmetric = p.dim > 1 and p.is_symmetric()
+    elif symmetric and not p.is_symmetric():
+        raise ValueError("a symmetric box needs a symmetric denominator")
     if (N + 1) ** p.dim > entry_limit:
         raise BoxTooLargeError(
             f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
@@ -268,31 +271,46 @@ def first_nonpositive(box: CoeffBox, strict: bool = True):
 
 
 def save_cache(box: CoeffBox, fh: TextIO) -> None:
-    """Write the cache format: header line, then idx:coeff lines in graded-lex order."""
-    header = (f"{CACHE_MAGIC}; d={box.dim}; N={box.N}; ring={box.ring}; "
-              f"denom={json.dumps(box.denom.to_json(), separators=(',', ':'))}")
-    fh.write(header + "\n")
-    for n in sorted(box.ints, key=grlex_key):
-        c = box.value(n)
-        text = json.dumps(c.to_json(), separators=(",", ":")) if box.scale[2] else rat_str(c)
-        fh.write(",".join(map(str, n)) + ":" + text + "\n")
+    """Write cache format v2: a header line, one `i,j,...:v_n` line per stored
+    entry in graded-lex order with the kernel's integer v_n in hexadecimal,
+    and a last line `crc32=` of every byte before it."""
+    denom = json.dumps(box.denom.to_json(), separators=(",", ":"))
+    # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
+    # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear time
+    body = "".join([f"{CACHE_MAGIC}; d={box.dim}; N={box.N}; sym={int(box.symmetric)}; "
+                    f"L={box.scale[1]}; B={box.scale[2]}; denom={denom}\n"]
+                   + [f"{','.join(map(str, n))}:{box.ints[n]:x}\n"
+                      for n in sorted(box.ints, key=grlex_key)])
+    # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
+    # hash that anyone can recompute detects only accidental damage, as a CRC does
+    fh.write(f"{body}crc32={zlib.crc32(body.encode()):08x}\n")
 
 
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
-    Raises ValueError, naming the header field, for a missing or malformed
-    d, N, ring (Q or Qlambda, as denom's) or denom (a polynomial in d
-    variables, invertible at 0); and, naming the offending line, for an
-    entry that is malformed or not of the header's ring, a duplicate index,
-    an index outside [0..N]^d, an entry count that is neither (N+1)^d (full
-    box) nor C(N+d, d) (sorted orbit representatives), an unsorted index in
-    a file of the second kind, or an entry that is no kernel integer v_n.
+    Raises ValueError for a v1 file, and for a file without its crc32=
+    trailer (truncated) or whose body does not match it; naming the header
+    field, for a missing or malformed d, N, sym or denom (a polynomial in d
+    variables, invertible at 0, symmetric when sym=1) and for an L or B that
+    is not the kernel's for denom and N; and, naming the offending line, for
+    a malformed entry, a duplicate index, an index outside [0..N]^d or
+    unsorted when sym=1, and an entry count other than (N+1)^d (sym=0) or
+    C(N+d, d) (sym=1: sorted orbit representatives).
     """
-    header = fh.readline().rstrip("\n")
-    if not header.startswith(CACHE_MAGIC + "; "):
+    text = fh.read()
+    if text.startswith("diagonalis-box v1;"):
+        raise ValueError("cache format v1 is no longer read; "
+                         "re-create it with expand --cache")
+    if not text.startswith(CACHE_MAGIC + "; "):
         raise ValueError("not a diagonalis box cache file")
-    fields = header[len(CACHE_MAGIC) + 2:].split("; ", 3)
+    body, _, trailer = text.removesuffix("\n").rpartition("\n")
+    if not trailer.startswith("crc32="):
+        raise ValueError("cache has no crc32= trailer (truncated file)")
+    if trailer != "crc32=%08x" % zlib.crc32(f"{body}\n".encode()):
+        raise ValueError("cache body does not match its crc32= trailer (damaged file)")
+    header, *lines = body.split("\n")
+    fields = header[len(CACHE_MAGIC) + 2:].split("; ", 5)
     meta = dict(f.partition("=")[::2] for f in fields)
 
     def field(key: str, parse):
@@ -304,65 +322,40 @@ def load_cache(fh: TextIO) -> CoeffBox:
 
     dim = field("d", int)
     N = field("N", int)
-    ring = meta.get("ring")
+    symmetric = field("sym", {"0": False, "1": True}.__getitem__)
     denom = field("denom", lambda s: MultiPoly.from_json(json.loads(s)))
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
-    if ring not in ("Q", "Qlambda"):
-        raise ValueError(f"cache header: ring={ring} is neither Q nor Qlambda")
     if denom.dim != dim:
         raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
-    data: dict[Exponent, tuple] = {}  # n -> (line, lambda-coefficients; one over Q)
-    first_unsorted = None
-    lineno = 1
-    for lineno, line in enumerate(fh, 2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
+    if symmetric and not denom.is_symmetric():
+        raise ValueError("cache header: sym=1 but denom is not symmetric")
+    ints: dict[Exponent, int] = {}
+    for lineno, line in enumerate(lines, 2):
         try:
-            idx_s, coeff_s = line.split(":", 1)
+            idx_s, v_s = line.split(":")
             n = tuple(int(x) for x in idx_s.split(","))
-            qs = [coeff_s] if ring == "Q" else json.loads(coeff_s)
-            if not isinstance(qs, list):
-                raise ValueError("not a Q[lambda] coefficient list")
-            qs = [rat(q) for q in qs]
+            v = int(v_s, 16)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
         if len(n) != dim or any(e < 0 or e > N for e in n):
             raise ValueError(f"line {lineno}: index {n} outside box [0..{N}]^{dim}")
-        if n in data:
+        if n in ints:
             raise ValueError(f"line {lineno}: duplicate index {n}")
-        if first_unsorted is None and list(n) != sorted(n):
-            first_unsorted = lineno
-        data[n] = (lineno, qs)
-    full = (N + 1) ** dim
-    reduced = math.comb(N + dim, dim)
-    if len(data) == full:
-        symmetric = False
-    elif len(data) == reduced:
-        if first_unsorted is not None:
-            raise ValueError(f"line {first_unsorted}: unsorted index in a cache "
-                             f"of {reduced} sorted orbit representatives")
-        symmetric = True
-    else:
-        raise ValueError(f"line {lineno}: cache ends after {len(data)} entries; "
-                         f"expected {full} (full box) or {reduced} (sorted orbit "
-                         f"representatives)")
+        if symmetric and list(n) != sorted(n):
+            raise ValueError(f"line {lineno}: unsorted index {n} in a sym=1 cache")
+        ints[n] = v
+    expected = math.comb(N + dim, dim) if symmetric else (N + 1) ** dim
+    if len(ints) != expected:
+        raise ValueError(f"line {len(lines) + 1}: cache ends after {len(ints)} "
+                         f"entries; expected {expected} for sym={int(symmetric)}")
+    # after the count check, so that a forged huge N never reaches W^(dN)
     try:
         c0, L, B, _ = _kernel_scale(denom, N)
     except ValueError as exc:
         raise ValueError(f"cache header: denom= {exc}") from None
-    if ring != ("Qlambda" if B else "Q"):
-        raise ValueError(f"cache header: ring={ring} disagrees with denom")
-    ints: dict[Exponent, int] = {}
-    for n, (lineno, qs) in data.items():
-        scale = c0.numerator * L ** sum(n)  # v_n = u_n * scale / den(c_0)
-        digits = [divmod(q.numerator * scale, q.denominator * c0.denominator) for q in qs]
-        if any(r for _, r in digits):
-            raise ValueError(f"line {lineno}: entry is not an integer after "
-                             f"scaling by c_0 L^|n|")
-        if B and any(2 * abs(v) >= 1 << B for v, _ in digits):
-            raise ValueError(f"line {lineno}: a lambda-coefficient is wider "
-                             f"than the {B}-bit digit")
-        ints[n] = sum(v << B * i for i, (v, _) in enumerate(digits))
+    for key, want in (("L", L), ("B", B)):
+        if meta.get(key) != str(want):
+            raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
+                             f"give {key}={want}")
     return CoeffBox(denom, N, ints, symmetric, (c0, L, B))

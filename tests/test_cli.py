@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import diagonalis
+from diagonalis import cli
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 
 
@@ -99,19 +101,28 @@ def test_diag_from_cache_applies_numeric_scale(capsys, tmp_path):
     assert "match" in out
 
 
+def _sealed(body: str) -> str:
+    """A cache body under a fresh crc32= trailer, as `save_cache` seals it."""
+    return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
+
+
 def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
     path = tmp_path / "kzd3.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
     text = path.read_text()
-    header = text.split("\n", 1)[0]
+    body = text[:text.rindex("crc32=")]
+    header = body.split("\n", 1)[0]
     damaged = [  # (file text, what the message must name)
-        ("".join(text.splitlines(keepends=True)[:-6]), "line 30"),  # 29 of 35 entries
-        (text.replace("d=4; ", "", 1), "d="),
-        (text.replace(header[header.index("denom="):], "denom=[1]", 1), "denom="),
-        (text.replace("d=4", "d=3", 1), "denom has 4 variables"),
-        (text.replace("ring=Q", "ring=foo", 1), "ring="),
-        (text.replace("ring=Q", "ring=Qlambda", 1), "line 2"),  # rational entries
-        (text.replace(":1\n", ':["1"]\n', 1), "line 2"),  # a Q[lambda] entry
+        (text[:len(text) // 2], "crc32= trailer"),
+        (text.replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n"), "crc32= trailer"),
+        (_sealed("".join(body.splitlines(keepends=True)[:30])), "line 30"),  # 29 of 35
+        (_sealed(body.replace("d=4; ", "", 1)), "d="),
+        (_sealed(body.replace(header[header.index("denom="):], "denom=[1]", 1)), "denom="),
+        (_sealed(body.replace("d=4", "d=3", 1)), "denom has 4 variables"),
+        (_sealed(body.replace("L=1", "L=2", 1)), "L="),
+        (_sealed(body.replace(":1\n", ':["1"]\n', 1)), "line 2"),  # a v1 Q[lambda] entry
+        (header.replace("v2", "v1").replace("sym=1; L=1; B=0", "ring=Q") + "\n0,0,0,0:1\n",
+         "v1 is no longer read"),
     ]
     for bad, named in damaged:
         path.write_text(bad)
@@ -121,6 +132,24 @@ def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
         err = capsys.readouterr().err
         assert "cannot load cache" in err and named in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "kzd3.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    before = path.read_bytes()
+
+    def fail_midway(box, fh):
+        fh.write("diagonalis-box v2; d=3")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "save_cache", fail_midway)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "AG3", "--N", "3", "--cache", str(path)])
+    assert exc.value.code == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kzd3.box"]
 
 
 def test_expand_deterministic_output(capsys, tmp_path):
@@ -247,6 +276,11 @@ def test_missing_family_is_usage_error(capsys):
     ["recur", "guess", "--terms", "1,2,10,56,346,2252", "--max-order", "0"],
     ["expand", "--family", "StraubLambda", "--N", "3", "--check-positive",
      "--non-strict"],
+    ["diag", "--family", "AG3", "--a", "5", "--N", "3", "--oracle", "franel"],
+    ["diag", "--family", "KZ-D", "--d", "3", "--N", "3"],
+    ["diag", "--family", "Kauers", "--lam", "1", "--N", "3"],
+    ["expand", "--coeffs", "1,-1", "--d", "0", "--N", "3"],
+    ["expand", "--family", "AG3", "--N", "3", "--non-strict"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

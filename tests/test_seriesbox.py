@@ -2,6 +2,8 @@ import io
 import itertools
 import math
 import random
+import re
+import zlib
 from fractions import Fraction as F
 
 import pytest
@@ -352,24 +354,54 @@ def test_smallest_scale():
 # --- damaged cache files ------------------------------------------------------
 
 def _kzd3_cache_lines():
+    """The header and entry lines of a KZ-D N=3 cache, without its trailer."""
     buf = io.StringIO()
     save_cache(expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 3), buf)
-    return buf.getvalue().splitlines(keepends=True)
+    return buf.getvalue().splitlines(keepends=True)[:-1]
+
+
+def _resealed(lines):
+    """The cache file of these lines under a fresh crc32= trailer, so that a
+    damaged body passes the hash check and reaches the structural checks."""
+    body = "".join(lines)
+    return io.StringIO(f"{body}crc32={zlib.crc32(body.encode()):08x}\n")
 
 
 def test_cache_rejects_truncated_file():
     lines = _kzd3_cache_lines()
     assert len(lines) == 1 + 35
-    with pytest.raises(ValueError, match=r"line 30: cache ends after 29 entries; "
-                                         r"expected 256 .* or 35"):
+    with pytest.raises(ValueError, match=r"no crc32= trailer \(truncated file\)"):
         load_cache(io.StringIO("".join(lines[:30])))
+
+
+def test_cache_rejects_wrong_entry_count():
+    with pytest.raises(ValueError, match=r"line 30: cache ends after 29 entries; "
+                                         r"expected 35 for sym=1"):
+        load_cache(_resealed(_kzd3_cache_lines()[:30]))
+
+
+def test_cache_rejects_changed_digit_under_old_trailer():
+    buf = io.StringIO()
+    save_cache(expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 3), buf)
+    assert "\n3,3,3,3:220\ncrc32=" in buf.getvalue()
+    damaged = buf.getvalue().replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n")
+    with pytest.raises(ValueError, match=r"does not match its crc32= trailer"):
+        load_cache(io.StringIO(damaged))
+
+
+def test_cache_refuses_format_v1():
+    v1 = ('diagonalis-box v1; d=1; N=1; ring=Q; denom={"dim":1,"terms":'
+          '[{"exp":[0],"coeff":"1"},{"exp":[1],"coeff":"-1"}]}\n0:1\n1:1\n')
+    with pytest.raises(ValueError, match=r"^cache format v1 is no longer read; "
+                                         r"re-create it with expand --cache$"):
+        load_cache(io.StringIO(v1))
 
 
 def test_cache_rejects_duplicate_index():
     lines = _kzd3_cache_lines()
     lines[5] = lines[4].split(":")[0] + ":" + lines[5].split(":", 1)[1]
     with pytest.raises(ValueError, match=r"line 6: duplicate index"):
-        load_cache(io.StringIO("".join(lines)))
+        load_cache(_resealed(lines))
 
 
 @pytest.mark.parametrize("index", ["0,0,0,4", "0,0,1", "-1,0,0,2"])
@@ -377,7 +409,7 @@ def test_cache_rejects_index_outside_box(index):
     lines = _kzd3_cache_lines()
     lines[7] = index + ":" + lines[7].split(":", 1)[1]
     with pytest.raises(ValueError, match=r"line 8: index .* outside box \[0\.\.3\]\^4"):
-        load_cache(io.StringIO("".join(lines)))
+        load_cache(_resealed(lines))
 
 
 def test_cache_rejects_unsorted_index_in_symmetric_file():
@@ -385,41 +417,46 @@ def test_cache_rejects_unsorted_index_in_symmetric_file():
     assert lines[2].startswith("0,0,0,1:")
     lines[2] = "1,0,0,0:" + lines[2].split(":", 1)[1]
     with pytest.raises(ValueError, match=r"line 3: unsorted index"):
-        load_cache(io.StringIO("".join(lines)))
+        load_cache(_resealed(lines))
 
 
 def test_cache_rejects_malformed_line():
     lines = _kzd3_cache_lines()
-    lines[3] = "0,0,1,1=12\n"
+    lines[3] = "0,0,1,1=c\n"
     with pytest.raises(ValueError, match=r"line 4: malformed entry"):
-        load_cache(io.StringIO("".join(lines)))
+        load_cache(_resealed(lines))
 
 
-def test_cache_rejects_entry_that_is_not_a_kernel_integer():
-    lines = _kzd3_cache_lines()
-    assert lines[3].startswith("0,0,1,1:")
-    lines[3] = "0,0,1,1:1/3\n"
-    with pytest.raises(ValueError, match=r"line 4: entry is not an integer"):
-        load_cache(io.StringIO("".join(lines)))
-
-
-def test_cache_rejects_lambda_coefficient_wider_than_the_digit():
+@pytest.mark.parametrize("key,lam_box", [("L", False), ("B", False), ("B", True)])
+def test_cache_rejects_scale_that_disagrees_with_denom(key, lam_box):
+    p = (MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam}) if lam_box
+         else symmetric_denominator([1, -1, 0, 2, 4]))
     buf = io.StringIO()
-    save_cache(expand_reciprocal(MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam}), 3),
-               buf)
-    lines = buf.getvalue().splitlines(keepends=True)
-    lines[2] = f'1:["0","{2 ** 80}"]\n'
-    with pytest.raises(ValueError, match=r"line 3: a lambda-coefficient is wider"):
-        load_cache(io.StringIO("".join(lines)))
+    save_cache(expand_reciprocal(p, 3), buf)
+    lines = buf.getvalue().splitlines(keepends=True)[:-1]
+    lines[0] = re.sub(rf"; {key}=\d+;", f"; {key}=7;", lines[0])
+    with pytest.raises(ValueError, match=rf"cache header: {key}=7 but denom and N give"):
+        load_cache(_resealed(lines))
 
 
-def test_cache_rejects_ring_that_disagrees_with_denom():
-    lines = _kzd3_cache_lines()
-    header = lines[0].replace("ring=Q;", "ring=Qlambda;")
-    entries = [n + ':["' + c.rstrip("\n") + '"]\n'
-               for n, c in (line.split(":") for line in lines[1:])]
-    with pytest.raises(ValueError, match=r"ring=Qlambda disagrees with denom"):
-        load_cache(io.StringIO(header + "".join(entries)))
+def test_cache_rejects_symmetric_flag_on_nonsymmetric_denom():
+    p = MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(-2)})
+    buf = io.StringIO()
+    save_cache(expand_reciprocal(p, 2), buf)
+    lines = buf.getvalue().splitlines(keepends=True)[:-1]
+    assert "; sym=0; " in lines[0]
+    lines[0] = lines[0].replace("; sym=0; ", "; sym=1; ")
+    with pytest.raises(ValueError, match=r"sym=1 but denom is not symmetric"):
+        load_cache(_resealed(lines))
+
+
+def test_symmetric_box_needs_symmetric_denominator():
+    # 1/(1 - x - 2y): u_(1,0) = 1, but a sorted-representative box would
+    # store u_(0,1) = 2 for it
+    p = MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(-2)})
+    assert expand_reciprocal(p, 3).coefficient_at((1, 0)) == 1
+    with pytest.raises(ValueError, match="symmetric box needs a symmetric denominator"):
+        expand_reciprocal(p, 3, symmetric=True)
 
 
 def test_cache_full_box_roundtrip_keeps_unsorted_indices():
@@ -429,3 +466,21 @@ def test_cache_full_box_roundtrip_keeps_unsorted_indices():
     buf.seek(0)
     loaded = load_cache(buf)
     assert not loaded.symmetric and loaded.data == box.data
+
+
+@settings(deadline=None, max_examples=40)
+@given(reciprocal_cases())
+@example((symmetric_denominator([F(-2), F(1, 2), F(2, 9), F(-4, 3)]), 4, True))
+@example((symmetric_denominator([F(1, 3), UniPoly([4, -3, 9]),
+                                 UniPoly([F(-9, 2), 0, -4])]), 4, False))
+def test_cache_roundtrip_keeps_the_kernel_integers(case):
+    p, N, symmetric = case
+    box = expand_reciprocal(p, N, symmetric=symmetric)
+    buf = io.StringIO()
+    save_cache(box, buf)
+    loaded = load_cache(io.StringIO(buf.getvalue()))
+    assert (loaded.ints, loaded.scale, loaded.symmetric) == \
+        (box.ints, box.scale, box.symmetric)
+    again = io.StringIO()
+    save_cache(loaded, again)
+    assert again.getvalue() == buf.getvalue()

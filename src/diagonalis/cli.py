@@ -31,6 +31,8 @@ from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
 
 
 def _resolve_family(args) -> FamilySpec:
+    if getattr(args, "coeffs", None) and getattr(args, "family", None):
+        raise ValueError("give --family or --coeffs, not both")
     if getattr(args, "coeffs", None):
         cs = [rat(s) for s in args.coeffs.split(",")]
         if getattr(args, "d", None) not in (None, len(cs) - 1):
@@ -38,9 +40,17 @@ def _resolve_family(args) -> FamilySpec:
         return make_family(len(cs) - 1, cs)
     if not getattr(args, "family", None):
         raise ValueError("need --family or --coeffs")
+    _param_a(args)  # the family takes or refuses --a
     params = {key: getattr(args, key) for key in ("a", "b", "c", "lam", "d")
               if getattr(args, key, None) is not None}
     return named_instance(args.family, **params)
+
+
+def _param_a(args):
+    """--a, for a family, oracle, recurrence or grid that takes it or
+    refuses it; `_emit` refuses an --a offered to none of them."""
+    args.a_offered = True
+    return args.a
 
 
 def _box_bound(args) -> int:
@@ -130,7 +140,7 @@ def cmd_diag(args) -> int:
         report["family"] = fam.to_json()
     status = 0
     if args.oracle:
-        expected = [binomial_oracle(args.oracle, n, args.a)
+        expected = [binomial_oracle(args.oracle, n, _param_a(args))
                     for n in range(len(vals))]
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
@@ -150,7 +160,7 @@ def _parse_terms(s: str) -> tuple[Fraction, ...]:
 
 def _recur_object(args):
     if args.builtin:
-        return builtin_recurrence(args.builtin, args.a)
+        return builtin_recurrence(args.builtin, _param_a(args))
     if args.rec_json:
         return PRecurrence.from_json(json.loads(args.rec_json))
     raise ValueError("need --builtin or --rec-json")
@@ -252,7 +262,7 @@ def cmd_geometry(args) -> int:
         return 0
     if args.mode == "grid":
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
-        for a in _grid(args.a):
+        for a in _grid(_param_a(args)):
             for b in _grid(args.b):
                 val, member = nonsmooth_locus_3d(a, b)
                 if a <= 1:
@@ -280,6 +290,8 @@ def cmd_geometry(args) -> int:
 
 
 def _emit(args, report: dict) -> None:
+    if getattr(args, "a", None) is not None and not hasattr(args, "a_offered"):
+        raise ValueError("nothing in this command takes --a")
     if getattr(args, "format", "text") == "json":
         json.dump({"schema": "v1", **report}, sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Union
 
 from .exactalg import UniPoly, rat, rat_str
 from .multipoly import MultiPoly, symmetric_denominator
-from .registry import catalog, lookup
+from .registry import build, catalog
 
 Coeff = Union[Fraction, UniPoly]
 
@@ -105,14 +105,7 @@ def named_instance(name: str, **params) -> FamilySpec:
     h_{0,b,-b^2}); h2var takes a; StraubLambda takes an optional lam to
     specialize the parameter.
     """
-    build = lookup(_CATALOG, name, "family")
-    try:
-        fam = build(params)
-    except KeyError as exc:
-        raise ValueError(f"family {name!r} needs parameter {exc.args[0]}") from None
-    if params:
-        raise ValueError(f"family {name!r} takes no parameter {next(iter(params))}")
-    return fam
+    return build(_CATALOG, name, "family", params)
 
 
 def canonicalize(spec: FamilySpec) -> tuple[FamilySpec, Fraction]:

@@ -1,5 +1,6 @@
 """Spelling-insensitive name lookup shared by the family, oracle and
-recurrence catalogs: case, '-' and '_' never distinguish two names."""
+recurrence catalogs: case, '-' and '_' never distinguish two names.  An
+entry takes a dict of keyword parameters and pops those it takes."""
 
 from __future__ import annotations
 
@@ -22,3 +23,17 @@ def lookup(table: dict, name: str, kind: str):
         return table[catalog_key(name)]
     except KeyError:
         raise ValueError(f"unknown {kind} {name!r}") from None
+
+
+def build(table: dict, name: str, kind: str, params: dict, *args):
+    """The entry of a `catalog` table for `name`, called as
+    entry(params, *args); it pops from `params` the parameters it takes.
+    ValueError if it needs one that is missing, or one is left over."""
+    entry = lookup(table, name, kind)
+    try:
+        value = entry(params, *args)
+    except KeyError as exc:
+        raise ValueError(f"{kind} {name!r} needs parameter {exc.args[0]}") from None
+    if params:
+        raise ValueError(f"{kind} {name!r} takes no parameter {next(iter(params))}")
+    return value

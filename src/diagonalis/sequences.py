@@ -2,9 +2,13 @@
 
 A `PRecurrence` is sum_{j=0..r} p_j(n) * u_{n+j} = 0 with polynomial
 coefficients p_j; all paper recurrences are stored re-indexed into this
-homogeneous convention.  Guessing solves the ansatz linear system exactly
-over Q and accepts the smallest (order, degree) recurrence that also
-verifies on every supplied term.  A sequence is a plain tuple (or any
+homogeneous convention.  Guessing accepts the smallest (order, degree)
+recurrence that verifies on every supplied term.  Each ansatz is an
+integer linear system, screened and solved mod 61-bit primes: full column
+rank mod p rejects it, and a nullspace of dimension one mod p is lifted by
+CRT and rational reconstruction and checked exactly over Z.  Any other
+case is solved over Q by Gauss-Jordan elimination, so the result is the
+one that exact elimination gives.  A sequence is a plain tuple (or any
 sequence) u_0, u_1, ... of rationals, indexed from 0.
 """
 
@@ -12,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import UniPoly, binomial, rat
-from .registry import catalog, lookup
+from .registry import build, catalog
 from .seriesbox import CoeffBox
 
 
@@ -78,8 +83,6 @@ def _szego3(n: int) -> Fraction:
 
 
 def _twovar(n: int, a) -> Fraction:
-    if a is None:
-        raise ValueError("2var oracle needs parameter a")
     a = rat(a)
     s = Fraction(0)
     for k in range(n + 1):
@@ -88,61 +91,65 @@ def _twovar(n: int, a) -> Fraction:
     return s
 
 
-# oracle name -> (n, parameter a) -> closed-form diagonal value
+# oracle name -> (parameters, n) -> closed-form diagonal value; an oracle
+# that takes the parameter a pops it from the parameters
 _ORACLES = catalog({
-    "franel": lambda n, a: Fraction(sum(comb(n, k) ** 3 for k in range(n + 1))),
-    "kzd": lambda n, a: Fraction(sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2
+    "franel": lambda p, n: Fraction(sum(comb(n, k) ** 3 for k in range(n + 1))),
+    "kzd": lambda p, n: Fraction(sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2
                                      for k in range(n + 1))),
-    "koornwinder": lambda n, a: Fraction(sum(
+    "koornwinder": lambda p, n: Fraction(sum(
         comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
         for k in range(n + 1))),
-    "szego3": lambda n, a: _szego3(n),
-    "2var": _twovar,
+    "szego3": lambda p, n: _szego3(n),
+    "2var": lambda p, n: _twovar(n, p.pop("a")),
     # C(2n, n) u_n with u_n from the seeded recurrence: 9^n times the
     # LewyAskey diagonal
-    "lewy-askey": lambda n, a: binomial(2 * n, n) * recurrence_seed(
+    "lewy-askey": lambda p, n: binomial(2 * n, n) * recurrence_seed(
         builtin_recurrence("lewyaskey"), n)[n],
 }, szego3binomial="szego3")
 
 
 def binomial_oracle(name: str, n: int, a=None) -> Fraction:
-    """Closed-form diagonal value for the named family."""
+    """Closed-form diagonal value for the named family.  ValueError if the
+    oracle needs the parameter `a` and it is None, or takes none and it is
+    given."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return lookup(_ORACLES, name, "oracle")(n, a)
+    return build(_ORACLES, name, "oracle", {} if a is None else {"a": a}, n)
 
 
 # --- built-in paper recurrences --------------------------------------------
 
 def _twovar_recurrence(a) -> tuple:
-    if a is None:
-        raise ValueError("2var recurrence needs parameter a")
     a = rat(a)
     return ((a * a, a * a),                      # a^2 (n+1)
             (-3 * (2 - a), -2 * (2 - a)),        # -(2-a)(2n+3)
             (2, 1))                              # (n+2)
 
 
-# recurrence name -> parameter a -> coefficients of p_0, ..., p_r in n
+# recurrence name -> parameters -> coefficients of p_0, ..., p_r in n; a
+# recurrence that takes the parameter a pops it from the parameters
 _RECURRENCES = catalog({
-    "franel": lambda a: ((-8, -16, -8),          # -8(n+1)^2
+    "franel": lambda p: ((-8, -16, -8),          # -8(n+1)^2
                          (-16, -21, -7),         # -(7(n+1)^2 + 7(n+1) + 2)
                          (4, 4, 1)),             # (n+2)^2
-    "szego3": lambda a: ((648, 1458, 729),       # 81(3n+2)(3n+4)
+    "szego3": lambda p: ((648, 1458, 729),       # 81(3n+2)(3n+4)
                          (-186, -243, -81),      # -3(27n^2 + 81n + 62)
                          (8, 8, 2)),             # 2(n+2)^2
-    "lewyaskey": lambda a: ((960, 2048, 1024),   # 64(4n+3)(4n+5)
+    "lewyaskey": lambda p: ((960, 2048, 1024),   # 64(4n+3)(4n+5)
                             (-260, -336, -112),  # -4(28n^2 + 84n + 65)
                             (12, 12, 3)),        # 3(n+2)^2
-    "kzd": lambda a: ((16, 48, 48, 16),          # 16(n+1)^3
+    "kzd": lambda p: ((16, 48, 48, 16),          # 16(n+1)^3
                       (-84, -164, -108, -24),    # -4(2n+3)(3n^2+9n+7)
                       (8, 12, 6, 1)),            # (n+2)^3
-    "2var": _twovar_recurrence,
+    "2var": lambda p: _twovar_recurrence(p.pop("a")),
 }, sd="szego3", lewyaskeyu="lewyaskey")
 
 
 def builtin_recurrence(name: str, a=None) -> PRecurrence:
-    coeffs = lookup(_RECURRENCES, name, "recurrence")(a)
+    """The named paper recurrence.  ValueError if it needs the parameter
+    `a` and it is None, or takes none and it is given."""
+    coeffs = build(_RECURRENCES, name, "recurrence", {} if a is None else {"a": a})
     return PRecurrence(tuple(UniPoly(p) for p in coeffs))
 
 
@@ -226,17 +233,13 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
             rows = len(seq) - order
             if rows < unknowns + GUESS_SAFETY_MARGIN:
                 continue
-            matrix = []
-            for n in range(len(seq) - order):
-                row = []
-                for j in range(order + 1):
-                    u = seq[n + j]
-                    npow = Fraction(1)
-                    for _ in range(degree + 1):
-                        row.append(npow * u)
-                        npow *= n
-                matrix.append(row)
-            for vec in _nullspace(matrix):
+            matrix = _ansatz_matrix(seq, order, degree)
+            # a basis of the same nullspace over Q, so normalized() below
+            # gives the same recurrence whichever route found it
+            basis = _nullspace_modular(matrix)
+            if basis is None:
+                basis = _nullspace([list(map(Fraction, row)) for row in matrix])
+            for vec in basis:
                 ps = tuple(
                     UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
                     for j in range(order + 1))
@@ -246,6 +249,110 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
                 if recurrence_check(cand, seq) is None:
                     return cand
     return None
+
+
+def _ansatz_matrix(seq: Sequence[Fraction], order: int,
+                   degree: int) -> list[list[int]]:
+    """The ansatz system sum_j p_j(n) u_{n+j} = 0 in the coefficients of
+    p_0, ..., p_order (n^0 .. n^degree each), one row per n, each row scaled
+    by the lcm of its terms' denominators.  Row scaling keeps the
+    nullspace, and the entries are integers."""
+    matrix = []
+    for n in range(len(seq) - order):
+        window = seq[n:n + order + 1]
+        scale = lcm(*(u.denominator for u in window))
+        npows = [n ** k for k in range(degree + 1)]
+        matrix.append([u.numerator * (scale // u.denominator) * npow
+                       for u in window for npow in npows])
+    return matrix
+
+
+# the largest primes below 2^61; the first is the Mersenne prime 2^61 - 1
+_PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391,
+                                       403, 465))
+
+
+def _nullspace_modular(matrix: list[list[int]]) -> Optional[list[list[Fraction]]]:
+    """The nullspace over Q of an integer matrix, found mod primes: [] when
+    it is trivial, [x] when it is the line through x, None when the primes
+    cannot tell and `_nullspace` must decide."""
+    residues, modulus, last = None, 1, None
+    for p in _PRIMES:
+        basis = _nullspace_mod(matrix, p)
+        # A minor that is nonzero mod p is a nonzero integer, so the rank
+        # mod p is at most the rank over Q.  Full column rank mod p thus
+        # proves that the nullspace over Q is trivial.
+        if not basis:
+            return []
+        if len(basis) > 1:
+            return None
+        (vec,) = basis
+        if residues is None:
+            residues = vec
+        else:  # CRT: the residues mod modulus * p
+            inv = pow(modulus, -1, p)
+            residues = [x + modulus * ((v - x) * inv % p)
+                        for x, v in zip(residues, vec)]
+        modulus *= p
+        lift = [_rational_reconstruction(x, modulus) for x in residues]
+        if None not in lift and lift == last:
+            break
+        last = lift
+    else:
+        return None
+    # Nullity 1 mod p bounds the nullity over Q by 1, so an x with A x = 0
+    # over Z spans the nullspace over Q.
+    den = lcm(*(q.denominator for q in lift))
+    x = [q.numerator * (den // q.denominator) for q in lift]
+    if any(sum(map(mul, row, x)) for row in matrix):
+        return None
+    return [lift]
+
+
+def _nullspace_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """`_nullspace` of an integer matrix over GF(p): the basis vector of
+    each free column has a 1 there."""
+    ncols = len(matrix[0])
+    rows = [[a % p for a in row] for row in matrix]
+    pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        # the columns before col are zero in the pivot row
+        tail = rows[rank][col:] = [a * inv % p for a in rows[rank][col:]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] % p
+        basis.append(vec)
+    return basis
+
+
+def _rational_reconstruction(a: int, m: int) -> Optional[Fraction]:
+    """The n/d = a mod m with |n|, d <= sqrt(m/2), or None (P. S. Wang):
+    the extended Euclidean algorithm on (m, a), stopped at the first
+    remainder within the bound."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

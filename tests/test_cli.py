@@ -197,6 +197,14 @@ def test_recur_charpoly_complex_flag(capsys):
     assert data["roots"] == "complex"
 
 
+@pytest.mark.parametrize("family", [["--family", "h2var"], ["--coeffs", "1,-1,2"]])
+def test_diag_passes_a_to_the_2var_oracle(capsys, family):
+    code, out = run(capsys, "diag", *family, "--a", "2", "--N", "6",
+                    "--oracle", "2var")
+    assert code == 0
+    assert "oracle: match (2var, n <= 6)" in out
+
+
 def test_recur_charpoly_kzd(capsys):
     code, out = run(capsys, "recur", "charpoly", "--builtin", "kzd",
                     "--format", "json")
@@ -277,6 +285,11 @@ def test_missing_family_is_usage_error(capsys):
     ["expand", "--family", "StraubLambda", "--N", "3", "--check-positive",
      "--non-strict"],
     ["diag", "--family", "AG3", "--a", "5", "--N", "3", "--oracle", "franel"],
+    ["diag", "--family", "AG3", "--coeffs", "1,-1,0,5", "--N", "3"],
+    ["diag", "--coeffs", "1,-1,0,4", "--N", "3", "--a", "5", "--oracle", "franel"],
+    ["diag", "--family", "h2var", "--a", "2", "--N", "3", "--oracle", "franel"],
+    ["diag", "--family", "AG3", "--N", "3", "--oracle", "2var"],
+    ["recur", "extend", "--builtin", "franel", "--a", "7", "--upto", "3"],
     ["diag", "--family", "KZ-D", "--d", "3", "--N", "3"],
     ["diag", "--family", "Kauers", "--lam", "1", "--N", "3"],
     ["expand", "--coeffs", "1,-1", "--d", "0", "--N", "3"],
@@ -288,6 +301,21 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["recur", "guess", "--terms", "1,3,9,27,81,243,729,2187,6561,19683",
+     "--max-order", "1", "--max-degree", "0", "--a", "3"],
+    ["geometry", "bisect", "--N", "4", "--a", "3"],
+], ids=" ".join)
+def test_a_that_nothing_takes_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("error: nothing in this command takes --a\n")
 
 
 def test_geometry_takes_no_entry_limit(capsys):
@@ -337,8 +365,11 @@ def test_grid_step_is_validated():
 
 
 def test_cli_import_needs_no_mpmath():
+    # modular arithmetic is plain int and pow(x, -1, p); hashlib once cost
+    # 3.6 MiB of peak memory in a CLI run
     env = dict(os.environ, PYTHONPATH=str(Path(diagonalis.__file__).parent.parent))
-    code = "import sys, diagonalis.cli; print('mpmath' in sys.modules)"
+    code = ("import sys, diagonalis.cli; print([m for m in "
+            "('mpmath', 'sympy', 'numpy', 'hashlib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"

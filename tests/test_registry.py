@@ -95,6 +95,16 @@ def test_missing_family_parameter_is_value_error():
         named_instance("hab", a=1)
 
 
+@pytest.mark.parametrize("build,kind", [
+    (lambda name, a: binomial_oracle(name, 1, a), "oracle"),
+    (builtin_recurrence, "recurrence")])
+def test_oracle_and_recurrence_parameters_are_declared(build, kind):
+    with pytest.raises(ValueError, match=f"{kind} 'franel' takes no parameter a"):
+        build("franel", 7)
+    with pytest.raises(ValueError, match=f"{kind} '2var' needs parameter a"):
+        build("2var", None)
+
+
 @pytest.mark.parametrize("spelling,name", with_aliases(ORACLES, ORACLE_ALIASES))
 def test_oracle_spellings(spelling, name):
     a, values = ORACLES[name]

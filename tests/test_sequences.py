@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from diagonalis import sequences
 from diagonalis.exactalg import UniPoly, binomial
 from diagonalis.family import named_instance
-from diagonalis.sequences import (PRecurrence, binomial_oracle,
+from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
+                                  binomial_oracle,
                                   builtin_recurrence,
                                   characteristic_polynomial, extract_diagonal,
                                   recurrence_check, recurrence_extend,
@@ -284,3 +286,136 @@ def test_normalized_is_primitive_and_proportional(ps):
     ratio = (norm.coeffs[-1].leading_coefficient()
              / rec.coeffs[-1].leading_coefficient())
     assert norm.coeffs == tuple(p * ratio for p in rec.coeffs)
+
+
+# Test-only oracle: the Fraction route that recurrence_guess took before it
+# screened and solved each ansatz mod primes, with Gauss-Jordan elimination
+# over Q on every ansatz.
+
+def guess_oracle(seq, max_order, max_degree):
+    for order in range(1, max_order + 1):
+        for degree in range(max_degree + 1):
+            unknowns = (order + 1) * (degree + 1)
+            rows = len(seq) - order
+            if rows < unknowns + GUESS_SAFETY_MARGIN:
+                continue
+            matrix = []
+            for n in range(len(seq) - order):
+                row = []
+                for j in range(order + 1):
+                    u = seq[n + j]
+                    npow = F(1)
+                    for _ in range(degree + 1):
+                        row.append(npow * u)
+                        npow *= n
+                matrix.append(row)
+            for vec in sequences._nullspace(matrix):
+                ps = tuple(
+                    UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
+                    for j in range(order + 1))
+                if ps[-1].is_zero():
+                    continue
+                cand = PRecurrence(ps).normalized()
+                if recurrence_check(cand, seq) is None:
+                    return cand
+    return None
+
+
+_GUESS_TERMS = 20
+
+
+@st.composite
+def _guessable_sequence(draw):
+    """u_0 .. u_19 of a recurrence of order 1 or 2 with coefficients of
+    degree <= 1 in n, small rationals, and a leading polynomial with no
+    root at the instances that extension solves."""
+    r = draw(st.integers(1, 2))
+    coeffs = [UniPoly(draw(st.lists(_small_fracs, max_size=2)))
+              for _ in range(r + 1)]
+    assume(all(coeffs[r](n) for n in range(_GUESS_TERMS - r)))
+    init = draw(st.lists(_small_fracs, min_size=r, max_size=r))
+    return recurrence_extend(PRecurrence(tuple(coeffs)), init, _GUESS_TERMS - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_guessable_sequence())
+def test_guess_matches_fraction_oracle(seq):
+    assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_guessable_sequence(), st.integers(0, _GUESS_TERMS - 1),
+       _small_fracs.filter(bool))
+def test_guess_matches_fraction_oracle_on_a_perturbed_term(seq, index, delta):
+    seq = seq[:index] + (seq[index] + delta,) + seq[index + 1:]
+    assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
+
+
+def _count_fraction_solves(monkeypatch):
+    calls = []
+    solve = sequences._nullspace
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return solve(matrix)
+    monkeypatch.setattr(sequences, "_nullspace", counted)
+    return calls
+
+
+def test_modular_route_needs_no_fraction_solve(monkeypatch):
+    calls = _count_fraction_solves(monkeypatch)
+    seq = _oracle_window("kzd", 29)
+    assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
+    assert calls == []
+
+
+@pytest.mark.parametrize("patch", ["reconstruction", "small primes"])
+def test_fallback_gives_the_same_recurrence(monkeypatch, patch):
+    if patch == "reconstruction":
+        monkeypatch.setattr(sequences, "_rational_reconstruction",
+                            lambda a, m: None)
+    else:
+        # too small to lift the coefficients, and unlucky for some ansatz
+        monkeypatch.setattr(sequences, "_PRIMES", (2, 3))
+    calls = _count_fraction_solves(monkeypatch)
+    seq = _oracle_window("franel", 29)
+    assert recurrence_guess(seq, 2, 2) == builtin_recurrence("franel").normalized()
+    assert calls
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_moduli_are_distinct_61_bit_primes():
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 - 3)
+    assert len(set(sequences._PRIMES)) == len(sequences._PRIMES)
+    for p in sequences._PRIMES:
+        assert p.bit_length() == 61 and _is_prime(p), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40))
+def test_rational_reconstruction_inverts_reduction(num, den):
+    q = F(num, den)
+    m = sequences._PRIMES[0] * sequences._PRIMES[1]
+    residue = q.numerator * pow(q.denominator, -1, m) % m
+    assert sequences._rational_reconstruction(residue, m) == q

@@ -1,16 +1,18 @@
 """Command-line interface.
 
-Subcommands: expand, diag, recur, identity, geometry.  Reports are text by
-default and JSON with --format json; `geometry grid` always writes CSV.
-Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on bad
-input, with a one-line message on stderr.  Box caches use the versioned
-text format from `seriesbox`; relative cache paths resolve against
-$DIAGONALIS_CACHE.
+Subcommands: expand, diag, recur, identity, geometry; recur and geometry
+take a mode, and each command or mode takes only the options it reads.
+Reports are text by default and JSON with --format json; `geometry grid`
+always writes CSV.  Exit code 0 iff all requested checks pass, 1 if a check
+fails, 2 on bad input, with a one-line message on stderr.  Box caches use
+the versioned text format from `seriesbox`; relative cache paths resolve
+against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -30,33 +32,39 @@ from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
                         first_nonpositive, load_cache, save_cache)
 
 
+_PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
+
+
+def _take(args, key: str):
+    """Family parameter `key`, marked as read; `_emit` refuses the unread."""
+    args.unread.pop(key, None)
+    return getattr(args, key)
+
+
+def _refuse_unread(args) -> None:
+    if args.unread:
+        raise ValueError(f"nothing in this command takes --{next(iter(args.unread))}")
+
+
 def _resolve_family(args) -> FamilySpec:
-    if getattr(args, "coeffs", None) and getattr(args, "family", None):
-        raise ValueError("give --family or --coeffs, not both")
-    if getattr(args, "coeffs", None):
+    if args.coeffs:
         cs = [rat(s) for s in args.coeffs.split(",")]
-        if getattr(args, "d", None) not in (None, len(cs) - 1):
+        if _take(args, "d") not in (None, len(cs) - 1):
             raise ValueError(f"--d {args.d} inconsistent with {len(cs)} coefficients")
         return make_family(len(cs) - 1, cs)
-    if not getattr(args, "family", None):
-        raise ValueError("need --family or --coeffs")
-    _param_a(args)  # the family takes or refuses --a
-    params = {key: getattr(args, key) for key in ("a", "b", "c", "lam", "d")
-              if getattr(args, key, None) is not None}
+    # a named family takes each parameter given or refuses it
+    params = {key: _take(args, key) for key in _PARAMS
+              if getattr(args, key) is not None}
     return named_instance(args.family, **params)
 
 
-def _param_a(args):
-    """--a, for a family, oracle, recurrence or grid that takes it or
-    refuses it; `_emit` refuses an --a offered to none of them."""
-    args.a_offered = True
-    return args.a
-
-
-def _box_bound(args) -> int:
+def _family_box(args):
+    """The family and its box on [0..N]^d."""
     if args.N is None:
         raise ValueError("--N is required to expand a box")
-    return args.N
+    fam = _resolve_family(args)
+    return fam, expand_reciprocal(fam.denominator(), args.N,
+                                  entry_limit=args.entry_limit)
 
 
 def _cache_path(path: str) -> str:
@@ -69,18 +77,14 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
+    _refuse_unread(args)  # before a box is expanded and cached
     if args.non_strict and (fam.has_lambda() or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
     box = expand_reciprocal(fam.denominator(), args.N,
                             entry_limit=args.entry_limit)
-    report = {
-        "family": fam.to_json(),
-        "N": args.N,
-        "entries": (box.N + 1) ** box.dim,
-        "entries_stored": len(box.ints),
-        "ring": box.ring,
-    }
+    report = {"family": fam.to_json(), "N": args.N, "entries": (box.N + 1) ** box.dim,
+              "entries_stored": len(box.ints), "ring": box.ring}
     status = 0
     if args.check_positive:
         hit = first_nonpositive(box, strict=not args.non_strict)
@@ -120,11 +124,11 @@ def _diag_values(args):
                 box = load_cache(fh)
             except ValueError as exc:
                 raise ValueError(f"cannot load cache {path}: {exc}") from None
+        if args.N not in (None, box.N):
+            raise ValueError(f"--N {args.N} differs from the cache's N={box.N}")
         fam = None
     else:
-        fam = _resolve_family(args)
-        box = expand_reciprocal(fam.denominator(), _box_bound(args),
-                                entry_limit=args.entry_limit)
+        fam, box = _family_box(args)
     vals = list(extract_diagonal(box))
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
@@ -140,7 +144,7 @@ def cmd_diag(args) -> int:
         report["family"] = fam.to_json()
     status = 0
     if args.oracle:
-        expected = [binomial_oracle(args.oracle, n, _param_a(args))
+        expected = [binomial_oracle(args.oracle, n, _take(args, "a"))
                     for n in range(len(vals))]
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
@@ -160,19 +164,16 @@ def _parse_terms(s: str) -> tuple[Fraction, ...]:
 
 def _recur_object(args):
     if args.builtin:
-        return builtin_recurrence(args.builtin, _param_a(args))
-    if args.rec_json:
-        return PRecurrence.from_json(json.loads(args.rec_json))
-    raise ValueError("need --builtin or --rec-json")
+        return builtin_recurrence(args.builtin, _take(args, "a"))
+    return PRecurrence.from_json(json.loads(args.rec_json))
 
 
 def _recur_sequence(args) -> tuple[Fraction, ...]:
     if args.terms:
+        if args.N is not None:
+            raise ValueError("--N bounds a family's box; --terms gives the values")
         return _parse_terms(args.terms)
-    fam = _resolve_family(args)
-    box = expand_reciprocal(fam.denominator(), _box_bound(args),
-                            entry_limit=args.entry_limit)
-    return extract_diagonal(box)
+    return extract_diagonal(_family_box(args)[1])
 
 
 def cmd_recur(args) -> int:
@@ -185,10 +186,8 @@ def cmd_recur(args) -> int:
             report["result"] = "no recurrence found"
             status = 1
         else:
-            report["order"] = rec.order
-            report["degree"] = rec.degree
-            report["coefficients"] = rec.to_json()
-            report["label"] = "empirical"
+            report.update(order=rec.order, degree=rec.degree,
+                          coefficients=rec.to_json(), label="empirical")
     elif args.mode == "check":
         rec = _recur_object(args)
         seq = _recur_sequence(args)
@@ -201,13 +200,8 @@ def cmd_recur(args) -> int:
             status = 1
     elif args.mode == "extend":
         rec = _recur_object(args)
-        if args.upto is None:
-            raise ValueError("extend needs --upto")
-        if args.terms:
-            init = _parse_terms(args.terms)
-            seq = recurrence_extend(rec, init, args.upto)
-        else:
-            seq = recurrence_seed(rec, args.upto)
+        seq = (recurrence_extend(rec, _parse_terms(args.terms), args.upto)
+               if args.terms else recurrence_seed(rec, args.upto))
         report["values"] = [rat_str(v) for v in seq]
     elif args.mode == "charpoly":
         rec = _recur_object(args)
@@ -224,14 +218,12 @@ def cmd_recur(args) -> int:
 
 def cmd_identity(args) -> int:
     bad = verify_identity(args.name, args.M)
-    if bad is None:
-        _emit(args, {"identity": args.name, "order": args.M, "result": "pass"})
-        return 0
-    n, lhs, rhs = bad
-    _emit(args, {"identity": args.name, "order": args.M,
-                 "result": f"mismatch at index {n}: "
-                           f"{rat_str(lhs)} vs {rat_str(rhs)}"})
-    return 1
+    report = {"identity": args.name, "order": args.M, "result": "pass"}
+    if bad is not None:
+        n, lhs, rhs = bad
+        report["result"] = f"mismatch at index {n}: {rat_str(lhs)} vs {rat_str(rhs)}"
+    _emit(args, report)
+    return 0 if bad is None else 1
 
 
 def _scale(s: str):
@@ -247,8 +239,6 @@ def _positive_rational(s: str) -> Fraction:
 
 def _grid(spec: str) -> list[Fraction]:
     """lo, lo + step, ... <= hi for the spec "lo:hi:step"; step > 0."""
-    if spec is None:
-        raise ValueError("grid needs --a and --b as lo:hi:step")
     lo, hi, step = spec.split(":")
     lo, hi, step = rat(lo), rat(hi), _positive_rational(step)
     return [lo + k * step for k in range((hi - lo) // step + 1)]
@@ -256,14 +246,12 @@ def _grid(spec: str) -> list[Fraction]:
 
 def cmd_geometry(args) -> int:
     if args.mode == "point":
-        fam = _resolve_family(args)
-        rep = critical_points_diag(fam)
-        _emit(args, rep.to_json())
+        _emit(args, critical_points_diag(_resolve_family(args)).to_json())
         return 0
     if args.mode == "grid":
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
-        for a in _grid(_param_a(args)):
-            for b in _grid(args.b):
+        for a in args.a:
+            for b in args.b:
                 val, member = nonsmooth_locus_3d(a, b)
                 if a <= 1:
                     rep = critical_points_diag(named_instance("hab", a=a, b=b))
@@ -279,20 +267,17 @@ def cmd_geometry(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    if args.mode == "bisect":
-        lo, hi = box_positivity_bisect(_box_bound(args), args.prec,
-                                       b_lo=rat(args.b_lo),
-                                       strict=not args.non_strict)
-        _emit(args, {"N": args.N,
-                     "threshold_interval": [rat_str(lo), rat_str(hi)],
-                     "precision": rat_str(args.prec)})
-        return 0
+    lo, hi = box_positivity_bisect(args.N, args.prec, b_lo=rat(args.b_lo),
+                                   strict=not args.non_strict)
+    _emit(args, {"N": args.N,
+                 "threshold_interval": [rat_str(lo), rat_str(hi)],
+                 "precision": rat_str(args.prec)})
+    return 0
 
 
 def _emit(args, report: dict) -> None:
-    if getattr(args, "a", None) is not None and not hasattr(args, "a_offered"):
-        raise ValueError("nothing in this command takes --a")
-    if getattr(args, "format", "text") == "json":
+    _refuse_unread(args)
+    if args.format == "json":
         json.dump({"schema": "v1", **report}, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return
@@ -300,79 +285,101 @@ def _emit(args, report: dict) -> None:
         print(f"{k}: {v}")
 
 
-def _add_family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="catalog family name")
-    p.add_argument("--coeffs", help="inline coefficients c0,c1,...,cd")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line "<prog>: error: <message>"."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _leaf(sub, name: str, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    return p
+
+
+def _add_family_args(p: argparse.ArgumentParser):
+    """--family or --coeffs, one of them required, and the family
+    parameters; returns the group, to which a leaf adds its other sources."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="catalog family name")
+    source.add_argument("--coeffs", help="inline coefficients c0,c1,...,cd")
     p.add_argument("--d", type=int, help="dimension (GRZ / inline coeffs)")
     p.add_argument("--a", help="family parameter a")
     p.add_argument("--b", help="family parameter b")
     p.add_argument("--c", help="family parameter c")
     p.add_argument("--lam", help="specialize lambda for StraubLambda")
+    return source
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json"], default="text")
+def _add_box_args(p: argparse.ArgumentParser, **n_kwargs) -> None:
+    p.add_argument("--N", type=int, **n_kwargs)
     p.add_argument("--entry-limit", type=int, default=DEFAULT_ENTRY_LIMIT,
                    help="refuse boxes with more entries than this")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one build serves
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="diagonalis",
-        description="Exact positivity experiments for symmetric rational "
-                    "functions and their diagonals")
+    """One leaf per command or mode, declaring only the options it reads."""
+    ap = _Parser(prog="diagonalis",
+                 description="Exact positivity experiments for symmetric rational "
+                             "functions and their diagonals")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="expand 1/p on a coefficient box")
+    p = _leaf(sub, "expand", help="expand 1/p on a coefficient box")
     _add_family_args(p)
-    _add_common(p)
-    p.add_argument("--N", type=int, required=True)
+    _add_box_args(p, required=True)
     p.add_argument("--check-positive", action="store_true")
     p.add_argument("--non-strict", action="store_true",
                    help="flag only strictly negative coefficients")
     p.add_argument("--cache", help="write box cache to this path")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("diag", help="extract and optionally cross-check a diagonal")
-    _add_family_args(p)
-    _add_common(p)
-    p.add_argument("--N", type=int)
+    p = _leaf(sub, "diag", help="extract and optionally cross-check a diagonal")
+    _add_family_args(p).add_argument(
+        "--from-cache", help="load box from cache instead of expanding")
+    _add_box_args(p)
     p.add_argument("--scale", type=_scale,
                    help="variable prescale s, or '9-power' for 9^n")
     p.add_argument("--oracle", help="closed-form oracle name to compare against")
-    p.add_argument("--from-cache", help="load box from cache instead of expanding")
-    p.set_defaults(func=cmd_diag)
 
-    p = sub.add_parser("recur", help="recurrence tools")
-    p.add_argument("mode", choices=["guess", "check", "extend", "charpoly"])
-    _add_family_args(p)
-    _add_common(p)
-    p.add_argument("--builtin", help="built-in recurrence name")
-    p.add_argument("--rec-json", help="recurrence as JSON coefficient arrays")
-    p.add_argument("--terms", help="comma-separated sequence values")
-    p.add_argument("--N", type=int, help="box bound when taking a family diagonal")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--upto", type=int, help="extend up to this index")
-    p.set_defaults(func=cmd_recur)
+    modes = sub.add_parser("recur", help="recurrence tools").add_subparsers(
+        dest="mode", required=True)
+    guess, check, extend, charpoly = (
+        _leaf(modes, m) for m in ("guess", "check", "extend", "charpoly"))
+    for p in (check, extend, charpoly):
+        rec = p.add_mutually_exclusive_group(required=True)
+        rec.add_argument("--builtin", help="built-in recurrence name")
+        rec.add_argument("--rec-json", help="recurrence as JSON coefficient arrays")
+    terms = "comma-separated sequence values"
+    for p in (guess, check):
+        _add_family_args(p).add_argument("--terms", help=terms)
+        _add_box_args(p, help="box bound when taking a family diagonal")
+    for p in (extend, charpoly):
+        p.add_argument("--a", help="family parameter a")
+    guess.add_argument("--max-order", type=int, default=4)
+    guess.add_argument("--max-degree", type=int, default=6)
+    extend.add_argument("--terms", help=terms)
+    extend.add_argument("--upto", type=int, required=True,
+                        help="extend up to this index")
 
-    p = sub.add_parser("identity", help="verify a generating-function identity")
+    p = _leaf(sub, "identity", help="verify a generating-function identity")
     p.add_argument("name", choices=sorted(IDENTITIES))
     p.add_argument("--M", type=int, required=True, help="truncation order")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_identity)
 
-    p = sub.add_parser("geometry", help="critical-point and locus reports")
-    p.add_argument("mode", choices=["point", "grid", "bisect"])
-    _add_family_args(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--N", type=int, help="box bound for bisect")
-    p.add_argument("--prec", type=_positive_rational, default="1/64",
-                   help="bisection precision")
-    p.add_argument("--b-lo", default="4", help="bisection lower start")
-    p.add_argument("--non-strict", action="store_true")
-    p.add_argument("--output", help="CSV output path for grid mode")
-    p.set_defaults(func=cmd_geometry)
+    modes = sub.add_parser("geometry", help="critical-point and locus reports"
+                           ).add_subparsers(dest="mode", required=True)
+    point, grid, bisect = (_leaf(modes, m) for m in ("point", "grid", "bisect"))
+    _add_family_args(point)
+    # every leaf takes --format; grid writes CSV, but perfbench passes it one
+    for key in ("a", "b"):
+        grid.add_argument(f"--{key}", type=_grid, required=True,
+                          help=f"family parameter {key}, as lo:hi:step")
+    grid.add_argument("--output", help="CSV output path for grid mode")
+    bisect.add_argument("--N", type=int, required=True, help="box bound for bisect")
+    bisect.add_argument("--prec", type=_positive_rational, default="1/64",
+                        help="bisection precision")
+    bisect.add_argument("--b-lo", default="4", help="bisection lower start")
+    bisect.add_argument("--non-strict", action="store_true")
     return ap
 
 
@@ -384,9 +391,12 @@ def main(argv=None) -> int:
         if re.match(r"-\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
+    args.unread = dict.fromkeys(key for key in _PARAMS
+                                if getattr(args, key, None) is not None)
     try:
-        return args.func(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        # looked up on each call, so that a wrapper put on the module is used
+        return globals()[f"cmd_{args.command}"](args)
+    except (ValueError, OSError) as exc:
         print(f"diagonalis {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

@@ -294,6 +294,8 @@ def test_missing_family_is_usage_error(capsys):
     ["diag", "--family", "Kauers", "--lam", "1", "--N", "3"],
     ["expand", "--coeffs", "1,-1", "--d", "0", "--N", "3"],
     ["expand", "--family", "AG3", "--N", "3", "--non-strict"],
+    ["recur", "guess", "--terms", "1,1,1,1,1,1,1,1,1,1", "--max-order", "1",
+     "--max-degree", "0", "--N", "5"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -306,7 +308,6 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["recur", "guess", "--terms", "1,3,9,27,81,243,729,2187,6561,19683",
      "--max-order", "1", "--max-degree", "0", "--a", "3"],
-    ["geometry", "bisect", "--N", "4", "--a", "3"],
 ], ids=" ".join)
 def test_a_that_nothing_takes_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -318,11 +319,47 @@ def test_a_that_nothing_takes_is_refused(capsys, argv):
     assert captured.err.endswith("error: nothing in this command takes --a\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["recur", "extend", "--builtin", "franel", "--upto", "3", "--lam", "2"],
+    ["expand", "--coeffs", "1,-1,0,4", "--N", "3", "--b", "7"],
+    ["diag", "--from-cache", "CACHE", "--family", "AG3"],
+    ["recur", "check", "--builtin", "franel", "--rec-json", '[["1"],["-1"]]',
+     "--terms", "1,2,10,56"],
+    ["recur", "guess", "--terms", ",".join(str(3 ** n) for n in range(16)),
+     "--max-order", "1", "--max-degree", "1", "--builtin", "franel"],
+    ["geometry", "bisect", "--N", "2", "--prec", "1/2", "--family", "AG3"],
+    ["geometry", "point", "--coeffs", "1,-1,0,5", "--prec", "1/4"],
+    ["geometry", "bisect", "--N", "4", "--a", "3"],
+], ids=" ".join)
+def test_option_the_mode_does_not_take_exits_2(capsys, tmp_path, argv):
+    cache = tmp_path / "ag3.box"
+    run(capsys, "expand", "--family", "AG3", "--N", "3", "--cache", str(cache))
+    with pytest.raises(SystemExit) as exc:
+        main([str(cache) if arg == "CACHE" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error:" in captured.err
+
+
+def test_diag_from_cache_refuses_another_n(capsys, tmp_path):
+    path = tmp_path / "kzd4.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "4", "--cache", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "--from-cache", str(path), "--N", "9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--N 9" in captured.err and "N=4" in captured.err
+
+
 def test_geometry_takes_no_entry_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometry", "bisect", "--N", "4", "--entry-limit", "5"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --entry-limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --entry-limit" in err
+    assert err.count("\n") == 1
 
 
 def test_positive_rational_validator():

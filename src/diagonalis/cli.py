@@ -33,17 +33,25 @@ from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
 
 
 _PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
+# options that a command refuses when given and never read
+_READ_SET = _PARAMS + ("entry_limit",)
 
 
 def _take(args, key: str):
-    """Family parameter `key`, marked as read; `_emit` refuses the unread."""
+    """Option `key` of the read-set, marked as read; `_emit` refuses the unread."""
     args.unread.pop(key, None)
     return getattr(args, key)
 
 
 def _refuse_unread(args) -> None:
     if args.unread:
-        raise ValueError(f"nothing in this command takes --{next(iter(args.unread))}")
+        key = next(iter(args.unread)).replace("_", "-")
+        raise ValueError(f"nothing in this command takes --{key}")
+
+
+def _entry_limit(args) -> int:
+    limit = _take(args, "entry_limit")
+    return DEFAULT_ENTRY_LIMIT if limit is None else limit
 
 
 def _resolve_family(args) -> FamilySpec:
@@ -64,7 +72,7 @@ def _family_box(args):
         raise ValueError("--N is required to expand a box")
     fam = _resolve_family(args)
     return fam, expand_reciprocal(fam.denominator(), args.N,
-                                  entry_limit=args.entry_limit)
+                                  entry_limit=_entry_limit(args))
 
 
 def _cache_path(path: str) -> str:
@@ -77,12 +85,12 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
+    limit = _entry_limit(args)
     _refuse_unread(args)  # before a box is expanded and cached
     if args.non_strict and (fam.has_lambda() or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
-    box = expand_reciprocal(fam.denominator(), args.N,
-                            entry_limit=args.entry_limit)
+    box = expand_reciprocal(fam.denominator(), args.N, entry_limit=limit)
     report = {"family": fam.to_json(), "N": args.N, "entries": (box.N + 1) ** box.dim,
               "entries_stored": len(box.ints), "ring": box.ring}
     status = 0
@@ -172,6 +180,7 @@ def _recur_sequence(args) -> tuple[Fraction, ...]:
     if args.terms:
         if args.N is not None:
             raise ValueError("--N bounds a family's box; --terms gives the values")
+        _refuse_unread(args)  # now, not after the guess or check has run
         return _parse_terms(args.terms)
     return extract_diagonal(_family_box(args)[1])
 
@@ -228,6 +237,13 @@ def cmd_identity(args) -> int:
 
 def _scale(s: str):
     return s if s == "9-power" else rat(s)
+
+
+def _order(s: str) -> int:
+    """A truncation order: an integer >= 0."""
+    if not re.fullmatch(r"\d+", s):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {s!r}")
+    return int(s)
 
 
 def _positive_rational(s: str) -> Fraction:
@@ -314,8 +330,9 @@ def _add_family_args(p: argparse.ArgumentParser):
 
 def _add_box_args(p: argparse.ArgumentParser, **n_kwargs) -> None:
     p.add_argument("--N", type=int, **n_kwargs)
-    p.add_argument("--entry-limit", type=int, default=DEFAULT_ENTRY_LIMIT,
-                   help="refuse boxes with more entries than this")
+    p.add_argument("--entry-limit", type=int,
+                   help="refuse boxes with more entries than this "
+                        f"(default {DEFAULT_ENTRY_LIMIT})")
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one build serves
@@ -364,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "identity", help="verify a generating-function identity")
     p.add_argument("name", choices=sorted(IDENTITIES))
-    p.add_argument("--M", type=int, required=True, help="truncation order")
+    p.add_argument("--M", type=_order, required=True, help="truncation order")
 
     modes = sub.add_parser("geometry", help="critical-point and locus reports"
                            ).add_subparsers(dest="mode", required=True)
@@ -391,13 +408,15 @@ def main(argv=None) -> int:
         if re.match(r"-\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
-    args.unread = dict.fromkeys(key for key in _PARAMS
+    args.unread = dict.fromkeys(key for key in _READ_SET
                                 if getattr(args, key, None) is not None)
     try:
         # looked up on each call, so that a wrapper put on the module is used
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
-        print(f"diagonalis {args.command}: error: {exc}", file=sys.stderr)
+        prog = " ".join(filter(None, ("diagonalis", args.command,
+                                      getattr(args, "mode", None))))
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 

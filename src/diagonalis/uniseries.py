@@ -4,6 +4,8 @@ Every series carries its own truncation order; binary operations truncate to
 the minimum order of their operands and never fabricate coefficients beyond
 it.  This keeps identity checks honest: a confirmed identity is confirmed
 exactly to the reported order, no further.
+Coefficients are integers over one common denominator, so an operation
+reduces once, not once per coefficient.
 
 Also here: the hypergeometric 2F1 truncation, Frobenius log-solutions of the
 ODE attached to a second-order polynomial recurrence, and the theta series of
@@ -12,7 +14,9 @@ the planar hexagonal lattice.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,9 +26,11 @@ from .sequences import _run_extended
 
 
 class UniSeries:
-    """Power series truncated at order M (coefficients of z^0 .. z^M)."""
+    """Power series truncated at order M (coefficients of z^0 .. z^M), held as
+    integer numerators nums[n] over one denominator den > 0 with
+    gcd(nums, den) = 1, as `CoeffBox` holds its kernel integers."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[RatLike], order: Optional[int] = None):
         cs = [rat(c) for c in coeffs]
@@ -34,11 +40,28 @@ class UniSeries:
             cs = cs[:order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs: list[Fraction] = cs
+        # over the lcm of reduced denominators the content is already prime to it
+        self.den = functools.reduce(math.lcm, (c.denominator for c in cs))
+        self.nums = [c.numerator * (self.den // c.denominator) for c in cs]
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "UniSeries":
+        """nums / den for den > 0, reduced by the one gcd of all of them."""
+        # reduce, not a star call: the argument tuples of math.gcd(den, *nums)
+        # pile up on CPython's tuple free lists, and peak RSS crept run by run
+        g = functools.reduce(math.gcd, nums, den)
+        out = object.__new__(cls)
+        out.nums, out.den = ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+        return out
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """The exact coefficients, built on each read."""
+        return [Fraction(x, self.den) for x in self.nums]
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def zero(cls, order: int) -> "UniSeries":
@@ -55,45 +78,52 @@ class UniSeries:
     def __getitem__(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
+
+    def _mismatch(self, other: "UniSeries") -> Optional[int]:
+        """The first index up to the lower order where the two differ."""
+        for n, (x, y) in enumerate(zip(self.nums, other.nums)):
+            if x * other.den != y * self.den:
+                return n
+        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniSeries):
             return NotImplemented
-        m = min(self.order, other.order)
-        return self.coeffs[:m + 1] == other.coeffs[:m + 1]
+        return self._mismatch(other) is None
 
     def truncate(self, order: int) -> "UniSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return UniSeries(self.coeffs[:order + 1])
+        return UniSeries._of(self.nums[:order + 1], self.den)
+
+    def _combine(self, other: "UniSeries", sign: int) -> "UniSeries":
+        """self + sign*other over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return UniSeries._of([x * s + y * t for x, y in zip(self.nums, other.nums)], den)
 
     def __add__(self, other: "UniSeries") -> "UniSeries":
-        m = min(self.order, other.order)
-        return UniSeries([self.coeffs[n] + other.coeffs[n] for n in range(m + 1)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniSeries") -> "UniSeries":
-        m = min(self.order, other.order)
-        return UniSeries([self.coeffs[n] - other.coeffs[n] for n in range(m + 1)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "UniSeries":
-        return UniSeries([-c for c in self.coeffs])
+        return UniSeries._of([-x for x in self.nums], self.den)
+
+    def _scaled(self, q: Fraction) -> "UniSeries":
+        return UniSeries._of([x * q.numerator for x in self.nums], self.den * q.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return UniSeries([c * q for c in self.coeffs])
+            return self._scaled(rat(other))
         if not isinstance(other, UniSeries):
             return NotImplemented
-        m = min(self.order, other.order)
-        out = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(self.coeffs[:m + 1]):
-            if a:
-                for j in range(m + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return UniSeries(out)
+        # schoolbook convolution on the numerators, reduced once
+        a, b = self.nums, other.nums
+        return UniSeries._of([sum(map(operator.mul, a[:n + 1], b[n::-1]))
+                              for n in range(min(len(a), len(b)))], self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -110,51 +140,52 @@ class UniSeries:
         return result
 
     def inverse(self) -> "UniSeries":
-        if not self.coeffs[0]:
+        if not self.nums[0]:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        return self._ode(1 / self.coeffs[0], self.coeffs[0], 0, 1)
+        return self._ode(1 / self[0], self[0], 0, 1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return UniSeries([c / q for c in self.coeffs])
+            return self._scaled(1 / rat(other))
         if not isinstance(other, UniSeries):
             return NotImplemented
         return self * other.inverse()
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """self(inner(z)); requires inner(0) = 0."""
-        if inner.coeffs[0]:
+        if inner.nums[0]:
             raise ValueError("composition requires inner constant term 0")
         m = min(self.order, inner.order)
-        acc = UniSeries.zero(0)
-        # Horner from the top down.  inner(0) = 0, so the partial sum at c_i,
-        # multiplied by inner i more times, reaches the result only up to
-        # z^(m-i), and its unknown z^(m-i) term may be padded with 0.
-        for i in range(m, -1, -1):
-            acc = (UniSeries(acc.coeffs, m - i) * inner.truncate(m - i)
-                   + UniSeries([self.coeffs[i]], m - i))
+        v = next((n for n, x in enumerate(inner.nums) if x), m + 1)  # valuation
+        # Horner from the top down.  The partial sum at c_i, multiplied by
+        # inner i more times, reaches the result only up to z^(m-v*i): so c_i
+        # with v*i > m never does, and the unknown top v terms may be 0.
+        acc = UniSeries([self[m // v]], m % v)
+        for i in range(m // v - 1, -1, -1):
+            acc = (UniSeries._of(acc.nums + [0] * v, acc.den) * inner.truncate(m - v * i)
+                   + UniSeries([self[i]], m - v * i))
         return acc
 
     def derivative(self) -> "UniSeries":
         """Formal derivative; order drops by one."""
         if self.order == 0:
             return UniSeries([0])
-        return UniSeries([n * c for n, c in enumerate(self.coeffs)][1:])
+        return UniSeries._of([n * x for n, x in enumerate(self.nums)][1:], self.den)
 
     def integrate(self) -> "UniSeries":
         """Antiderivative with zero constant term; order grows by one."""
-        return UniSeries([Fraction(0)] + [c / (n + 1) for n, c in enumerate(self.coeffs)])
+        return UniSeries([0] + [Fraction(x, self.den * (n + 1))
+                                for n, x in enumerate(self.nums)])
 
     def exp(self) -> "UniSeries":
         """exp(f) for f with f(0) = 0, via g' = f' g."""
-        if self.coeffs[0]:
+        if self.nums[0]:
             raise ValueError("exp requires zero constant term")
-        return self._ode(Fraction(1), 1, 1, 0)
+        return self._ode(1, 1, 1, 0)
 
     def log(self) -> "UniSeries":
         """log(f) for f with f(0) = 1."""
-        if self.coeffs[0] != 1:
+        if self.nums[0] != self.den:
             raise ValueError("log requires constant term 1")
         m = self.order
         if m == 0:
@@ -163,47 +194,63 @@ class UniSeries:
 
     def power(self, r: RatLike) -> "UniSeries":
         """f^r for rational r; requires f(0) = 1."""
-        if self.coeffs[0] != 1:
+        if self.nums[0] != self.den:
             raise ValueError("fractional power requires constant term 1")
-        return self._ode(Fraction(1), 1, rat(r) + 1, 1)
+        return self._ode(1, 1, rat(r) + 1, 1)
 
-    def _ode(self, g0: Fraction, c: RatLike, a: RatLike, b: RatLike) -> "UniSeries":
+    def _ode(self, g0: RatLike, c: RatLike, a: RatLike, b: RatLike) -> "UniSeries":
         """g with g(0) = g0 and (c + b*(f - f0))*g' = (a - b)*f'*g for f = self, that
         is c*n*g_n = sum_{k=1..n} (a*k - b*n)*f_k*g_{n-k}: J. C. P. Miller's
-        recurrence for 1/f, f^r and exp f (Knuth, TAOCP 2, 4.7)."""
-        f = self.coeffs
-        g = [g0]
-        for n in range(1, len(f)):
-            g.append(sum(((a * k - b * n) * f[k] * g[n - k]
-                          for k in range(1, n + 1) if f[k]), Fraction(0)) / (c * n))
-        return UniSeries(g)
+        recurrence for 1/f, f^r and exp f (Knuth, TAOCP 2, 4.7).
+
+        On integers: with f = F/den, a*k - b*n = (A*k - B*n)/s and g_j = G_j/D
+        for D the lcm of the denominators so far, g_n is one integer sum over
+        s*den*c*n*D; D grows, and the G_j are rescaled, only when g_n needs it."""
+        g0, c, a, b = rat(g0), rat(c), rat(a), rat(b)
+        AF = [a.numerator * b.denominator * k * x for k, x in enumerate(self.nums)]
+        BF = [b.numerator * a.denominator * x for x in self.nums]
+        lower = a.denominator * b.denominator * self.den * c.numerator
+        G, D = [g0.numerator], g0.denominator
+        for n in range(1, len(AF)):
+            rev = G[::-1]
+            t = (sum(map(operator.mul, AF[1:n + 1], rev))
+                 - n * sum(map(operator.mul, BF[1:n + 1], rev)))
+            g = Fraction(t * c.denominator, lower * n * D)
+            grow = g.denominator // math.gcd(D, g.denominator)
+            if grow > 1:
+                G = [x * grow for x in G]
+                D *= grow
+            G.append(g.numerator * (D // g.denominator))
+        return UniSeries._of(G, D)
 
     def reversion(self) -> "UniSeries":
         """Compositional inverse g with self(g(q)) = q, to the same order.
 
         Lagrange inversion: g_n = [z^(n-1)] h^n / n with h = z/self.
         """
-        if self.coeffs[0]:
+        if self.nums[0]:
             raise ValueError("reversion requires zero constant term")
         if self.order == 0:
-            return UniSeries([Fraction(0)])
-        if not self.coeffs[1]:
+            return UniSeries([0])
+        if not self.nums[1]:
             raise ValueError("reversion requires nonzero linear coefficient")
-        h = UniSeries(self.coeffs[1:]).inverse()
+        h = UniSeries._of(self.nums[1:], self.den).inverse()
         hn = UniSeries.one(h.order)
         g = [Fraction(0)]
         for n in range(1, self.order + 1):
             hn = hn * h
-            g.append(hn.coeffs[n - 1] / n)
+            g.append(hn[n - 1] / n)
         return UniSeries(g)
 
     def scale_argument(self, s: RatLike) -> "UniSeries":
         """f(s*z)."""
-        s = rat(s)
-        return UniSeries([c * s ** n for n, c in enumerate(self.coeffs)])
+        s, m = rat(s), self.order
+        p, q = s.numerator, s.denominator
+        return UniSeries._of([x * p ** n * q ** (m - n) for n, x in enumerate(self.nums)],
+                             self.den * q ** m)
 
     def __repr__(self) -> str:
-        shown = ", ".join(rat_str(c) for c in self.coeffs[:8])
+        shown = ", ".join(rat_str(Fraction(x, self.den)) for x in self.nums[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"UniSeries([{shown}{tail}]; order={self.order})"
 
@@ -225,11 +272,8 @@ def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
 
 def verify_series_identity(lhs: UniSeries, rhs: UniSeries):
     """None if equal to the minimum order; else (index, lhs value, rhs value)."""
-    m = min(lhs.order, rhs.order)
-    for n in range(m + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return (n, lhs.coeffs[n], rhs.coeffs[n])
-    return None
+    n = lhs._mismatch(rhs)
+    return None if n is None else (n, lhs[n], rhs[n])
 
 
 def theta_hexagonal(M: int) -> UniSeries:

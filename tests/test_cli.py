@@ -12,6 +12,7 @@ import pytest
 import diagonalis
 from diagonalis import cli
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
+from diagonalis.sequences import binomial_oracle
 
 
 def run(capsys, *argv):
@@ -274,6 +275,7 @@ def test_missing_family_is_usage_error(capsys):
     ["diag", "--from-cache", "/nonexistent/no-such.box"],
     ["expand", "--family", "AG3", "--N", "1000"],
     ["diag", "--family", "AG3", "--N", "3", "--entry-limit", "10"],
+    ["expand", "--family", "AG3", "--N", "3", "--entry-limit", "63"],
     ["expand", "--coeffs", "1,1/0", "--N", "2"],
     ["recur", "extend", "--builtin", "franel", "--terms", "1/0,1", "--upto", "3"],
     ["recur", "extend", "--rec-json", "[1,2]", "--upto", "3"],
@@ -360,6 +362,68 @@ def test_geometry_takes_no_entry_limit(capsys):
     err = capsys.readouterr().err
     assert "unrecognized arguments: --entry-limit" in err
     assert err.count("\n") == 1
+
+
+FRANEL_20 = ",".join(str(binomial_oracle("franel", n)) for n in range(20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--from-cache", "CACHE", "--entry-limit", "1"],
+    ["recur", "guess", "--terms", FRANEL_20, "--max-order", "2", "--max-degree", "2",
+     "--entry-limit", "1"],
+    ["recur", "check", "--builtin", "franel", "--terms", "1,2,10,56",
+     "--entry-limit", "1"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_entry_limit_where_no_box_is_expanded_is_refused(capsys, tmp_path, argv):
+    cache = tmp_path / "kzd4.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "4", "--cache", str(cache))
+    argv = [str(cache) if arg == "CACHE" else arg for arg in argv]
+    # without the option each command runs and exits 0
+    assert run(capsys, *argv[:-2])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("error: nothing in this command takes --entry-limit\n")
+
+
+@pytest.mark.parametrize("command", ["expand", "diag"])
+def test_given_entry_limit_is_read_where_a_box_is_expanded(capsys, command):
+    # a limit equal to the box's 64 entries passes; 63 is in the bad-input list
+    argv = [command, "--family", "AG3", "--N", "3", "--entry-limit", "64"]
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(cli.IDENTITIES))
+def test_negative_identity_order_is_one_usage_error(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", name, "--M", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("diagonalis identity: error: argument --M: "
+                            "expected an integer >= 0, got '-1'\n")
+
+
+@pytest.mark.parametrize("argv, own_error", [
+    (["recur", "extend", "--builtin", "franel", "--upto", "-3"],
+     ["recur", "extend", "--builtin", "franel"]),
+    (["recur", "charpoly", "--rec-json", "[1,2]"],
+     ["recur", "charpoly"]),
+    (["geometry", "bisect", "--N", "-1"], ["geometry", "bisect"]),
+    (["geometry", "point", "--family", "hab", "--a", "1/2"], ["geometry", "point"]),
+], ids=lambda argv: " ".join(argv))
+def test_usage_error_prefix_names_the_mode(capsys, argv, own_error):
+    # the command's own errors and argparse's carry the same prefix
+    prefix = "diagonalis " + " ".join(argv[:2]) + ": error: "
+    for bad in (argv, own_error):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_positive_rational_validator():

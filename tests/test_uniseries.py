@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagonalis.identities import Q_EXPANSION_LITERAL
 from diagonalis.sequences import builtin_recurrence, recurrence_seed
@@ -11,7 +12,37 @@ from diagonalis.uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
 
 
 # Test-only oracles: the plain O(M^2) coefficient loops and the compose-based
-# reversion, independent of UniSeries._ode and of Lagrange inversion.
+# reversion, independent of UniSeries._ode and of Lagrange inversion; and
+# the Fraction product and Miller loop that the integer paths replaced.
+
+def mul_oracle(f, g):
+    m = min(f.order, g.order)
+    a, b = f.coeffs, g.coeffs
+    out = [F(0)] * (m + 1)
+    for i in range(m + 1):
+        if a[i]:
+            for j in range(m + 1 - i):
+                if b[j]:
+                    out[i + j] += a[i] * b[j]
+    return out
+
+
+def ode_oracle(f, g0, c, a, b):
+    # c*n*g_n = sum_{k=1..n} (a*k - b*n)*f_k*g_{n-k}, one Fraction at a time
+    fs, a, b = f.coeffs, F(a), F(b)
+    g = [F(g0)]
+    for n in range(1, len(fs)):
+        g.append(sum(((a * k - b * n) * fs[k] * g[n - k]
+                      for k in range(1, n + 1) if fs[k]), F(0)) / (c * n))
+    return g
+
+
+def reduced(s):
+    """s itself, after checking its integers are reduced over den > 0."""
+    assert type(s.den) is int and all(type(x) is int for x in s.nums)
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    return s
+
 
 def inverse_oracle(f):
     m = f.order
@@ -77,6 +108,22 @@ def test_mul_truncates_to_min_order():
     g = UniSeries([1, 2], 1)
     assert (f * g).order == 1
     assert (f * g).coeffs == [1, 3]
+
+
+def test_series_holds_integers_over_one_denominator():
+    f = UniSeries([F(1, 2), F(-1, 3), 0, F(5, 6)], 4)
+    assert (f.nums, f.den) == ([3, -2, 0, 5, 0], 6)
+    assert f.coeffs == [F(1, 2), F(-1, 3), 0, F(5, 6), 0] and f[1] == F(-1, 3)
+    assert reduced(UniSeries.zero(3)).den == 1
+    # a truncation or product drops the content it no longer needs
+    assert reduced(f.truncate(0)).den == 2
+    assert reduced(f * F(6)).den == 1
+
+
+def test_equality_compares_values_across_denominators():
+    f, g = UniSeries([F(1, 2), F(1, 3)]), UniSeries([F(1, 2), F(1, 5), 7])
+    assert f.truncate(0) == g and g.truncate(0) == f
+    assert f != g and verify_series_identity(f, g) == (1, F(1, 3), F(1, 5))
 
 
 def test_inverse_geometric():
@@ -259,31 +306,43 @@ def test_reversion_roundtrip(tail):
 
 nonzero_fractions = small_fractions.filter(bool)
 small_tails = st.lists(small_fractions, min_size=0, max_size=7)
+# denominators that differ from one coefficient to the next
+mixed_fractions = st.one_of(small_fractions, st.fractions(
+    min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+mixed_tails = st.lists(mixed_fractions, min_size=0, max_size=8)
 
 
 @settings(max_examples=40)
-@given(nonzero_fractions, small_tails)
+@given(mixed_fractions.filter(bool), mixed_tails)
 def test_inverse_against_loop_oracle(f0, tail):
+    # f0 != 1 puts c = f0 and g0 = 1/f0 into the recurrence
     f = UniSeries([f0] + tail)
-    assert f.inverse().coeffs == inverse_oracle(f).coeffs
+    assert reduced(f.inverse()).coeffs == inverse_oracle(f).coeffs
 
 
 @settings(max_examples=40)
-@given(small_tails)
+@given(mixed_tails)
 def test_exp_against_loop_oracle(tail):
     f = UniSeries([0] + tail)
-    assert f.exp().coeffs == exp_oracle(f).coeffs
+    assert reduced(f.exp()).coeffs == exp_oracle(f).coeffs
 
 
 @settings(max_examples=40)
-@given(small_tails, small_fractions)
+@given(mixed_tails, small_fractions)
+@example([F(-48), F(0), F(12288)], F(-1, 4))
+@example([F(1, 3), F(-7, 2)], F(-5, 2))
 def test_power_against_log_exp_oracle(tail, r):
     f = UniSeries([1] + tail)
-    assert f.power(r).coeffs == power_oracle(f, r).coeffs
+    got = reduced(f.power(r))
+    assert got.coeffs == power_oracle(f, r).coeffs
+    assert got.coeffs == ode_oracle(f, 1, 1, r + 1, 1)
 
 
 @settings(max_examples=40)
 @given(st.lists(small_fractions, min_size=1, max_size=8), small_tails)
+@example([F(1, 3), 2, -1, F(5, 7), 1, 1, 3, F(-2, 9)], [0, F(27, 2), 0, -1, 4])
+@example([1, 2, 3, 4, 5, 6, 7], [0, 0, 5])  # inner of valuation 3
+@example([1, 2, 3, 4], [0, 0, 0])  # inner 0 to the order
 def test_compose_against_full_horner(outer, tail):
     f, inner = UniSeries(outer), UniSeries([0] + tail)
     assert f.compose(inner).coeffs == compose_oracle(f, inner).coeffs
@@ -294,3 +353,47 @@ def test_compose_against_full_horner(outer, tail):
 def test_reversion_against_compose_oracle(f1, tail):
     f = UniSeries([0, f1] + tail)
     assert f.reversion().coeffs == reversion_oracle(f).coeffs
+
+
+mixed_series = st.lists(mixed_fractions, min_size=1, max_size=9)
+
+
+@settings(max_examples=40)
+@given(mixed_series, mixed_series)
+def test_add_sub_over_mixed_denominators(xs, ys):
+    f, g = UniSeries(xs), UniSeries(ys)
+    assert reduced(f + g).coeffs == [x + y for x, y in zip(f.coeffs, g.coeffs)]
+    assert reduced(f - g).coeffs == [x - y for x, y in zip(f.coeffs, g.coeffs)]
+    assert reduced(-f).coeffs == [-x for x in f.coeffs]
+
+
+@settings(max_examples=40)
+@given(mixed_series, mixed_series, mixed_fractions)
+def test_mul_against_fraction_oracle(xs, ys, q):
+    f, g = UniSeries(xs), UniSeries(ys)
+    assert reduced(f * g).coeffs == mul_oracle(f, g)
+    assert reduced(q * f).coeffs == [q * x for x in f.coeffs]
+    if q:
+        assert reduced(f / q).coeffs == [x / q for x in f.coeffs]
+
+
+@settings(max_examples=40)
+@given(mixed_series, mixed_fractions, nonzero_fractions, small_fractions,
+       small_fractions)
+def test_ode_against_fraction_oracle(xs, g0, c, a, b):
+    f = UniSeries(xs)
+    assert reduced(f._ode(g0, c, a, b)).coeffs == ode_oracle(f, g0, c, a, b)
+
+
+@settings(max_examples=40)
+@given(mixed_series, small_tails, nonzero_fractions)
+def test_every_operation_keeps_the_series_reduced(xs, tail, s):
+    f, inner = UniSeries(xs), UniSeries([0] + tail)
+    reduced(f.truncate(0))
+    reduced(f.derivative())
+    reduced(f.integrate())
+    reduced(f.scale_argument(s))
+    assert f.scale_argument(s).coeffs == [x * s ** n for n, x in enumerate(f.coeffs)]
+    reduced(f.compose(inner))
+    reduced(f ** 3)
+    reduced(UniSeries([0, s] + tail).reversion())

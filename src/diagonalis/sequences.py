@@ -4,12 +4,16 @@ A `PRecurrence` is sum_{j=0..r} p_j(n) * u_{n+j} = 0 with polynomial
 coefficients p_j; all paper recurrences are stored re-indexed into this
 homogeneous convention.  Guessing accepts the smallest (order, degree)
 recurrence that verifies on every supplied term.  Each ansatz is an
-integer linear system, screened and solved mod 61-bit primes: full column
-rank mod p rejects it, and a nullspace of dimension one mod p is lifted by
-CRT and rational reconstruction and checked exactly over Z.  Any other
-case is solved over Q by Gauss-Jordan elimination, so the result is the
-one that exact elimination gives.  A sequence is a plain tuple (or any
-sequence) u_0, u_1, ... of rationals, indexed from 0.
+integer linear system.  For each order, one elimination mod a prime below
+2^30 of the ansatz at the largest degree, with its columns in degree-major
+order, rejects every degree whose ansatz has full column rank.  Each
+remaining ansatz is solved mod 61-bit primes: full column rank mod p
+rejects it, and a nullspace of dimension one mod p is lifted by CRT and
+rational reconstruction, and returned at the first prime where the lift
+checks exactly over Z.  Any other case is solved over Q by Gauss-Jordan
+elimination, so the result is the one that exact elimination gives.  A
+sequence is a plain tuple (or any sequence) u_0, u_1, ... of rationals,
+indexed from 0.
 """
 
 from __future__ import annotations
@@ -216,8 +220,11 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
                      max_degree: int) -> Optional[PRecurrence]:
     """Smallest (order, degree) recurrence verifying on all supplied terms.
 
-    Requires at least (order+1)(degree+1) + order + GUESS_SAFETY_MARGIN terms
-    for the candidate size before it is attempted.
+    Requires at least (max_order+1)(max_degree+1) + max_order +
+    GUESS_SAFETY_MARGIN terms.  For each order, one elimination mod
+    _SCREEN_PRIME of the ansatz at max_degree, with its columns in
+    degree-major order, finds the first degree whose ansatz can have a
+    nonzero nullspace; only the ansätze from that degree on are solved.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
@@ -228,11 +235,8 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
             f"need >= {min_needed} terms to guess at max_order={max_order}, "
             f"max_degree={max_degree}; got {len(seq)}")
     for order in range(1, max_order + 1):
-        for degree in range(max_degree + 1):
-            unknowns = (order + 1) * (degree + 1)
-            rows = len(seq) - order
-            if rows < unknowns + GUESS_SAFETY_MARGIN:
-                continue
+        for degree in range(_first_degree(seq, order, max_degree),
+                            max_degree + 1):
             matrix = _ansatz_matrix(seq, order, degree)
             # a basis of the same nullspace over Q, so normalized() below
             # gives the same recurrence whichever route found it
@@ -249,6 +253,31 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
                 if recurrence_check(cand, seq) is None:
                     return cand
     return None
+
+
+# the largest prime below 2^30: residues are one CPython digit, so their
+# products take the interpreter's small-int paths
+_SCREEN_PRIME = 2 ** 30 - 35
+
+
+def _first_degree(seq: Sequence[Fraction], order: int, max_degree: int) -> int:
+    """The lowest degree whose ansatz of this order can have a nonzero
+    nullspace over Q, or max_degree + 1 if none can: one elimination
+    mod _SCREEN_PRIME of the ansatz at max_degree.  In degree-major column
+    order (n^0 of every p_j, then n^1, ...) the ansatz of degree d is the
+    first (order+1)(d+1) columns.  Gauss-Jordan leaves a column free iff it
+    depends on the columns before it, so a degree below the first free
+    column has full column rank mod the prime, hence over Q."""
+    width = max_degree + 1
+    basis = _nullspace_mod([[a for k in range(width) for a in row[k::width]]
+                            for row in _ansatz_matrix(seq, order, max_degree)],
+                           _SCREEN_PRIME)
+    if not basis:
+        return width
+    # a basis vector is zero past its free column, and the first vector
+    # has the first free column
+    free = max(c for c, a in enumerate(basis[0]) if a)
+    return free // (order + 1)
 
 
 def _ansatz_matrix(seq: Sequence[Fraction], order: int,
@@ -276,7 +305,7 @@ def _nullspace_modular(matrix: list[list[int]]) -> Optional[list[list[Fraction]]
     """The nullspace over Q of an integer matrix, found mod primes: [] when
     it is trivial, [x] when it is the line through x, None when the primes
     cannot tell and `_nullspace` must decide."""
-    residues, modulus, last = None, 1, None
+    residues, modulus = None, 1
     for p in _PRIMES:
         basis = _nullspace_mod(matrix, p)
         # A minor that is nonzero mod p is a nonzero integer, so the rank
@@ -295,18 +324,16 @@ def _nullspace_modular(matrix: list[list[int]]) -> Optional[list[list[Fraction]]
                         for x, v in zip(residues, vec)]
         modulus *= p
         lift = [_rational_reconstruction(x, modulus) for x in residues]
-        if None not in lift and lift == last:
-            break
-        last = lift
-    else:
-        return None
-    # Nullity 1 mod p bounds the nullity over Q by 1, so an x with A x = 0
-    # over Z spans the nullspace over Q.
-    den = lcm(*(q.denominator for q in lift))
-    x = [q.numerator * (den // q.denominator) for q in lift]
-    if any(sum(map(mul, row, x)) for row in matrix):
-        return None
-    return [lift]
+        if None in lift:
+            continue
+        # Nullity 1 mod p bounds the nullity over Q by 1, so an x with
+        # A x = 0 over Z spans the nullspace over Q.  x is not zero: it is
+        # 1 mod p at the free column.
+        den = lcm(*(q.denominator for q in lift))
+        x = [q.numerator * (den // q.denominator) for q in lift]
+        if not any(sum(map(mul, row, x)) for row in matrix):
+            return [lift]
+    return None
 
 
 def _nullspace_mod(matrix: list[list[int]], p: int) -> list[list[int]]:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diagonalis import sequences
 from diagonalis.exactalg import UniPoly, binomial
@@ -325,16 +325,16 @@ _GUESS_TERMS = 20
 
 
 @st.composite
-def _guessable_sequence(draw):
-    """u_0 .. u_19 of a recurrence of order 1 or 2 with coefficients of
-    degree <= 1 in n, small rationals, and a leading polynomial with no
-    root at the instances that extension solves."""
+def _guessable_sequence(draw, terms=_GUESS_TERMS, degree=1):
+    """u_0 .. u_(terms-1) of a recurrence of order 1 or 2 with coefficients
+    of degree <= `degree` in n, small rationals, and a leading polynomial
+    with no root at the instances that extension solves."""
     r = draw(st.integers(1, 2))
-    coeffs = [UniPoly(draw(st.lists(_small_fracs, max_size=2)))
+    coeffs = [UniPoly(draw(st.lists(_small_fracs, max_size=degree + 1)))
               for _ in range(r + 1)]
-    assume(all(coeffs[r](n) for n in range(_GUESS_TERMS - r)))
+    assume(all(coeffs[r](n) for n in range(terms - r)))
     init = draw(st.lists(_small_fracs, min_size=r, max_size=r))
-    return recurrence_extend(PRecurrence(tuple(coeffs)), init, _GUESS_TERMS - 1)
+    return recurrence_extend(PRecurrence(tuple(coeffs)), init, terms - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,11 +362,98 @@ def _count_fraction_solves(monkeypatch):
     return calls
 
 
+def _count_modular_solves(monkeypatch):
+    primes = []
+    solve = sequences._nullspace_mod
+
+    def counted(matrix, p):
+        primes.append(p)
+        return solve(matrix, p)
+    monkeypatch.setattr(sequences, "_nullspace_mod", counted)
+    return primes
+
+
 def test_modular_route_needs_no_fraction_solve(monkeypatch):
     calls = _count_fraction_solves(monkeypatch)
+    primes = _count_modular_solves(monkeypatch)
     seq = _oracle_window("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     assert calls == []
+    # one screen per order, then the (2, 3) ansatz checks exactly at its
+    # first 61-bit prime: 3 eliminations, where solving every ansatz and
+    # waiting for two equal lifts took 9
+    assert primes == [sequences._SCREEN_PRIME] * 2 + [sequences._PRIMES[0]]
+
+
+def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
+    # a lift that fails the exact check is not final: the next prime
+    # corrects it, and no Fraction elimination is needed
+    reconstruct = sequences._rational_reconstruction
+    first = [True]
+
+    def wrong_once(a, m):
+        q = reconstruct(a, m)
+        if first[0]:
+            first[0] = False
+            return q + 1
+        return q
+    monkeypatch.setattr(sequences, "_rational_reconstruction", wrong_once)
+    calls = _count_fraction_solves(monkeypatch)
+    primes = _count_modular_solves(monkeypatch)
+    seq = _oracle_window("kzd", 29)
+    assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
+    assert not first[0] and calls == []
+    assert primes == [sequences._SCREEN_PRIME] * 2 + list(sequences._PRIMES[:2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_guessable_sequence(terms=25, degree=2))
+@example(_oracle_window("kzd", 24))
+def test_screened_guess_matches_fraction_oracle(seq):
+    assert recurrence_guess(seq, 2, 3) == guess_oracle(seq, 2, 3)
+    # every degree the screen skips has a trivial nullspace over Q
+    for order in (1, 2):
+        first = sequences._first_degree(seq, order, 3)
+        assert 0 <= first <= 4
+        for degree in range(first):
+            matrix = sequences._ansatz_matrix(seq, order, degree)
+            assert sequences._nullspace(
+                [list(map(F, row)) for row in matrix]) == []
+
+
+def test_screen_flags_the_first_degree_with_a_nullspace():
+    seq = _oracle_window("kzd", 24)
+    assert sequences._first_degree(seq, 1, 3) == 4  # no degree up to 3
+    assert sequences._first_degree(seq, 2, 3) == 3
+
+
+def _perturbed_franel():
+    seq = list(_oracle_window("franel", 29))
+    seq[20] += 1
+    return tuple(seq)
+
+
+@pytest.mark.parametrize("seq, max_order, max_degree", [
+    (_oracle_window("franel", 29), 2, 2),
+    (_oracle_window("kzd", 29), 2, 3),
+    (_perturbed_franel(), 2, 2),
+    (tuple(F(3) ** n for n in range(20)), 2, 1),
+    (tuple(F(n + 1, 3 ** n) for n in range(20)), 2, 2),
+])
+def test_unlucky_screen_prime_gives_the_same_answer(monkeypatch, seq,
+                                                    max_order, max_degree):
+    want = guess_oracle(seq, max_order, max_degree)
+    assert recurrence_guess(seq, max_order, max_degree) == want
+    # mod 3 most ansätze lose rank, and 3^n vanishes from n = 1
+    monkeypatch.setattr(sequences, "_SCREEN_PRIME", 3)
+    assert recurrence_guess(seq, max_order, max_degree) == want
+
+
+def test_no_recurrence_takes_one_elimination_per_order(monkeypatch):
+    primes = _count_modular_solves(monkeypatch)
+    seq = _perturbed_franel()
+    assert recurrence_guess(seq, 2, 2) is None
+    assert primes == [sequences._SCREEN_PRIME] * 2
 
 
 @pytest.mark.parametrize("patch", ["reconstruction", "small primes"])
@@ -403,6 +490,12 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def test_screen_prime_is_the_largest_prime_below_2_30():
+    p = sequences._SCREEN_PRIME
+    assert p < 2 ** 30 and _is_prime(p)
+    assert not any(_is_prime(k) for k in range(p + 1, 2 ** 30))
 
 
 def test_moduli_are_distinct_61_bit_primes():

@@ -8,21 +8,21 @@ integer linear system.  For each order, one elimination mod a prime below
 2^30 of the ansatz at the largest degree, with its columns in degree-major
 order, rejects every degree whose ansatz has full column rank.  Each
 remaining ansatz is solved mod 61-bit primes: full column rank mod p
-rejects it, and a nullspace of dimension one mod p is lifted by CRT and
-rational reconstruction, and returned at the first prime where the lift
-checks exactly over Z.  Any other case is solved over Q by Gauss-Jordan
-elimination, so the result is the one that exact elimination gives.  A
-sequence is a plain tuple (or any sequence) u_0, u_1, ... of rationals,
-indexed from 0.
+rejects it, and otherwise the reduced row-echelon nullspace basis of the
+primes whose pivot columns agree with Q is lifted by CRT and rational
+reconstruction, and returned at the first prime where the lift checks
+exactly over Z.  So the result is the basis that exact elimination over
+Q gives, whatever its dimension.  A sequence is a plain tuple (or any
+sequence) u_0, u_1, ... of rationals, indexed from 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactalg import UniPoly, binomial, rat
 from .registry import build, catalog
@@ -224,7 +224,8 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
     GUESS_SAFETY_MARGIN terms.  For each order, one elimination mod
     _SCREEN_PRIME of the ansatz at max_degree, with its columns in
     degree-major order, finds the first degree whose ansatz can have a
-    nonzero nullspace; only the ansätze from that degree on are solved.
+    nonzero nullspace; only the ansätze from that degree on are solved,
+    each by `_nullspace`, exactly over Q through its lift mod primes.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
@@ -237,13 +238,7 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
     for order in range(1, max_order + 1):
         for degree in range(_first_degree(seq, order, max_degree),
                             max_degree + 1):
-            matrix = _ansatz_matrix(seq, order, degree)
-            # a basis of the same nullspace over Q, so normalized() below
-            # gives the same recurrence whichever route found it
-            basis = _nullspace_modular(matrix)
-            if basis is None:
-                basis = _nullspace([list(map(Fraction, row)) for row in matrix])
-            for vec in basis:
+            for vec in _nullspace(_ansatz_matrix(seq, order, degree)):
                 ps = tuple(
                     UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
                     for j in range(order + 1))
@@ -269,14 +264,12 @@ def _first_degree(seq: Sequence[Fraction], order: int, max_degree: int) -> int:
     depends on the columns before it, so a degree below the first free
     column has full column rank mod the prime, hence over Q."""
     width = max_degree + 1
-    basis = _nullspace_mod([[a for k in range(width) for a in row[k::width]]
-                            for row in _ansatz_matrix(seq, order, max_degree)],
-                           _SCREEN_PRIME)
-    if not basis:
-        return width
-    # a basis vector is zero past its free column, and the first vector
-    # has the first free column
-    free = max(c for c, a in enumerate(basis[0]) if a)
+    _, pivots = _nullspace_mod([[a for k in range(width) for a in row[k::width]]
+                                for row in _ansatz_matrix(seq, order, max_degree)],
+                               _SCREEN_PRIME)
+    # the pivots are increasing, so the first free column is the first c
+    # that is not the c-th pivot; with none, it is (order+1) * width
+    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
     return free // (order + 1)
 
 
@@ -296,48 +289,92 @@ def _ansatz_matrix(seq: Sequence[Fraction], order: int,
     return matrix
 
 
-# the largest primes below 2^61; the first is the Mersenne prime 2^61 - 1
-_PRIMES = tuple(2 ** 61 - k for k in (1, 31, 45, 229, 259, 283, 339, 391,
-                                       403, 465))
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the first twelve primes as bases decide
+    every n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _nullspace_modular(matrix: list[list[int]]) -> Optional[list[list[Fraction]]]:
-    """The nullspace over Q of an integer matrix, found mod primes: [] when
-    it is trivial, [x] when it is the line through x, None when the primes
-    cannot tell and `_nullspace` must decide."""
-    residues, modulus = None, 1
-    for p in _PRIMES:
-        basis = _nullspace_mod(matrix, p)
-        # A minor that is nonzero mod p is a nonzero integer, so the rank
-        # mod p is at most the rank over Q.  Full column rank mod p thus
-        # proves that the nullspace over Q is trivial.
-        if not basis:
-            return []
-        if len(basis) > 1:
-            return None
-        (vec,) = basis
-        if residues is None:
-            residues = vec
+def _primes() -> Iterator[int]:
+    """The odd primes below 2^61, largest first; the first is the Mersenne
+    prime 2^61 - 1."""
+    return filter(_is_prime, range(2 ** 61 - 1, 2, -2))
+
+
+def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """The reduced row-echelon basis of the nullspace over Q of an integer
+    matrix, one vector per free column in increasing order, found mod
+    primes by CRT and rational reconstruction."""
+    ncols = len(matrix[0])
+    # Hadamard: no minor exceeds the product of its rows' norms
+    norms = sorted(isqrt(sum(a * a for a in row)) + 1 for row in matrix)
+    hadamard = prod(norms[-ncols:])
+    best, residues, modulus = None, [], 1
+    for p in _primes():
+        basis, pivots = _nullspace_mod(matrix, p)
+        # A minor that is nonzero mod p is a nonzero integer, so every
+        # prefix of the columns has rank mod p at most its rank over Q.
+        # At the first column where a prime's pivots differ from those over
+        # Q, Q has a pivot and the prime has none: the largest key agrees
+        # with Q, and the primes that share a smaller key all divide one
+        # nonzero minor.
+        key = [c in pivots for c in range(ncols)]
+        if best is None or key > best:
+            best, residues, modulus = key, basis, p
+        elif key < best:
+            continue
         else:  # CRT: the residues mod modulus * p
             inv = pow(modulus, -1, p)
-            residues = [x + modulus * ((v - x) * inv % p)
-                        for x, v in zip(residues, vec)]
-        modulus *= p
-        lift = [_rational_reconstruction(x, modulus) for x in residues]
-        if None in lift:
-            continue
-        # Nullity 1 mod p bounds the nullity over Q by 1, so an x with
-        # A x = 0 over Z spans the nullspace over Q.  x is not zero: it is
-        # 1 mod p at the free column.
-        den = lcm(*(q.denominator for q in lift))
-        x = [q.numerator * (den // q.denominator) for q in lift]
-        if not any(sum(map(mul, row, x)) for row in matrix):
-            return [lift]
-    return None
+            residues = [[x + modulus * ((v - x) * inv % p)
+                         for x, v in zip(xs, vs)]
+                        for xs, vs in zip(residues, basis)]
+            modulus *= p
+        lift = [[_rational_reconstruction(x, modulus) for x in xs]
+                for xs in residues]
+        # X is the identity on its k free columns, and the nullity over Q
+        # is at most the nullity k mod p; so an X with A X = 0 over Z is a
+        # basis over Q, and the identity on the free columns makes it the
+        # reduced row-echelon one.  A wrong pivot set never passes: one of
+        # its entries is a nonzero rational whose numerator the modulus
+        # divides, which reconstruction cannot return.
+        if all(None not in vec and _annihilates(matrix, vec) for vec in lift):
+            return lift
+        # The primes of a wrong pivot set multiply to at most `hadamard`,
+        # and entries over Q are ratios of minors, so past 2 hadamard^2
+        # the lift must have passed.
+        if modulus > 2 * hadamard ** 2:
+            raise ArithmeticError(f"no exact nullspace lift within a "
+                                  f"{modulus.bit_length()}-bit modulus")
+    raise ArithmeticError("the primes below 2^61 ran out")
 
 
-def _nullspace_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """`_nullspace` of an integer matrix over GF(p): the basis vector of
+def _annihilates(matrix: list[list[int]], vec: list[Fraction]) -> bool:
+    """A x = 0 over Z, for x = vec scaled to integers."""
+    den = lcm(*(q.denominator for q in vec))
+    x = [q.numerator * (den // q.denominator) for q in vec]
+    return not any(sum(map(mul, row, x)) for row in matrix)
+
+
+def _nullspace_mod(matrix: list[list[int]],
+                   p: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row-echelon nullspace basis of an integer matrix over
+    GF(p), and its pivot columns in increasing order: the basis vector of
     each free column has a 1 there."""
     ncols = len(matrix[0])
     rows = [[a % p for a in row] for row in matrix]
@@ -364,7 +401,7 @@ def _nullspace_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[fc] % p
         basis.append(vec)
-    return basis
+    return basis, pivots
 
 
 def _rational_reconstruction(a: int, m: int) -> Optional[Fraction]:
@@ -380,45 +417,6 @@ def _rational_reconstruction(a: int, m: int) -> Optional[Fraction]:
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
-
-
-def _nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the exact nullspace of the row-space system A x = 0."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [list(r) for r in matrix]
-    pivots: dict[int, int] = {}  # col -> row
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        for c in range(col, ncols):
-            pr[c] *= inv
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                for c in range(col, ncols):
-                    rows[r][c] -= f * pr[c]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -rows[pr][fc]
-        basis.append(vec)
-    return basis
 
 
 def characteristic_polynomial(rec: PRecurrence) -> UniPoly:

@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -288,9 +290,48 @@ def test_normalized_is_primitive_and_proportional(ps):
     assert norm.coeffs == tuple(p * ratio for p in rec.coeffs)
 
 
-# Test-only oracle: the Fraction route that recurrence_guess took before it
+# Test-only oracles: the Fraction route that recurrence_guess took before it
 # screened and solved each ansatz mod primes, with Gauss-Jordan elimination
 # over Q on every ansatz.
+
+def nullspace_oracle(matrix):
+    """The reduced row-echelon nullspace basis over Q of a matrix of
+    rationals, by Gauss-Jordan elimination over Q."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows = [list(map(F, r)) for r in matrix]
+    pivots = {}  # col -> row
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pr = rows[rank]
+        inv = 1 / pr[col]
+        for c in range(col, ncols):
+            pr[c] *= inv
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                for c in range(col, ncols):
+                    rows[r][c] -= f * pr[c]
+        pivots[col] = rank
+        rank += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for pc, pr in pivots.items():
+            vec[pc] = -rows[pr][fc]
+        basis.append(vec)
+    return basis
+
 
 def guess_oracle(seq, max_order, max_degree):
     for order in range(1, max_order + 1):
@@ -309,7 +350,7 @@ def guess_oracle(seq, max_order, max_degree):
                         row.append(npow * u)
                         npow *= n
                 matrix.append(row)
-            for vec in sequences._nullspace(matrix):
+            for vec in nullspace_oracle(matrix):
                 ps = tuple(
                     UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
                     for j in range(order + 1))
@@ -351,7 +392,7 @@ def test_guess_matches_fraction_oracle_on_a_perturbed_term(seq, index, delta):
     assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
 
 
-def _count_fraction_solves(monkeypatch):
+def _count_solves(monkeypatch):
     calls = []
     solve = sequences._nullspace
 
@@ -373,21 +414,26 @@ def _count_modular_solves(monkeypatch):
     return primes
 
 
+def _first_primes(k):
+    return list(itertools.islice(sequences._primes(), k))
+
+
 def test_modular_route_needs_no_fraction_solve(monkeypatch):
-    calls = _count_fraction_solves(monkeypatch)
+    calls = _count_solves(monkeypatch)
     primes = _count_modular_solves(monkeypatch)
     seq = _oracle_window("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
-    assert calls == []
+    # the screen skips every ansatz but (2, 3), the one solve
+    assert calls == [len(seq) - 2]
     # one screen per order, then the (2, 3) ansatz checks exactly at its
     # first 61-bit prime: 3 eliminations, where solving every ansatz and
     # waiting for two equal lifts took 9
-    assert primes == [sequences._SCREEN_PRIME] * 2 + [sequences._PRIMES[0]]
+    assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(1)
 
 
 def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
     # a lift that fails the exact check is not final: the next prime
-    # corrects it, and no Fraction elimination is needed
+    # corrects it
     reconstruct = sequences._rational_reconstruction
     first = [True]
 
@@ -398,12 +444,12 @@ def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
             return q + 1
         return q
     monkeypatch.setattr(sequences, "_rational_reconstruction", wrong_once)
-    calls = _count_fraction_solves(monkeypatch)
+    calls = _count_solves(monkeypatch)
     primes = _count_modular_solves(monkeypatch)
     seq = _oracle_window("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
-    assert not first[0] and calls == []
-    assert primes == [sequences._SCREEN_PRIME] * 2 + list(sequences._PRIMES[:2])
+    assert not first[0] and len(calls) == 1
+    assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,8 +463,7 @@ def test_screened_guess_matches_fraction_oracle(seq):
         assert 0 <= first <= 4
         for degree in range(first):
             matrix = sequences._ansatz_matrix(seq, order, degree)
-            assert sequences._nullspace(
-                [list(map(F, row)) for row in matrix]) == []
+            assert nullspace_oracle(matrix) == []
 
 
 def test_screen_flags_the_first_degree_with_a_nullspace():
@@ -456,59 +501,103 @@ def test_no_recurrence_takes_one_elimination_per_order(monkeypatch):
     assert primes == [sequences._SCREEN_PRIME] * 2
 
 
-@pytest.mark.parametrize("patch", ["reconstruction", "small primes"])
-def test_fallback_gives_the_same_recurrence(monkeypatch, patch):
-    if patch == "reconstruction":
-        monkeypatch.setattr(sequences, "_rational_reconstruction",
-                            lambda a, m: None)
-    else:
-        # too small to lift the coefficients, and unlucky for some ansatz
-        monkeypatch.setattr(sequences, "_PRIMES", (2, 3))
-    calls = _count_fraction_solves(monkeypatch)
+def _unlucky_primes():
+    """2, 3, 5 and 7, then the real supply: too small to lift most
+    entries, and unlucky for many matrices."""
+    real = sequences._primes
+    return lambda: itertools.chain((2, 3, 5, 7), real())
+
+
+def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
+    monkeypatch.setattr(sequences, "_primes", _unlucky_primes())
+    primes = _count_modular_solves(monkeypatch)
     seq = _oracle_window("franel", 29)
     assert recurrence_guess(seq, 2, 2) == builtin_recurrence("franel").normalized()
-    assert calls
+    assert {2, 3, 5, 7} <= set(primes)
 
 
-def _is_prime(n):
-    """Deterministic Miller-Rabin: the first twelve primes as bases decide
-    every n < 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % p == 0 for p in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
+    monkeypatch.setattr(sequences, "_rational_reconstruction",
+                        lambda a, m: None)
+    primes = _count_modular_solves(monkeypatch)
+    matrix = sequences._ansatz_matrix(_oracle_window("franel", 29), 2, 2)
+    with pytest.raises(ArithmeticError, match="no exact nullspace lift"):
+        sequences._nullspace(matrix)
+    # the stop is twice the square of a Hadamard bound on the minors
+    norms = sorted(math.isqrt(sum(a * a for a in row)) + 1 for row in matrix)
+    stop = 2 * math.prod(norms[-len(matrix[0]):]) ** 2
+    assert math.prod(primes[:-1]) <= stop < math.prod(primes)
+
+
+@pytest.mark.parametrize("seq", [
+    (F(1), F(1)) + (F(0),) * 23,
+    (F(0),) * 25,
+])
+def test_degenerate_windows_match_the_oracle_at_nullity_2(seq):
+    # both have an ansatz of nullity 2 below the recurrence they give
+    assert any(len(sequences._nullspace(sequences._ansatz_matrix(seq, 1, d))) == 2
+               for d in range(3))
+    assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
+
+
+@st.composite
+def _matrix_of_prescribed_rank(draw):
+    """A rows x cols integer matrix B C, with B rows x rank and C rank x
+    cols: its rank is at most `rank`, from 0 to cols."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.integers(cols, cols + 3))
+    rank = draw(st.integers(0, cols))
+    entries = st.integers(-9, 9)
+    b = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                      min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rank, max_size=rank))
+    return [[sum(b[i][k] * c[k][j] for k in range(rank)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@pytest.mark.parametrize("unlucky", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(_matrix_of_prescribed_rank())
+@example([[2, 1]])  # pivot 0 over Q, pivot 1 mod 2
+@example([[6, 35, 1], [0, 0, 0]])  # 6 vanishes mod 2 and 3, 35 mod 5 and 7
+def test_nullspace_matches_the_fraction_oracle(unlucky, matrix):
+    with mock.patch.object(sequences, "_primes",
+                           _unlucky_primes() if unlucky else sequences._primes):
+        assert sequences._nullspace(matrix) == nullspace_oracle(matrix)
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10 ** 4):
+        want = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert sequences._is_prime(n) == want, n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not sequences._is_prime(3215031751)
+    # strong pseudoprime to every prime base up to 31; 37 catches it
+    assert not sequences._is_prime(3825123056546413051)
 
 
 def test_screen_prime_is_the_largest_prime_below_2_30():
     p = sequences._SCREEN_PRIME
-    assert p < 2 ** 30 and _is_prime(p)
-    assert not any(_is_prime(k) for k in range(p + 1, 2 ** 30))
+    assert p < 2 ** 30 and sequences._is_prime(p)
+    assert not any(sequences._is_prime(k) for k in range(p + 1, 2 ** 30))
 
 
 def test_moduli_are_distinct_61_bit_primes():
-    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 - 3)
-    assert len(set(sequences._PRIMES)) == len(sequences._PRIMES)
-    for p in sequences._PRIMES:
-        assert p.bit_length() == 61 and _is_prime(p), p
+    assert sequences._is_prime(2 ** 61 - 1)
+    assert not sequences._is_prime(2 ** 61 - 3)
+    # the ten largest primes below 2^61
+    assert _first_primes(10) == [2 ** 61 - k for k in (
+        1, 31, 45, 229, 259, 283, 339, 391, 403, 465)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40))
 def test_rational_reconstruction_inverts_reduction(num, den):
     q = F(num, den)
-    m = sequences._PRIMES[0] * sequences._PRIMES[1]
+    m = math.prod(_first_primes(2))
     residue = q.numerator * pow(q.denominator, -1, m) % m
     assert sequences._rational_reconstruction(residue, m) == q

@@ -92,7 +92,7 @@ def cmd_expand(args) -> int:
                          "box; a Q[lambda] box is checked coefficient by coefficient")
     box = expand_reciprocal(fam.denominator(), args.N, entry_limit=limit)
     report = {"family": fam.to_json(), "N": args.N, "entries": (box.N + 1) ** box.dim,
-              "entries_stored": len(box.ints), "ring": box.ring}
+              "entries_stored": sum(map(len, box.layers)), "ring": box.ring}
     status = 0
     if args.check_positive:
         hit = first_nonpositive(box, strict=not args.non_strict)

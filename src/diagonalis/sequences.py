@@ -322,10 +322,7 @@ def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
     matrix, one vector per free column in increasing order, found mod
     primes by CRT and rational reconstruction."""
     ncols = len(matrix[0])
-    # Hadamard: no minor exceeds the product of its rows' norms
-    norms = sorted(isqrt(sum(a * a for a in row)) + 1 for row in matrix)
-    hadamard = prod(norms[-ncols:])
-    best, residues, modulus = None, [], 1
+    best, residues, modulus, hadamard = None, [], 1, None
     for p in _primes():
         basis, pivots = _nullspace_mod(matrix, p)
         # A minor that is nonzero mod p is a nonzero integer, so every
@@ -357,11 +354,21 @@ def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
             return lift
         # The primes of a wrong pivot set multiply to at most `hadamard`,
         # and entries over Q are ratios of minors, so past 2 hadamard^2
-        # the lift must have passed.
+        # the lift must have passed.  Most first lifts pass, so the bound
+        # is computed only after one has failed.
+        if hadamard is None:
+            hadamard = _hadamard_bound(matrix)
         if modulus > 2 * hadamard ** 2:
             raise ArithmeticError(f"no exact nullspace lift within a "
                                   f"{modulus.bit_length()}-bit modulus")
     raise ArithmeticError("the primes below 2^61 ran out")
+
+
+def _hadamard_bound(matrix: list[list[int]]) -> int:
+    """Hadamard: no minor of an integer matrix exceeds the product of the
+    norms of its ncols longest rows (each norm rounded up)."""
+    norms = sorted(isqrt(sum(a * a for a in row)) + 1 for row in matrix)
+    return prod(norms[-len(matrix[0]):])
 
 
 def _annihilates(matrix: list[list[int]], vec: list[Fraction]) -> bool:

@@ -1,37 +1,29 @@
 """Exact Taylor expansion of 1/p on a coefficient box.
 
-The box holds all coefficients u_n of 1/p for multi-indices n in [0..N]^d,
-computed layer by layer (total degree t = |n|) from the convolution
-recurrence
+The box holds the coefficients u_n of 1/p for n in [0..N]^d, computed a
+layer (total degree t = |n|) at a time from the convolution recurrence
+c_0 * u_n = [n = 0] - sum_{0 != m <= n} p_m * u_{n-m}, run on integers.
+With L > 0 the smallest integer that makes every w_m = L^|m| * p_m / c_0
+integral, v_n = c_0 * L^|n| * u_n satisfies v_0 = 1 and
 
-    c_0 * u_n = [n = 0] - sum_{0 != m <= n} p_m * u_{n-m}.
+    v_n = - sum_{0 != m <= n} w_m * v_{n-m};
 
-The recurrence runs on integers.  With L > 0 the smallest integer that
-makes every w_m = L^|m| * p_m / c_0 integral, the scaled values
-v_n = c_0 * L^|n| * u_n satisfy v_0 = 1 and
+over Q[lambda] the weights are packed as w(2^B) (Kronecker substitution),
+and the balanced base-2^B digits of v_n(2^B) are the lambda-coefficients.
 
-    v_n = - sum_{0 != m <= n} w_m * v_{n-m},
+An index n is keyed by its code, n read as a base-(N+1) number, so the
+predecessor n - m is one integer subtraction away.  Which predecessors
+exist, and their code offsets, depend only on the shape of n: each
+coordinate capped at the largest exponent K of p (the zero pattern for
+p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape;
+each shape is compiled once per call into a stencil of (lag, offset,
+weight) terms, and a group is swept once per term, all its codes at once.
+`CoeffBox.layers[t]` is the kernel's dict code -> v_n for layer t; the
+exact u_n, a `Fraction` or `UniPoly`, is built only when an entry is read.
 
-so each v_n is an `int`; over Q[lambda] the integer weight polynomials w
-are packed as w(2^B) (Kronecker substitution), and the balanced base-2^B
-digits of the resulting v_n(2^B) are the lambda-coefficients of v_n.  Which
-predecessors n - m exist, and where they land, depends only on the local
-shape of n: each coordinate capped at the largest exponent K of p
-(for p = sum c_k e_k, K = 1 and the shape is the zero pattern).  Each
-shape met is compiled once per call into a stencil of predecessor offsets
-with merged integer weights.  Offsets are differences of mixed-radix
-codes, so a predecessor is found with one integer subtraction and one
-dict lookup.  Only the last deg(p) integer layers are kept, and every
-finished v_n is stored once in `CoeffBox.ints`; the exact `Fraction`
-u_n = v_n / (c_0 * L^t), or `UniPoly` of such coefficients, is built only
-when an entry is read.
-
-For symmetric denominators an optional reduced mode stores only the sorted
-representative of each index orbit (a d!-fold saving for d=4 boxes).  The
-sorted predecessor of n - m is n - delta, where delta depends only on m and
-on the gaps between consecutive coordinates of n, capped at K; for K = 1
-that is the zero pattern plus the run-equality pattern of n, so at most 2^d
-stencils are compiled.  Orbit multiplicities are merged into the weights.
+A symmetric denominator allows a reduced mode that stores only the sorted
+representative of each index orbit, whose shape is its gaps capped at K
+(at most 2^d stencils for K = 1), with orbit multiplicities merged in.
 """
 
 from __future__ import annotations
@@ -39,12 +31,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import defaultdict
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 from typing import Optional, TextIO
 
 from .exactalg import UniPoly
-from .multipoly import Coeff, Exponent, MultiPoly, grlex_key
+from .multipoly import Coeff, Exponent, MultiPoly
 
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
@@ -55,55 +48,90 @@ class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> list:
-    """(n, code, shape) for every index n in [0..N]^d of total degree t, in
-    lexicographic order; only the non-decreasing n when `symmetric`.
-
-    code is n read as a base-(N+1) number.  shape caps at `cap` each
-    coordinate of n, or in symmetric mode each gap n_i - n_{i-1} (n_{-1} = 0).
-    """
-    parts = [((), 0, (), 0, t)]  # prefix, code, shape, last coordinate, rest
-    for slots in range(d, 1, -1):
+def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> dict[int, list[int]]:
+    """The indices n in [0..N]^d with |n| = t, only the non-decreasing n when
+    `symmetric`, as {shape: codes in ascending order}.  code reads n in base
+    N+1; shape reads in base cap+1 the coordinates of n, or in symmetric mode
+    its gaps n_i - n_{i-1} (n_{-1} = 0), each capped at `cap`."""
+    if d == 1:
+        return {min(t, cap): [t]} if t <= N else {}
+    R, base = N + 1, cap + 1
+    groups: dict[int, list[int]] = defaultdict(list)
+    parts = [(0, 0, 0, t)]  # code, shape, last coordinate, rest of the first d-2
+    for slots in range(d, 2, -1):
         grown = []
-        for prefix, code, shape, prev, rest in parts:
+        for code, shape, prev, rest in parts:
             lo = prev if symmetric else 0
             hi = min(rest // slots if symmetric else rest, N)
+            code, shape = code * R, shape * base
             for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
-                grown.append((prefix + (v,), code * (N + 1) + v,
-                              shape + (min(v - lo, cap),), v, rest - v))
+                g = v - lo
+                grown.append((code + v, shape + (g if g < cap else cap), v, rest - v))
         parts = grown
-    return [(prefix + (rest,), code * (N + 1) + rest,
-             shape + (min(rest - (prev if symmetric else 0), cap),))
-            for prefix, code, shape, prev, rest in parts if rest <= N]
+    # the last two coordinates (a, rest - a) have codes start + a * N, and
+    # shape digits (cap, cap) on one run of a; no min or max calls per prefix
+    for code, shape, prev, rest in parts:
+        low = prev if symmetric else 0
+        lo = rest - N if rest - N > low else low
+        hi, ihi = (rest // 2, (rest - cap) // 2) if symmetric else (rest, rest - cap)
+        hi = hi if hi < N else N
+        ilo, ihi = low + cap if low + cap > lo else lo, ihi if ihi < hi else hi
+        start, shape = code * R * R + rest, shape * base * base
+        if ilo <= ihi:
+            groups[shape + cap * base + cap].extend(
+                range(start + ilo * N, start + ihi * N + 1, N))
+            edges = [*range(lo, ilo), *range(ihi + 1, hi + 1)]
+        else:
+            edges = range(lo, hi + 1)
+        for a in edges:
+            g, gap = a - low, rest - 2 * a if symmetric else rest - a
+            groups[shape + (g if g < cap else cap) * base
+                   + (gap if gap < cap else cap)].append(start + a * N)
+    return groups
+
+
+def _code(n: Exponent, N: int) -> int:
+    """The index n read as a base-(N+1) number."""
+    return sum(e * (N + 1) ** i for i, e in enumerate(reversed(n)))
+
+
+def _index(code: int, d: int, N: int) -> Exponent:
+    """The index n in [0..N]^d whose base-(N+1) reading is `code`."""
+    return tuple(code // (N + 1) ** i % (N + 1) for i in range(d - 1, -1, -1))
 
 
 class CoeffBox:
-    """Dense box of Taylor coefficients of 1/p on [0..N]^d, held as the
-    kernel's integers ints[n] = v_n with scale (c_0, L, B); B = 0 over Q."""
+    """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
+    with scale (c_0, L, B), B = 0 over Q: layers[t] maps the code of each
+    stored n with |n| = t to v_n; a symmetric box stores the sorted n only."""
 
-    def __init__(self, denom: MultiPoly, N: int, ints: dict[Exponent, int],
+    def __init__(self, denom: MultiPoly, N: int, layers: list[dict[int, int]],
                  symmetric: bool, scale: tuple):
         self.denom = denom
         self.dim = denom.dim
         self.N = N
-        self.ints = ints
+        self.layers = layers
         self.symmetric = symmetric
         self.scale = scale
         self.ring = "Qlambda" if scale[2] else "Q"
 
+    def _exact(self, t: int, v: int) -> Coeff:
+        """The exact coefficient v / (c_0 * L^t)."""
+        c0, L, B = self.scale
+        den = c0.numerator * L ** t
+        if B:
+            return UniPoly([Fraction(c * c0.denominator, den) for c in _unpack(v, B)])
+        return Fraction(v * c0.denominator, den)
+
     def value(self, n: Exponent) -> Coeff:
         """The exact coefficient v_n / (c_0 * L^|n|) at a stored index n."""
-        c0, L, B = self.scale
-        den = c0.numerator * L ** sum(n)
-        if B:
-            return UniPoly([Fraction(c * c0.denominator, den)
-                            for c in _unpack(self.ints[n], B)])
-        return Fraction(self.ints[n] * c0.denominator, den)
+        return self._exact(sum(n), self.layers[sum(n)][_code(n, self.N)])
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
         """Every stored entry as an exact value, built on each read."""
-        return {n: self.value(n) for n in self.ints}
+        return {_index(code, self.dim, self.N): self._exact(t, v)
+                for t, layer in enumerate(self.layers) for code, v in layer.items()}
 
     def coefficient_at(self, n) -> Coeff:
         n = tuple(n)
@@ -153,14 +181,6 @@ def _unpack(v: int, B: int) -> list[int]:
     return digits
 
 
-def _combine(stencil, code: int) -> int:
-    """-sum of w * v[code - off] over a resolved stencil."""
-    acc = 0
-    for layer, off, w in stencil:
-        acc -= w * layer[code - off]
-    return acc
-
-
 def _kernel_scale(p: MultiPoly, N: int) -> tuple:
     """(c_0, L, B, packed weights [(m, w_m(2^B))]) of the kernel for 1/p on
     [0..N]^d; B = 0 over Q.  Requires an invertible constant term."""
@@ -206,11 +226,10 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
     c0, L, B, weights = _kernel_scale(p, N)
     d = p.dim
     K = max((max(m) for m, _ in weights), default=1)
-    deg = max((sum(m) for m, _ in weights), default=0)
-    radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
 
-    def compile_stencil(n: Exponent, code: int) -> list:
-        """Merged (layer lag, code offset, weight) triples for n's shape."""
+    def compile_stencil(code: int) -> list:
+        """Merged (layer lag, code offset, weight) triples for a shape."""
+        n = _index(code, d, N)
         merged: dict = {}
         for m, w in weights:
             prev = tuple(map(sub, n, m))
@@ -218,36 +237,31 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
                 continue
             if symmetric:
                 prev = tuple(sorted(prev))
-            key = (sum(m), code - sum(map(mul, prev, radix)))
+            key = (sum(m), code - _code(prev, N))
             merged[key] = merged.get(key, 0) + w
         return [(k, off, w) for (k, off), w in merged.items() if w]
 
-    stencils: dict[Exponent, list] = {}
-    ints: dict[Exponent, int] = {(0,) * d: 1}
-    recent: list[dict[int, int]] = [{0: 1}]  # recent[k - 1] holds layer t - k
+    stencils: dict[int, list] = {}
+    layers: list[dict[int, int]] = [{0: 1}]
     for t in range(1, d * N + 1):
         current: dict[int, int] = {}
-        bound: dict[Exponent, list] = {}  # stencils with this layer's lags resolved
-        for n, code, shape in _layer(d, N, t, symmetric, K):
-            st = bound.get(shape)
-            if st is None:
-                if shape not in stencils:
-                    stencils[shape] = compile_stencil(n, code)
-                st = bound[shape] = [(recent[k - 1], off, w)
-                                     for k, off, w in stencils[shape]]
-            current[code] = ints[n] = _combine(st, code)
-        recent.insert(0, current)
-        del recent[deg:]
-    return CoeffBox(p, N, ints, symmetric, (c0, L, B))
+        for shape, codes in _layer(d, N, t, symmetric, K).items():
+            stencil = stencils.get(shape)
+            if stencil is None:
+                stencil = stencils[shape] = compile_stencil(codes[0])
+            acc = [0] * len(codes)
+            for k, off, w in stencil:
+                prev = layers[t - k]
+                acc = [a - w * prev[c - off] for a, c in zip(acc, codes)]
+            current.update(zip(codes, acc))
+        layers.append(current)
+    return CoeffBox(p, N, layers, symmetric, (c0, L, B))
 
 
 def first_nonpositive(box: CoeffBox, strict: bool = True):
-    """Graded-lex-first index of the full box whose coefficient is <= 0
-    (strict) or < 0; over Q[lambda] (strict only), whose coefficient is not
-    a nonzero lambda-polynomial with coefficients >= 0.
-
-    Returns (index, coefficient) or None.
-    """
+    """(index, coefficient) at the graded-lex-first index of the full box
+    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
+    only), whose coefficient is not a nonzero polynomial with coefficients >= 0."""
     c0, _, B = box.scale
     if B and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
@@ -256,31 +270,35 @@ def first_nonpositive(box: CoeffBox, strict: bool = True):
     # balanced base-2^B digits of s * v_n, each of absolute value < 2^(B-1).
     # They are all >= 0 iff they are also its plain base-2^B digits, i.e. iff
     # s * v_n >= 0 and no digit has its top bit (`mask`) set.
-    s = 1 if c0 > 0 else -1
-    lo = 1 if strict else 0
-    top = max(map(abs, box.ints.values())).bit_length() // B + 1 if B else 0
+    s, lo = (1 if c0 > 0 else -1), (1 if strict else 0)
+    top = max(max(map(abs, layer.values())) for layer in box.layers
+              ).bit_length() // B + 1 if B else 0
     mask = sum(1 << (B * i + B - 1) for i in range(top))
-    # the graded-lex-first member of a stored orbit representative is its
-    # descending rearrangement
-    hits = [(tuple(sorted(n, reverse=True)) if box.symmetric else n, n)
-            for n, v in box.ints.items() if s * v < lo or s * v & mask]
-    if not hits:
-        return None
-    first, n = min(hits, key=lambda h: grlex_key(h[0]))
-    return first, box.value(n)
+    # grlex order puts the total degree first, so the first layer with a hit
+    # holds the answer: its lex-largest index, taking for a stored orbit
+    # representative its descending rearrangement
+    for layer in box.layers:
+        hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
+        if hits:
+            first, n = max((tuple(sorted(n, reverse=True)) if box.symmetric else n, n)
+                           for n in (_index(c, box.dim, box.N) for c in hits))
+            return first, box.value(n)
+    return None
 
 
 def save_cache(box: CoeffBox, fh: TextIO) -> None:
     """Write cache format v2: a header line, one `i,j,...:v_n` line per stored
     entry in graded-lex order with the kernel's integer v_n in hexadecimal,
     and a last line `crc32=` of every byte before it."""
+    d, N = box.dim, box.N
     denom = json.dumps(box.denom.to_json(), separators=(",", ":"))
     # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
-    # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear time
-    body = "".join([f"{CACHE_MAGIC}; d={box.dim}; N={box.N}; sym={int(box.symmetric)}; "
+    # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear
+    # time.  Within a layer, graded-lex order is descending code order.
+    body = "".join([f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(box.symmetric)}; "
                     f"L={box.scale[1]}; B={box.scale[2]}; denom={denom}\n"]
-                   + [f"{','.join(map(str, n))}:{box.ints[n]:x}\n"
-                      for n in sorted(box.ints, key=grlex_key)])
+                   + [f"{','.join(map(str, _index(c, d, N)))}:{layer[c]:x}\n"
+                      for layer in box.layers for c in sorted(layer, reverse=True)])
     # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
     # hash that anyone can recompute detects only accidental damage, as a CRC does
     fh.write(f"{body}crc32={zlib.crc32(body.encode()):08x}\n")
@@ -289,15 +307,13 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
-    Raises ValueError for a v1 file, and for a file without its crc32=
-    trailer (truncated) or whose body does not match it; naming the header
-    field, for a missing or malformed d, N, sym or denom (a polynomial in d
-    variables, invertible at 0, symmetric when sym=1) and for an L or B that
-    is not the kernel's for denom and N; and, naming the offending line, for
-    a malformed entry, a duplicate index, an index outside [0..N]^d or
-    unsorted when sym=1, and an entry count other than (N+1)^d (sym=0) or
-    C(N+d, d) (sym=1: sorted orbit representatives).
-    """
+    Raises ValueError for a v1 file, a missing crc32= trailer (truncated) or
+    a body that does not match it; naming the header field, for a missing or
+    malformed d, N, sym or denom (in d variables, invertible at 0, symmetric
+    when sym=1) and an L or B that is not the kernel's for denom and N; and,
+    naming the line, for a malformed entry, a duplicate index, an index
+    outside [0..N]^d or unsorted when sym=1, and an entry count other than
+    (N+1)^d (sym=0) or C(N+d, d) (sym=1: sorted orbit representatives)."""
     text = fh.read()
     if text.startswith("diagonalis-box v1;"):
         raise ValueError("cache format v1 is no longer read; "
@@ -330,7 +346,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
         raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
     if symmetric and not denom.is_symmetric():
         raise ValueError("cache header: sym=1 but denom is not symmetric")
-    ints: dict[Exponent, int] = {}
+    by_degree: dict[int, dict[int, int]] = {}
     for lineno, line in enumerate(lines, 2):
         try:
             idx_s, v_s = line.split(":")
@@ -340,14 +356,16 @@ def load_cache(fh: TextIO) -> CoeffBox:
             raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
         if len(n) != dim or any(e < 0 or e > N for e in n):
             raise ValueError(f"line {lineno}: index {n} outside box [0..{N}]^{dim}")
-        if n in ints:
+        code = _code(n, N)
+        layer = by_degree.setdefault(sum(n), {})
+        if code in layer:
             raise ValueError(f"line {lineno}: duplicate index {n}")
         if symmetric and list(n) != sorted(n):
             raise ValueError(f"line {lineno}: unsorted index {n} in a sym=1 cache")
-        ints[n] = v
+        layer[code] = v
     expected = math.comb(N + dim, dim) if symmetric else (N + 1) ** dim
-    if len(ints) != expected:
-        raise ValueError(f"line {len(lines) + 1}: cache ends after {len(ints)} "
+    if len(lines) != expected:  # each line is one entry, or raised
+        raise ValueError(f"line {len(lines) + 1}: cache ends after {len(lines)} "
                          f"entries; expected {expected} for sym={int(symmetric)}")
     # after the count check, so that a forged huge N never reaches W^(dN)
     try:
@@ -358,4 +376,5 @@ def load_cache(fh: TextIO) -> CoeffBox:
         if meta.get(key) != str(want):
             raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
                              f"give {key}={want}")
-    return CoeffBox(denom, N, ints, symmetric, (c0, L, B))
+    layers = [by_degree.get(t, {}) for t in range(dim * N + 1)]
+    return CoeffBox(denom, N, layers, symmetric, (c0, L, B))

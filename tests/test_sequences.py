@@ -516,6 +516,34 @@ def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
     assert {2, 3, 5, 7} <= set(primes)
 
 
+def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
+    bounds = []
+    bound = sequences._hadamard_bound
+
+    def counted(matrix):
+        bounds.append(len(matrix))
+        return bound(matrix)
+    monkeypatch.setattr(sequences, "_hadamard_bound", counted)
+    primes = _count_modular_solves(monkeypatch)
+    # the kzd (2, 3) lift passes at its first prime: no bound
+    kzd = sequences._ansatz_matrix(_oracle_window("kzd", 29), 2, 3)
+    assert len(sequences._nullspace(kzd)) == 1
+    assert (bounds, primes) == ([], _first_primes(1))
+    # the Kauers (3, 6) lift needs a second prime: one bound, after the
+    # first lift fails
+    box = expand_reciprocal(named_instance("Kauers").denominator(), 35)
+    kauers = sequences._ansatz_matrix(sequences.extract_diagonal(box), 3, 6)
+    del primes[:]
+    assert len(sequences._nullspace(kauers)) == 1
+    assert (bounds, primes) == ([33], _first_primes(2))
+    # a lift that never passes computes it once per solve, not per prime
+    del bounds[:], primes[:]
+    monkeypatch.setattr(sequences, "_rational_reconstruction", lambda a, m: None)
+    with pytest.raises(ArithmeticError, match="no exact nullspace lift"):
+        sequences._nullspace(kzd)
+    assert bounds == [len(kzd)] and len(primes) > 1
+
+
 def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
     monkeypatch.setattr(sequences, "_rational_reconstruction",
                         lambda a, m: None)

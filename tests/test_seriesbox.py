@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagonalis.exactalg import UniPoly
+from diagonalis.family import named_instance
 from diagonalis.multipoly import (MultiPoly, grlex_key, scale_variables,
                                   substitute_zero, symmetric_denominator)
-from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale,
+from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
                                   _unpack, expand_reciprocal, first_nonpositive,
                                   load_cache, save_cache)
 
@@ -479,8 +480,150 @@ def test_cache_roundtrip_keeps_the_kernel_integers(case):
     buf = io.StringIO()
     save_cache(box, buf)
     loaded = load_cache(io.StringIO(buf.getvalue()))
-    assert (loaded.ints, loaded.scale, loaded.symmetric) == \
-        (box.ints, box.scale, box.symmetric)
+    assert (loaded.layers, loaded.scale, loaded.symmetric) == \
+        (box.layers, box.scale, box.symmetric)
     again = io.StringIO()
     save_cache(loaded, again)
     assert again.getvalue() == buf.getvalue()
+
+
+# --- differential test: layer kernel vs the per-entry kernel -----------------
+
+def _entry_layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> list:
+    """(n, code, shape) for every index n in [0..N]^d of total degree t, in
+    lexicographic order; only the non-decreasing n when `symmetric`.  code
+    is n read in base N+1; shape caps at `cap` each coordinate of n, or in
+    symmetric mode each gap n_i - n_{i-1} (n_{-1} = 0)."""
+    parts = [((), 0, (), 0, t)]  # prefix, code, shape, last coordinate, rest
+    for slots in range(d, 1, -1):
+        grown = []
+        for prefix, code, shape, prev, rest in parts:
+            lo = prev if symmetric else 0
+            hi = min(rest // slots if symmetric else rest, N)
+            for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
+                grown.append((prefix + (v,), code * (N + 1) + v,
+                              shape + (min(v - lo, cap),), v, rest - v))
+        parts = grown
+    return [(prefix + (rest,), code * (N + 1) + rest,
+             shape + (min(rest - (prev if symmetric else 0), cap),))
+            for prefix, code, shape, prev, rest in parts if rest <= N]
+
+
+def per_entry_data(p: MultiPoly, N: int, symmetric: bool) -> dict:
+    """The exact box of 1/p by the per-entry kernel: one index tuple, one
+    shape tuple and one stencil sum per entry, every v_n keyed by n."""
+    c0, L, B, weights = _kernel_scale(p, N)
+    d = p.dim
+    K = max((max(m) for m, _ in weights), default=1)
+    deg = max((sum(m) for m, _ in weights), default=0)
+    radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
+
+    def compile_stencil(n, code):
+        merged = {}
+        for m, w in weights:
+            prev = tuple(a - b for a, b in zip(n, m))
+            if min(prev) < 0:
+                continue
+            if symmetric:
+                prev = tuple(sorted(prev))
+            key = (sum(m), code - sum(a * r for a, r in zip(prev, radix)))
+            merged[key] = merged.get(key, 0) + w
+        return [(k, off, w) for (k, off), w in merged.items() if w]
+
+    stencils, ints = {}, {(0,) * d: 1}
+    recent = [{0: 1}]  # recent[k - 1] holds layer t - k
+    for t in range(1, d * N + 1):
+        current = {}
+        for n, code, shape in _entry_layer(d, N, t, symmetric, K):
+            if shape not in stencils:
+                stencils[shape] = compile_stencil(n, code)
+            acc = 0
+            for k, off, w in stencils[shape]:
+                acc -= w * recent[k - 1][code - off]
+            current[code] = ints[n] = acc
+        recent.insert(0, current)
+        del recent[deg:]
+
+    def exact(n, v):
+        den = c0.numerator * L ** sum(n)
+        if B:
+            return UniPoly([F(c * c0.denominator, den) for c in _unpack(v, B)])
+        return F(v * c0.denominator, den)
+    return {n: exact(n, v) for n, v in ints.items()}
+
+
+def _squared_monomial_denominator():
+    """1 - x - 2y + 3x^2 y + 2y^2 z - z^2 + x y z^2: not symmetric, and
+    each variable has exponent 2, so that every shape digit reaches 2."""
+    return MultiPoly(3, {(0, 0, 0): F(1), (1, 0, 0): F(-1), (0, 1, 0): F(-2),
+                         (2, 1, 0): F(3), (0, 2, 1): F(2), (0, 0, 2): F(-1),
+                         (1, 1, 2): F(1)})
+
+
+@pytest.mark.parametrize("p, N, symmetric", [
+    (named_instance("Kauers").denominator(), 12, True),
+    (named_instance("Kauers").denominator(), 12, False),
+    (named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator(), 30, True),
+    (named_instance("hab", a=F(0), b=F(-3, 8)).denominator(), 30, True),
+    (named_instance("GRZ", d=5).denominator(), 8, True),
+    (named_instance("StraubLambda").denominator(), 16, True),
+    (_squared_monomial_denominator(), 7, False),
+], ids=["Kauers-sym", "Kauers-full", "hab-1/4-23/8", "hab-0--3/8", "GRZ5",
+        "StraubLambda", "squared-monomial"])
+def test_layer_kernel_matches_per_entry_kernel(p, N, symmetric):
+    box = expand_reciprocal(p, N, symmetric=symmetric)
+    assert box.data == per_entry_data(p, N, symmetric)
+
+
+@settings(deadline=None, max_examples=40)
+@given(reciprocal_cases())
+@example((symmetric_denominator([1, -1, F(1, 3), 2]) ** 2, 4, True))
+@example((symmetric_denominator([1, -lam, lam * lam - 1]), 4, False))
+def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
+    p, N, symmetric = case
+    assert expand_reciprocal(p, N, symmetric=symmetric).data == \
+        per_entry_data(p, N, symmetric)
+
+
+# --- pinned scan and cache behaviour ------------------------------------------
+
+def _power_sum_denominator(b, a):
+    """1 - e_1 + b (x^2 + y^2 + z^2) + a e_2: u_(2,0,0) = 1 - b and
+    u_(1,1,0) = 2 - a, so layer 2 is the first flagged one when either
+    is <= 0."""
+    terms = {(0, 0, 0): F(1)}
+    for i in range(3):
+        terms[tuple(int(j == i) for j in range(3))] = F(-1)
+        terms[tuple(2 * int(j == i) for j in range(3))] = F(b)
+        terms[tuple(int(j != i) for j in range(3))] = F(a)
+    return MultiPoly(3, terms)
+
+
+@pytest.mark.parametrize("b, a, want", [
+    (2, 3, (2, 0, 0)),  # both orbits flagged: (2,0,0) precedes (1,1,0)
+    (0, 3, (1, 1, 0)),
+    (2, 0, (2, 0, 0)),
+])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_scan_breaks_ties_within_the_first_flagged_layer(b, a, want, symmetric):
+    box = expand_reciprocal(_power_sum_denominator(b, a), 3, symmetric=symmetric)
+    flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
+               if sum(n) == 2 and box.coefficient_at(n) <= 0}
+    assert len(flagged) == 1 + (b == 2 and a == 3)
+    for strict in (True, False):
+        hit = first_nonpositive(box, strict)
+        assert hit == brute_force_first_nonpositive(box, strict)
+        assert hit[0] == want
+
+
+@pytest.mark.parametrize("p, N, symmetric, crc", [
+    (named_instance("KZ-D").denominator(), 8, True, "82e6476a"),
+    (named_instance("Kauers").denominator(), 6, False, "8bb7cf7a"),
+    (named_instance("StraubLambda").denominator(), 6, True, "3c0ce671"),
+    (named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator(), 12, True, "fbb156c8"),
+], ids=["KZ-D", "Kauers-full", "StraubLambda", "hab-failing"])
+def test_cache_bytes_are_pinned(p, N, symmetric, crc):
+    box = expand_reciprocal(p, N, symmetric=symmetric)
+    buf = io.StringIO()
+    save_cache(box, buf)
+    assert buf.getvalue().endswith(f"\ncrc32={crc}\n")

@@ -68,8 +68,8 @@ def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> dict[int, list[
                 g = v - lo
                 grown.append((code + v, shape + (g if g < cap else cap), v, rest - v))
         parts = grown
-    # the last two coordinates (a, rest - a) have codes start + a * N, and
-    # shape digits (cap, cap) on one run of a; no min or max calls per prefix
+    # the last two coordinates (a, rest - a) have codes start + a * N; the run
+    # of a with both digits at the cap is one range (one loop over a: +4% wall)
     for code, shape, prev, rest in parts:
         low = prev if symmetric else 0
         lo = rest - N if rest - N > low else low

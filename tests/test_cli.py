@@ -243,6 +243,102 @@ def test_geometry_bisect(capsys):
     assert lo != hi
 
 
+# whole reports, text and JSON: rationals, lambda-polynomials, root intervals,
+# a cubic discriminant and a null one, as the CLI printed them
+_REPORTS = [
+    (["geometry", "point", "--family", "hab", "--a", "1/4", "--b", "1/16"],
+     "family: {'dim': 3, 'coeffs': ['1', '-1', '1/4', '1/16'], 'name': 'hab'}\n"
+     "smooth: True\n"
+     "locus_value: -71/256\n"
+     "classes: [{'kind': 'symmetric', 'polynomial': ['1', '-3', '3/4', '1/16'], "
+     "'roots': [{'lo': '0', 'hi': '49/32', 'multiplicity': 1}, "
+     "{'lo': '49/32', 'hi': '49/16', 'multiplicity': 1}], 'positive_count': 2, "
+     "'note': ''}, {'kind': 'off-diagonal', 'polynomial': None, 'roots': [], "
+     "'positive_count': 3, 'note': 'coordinates (1/a, 1/a, 3/2) and permutations'}]\n"
+     "positive_orthant_count: 5\n"
+     "cubic_discriminant: 1917/256\n"
+     "verdict: violated\n"
+     "reason: 5 critical points in the open positive orthant (need exactly 1)\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["1", "-1", "1/4", "1/16"], "name": "hab"},
+      "smooth": True,
+      "locus_value": "-71/256",
+      "classes": [{"kind": "symmetric",
+                   "polynomial": ["1", "-3", "3/4", "1/16"],
+                   "roots": [{"lo": "0", "hi": "49/32", "multiplicity": 1},
+                             {"lo": "49/32", "hi": "49/16", "multiplicity": 1}],
+                   "positive_count": 2,
+                   "note": ""},
+                  {"kind": "off-diagonal",
+                   "polynomial": None,
+                   "roots": [],
+                   "positive_count": 3,
+                   "note": "coordinates (1/a, 1/a, 3/2) and permutations"}],
+      "positive_orthant_count": 5,
+      "cubic_discriminant": "1917/256",
+      "verdict": "violated",
+      "reason": "5 critical points in the open positive orthant (need exactly 1)"}),
+    (["geometry", "point", "--family", "h2var", "--a", "1/2"],
+     "family: {'dim': 2, 'coeffs': ['1', '-1', '1/2'], 'name': 'h2var'}\n"
+     "smooth: True\n"
+     "locus_value: -1/2\n"
+     "classes: [{'kind': 'symmetric', 'polynomial': ['1', '-2', '1/2'], "
+     "'roots': [{'lo': '0', 'hi': '5/2', 'multiplicity': 1}, "
+     "{'lo': '5/2', 'hi': '5', 'multiplicity': 1}], 'positive_count': 2, 'note': ''}]\n"
+     "positive_orthant_count: 2\n"
+     "cubic_discriminant: None\n"
+     "verdict: inconclusive\n"
+     "reason: positive critical points exist; minimality not decided here\n",
+     {"schema": "v1",
+      "family": {"dim": 2, "coeffs": ["1", "-1", "1/2"], "name": "h2var"},
+      "smooth": True,
+      "locus_value": "-1/2",
+      "classes": [{"kind": "symmetric",
+                   "polynomial": ["1", "-2", "1/2"],
+                   "roots": [{"lo": "0", "hi": "5/2", "multiplicity": 1},
+                             {"lo": "5/2", "hi": "5", "multiplicity": 1}],
+                   "positive_count": 2,
+                   "note": ""}],
+      "positive_orthant_count": 2,
+      "cubic_discriminant": None,
+      "verdict": "inconclusive",
+      "reason": "positive critical points exist; minimality not decided here"}),
+    (["expand", "--family", "StraubLambda", "--N", "2"],
+     "family: {'dim': 3, 'coeffs': [['1'], ['-1', '-1'], ['0', '2', '1'], "
+     "['4', '0', '-3', '-1']], 'name': 'StraubLambda'}\n"
+     "N: 2\n"
+     "entries: 27\n"
+     "entries_stored: 10\n"
+     "ring: Qlambda\n",
+     {"schema": "v1",
+      "family": {"dim": 3,
+                 "coeffs": [["1"], ["-1", "-1"], ["0", "2", "1"], ["4", "0", "-3", "-1"]],
+                 "name": "StraubLambda"},
+      "N": 2,
+      "entries": 27,
+      "entries_stored": 10,
+      "ring": "Qlambda"}),
+    (["recur", "charpoly", "--builtin", "2var", "--a", "2"],
+     "mode: charpoly\n"
+     "charpoly: ['4', '0', '1']\n"
+     "discriminant: -16\n"
+     "roots: complex\n",
+     {"schema": "v1",
+      "mode": "charpoly",
+      "charpoly": ["4", "0", "1"],
+      "discriminant": "-16",
+      "roots": "complex"}),
+]
+
+
+@pytest.mark.parametrize("argv, text, data", _REPORTS,
+                         ids=[" ".join(r[0]) for r in _REPORTS])
+def test_report_bytes_are_pinned(capsys, argv, text, data):
+    assert run(capsys, *argv) == (0, text)
+    # the JSON report is this object at indent 2, keys in this order
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     "expand --family h0b --b=-1/8 --N 2",
     "expand --coeffs=-1,1,0,5 --N 3",

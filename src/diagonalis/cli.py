@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactalg import rat, rat_str
+from .exactalg import plain, rat
 from .family import FamilySpec, make_family, named_instance
 from .geometry import (box_positivity_bisect, critical_points_diag,
                        nonsmooth_locus_3d)
@@ -91,7 +91,7 @@ def cmd_expand(args) -> int:
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
     box = expand_reciprocal(fam.denominator(), args.N, entry_limit=limit)
-    report = {"family": fam.to_json(), "N": args.N, "entries": (box.N + 1) ** box.dim,
+    report = {"family": fam, "N": args.N, "entries": (box.N + 1) ** box.dim,
               "entries_stored": sum(map(len, box.layers)), "ring": box.ring}
     status = 0
     if args.check_positive:
@@ -105,8 +105,7 @@ def cmd_expand(args) -> int:
             report["check"] = f"no {word} coefficient in [0..{args.N}]^{box.dim}"
         else:
             n, c = hit
-            report["check"] = (f"flagged {_fmt_index(n)} -> {c!r}" if lam
-                               else f"{_fmt_index(n)} -> {rat_str(c)}")
+            report["check"] = ("flagged " if lam else "") + f"{_fmt_index(n)} -> {c}"
             status = 1
     if args.cache:
         path = _cache_path(args.cache)
@@ -147,17 +146,16 @@ def _diag_values(args):
 
 def cmd_diag(args) -> int:
     fam, vals = _diag_values(args)
-    report = {"N": len(vals) - 1, "diagonal": [rat_str(v) for v in vals]}
+    report = {"N": len(vals) - 1, "diagonal": vals}
     if fam is not None:
-        report["family"] = fam.to_json()
+        report["family"] = fam
     status = 0
     if args.oracle:
         expected = [binomial_oracle(args.oracle, n, _take(args, "a"))
                     for n in range(len(vals))]
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
-                report["oracle"] = (f"mismatch at n={n}: "
-                                    f"box {rat_str(got)} vs oracle {rat_str(want)}")
+                report["oracle"] = f"mismatch at n={n}: box {got} vs oracle {want}"
                 status = 1
                 break
         else:
@@ -196,7 +194,7 @@ def cmd_recur(args) -> int:
             status = 1
         else:
             report.update(order=rec.order, degree=rec.degree,
-                          coefficients=rec.to_json(), label="empirical")
+                          coefficients=rec.coeffs, label="empirical")
     elif args.mode == "check":
         rec = _recur_object(args)
         seq = _recur_sequence(args)
@@ -205,21 +203,21 @@ def cmd_recur(args) -> int:
             report["result"] = "pass"
         else:
             n, resid = bad
-            report["result"] = f"fail at n={n}, residual {rat_str(resid)}"
+            report["result"] = f"fail at n={n}, residual {resid}"
             status = 1
     elif args.mode == "extend":
         rec = _recur_object(args)
         seq = (recurrence_extend(rec, _parse_terms(args.terms), args.upto)
                if args.terms else recurrence_seed(rec, args.upto))
-        report["values"] = [rat_str(v) for v in seq]
+        report["values"] = seq
     elif args.mode == "charpoly":
         rec = _recur_object(args)
         cp = characteristic_polynomial(rec)
-        report["charpoly"] = cp.to_json()
+        report["charpoly"] = cp
         if cp.degree == 2:
             c, b_, a_ = cp[0], cp[1], cp[2]
             disc = b_ * b_ - 4 * a_ * c
-            report["discriminant"] = rat_str(disc)
+            report["discriminant"] = disc
             report["roots"] = "complex" if disc < 0 else "real"
     _emit(args, report)
     return status
@@ -230,7 +228,7 @@ def cmd_identity(args) -> int:
     report = {"identity": args.name, "order": args.M, "result": "pass"}
     if bad is not None:
         n, lhs, rhs = bad
-        report["result"] = f"mismatch at index {n}: {rat_str(lhs)} vs {rat_str(rhs)}"
+        report["result"] = f"mismatch at index {n}: {lhs} vs {rhs}"
     _emit(args, report)
     return 0 if bad is None else 1
 
@@ -262,7 +260,7 @@ def _grid(spec: str) -> list[Fraction]:
 
 def cmd_geometry(args) -> int:
     if args.mode == "point":
-        _emit(args, critical_points_diag(_resolve_family(args)).to_json())
+        _emit(args, critical_points_diag(_resolve_family(args)))
         return 0
     if args.mode == "grid":
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
@@ -274,8 +272,7 @@ def cmd_geometry(args) -> int:
                     count, verdict = rep.positive_orthant_count, rep.verdict
                 else:
                     count, verdict = "", "unsupported (a > 1 off canonical range)"
-                rows.append((rat_str(a), rat_str(b), rat_str(val),
-                             "member" if member else "smooth", count, verdict))
+                rows.append((a, b, val, "member" if member else "smooth", count, verdict))
         text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         if args.output:
             with open(args.output, "w") as out:
@@ -285,14 +282,14 @@ def cmd_geometry(args) -> int:
         return 0
     lo, hi = box_positivity_bisect(args.N, args.prec, b_lo=rat(args.b_lo),
                                    strict=not args.non_strict)
-    _emit(args, {"N": args.N,
-                 "threshold_interval": [rat_str(lo), rat_str(hi)],
-                 "precision": rat_str(args.prec)})
+    _emit(args, {"N": args.N, "threshold_interval": [lo, hi], "precision": args.prec})
     return 0
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report) -> None:
+    """Write a report, a dict or a dataclass of exact values, in its plain form."""
     _refuse_unread(args)
+    report = plain(report)
     if args.format == "json":
         json.dump({"schema": "v1", **report}, sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -8,6 +8,7 @@ series are expanded with a symbolic parameter.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,11 +32,22 @@ def rat(x: RatLike) -> Fraction:
         raise ValueError(f"not a rational number: {x!r}") from None
 
 
-def rat_str(q: Fraction) -> str:
-    """Serialize a rational as "num" or "num/den"."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def plain(x):
+    """The JSON form of a value: a rational as its str, "num" or "num/den";
+    a value with a to_json method, such as a `UniPoly`, as what it returns;
+    a dataclass as a dict of its fields in declaration order; a dict, tuple
+    or list as a dict or list of plain items; anything else as it is."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if dataclasses.is_dataclass(x):
+        return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [plain(v) for v in x]
+    return x
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -240,7 +252,7 @@ class UniPoly:
         return self.divmod(g)[0].monic()
 
     def to_json(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
@@ -262,10 +274,10 @@ class UniPoly:
             if not c:
                 continue
             if i == 0:
-                parts.append(rat_str(c))
+                parts.append(str(c))
             elif i == 1:
-                parts.append(f"{rat_str(c)}*x")
+                parts.append(f"{c}*x")
             else:
-                parts.append(f"{rat_str(c)}*x^{i}")
+                parts.append(f"{c}*x^{i}")
         return "UniPoly(" + " + ".join(parts) + ")"
 

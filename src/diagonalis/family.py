@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactalg import UniPoly, rat, rat_str
+from .exactalg import UniPoly, rat
 from .multipoly import MultiPoly, symmetric_denominator
 from .registry import build, catalog
 
@@ -37,16 +37,8 @@ class FamilySpec:
                    for c in self.coeffs)
 
     def describe(self) -> str:
-        parts = []
-        for c in self.coeffs:
-            parts.append(repr(c) if isinstance(c, UniPoly) else rat_str(c))
         tag = f"{self.name}: " if self.name else ""
-        return f"{tag}d={self.dim}, c=[{', '.join(parts)}]"
-
-    def to_json(self) -> dict:
-        cs = [c.to_json() if isinstance(c, UniPoly) else rat_str(c)
-              for c in self.coeffs]
-        return {"dim": self.dim, "coeffs": cs, "name": self.name}
+        return f"{tag}d={self.dim}, c=[{', '.join(map(str, self.coeffs))}]"
 
 
 def make_family(d: int, coefficients: Sequence, name: Optional[str] = None) -> FamilySpec:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactalg import UniPoly, rat, rat_str
+from .exactalg import UniPoly, rat
 from .family import FamilySpec, named_instance
 from .sequences import binomial_oracle
 from .seriesbox import expand_reciprocal, first_nonpositive
@@ -222,30 +222,6 @@ class CritReport:
     verdict: str                    # "violated" | "inconclusive"
     reason: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family.to_json(),
-            "smooth": self.smooth,
-            "locus_value": rat_str(self.locus_value),
-            "classes": [
-                {
-                    "kind": c.kind,
-                    "polynomial": c.polynomial.to_json() if c.polynomial else None,
-                    "roots": [
-                        {"lo": rat_str(r.lo), "hi": rat_str(r.hi),
-                         "multiplicity": r.multiplicity}
-                        for r in c.roots],
-                    "positive_count": c.positive_count,
-                    "note": c.note,
-                }
-                for c in self.classes],
-            "positive_orthant_count": self.positive_orthant_count,
-            "cubic_discriminant": (rat_str(self.cubic_discriminant)
-                                   if self.cubic_discriminant is not None else None),
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
 
 def _canonical_params(family: FamilySpec) -> list[Fraction]:
     cs = [c.constant_value() if isinstance(c, UniPoly) else c
@@ -318,7 +294,7 @@ def _crit_3d(family: FamilySpec) -> CritReport:
         count2 = 3 if inside else 0
         cls2 = CritClass(
             "off-diagonal", None, (), count2,
-            f"coordinates (1/a, 1/a, {rat_str(third)}) and permutations")
+            f"coordinates (1/a, 1/a, {third}) and permutations")
 
     count = count1 + count2
     if not smooth:
@@ -367,7 +343,7 @@ def box_positivity_bisect(N: int, prec, b_lo=4,
     """
     prec = rat(prec)
     if prec <= 0:
-        raise ValueError(f"bisection precision must be positive, got {rat_str(prec)}")
+        raise ValueError(f"bisection precision must be positive, got {prec}")
 
     def box_ok(b: Fraction) -> bool:
         fam = named_instance("h0b", b=b)
@@ -376,7 +352,7 @@ def box_positivity_bisect(N: int, prec, b_lo=4,
 
     lo = rat(b_lo)
     if not box_ok(lo):
-        raise ValueError(f"expected the box to be positive at b = {rat_str(lo)}")
+        raise ValueError(f"expected the box to be positive at b = {lo}")
     hi = lo + 1
     while box_ok(hi):
         hi += 1

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exactalg import UniPoly, rat, rat_str
+from .exactalg import UniPoly, plain, rat
 
 Coeff = Union[Fraction, UniPoly]
 Exponent = tuple[int, ...]
@@ -145,13 +145,8 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def to_json(self) -> dict:
-        terms = []
-        for exp, c in self.sorted_terms():
-            if isinstance(c, UniPoly):
-                terms.append({"exp": list(exp), "coeff": c.to_json()})
-            else:
-                terms.append({"exp": list(exp), "coeff": rat_str(c)})
-        return {"dim": self.dim, "terms": terms}
+        return {"dim": self.dim, "terms": [{"exp": list(exp), "coeff": plain(c)}
+                                           for exp, c in self.sorted_terms()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
@@ -175,8 +170,7 @@ class MultiPoly:
                 f"x{j}^{e}" if e > 1 else f"x{j}"
                 for j, e in enumerate(exp) if e
             )
-            cs = repr(c) if isinstance(c, UniPoly) else rat_str(c)
-            bits.append(f"({cs}){'*' + mono if mono else ''}")
+            bits.append(f"({c}){'*' + mono if mono else ''}")
         return f"MultiPoly({self.dim}, " + " + ".join(bits) + ")"
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import RatLike, UniPoly, rat, rat_str
+from .exactalg import RatLike, UniPoly, rat
 from .sequences import _run_extended
 
 
@@ -250,7 +250,7 @@ class UniSeries:
                              self.den * q ** m)
 
     def __repr__(self) -> str:
-        shown = ", ".join(rat_str(Fraction(x, self.den)) for x in self.nums[:8])
+        shown = ", ".join(str(Fraction(x, self.den)) for x in self.nums[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"UniSeries([{shown}{tail}]; order={self.order})"
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from diagonalis.exactalg import UniPoly, binomial, rat, rat_str
+from diagonalis.exactalg import UniPoly, binomial, plain, rat
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 4)
 
@@ -107,8 +107,8 @@ def test_primitive_normalization():
 
 
 def test_rational_serialization():
-    assert rat_str(F(3)) == "3"
-    assert rat_str(F(-16, 27)) == "-16/27"
+    assert plain(F(3)) == "3"
+    assert plain(F(-16, 27)) == "-16/27"
     assert rat("-16/27") == F(-16, 27)
 
 

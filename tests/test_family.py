@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from diagonalis.exactalg import UniPoly
+from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import (CATALOG_NAMES, FamilySpec, canonicalize,
                                make_family, named_instance)
 
@@ -110,7 +110,7 @@ def test_canonicalize_rejects_nonnegative_c1():
 
 def test_json_and_describe():
     fam = named_instance("Szego3")
-    data = fam.to_json()
+    data = plain(fam)
     assert data["coeffs"] == ["1", "-1", "3/4", "0"]
     assert "Szego3" in fam.describe()
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from diagonalis import geometry
-from diagonalis.exactalg import UniPoly
+from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (AlgebraicNumber, boundary_curve_3d,
                                  box_positivity_bisect, critical_points_diag,
@@ -167,7 +167,7 @@ def test_crit_requires_canonical_form():
 
 
 def test_report_json_shape():
-    data = critical_points_diag(named_instance("AG3")).to_json()
+    data = plain(critical_points_diag(named_instance("AG3")))
     assert data["verdict"] in ("violated", "inconclusive")
     assert isinstance(data["classes"], list) and data["classes"]
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from diagonalis.exactalg import plain
 from diagonalis.family import CATALOG_NAMES, named_instance
 from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   extract_diagonal)
@@ -80,14 +81,14 @@ def test_catalog_names_are_the_family_table():
 def test_family_spellings(spelling, name):
     params, spec_name, dim, coeffs = FAMILIES[name]
     fam = named_instance(spelling, **params)
-    assert (fam.name, fam.dim, fam.to_json()["coeffs"]) == (spec_name, dim, coeffs)
+    assert (fam.name, fam.dim, plain(fam)["coeffs"]) == (spec_name, dim, coeffs)
 
 
 def test_parameterized_families():
     grz = named_instance("grz", d=3, c=5)
-    assert (grz.name, grz.to_json()["coeffs"]) == ("GRZ-3", ["1", "-1", "0", "5"])
+    assert (grz.name, plain(grz)["coeffs"]) == ("GRZ-3", ["1", "-1", "0", "5"])
     straub = named_instance("straub-lambda", lam="1/2")
-    assert straub.to_json()["coeffs"] == ["1", "-3/2", "5/4", "25/8"]
+    assert plain(straub)["coeffs"] == ["1", "-3/2", "5/4", "25/8"]
 
 
 def test_missing_family_parameter_is_value_error():

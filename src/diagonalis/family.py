@@ -6,13 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactalg import UniPoly, rat
-from .multipoly import MultiPoly, symmetric_denominator
+from .multipoly import Coeff, MultiPoly, _coerce_coeff, symmetric_denominator
 from .registry import build, catalog
-
-Coeff = Union[Fraction, UniPoly]
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,7 @@ class FamilySpec:
 
 
 def make_family(d: int, coefficients: Sequence, name: Optional[str] = None) -> FamilySpec:
-    cs = tuple(c if isinstance(c, UniPoly) else rat(c) for c in coefficients)
-    return FamilySpec(d, cs, name)
+    return FamilySpec(d, tuple(map(_coerce_coeff, coefficients)), name)
 
 
 def _grz(params) -> FamilySpec:

@@ -50,6 +50,22 @@ def plain(x):
     return x
 
 
+def binary_power(x, k: int, one):
+    """x ** k for an integer k >= 0 by square-and-multiply; `one` is x ** 0.
+    Neither a product by `one` nor a last squaring, which no step reads,
+    is computed."""
+    if k < 0:
+        raise ValueError(f"negative power {k}")
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if result is None else result
+
+
 def binomial(n: int, k: int) -> Fraction:
     """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
     if n < 0:
@@ -162,16 +178,7 @@ class UniPoly:
         return NotImplemented
 
     def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, UniPoly.const(1))
 
     def __call__(self, x: RatLike) -> Fraction:
         """Horner evaluation at a rational point."""

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .exactalg import UniPoly, plain, rat
+from .exactalg import UniPoly, binary_power, plain, rat
 
 Coeff = Union[Fraction, UniPoly]
 Exponent = tuple[int, ...]
@@ -103,16 +103,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.dim, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, MultiPoly.constant(self.dim, 1))
 
     def evaluate(self, point: Sequence) -> Coeff:
         """Evaluate at a point of rationals (or ring elements)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import RatLike, UniPoly, rat
+from .exactalg import RatLike, UniPoly, binary_power, rat
 from .sequences import _run_extended
 
 
@@ -130,14 +130,7 @@ class UniSeries:
     def __pow__(self, k: int) -> "UniSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        result = UniSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, UniSeries.one(self.order))
 
     def inverse(self) -> "UniSeries":
         if not self.nums[0]:

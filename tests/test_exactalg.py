@@ -88,6 +88,20 @@ def test_eval_is_ring_homomorphism(p, q, x):
     assert (p + q)(x) == p(x) + q(x)
 
 
+@pytest.mark.parametrize("k", range(7))
+@given(p=st.lists(rationals, max_size=3).map(UniPoly))
+def test_power_is_the_product_of_k_copies(k, p):
+    want = UniPoly.const(1)
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative power"):
+        UniPoly([1, 1]) ** -1
+
+
 @given(small_polys)
 def test_no_trailing_zeros(p):
     assert not p.coeffs or p.coeffs[-1] != 0

@@ -135,6 +135,24 @@ def test_partial_derivative_edges():
     assert partial_derivative(x2, 0) == MultiPoly(1, {(1,): F(2)})
 
 
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("p", [
+    symmetric_denominator([1, -1, F(1, 2), 4]),
+    MultiPoly(2, {(0, 0): UniPoly.const(1), (1, 1): UniPoly([0, 1, 1])}),
+    MultiPoly(2),
+])
+def test_power_is_the_product_of_k_copies(p, k):
+    want = MultiPoly.constant(p.dim, 1)
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative power"):
+        elementary_symmetric(2, 1) ** -1
+
+
 def test_json_roundtrip_with_lambda_coefficients():
     lam = UniPoly.x()
     p = MultiPoly(2, {(0, 0): UniPoly.const(1), (1, 1): lam * (lam + 2)})

@@ -7,7 +7,7 @@ recurrence that verifies on every supplied term.  Each ansatz is an
 integer linear system.  For each order, one elimination mod a prime below
 2^30 of the ansatz at the largest degree, with its columns in degree-major
 order, rejects every degree whose ansatz has full column rank.  Each
-remaining ansatz is solved mod 61-bit primes: full column rank mod p
+remaining ansatz is solved mod primes below 2^30: full column rank mod p
 rejects it, and otherwise the reduced row-echelon nullspace basis of the
 primes whose pivot columns agree with Q is lifted by CRT and rational
 reconstruction, and returned at the first prime where the lift checks
@@ -312,9 +312,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """The odd primes below 2^61, largest first; the first is the Mersenne
-    prime 2^61 - 1."""
-    return filter(_is_prime, range(2 ** 61 - 1, 2, -2))
+    """The odd primes below 2^30, largest first; the first is _SCREEN_PRIME,
+    so the screen and the lift eliminate on one word size."""
+    return filter(_is_prime, range(2 ** 30 - 1, 2, -2))
 
 
 def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
@@ -356,14 +356,14 @@ def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
         # and entries over Q are ratios of minors, so past 2 hadamard^2
         # the lift must have passed.  The bound waits for a failed lift:
         # small ansätze, such as kzd's (2, 3) at 28 x 12, lift at their
-        # first prime and skip it (about 5% of that solve); the 33 x 28
-        # Kauers (3, 6) ansatz lifts at its second prime and pays it once.
+        # first prime and skip it (about 9% of that solve); the 33 x 28
+        # Kauers (3, 6) ansatz lifts at its third prime and pays it once.
         if hadamard is None:
             hadamard = _hadamard_bound(matrix)
         if modulus > 2 * hadamard ** 2:
             raise ArithmeticError(f"no exact nullspace lift within a "
                                   f"{modulus.bit_length()}-bit modulus")
-    raise ArithmeticError("the primes below 2^61 ran out")
+    raise ArithmeticError("the primes below 2^30 ran out")
 
 
 def _hadamard_bound(matrix: list[list[int]]) -> int:

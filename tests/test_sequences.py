@@ -426,7 +426,7 @@ def test_modular_route_needs_no_fraction_solve(monkeypatch):
     # the screen skips every ansatz but (2, 3), the one solve
     assert calls == [len(seq) - 2]
     # one screen per order, then the (2, 3) ansatz checks exactly at its
-    # first 61-bit prime: 3 eliminations, where solving every ansatz and
+    # first prime: 3 eliminations, where solving every ansatz and
     # waiting for two equal lifts took 9
     assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(1)
 
@@ -529,13 +529,13 @@ def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
     kzd = sequences._ansatz_matrix(_oracle_window("kzd", 29), 2, 3)
     assert len(sequences._nullspace(kzd)) == 1
     assert (bounds, primes) == ([], _first_primes(1))
-    # the Kauers (3, 6) lift needs a second prime: one bound, after the
+    # the Kauers (3, 6) lift needs a third prime: one bound, after the
     # first lift fails
     box = expand_reciprocal(named_instance("Kauers").denominator(), 35)
     kauers = sequences._ansatz_matrix(sequences.extract_diagonal(box), 3, 6)
     del primes[:]
     assert len(sequences._nullspace(kauers)) == 1
-    assert (bounds, primes) == ([33], _first_primes(2))
+    assert (bounds, primes) == ([33], _first_primes(3))
     # a lift that never passes computes it once per solve, not per prime
     del bounds[:], primes[:]
     monkeypatch.setattr(sequences, "_rational_reconstruction", lambda a, m: None)
@@ -614,18 +614,17 @@ def test_screen_prime_is_the_largest_prime_below_2_30():
     assert not any(sequences._is_prime(k) for k in range(p + 1, 2 ** 30))
 
 
-def test_moduli_are_distinct_61_bit_primes():
-    assert sequences._is_prime(2 ** 61 - 1)
-    assert not sequences._is_prime(2 ** 61 - 3)
-    # the ten largest primes below 2^61
-    assert _first_primes(10) == [2 ** 61 - k for k in (
-        1, 31, 45, 229, 259, 283, 339, 391, 403, 465)]
+def test_moduli_are_distinct_primes_below_2_30():
+    # the ten largest primes below 2^30, the first of them the screen's
+    assert _first_primes(10) == [2 ** 30 - k for k in (
+        35, 41, 83, 101, 105, 107, 135, 153, 161, 173)]
+    assert _first_primes(1) == [sequences._SCREEN_PRIME]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 40))
 def test_rational_reconstruction_inverts_reduction(num, den):
     q = F(num, den)
-    m = math.prod(_first_primes(2))
+    m = math.prod(_first_primes(3))  # past 2 * (2^40)^2
     residue = q.numerator * pow(q.denominator, -1, m) % m
     assert sequences._rational_reconstruction(residue, m) == q

@@ -3,7 +3,8 @@
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 `UniPoly` is a dense univariate polynomial over the rationals, used both for
 recurrence coefficients in n and as the coefficient ring Q[lambda] when
-series are expanded with a symbolic parameter.
+series are expanded with a symbolic parameter.  `plain` gives the one JSON
+form of these values, and `binary_power` the one square-and-multiply.
 """
 
 from __future__ import annotations

@@ -218,18 +218,6 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self / self.leading_coefficient()
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over Q."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if self.is_zero():
@@ -250,14 +238,6 @@ class UniPoly:
         if p.leading_coefficient() < 0:
             p = -p
         return p
-
-    def squarefree_part(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.divmod(g)[0].monic()
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]

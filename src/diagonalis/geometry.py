@@ -1,7 +1,8 @@
 """Critical-point and smoothness analysis for the symmetric families.
 
 Implements the explicit nonsmooth-locus discriminants for d = 3 and d = 4,
-exact real-root isolation by Sturm sequences, the diagonal-direction
+exact real-root isolation by Sturm chains (one signed remainder sequence
+per level of the gcd chain p, gcd(p, p'), ...), the diagonal-direction
 critical-point reductions for d = 2, 3, and the two-variable asymptotic
 ratio check (the single place floating point appears).
 """
@@ -68,12 +69,18 @@ class RootInterval:
     multiplicity: int
 
 
-def _sturm_chain(p: UniPoly) -> list[UniPoly]:
+def _sturm_chain(p: UniPoly) -> tuple[list[UniPoly], UniPoly]:
+    """The signed remainder sequence p, p', -rem, ... of (p, p') divided by
+    its last member g, and g.  g is gcd(p, p') up to a constant factor, and
+    the quotients form a Sturm chain of the square-free part of p."""
     chain = [p, p.derivative()]
     while chain[-1]:
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
-    return chain
+    g = chain[-1]
+    if g.degree >= 1:
+        chain = [q.divmod(g)[0] for q in chain]
+    return chain, g
 
 
 def _variations(chain: list[UniPoly], x: Fraction) -> int:
@@ -97,17 +104,25 @@ def _root_bound(p: UniPoly) -> Fraction:
 
 def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
     """Disjoint rational isolation intervals for the distinct real roots of p
-    (in (0, inf) when domain="positive"), with multiplicities from the
-    gcd chain p, gcd(p, p'), gcd(gcd, gcd'), ..."""
+    (in (0, inf) when domain="positive"), with multiplicities.
+
+    One signed remainder sequence per member of the gcd chain p, g1, g2, ...
+    (g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...) gives one Sturm chain per
+    level; all are built before any bisection.  Level 0 isolates the roots,
+    and a root of p has multiplicity 1 plus the number of levels >= 1 with a
+    root in its interval."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "positive"):
         raise ValueError(f"unknown domain {domain!r}")
-    sq = p.squarefree_part()
-    if sq.degree < 1:
+    levels, g = [], p
+    while g.degree >= 1:
+        chain, g = _sturm_chain(g)
+        levels.append(chain)
+    if not levels:
         return []
-    chain = _sturm_chain(sq)
-    B = _root_bound(sq)
+    chain = levels[0]
+    B = _root_bound(chain[0])
     lo0 = Fraction(0) if domain == "positive" else -B
     intervals: list[tuple[Fraction, Fraction]] = []
     stack = [(lo0, B)]
@@ -123,23 +138,10 @@ def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
         stack.append((lo, mid))
         stack.append((mid, hi))
     intervals.sort()
-
-    # multiplicity chain: a root of p has multiplicity >= i+1 iff it is a
-    # root of the i-th iterated gcd
-    gcd_chain = [p]
-    while gcd_chain[-1].degree >= 1:
-        g = gcd_chain[-1].gcd(gcd_chain[-1].derivative())
-        if g.degree < 1:
-            break
-        gcd_chain.append(g)
-    result = []
-    for lo, hi in intervals:
-        mult = 1
-        for g in gcd_chain[1:]:
-            if _count_roots(_sturm_chain(g.squarefree_part()), lo, hi):
-                mult += 1
-        result.append(RootInterval(lo, hi, mult))
-    return result
+    # each interval holds one root of p, so each level counts 0 or 1 in it
+    return [RootInterval(lo, hi, 1 + sum(_count_roots(c, lo, hi)
+                                         for c in levels[1:]))
+            for lo, hi in intervals]
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,9 @@ class CritReport:
 
 
 def _canonical_params(family: FamilySpec) -> list[Fraction]:
+    if family.has_lambda():
+        raise ValueError("critical-point analysis needs numeric coefficients; "
+                         "specialize lambda with --lam")
     cs = [c.constant_value() if isinstance(c, UniPoly) else c
           for c in family.coeffs]
     if cs[0] != 1 or cs[1] != -1:
@@ -248,8 +253,8 @@ def _crit_2d(family: FamilySpec) -> CritReport:
     locus = a - 1
     smooth = locus != 0
     poly = UniPoly([1, -2, a])
-    roots = tuple(sturm_isolate(poly, "positive")) if poly.degree >= 1 else ()
-    count = sum(1 for _ in roots)
+    roots = tuple(sturm_isolate(poly, "positive"))
+    count = len(roots)
     cls = CritClass("symmetric", poly, roots, count)
     if not smooth:
         verdict, reason = "inconclusive", "locus-member: test inapplicable"

@@ -394,6 +394,7 @@ def test_missing_family_is_usage_error(capsys):
     ["expand", "--family", "AG3", "--N", "3", "--non-strict"],
     ["recur", "guess", "--terms", "1,1,1,1,1,1,1,1,1,1", "--max-order", "1",
      "--max-degree", "0", "--N", "5"],
+    ["geometry", "point", "--family", "StraubLambda"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -401,6 +402,8 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
+    if argv[:2] == ["geometry", "point"]:
+        assert "--lam" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,3 +573,15 @@ def test_cli_import_needs_no_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout == "[]\n"
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site-packages off the path, so importing a third-party
+    # package fails here even where that package is installed
+    env = dict(os.environ, PYTHONPATH=str(Path(diagonalis.__file__).parent.parent))
+    code = ("import sys, diagonalis.cli; "
+            "print(*{m.partition('.')[0] for m in sys.modules})")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          check=True, capture_output=True, text=True)
+    allowed = set(sys.stdlib_module_names) | {"diagonalis", "__main__"}
+    assert sorted(set(proc.stdout.split()) - allowed) == []

@@ -107,11 +107,10 @@ def test_no_trailing_zeros(p):
     assert not p.coeffs or p.coeffs[-1] != 0
 
 
-def test_divmod_and_gcd():
+def test_divmod():
     p = UniPoly([6, 5, 1])   # (x+2)(x+3)
     q, r = p.divmod(UniPoly([2, 1]))
     assert q == UniPoly([3, 1]) and r.is_zero()
-    assert p.gcd(UniPoly([3, 1])) == UniPoly([3, 1])
 
 
 def test_primitive_normalization():

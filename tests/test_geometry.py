@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagonalis import geometry
 from diagonalis.exactalg import UniPoly, plain
@@ -69,6 +70,107 @@ def test_sturm_multiplicity():
     p = UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([2, 1])
     roots = sturm_isolate(p, "all")
     assert sorted(r.multiplicity for r in roots) == [1, 2]
+    # (x-1)^3 (x+2): a triple root
+    roots = sturm_isolate(UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]), "all")
+    assert [r.multiplicity for r in roots] == [1, 3]
+    assert roots[1].lo < 1 <= roots[1].hi
+    # x^2 (x-1): the double root at 0 lies outside (0, inf)
+    p = UniPoly.x() ** 2 * UniPoly([-1, 1])
+    assert [r.multiplicity for r in sturm_isolate(p, "all")] == [2, 1]
+    roots = sturm_isolate(p, "positive")
+    assert [r.multiplicity for r in roots] == [1]
+    assert roots[0].lo < 1 <= roots[0].hi
+
+
+# Oracle: isolation by the square-free route, with the monic square-free
+# part from a Euclid gcd and a fresh Sturm chain for each interval and level.
+
+def _monic(p):
+    return p / p.leading_coefficient()
+
+
+def _euclid_gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return _monic(a)
+
+
+def _squarefree(p):
+    return _monic(p.divmod(_euclid_gcd(p, p.derivative()))[0])
+
+
+def _plain_chain(p):
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        chain.append(-(chain[-2] % chain[-1]))
+    return chain[:-1]
+
+
+def _distinct_roots(chain, lo, hi):
+    def variations(x):
+        signs = [q(x) > 0 for q in chain if q(x)]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+def _squarefree_isolate(p, domain):
+    sq = _squarefree(p)
+    if sq.degree < 1:
+        return []
+    chain = _plain_chain(sq)
+    B = 1 + max(abs(c) for c in sq.coeffs) / abs(sq.leading_coefficient())
+    intervals, stack = [], [(F(0) if domain == "positive" else -B, B)]
+    while stack:
+        lo, hi = stack.pop()
+        k = _distinct_roots(chain, lo, hi)
+        if k == 1:
+            intervals.append((lo, hi))
+        elif k > 1:
+            stack += [(lo, (lo + hi) / 2), ((lo + hi) / 2, hi)]
+    gcds = [p]
+    while True:
+        g = _euclid_gcd(gcds[-1], gcds[-1].derivative())
+        if g.degree < 1:
+            break
+        gcds.append(g)
+    return [geometry.RootInterval(lo, hi, 1 + sum(
+                1 for g in gcds[1:]
+                if _distinct_roots(_plain_chain(_squarefree(g)), lo, hi)))
+            for lo, hi in sorted(intervals)]
+
+
+_small = st.integers(-3, 3)
+_factor = st.one_of(
+    st.tuples(_small, st.integers(1, 3)),
+    st.tuples(_small, _small, st.integers(1, 3))).map(UniPoly)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4),
+       st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+def test_sturm_isolate_matches_the_squarefree_route(factors, scale):
+    p = UniPoly.const(scale)
+    for f, m in factors:
+        p = p * f ** m
+    for domain in ("all", "positive"):
+        assert sturm_isolate(p, domain) == _squarefree_isolate(p, domain)
+
+
+def test_one_sturm_chain_per_gcd_level(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+    real = geometry._sturm_chain
+    monkeypatch.setattr(geometry, "_sturm_chain", counted)
+    assert len(sturm_isolate(UniPoly([1, -3, 0, 3]), "all")) == 3
+    assert len(calls) == 1
+    calls.clear()
+    # (x-1)^3 (x+2)^2: levels p, (x-1)^2 (x+2) and x-1 up to constants
+    p = UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]) ** 2
+    assert [r.multiplicity for r in sturm_isolate(p, "all")] == [2, 3]
+    assert [q.degree for q in calls] == [5, 3, 1]
 
 
 def test_sturm_rejects_zero():

@@ -261,6 +261,50 @@ def test_crit_3d_second_class_notes():
     assert any("degenerate" in c.note for c in repd.classes)
 
 
+_NO_POINT = "no critical point in the open positive orthant"
+_MINIMALITY = "positive critical points exist; minimality not decided here"
+_MEMBER = "locus-member: test inapplicable"
+_SATISFIED = "necessary condition satisfied"
+_EMPTY = "class empty: a = 0 (coordinates 1/a undefined)"
+_MERGED = "degenerate: b = -a^3, second-kind points merge with the symmetric class"
+_UNDEFINED = "degenerate: a^2 + b = 0, third coordinate undefined"
+
+
+def _need_one(count):
+    return f"{count} critical points in the open positive orthant (need exactly 1)"
+
+
+# one case per verdict branch: (family, parameters) -> verdict, reason,
+# positive-orthant count and the note of each class
+_BRANCHES = [
+    ("h2var", {"a": 2}, "violated", _NO_POINT, 0, ("",)),
+    ("h2var", {"a": 1}, "inconclusive", _MEMBER, 1, ("",)),
+    ("h2var", {"a": F(1, 2)}, "inconclusive", _MINIMALITY, 2, ("",)),
+    ("h2var", {"a": -3}, "inconclusive", _MINIMALITY, 1, ("",)),
+    ("hab", {"a": 0, "b": 2}, "violated", _need_one(2), 2, ("", _EMPTY)),
+    ("hab", {"a": F(1, 2), "b": F(-1, 8)}, "violated", _need_one(3), 3,
+     ("", _MERGED)),
+    ("hab", {"a": 2, "b": -4}, "inconclusive", _SATISFIED, 1, ("", _UNDEFINED)),
+    ("hab", {"a": F(1, 4), "b": F(1, 16)}, "violated", _need_one(5), 5,
+     ("", "coordinates (1/a, 1/a, 3/2) and permutations")),
+    ("hab", {"a": -1, "b": 2}, "violated", _need_one(2), 2,
+     ("", "coordinates (1/a, 1/a, -2/3) and permutations")),
+    ("hab", {"a": 1, "b": -1}, "inconclusive", _MEMBER, 1, ("", _MERGED)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, verdict, reason, count, notes", _BRANCHES,
+    ids=[" ".join([name, *(f"{k}={x}" for k, x in params.items())])
+         for name, params, *_ in _BRANCHES])
+def test_every_verdict_branch(name, params, verdict, reason, count, notes):
+    rep = critical_points_diag(named_instance(name, **params))
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    assert rep.positive_orthant_count == count
+    assert tuple(c.note for c in rep.classes) == notes
+    assert rep.smooth == (reason != _MEMBER)
+
+
 def test_crit_requires_canonical_form():
     with pytest.raises(ValueError, match="canonical form"):
         critical_points_diag(make_family(2, [2, -1, 1]))

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .exactalg import plain, rat
 from .family import FamilySpec, make_family, named_instance
-from .geometry import (box_positivity_bisect, critical_points_diag,
-                       nonsmooth_locus_3d)
+from .geometry import box_positivity_bisect, critical_points_diag
 from .identities import IDENTITIES, verify_identity
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, extract_diagonal,
@@ -252,9 +251,13 @@ def _positive_rational(s: str) -> Fraction:
 
 
 def _grid(spec: str) -> list[Fraction]:
-    """lo, lo + step, ... <= hi for the spec "lo:hi:step"; step > 0."""
-    lo, hi, step = spec.split(":")
-    lo, hi, step = rat(lo), rat(hi), _positive_rational(step)
+    """lo, lo + step, ... <= hi for the spec "lo:hi:step"; lo <= hi, step > 0."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {spec!r}")
+    lo, hi, step = rat(parts[0]), rat(parts[1]), _positive_rational(parts[2])
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range: lo > hi in {spec!r}")
     return [lo + k * step for k in range((hi - lo) // step + 1)]
 
 
@@ -266,13 +269,12 @@ def cmd_geometry(args) -> int:
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
         for a in args.a:
             for b in args.b:
-                val, member = nonsmooth_locus_3d(a, b)
-                if a <= 1:
-                    rep = critical_points_diag(named_instance("hab", a=a, b=b))
-                    count, verdict = rep.positive_orthant_count, rep.verdict
-                else:
+                rep = critical_points_diag(named_instance("hab", a=a, b=b))
+                count, verdict = rep.positive_orthant_count, rep.verdict
+                if a > 1:
                     count, verdict = "", "unsupported (a > 1 off canonical range)"
-                rows.append((a, b, val, "member" if member else "smooth", count, verdict))
+                rows.append((a, b, rep.locus_value,
+                             "smooth" if rep.smooth else "member", count, verdict))
         text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         if args.output:
             with open(args.output, "w") as out:

@@ -2,9 +2,10 @@
 
 Implements the explicit nonsmooth-locus discriminants for d = 3 and d = 4,
 exact real-root isolation by Sturm chains (one signed remainder sequence
-per level of the gcd chain p, gcd(p, p'), ...), the diagonal-direction
-critical-point reductions for d = 2, 3, and the two-variable asymptotic
-ratio check (the single place floating point appears).
+per level of the gcd chain p, gcd(p, p'), ...), one diagonal-direction
+critical-point analysis for d = 2, 3 on the canonical form (c_0 = 1,
+c_1 = -1) of a family, and the two-variable asymptotic ratio check (the
+single place floating point appears).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .exactalg import UniPoly, rat
-from .family import FamilySpec, named_instance
+from .family import FamilySpec, canonicalize, named_instance
 from .sequences import binomial_oracle
 from .seriesbox import expand_reciprocal, first_nonpositive
 
@@ -225,97 +226,66 @@ class CritReport:
     reason: str = ""
 
 
-def _canonical_params(family: FamilySpec) -> list[Fraction]:
-    if family.has_lambda():
-        raise ValueError("critical-point analysis needs numeric coefficients; "
-                         "specialize lambda with --lam")
-    cs = [c.constant_value() if isinstance(c, UniPoly) else c
-          for c in family.coeffs]
-    if cs[0] != 1 or cs[1] != -1:
-        raise ValueError("critical-point analysis requires canonical form "
-                         "(c_0 = 1, c_1 = -1); canonicalize first")
-    return cs
+def _off_diagonal_3d(a: Fraction, b: Fraction) -> CritClass:
+    """The second kind of d = 3 point: two coordinates 1/a, the third
+    a(1-a)/(a^2+b); three of them in the open positive orthant, or none."""
+    if a == 0:
+        note = "class empty: a = 0 (coordinates 1/a undefined)"
+    elif b == -a ** 3:
+        note = ("degenerate: b = -a^3, second-kind points merge with "
+                "the symmetric class")
+    elif a ** 2 + b == 0:
+        note = "degenerate: a^2 + b = 0, third coordinate undefined"
+    else:
+        third = a * (1 - a) / (a ** 2 + b)
+        return CritClass("off-diagonal", None, (), 3 if a > 0 and third > 0 else 0,
+                         f"coordinates (1/a, 1/a, {third}) and permutations")
+    return CritClass("off-diagonal", None, (), 0, note)
 
 
 def critical_points_diag(family: FamilySpec) -> CritReport:
-    """Critical points for the diagonal direction (1, ..., 1) for d = 2, 3."""
-    if family.dim == 2:
-        return _crit_2d(family)
-    if family.dim == 3:
-        return _crit_3d(family)
-    raise ValueError("critical-point analysis supports d = 2 and d = 3 only")
+    """Critical points for the diagonal direction (1, ..., 1) for d = 2, 3.
 
-
-def _crit_2d(family: FamilySpec) -> CritReport:
-    cs = _canonical_params(family)
-    a = cs[2]
-    # all critical points for (1,1) are symmetric; nonsmooth iff a = 1
-    locus = a - 1
-    smooth = locus != 0
-    poly = UniPoly([1, -2, a])
+    The report is of the canonical form (c_0 = 1, c_1 = -1) of the family:
+    dividing by c_0 and rescaling the variables by s = -c_0/c_1 > 0 keeps
+    the variety, its smoothness and the count in the open positive orthant.
+    The symmetric points (t, ..., t) are the positive roots of
+    sum_k C(d, k) c_k t^k, that is 1 - 2t + at^2 or 1 - 3t + 3at^2 + bt^3."""
+    d = family.dim
+    if d not in (2, 3):
+        raise ValueError("critical-point analysis supports d = 2 and d = 3 only")
+    if family.has_lambda():
+        raise ValueError("critical-point analysis needs numeric coefficients; "
+                         "specialize lambda with --lam")
+    family = canonicalize(family)[0]
+    cs = [math.comb(d, k) * c for k, c in enumerate(family.coeffs)]
+    poly = UniPoly(cs)
     roots = tuple(sturm_isolate(poly, "positive"))
-    count = len(roots)
-    cls = CritClass("symmetric", poly, roots, count)
-    if not smooth:
-        verdict, reason = "inconclusive", "locus-member: test inapplicable"
-    elif count == 0:
-        verdict, reason = "violated", "no critical point in the open positive orthant"
+    classes = [CritClass("symmetric", poly, roots, len(roots))]
+    a = family.coeffs[2]
+    if d == 2:
+        # all critical points for (1, 1) are symmetric; nonsmooth iff a = 1
+        locus, disc = a - 1, None
     else:
+        b = family.coeffs[3]
+        locus = nonsmooth_locus_3d(a, b)[0]
+        disc = cubic_discriminant(*reversed(cs))
+        classes.append(_off_diagonal_3d(a, b))
+    count = sum(c.positive_count for c in classes)
+    if locus == 0:
+        verdict, reason = "inconclusive", "locus-member: test inapplicable"
+    elif d == 2 and count == 0:
+        verdict, reason = "violated", "no critical point in the open positive orthant"
+    elif d == 2:
         verdict, reason = "inconclusive", (
             "positive critical points exist; minimality not decided here")
-    return CritReport(family, smooth, locus, (cls,), count, None, verdict, reason)
-
-
-def _crit_3d(family: FamilySpec) -> CritReport:
-    cs = _canonical_params(family)
-    a, b = cs[2], cs[3]
-    locus, member = nonsmooth_locus_3d(a, b)
-    smooth = not member
-
-    # first kind: symmetric points (c, c, c) with 1 - 3c + 3ac^2 + bc^3 = 0
-    poly = UniPoly([1, -3, 3 * a, b])
-    disc = cubic_discriminant(b, 3 * a, Fraction(-3), Fraction(1))
-    roots = tuple(sturm_isolate(poly, "positive"))
-    count1 = len(roots)
-    cls1 = CritClass("symmetric", poly, roots, count1)
-
-    # second kind: two coordinates 1/a, third a(1-a)/(a^2+b)
-    if a == 0:
-        cls2 = CritClass("off-diagonal", None, (), 0,
-                         "class empty: a = 0 (coordinates 1/a undefined)")
-        count2 = 0
-    elif b == -a ** 3:
-        cls2 = CritClass("off-diagonal", None, (), 0,
-                         "degenerate: b = -a^3, second-kind points merge with "
-                         "the symmetric class")
-        count2 = 0
-    elif a ** 2 + b == 0:
-        cls2 = CritClass("off-diagonal", None, (), 0,
-                         "degenerate: a^2 + b = 0, third coordinate undefined")
-        count2 = 0
-    else:
-        third = a * (1 - a) / (a ** 2 + b)
-        inside = a > 0 and third > 0
-        count2 = 3 if inside else 0
-        cls2 = CritClass(
-            "off-diagonal", None, (), count2,
-            f"coordinates (1/a, 1/a, {third}) and permutations")
-
-    count = count1 + count2
-    if not smooth:
-        verdict, reason = "inconclusive", "locus-member: test inapplicable"
     elif count != 1:
         verdict, reason = "violated", (
             f"{count} critical points in the open positive orthant (need exactly 1)")
     else:
         verdict, reason = "inconclusive", "necessary condition satisfied"
-    return CritReport(family, smooth, locus, (cls1, cls2), count, disc,
+    return CritReport(family, locus != 0, locus, tuple(classes), count, disc,
                       verdict, reason)
-
-
-def necessity_test(family: FamilySpec) -> str:
-    """"violated" or "inconclusive"; never claims positivity."""
-    return critical_points_diag(family).verdict
 
 
 # --- two-variable asymptotics ----------------------------------------------

@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 from diagonalis.exactalg import UniPoly, binomial
 from diagonalis.family import make_family, named_instance
-from diagonalis.geometry import (asymptotic_ratio_2d, cubic_discriminant,
-                                 necessity_test, nonsmooth_locus_4d)
+from diagonalis.geometry import (asymptotic_ratio_2d, critical_points_diag,
+                                 cubic_discriminant, nonsmooth_locus_4d)
 from diagonalis.identities import verify_identity
 from diagonalis.multipoly import MultiPoly, scale_variables
 from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
@@ -116,8 +116,8 @@ def test_criterion_5_two_variable_region(capsys):
 
 
 def test_criterion_6_geometry(capsys):
-    ok = necessity_test(make_family(3, [1, -1, 0, 5])) == "violated"
-    ok &= necessity_test(named_instance("hab", a=F(1, 2), b=2)) == "violated"
+    ok = critical_points_diag(make_family(3, [1, -1, 0, 5])).verdict == "violated"
+    ok &= critical_points_diag(named_instance("hab", a=F(1, 2), b=2)).verdict == "violated"
     # 27b(4-b) identity
     b = UniPoly.x()
     disc_b = cubic_discriminant(b, UniPoly.const(0), UniPoly.const(-3),
@@ -160,5 +160,5 @@ def test_criterion_9_property_substitution(capsys):
     ok = first_nonpositive(box, strict=True) is None
     lam_box = expand_reciprocal(named_instance("StraubLambda").denominator(), 4)
     ok &= first_nonpositive(lam_box) is None
-    ok &= necessity_test(make_family(3, [1, -1, 0, 5])) == "violated"
+    ok &= critical_points_diag(make_family(3, [1, -1, 0, 5])).verdict == "violated"
     _report(capsys, 9, ok, "substituted by the exact finite-box suites of criteria 5-7")

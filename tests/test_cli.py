@@ -189,6 +189,16 @@ def test_recur_guess_from_terms(capsys):
     assert "empirical" in out
 
 
+def test_recur_guess_without_a_fit_exits_1(capsys):
+    fib = [1, 1]
+    while fib[-1] < 4181:
+        fib.append(fib[-1] + fib[-2])
+    code, out = run(capsys, "recur", "guess", "--terms", ",".join(map(str, fib)),
+                    "--max-order", "1", "--max-degree", "1")
+    assert code == 1
+    assert out == "mode: guess\nresult: no recurrence found\n"
+
+
 def test_recur_charpoly_complex_flag(capsys):
     code, out = run(capsys, "recur", "charpoly", "--builtin", "2var",
                     "--a", "2", "--format", "json")
@@ -215,9 +225,14 @@ def test_recur_charpoly_kzd(capsys):
     assert data["roots"] == "real"
 
 
-def test_identity_pass_and_fail_codes(capsys):
+def test_identity_pass_and_fail_codes(capsys, monkeypatch):
     code, out = run(capsys, "identity", "fran", "--M", "8")
     assert code == 0 and "pass" in out
+    monkeypatch.setitem(diagonalis.identities.IDENTITIES, "fran",
+                        lambda M: (3, Fraction(5), Fraction(-7, 2)))
+    code, out = run(capsys, "identity", "fran", "--M", "8")
+    assert code == 1
+    assert out == "identity: fran\norder: 8\nresult: mismatch at index 3: 5 vs -7/2\n"
 
 
 def test_geometry_point_violated(capsys):
@@ -225,6 +240,19 @@ def test_geometry_point_violated(capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out)["verdict"] == "violated"
+
+
+def test_geometry_point_reports_the_canonical_form(capsys):
+    # lambda = 1 gives 1 - 2e1 + 3e2, Szego3 at doubled variables
+    code, out = run(capsys, "geometry", "point", "--family", "StraubLambda",
+                    "--lam", "1")
+    assert code == 0
+    family, _, rest = out.partition("\n")
+    assert family == ("family: {'dim': 3, 'coeffs': ['1', '-1', '3/4', '0'], "
+                      "'name': 'StraubLambda'}")
+    code, szego = run(capsys, "geometry", "point", "--family", "Szego3")
+    assert code == 0 and rest == szego.partition("\n")[2]
+    assert "verdict: inconclusive\nreason: locus-member: test inapplicable\n" in rest
 
 
 def test_geometry_grid_csv(capsys):
@@ -395,6 +423,9 @@ def test_missing_family_is_usage_error(capsys):
     ["recur", "guess", "--terms", "1,1,1,1,1,1,1,1,1,1", "--max-order", "1",
      "--max-degree", "0", "--N", "5"],
     ["geometry", "point", "--family", "StraubLambda"],
+    ["geometry", "point", "--coeffs", "2,1,0,5"],
+    ["geometry", "grid", "--a", "1:0:1/4", "--b", "0:1:1"],
+    ["geometry", "grid", "--a", "0:1", "--b", "0:1:1"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -402,8 +433,10 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
-    if argv[:2] == ["geometry", "point"]:
+    if argv[:3] == ["geometry", "point", "--family"]:
         assert "--lam" in err
+    if argv[:2] == ["geometry", "grid"] and "--a" in argv:
+        assert "lo:hi:step" in err or "lo > hi" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -558,8 +591,7 @@ def test_zero_denominator_is_rejected_while_parsing(capsys, argv):
 def test_grid_step_is_validated():
     assert _grid("0:1:1/4") == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]
     assert _grid("-1:0:2/3") == [-1, Fraction(-1, 3)]
-    assert _grid("1:0:1") == []
-    for bad in ("0:1:0", "0:1:-1/4"):
+    for bad in ("0:1:0", "0:1:-1/4", "1:0:1", "0:1", "0:1:1:1"):
         with pytest.raises(argparse.ArgumentTypeError):
             _grid(bad)
 

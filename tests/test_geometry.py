@@ -8,7 +8,7 @@ from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (AlgebraicNumber, boundary_curve_3d,
                                  box_positivity_bisect, critical_points_diag,
-                                 cubic_discriminant, necessity_test,
+                                 cubic_discriminant,
                                  nonsmooth_locus_3d, nonsmooth_locus_4d,
                                  sturm_isolate, asymptotic_ratio_2d)
 from diagonalis.multipoly import MultiPoly
@@ -233,7 +233,7 @@ def test_necessity_violated_h05():
 
 def test_necessity_violated_above_boundary():
     fam = named_instance("hab", a=F(1, 2), b=2)
-    assert necessity_test(fam) == "violated"
+    assert critical_points_diag(fam).verdict == "violated"
 
 
 def test_necessity_inconclusive_on_locus():
@@ -305,10 +305,20 @@ def test_every_verdict_branch(name, params, verdict, reason, count, notes):
     assert rep.smooth == (reason != _MEMBER)
 
 
-def test_crit_requires_canonical_form():
-    with pytest.raises(ValueError, match="canonical form"):
-        critical_points_diag(make_family(2, [2, -1, 1]))
-    with pytest.raises(ValueError):
+def test_crit_analyses_the_canonical_form():
+    # 2 - 4x - 4y + 4xy and 1 - 2e1 + 3e2 are h2var a=1/2 and Szego3 after
+    # dividing by c_0 and rescaling the variables by s = -c_0/c_1
+    for fam, canon in [(make_family(2, [2, -4, 4]), named_instance("h2var", a=F(1, 2))),
+                       (named_instance("StraubLambda", lam=1), named_instance("Szego3"))]:
+        rep, want = critical_points_diag(fam), critical_points_diag(canon)
+        assert rep.family.coeffs == canon.coeffs and rep.family.name == fam.name
+        assert (rep.verdict, rep.reason, rep.positive_orthant_count) == \
+            (want.verdict, want.reason, want.positive_orthant_count)
+    with pytest.raises(ValueError, match="c_1/c_0 >= 0"):
+        critical_points_diag(make_family(2, [2, 1, 1]))
+    with pytest.raises(ValueError, match="--lam"):
+        critical_points_diag(named_instance("StraubLambda"))
+    with pytest.raises(ValueError, match="d = 2 and d = 3 only"):
         critical_points_diag(named_instance("KZ-D"))
 
 
@@ -320,7 +330,7 @@ def test_report_json_shape():
 
 def test_violated_verdict_backed_by_box():
     fam = make_family(3, [1, -1, 0, 5])
-    assert necessity_test(fam) == "violated"
+    assert critical_points_diag(fam).verdict == "violated"
     box = expand_reciprocal(fam.denominator(), 12)
     assert first_nonpositive(box, strict=True) is not None
 

@@ -270,11 +270,8 @@ def cmd_geometry(args) -> int:
         for a in args.a:
             for b in args.b:
                 rep = critical_points_diag(named_instance("hab", a=a, b=b))
-                count, verdict = rep.positive_orthant_count, rep.verdict
-                if a > 1:
-                    count, verdict = "", "unsupported (a > 1 off canonical range)"
-                rows.append((a, b, rep.locus_value,
-                             "smooth" if rep.smooth else "member", count, verdict))
+                rows.append((a, b, rep.locus_value, "smooth" if rep.smooth else "member",
+                             rep.positive_orthant_count, rep.verdict))
         text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         if args.output:
             with open(args.output, "w") as out:

@@ -1,15 +1,20 @@
 """Exact arithmetic foundation: rationals, univariate polynomials, binomials.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
-`UniPoly` is a dense univariate polynomial over the rationals, used both for
-recurrence coefficients in n and as the coefficient ring Q[lambda] when
-series are expanded with a symbolic parameter.  `plain` gives the one JSON
-form of these values, and `binary_power` the one square-and-multiply.
+`UniPoly` is a dense univariate polynomial over the rationals, used for
+recurrence coefficients in n, as the coefficient ring Q[lambda] of a box
+expanded with a symbolic parameter, and for Sturm chains.  It is held as
+`UniSeries` is: integer numerators over one denominator, which `over_lcm`
+builds and `reduce_nums` keeps reduced; arithmetic runs on the integers.
+`plain` gives the one JSON form of these values, and `binary_power` the one
+square-and-multiply.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -76,196 +81,201 @@ def binomial(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, k))
 
 
+def over_lcm(qs: Iterable) -> tuple[list[int], int]:
+    """Rationals q_i (ints or Fractions) as numerators n_i over D, the lcm of
+    their denominators.  Each q_i is reduced, so gcd(n, D) = 1 already."""
+    qs = [q.as_integer_ratio() for q in qs]
+    den = functools.reduce(math.lcm, (b for _, b in qs), 1)
+    return [a * (den // b) for a, b in qs], den
+
+
+def reduce_nums(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den for den > 0, reduced by the one gcd of all of them."""
+    # reduce, not a star call: the argument tuples of math.gcd(den, *nums)
+    # pile up on CPython's tuple free lists, and peak RSS crept run by run
+    g = functools.reduce(math.gcd, nums, den)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+
+
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q, held as integer numerators `nums`,
+    lowest degree first with no trailing zeros, over one denominator den > 0
+    with gcd(nums, den) = 1; the zero polynomial is () over 1."""
 
-    Coefficients are stored lowest degree first with no trailing zeros;
-    the zero polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        nums, den = over_lcm(c if isinstance(c, (int, Fraction)) else rat(c)
+                             for c in coeffs)
+        while nums and not nums[-1]:  # a zero is 0/1: den and gcd stay
+            nums.pop()
+        self.nums, self.den = tuple(nums), den
+
+    @classmethod
+    def from_nums(cls, nums: Sequence[int], den: int) -> "UniPoly":
+        """The polynomial with coefficients nums[i] / den, for any den != 0."""
+        nums = list(nums) if den > 0 else [-x for x in nums]
+        while nums and not nums[-1]:
+            nums.pop()
+        out = object.__new__(cls)
+        nums, out.den = reduce_nums(nums, abs(den))
+        out.nums = tuple(nums)
+        return out
 
     @classmethod
     def const(cls, c: RatLike) -> "UniPoly":
-        return cls([rat(c)])
+        return cls([c])
 
     @classmethod
     def x(cls) -> "UniPoly":
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact coefficients, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self[0]
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == UniPoly.const(other).coeffs
+            return self.is_constant() and self[0] == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its value, so it hashes as its value does
+        return hash(self[0] if self.is_constant() else (self.nums, self.den))
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.nums[i] if 0 <= i < len(self.nums) else 0, self.den)
+
+    def _combine(self, other, sign: int):
+        """self + sign*other over the lcm of the two denominators."""
+        if isinstance(other, (int, Fraction)):
+            other = UniPoly.const(other)
+        elif not isinstance(other, UniPoly):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        pairs = itertools.zip_longest(self.nums, other.nums, fillvalue=0)
+        return UniPoly.from_nums([x * s + y * t for x, y in pairs], den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] + other[i] for i in range(n)])
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return self * -1
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
+            a, b = other.as_integer_ratio()
+            return UniPoly.from_nums([x * a for x in self.nums], self.den * b)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * max(0, len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
+                out[i + j] += a * b
+        return UniPoly.from_nums(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c / rat(other) for c in self.coeffs])
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        a, b = other.as_integer_ratio()
+        return UniPoly.from_nums([x * b for x in self.nums], self.den * a)
 
     def __pow__(self, k: int) -> "UniPoly":
         return binary_power(self, k, UniPoly.const(1))
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Horner evaluation at a rational point."""
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at a/b by homogeneous Horner on integers: the sum of
+        c_i a^i b^(k-i) for degree k, divided once at the end."""
+        a, b = (x if isinstance(x, (int, Fraction)) else rat(x)).as_integer_ratio()
+        acc, bk = 0, 1
+        for c in reversed(self.nums):
+            acc, bk = acc * a + c * bk, bk * b
+        return Fraction(acc * b, self.den * bk)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly.from_nums([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Euclidean division over Q."""
+        """Euclidean division over Q by pseudo-division of the numerators.
+        Each step scales by only the f > 0 that makes the leading term
+        divisible by the divisor's; with S the product of these factors,
+        S * self.nums = quot * other.nums + rem over Z."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading_coefficient()
-        if len(rem) - 1 < d:
-            return UniPoly(), self
-        quot = [Fraction(0)] * (len(rem) - d)
+        d, lc = other.degree, other.nums[-1]
+        rem, scale = list(self.nums), 1
+        quot = [0] * max(0, len(rem) - d)
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i]:
-                q = rem[i] / lc
+                g = math.gcd(rem[i], lc)
+                f, q = abs(lc) // g, rem[i] // g * (1 if lc > 0 else -1)
+                if f != 1:
+                    rem, quot, scale = [x * f for x in rem], [x * f for x in quot], scale * f
                 quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     rem[i - d + j] -= q * b
-        return UniPoly(quot), UniPoly(rem)
+        den = scale * self.den
+        return (UniPoly.from_nums([x * other.den for x in quot], den),
+                UniPoly.from_nums(rem, den))
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
-        if self.is_zero():
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            if c:
-                num_gcd = math.gcd(num_gcd, abs(c.numerator))
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(functools.reduce(math.gcd, self.nums, 0) or 1, self.den)
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive multiple of self with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        p = self / self.content()
-        if p.leading_coefficient() < 0:
-            p = -p
-        return p
+        g = functools.reduce(math.gcd, self.nums, 0) or 1  # 1 for zero
+        return UniPoly.from_nums(self.nums, -g if self.nums and self.nums[-1] < 0 else g)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
-        return cls([rat(s) for s in data])
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other)
-        return NotImplemented
+        return cls(data)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return "UniPoly(" + " + ".join(parts) + ")"
-
+        terms = [str(c) + ("" if i == 0 else "*x" if i == 1 else f"*x^{i}")
+                 for i, c in enumerate(self.coeffs) if c]
+        return "UniPoly(" + (" + ".join(terms) or "0") + ")"

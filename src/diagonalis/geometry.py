@@ -99,8 +99,7 @@ def _count_roots(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
 
 
 def _root_bound(p: UniPoly) -> Fraction:
-    lead = abs(p.leading_coefficient())
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+    return 1 + Fraction(max(map(abs, p.nums)), abs(p.nums[-1]))
 
 
 def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:

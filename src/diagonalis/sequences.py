@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .exactalg import UniPoly, binomial, rat
+from .exactalg import UniPoly, binomial, over_lcm, rat
 from .registry import build, catalog
 from .seriesbox import CoeffBox
 
@@ -282,10 +282,8 @@ def _ansatz_matrix(seq: Sequence[Fraction], order: int,
     matrix = []
     for n in range(len(seq) - order):
         window = seq[n:n + order + 1]
-        scale = lcm(*(u.denominator for u in window))
         npows = [n ** k for k in range(degree + 1)]
-        matrix.append([u.numerator * (scale // u.denominator) * npow
-                       for u in window for npow in npows])
+        matrix.append([x * npow for x in over_lcm(window)[0] for npow in npows])
     return matrix
 
 
@@ -375,8 +373,7 @@ def _hadamard_bound(matrix: list[list[int]]) -> int:
 
 def _annihilates(matrix: list[list[int]], vec: list[Fraction]) -> bool:
     """A x = 0 over Z, for x = vec scaled to integers."""
-    den = lcm(*(q.denominator for q in vec))
-    x = [q.numerator * (den // q.denominator) for q in vec]
+    x = over_lcm(vec)[0]
     return not any(sum(map(mul, row, x)) for row in matrix)
 
 

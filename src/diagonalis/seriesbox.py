@@ -120,7 +120,7 @@ class CoeffBox:
         c0, L, B = self.scale
         den = c0.numerator * L ** t
         if B:
-            return UniPoly([Fraction(c * c0.denominator, den) for c in _unpack(v, B)])
+            return UniPoly.from_nums([c * c0.denominator for c in _unpack(v, B)], den)
         return Fraction(v * c0.denominator, den)
 
     def value(self, n: Exponent) -> Coeff:

@@ -14,14 +14,13 @@ the planar hexagonal lattice.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import RatLike, UniPoly, binary_power, rat
+from .exactalg import RatLike, UniPoly, binary_power, over_lcm, rat, reduce_nums
 from .sequences import _run_extended
 
 
@@ -40,18 +39,13 @@ class UniSeries:
             cs = cs[:order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("series needs at least the constant coefficient")
-        # over the lcm of reduced denominators the content is already prime to it
-        self.den = functools.reduce(math.lcm, (c.denominator for c in cs))
-        self.nums = [c.numerator * (self.den // c.denominator) for c in cs]
+        self.nums, self.den = over_lcm(cs)
 
     @classmethod
     def _of(cls, nums: list[int], den: int) -> "UniSeries":
         """nums / den for den > 0, reduced by the one gcd of all of them."""
-        # reduce, not a star call: the argument tuples of math.gcd(den, *nums)
-        # pile up on CPython's tuple free lists, and peak RSS crept run by run
-        g = functools.reduce(math.gcd, nums, den)
         out = object.__new__(cls)
-        out.nums, out.den = ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+        out.nums, out.den = reduce_nums(nums, den)
         return out
 
     @property

@@ -263,6 +263,17 @@ def test_geometry_grid_csv(capsys):
     assert any(line.startswith("0,4,0,member") for line in lines[1:])
 
 
+def test_geometry_grid_row_past_a_1_is_the_point_report(capsys):
+    code, out = run(capsys, "geometry", "grid", "--a", "2:2:1", "--b", "0:0:1")
+    assert code == 0
+    code, point = run(capsys, "geometry", "point", "--family", "hab", "--a", "2",
+                      "--b", "0", "--format", "json")
+    rep = json.loads(point)
+    assert (rep["verdict"], rep["positive_orthant_count"]) == ("violated", 0)
+    assert out.splitlines()[1] == "2,0,20,smooth,0,violated"
+    assert rep["locus_value"] == "20" and rep["smooth"]
+
+
 def test_geometry_bisect(capsys):
     code, out = run(capsys, "geometry", "bisect", "--N", "4", "--prec", "1/2",
                     "--format", "json")

@@ -1,10 +1,13 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from diagonalis.exactalg import UniPoly, binomial, plain, rat
+from diagonalis import exactalg
+from diagonalis.exactalg import UniPoly, binomial, over_lcm, plain, rat, reduce_nums
+from unipoly_oracle import FractionUniPoly
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 4)
 
@@ -108,15 +111,117 @@ def test_no_trailing_zeros(p):
 
 
 def test_divmod():
-    p = UniPoly([6, 5, 1])   # (x+2)(x+3)
-    q, r = p.divmod(UniPoly([2, 1]))
-    assert q == UniPoly([3, 1]) and r.is_zero()
+    for num, div, quot, rem in [
+        ([6, 5, 1], [2, 1], [3, 1], []),  # (x+2)(x+3)
+        # a negative, non-unit leading coefficient in the divisor
+        ([1, 0, 0, 1], [1, -2], [F(-1, 8), F(-1, 4), F(-1, 2)], [F(9, 8)]),
+        ([F(1, 2), F(-1, 3), F(5, 7)], [F(3, 4), F(-6, 5)],
+         [F(-95, 1008), F(-25, 42)], [F(767, 1344)]),
+        ([1, 2], [0, 0, 3], [], [1, 2]),  # lower degree than the divisor
+        ([], [5], [], []),
+    ]:
+        q, r = UniPoly(num).divmod(UniPoly(div))
+        assert q == UniPoly(quot) and r == UniPoly(rem)
+        assert UniPoly(num) % UniPoly(div) == r
+        Q, R = FractionUniPoly(num).divmod(FractionUniPoly(div))
+        assert (q.coeffs, r.coeffs) == (Q.coeffs, R.coeffs)
 
 
 def test_primitive_normalization():
-    p = UniPoly([F(2, 3), F(-4, 3)])
-    prim = p.primitive()
-    assert prim == UniPoly([-1, 2])
+    for coeffs, want in [
+        ([F(2, 3), F(-4, 3)], [-1, 2]),
+        ([F(-6, 5), 0, F(-9, 5)], [2, 0, 3]),
+        ([7], [1]),
+        ([], []),
+    ]:
+        assert UniPoly(coeffs).primitive() == UniPoly(want)
+        assert FractionUniPoly(coeffs).primitive().coeffs == UniPoly(want).coeffs
+
+
+# --- the integer form against the Fraction oracle ----------------------------
+
+poly_coeffs = st.lists(st.one_of(rationals, st.integers(-50, 50)), max_size=6)
+
+
+@given(poly_coeffs, poly_coeffs, rationals)
+def test_integer_unipoly_matches_the_fraction_oracle(a, b, x):
+    p, q = UniPoly(a), UniPoly(b)
+    P, Q = FractionUniPoly(a), FractionUniPoly(b)
+    assert p.coeffs == P.coeffs and p.degree == P.degree
+    assert [p[i] for i in range(-1, 8)] == [P[i] for i in range(-1, 8)]
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(p, q).coeffs == op(P, Q).coeffs
+        assert op(p, x).coeffs == op(P, x).coeffs
+        assert op(x, p).coeffs == op(x, P).coeffs
+    assert (-p).coeffs == (-P).coeffs
+    assert (p * 3).coeffs == (P * 3).coeffs
+    if x:
+        assert (p / x).coeffs == (P / x).coeffs
+    for k in range(4):
+        assert (p ** k).coeffs == (P ** k).coeffs
+    if b and any(b):
+        (d, r), (D, R) = p.divmod(q), P.divmod(Q)
+        assert (d.coeffs, r.coeffs) == (D.coeffs, R.coeffs)
+        assert (p % q).coeffs == (P % Q).coeffs
+    assert p.derivative().coeffs == P.derivative().coeffs
+    assert p.primitive().coeffs == P.primitive().coeffs
+    assert p.content() == P.content()
+    assert p.leading_coefficient() == P.leading_coefficient()
+    assert p(x) == P(x) and p(3) == P(3)
+    assert p.to_json() == P.to_json()
+    assert repr(p) == repr(P).replace("FractionUniPoly", "UniPoly")
+    assert (p == x) == (P == x) and (p == q) == (P == Q)
+
+
+@given(poly_coeffs)
+def test_integer_form_is_canonical(cs):
+    p = UniPoly(cs)
+    assert p.den > 0 and all(type(n) is int for n in p.nums)
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+    assert UniPoly.from_nums([n * -3 for n in p.nums] + [0], -3 * p.den) == p
+
+
+@given(st.lists(rationals, max_size=6))
+def test_over_lcm_and_reduce_nums(qs):
+    nums, den = over_lcm(qs)
+    assert [F(n, den) for n in nums] == qs
+    assert math.gcd(den, *nums) == 1
+    assert reduce_nums([n * 6 for n in nums], den * 6) == (nums, den)
+
+
+class _Counted(F):
+    """A stand-in for `Fraction` that counts its constructions."""
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _Counted.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def test_unipoly_arithmetic_builds_no_fraction(monkeypatch):
+    p = UniPoly([F(1, 2), -3, F(5, 7), 2, F(-4, 9)])
+    q = UniPoly([F(-2, 3), 0, 4])
+    x = _Counted(2, 5)
+    monkeypatch.setattr(exactalg, "Fraction", _Counted)
+
+    def made(f):
+        _Counted.made = 0
+        f()
+        return _Counted.made
+    for f in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: p.divmod(q),
+              lambda: p % q, lambda: p.derivative(), lambda: p.primitive(),
+              lambda: p ** 3, lambda: UniPoly([1, 2]) + 1):
+        assert made(f) == 0
+    assert made(lambda: p(3)) == made(lambda: p(x)) == 1
+
+
+@pytest.mark.parametrize("value", [3, F(3, 4), F(-2), 0])
+def test_a_constant_unipoly_hashes_as_its_value(value):
+    p = UniPoly.const(value)
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1
+    assert len({UniPoly([value, 1]), UniPoly([value, 1])}) == 1
 
 
 def test_rational_serialization():

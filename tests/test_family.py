@@ -7,6 +7,16 @@ from diagonalis.family import (CATALOG_NAMES, FamilySpec, canonicalize,
                                make_family, named_instance)
 
 
+@pytest.mark.parametrize("k, c", [(0, 1), (1, -1), (2, F(3, 4)), (3, 0)])
+def test_a_constant_unipoly_coefficient_keeps_the_family_hash(k, c):
+    cs = [1, -1, F(3, 4), 0]
+    plain_spec = make_family(3, cs)
+    cs[k] = UniPoly.const(c)
+    spec = make_family(3, cs)
+    assert spec == plain_spec and hash(spec) == hash(plain_spec)
+    assert len({spec, plain_spec}) == 1
+
+
 def test_catalog_literals():
     assert named_instance("AG3").coeffs == (1, -1, 0, 4)
     assert named_instance("Szego3").coeffs == (1, -1, F(3, 4), 0)

@@ -13,6 +13,7 @@ from diagonalis.geometry import (AlgebraicNumber, boundary_curve_3d,
                                  sturm_isolate, asymptotic_ratio_2d)
 from diagonalis.multipoly import MultiPoly
 from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
+from unipoly_oracle import FractionUniPoly
 
 
 def test_locus_3d_members():
@@ -82,8 +83,9 @@ def test_sturm_multiplicity():
     assert roots[0].lo < 1 <= roots[0].hi
 
 
-# Oracle: isolation by the square-free route, with the monic square-free
-# part from a Euclid gcd and a fresh Sturm chain for each interval and level.
+# Oracle: isolation by the square-free route over the `Fraction` polynomials,
+# with the monic square-free part from a Euclid gcd and a fresh Sturm chain
+# for each interval and level.
 
 def _monic(p):
     return p / p.leading_coefficient()
@@ -114,6 +116,7 @@ def _distinct_roots(chain, lo, hi):
 
 
 def _squarefree_isolate(p, domain):
+    p = FractionUniPoly(p.coeffs)
     sq = _squarefree(p)
     if sq.degree < 1:
         return []

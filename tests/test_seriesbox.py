@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diagonalis import exactalg, seriesbox
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
 from diagonalis.multipoly import (MultiPoly, grlex_key, scale_variables,
@@ -162,6 +163,24 @@ def test_lambda_check_geometric():
     box = expand_reciprocal(p, 3)
     assert first_nonpositive(box) is None
     assert box.coefficient_at((3,)) == lam ** 3
+
+
+def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
+    # 1/(-2 + w x) with w = 3 lambda^2 - lambda: coefficients -w^n / 2^(n+1)
+    lam = UniPoly.x()
+    w = 3 * lam ** 2 - lam
+    box = expand_reciprocal(MultiPoly(1, {(0,): UniPoly.const(-2), (1,): w}), 4)
+    made = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+    monkeypatch.setattr(seriesbox, "Fraction", Counted)
+    monkeypatch.setattr(exactalg, "Fraction", Counted)
+    entry = box.coefficient_at((4,))
+    assert not made
+    assert entry == -(w ** 4) / 32
 
 
 def test_lambda_check_flags_negative():

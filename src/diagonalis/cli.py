@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: expand, diag, recur, identity, geometry; recur and geometry
-take a mode, and each command or mode takes only the options it reads.
-Reports are text by default and JSON with --format json; `geometry grid`
-always writes CSV.  Exit code 0 iff all requested checks pass, 1 if a check
-fails, 2 on bad input, with a one-line message on stderr.  Box caches use
-the versioned text format from `seriesbox`; relative cache paths resolve
-against $DIAGONALIS_CACHE.
+take a mode, and each command or mode takes only the options it reads.  A
+family parameter or --entry-limit that no given source reads (`_READS`) is
+refused before the command runs, and `diag` checks its --oracle before any
+box is expanded or cache read.  Reports are text by default and JSON with
+--format json; `geometry grid` always writes CSV.  Exit code 0 iff all
+requested checks pass, 1 if a check fails, 2 on bad input, with a one-line
+message on stderr.  Box caches use the versioned text format from
+`seriesbox`; relative cache paths resolve against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -32,35 +34,33 @@ from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
 
 
 _PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
-# options that a command refuses when given and never read
-_READ_SET = _PARAMS + ("entry_limit",)
-
-
-def _take(args, key: str):
-    """Option `key` of the read-set, marked as read; `_emit` refuses the unread."""
-    args.unread.pop(key, None)
-    return getattr(args, key)
+# source -> the family parameters and --entry-limit that it reads;
+# --terms, --from-cache and --rec-json read none of them
+_READS = {"family": _PARAMS + ("entry_limit",), "coeffs": ("d", "entry_limit"),
+          "oracle": ("a",), "builtin": ("a",)}
 
 
 def _refuse_unread(args) -> None:
-    if args.unread:
-        key = next(iter(args.unread)).replace("_", "-")
-        raise ValueError(f"nothing in this command takes --{key}")
+    """Refuse a given family parameter or --entry-limit that no given source reads."""
+    read = {key for source, keys in _READS.items() if getattr(args, source, None)
+            for key in keys}
+    for key in _READS["family"]:
+        if getattr(args, key, None) is not None and key not in read:
+            raise ValueError(f"nothing in this command takes --{key.replace('_', '-')}")
 
 
 def _entry_limit(args) -> int:
-    limit = _take(args, "entry_limit")
-    return DEFAULT_ENTRY_LIMIT if limit is None else limit
+    return DEFAULT_ENTRY_LIMIT if args.entry_limit is None else args.entry_limit
 
 
 def _resolve_family(args) -> FamilySpec:
     if args.coeffs:
         cs = [rat(s) for s in args.coeffs.split(",")]
-        if _take(args, "d") not in (None, len(cs) - 1):
+        if args.d not in (None, len(cs) - 1):
             raise ValueError(f"--d {args.d} inconsistent with {len(cs)} coefficients")
         return make_family(len(cs) - 1, cs)
     # a named family takes each parameter given or refuses it
-    params = {key: _take(args, key) for key in _PARAMS
+    params = {key: getattr(args, key) for key in _PARAMS
               if getattr(args, key) is not None}
     return named_instance(args.family, **params)
 
@@ -84,12 +84,10 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
-    limit = _entry_limit(args)
-    _refuse_unread(args)  # before a box is expanded and cached
     if args.non_strict and (fam.has_lambda() or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
-    box = expand_reciprocal(fam.denominator(), args.N, entry_limit=limit)
+    box = expand_reciprocal(fam.denominator(), args.N, entry_limit=_entry_limit(args))
     report = {"family": fam, "N": args.N, "entries": (box.N + 1) ** box.dim,
               "entries_stored": sum(map(len, box.layers)), "ring": box.ring}
     status = 0
@@ -144,14 +142,15 @@ def _diag_values(args):
 
 
 def cmd_diag(args) -> int:
+    if args.oracle:  # a bad name or --a is refused before any box or cache
+        binomial_oracle(args.oracle, 0, args.a)
     fam, vals = _diag_values(args)
     report = {"N": len(vals) - 1, "diagonal": vals}
     if fam is not None:
         report["family"] = fam
     status = 0
     if args.oracle:
-        expected = [binomial_oracle(args.oracle, n, _take(args, "a"))
-                    for n in range(len(vals))]
+        expected = [binomial_oracle(args.oracle, n, args.a) for n in range(len(vals))]
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
                 report["oracle"] = f"mismatch at n={n}: box {got} vs oracle {want}"
@@ -169,7 +168,7 @@ def _parse_terms(s: str) -> tuple[Fraction, ...]:
 
 def _recur_object(args):
     if args.builtin:
-        return builtin_recurrence(args.builtin, _take(args, "a"))
+        return builtin_recurrence(args.builtin, args.a)
     return PRecurrence.from_json(json.loads(args.rec_json))
 
 
@@ -177,7 +176,6 @@ def _recur_sequence(args) -> tuple[Fraction, ...]:
     if args.terms:
         if args.N is not None:
             raise ValueError("--N bounds a family's box; --terms gives the values")
-        _refuse_unread(args)  # now, not after the guess or check has run
         return _parse_terms(args.terms)
     return extract_diagonal(_family_box(args)[1])
 
@@ -267,8 +265,8 @@ def cmd_geometry(args) -> int:
         return 0
     if args.mode == "grid":
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
-        for a in args.a:
-            for b in args.b:
+        for a in args.a_range:
+            for b in args.b_range:
                 rep = critical_points_diag(named_instance("hab", a=a, b=b))
                 rows.append((a, b, rep.locus_value, "smooth" if rep.smooth else "member",
                              rep.positive_orthant_count, rep.verdict))
@@ -287,7 +285,6 @@ def cmd_geometry(args) -> int:
 
 def _emit(args, report) -> None:
     """Write a report, a dict or a dataclass of exact values, in its plain form."""
-    _refuse_unread(args)
     report = plain(report)
     if args.format == "json":
         json.dump({"schema": "v1", **report}, sys.stdout, indent=2)
@@ -385,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(point)
     # every leaf takes --format; grid writes CSV, but perfbench passes it one
     for key in ("a", "b"):
-        grid.add_argument(f"--{key}", type=_grid, required=True,
+        grid.add_argument(f"--{key}", type=_grid, required=True, dest=f"{key}_range",
+                          metavar=key.upper(),
                           help=f"family parameter {key}, as lo:hi:step")
     grid.add_argument("--output", help="CSV output path for grid mode")
     bisect.add_argument("--N", type=int, required=True, help="box bound for bisect")
@@ -404,9 +402,8 @@ def main(argv=None) -> int:
         if re.match(r"-\d", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
-    args.unread = dict.fromkeys(key for key in _READ_SET
-                                if getattr(args, key, None) is not None)
     try:
+        _refuse_unread(args)  # before any box is expanded or cache read
         # looked up on each call, so that a wrapper put on the module is used
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:

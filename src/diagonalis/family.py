@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import UniPoly, rat
-from .multipoly import Coeff, MultiPoly, _coerce_coeff, symmetric_denominator
+from .multipoly import (Coeff, MultiPoly, _coerce_coeff, depends_on_lambda,
+                        symmetric_denominator)
 from .registry import build, catalog
 
 
@@ -31,12 +32,7 @@ class FamilySpec:
         return symmetric_denominator(self.coeffs)
 
     def has_lambda(self) -> bool:
-        return any(isinstance(c, UniPoly) and not c.is_constant()
-                   for c in self.coeffs)
-
-    def describe(self) -> str:
-        tag = f"{self.name}: " if self.name else ""
-        return f"{tag}d={self.dim}, c=[{', '.join(map(str, self.coeffs))}]"
+        return any(map(depends_on_lambda, self.coeffs))
 
 
 def make_family(d: int, coefficients: Sequence, name: Optional[str] = None) -> FamilySpec:

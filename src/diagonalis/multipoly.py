@@ -18,6 +18,11 @@ Coeff = Union[Fraction, UniPoly]
 Exponent = tuple[int, ...]
 
 
+def depends_on_lambda(c: Coeff) -> bool:
+    """Whether c is a non-constant `UniPoly`; a constant one is a rational."""
+    return isinstance(c, UniPoly) and not c.is_constant()
+
+
 def grlex_key(exp: Exponent) -> tuple:
     # graded lex with x1 > x2 > ...: within a degree layer, (1,0) precedes (0,1)
     return (sum(exp), tuple(-e for e in exp))

@@ -37,7 +37,7 @@ from operator import sub
 from typing import Optional, TextIO
 
 from .exactalg import UniPoly
-from .multipoly import Coeff, Exponent, MultiPoly
+from .multipoly import Coeff, Exponent, MultiPoly, depends_on_lambda
 
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
@@ -192,7 +192,7 @@ def _kernel_scale(p: MultiPoly, N: int) -> tuple:
     elif not c0:
         raise ValueError("not expandable at origin: zero constant term")
     c0 = Fraction(c0)
-    lam = any(isinstance(c, UniPoly) for c in p.terms.values())
+    lam = any(map(depends_on_lambda, p.terms.values()))
     monomials = []  # (m, p_m / c_0 as lambda-coefficients; one over Q)
     for m, c in p.terms.items():
         if any(m):

@@ -532,6 +532,61 @@ def test_entry_limit_where_no_box_is_expanded_is_refused(capsys, tmp_path, argv)
     assert captured.err.endswith("error: nothing in this command takes --entry-limit\n")
 
 
+class _Work(Exception):
+    """Raised by a stand-in for a function that does the work of a command."""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("diag --coeffs 1,-1,0,2,4 --N 60 --c 1", "nothing in this command takes --c"),
+    ("recur guess --coeffs 1,-1,0,64/27,0 --N 40 --a 1",
+     "nothing in this command takes --a"),
+    ("diag --family KZ-D --N 60 --oracle nosuch", "unknown oracle 'nosuch'"),
+    ("diag --family KZ-D --N 60 --oracle 2var", "oracle '2var' needs parameter a"),
+    ("diag --family h2var --a 2 --N 3 --oracle franel",
+     "oracle 'franel' takes no parameter a"),
+    ("diag --coeffs 1,-1,0,4 --N 3 --a 5 --oracle franel",
+     "oracle 'franel' takes no parameter a"),
+    ("diag --from-cache CACHE --oracle nosuch", "unknown oracle 'nosuch'"),
+    ("diag --from-cache CACHE --entry-limit 1",
+     "nothing in this command takes --entry-limit"),
+    ("diag --family KZ-D --d 3 --N 3", "family 'KZ-D' takes no parameter d"),
+    ("diag --family Kauers --lam 1 --N 3", "family 'Kauers' takes no parameter lam"),
+    ("expand --coeffs 1,-1,0,4 --N 3 --b 7", "nothing in this command takes --b"),
+    ("expand --family StraubLambda --N 3 --check-positive --non-strict",
+     "--non-strict applies only"),
+    (f"recur guess --terms {FRANEL_20} --max-order 2 --max-degree 2 --entry-limit 1",
+     "nothing in this command takes --entry-limit"),
+    ("recur guess --terms 1,3,9,27,81,243,729,2187,6561,19683 --max-order 1 "
+     "--max-degree 0 --a 3", "nothing in this command takes --a"),
+    ("recur check --builtin franel --terms 1,2,10,56 --entry-limit 1",
+     "nothing in this command takes --entry-limit"),
+    ("recur check --builtin franel --coeffs 1,-1,0,4 --N 8 --a 3",
+     "recurrence 'franel' takes no parameter a"),
+], ids=lambda v: v[:60])
+def test_usage_error_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    cache = tmp_path / "any.box"
+    cache.write_text("read by nothing here\n")
+
+    def work(*args, **kwargs):
+        raise _Work
+    for name in ("expand_reciprocal", "load_cache", "recurrence_guess",
+                 "recurrence_check"):
+        monkeypatch.setattr(cli, name, work)
+    # each stand-in is what a command calls to do its work
+    for works in (["diag", "--from-cache", str(cache)],
+                  ["diag", "--family", "AG3", "--N", "3"],
+                  ["recur", "guess", "--terms", "1,2,3"],
+                  ["recur", "check", "--builtin", "franel", "--terms", "1,2"]):
+        with pytest.raises(_Work):
+            main(works)
+    with pytest.raises(SystemExit) as exc:
+        main([str(cache) if arg == "CACHE" else arg for arg in argv.split()])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["expand", "diag"])
 def test_given_entry_limit_is_read_where_a_box_is_expanded(capsys, command):
     # a limit equal to the box's 64 entries passes; 63 is in the bad-input list

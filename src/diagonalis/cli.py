@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: expand, diag, recur, identity, geometry; recur and geometry
-take a mode, and each command or mode takes only the options it reads.  A
-family parameter or --entry-limit that no given source reads (`_READS`) is
-refused before the command runs, and `diag` checks its --oracle before any
-box is expanded or cache read.  Reports are text by default and JSON with
---format json; `geometry grid` always writes CSV.  Exit code 0 iff all
-requested checks pass, 1 if a check fails, 2 on bad input, with a one-line
-message on stderr.  Box caches use the versioned text format from
-`seriesbox`; relative cache paths resolve against $DIAGONALIS_CACHE.
+take a mode, and each command or mode takes only the options it reads.  An
+empty option value, and a family parameter or --entry-limit that no given
+source reads (`_READS`), are refused before the command runs, and `diag`
+checks its --oracle before any box is expanded or cache read.  Reports are
+text by default and JSON with --format json; `geometry grid` always writes
+CSV.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
+bad input, with a one-line message on stderr.  Box caches use the versioned
+text format from `seriesbox`; relative cache paths resolve against
+$DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ _READS = {"family": _PARAMS + ("entry_limit",), "coeffs": ("d", "entry_limit"),
 
 
 def _refuse_unread(args) -> None:
-    """Refuse a given family parameter or --entry-limit that no given source reads."""
+    """Refuse an empty option value, then a given family parameter or
+    --entry-limit that no given source reads."""
+    for key, value in vars(args).items():
+        if value == "":
+            raise ValueError(f"--{key.replace('_', '-')} needs a value")
     read = {key for source, keys in _READS.items() if getattr(args, source, None)
             for key in keys}
     for key in _READS["family"]:
@@ -55,7 +60,7 @@ def _entry_limit(args) -> int:
 
 def _resolve_family(args) -> FamilySpec:
     if args.coeffs:
-        cs = [rat(s) for s in args.coeffs.split(",")]
+        cs = _parse_terms(args.coeffs)
         if args.d not in (None, len(cs) - 1):
             raise ValueError(f"--d {args.d} inconsistent with {len(cs)} coefficients")
         return make_family(len(cs) - 1, cs)
@@ -277,7 +282,7 @@ def cmd_geometry(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    lo, hi = box_positivity_bisect(args.N, args.prec, b_lo=rat(args.b_lo),
+    lo, hi = box_positivity_bisect(args.N, args.prec, b_lo=args.b_lo,
                                    strict=not args.non_strict)
     _emit(args, {"N": args.N, "threshold_interval": [lo, hi], "precision": args.prec})
     return 0

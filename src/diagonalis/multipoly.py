@@ -114,14 +114,13 @@ class MultiPoly:
         """Evaluate at a point of rationals (or ring elements)."""
         if len(point) != self.dim:
             raise ValueError("point has wrong length")
-        pt = [p if isinstance(p, UniPoly) else rat(p) for p in point]
+        pt = [_coerce_coeff(p) for p in point]
         acc: Coeff = Fraction(0)
         for exp, c in self.terms.items():
-            term = c
             for x, e in zip(pt, exp):
-                for _ in range(e):
-                    term = term * x
-            acc = acc + term
+                if e:
+                    c = c * x ** e
+            acc = acc + c
         return acc
 
     def is_symmetric(self) -> bool:

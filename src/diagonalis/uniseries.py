@@ -7,9 +7,10 @@ exactly to the reported order, no further.
 Coefficients are integers over one common denominator, so an operation
 reduces once, not once per coefficient.
 
-Also here: the hypergeometric 2F1 truncation, Frobenius log-solutions of the
-ODE attached to a second-order polynomial recurrence, and the theta series of
-the planar hexagonal lattice.
+Also here: the hypergeometric 2F1 truncation, run from its term recurrence
+by the `sequences` runner, Frobenius log-solutions of the ODE attached to a
+second-order polynomial recurrence, and the theta series of the planar
+hexagonal lattice.
 """
 
 from __future__ import annotations
@@ -243,18 +244,11 @@ class UniSeries:
 
 
 def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
-    """Truncated 2F1(a, b; c; z) = sum z^n prod_{j<n} (a+j)(b+j)/((1+j)(c+j))."""
+    """Truncated 2F1(a, b; c; z) = sum t_n z^n, from its term recurrence
+    (n+a)(n+b) t_n - (n+1)(n+c) t_(n+1) = 0 with t_0 = 1."""
     a, b, c = rat(a), rat(b), rat(c)
-    coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for j in range(M):
-        den = (1 + j) * (c + j)
-        if den == 0:
-            raise ZeroDivisionError(
-                f"2F1 lower parameter hits a non-positive integer at term {j + 1}")
-        term = term * (a + j) * (b + j) / den
-        coeffs.append(term)
-    return UniSeries(coeffs, M)
+    rec = (UniPoly([a * b, a + b, 1]), UniPoly([-c, -1 - c, -1]))
+    return UniSeries(_run_extended(rec, M, (1,)), M)
 
 
 def verify_series_identity(lhs: UniSeries, rhs: UniSeries):

@@ -536,6 +536,35 @@ class _Work(Exception):
     """Raised by a stand-in for a function that does the work of a command."""
 
 
+@pytest.fixture
+def no_work(tmp_path, monkeypatch):
+    """Replace what the commands call to do their work by stand-ins that
+    raise `_Work`, after checking that each is reached; yields a cache
+    file that nothing reads."""
+    cache = tmp_path / "any.box"
+    cache.write_text("read by nothing here\n")
+
+    def work(*args, **kwargs):
+        raise _Work
+    for name in ("expand_reciprocal", "load_cache", "recurrence_guess",
+                 "recurrence_check", "recurrence_extend", "recurrence_seed",
+                 "characteristic_polynomial", "critical_points_diag"):
+        monkeypatch.setattr(cli, name, work)
+    # each stand-in is what a command calls to do its work
+    for works in (["diag", "--from-cache", str(cache)],
+                  ["diag", "--family", "AG3", "--N", "3"],
+                  ["recur", "guess", "--terms", "1,2,3"],
+                  ["recur", "check", "--builtin", "franel", "--terms", "1,2"],
+                  ["recur", "extend", "--builtin", "franel", "--terms", "1",
+                   "--upto", "3"],
+                  ["recur", "extend", "--builtin", "franel", "--upto", "3"],
+                  ["recur", "charpoly", "--builtin", "franel"],
+                  ["geometry", "point", "--family", "AG3"]):
+        with pytest.raises(_Work):
+            main(works)
+    yield cache
+
+
 @pytest.mark.parametrize("argv, message", [
     ("diag --coeffs 1,-1,0,2,4 --N 60 --c 1", "nothing in this command takes --c"),
     ("recur guess --coeffs 1,-1,0,64/27,0 --N 40 --a 1",
@@ -563,28 +592,41 @@ class _Work(Exception):
     ("recur check --builtin franel --coeffs 1,-1,0,4 --N 8 --a 3",
      "recurrence 'franel' takes no parameter a"),
 ], ids=lambda v: v[:60])
-def test_usage_error_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
-    cache = tmp_path / "any.box"
-    cache.write_text("read by nothing here\n")
-
-    def work(*args, **kwargs):
-        raise _Work
-    for name in ("expand_reciprocal", "load_cache", "recurrence_guess",
-                 "recurrence_check"):
-        monkeypatch.setattr(cli, name, work)
-    # each stand-in is what a command calls to do its work
-    for works in (["diag", "--from-cache", str(cache)],
-                  ["diag", "--family", "AG3", "--N", "3"],
-                  ["recur", "guess", "--terms", "1,2,3"],
-                  ["recur", "check", "--builtin", "franel", "--terms", "1,2"]):
-        with pytest.raises(_Work):
-            main(works)
+def test_usage_error_before_any_work(capsys, no_work, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main([str(cache) if arg == "CACHE" else arg for arg in argv.split()])
+        main([str(no_work) if arg == "CACHE" else arg for arg in argv.split()])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("diag --coeffs= --N 3", "--coeffs"),
+    ("geometry point --coeffs=", "--coeffs"),
+    ("recur extend --builtin= --upto 3", "--builtin"),
+    ("recur charpoly --builtin=", "--builtin"),
+    ("diag --family AG3 --N 3 --oracle=", "--oracle"),
+    ("recur extend --builtin franel --upto 3 --terms=", "--terms"),
+    ("expand --family AG3 --N 2 --cache=", "--cache"),
+    ("geometry grid --a 0:0:1 --b 0:0:1 --output=", "--output"),
+    ("recur check --builtin franel --terms=", "--terms"),
+    ("diag --from-cache=", "--from-cache"),
+], ids=lambda v: v[:60])
+def test_empty_value_is_refused_before_any_work(capsys, no_work, tmp_path,
+                                                monkeypatch, argv, option):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    monkeypatch.setenv("DIAGONALIS_CACHE", str(out))
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {option} needs a value\n")
+    assert captured.err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["expand", "diag"])

@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +19,15 @@ from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
                                   recurrence_guess, recurrence_seed,
                                   sequence_sign_scan)
 from diagonalis.seriesbox import expand_reciprocal
+
+
+def test_readme_quick_tour():
+    # the README's python block runs as printed and gives what its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = {}
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), tour)
+    assert tour["diag"][:4] == (1, 2, 10, 56)
+    assert tour["rec"] == builtin_recurrence("franel").normalized()
 
 
 def test_franel_oracle_values():

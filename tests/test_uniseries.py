@@ -155,8 +155,29 @@ def test_2f1_terminating_and_pole():
     # negative integer upper parameter terminates
     f = hypergeometric_2f1(-2, 1, 1, 6)
     assert f.coeffs[3:] == [0, 0, 0, 0]
-    with pytest.raises(ZeroDivisionError):
+    # the term recurrence's leading coefficient -(n+1)(n-1) vanishes at n = 1
+    with pytest.raises(ValueError, match="blocked at index 2"):
         hypergeometric_2f1(1, 1, -1, 6)
+
+
+def hypergeometric_oracle(a, b, c, M):
+    """2F1 coefficients as the term product prod_{j<n} (a+j)(b+j)/((1+j)(c+j))."""
+    coeffs, term = [F(1)], F(1)
+    for j in range(M):
+        term = term * (a + j) * (b + j) / ((1 + j) * (c + j))
+        coeffs.append(term)
+    return coeffs
+
+
+parameters = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=60)
+@given(parameters, parameters,
+       parameters.filter(lambda c: c.denominator != 1 or c > 0),
+       st.integers(min_value=0, max_value=12))
+def test_2f1_matches_term_product(a, b, c, M):
+    assert hypergeometric_2f1(a, b, c, M).coeffs == hypergeometric_oracle(a, b, c, M)
 
 
 def binomial_series_oracle(r, x_coeff, order):

@@ -3,12 +3,11 @@ functions 1 / sum_k c_k e_k(x_1, ..., x_d) and their diagonals."""
 
 from .exactalg import UniPoly, binomial, plain, rat
 from .family import FamilySpec, canonicalize, make_family, named_instance
-from .multipoly import (MultiPoly, elementary_symmetric, partial_derivative,
-                        scale_variables, substitute_zero, symmetric_denominator)
+from .multipoly import MultiPoly, elementary_symmetric, symmetric_denominator
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, extract_diagonal,
                         recurrence_check, recurrence_extend, recurrence_guess,
-                        recurrence_seed, sequence_sign_scan)
+                        recurrence_seed)
 from .seriesbox import (CoeffBox, expand_reciprocal, first_nonpositive,
                         load_cache, save_cache)
 from .uniseries import (LogSolution, UniSeries, hypergeometric_2f1,

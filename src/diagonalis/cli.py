@@ -117,6 +117,8 @@ def cmd_expand(args) -> int:
             with open(tmp, "w") as fh:
                 save_cache(box, fh)
             os.replace(tmp, path)
+        except OSError as exc:  # name the given path, not the temporary one
+            raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -235,8 +237,17 @@ def cmd_identity(args) -> int:
     return 0 if bad is None else 1
 
 
+def _rational(s: str) -> Fraction:
+    """A rational "num" or "num/den"; argparse reports a bad one by this
+    message, not by the converter's name."""
+    try:
+        return rat(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational value: {s!r}") from None
+
+
 def _scale(s: str):
-    return s if s == "9-power" else rat(s)
+    return s if s == "9-power" else _rational(s)
 
 
 def _order(s: str) -> int:
@@ -247,7 +258,7 @@ def _order(s: str) -> int:
 
 
 def _positive_rational(s: str) -> Fraction:
-    q = rat(s)
+    q = _rational(s)
     if q <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive rational, got {s!r}")
     return q
@@ -258,7 +269,7 @@ def _grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {spec!r}")
-    lo, hi, step = rat(parts[0]), rat(parts[1]), _positive_rational(parts[2])
+    lo, hi, step = _rational(parts[0]), _rational(parts[1]), _positive_rational(parts[2])
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range: lo > hi in {spec!r}")
     return [lo + k * step for k in range((hi - lo) // step + 1)]

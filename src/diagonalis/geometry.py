@@ -1,11 +1,10 @@
 """Critical-point and smoothness analysis for the symmetric families.
 
-Implements the explicit nonsmooth-locus discriminants for d = 3 and d = 4,
-exact real-root isolation by Sturm chains (one signed remainder sequence
-per level of the gcd chain p, gcd(p, p'), ...), one diagonal-direction
+Implements the explicit nonsmooth-locus discriminant for d = 3, exact
+real-root isolation by Sturm chains (one signed remainder sequence per
+level of the gcd chain p, gcd(p, p'), ...), one diagonal-direction
 critical-point analysis for d = 2, 3 on the canonical form (c_0 = 1,
-c_1 = -1) of a family, and the two-variable asymptotic ratio check (the
-single place floating point appears).
+c_1 = -1) of a family, and the box-positivity threshold bisection.
 """
 
 from __future__ import annotations
@@ -13,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactalg import UniPoly, rat
 from .family import FamilySpec, canonicalize, named_instance
-from .sequences import binomial_oracle
 from .seriesbox import expand_reciprocal, first_nonpositive
 
 
-# --- nonsmooth loci ---------------------------------------------------------
+# --- nonsmooth locus --------------------------------------------------------
 
 def nonsmooth_locus_3d(a, b) -> tuple[Fraction, bool]:
     """Evaluate 4a^3 - 3a^2 + 6ab + b^2 - 4b; zero iff the singular variety
@@ -29,27 +27,6 @@ def nonsmooth_locus_3d(a, b) -> tuple[Fraction, bool]:
     a, b = rat(a), rat(b)
     v = 4 * a ** 3 - 3 * a ** 2 + 6 * a * b + b ** 2 - 4 * b
     return v, v == 0
-
-
-@dataclass(frozen=True)
-class Locus4d:
-    factor1: Fraction
-    factor2: Fraction
-    member: bool
-    c_relation_residual: Fraction  # c*(a-1) - (a^3 + 2ab + b^2)
-
-
-def nonsmooth_locus_4d(a, b, c) -> Locus4d:
-    """Both factors of the d = 4 nonsmooth-locus factorization, evaluated
-    exactly; membership iff either vanishes."""
-    a, b, c = rat(a), rat(b), rat(c)
-    f1 = a ** 3 + 2 * a * b - a * c + b ** 2 + c
-    f2 = (64 * b ** 3 - 27 * (b ** 4 + c ** 2) + 6 * b * c * (2 * c - b)
-          + c ** 3 - 54 * a * (2 * b - c) * (b ** 2 + c)
-          + 18 * a ** 2 * (2 * b ** 2 + 10 * b * c - c ** 2)
-          - 54 * a ** 3 * (b ** 2 + c) + 81 * a ** 4 * c)
-    resid = c * (a - 1) - (a ** 3 + 2 * a * b + b ** 2)
-    return Locus4d(f1, f2, f1 == 0 or f2 == 0, resid)
 
 
 # --- discriminants ----------------------------------------------------------
@@ -144,64 +121,7 @@ def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
             for lo, hi in intervals]
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
-    """Real algebraic number as (defining polynomial, isolating interval)."""
-    minpoly: UniPoly
-    interval: tuple[Fraction, Fraction]
-
-    def approx(self, dps: int = 30) -> Fraction:
-        """Midpoint of the interval after dps*4 bisection steps."""
-        lo, hi = self.interval
-        p = self.minpoly
-        flo = p(lo)
-        for _ in range(dps * 4):
-            if hi - lo == 0:
-                break
-            mid = (lo + hi) / 2
-            fm = p(mid)
-            if fm == 0:
-                return mid
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-
-# --- boundary curve and critical points ------------------------------------
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def boundary_curve_3d(a) -> tuple[Union[Fraction, AlgebraicNumber],
-                                  Union[Fraction, AlgebraicNumber]]:
-    """The pair b_- <= b_+ with b = 2 - 3a +/- 2(1-a)^(3/2); exact rationals
-    when 1 - a is a rational square, else algebraic representations."""
-    a = rat(a)
-    if a > 1:
-        raise ValueError("boundary curve requires a <= 1")
-    r = _rational_sqrt(1 - a)
-    if r is not None:
-        base = 2 - 3 * a
-        off = 2 * r ** 3
-        return base - off, base + off
-    # both branches are roots of b^2 - 2(2-3a)b + (2-3a)^2 - 4(1-a)^3
-    mp = UniPoly([(2 - 3 * a) ** 2 - 4 * (1 - a) ** 3, -2 * (2 - 3 * a), 1])
-    roots = sturm_isolate(mp, "all")
-    if len(roots) != 2:
-        raise AssertionError("boundary quadratic must have two real roots for a <= 1")
-    lo, hi = roots
-    return (AlgebraicNumber(mp, (lo.lo, lo.hi)),
-            AlgebraicNumber(mp, (hi.lo, hi.hi)))
-
+# --- critical points -------------------------------------------------------
 
 @dataclass(frozen=True)
 class CritClass:
@@ -285,25 +205,6 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
         verdict, reason = "inconclusive", "necessary condition satisfied"
     return CritReport(family, locus != 0, locus, tuple(classes), count, disc,
                       verdict, reason)
-
-
-# --- two-variable asymptotics ----------------------------------------------
-
-def asymptotic_ratio_2d(a, n: int) -> float:
-    """Ratio of the exact diagonal term u_{n,n} of 1/(1-(x+y)+axy) to the
-    smooth-point asymptotic (1+sqrt(1-a))^(2n+1) / (2 sqrt(pi n sqrt(1-a))).
-
-    Both sides are taken in log space, where doubles suffice for terms far
-    beyond the float range; log(num) and log(den) read the exact integers."""
-    a = rat(a)
-    if a >= 1:
-        raise ValueError("asymptotic formula requires a < 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    u = binomial_oracle("2var", n, a=a)
-    s = math.sqrt(1 - a)
-    log_formula = (2 * n + 1) * math.log1p(s) - math.log(2 * math.sqrt(math.pi * n * s))
-    return math.exp(math.log(u.numerator) - math.log(u.denominator) - log_formula)
 
 
 # --- box-positivity threshold bisection ------------------------------------

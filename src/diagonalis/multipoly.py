@@ -3,7 +3,9 @@
 Coefficients are either `Fraction` or `UniPoly` (polynomials in a parameter
 lambda); both satisfy the ring protocol used here (+, -, *, truthiness for
 zero tests).  Terms are kept in a dict keyed by exponent tuples; serialization
-uses graded lexicographic order so output is deterministic.
+uses graded lexicographic order so output is deterministic.  The module
+gives the ring operations, a symmetry test, JSON forms and the symmetric
+denominators sum_k c_k e_k(x_1, ..., x_d) that every family expands.
 """
 
 from __future__ import annotations
@@ -52,12 +54,6 @@ class MultiPoly:
     def constant(cls, dim: int, c) -> "MultiPoly":
         return cls(dim, {(0,) * dim: _coerce_coeff(c)})
 
-    @classmethod
-    def variable(cls, dim: int, j: int) -> "MultiPoly":
-        exp = [0] * dim
-        exp[j] = 1
-        return cls(dim, {tuple(exp): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -71,9 +67,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.dim, frozenset(self.terms.items())))
-
-    def coefficient(self, exp: Sequence[int]) -> Coeff:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def constant_term(self) -> Coeff:
         return self.terms.get((0,) * self.dim, Fraction(0))
@@ -109,19 +102,6 @@ class MultiPoly:
 
     def __pow__(self, k: int) -> "MultiPoly":
         return binary_power(self, k, MultiPoly.constant(self.dim, 1))
-
-    def evaluate(self, point: Sequence) -> Coeff:
-        """Evaluate at a point of rationals (or ring elements)."""
-        if len(point) != self.dim:
-            raise ValueError("point has wrong length")
-        pt = [_coerce_coeff(p) for p in point]
-        acc: Coeff = Fraction(0)
-        for exp, c in self.terms.items():
-            for x, e in zip(pt, exp):
-                if e:
-                    c = c * x ** e
-            acc = acc + c
-        return acc
 
     def is_symmetric(self) -> bool:
         """True if invariant under all permutations of the variables.
@@ -199,43 +179,3 @@ def symmetric_denominator(coeffs: Sequence) -> MultiPoly:
         if c:
             acc = acc + elementary_symmetric(d, k) * c
     return acc
-
-
-def scale_variables(p: MultiPoly, scales: Sequence) -> MultiPoly:
-    """Substitute x_j <- s_j * x_j."""
-    if len(scales) != p.dim:
-        raise ValueError("scale vector has wrong length")
-    ss = [rat(s) for s in scales]
-    out: dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        factor = Fraction(1)
-        for s, e in zip(ss, exp):
-            factor *= s ** e
-        out[exp] = c * factor
-    return MultiPoly(p.dim, out)
-
-
-def substitute_zero(p: MultiPoly, var_index: int) -> MultiPoly:
-    """Set x_{var_index} = 0, dropping to d-1 variables."""
-    if not 0 <= var_index < p.dim:
-        raise IndexError(f"variable index {var_index} out of range for d={p.dim}")
-    if p.dim == 1:
-        raise ValueError("cannot drop below one variable")
-    out: dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        if exp[var_index] == 0:
-            out[exp[:var_index] + exp[var_index + 1:]] = c
-    return MultiPoly(p.dim - 1, out)
-
-
-def partial_derivative(p: MultiPoly, var_index: int) -> MultiPoly:
-    if not 0 <= var_index < p.dim:
-        raise IndexError(f"variable index {var_index} out of range for d={p.dim}")
-    out: dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        e = exp[var_index]
-        if e:
-            new = list(exp)
-            new[var_index] = e - 1
-            out[tuple(new)] = c * e
-    return MultiPoly(p.dim, out)

@@ -430,11 +430,3 @@ def characteristic_polynomial(rec: PRecurrence) -> UniPoly:
     D = rec.degree
     poly = UniPoly([p[D] for p in rec.coeffs])
     return poly.primitive() if poly else poly
-
-
-def sequence_sign_scan(seq: Sequence[Fraction], strict: bool = True):
-    """First index with a nonpositive (strict) or negative value, or None."""
-    for n, v in enumerate(seq):
-        if (v <= 0) if strict else (v < 0):
-            return (n, v)
-    return None

@@ -59,10 +59,6 @@ class UniSeries:
         return len(self.nums) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "UniSeries":
-        return cls([], order)
-
-    @classmethod
     def one(cls, order: int) -> "UniSeries":
         return cls([1], order)
 

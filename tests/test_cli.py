@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -151,6 +152,20 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
     assert "No space left on device" in capsys.readouterr().err
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["kzd3.box"]
+
+
+@pytest.mark.parametrize("name", ["missing/x.box", "a-directory"])
+def test_cache_write_error_names_the_given_path(capsys, tmp_path, name):
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "KZ-D", "--N", "2", "--cache", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write cache {path}: " in err and ".tmp" not in err, err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["a-directory"]
+    assert os.listdir(tmp_path / "a-directory") == []
 
 
 def test_expand_deterministic_output(capsys, tmp_path):
@@ -682,6 +697,23 @@ def test_prec_is_validated_while_parsing(capsys):
                                        f"--prec={bad}"])
         assert exc.value.code == 2
     assert "expected a positive rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--family", "AG3", "--N", "3", "--scale", "1,2"],
+    ["geometry", "bisect", "--N", "2", "--prec", "x"],
+    ["geometry", "grid", "--a", "x:1:1", "--b", "0:1:1"],
+    ["geometry", "grid", "--a", "0:1:1", "--b", "0:y:1"],
+    ["geometry", "grid", "--a", "0:1:z", "--b", "0:1:1"],
+], ids=" ".join)
+def test_bad_rational_names_no_converter(capsys, argv):
+    # argparse names a type converter that raises ValueError: "invalid _grid value"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid rational value: '" in err, err
+    assert not re.search(r"(?<![\w-])_[a-z]", err), err
 
 
 @pytest.mark.parametrize("argv", [

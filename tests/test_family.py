@@ -83,8 +83,8 @@ def test_koornwinder_is_habc_point():
 def test_denominator_matches_coefficients():
     fam = named_instance("KZ-D")
     p = fam.denominator()
-    assert p.coefficient((1, 1, 1, 0)) == 2
-    assert p.coefficient((1, 1, 1, 1)) == 4
+    assert p.terms.get((1, 1, 1, 0), 0) == 2
+    assert p.terms.get((1, 1, 1, 1), 0) == 4
 
 
 def test_catalog_names_resolve():

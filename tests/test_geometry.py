@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from diagonalis import geometry
 from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
-from diagonalis.geometry import (AlgebraicNumber, boundary_curve_3d,
-                                 box_positivity_bisect, critical_points_diag,
-                                 cubic_discriminant,
-                                 nonsmooth_locus_3d, nonsmooth_locus_4d,
-                                 sturm_isolate, asymptotic_ratio_2d)
+from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
+                                 cubic_discriminant, nonsmooth_locus_3d,
+                                 sturm_isolate)
 from diagonalis.multipoly import MultiPoly
 from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
+from oracles import asymptotic_ratio_2d, nonsmooth_locus_4d
 from unipoly_oracle import FractionUniPoly
 
 
@@ -194,8 +193,8 @@ def test_cubic_discriminant_b_identity():
 def test_charpoly_cubic_factor_discriminant_identity():
     # the cubic factor (x+b)^3 + 27x(a^3 + ab - (1-a)x), as a cubic in x over
     # Q[a, b], has discriminant -3^9 (a^3 - 3a^2 - b)^2 (4a^3 - 3a^2 + 6ab + b^2 - 4b)
-    A = MultiPoly.variable(2, 0)
-    B = MultiPoly.variable(2, 1)
+    A = MultiPoly(2, {(1, 0): F(1)})
+    B = MultiPoly(2, {(0, 1): F(1)})
     one = MultiPoly.constant(2, 1)
     c3 = one
     c2 = 3 * B - 27 * (one - A)
@@ -205,25 +204,6 @@ def test_charpoly_cubic_factor_discriminant_identity():
     locus = 4 * A ** 3 - 3 * A ** 2 + 6 * A * B + B ** 2 - 4 * B
     expected = (A ** 3 - 3 * A ** 2 - B) ** 2 * locus * (-(3 ** 9))
     assert disc == expected
-
-
-def test_boundary_curve_rational_points():
-    assert boundary_curve_3d(0) == (0, 4)
-    assert boundary_curve_3d(1) == (-1, -1)
-    assert boundary_curve_3d(F(3, 4)) == (F(-1, 2), 0)
-
-
-def test_boundary_curve_algebraic_point():
-    lo, hi = boundary_curve_3d(F(1, 2))
-    assert isinstance(lo, AlgebraicNumber) and isinstance(hi, AlgebraicNumber)
-    # 2 - 3/2 + 2 (1/2)^{3/2} = 1/2 + sqrt(2)/2 ~ 1.2071
-    approx = float(hi.approx(30))
-    assert abs(approx - 1.20710678) < 1e-6
-
-
-def test_boundary_curve_rejects_a_above_one():
-    with pytest.raises(ValueError):
-        boundary_curve_3d(2)
 
 
 def test_necessity_violated_h05():
@@ -340,9 +320,11 @@ def test_violated_verdict_backed_by_box():
 
 def test_disc_consistency_with_boundary():
     # sampled: discriminant of the symmetric cubic is negative exactly above
-    # the upper boundary branch (for a <= 1 with rational square 1-a)
-    for a in (F(0), F(3, 4), F(8, 9)):
-        _, b_plus = boundary_curve_3d(a)
+    # the upper boundary branch b_+ = 2 - 3a + 2(1-a)^(3/2), a locus member
+    for r in (F(1), F(1, 2), F(1, 3)):
+        a = 1 - r ** 2
+        b_plus = 2 - 3 * a + 2 * r ** 3
+        assert nonsmooth_locus_3d(a, b_plus)[1]
         for b in (b_plus + 1, b_plus + F(1, 7)):
             rep = critical_points_diag(make_family(3, [1, -1, a, b]))
             assert rep.cubic_discriminant < 0

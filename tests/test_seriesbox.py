@@ -12,11 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from diagonalis import exactalg, seriesbox
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
-from diagonalis.multipoly import (MultiPoly, grlex_key, scale_variables,
-                                  substitute_zero, symmetric_denominator)
+from diagonalis.multipoly import MultiPoly, grlex_key, symmetric_denominator
 from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
                                   _unpack, expand_reciprocal, first_nonpositive,
                                   load_cache, save_cache)
+from oracles import scale_variables, substitute_zero
 
 
 def geometric_oracle(p: MultiPoly, N: int) -> dict:

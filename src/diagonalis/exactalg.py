@@ -25,11 +25,14 @@ RatLike = Union[int, Fraction, str]
 def rat(x: RatLike) -> Fraction:
     """Coerce ints, Fractions and "num/den" strings to a Fraction.
 
-    A float is refused: its binary value is rarely the rational meant."""
+    A float is refused: its binary value is rarely the rational meant; so
+    is a bool, which would read JSON's true as 1."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise ValueError(f"not an exact rational: float {x!r}")
+    if isinstance(x, bool):
+        raise ValueError(f"not a rational number: {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -273,7 +276,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
-        return cls(data)
+        return cls(map(rat, data))  # not the constructor's int path: True is an int
 
     def __repr__(self) -> str:
         terms = [str(c) + ("" if i == 0 else "*x" if i == 1 else f"*x^{i}")

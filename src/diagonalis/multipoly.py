@@ -36,16 +36,16 @@ class MultiPoly:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Coeff] = ()):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if type(dim) is not int or dim < 1:  # a JSON 3.0 or true is no dimension
+            raise ValueError(f"dimension must be an integer >= 1, got {dim!r}")
         self.dim = dim
         clean: dict[Exponent, Coeff] = {}
         for exp, c in dict(terms).items():
             exp = tuple(exp)
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} has length != {dim}")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
+            if any(type(e) is not int or e < 0 for e in exp):
+                raise ValueError(f"exponent {exp} is not a tuple of integers >= 0")
             if c:
                 clean[exp] = c
         self.terms = clean

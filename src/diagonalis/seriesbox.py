@@ -33,6 +33,7 @@ import math
 import zlib
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from operator import sub
 from typing import Optional, TextIO
 
@@ -311,9 +312,10 @@ def load_cache(fh: TextIO) -> CoeffBox:
     a body that does not match it; naming the header field, for a missing or
     malformed d, N, sym or denom (in d variables, invertible at 0, symmetric
     when sym=1) and an L or B that is not the kernel's for denom and N; and,
-    naming the line, for a malformed entry, a duplicate index, an index
-    outside [0..N]^d or unsorted when sym=1, and an entry count other than
-    (N+1)^d (sym=0) or C(N+d, d) (sym=1: sorted orbit representatives)."""
+    naming the line, for an entry count other than (N+1)^d (sym=0) or
+    C(N+d, d) (sym=1: sorted orbit representatives), a malformed entry and
+    an index other than the one the header fixes there: `save_cache` writes
+    the kernel's enumeration of the box, layer by layer in graded-lex order."""
     text = fh.read()
     if text.startswith("diagonalis-box v1;"):
         raise ValueError("cache format v1 is no longer read; "
@@ -346,27 +348,26 @@ def load_cache(fh: TextIO) -> CoeffBox:
         raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
     if symmetric and not denom.is_symmetric():
         raise ValueError("cache header: sym=1 but denom is not symmetric")
-    by_degree: dict[int, dict[int, int]] = {}
-    for lineno, line in enumerate(lines, 2):
-        try:
-            idx_s, v_s = line.split(":")
-            n = tuple(int(x) for x in idx_s.split(","))
-            v = int(v_s, 16)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
-        if len(n) != dim or any(e < 0 or e > N for e in n):
-            raise ValueError(f"line {lineno}: index {n} outside box [0..{N}]^{dim}")
-        code = _code(n, N)
-        layer = by_degree.setdefault(sum(n), {})
-        if code in layer:
-            raise ValueError(f"line {lineno}: duplicate index {n}")
-        if symmetric and list(n) != sorted(n):
-            raise ValueError(f"line {lineno}: unsorted index {n} in a sym=1 cache")
-        layer[code] = v
     expected = math.comb(N + dim, dim) if symmetric else (N + 1) ** dim
-    if len(lines) != expected:  # each line is one entry, or raised
+    if len(lines) != expected:  # before the loop: a forged huge N never enumerates
         raise ValueError(f"line {len(lines) + 1}: cache ends after {len(lines)} "
                          f"entries; expected {expected} for sym={int(symmetric)}")
+    # line by line, the indices `save_cache` writes: each layer's codes in
+    # descending order (the cap only groups them)
+    R, entries = N + 1, iter(enumerate(lines, 2))
+    powers, digits = [R ** i for i in range(dim - 1, -1, -1)], [str(e) for e in range(R)]
+    layers: list[dict[int, int]] = [{} for _ in range(dim * N + 1)]
+    for t, layer in enumerate(layers):
+        codes = chain.from_iterable(_layer(dim, N, t, symmetric, 1).values())
+        for code, (lineno, line) in zip(sorted(codes, reverse=True), entries):
+            try:
+                idx_s, v_s = line.split(":")
+                layer[code] = int(v_s, 16)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
+            want = ",".join([digits[code // p % R] for p in powers])
+            if idx_s != want:
+                raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
     # after the count check, so that a forged huge N never reaches W^(dN)
     try:
         c0, L, B, _ = _kernel_scale(denom, N)
@@ -376,5 +377,4 @@ def load_cache(fh: TextIO) -> CoeffBox:
         if meta.get(key) != str(want):
             raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
                              f"give {key}={want}")
-    layers = [by_degree.get(t, {}) for t in range(dim * N + 1)]
     return CoeffBox(denom, N, layers, symmetric, (c0, L, B))

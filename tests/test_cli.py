@@ -122,6 +122,9 @@ def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
         (_sealed(body.replace(header[header.index("denom="):], "denom=[1]", 1)), "denom="),
         (_sealed(body.replace("d=4", "d=3", 1)), "denom has 4 variables"),
         (_sealed(body.replace("L=1", "L=2", 1)), "L="),
+        (_sealed(body.replace("N=3", "N=-1", 1)), "cache header: negative N=-1"),
+        (_sealed(body.replace('{"exp":[0,0,0,0],"coeff":"1"},', "", 1)),
+         "cache header: denom= not expandable at origin: zero constant term"),
         (_sealed(body.replace(":1\n", ':["1"]\n', 1)), "line 2"),  # a v1 Q[lambda] entry
         (header.replace("v2", "v1").replace("sym=1; L=1; B=0", "ring=Q") + "\n0,0,0,0:1\n",
          "v1 is no longer read"),
@@ -295,6 +298,25 @@ def test_geometry_bisect(capsys):
     assert code == 0
     lo, hi = json.loads(out)["threshold_interval"]
     assert lo != hi
+
+
+def test_geometry_bisect_searches_upward_from_b_lo(capsys):
+    # the boxes at b = 2, 3, 4 are positive and the one at 5 is not, so the
+    # halving starts from [2, 5] and moves lo up three times
+    code, out = run(capsys, "geometry", "bisect", "--N", "2", "--prec", "1/2",
+                    "--b-lo", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["threshold_interval"] == ["37/8", "5"]
+
+
+def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):
+    argv = ["geometry", "grid", "--a", "0:0:1", "--b", "0:0:1"]
+    code, out = run(capsys, *argv)
+    assert (code, out) == (0, "a,b,locus_value,locus,orthant_count,verdict\n"
+                              "0,0,0,member,1,inconclusive\n")
+    path = tmp_path / "grid.csv"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "")
+    assert path.read_text() == out
 
 
 # whole reports, text and JSON: rationals, lambda-polynomials, root intervals,
@@ -606,6 +628,11 @@ def no_work(tmp_path, monkeypatch):
      "nothing in this command takes --entry-limit"),
     ("recur check --builtin franel --coeffs 1,-1,0,4 --N 8 --a 3",
      "recurrence 'franel' takes no parameter a"),
+    ("diag --family GRZ --d 1 --N 3", "GRZ needs d >= 2"),
+    ("recur check --rec-json [] --terms 1,2,3", "recurrence needs order >= 1"),
+    ("recur check --rec-json [[1],[0]] --terms 1,2,3",
+     "leading recurrence coefficient is identically zero"),
+    ("recur check --rec-json [[true],[1]] --terms 1,2", "not a rational number: True"),
 ], ids=lambda v: v[:60])
 def test_usage_error_before_any_work(capsys, no_work, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -614,6 +641,44 @@ def test_usage_error_before_any_work(capsys, no_work, argv, message):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("geometry bisect --N 2 --prec 1/2 --b-lo 100",
+     "expected the box to be positive at b = 100"),
+    ("geometry bisect --N 2 --prec 1/2 --b-lo=-100",
+     "no nonpositive coefficient found up to b_lo + 8"),
+    ("recur extend --builtin franel --upto 3 --terms 1", "need at least 2 initial terms"),
+], ids=lambda v: v[:60])
+def test_refusal_after_some_work_names_its_cause(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.endswith(f": error: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"coeff":"1"}', '"coeff":true}', "not a rational number: True"),
+    ('"exp":[1,0,0]', '"exp":[1.0,0,0]', "exponent (1.0, 0, 0) is not a tuple"),
+    ('"exp":[1,0,0]', '"exp":[true,0,0]', "exponent (True, 0, 0) is not a tuple"),
+    ('"dim":3,', '"dim":3.0,', "dimension must be an integer >= 1, got 3.0"),
+], ids=["coeff true", "exp 1.0", "exp true", "dim 3.0"])
+def test_cache_denom_of_json_bools_or_floats_is_refused(capsys, tmp_path, old, new, message):
+    # each was read as a number, true as 1 and 1.0 as an exponent or dimension
+    path = tmp_path / "ag3.box"
+    run(capsys, "expand", "--family", "AG3", "--N", "3", "--cache", str(path))
+    text = path.read_text()
+    body = text[:text.rindex("crc32=")]
+    assert old in body
+    path.write_text(_sealed(body.replace(old, new, 1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "--from-cache", str(path), "--oracle", "franel"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, option", [

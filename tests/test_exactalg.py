@@ -237,6 +237,13 @@ def test_rat_rejects_zero_denominator_and_non_numbers():
         rat([1])
 
 
+def test_json_true_is_no_rational():
+    # True is an int, and Fraction(True) == 1
+    for read in (rat, lambda x: UniPoly.from_json(["1", x])):
+        with pytest.raises(ValueError, match=r"^not a rational number: True$"):
+            read(True)
+
+
 def test_unipoly_json_roundtrip():
     p = UniPoly([F(1, 2), 0, -3])
     assert UniPoly.from_json(p.to_json()) == p

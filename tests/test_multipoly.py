@@ -140,6 +140,14 @@ def test_negative_power_is_refused():
         elementary_symmetric(2, 1) ** -1
 
 
+@pytest.mark.parametrize("dim, exp", [(2.0, (0, 0)), (True, (0,)), (2, (1.0, 0)),
+                                      (2, (True, 0)), (2, (-1, 0))])
+def test_dimension_and_exponents_are_integers(dim, exp):
+    # JSON's 2.0 and true compare equal to 2 and 1, but are no dimension or exponent
+    with pytest.raises(ValueError, match="integer"):
+        MultiPoly(dim, {exp: F(1)})
+
+
 def test_json_roundtrip_with_lambda_coefficients():
     lam = UniPoly.x()
     p = MultiPoly(2, {(0, 0): UniPoly.const(1), (1, 1): lam * (lam + 2)})

@@ -421,7 +421,7 @@ def test_cache_refuses_format_v1():
 def test_cache_rejects_duplicate_index():
     lines = _kzd3_cache_lines()
     lines[5] = lines[4].split(":")[0] + ":" + lines[5].split(":", 1)[1]
-    with pytest.raises(ValueError, match=r"line 6: duplicate index"):
+    with pytest.raises(ValueError, match=r"line 6: found index '0,0,0,2', expected 0,1,1,1$"):
         load_cache(_resealed(lines))
 
 
@@ -429,7 +429,7 @@ def test_cache_rejects_duplicate_index():
 def test_cache_rejects_index_outside_box(index):
     lines = _kzd3_cache_lines()
     lines[7] = index + ":" + lines[7].split(":", 1)[1]
-    with pytest.raises(ValueError, match=r"line 8: index .* outside box \[0\.\.3\]\^4"):
+    with pytest.raises(ValueError, match=rf"line 8: found index '{index}', expected 0,0,0,3$"):
         load_cache(_resealed(lines))
 
 
@@ -437,7 +437,17 @@ def test_cache_rejects_unsorted_index_in_symmetric_file():
     lines = _kzd3_cache_lines()
     assert lines[2].startswith("0,0,0,1:")
     lines[2] = "1,0,0,0:" + lines[2].split(":", 1)[1]
-    with pytest.raises(ValueError, match=r"line 3: unsorted index"):
+    with pytest.raises(ValueError, match=r"line 3: found index '1,0,0,0', expected 0,0,0,1$"):
+        load_cache(_resealed(lines))
+
+
+def test_cache_rejects_entries_out_of_order():
+    # the two layer-2 entries swapped: each index is in the box, sorted and
+    # distinct, but not on the line where the kernel's enumeration puts it
+    lines = _kzd3_cache_lines()
+    assert [line.split(":")[0] for line in lines[3:5]] == ["0,0,1,1", "0,0,0,2"]
+    lines[3], lines[4] = lines[4], lines[3]
+    with pytest.raises(ValueError, match=r"line 4: found index '0,0,0,2', expected 0,0,1,1$"):
         load_cache(_resealed(lines))
 
 
@@ -492,6 +502,7 @@ def test_cache_full_box_roundtrip_keeps_unsorted_indices():
 @settings(deadline=None, max_examples=40)
 @given(reciprocal_cases())
 @example((symmetric_denominator([F(-2), F(1, 2), F(2, 9), F(-4, 3)]), 4, True))
+@example((MultiPoly.constant(2, -4), 0, False))  # one entry, in layer 0
 @example((symmetric_denominator([F(1, 3), UniPoly([4, -3, 9]),
                                  UniPoly([F(-9, 2), 0, -4])]), 4, False))
 def test_cache_roundtrip_keeps_the_kernel_integers(case):

@@ -79,7 +79,6 @@ _FAMILIES = {
     "StraubLambda": _straub_lambda,
 }
 _CATALOG = catalog(_FAMILIES, h0bb2="h0b")
-CATALOG_NAMES = list(_FAMILIES)
 
 
 def named_instance(name: str, **params) -> FamilySpec:

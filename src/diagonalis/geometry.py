@@ -79,9 +79,9 @@ def _root_bound(p: UniPoly) -> Fraction:
     return 1 + Fraction(max(map(abs, p.nums)), abs(p.nums[-1]))
 
 
-def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
-    """Disjoint rational isolation intervals for the distinct real roots of p
-    (in (0, inf) when domain="positive"), with multiplicities.
+def sturm_isolate(p: UniPoly) -> list[RootInterval]:
+    """Disjoint rational isolation intervals for the distinct positive roots
+    of p, with multiplicities.
 
     One signed remainder sequence per member of the gcd chain p, g1, g2, ...
     (g1 = gcd(p, p'), g2 = gcd(g1, g1'), ...) gives one Sturm chain per
@@ -90,8 +90,6 @@ def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
     root in its interval."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if domain not in ("all", "positive"):
-        raise ValueError(f"unknown domain {domain!r}")
     levels, g = [], p
     while g.degree >= 1:
         chain, g = _sturm_chain(g)
@@ -99,10 +97,8 @@ def sturm_isolate(p: UniPoly, domain: str = "all") -> list[RootInterval]:
     if not levels:
         return []
     chain = levels[0]
-    B = _root_bound(chain[0])
-    lo0 = Fraction(0) if domain == "positive" else -B
     intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo0, B)]
+    stack = [(Fraction(0), _root_bound(chain[0]))]
     while stack:
         lo, hi = stack.pop()
         k = _count_roots(chain, lo, hi)
@@ -179,7 +175,7 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
     family = canonicalize(family)[0]
     cs = [math.comb(d, k) * c for k, c in enumerate(family.coeffs)]
     poly = UniPoly(cs)
-    roots = tuple(sturm_isolate(poly, "positive"))
+    roots = tuple(sturm_isolate(poly))
     classes = [CritClass("symmetric", poly, roots, len(roots))]
     a = family.coeffs[2]
     if d == 2:
@@ -209,12 +205,13 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
 
 # --- box-positivity threshold bisection ------------------------------------
 
-def box_positivity_bisect(N: int, prec, b_lo=4,
-                          strict: bool = False) -> tuple[Fraction, Fraction]:
+def box_positivity_bisect(N: int, prec, b_lo, strict: bool) -> tuple[Fraction, Fraction]:
     """Bisect in b for the largest b at which the [0..N]^4 box of
-    h_{0,b,-b^2} stays free of nonpositive (or negative) coefficients.
+    h_{0,b,-b^2} stays free of nonpositive (strict) or negative coefficients.
 
-    Returns (lo, hi) with box positive at lo, not at hi, hi - lo <= prec.
+    Climbs from b_lo in steps of 1 to the first b that fails, then halves the
+    last step.  Returns (lo, hi) with box positive at lo, not at hi, and
+    hi - lo <= prec.
     """
     prec = rat(prec)
     if prec <= 0:
@@ -233,6 +230,7 @@ def box_positivity_bisect(N: int, prec, b_lo=4,
         hi += 1
         if hi > lo + 8:
             raise ValueError("no nonpositive coefficient found up to b_lo + 8")
+    lo = hi - 1  # the climb found the box positive there
     while hi - lo > prec:
         mid = (lo + hi) / 2
         if box_ok(mid):

@@ -203,14 +203,13 @@ def recurrence_extend(rec: PRecurrence, initial: Sequence[Fraction],
     return tuple(_run_extended(rec.coeffs, upto, initial))
 
 
-def recurrence_seed(rec: PRecurrence, upto: int,
-                    u0=Fraction(1)) -> tuple[Fraction, ...]:
-    """Run the recurrence extended by u_k = 0 for k < 0, starting from u_0.
+def recurrence_seed(rec: PRecurrence, upto: int) -> tuple[Fraction, ...]:
+    """Run the recurrence extended by u_k = 0 for k < 0, starting from u_0 = 1.
 
     For the paper's second-order recurrences this reproduces the analytic
     normalization (u_1 is forced by the n = -1 instance).
     """
-    return tuple(_run_extended(rec.coeffs, upto, (u0,)))
+    return tuple(_run_extended(rec.coeffs, upto, (1,)))
 
 
 GUESS_SAFETY_MARGIN = 5

@@ -21,9 +21,10 @@ weight) terms, and a group is swept once per term, all its codes at once.
 `CoeffBox.layers[t]` is the kernel's dict code -> v_n for layer t; the
 exact u_n, a `Fraction` or `UniPoly`, is built only when an entry is read.
 
-A symmetric denominator allows a reduced mode that stores only the sorted
-representative of each index orbit, whose shape is its gaps capped at K
-(at most 2^d stencils for K = 1), with orbit multiplicities merged in.
+The denominator must be symmetric, so u_n depends only on the orbit of n:
+a box stores the sorted representative of each index orbit, whose shape is
+its gaps capped at K (at most 2^d stencils for K = 1), with orbit
+multiplicities merged into the stencils.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from operator import sub
-from typing import Optional, TextIO
+from typing import TextIO
 
 from .exactalg import UniPoly
 from .multipoly import Coeff, Exponent, MultiPoly, depends_on_lambda
@@ -49,11 +50,10 @@ class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> dict[int, list[int]]:
-    """The indices n in [0..N]^d with |n| = t, only the non-decreasing n when
-    `symmetric`, as {shape: codes in ascending order}.  code reads n in base
-    N+1; shape reads in base cap+1 the coordinates of n, or in symmetric mode
-    its gaps n_i - n_{i-1} (n_{-1} = 0), each capped at `cap`."""
+def _layer(d: int, N: int, t: int, cap: int) -> dict[int, list[int]]:
+    """The non-decreasing indices n in [0..N]^d with |n| = t, as {shape: codes
+    in ascending order}.  code reads n in base N+1; shape reads in base cap+1
+    the gaps n_i - n_{i-1} (n_{-1} = 0) of n, each capped at `cap`."""
     if d == 1:
         return {min(t, cap): [t]} if t <= N else {}
     R, base = N + 1, cap + 1
@@ -62,21 +62,17 @@ def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> dict[int, list[
     for slots in range(d, 2, -1):
         grown = []
         for code, shape, prev, rest in parts:
-            lo = prev if symmetric else 0
-            hi = min(rest // slots if symmetric else rest, N)
             code, shape = code * R, shape * base
-            for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
-                g = v - lo
+            for v in range(max(prev, rest - (slots - 1) * N), min(rest // slots, N) + 1):
+                g = v - prev
                 grown.append((code + v, shape + (g if g < cap else cap), v, rest - v))
         parts = grown
     # the last two coordinates (a, rest - a) have codes start + a * N; the run
-    # of a with both digits at the cap is one range (one loop over a: +4% wall)
+    # of a with both gaps at the cap is one range (one loop over a: +4% wall)
     for code, shape, prev, rest in parts:
-        low = prev if symmetric else 0
-        lo = rest - N if rest - N > low else low
-        hi, ihi = (rest // 2, (rest - cap) // 2) if symmetric else (rest, rest - cap)
-        hi = hi if hi < N else N
-        ilo, ihi = low + cap if low + cap > lo else lo, ihi if ihi < hi else hi
+        lo = rest - N if rest - N > prev else prev
+        hi, ihi = (rest // 2 if rest // 2 < N else N), (rest - cap) // 2
+        ilo, ihi = prev + cap if prev + cap > lo else lo, ihi if ihi < hi else hi
         start, shape = code * R * R + rest, shape * base * base
         if ilo <= ihi:
             groups[shape + cap * base + cap].extend(
@@ -85,7 +81,7 @@ def _layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> dict[int, list[
         else:
             edges = range(lo, hi + 1)
         for a in edges:
-            g, gap = a - low, rest - 2 * a if symmetric else rest - a
+            g, gap = a - prev, rest - 2 * a
             groups[shape + (g if g < cap else cap) * base
                    + (gap if gap < cap else cap)].append(start + a * N)
     return groups
@@ -101,18 +97,24 @@ def _index(code: int, d: int, N: int) -> Exponent:
     return tuple(code // (N + 1) ** i % (N + 1) for i in range(d - 1, -1, -1))
 
 
+def _index_text(d: int, N: int):
+    """code -> the index n as a cache line spells it, `n_1,...,n_d`."""
+    R = N + 1
+    powers, digits = [R ** i for i in range(d - 1, -1, -1)], [str(e) for e in range(R)]
+    return lambda code: ",".join([digits[code // p % R] for p in powers])
+
+
 class CoeffBox:
     """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
     with scale (c_0, L, B), B = 0 over Q: layers[t] maps the code of each
-    stored n with |n| = t to v_n; a symmetric box stores the sorted n only."""
+    sorted n with |n| = t to v_n."""
 
     def __init__(self, denom: MultiPoly, N: int, layers: list[dict[int, int]],
-                 symmetric: bool, scale: tuple):
+                 scale: tuple):
         self.denom = denom
         self.dim = denom.dim
         self.N = N
         self.layers = layers
-        self.symmetric = symmetric
         self.scale = scale
         self.ring = "Qlambda" if scale[2] else "Q"
 
@@ -130,7 +132,7 @@ class CoeffBox:
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
-        """Every stored entry as an exact value, built on each read."""
+        """Every stored (sorted) entry as an exact value, built on each read."""
         return {_index(code, self.dim, self.N): self._exact(t, v)
                 for t, layer in enumerate(self.layers) for code, v in layer.items()}
 
@@ -138,9 +140,7 @@ class CoeffBox:
         n = tuple(n)
         if len(n) != self.dim or any(e < 0 or e > self.N for e in n):
             raise IndexError(f"index {n} outside box [0..{self.N}]^{self.dim}")
-        if self.symmetric:
-            n = tuple(sorted(n))
-        return self.value(n)
+        return self.value(tuple(sorted(n)))
 
 
 def _smallest_scale(requirements) -> int:
@@ -211,15 +211,13 @@ def _kernel_scale(p: MultiPoly, N: int) -> tuple:
     return c0, L, B, [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
 
 
-def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
+def expand_reciprocal(p: MultiPoly, N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
-    """Expand 1/p on [0..N]^d.  Requires an invertible constant term."""
+    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant term."""
     if N < 0:
         raise ValueError("box bound must be >= 0")
-    if symmetric is None:
-        symmetric = p.dim > 1 and p.is_symmetric()
-    elif symmetric and not p.is_symmetric():
-        raise ValueError("a symmetric box needs a symmetric denominator")
+    if not p.is_symmetric():
+        raise ValueError("a box needs a symmetric denominator")
     if (N + 1) ** p.dim > entry_limit:
         raise BoxTooLargeError(
             f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
@@ -236,8 +234,7 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
             prev = tuple(map(sub, n, m))
             if min(prev) < 0:
                 continue
-            if symmetric:
-                prev = tuple(sorted(prev))
+            prev = tuple(sorted(prev))
             key = (sum(m), code - _code(prev, N))
             merged[key] = merged.get(key, 0) + w
         return [(k, off, w) for (k, off), w in merged.items() if w]
@@ -246,7 +243,7 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
     layers: list[dict[int, int]] = [{0: 1}]
     for t in range(1, d * N + 1):
         current: dict[int, int] = {}
-        for shape, codes in _layer(d, N, t, symmetric, K).items():
+        for shape, codes in _layer(d, N, t, K).items():
             stencil = stencils.get(shape)
             if stencil is None:
                 stencil = stencils[shape] = compile_stencil(codes[0])
@@ -256,7 +253,7 @@ def expand_reciprocal(p: MultiPoly, N: int, symmetric: Optional[bool] = None,
                 acc = [a - w * prev[c - off] for a, c in zip(acc, codes)]
             current.update(zip(codes, acc))
         layers.append(current)
-    return CoeffBox(p, N, layers, symmetric, (c0, L, B))
+    return CoeffBox(p, N, layers, (c0, L, B))
 
 
 def first_nonpositive(box: CoeffBox, strict: bool = True):
@@ -281,7 +278,7 @@ def first_nonpositive(box: CoeffBox, strict: bool = True):
     for layer in box.layers:
         hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
         if hits:
-            first, n = max((tuple(sorted(n, reverse=True)) if box.symmetric else n, n)
+            first, n = max((tuple(sorted(n, reverse=True)), n)
                            for n in (_index(c, box.dim, box.N) for c in hits))
             return first, box.value(n)
     return None
@@ -293,12 +290,14 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
     and a last line `crc32=` of every byte before it."""
     d, N = box.dim, box.N
     denom = json.dumps(box.denom.to_json(), separators=(",", ":"))
+    index = _index_text(d, N)
     # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
     # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear
     # time.  Within a layer, graded-lex order is descending code order.
-    body = "".join([f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(box.symmetric)}; "
+    # sym=1: sorted orbit representatives only; at d = 1 every orbit is one index
+    body = "".join([f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(d > 1)}; "
                     f"L={box.scale[1]}; B={box.scale[2]}; denom={denom}\n"]
-                   + [f"{','.join(map(str, _index(c, d, N)))}:{layer[c]:x}\n"
+                   + [f"{index(c)}:{layer[c]:x}\n"
                       for layer in box.layers for c in sorted(layer, reverse=True)])
     # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
     # hash that anyone can recompute detects only accidental damage, as a CRC does
@@ -308,14 +307,14 @@ def save_cache(box: CoeffBox, fh: TextIO) -> None:
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
-    Raises ValueError for a v1 file, a missing crc32= trailer (truncated) or
-    a body that does not match it; naming the header field, for a missing or
-    malformed d, N, sym or denom (in d variables, invertible at 0, symmetric
-    when sym=1) and an L or B that is not the kernel's for denom and N; and,
-    naming the line, for an entry count other than (N+1)^d (sym=0) or
-    C(N+d, d) (sym=1: sorted orbit representatives), a malformed entry and
-    an index other than the one the header fixes there: `save_cache` writes
-    the kernel's enumeration of the box, layer by layer in graded-lex order."""
+    Raises ValueError for a v1 file or a full box (sym=0 at d >= 2), both to
+    be re-created, a missing crc32= trailer (truncated) or a body that does
+    not match it; naming the header field, for a missing or malformed d, N,
+    sym or denom (in d variables, symmetric, invertible at 0) and an L or B
+    that is not the kernel's for denom and N; and, naming the line, for an
+    entry count other than C(N+d, d), a malformed entry and an index other
+    than the one the header fixes there: `save_cache` writes the kernel's
+    enumeration of the box, layer by layer in graded-lex order."""
     text = fh.read()
     if text.startswith("diagonalis-box v1;"):
         raise ValueError("cache format v1 is no longer read; "
@@ -340,32 +339,34 @@ def load_cache(fh: TextIO) -> CoeffBox:
 
     dim = field("d", int)
     N = field("N", int)
-    symmetric = field("sym", {"0": False, "1": True}.__getitem__)
+    sym = field("sym", {"0": 0, "1": 1}.__getitem__)
     denom = field("denom", lambda s: MultiPoly.from_json(json.loads(s)))
+    if dim > 1 and not sym:
+        raise ValueError("a full-box cache (sym=0) is no longer read; "
+                         "re-create it with expand --cache")
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
     if denom.dim != dim:
         raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
-    if symmetric and not denom.is_symmetric():
+    if not denom.is_symmetric():
         raise ValueError("cache header: sym=1 but denom is not symmetric")
-    expected = math.comb(N + dim, dim) if symmetric else (N + 1) ** dim
+    expected = math.comb(N + dim, dim)
     if len(lines) != expected:  # before the loop: a forged huge N never enumerates
         raise ValueError(f"line {len(lines) + 1}: cache ends after {len(lines)} "
-                         f"entries; expected {expected} for sym={int(symmetric)}")
+                         f"entries; expected {expected} for sym={sym}")
     # line by line, the indices `save_cache` writes: each layer's codes in
     # descending order (the cap only groups them)
-    R, entries = N + 1, iter(enumerate(lines, 2))
-    powers, digits = [R ** i for i in range(dim - 1, -1, -1)], [str(e) for e in range(R)]
+    index, entries = _index_text(dim, N), iter(enumerate(lines, 2))
     layers: list[dict[int, int]] = [{} for _ in range(dim * N + 1)]
     for t, layer in enumerate(layers):
-        codes = chain.from_iterable(_layer(dim, N, t, symmetric, 1).values())
+        codes = chain.from_iterable(_layer(dim, N, t, 1).values())
         for code, (lineno, line) in zip(sorted(codes, reverse=True), entries):
             try:
                 idx_s, v_s = line.split(":")
                 layer[code] = int(v_s, 16)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
-            want = ",".join([digits[code // p % R] for p in powers])
+            want = index(code)
             if idx_s != want:
                 raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
     # after the count check, so that a forged huge N never reaches W^(dN)
@@ -377,4 +378,4 @@ def load_cache(fh: TextIO) -> CoeffBox:
         if meta.get(key) != str(want):
             raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
                              f"give {key}={want}")
-    return CoeffBox(denom, N, layers, symmetric, (c0, L, B))
+    return CoeffBox(denom, N, layers, (c0, L, B))

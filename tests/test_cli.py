@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import diagonalis
-from diagonalis import cli
+from diagonalis import cli, geometry
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 from diagonalis.sequences import binomial_oracle
 
@@ -300,13 +300,21 @@ def test_geometry_bisect(capsys):
     assert lo != hi
 
 
-def test_geometry_bisect_searches_upward_from_b_lo(capsys):
+def test_geometry_bisect_searches_upward_from_b_lo(capsys, monkeypatch):
     # the boxes at b = 2, 3, 4 are positive and the one at 5 is not, so the
-    # halving starts from [2, 5] and moves lo up three times
+    # halving starts from [4, 5], the last step of the climb, and takes one box
+    boxes = []
+
+    def counted(p, N):
+        boxes.append(p)
+        return expand(p, N)
+    expand = geometry.expand_reciprocal
+    monkeypatch.setattr(geometry, "expand_reciprocal", counted)
     code, out = run(capsys, "geometry", "bisect", "--N", "2", "--prec", "1/2",
                     "--b-lo", "2", "--format", "json")
     assert code == 0
-    assert json.loads(out)["threshold_interval"] == ["37/8", "5"]
+    assert json.loads(out)["threshold_interval"] == ["9/2", "5"]
+    assert len(boxes) == 5
 
 
 def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from diagonalis.exactalg import UniPoly, plain
-from diagonalis.family import (CATALOG_NAMES, FamilySpec, canonicalize,
+from diagonalis.family import (_FAMILIES, FamilySpec, canonicalize,
                                make_family, named_instance)
 from diagonalis.sequences import extract_diagonal
 from diagonalis.seriesbox import expand_reciprocal
@@ -88,7 +88,7 @@ def test_denominator_matches_coefficients():
 
 
 def test_catalog_names_resolve():
-    for name in CATALOG_NAMES:
+    for name in _FAMILIES:
         params = {}
         if name == "hab":
             params = {"a": 0, "b": 1}

@@ -42,12 +42,12 @@ def test_locus_4d_nonmember_and_relation():
 
 
 def test_sturm_no_positive_root_for_b5():
-    assert sturm_isolate(UniPoly([1, -3, 0, 5]), "positive") == []
+    assert sturm_isolate(UniPoly([1, -3, 0, 5])) == []
 
 
 def test_sturm_two_positive_roots_for_b3():
     p = UniPoly([1, -3, 0, 3])
-    roots = sturm_isolate(p, "positive")
+    roots = sturm_isolate(p)
     assert len(roots) == 2
     # oracle: sign changes on a rational grid
     grid = [F(k, 10) for k in range(0, 21)]
@@ -59,32 +59,29 @@ def test_sturm_two_positive_roots_for_b3():
 
 
 def test_sturm_sqrt2_pair():
-    roots = sturm_isolate(UniPoly([-2, 0, 1]), "all")
-    assert len(roots) == 2
-    assert roots[0].hi <= roots[1].lo
-    assert roots[0].lo < -1 < roots[0].hi or roots[0].hi <= -1
+    # of the pair -sqrt(2), sqrt(2) only the positive root is isolated
+    roots = sturm_isolate(UniPoly([-2, 0, 1]))
+    assert len(roots) == 1
+    assert 0 <= roots[0].lo and roots[0].lo ** 2 < 2 <= roots[0].hi ** 2
 
 
 def test_sturm_multiplicity():
-    # (x-1)^2 (x+2)
+    # (x-1)^2 (x+2): the simple root -2 lies outside (0, inf)
     p = UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([2, 1])
-    roots = sturm_isolate(p, "all")
-    assert sorted(r.multiplicity for r in roots) == [1, 2]
+    assert [r.multiplicity for r in sturm_isolate(p)] == [2]
     # (x-1)^3 (x+2): a triple root
-    roots = sturm_isolate(UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]), "all")
-    assert [r.multiplicity for r in roots] == [1, 3]
-    assert roots[1].lo < 1 <= roots[1].hi
+    roots = sturm_isolate(UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]))
+    assert [r.multiplicity for r in roots] == [3]
+    assert roots[0].lo < 1 <= roots[0].hi
     # x^2 (x-1): the double root at 0 lies outside (0, inf)
-    p = UniPoly.x() ** 2 * UniPoly([-1, 1])
-    assert [r.multiplicity for r in sturm_isolate(p, "all")] == [2, 1]
-    roots = sturm_isolate(p, "positive")
+    roots = sturm_isolate(UniPoly.x() ** 2 * UniPoly([-1, 1]))
     assert [r.multiplicity for r in roots] == [1]
     assert roots[0].lo < 1 <= roots[0].hi
 
 
-# Oracle: isolation by the square-free route over the `Fraction` polynomials,
-# with the monic square-free part from a Euclid gcd and a fresh Sturm chain
-# for each interval and level.
+# Oracle: isolation of the positive roots by the square-free route over the
+# `Fraction` polynomials, with the monic square-free part from a Euclid gcd and a
+# fresh Sturm chain for each interval and level.
 
 def _monic(p):
     return p / p.leading_coefficient()
@@ -114,14 +111,14 @@ def _distinct_roots(chain, lo, hi):
     return variations(lo) - variations(hi)
 
 
-def _squarefree_isolate(p, domain):
+def _squarefree_isolate(p):
     p = FractionUniPoly(p.coeffs)
     sq = _squarefree(p)
     if sq.degree < 1:
         return []
     chain = _plain_chain(sq)
     B = 1 + max(abs(c) for c in sq.coeffs) / abs(sq.leading_coefficient())
-    intervals, stack = [], [(F(0) if domain == "positive" else -B, B)]
+    intervals, stack = [], [(F(0), B)]
     while stack:
         lo, hi = stack.pop()
         k = _distinct_roots(chain, lo, hi)
@@ -154,8 +151,7 @@ def test_sturm_isolate_matches_the_squarefree_route(factors, scale):
     p = UniPoly.const(scale)
     for f, m in factors:
         p = p * f ** m
-    for domain in ("all", "positive"):
-        assert sturm_isolate(p, domain) == _squarefree_isolate(p, domain)
+    assert sturm_isolate(p) == _squarefree_isolate(p)
 
 
 def test_one_sturm_chain_per_gcd_level(monkeypatch):
@@ -166,20 +162,18 @@ def test_one_sturm_chain_per_gcd_level(monkeypatch):
         return real(p)
     real = geometry._sturm_chain
     monkeypatch.setattr(geometry, "_sturm_chain", counted)
-    assert len(sturm_isolate(UniPoly([1, -3, 0, 3]), "all")) == 3
+    assert len(sturm_isolate(UniPoly([1, -3, 0, 3]))) == 2
     assert len(calls) == 1
     calls.clear()
     # (x-1)^3 (x+2)^2: levels p, (x-1)^2 (x+2) and x-1 up to constants
     p = UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]) ** 2
-    assert [r.multiplicity for r in sturm_isolate(p, "all")] == [2, 3]
+    assert [r.multiplicity for r in sturm_isolate(p)] == [3]
     assert [q.degree for q in calls] == [5, 3, 1]
 
 
 def test_sturm_rejects_zero():
     with pytest.raises(ValueError):
-        sturm_isolate(UniPoly(), "all")
-    with pytest.raises(ValueError):
-        sturm_isolate(UniPoly([1, 1]), "negative")
+        sturm_isolate(UniPoly())
 
 
 def test_cubic_discriminant_b_identity():
@@ -344,7 +338,7 @@ def test_asymptotic_ratio_smoke():
 
 
 def test_box_positivity_bisect_small():
-    lo, hi = box_positivity_bisect(4, F(1, 4))
+    lo, hi = box_positivity_bisect(4, F(1, 4), 4, False)
     assert 4 <= lo < hi
     assert hi - lo <= F(1, 4)
 
@@ -355,4 +349,4 @@ def test_box_positivity_bisect_rejects_nonpositive_prec(monkeypatch):
     monkeypatch.setattr(geometry, "expand_reciprocal", no_box)
     for prec in (0, F(-1, 64)):
         with pytest.raises(ValueError, match="precision must be positive"):
-            box_positivity_bisect(4, prec)
+            box_positivity_bisect(4, prec, 4, False)

@@ -255,7 +255,8 @@ def test_one_runner_extends_and_resumes_the_seed(rec_upto, init, data):
     ext = recurrence_extend(rec, init[:r], upto)
     assert len(ext) == upto + 1 and ext[:r] == tuple(init[:r])
     assert recurrence_check(rec, ext) is None
-    seed = recurrence_seed(rec, upto, init[0])
+    # the seed starts from u_0 = 1; the recurrence is linear, so scale it to init[0]
+    seed = tuple(init[0] * u for u in recurrence_seed(rec, upto))
     # the seed also solves the instances n < 0, read with u_k = 0 for k < 0
     assert all(sum(rec.coeffs[j](n) * seed[n + j] for j in range(-n, r + 1)) == 0
                for n in range(1 - r, 0))

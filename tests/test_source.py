@@ -1,5 +1,7 @@
-"""Checks on the source of `diagonalis` itself: every definition is reached
-from the package, and nothing in it computes in floating point."""
+"""Checks on the source of `diagonalis` itself: every definition and
+module-level name is reached from the package, every defaulted parameter
+takes more than one value there, and nothing in it computes in floating
+point."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,12 @@ OUTSIDE_READERS = {
     "seriesbox.CoeffBox.data": "perfbench/spans.py: box_stats reads it",
     "uniseries.UniSeries.log": "perfbench/spans.py: METHODS names it",
     "cli._Parser.error": "argparse: ArgumentParser calls it on a usage error",
+    "__init__.__version__": "users: the package's version, as pyproject.toml gives it",
+}
+
+# defaulted parameters that code outside the package sets, each with its setter
+OUTSIDE_VALUES = {
+    "cli.main(argv)": "the console script omits it; perfbench and the tests pass it",
 }
 
 EXACT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "prod"}
@@ -79,8 +87,106 @@ def test_every_definition_is_reached():
 
 
 def test_outside_readers_name_existing_definitions():
-    missing = set(OUTSIDE_READERS) - {qual for qual, *_ in _definitions()}
+    known = {qual for qual, *_ in _definitions()} | {qual for qual, *_ in _module_names()}
+    missing = set(OUTSIDE_READERS) - known
     assert not missing, "no such definition: " + ", ".join(sorted(missing))
+
+
+def _module_names():
+    """(module.name, name, module, first line, last line) of every name a
+    module assigns at its top level."""
+    return [(f"{module}.{target.id}", target.id, module, node.lineno, node.end_lineno)
+            for module, tree in TREES.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)]
+
+
+def test_every_module_name_is_read():
+    refs = _references()
+    unread = [qual for qual, name, module, lo, hi in _module_names()
+              if qual not in OUTSIDE_READERS
+              and not any(n == name and not (m == module and lo <= line <= hi)
+                          for n, _, m, line in refs)]
+    assert not unread, "read by nothing in src: " + ", ".join(unread)
+
+
+def _one_value_parameters() -> list[str]:
+    """`function(parameter)` for every defaulted parameter of a function or
+    method that `src` gives one value only: every call omits it, or every call
+    passes the same constant.  A call of a class counts for its __init__; a
+    method is called through an attribute, so its first parameter is bound.  A
+    non-constant argument, a call with *args or **kwargs, and any reference
+    to the function other than a call (it escapes as a value) count as many
+    values."""
+    funcs = []  # (qualified name, name, parameters past the bound one, defaults)
+
+    def walk(node, owner, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [x.arg for x in a.posonlyargs + a.args]
+                defaults = dict(zip(params[len(params) - len(a.defaults):], a.defaults))
+                defaults.update((x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+                bound = in_class and not any(getattr(d, "id", None) == "staticmethod"
+                                             for d in child.decorator_list)
+                name = owner.rpartition(".")[2] if child.name == "__init__" else child.name
+                funcs.append((f"{owner}.{child.name}", name, params[bound:], defaults))
+                walk(child, f"{owner}.{child.name}", False)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{owner}.{child.name}", True)
+            else:
+                walk(child, owner, in_class)
+
+    for module, tree in TREES.items():
+        walk(tree, module, False)
+    calls, escapes = {}, set()
+    for tree in TREES.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+                callees.add(id(func))
+        escapes |= {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees}
+
+    def constant(expr):
+        try:
+            return repr(ast.literal_eval(expr))
+        except (ValueError, TypeError, SyntaxError):
+            return None
+
+    found = []
+    for qual, name, params, defaults in funcs:
+        if name in escapes:
+            continue
+        for param, default in defaults.items():
+            values = set()
+            for call in calls.get(name, []):
+                given = [k.value for k in call.keywords if k.arg == param]
+                pos = params.index(param) if param in params else len(call.args)
+                starred = any(isinstance(x, ast.Starred) for x in call.args[:pos + 1])
+                if given or pos < len(call.args):
+                    values.add(None if starred else constant(
+                        given[0] if given else call.args[pos]))
+                elif starred or any(k.arg is None for k in call.keywords):
+                    values.add(None)
+                else:
+                    values.add(constant(default) or "default " + ast.unparse(default))
+            if None not in values and len(values) < 2:  # None: many values
+                found.append(f"{qual}({param})")
+    return found
+
+
+def test_every_defaulted_parameter_takes_two_values():
+    one = _one_value_parameters()
+    knobs = [p for p in one if p not in OUTSIDE_VALUES]
+    assert not knobs, "src gives each one value only, so none is a parameter: " + ", ".join(knobs)
+    stale = set(OUTSIDE_VALUES) - set(one)
+    assert not stale, "src itself gives these more than one value: " + ", ".join(sorted(stale))
 
 
 def test_arithmetic_is_exact():

@@ -8,8 +8,9 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, extract_diagonal,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed)
-from .seriesbox import (CoeffBox, expand_reciprocal, first_nonpositive,
-                        load_cache, save_cache)
+from .seriesbox import (CoeffBox, expand_layers, expand_reciprocal,
+                        first_nonpositive, load_cache, save_cache,
+                        streamed_first_nonpositive)
 from .uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
                         recurrence_to_frobenius, theta_hexagonal,
                         verify_series_identity)

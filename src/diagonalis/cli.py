@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -31,7 +32,8 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
-                        first_nonpositive, load_cache, save_cache)
+                        first_nonpositive, load_cache, save_cache,
+                        streamed_first_nonpositive)
 
 
 _PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
@@ -89,22 +91,28 @@ def _fmt_index(n) -> str:
 
 def cmd_expand(args) -> int:
     fam = _resolve_family(args)
-    if args.non_strict and (fam.has_lambda() or not args.check_positive):
+    lam = fam.has_lambda()
+    if args.non_strict and (lam or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
-    box = expand_reciprocal(fam.denominator(), args.N, entry_limit=_entry_limit(args))
-    report = {"family": fam, "N": args.N, "entries": (box.N + 1) ** box.dim,
-              "entries_stored": sum(map(len, box.layers)), "ring": box.ring}
+    p, strict, limit = fam.denominator(), not args.non_strict, _entry_limit(args)
+    if args.check_positive and not args.cache:
+        # stops at the first layer with a hit, holding deg(p) + 1 layers
+        hit = streamed_first_nonpositive(p, args.N, strict, entry_limit=limit)
+    else:  # the cache needs every entry
+        box = expand_reciprocal(p, args.N, entry_limit=limit)
+        hit = first_nonpositive(box, strict=strict) if args.check_positive else None
+    report = {"family": fam, "N": args.N, "entries": (args.N + 1) ** p.dim,
+              "entries_stored": math.comb(args.N + p.dim, p.dim),
+              "ring": "Qlambda" if lam else "Q"}
     status = 0
     if args.check_positive:
-        hit = first_nonpositive(box, strict=not args.non_strict)
-        lam = box.ring == "Qlambda"
         if hit is None and lam:
             report["check"] = (f"all lambda-coefficients in [0..{args.N}]^"
-                               f"{box.dim} have nonnegative coefficients")
+                               f"{p.dim} have nonnegative coefficients")
         elif hit is None:
             word = "nonpositive" if not args.non_strict else "negative"
-            report["check"] = f"no {word} coefficient in [0..{args.N}]^{box.dim}"
+            report["check"] = f"no {word} coefficient in [0..{args.N}]^{p.dim}"
         else:
             n, c = hit
             report["check"] = ("flagged " if lam else "") + f"{_fmt_index(n)} -> {c}"

@@ -221,14 +221,25 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         return binary_power(self, k, UniPoly.const(1))
 
-    def __call__(self, x: RatLike) -> Fraction:
-        """Value at a/b by homogeneous Horner on integers: the sum of
-        c_i a^i b^(k-i) for degree k, divided once at the end."""
+    def _horner(self, x: RatLike) -> tuple[int, int, int]:
+        """(h, b, b^(k+1)) at x = a/b, b > 0, for degree k, with h the sum of
+        c_i a^i b^(k-i) over the numerators c_i: the value is h b / (den b^(k+1))."""
         a, b = (x if isinstance(x, (int, Fraction)) else rat(x)).as_integer_ratio()
         acc, bk = 0, 1
         for c in reversed(self.nums):
             acc, bk = acc * a + c * bk, bk * b
+        return acc, b, bk
+
+    def __call__(self, x: RatLike) -> Fraction:
+        """Value at a/b by homogeneous Horner on integers, divided once at the end."""
+        acc, b, bk = self._horner(x)
         return Fraction(acc * b, self.den * bk)
+
+    def sign_at(self, x: RatLike) -> int:
+        """The sign -1, 0 or 1 of the value at x, read off the Horner sum
+        with no division, since b and den are positive."""
+        acc = self._horner(x)[0]
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "UniPoly":
         return UniPoly.from_nums([i * c for i, c in enumerate(self.nums)][1:], self.den)

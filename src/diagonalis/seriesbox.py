@@ -18,8 +18,11 @@ coordinate capped at the largest exponent K of p (the zero pattern for
 p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape;
 each shape is compiled once per call into a stencil of (lag, offset,
 weight) terms, and a group is swept once per term, all its codes at once.
-`CoeffBox.layers[t]` is the kernel's dict code -> v_n for layer t; the
-exact u_n, a `Fraction` or `UniPoly`, is built only when an entry is read.
+`expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
+is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads, so
+a positivity scan can stop at the first layer with a hit;
+`CoeffBox.layers[t]` keeps every layer.  The exact u_n, a `Fraction` or
+`UniPoly`, is built only when an entry is read.
 
 The denominator must be symmetric, so u_n depends only on the orbit of n:
 a box stores the sorted representative of each index orbit, whose shape is
@@ -104,6 +107,15 @@ def _index_text(d: int, N: int):
     return lambda code: ",".join([digits[code // p % R] for p in powers])
 
 
+def _exact(scale: tuple, t: int, v: int) -> Coeff:
+    """The exact coefficient v / (c_0 * L^t) of a kernel integer v in layer t."""
+    c0, L, B = scale
+    den = c0.numerator * L ** t
+    if B:
+        return UniPoly.from_nums([c * c0.denominator for c in _unpack(v, B)], den)
+    return Fraction(v * c0.denominator, den)
+
+
 class CoeffBox:
     """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
     with scale (c_0, L, B), B = 0 over Q: layers[t] maps the code of each
@@ -118,22 +130,14 @@ class CoeffBox:
         self.scale = scale
         self.ring = "Qlambda" if scale[2] else "Q"
 
-    def _exact(self, t: int, v: int) -> Coeff:
-        """The exact coefficient v / (c_0 * L^t)."""
-        c0, L, B = self.scale
-        den = c0.numerator * L ** t
-        if B:
-            return UniPoly.from_nums([c * c0.denominator for c in _unpack(v, B)], den)
-        return Fraction(v * c0.denominator, den)
-
     def value(self, n: Exponent) -> Coeff:
         """The exact coefficient v_n / (c_0 * L^|n|) at a stored index n."""
-        return self._exact(sum(n), self.layers[sum(n)][_code(n, self.N)])
+        return _exact(self.scale, sum(n), self.layers[sum(n)][_code(n, self.N)])
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
         """Every stored (sorted) entry as an exact value, built on each read."""
-        return {_index(code, self.dim, self.N): self._exact(t, v)
+        return {_index(code, self.dim, self.N): _exact(self.scale, t, v)
                 for t, layer in enumerate(self.layers) for code, v in layer.items()}
 
     def coefficient_at(self, n) -> Coeff:
@@ -211,9 +215,11 @@ def _kernel_scale(p: MultiPoly, N: int) -> tuple:
     return c0, L, B, [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
 
 
-def expand_reciprocal(p: MultiPoly, N: int,
-                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
-    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant term."""
+def expand_layers(p: MultiPoly, N: int, entry_limit: int):
+    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant
+    term: yield the scale (c_0, L, B), then (t, layers[t]) for t = 0..dN.
+    Only the deg(p) + 1 layers t - deg(p) .. t that the kernel reads are
+    held; an earlier one is dropped once it is yielded and no longer read."""
     if N < 0:
         raise ValueError("box bound must be >= 0")
     if not p.is_symmetric():
@@ -223,8 +229,10 @@ def expand_reciprocal(p: MultiPoly, N: int,
             f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
             f"limit {entry_limit}")
     c0, L, B, weights = _kernel_scale(p, N)
+    yield c0, L, B
     d = p.dim
     K = max((max(m) for m, _ in weights), default=1)
+    deg = max((sum(m) for m, _ in weights), default=0)  # deg(p)
 
     def compile_stencil(code: int) -> list:
         """Merged (layer lag, code offset, weight) triples for a shape."""
@@ -240,8 +248,11 @@ def expand_reciprocal(p: MultiPoly, N: int,
         return [(k, off, w) for (k, off), w in merged.items() if w]
 
     stencils: dict[int, list] = {}
-    layers: list[dict[int, int]] = [{0: 1}]
+    layers: list = [{0: 1}]  # layers[t - k] for 1 <= k <= deg; None below them
+    yield 0, layers[0]
     for t in range(1, d * N + 1):
+        if t > deg:
+            layers[t - deg - 1] = None
         current: dict[int, int] = {}
         for shape, codes in _layer(d, N, t, K).items():
             stencil = stencils.get(shape)
@@ -253,35 +264,60 @@ def expand_reciprocal(p: MultiPoly, N: int,
                 acc = [a - w * prev[c - off] for a, c in zip(acc, codes)]
             current.update(zip(codes, acc))
         layers.append(current)
-    return CoeffBox(p, N, layers, (c0, L, B))
+        yield t, current
 
 
-def first_nonpositive(box: CoeffBox, strict: bool = True):
-    """(index, coefficient) at the graded-lex-first index of the full box
-    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
-    only), whose coefficient is not a nonzero polynomial with coefficients >= 0."""
-    c0, _, B = box.scale
+def expand_reciprocal(p: MultiPoly, N: int,
+                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
+    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant
+    term, keeping every layer."""
+    layers = expand_layers(p, N, entry_limit)
+    scale = next(layers)
+    return CoeffBox(p, N, [layer for _, layer in layers], scale)
+
+
+def _scan(layers, scale: tuple, d: int, N: int, strict: bool):
+    """(index, coefficient) at the graded-lex-first flagged index of the
+    layers (t, layers[t]), taken in order of t, or None; it reads no layer
+    past the first with a hit."""
+    c0, _, B = scale
     if B and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
     # u_n = v_n / (c_0 L^|n|) has the sign of s * v_n, s = sign(c_0).  Over
     # Q[lambda], the lambda-coefficients of u_n times |c_0| L^|n| are the
     # balanced base-2^B digits of s * v_n, each of absolute value < 2^(B-1).
     # They are all >= 0 iff they are also its plain base-2^B digits, i.e. iff
-    # s * v_n >= 0 and no digit has its top bit (`mask`) set.
+    # s * v_n >= 0 and no digit has its top bit (`mask`) set; the mask covers
+    # every digit of the layer's widest value.
     s, lo = (1 if c0 > 0 else -1), (1 if strict else 0)
-    top = max(max(map(abs, layer.values())) for layer in box.layers
-              ).bit_length() // B + 1 if B else 0
-    mask = sum(1 << (B * i + B - 1) for i in range(top))
-    # grlex order puts the total degree first, so the first layer with a hit
-    # holds the answer: its lex-largest index, taking for a stored orbit
-    # representative its descending rearrangement
-    for layer in box.layers:
+    for t, layer in layers:
+        top = max(map(abs, layer.values())).bit_length() // B + 1 if B else 0
+        mask = sum(1 << (B * i + B - 1) for i in range(top))
         hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
         if hits:
-            first, n = max((tuple(sorted(n, reverse=True)), n)
-                           for n in (_index(c, box.dim, box.N) for c in hits))
-            return first, box.value(n)
+            # grlex order puts the total degree first, so the first layer with
+            # a hit holds the answer: its lex-largest index, taking for a
+            # stored orbit representative its descending rearrangement
+            first, code = max((tuple(sorted(_index(c, d, N), reverse=True)), c)
+                              for c in hits)
+            return first, _exact(scale, t, layer[code])
     return None
+
+
+def first_nonpositive(box: CoeffBox, strict: bool = True):
+    """(index, coefficient) at the graded-lex-first index of the full box
+    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
+    only), whose coefficient is not a nonzero polynomial with coefficients >= 0."""
+    return _scan(enumerate(box.layers), box.scale, box.dim, box.N, strict)
+
+
+def streamed_first_nonpositive(p: MultiPoly, N: int, strict: bool,
+                               entry_limit: int = DEFAULT_ENTRY_LIMIT):
+    """`first_nonpositive(expand_reciprocal(p, N, entry_limit), strict)`,
+    expanding only up to the first layer with a hit and holding deg(p) + 1
+    layers at a time."""
+    layers = expand_layers(p, N, entry_limit)
+    return _scan(layers, next(layers), p.dim, N, strict)
 
 
 def save_cache(box: CoeffBox, fh: TextIO) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import diagonalis
-from diagonalis import cli, geometry
+from diagonalis import cli, seriesbox
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 from diagonalis.sequences import binomial_oracle
 
@@ -303,13 +303,14 @@ def test_geometry_bisect(capsys):
 def test_geometry_bisect_searches_upward_from_b_lo(capsys, monkeypatch):
     # the boxes at b = 2, 3, 4 are positive and the one at 5 is not, so the
     # halving starts from [4, 5], the last step of the climb, and takes one box
+    # each box is one streamed expansion
     boxes = []
 
-    def counted(p, N):
+    def counted(p, N, entry_limit):
         boxes.append(p)
-        return expand(p, N)
-    expand = geometry.expand_reciprocal
-    monkeypatch.setattr(geometry, "expand_reciprocal", counted)
+        return expand(p, N, entry_limit)
+    expand = seriesbox.expand_layers
+    monkeypatch.setattr(seriesbox, "expand_layers", counted)
     code, out = run(capsys, "geometry", "bisect", "--N", "2", "--prec", "1/2",
                     "--b-lo", "2", "--format", "json")
     assert code == 0
@@ -415,12 +416,59 @@ _REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, text, data", _REPORTS,
-                         ids=[" ".join(r[0]) for r in _REPORTS])
-def test_report_bytes_are_pinned(capsys, argv, text, data):
-    assert run(capsys, *argv) == (0, text)
+# flagged checks exit 1; the first stops at layer 17 of 90, the second writes
+# the whole box, with the bytes of `test_cache_bytes_are_pinned`'s hab-failing
+_FLAGGED_REPORTS = [
+    (["expand", "--family", "hab", "--a", "1/4", "--b", "21/8", "--N", "30",
+      "--check-positive"],
+     "family: {'dim': 3, 'coeffs': ['1', '-1', '1/4', '21/8'], 'name': 'hab'}\n"
+     "N: 30\n"
+     "entries: 29791\n"
+     "entries_stored: 5456\n"
+     "ring: Q\n"
+     "check: (7,5,5) -> -1036245/65536\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["1", "-1", "1/4", "21/8"], "name": "hab"},
+      "N": 30,
+      "entries": 29791,
+      "entries_stored": 5456,
+      "ring": "Q",
+      "check": "(7,5,5) -> -1036245/65536"}),
+    (["expand", "--family", "hab", "--a", "1/4", "--b", "23/8", "--N", "12",
+      "--check-positive", "--cache", "flagged.box"],
+     "family: {'dim': 3, 'coeffs': ['1', '-1', '1/4', '23/8'], 'name': 'hab'}\n"
+     "N: 12\n"
+     "entries: 2197\n"
+     "entries_stored: 455\n"
+     "ring: Q\n"
+     "check: (3,3,2) -> -23/256\n"
+     "cache: ./flagged.box\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["1", "-1", "1/4", "23/8"], "name": "hab"},
+      "N": 12,
+      "entries": 2197,
+      "entries_stored": 455,
+      "ring": "Q",
+      "check": "(3,3,2) -> -23/256",
+      "cache": "./flagged.box"}),
+]
+_CACHE_TRAILERS = {"flagged.box": "\ncrc32=fbb156c8\n"}
+
+
+@pytest.mark.parametrize("argv, code, text, data",
+                         [(r[0], 0, *r[1:]) for r in _REPORTS]
+                         + [(r[0], 1, *r[1:]) for r in _FLAGGED_REPORTS],
+                         ids=[" ".join(r[0]) for r in _REPORTS + _FLAGGED_REPORTS])
+def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, code, text, data):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIAGONALIS_CACHE", raising=False)
     # the JSON report is this object at indent 2, keys in this order
-    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
+    for fmt, want in ((), text), (("--format", "json"), json.dumps(data, indent=2) + "\n"):
+        assert run(capsys, *argv, *fmt) == (code, want)
+        for name, trailer in _CACHE_TRAILERS.items():
+            if name in argv:
+                assert (tmp_path / name).read_text().endswith(trailer)
+                (tmp_path / name).unlink()
 
 
 @pytest.mark.parametrize("argv", [

@@ -168,6 +168,7 @@ def test_integer_unipoly_matches_the_fraction_oracle(a, b, x):
     assert p.content() == P.content()
     assert p.leading_coefficient() == P.leading_coefficient()
     assert p(x) == P(x) and p(3) == P(3)
+    assert p.sign_at(x) == (P(x) > 0) - (P(x) < 0)
     assert p.to_json() == P.to_json()
     assert repr(p) == repr(P).replace("FractionUniPoly", "UniPoly")
     assert (p == x) == (P == x) and (p == q) == (P == Q)
@@ -214,6 +215,7 @@ def test_unipoly_arithmetic_builds_no_fraction(monkeypatch):
               lambda: p ** 3, lambda: UniPoly([1, 2]) + 1):
         assert made(f) == 0
     assert made(lambda: p(3)) == made(lambda: p(x)) == 1
+    assert made(lambda: p.sign_at(x)) == 0
 
 
 @pytest.mark.parametrize("value", [3, F(3, 4), F(-2), 0])

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagonalis import geometry
+from diagonalis import geometry, seriesbox
 from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
@@ -152,6 +152,16 @@ def test_sturm_isolate_matches_the_squarefree_route(factors, scale):
     for f, m in factors:
         p = p * f ** m
     assert sturm_isolate(p) == _squarefree_isolate(p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.fractions(-9, 9, max_denominator=6), max_size=5)
+                .map(UniPoly), max_size=6),
+       st.fractions(min_value=-6, max_value=6, max_denominator=12))
+def test_variations_read_signs_as_fraction_values_do(chain, x):
+    # the oracle evaluates each member to a Fraction and reads its sign
+    signs = [v > 0 for v in (FractionUniPoly(q.coeffs)(x) for q in chain) if v]
+    assert geometry._variations(chain, x) == sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def test_one_sturm_chain_per_gcd_level(monkeypatch):
@@ -346,7 +356,7 @@ def test_box_positivity_bisect_small():
 def test_box_positivity_bisect_rejects_nonpositive_prec(monkeypatch):
     def no_box(*args, **kwargs):
         raise AssertionError("a box was expanded before prec was checked")
-    monkeypatch.setattr(geometry, "expand_reciprocal", no_box)
+    monkeypatch.setattr(seriesbox, "expand_layers", no_box)
     for prec in (0, F(-1, 64)):
         with pytest.raises(ValueError, match="precision must be positive"):
             box_positivity_bisect(4, prec, 4, False)

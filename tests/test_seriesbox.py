@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import zlib
 from fractions import Fraction as F
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagonalis import exactalg, seriesbox
+from diagonalis.cli import main
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
 from diagonalis.multipoly import MultiPoly, grlex_key, symmetric_denominator
 from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
-                                  _unpack, expand_reciprocal, first_nonpositive,
-                                  load_cache, save_cache)
+                                  _unpack, expand_layers, expand_reciprocal,
+                                  first_nonpositive, load_cache, save_cache,
+                                  streamed_first_nonpositive)
 from oracles import scale_variables, substitute_zero
 
 
@@ -179,6 +182,100 @@ def test_lambda_check_flags_graded_lex_first_of_full_box():
     lam = UniPoly.x()
     p = symmetric_denominator([UniPoly.const(1), -(lam - 1), 0, 0])
     assert first_nonpositive(expand_reciprocal(p, 2)) == ((1, 0, 0), lam - 1)
+
+
+def _same_scan(p, N, strict=True):
+    """The streamed check returns what the scan of the collected box returns."""
+    hit = streamed_first_nonpositive(p, N, strict)
+    assert hit == first_nonpositive(expand_reciprocal(p, N), strict)
+    return hit
+
+
+_eighths = st.integers(-40, 40).map(lambda k: F(k, 8))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_eighths, _eighths, st.booleans())
+@example(F(1, 4), F(23, 8), True)  # flagged at (3,3,2) from N = 8 on
+def test_streamed_check_matches_the_box_scan_on_hab(a, b, strict):
+    _same_scan(named_instance("hab", a=a, b=b).denominator(), 8, strict)
+
+
+@settings(deadline=None, max_examples=15)
+@given(_eighths, st.booleans())
+@example(F(-1, 8), True)  # positive
+@example(F(9, 2), False)  # flagged at (4,1,1,1), in the last layer but one
+def test_streamed_check_matches_the_box_scan_on_h0b(b, strict):
+    _same_scan(named_instance("h0b", b=b).denominator(), 4, strict)
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 2).flatmap(
+           lambda d: st.tuples(st.lists(_coeff, min_size=d, max_size=d),
+                               _coeff.filter(bool))),
+       st.integers(0, 9), st.booleans())
+def test_streamed_check_matches_the_box_scan_on_coeffs(rest_c0, N, strict):
+    rest, c0 = rest_c0
+    _same_scan(symmetric_denominator([c0, *rest]), N, strict)
+
+
+@pytest.mark.parametrize("N", [1, 4, 8, 12])
+def test_streamed_check_matches_the_box_scan_on_straub_lambda(N):
+    assert _same_scan(named_instance("StraubLambda").denominator(), N) is None
+
+
+_lam_coeff = st.lists(st.integers(-2, 2), max_size=3).map(UniPoly)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_lam_coeff, _lam_coeff, st.integers(0, 5))
+def test_streamed_check_matches_the_box_scan_over_q_lambda(c1, c2, N):
+    _same_scan(symmetric_denominator([UniPoly.const(1), c1, c2]), N)
+
+
+def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
+    # 1/(1 + x + y) is flagged at (1,0): layers 0 and 1 are drawn, no more
+    drawn = []
+
+    def counted(p, N, entry_limit):
+        layers = expand(p, N, entry_limit)
+        yield next(layers)
+        for t, layer in layers:
+            drawn.append(t)
+            yield t, layer
+    expand = seriesbox.expand_layers
+    monkeypatch.setattr(seriesbox, "expand_layers", counted)
+    assert main(["expand", "--coeffs", "1,1,0", "--N", "3", "--check-positive"]) == 1
+    assert "check: (1,0) -> -1\n" in capsys.readouterr().out
+    assert drawn == [0, 1]
+
+
+def test_expand_layers_yields_the_scale_then_each_layer():
+    p = named_instance("AG3").denominator()
+    layers = expand_layers(p, 4, 10 ** 8)
+    box = expand_reciprocal(p, 4)
+    assert next(layers) == box.scale
+    assert list(layers) == list(enumerate(box.layers))
+
+
+def test_streamed_check_holds_a_window_of_layers():
+    # KZ-D has no nonpositive coefficient, so both routes expand every layer;
+    # the streamed one holds deg(p) + 1 = 5 of its 105
+    p, N = named_instance("KZ-D").denominator(), 26
+    peaks = []
+    for check in (lambda: streamed_first_nonpositive(p, N, True),
+                  lambda: first_nonpositive(expand_reciprocal(p, N), True)):
+        tracemalloc.start()
+        try:
+            assert check() is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed, collected = peaks
+    assert 3 * streamed < collected
 
 
 def test_cache_roundtrip_rational():

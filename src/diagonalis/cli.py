@@ -31,7 +31,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, extract_diagonal,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed)
-from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_reciprocal,
+from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers, expand_reciprocal,
                         first_nonpositive, load_cache, save_cache,
                         streamed_first_nonpositive)
 
@@ -96,12 +96,17 @@ def cmd_expand(args) -> int:
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
     p, strict, limit = fam.denominator(), not args.non_strict, _entry_limit(args)
-    if args.check_positive and not args.cache:
+    hit = None
+    if args.cache:  # the cache needs every entry
+        box = expand_reciprocal(p, args.N, entry_limit=limit)
+        if args.check_positive:
+            hit = first_nonpositive(box, strict=strict)
+    elif args.check_positive:
         # stops at the first layer with a hit, holding deg(p) + 1 layers
         hit = streamed_first_nonpositive(p, args.N, strict, entry_limit=limit)
-    else:  # the cache needs every entry
-        box = expand_reciprocal(p, args.N, entry_limit=limit)
-        hit = first_nonpositive(box, strict=strict) if args.check_positive else None
+    else:  # the report reads no entry: each layer is made and dropped
+        for _ in expand_layers(p, args.N, limit):
+            pass
     report = {"family": fam, "N": args.N, "entries": (args.N + 1) ** p.dim,
               "entries_stored": math.comb(args.N + p.dim, p.dim),
               "ring": "Qlambda" if lam else "Q"}
@@ -184,7 +189,10 @@ def _parse_terms(s: str) -> tuple[Fraction, ...]:
 def _recur_object(args):
     if args.builtin:
         return builtin_recurrence(args.builtin, args.a)
-    return PRecurrence.from_json(json.loads(args.rec_json))
+    try:
+        return PRecurrence.from_json(json.loads(args.rec_json))
+    except RecursionError as exc:  # a bad input, not a failed check: exit 2
+        raise ValueError(f"--rec-json nests too deeply ({exc})") from None
 
 
 def _recur_sequence(args) -> tuple[Fraction, ...]:

@@ -369,7 +369,8 @@ def load_cache(fh: TextIO) -> CoeffBox:
     def field(key: str, parse):
         try:
             return parse(meta[key])
-        except (KeyError, TypeError, ValueError) as exc:  # any JSON shape may come
+        # any JSON shape may come, nested past the decoder's recursion limit too
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"cache header: missing or malformed {key}= "
                              f"({exc})") from None
 

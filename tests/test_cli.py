@@ -58,6 +58,30 @@ def test_expand_text_reports_stored_entries(capsys):
     assert "entries: 256\n" in out and "entries_stored: 35\n" in out
 
 
+def test_plain_expand_makes_every_layer_and_collects_none(capsys, monkeypatch):
+    def no_box(*args, **kwargs):
+        raise AssertionError("plain expand collected a box")
+    monkeypatch.setattr(cli, "expand_reciprocal", no_box)
+    drawn = []
+
+    def counted(*args):
+        for item in seriesbox.expand_layers(*args):
+            drawn.append(item)
+            yield item
+    monkeypatch.setattr(cli, "expand_layers", counted)
+    argv, text, data = _REPORTS[2]  # plain expand, as the collected box reported it
+    assert argv[0] == "expand" and "--check-positive" not in argv
+    assert run(capsys, *argv) == (0, text)
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
+    assert len(drawn) == 2 * (3 * 2 + 2)  # the scale and layers 0..6, twice
+    # the entry limit is still refused before the first layer
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "AG3", "--N", "3", "--entry-limit", "63"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "diagonalis expand: error: box [0..3]^3 has 64 entries, limit 63\n")
+
+
 def test_diag_oracle_match(capsys):
     code, out = run(capsys, "diag", "--family", "AG3", "--N", "8",
                     "--oracle", "franel")
@@ -108,6 +132,9 @@ def _sealed(body: str) -> str:
     return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
 
 
+_NESTED = "[" * 50000 + "]" * 50000  # JSON past any recursion limit of the decoder
+
+
 def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
     path = tmp_path / "kzd3.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
@@ -120,6 +147,8 @@ def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
         (_sealed("".join(body.splitlines(keepends=True)[:30])), "line 30"),  # 29 of 35
         (_sealed(body.replace("d=4; ", "", 1)), "d="),
         (_sealed(body.replace(header[header.index("denom="):], "denom=[1]", 1)), "denom="),
+        (_sealed(body.replace(header[header.index("denom="):], "denom=" + _NESTED, 1)),
+         "malformed denom= (maximum recursion depth exceeded"),
         (_sealed(body.replace("d=4", "d=3", 1)), "denom has 4 variables"),
         (_sealed(body.replace("L=1", "L=2", 1)), "L="),
         (_sealed(body.replace("N=3", "N=-1", 1)), "cache header: negative N=-1"),
@@ -639,12 +668,16 @@ def no_work(tmp_path, monkeypatch):
 
     def work(*args, **kwargs):
         raise _Work
-    for name in ("expand_reciprocal", "load_cache", "recurrence_guess",
+    for name in ("expand_reciprocal", "expand_layers", "streamed_first_nonpositive",
+                 "load_cache", "recurrence_guess",
                  "recurrence_check", "recurrence_extend", "recurrence_seed",
                  "characteristic_polynomial", "critical_points_diag"):
         monkeypatch.setattr(cli, name, work)
     # each stand-in is what a command calls to do its work
-    for works in (["diag", "--from-cache", str(cache)],
+    for works in (["expand", "--family", "AG3", "--N", "3"],
+                  ["expand", "--family", "AG3", "--N", "3", "--check-positive"],
+                  ["expand", "--family", "AG3", "--N", "3", "--cache", str(cache)],
+                  ["diag", "--from-cache", str(cache)],
                   ["diag", "--family", "AG3", "--N", "3"],
                   ["recur", "guess", "--terms", "1,2,3"],
                   ["recur", "check", "--builtin", "franel", "--terms", "1,2"],
@@ -689,6 +722,8 @@ def no_work(tmp_path, monkeypatch):
     ("recur check --rec-json [[1],[0]] --terms 1,2,3",
      "leading recurrence coefficient is identically zero"),
     ("recur check --rec-json [[true],[1]] --terms 1,2", "not a rational number: True"),
+    (f"recur charpoly --rec-json {_NESTED}", "--rec-json nests too deeply"),
+    (f"recur check --rec-json {_NESTED} --terms 1,2", "--rec-json nests too deeply"),
 ], ids=lambda v: v[:60])
 def test_usage_error_before_any_work(capsys, no_work, argv, message):
     with pytest.raises(SystemExit) as exc:

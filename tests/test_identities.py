@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from diagonalis import identities
 from diagonalis.identities import IDENTITIES, verify_identity
 from diagonalis.sequences import builtin_recurrence, recurrence_seed
-from diagonalis.uniseries import UniSeries, verify_series_identity
+from diagonalis.uniseries import (UniSeries, recurrence_to_frobenius, theta_hexagonal,
+                                  verify_series_identity)
 
 
 FAST_ORDERS = {
@@ -55,3 +57,32 @@ def test_mismatch_reported_with_location():
     assert verify_series_identity(lhs, rhs) is None
     bad = verify_series_identity(lhs, UniSeries([1, 2, F(7, 2)], 2))
     assert bad == (2, 3, F(7, 2))
+
+
+# theta-modular checks y0(z) = theta(2q(z)); the modular form it stands for,
+# y0(z(q/2)) = theta(q) through the reversion z(q), is kept here as the oracle
+def _theta_through_reversion(M):
+    sol = recurrence_to_frobenius(builtin_recurrence("szego3"), M)
+    return sol.y0.compose(sol.q_series().reversion()).scale_argument(F(1, 2))
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 5, 12, 25, 40])
+def test_theta_modular_form_holds_through_reversion(M):
+    assert _theta_through_reversion(M) == theta_hexagonal(M)
+
+
+@pytest.mark.parametrize("M, k", [(12, 1), (12, 3), (12, 7), (12, 12), (40, 7), (40, 40)])
+def test_theta_modular_flags_a_bumped_theta_where_the_oracle_does(monkeypatch, M, k):
+    theta = theta_hexagonal(M)
+    bumped = UniSeries([c + (n == k) for n, c in enumerate(theta.coeffs)], M)
+    monkeypatch.setattr(identities, "theta_hexagonal", lambda order: bumped)
+    assert verify_identity("theta-modular", M)[0] == k
+    assert verify_series_identity(_theta_through_reversion(M), bumped)[0] == k
+
+
+def test_theta_modular_needs_no_reversion(monkeypatch):
+    def retired(*args):
+        raise AssertionError("theta-modular reverted or rescaled a series")
+    monkeypatch.setattr(UniSeries, "reversion", retired)
+    monkeypatch.setattr(UniSeries, "scale_argument", retired)
+    assert verify_identity("theta-modular", 12) is None

@@ -15,6 +15,8 @@ TREES = {path.stem: ast.parse(path.read_text())
 OUTSIDE_READERS = {
     "seriesbox.CoeffBox.data": "perfbench/spans.py: box_stats reads it",
     "uniseries.UniSeries.log": "perfbench/spans.py: METHODS names it",
+    "uniseries.UniSeries.reversion": "perfbench/spans.py: METHODS names it",
+    "uniseries.UniSeries.scale_argument": "perfbench/spans.py: METHODS names it",
     "cli._Parser.error": "argparse: ArgumentParser calls it on a usage error",
     "__init__.__version__": "users: the package's version, as pyproject.toml gives it",
 }

@@ -104,9 +104,8 @@ def cmd_expand(args) -> int:
     elif args.check_positive:
         # stops at the first layer with a hit, holding deg(p) + 1 layers
         hit = streamed_first_nonpositive(p, args.N, strict, entry_limit=limit)
-    else:  # the report reads no entry: each layer is made and dropped
-        for _ in expand_layers(p, args.N, limit):
-            pass
+    else:  # the report reads no entry, and every refusal comes before the scale
+        next(expand_layers(p, args.N, limit))
     report = {"family": fam, "N": args.N, "entries": (args.N + 1) ** p.dim,
               "entries_stored": math.comb(args.N + p.dim, p.dim),
               "ring": "Qlambda" if lam else "Q"}

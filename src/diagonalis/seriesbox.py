@@ -16,8 +16,19 @@ predecessor n - m is one integer subtraction away.  Which predecessors
 exist, and their code offsets, depend only on the shape of n: each
 coordinate capped at the largest exponent K of p (the zero pattern for
 p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape;
-each shape is compiled once per call into a stencil of (lag, offset,
-weight) terms, and a group is swept once per term, all its codes at once.
+each shape is compiled once per call into one comprehension over its
+group, such as
+
+    lambda codes, P1, P2, P3: [w0 * (P1[c - 5] + P1[c - 41]) + w1 * (P3[c - 46])
+                               for c in codes]
+
+with P_k the layer t - k: the (lag, offset) terms of the shape's stencil,
+those that share a merged weight under one product.  The source text holds
+only lags and offsets; the negated merged weights are bound by name in the
+namespace the text is evaluated in, since CPython refuses str() of an int
+past 4300 digits and packed Q[lambda] weights grow with N.  The compiled
+code is memoized by its text, so a box whose shapes and N recur (the boxes
+of a bisection) compiles nothing anew.
 `expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
 is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads, so
 a positivity scan can stop at the first layer with a hit;
@@ -47,6 +58,10 @@ from .multipoly import Coeff, Exponent, MultiPoly, depends_on_lambda
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
 CACHE_MAGIC = "diagonalis-box v2"
+
+# the compiled code of each stencil sweep, by its source text: a shape's text
+# recurs in every expansion of the same stencil at the same N
+_SWEEPS: dict = {}
 
 
 class BoxTooLargeError(ValueError):
@@ -234,36 +249,42 @@ def expand_layers(p: MultiPoly, N: int, entry_limit: int):
     K = max((max(m) for m, _ in weights), default=1)
     deg = max((sum(m) for m, _ in weights), default=0)  # deg(p)
 
-    def compile_stencil(code: int) -> list:
-        """Merged (layer lag, code offset, weight) triples for a shape."""
+    def compile_stencil(code: int):
+        """The sweep of a shape, (codes, P1, ..., P_deg) -> [v_n for n in
+        codes] with P_k the layer t - k, as the module docstring spells it."""
         n = _index(code, d, N)
         merged: dict = {}
         for m, w in weights:
             prev = tuple(map(sub, n, m))
             if min(prev) < 0:
                 continue
-            prev = tuple(sorted(prev))
-            key = (sum(m), code - _code(prev, N))
-            merged[key] = merged.get(key, 0) + w
-        return [(k, off, w) for (k, off), w in merged.items() if w]
+            key = (sum(m), code - _code(tuple(sorted(prev)), N))
+            merged[key] = merged.get(key, 0) - w
+        reads: dict[int, list[str]] = {}  # negated merged weight -> its reads
+        for (k, off), w in merged.items():
+            if w:
+                reads.setdefault(w, []).append(f"P{k}[c - {off}]")
+        names = {f"w{i}": w for i, w in enumerate(reads)}
+        terms = [f"{name} * ({' + '.join(r)})" for name, r in zip(names, reads.values())]
+        text = f"lambda codes{params}: [{' + '.join(terms) or '0'} for c in codes]"
+        sweep = _SWEEPS.get(text)
+        if sweep is None:
+            sweep = _SWEEPS[text] = compile(text, "<stencil>", "eval")
+        return eval(sweep, names)
 
-    stencils: dict[int, list] = {}
-    layers: list = [{0: 1}]  # layers[t - k] for 1 <= k <= deg; None below them
-    yield 0, layers[0]
+    params = "".join(f", P{k}" for k in range(1, deg + 1))
+    sweeps: dict = {}
+    current: dict[int, int] = {0: 1}
+    window = (current, *[None] * deg)[:deg]  # layers t - 1, ..., t - deg
+    yield 0, current
     for t in range(1, d * N + 1):
-        if t > deg:
-            layers[t - deg - 1] = None
-        current: dict[int, int] = {}
+        current = {}
         for shape, codes in _layer(d, N, t, K).items():
-            stencil = stencils.get(shape)
-            if stencil is None:
-                stencil = stencils[shape] = compile_stencil(codes[0])
-            acc = [0] * len(codes)
-            for k, off, w in stencil:
-                prev = layers[t - k]
-                acc = [a - w * prev[c - off] for a, c in zip(acc, codes)]
-            current.update(zip(codes, acc))
-        layers.append(current)
+            sweep = sweeps.get(shape)
+            if sweep is None:
+                sweep = sweeps[shape] = compile_stencil(codes[0])
+            current.update(zip(codes, sweep(codes, *window)))
+        window = (current, *window)[:deg]
         yield t, current
 
 

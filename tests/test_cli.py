@@ -58,28 +58,38 @@ def test_expand_text_reports_stored_entries(capsys):
     assert "entries: 256\n" in out and "entries_stored: 35\n" in out
 
 
-def test_plain_expand_makes_every_layer_and_collects_none(capsys, monkeypatch):
+def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatch):
     def no_box(*args, **kwargs):
         raise AssertionError("plain expand collected a box")
     monkeypatch.setattr(cli, "expand_reciprocal", no_box)
-    drawn = []
+    drawn, enumerated = [], []
 
     def counted(*args):
         for item in seriesbox.expand_layers(*args):
             drawn.append(item)
             yield item
     monkeypatch.setattr(cli, "expand_layers", counted)
+    enumerate_layer = seriesbox._layer
+    monkeypatch.setattr(seriesbox, "_layer",
+                        lambda *args: enumerated.append(args) or enumerate_layer(*args))
     argv, text, data = _REPORTS[2]  # plain expand, as the collected box reported it
     assert argv[0] == "expand" and "--check-positive" not in argv
     assert run(capsys, *argv) == (0, text)
     assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
-    assert len(drawn) == 2 * (3 * 2 + 2)  # the scale and layers 0..6, twice
-    # the entry limit is still refused before the first layer
+    assert len(drawn) == 2  # the scale, twice
+    assert enumerated == []  # no layer past the scale is made
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--family", "AG3", "--N", "3", "--entry-limit", "63"],
+     "box [0..3]^3 has 64 entries, limit 63"),
+    (["--coeffs", "0,-1,0,4", "--N", "3"], "c_0 must be nonzero"),
+], ids=["entry-limit", "zero-constant"])
+def test_plain_expand_still_refuses_what_it_cannot_expand(capsys, argv, err):
     with pytest.raises(SystemExit) as exc:
-        main(["expand", "--family", "AG3", "--N", "3", "--entry-limit", "63"])
+        main(["expand", *argv])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        "diagonalis expand: error: box [0..3]^3 has 64 entries, limit 63\n")
+    assert capsys.readouterr().err == f"diagonalis expand: error: {err}\n"
 
 
 def test_diag_oracle_match(capsys):

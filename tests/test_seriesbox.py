@@ -261,6 +261,25 @@ def test_expand_layers_yields_the_scale_then_each_layer():
     assert list(layers) == list(enumerate(box.layers))
 
 
+@pytest.mark.parametrize("p, N, limit", [
+    (named_instance("AG3").denominator(), -1, 10 ** 8),
+    (MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1)}), 3, 10 ** 8),
+    (named_instance("AG3").denominator(), 3, 63),
+    (MultiPoly(1, {(1,): F(1)}), 3, 10 ** 8),
+], ids=["negative-N", "not-symmetric", "entry-limit", "zero-constant"])
+def test_expand_layers_refuses_before_the_scale(p, N, limit):
+    # so a caller that reads only the scale gets every refusal a full expansion gets
+    with pytest.raises(ValueError):
+        next(expand_layers(p, N, limit))
+
+
+def test_a_weight_past_4300_digits_expands():
+    # each sweep binds its weights by name; formatting 10**5000 into the
+    # sweep's source text would raise ValueError
+    p = MultiPoly(1, {(0,): F(1), (1,): F(-10 ** 5000)})
+    assert expand_reciprocal(p, 3).data == geometric_oracle(p, 3)
+
+
 def test_streamed_check_holds_a_window_of_layers():
     # KZ-D has no nonpositive coefficient, so both routes expand every layer;
     # the streamed one holds deg(p) + 1 = 5 of its 105
@@ -717,6 +736,10 @@ def test_layer_kernel_matches_per_entry_kernel(p, N):
 @given(reciprocal_cases())
 @example((symmetric_denominator([1, -1, F(1, 3), 2]) ** 2, 4))
 @example((symmetric_denominator([1, -lam, lam * lam - 1]), 4))
+# x^2 and yz reach one predecessor with weights 1 and -1: 12 merged terms cancel
+@example((_power_sum_denominator(1, -1), 4))
+# x, y and xy reach distinct predecessors with one weight: one product
+@example((symmetric_denominator([1, -1, -1]), 4))
 def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
     p, N = case
     assert expand_reciprocal(p, N).data == per_entry_data(p, N, True)

@@ -212,3 +212,28 @@ def test_arithmetic_is_exact():
                 bad += [f"{where} from math import {alias.name}"
                         for alias in node.names if alias.name not in EXACT_MATH]
     assert not bad, "inexact: " + "; ".join(bad)
+
+
+def test_code_is_generated_in_one_place():
+    # the stencil compiler builds its source text from the kernel's own ints
+    # and binds the weights by name, so no user text reaches eval, exec or
+    # compile; a second code-generation site would need its own such argument
+    users = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{owner}.{child.name}")
+                continue
+            named = (child.id if isinstance(child, ast.Name)
+                     else child.attr if isinstance(child, ast.Attribute)
+                     and getattr(child.value, "id", None) in ("builtins", "__builtins__")
+                     else None)
+            if named in ("eval", "exec", "compile"):
+                users.append(f"{owner}:{named}")
+            walk(child, owner)
+
+    for module, tree in TREES.items():
+        walk(tree, module)
+    assert sorted(users) == ["seriesbox.expand_layers.compile_stencil:compile",
+                             "seriesbox.expand_layers.compile_stencil:eval"]

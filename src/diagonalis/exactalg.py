@@ -3,9 +3,10 @@
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 `UniPoly` is a dense univariate polynomial over the rationals, used for
 recurrence coefficients in n, as the coefficient ring Q[lambda] of a box
-expanded with a symbolic parameter, and for Sturm chains.  It is held as
-`UniSeries` is: integer numerators over one denominator, which `over_lcm`
-builds and `reduce_nums` keeps reduced; arithmetic runs on the integers.
+expanded with a symbolic parameter, and for the symmetric polynomial of a
+critical-point report.  It is held as `UniSeries` is: integer numerators
+over one denominator, which `over_lcm` builds and `reduce_nums` keeps
+reduced; arithmetic runs on the integers.
 `plain` gives the one JSON form of these values, and `binary_power` the one
 square-and-multiply.
 """
@@ -221,57 +222,21 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         return binary_power(self, k, UniPoly.const(1))
 
-    def _horner(self, x: RatLike) -> tuple[int, int, int]:
-        """(h, b, b^(k+1)) at x = a/b, b > 0, for degree k, with h the sum of
-        c_i a^i b^(k-i) over the numerators c_i: the value is h b / (den b^(k+1))."""
+    def __call__(self, x: RatLike) -> Fraction:
+        """Value at a/b, b > 0, by homogeneous Horner on integers: with h the
+        sum of c_i a^i b^(k-i) over the numerators c_i for degree k, it is
+        h / (den b^k), divided once at the end."""
         a, b = (x if isinstance(x, (int, Fraction)) else rat(x)).as_integer_ratio()
         acc, bk = 0, 1
         for c in reversed(self.nums):
             acc, bk = acc * a + c * bk, bk * b
-        return acc, b, bk
-
-    def __call__(self, x: RatLike) -> Fraction:
-        """Value at a/b by homogeneous Horner on integers, divided once at the end."""
-        acc, b, bk = self._horner(x)
         return Fraction(acc * b, self.den * bk)
-
-    def sign_at(self, x: RatLike) -> int:
-        """The sign -1, 0 or 1 of the value at x, read off the Horner sum
-        with no division, since b and den are positive."""
-        acc = self._horner(x)[0]
-        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "UniPoly":
         return UniPoly.from_nums([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def leading_coefficient(self) -> Fraction:
         return self[self.degree]
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Euclidean division over Q by pseudo-division of the numerators.
-        Each step scales by only the f > 0 that makes the leading term
-        divisible by the divisor's; with S the product of these factors,
-        S * self.nums = quot * other.nums + rem over Z."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        d, lc = other.degree, other.nums[-1]
-        rem, scale = list(self.nums), 1
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                g = math.gcd(rem[i], lc)
-                f, q = abs(lc) // g, rem[i] // g * (1 if lc > 0 else -1)
-                if f != 1:
-                    rem, quot, scale = [x * f for x in rem], [x * f for x in quot], scale * f
-                quot[i - d] = q
-                for j, b in enumerate(other.nums):
-                    rem[i - d + j] -= q * b
-        den = scale * self.den
-        return (UniPoly.from_nums([x * other.den for x in quot], den),
-                UniPoly.from_nums(rem, den))
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import UniPoly, rat
+from .exactalg import UniPoly, over_lcm, rat
 from .multipoly import (Coeff, MultiPoly, _coerce_coeff, depends_on_lambda,
                         symmetric_denominator)
 from .registry import build, catalog
@@ -98,16 +98,19 @@ def canonicalize(spec: FamilySpec) -> tuple[FamilySpec, Fraction]:
 
     c_k maps to (c_k / c_0) * s^k.  Requires c_1/c_0 < 0: otherwise a
     low-order Taylor coefficient is already nonpositive and no
-    positivity-preserving normalization exists.
+    positivity-preserving normalization exists.  With c_k = n_k / D over
+    one denominator, the image of c_k is n_k (-n_0)^k n_1^(d-k) over the
+    one denominator n_0 n_1^d, so each coefficient is one `Fraction` of two
+    integers.
     """
     if spec.has_lambda():
         raise ValueError("canonicalize needs numeric coefficients; "
                          "specialize lambda first")
-    cs = [c.constant_value() if isinstance(c, UniPoly) else c for c in spec.coeffs]
-    c0 = cs[0]
-    cs = [c / c0 for c in cs]
-    if cs[1] >= 0:
+    ns, _ = over_lcm(c.constant_value() if isinstance(c, UniPoly) else c
+                     for c in spec.coeffs)
+    n0, n1, d = ns[0], ns[1], spec.dim
+    if n0 * n1 >= 0:
         raise ValueError("not normalizable while positive: c_1/c_0 >= 0")
-    s = -1 / cs[1]
-    new = tuple(c * s ** k for k, c in enumerate(cs))
-    return FamilySpec(spec.dim, new, spec.name), s
+    den = n0 * n1 ** d
+    new = tuple(Fraction(n * (-n0) ** k * n1 ** (d - k), den) for k, n in enumerate(ns))
+    return FamilySpec(d, new, spec.name), Fraction(-n0, n1)

@@ -1,7 +1,9 @@
 """Test oracles: independent routes that no command needs.  The d = 4
 nonsmooth locus, the two-variable asymptotic ratio (the one float check)
 and two substitutions on a `MultiPoly` back the acceptance criteria and
-the box-expansion generators."""
+the box-expansion generators.  The `Fraction` route of the critical-point
+analysis, which the integer one in `geometry` replaced, backs its
+differential tests."""
 
 from __future__ import annotations
 
@@ -10,9 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from diagonalis.exactalg import rat
+from diagonalis.exactalg import UniPoly, rat
+from diagonalis.family import FamilySpec
+from diagonalis.geometry import (CritClass, CritReport, RootInterval,
+                                 cubic_discriminant)
 from diagonalis.multipoly import Coeff, Exponent, MultiPoly
 from diagonalis.sequences import binomial_oracle
+from unipoly_oracle import FractionUniPoly
 
 
 @dataclass(frozen=True)
@@ -78,3 +84,119 @@ def substitute_zero(p: MultiPoly, var_index: int) -> MultiPoly:
         if exp[var_index] == 0:
             out[exp[:var_index] + exp[var_index + 1:]] = c
     return MultiPoly(p.dim - 1, out)
+
+
+# --- the Fraction route of geometry.critical_points_diag -------------------
+
+def fraction_canonicalize(spec: FamilySpec) -> tuple[FamilySpec, Fraction]:
+    """c_k -> (c_k / c_0) s^k with s = -c_0/c_1, one `Fraction` at a time."""
+    cs = [c.constant_value() if isinstance(c, UniPoly) else c for c in spec.coeffs]
+    c0 = cs[0]
+    cs = [c / c0 for c in cs]
+    if cs[1] >= 0:
+        raise ValueError("not normalizable while positive: c_1/c_0 >= 0")
+    s = -1 / cs[1]
+    new = tuple(c * s ** k for k, c in enumerate(cs))
+    return FamilySpec(spec.dim, new, spec.name), s
+
+
+def fraction_locus_3d(a: Fraction, b: Fraction) -> Fraction:
+    return 4 * a ** 3 - 3 * a ** 2 + 6 * a * b + b ** 2 - 4 * b
+
+
+def fraction_sturm_chain(p: FractionUniPoly):
+    """(chain, g): the remainder sequence p, p', -(p mod p'), ... over Q
+    divided by its last member g."""
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    g = chain[-1]
+    if g.degree >= 1:
+        chain = [q.divmod(g)[0] for q in chain]
+    return chain, g
+
+
+def fraction_variations(chain, x: Fraction) -> int:
+    """Sign changes of the chain's `Fraction` values at x, zeros skipped."""
+    signs = [v > 0 for v in (q(x) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _fraction_count(chain, lo: Fraction, hi: Fraction) -> int:
+    return fraction_variations(chain, lo) - fraction_variations(chain, hi)
+
+
+def fraction_sturm_isolate(p: FractionUniPoly) -> list[RootInterval]:
+    """The positive roots of p, bisected on `Fraction`s from one chain per
+    level of the gcd chain, with multiplicities as `geometry` gives them."""
+    levels, g = [], p
+    while g.degree >= 1:
+        chain, g = fraction_sturm_chain(g)
+        levels.append(chain)
+    if not levels:
+        return []
+    chain = levels[0]
+    first = chain[0]
+    bound = 1 + max(map(abs, first.coeffs)) / abs(first.leading_coefficient())
+    intervals, stack = [], [(Fraction(0), bound)]
+    while stack:
+        lo, hi = stack.pop()
+        k = _fraction_count(chain, lo, hi)
+        if k == 1:
+            intervals.append((lo, hi))
+        elif k > 1:
+            mid = (lo + hi) / 2
+            stack += [(lo, mid), (mid, hi)]
+    return [RootInterval(lo, hi, 1 + sum(_fraction_count(c, lo, hi) for c in levels[1:]))
+            for lo, hi in sorted(intervals)]
+
+
+def _fraction_off_diagonal_3d(a: Fraction, b: Fraction) -> CritClass:
+    if a == 0:
+        note = "class empty: a = 0 (coordinates 1/a undefined)"
+    elif b == -a ** 3:
+        note = ("degenerate: b = -a^3, second-kind points merge with "
+                "the symmetric class")
+    elif a ** 2 + b == 0:
+        note = "degenerate: a^2 + b = 0, third coordinate undefined"
+    else:
+        third = a * (1 - a) / (a ** 2 + b)
+        return CritClass("off-diagonal", None, (), 3 if a > 0 and third > 0 else 0,
+                         f"coordinates (1/a, 1/a, {third}) and permutations")
+    return CritClass("off-diagonal", None, (), 0, note)
+
+
+def fraction_critical_points_diag(family: FamilySpec) -> CritReport:
+    """`geometry.critical_points_diag` on `Fraction`s: the canonical form,
+    the locus and the discriminant from `Fraction` arithmetic, and the roots
+    from remainder chains of `FractionUniPoly`s."""
+    family = fraction_canonicalize(family)[0]
+    d = family.dim
+    cs = [math.comb(d, k) * c for k, c in enumerate(family.coeffs)]
+    poly = UniPoly(cs)
+    roots = tuple(fraction_sturm_isolate(FractionUniPoly(cs)))
+    classes = [CritClass("symmetric", poly, roots, len(roots))]
+    a = family.coeffs[2]
+    if d == 2:
+        locus, disc = a - 1, None
+    else:
+        b = family.coeffs[3]
+        locus = fraction_locus_3d(a, b)
+        disc = cubic_discriminant(*reversed(cs))
+        classes.append(_fraction_off_diagonal_3d(a, b))
+    count = sum(c.positive_count for c in classes)
+    if locus == 0:
+        verdict, reason = "inconclusive", "locus-member: test inapplicable"
+    elif d == 2 and count == 0:
+        verdict, reason = "violated", "no critical point in the open positive orthant"
+    elif d == 2:
+        verdict, reason = "inconclusive", (
+            "positive critical points exist; minimality not decided here")
+    elif count != 1:
+        verdict, reason = "violated", (
+            f"{count} critical points in the open positive orthant (need exactly 1)")
+    else:
+        verdict, reason = "inconclusive", "necessary condition satisfied"
+    return CritReport(family, locus != 0, locus, tuple(classes), count, disc,
+                      verdict, reason)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -367,6 +368,14 @@ def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_benchmark_grid_bytes_are_pinned(capsys):
+    # the sha256 of the CSV that the Fraction route printed for this grid
+    code, out = run(capsys, "geometry", "grid", "--a=0:1:1/8", "--b=-1:4:1/4")
+    assert code == 0 and len(out.encode()) == 6185
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7267584460a5c1851887c1edae4a6e0b46b75fff3e3461d0d47b2dfcb7f6af57")
+
+
 # whole reports, text and JSON: rationals, lambda-polynomials, root intervals,
 # a cubic discriminant and a null one, as the CLI printed them
 _REPORTS = [
@@ -452,6 +461,74 @@ _REPORTS = [
       "charpoly": ["4", "0", "1"],
       "discriminant": "-16",
       "roots": "complex"}),
+    # three simple roots, and the off-diagonal class merged into them
+    (["geometry", "point", "--family", "hab", "--a", "1/3", "--b=-1/27"],
+     "family: {'dim': 3, 'coeffs': ['1', '-1', '1/3', '-1/27'], 'name': 'hab'}\n"
+     "smooth: True\n"
+     "locus_value: -80/729\n"
+     "classes: [{'kind': 'symmetric', 'polynomial': ['1', '-3', '1', '-1/27'], "
+     "'roots': [{'lo': '0', 'hi': '41/16', 'multiplicity': 1}, "
+     "{'lo': '41/16', 'hi': '41/8', 'multiplicity': 1}, "
+     "{'lo': '41/2', 'hi': '41', 'multiplicity': 1}], 'positive_count': 3, "
+     "'note': ''}, {'kind': 'off-diagonal', 'polynomial': None, 'roots': [], "
+     "'positive_count': 0, 'note': 'degenerate: b = -a^3, second-kind points "
+     "merge with the symmetric class'}]\n"
+     "positive_orthant_count: 3\n"
+     "cubic_discriminant: 80/27\n"
+     "verdict: violated\n"
+     "reason: 3 critical points in the open positive orthant (need exactly 1)\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["1", "-1", "1/3", "-1/27"], "name": "hab"},
+      "smooth": True,
+      "locus_value": "-80/729",
+      "classes": [{"kind": "symmetric",
+                   "polynomial": ["1", "-3", "1", "-1/27"],
+                   "roots": [{"lo": "0", "hi": "41/16", "multiplicity": 1},
+                             {"lo": "41/16", "hi": "41/8", "multiplicity": 1},
+                             {"lo": "41/2", "hi": "41", "multiplicity": 1}],
+                   "positive_count": 3,
+                   "note": ""},
+                  {"kind": "off-diagonal",
+                   "polynomial": None,
+                   "roots": [],
+                   "positive_count": 0,
+                   "note": "degenerate: b = -a^3, second-kind points merge with "
+                           "the symmetric class"}],
+      "positive_orthant_count": 3,
+      "cubic_discriminant": "80/27",
+      "verdict": "violated",
+      "reason": "3 critical points in the open positive orthant (need exactly 1)"}),
+    # a double root, a locus member, and a zero discriminant and locus value
+    (["geometry", "point", "--family", "hab", "--a", "3/4", "--b", "0"],
+     "family: {'dim': 3, 'coeffs': ['1', '-1', '3/4', '0'], 'name': 'hab'}\n"
+     "smooth: False\n"
+     "locus_value: 0\n"
+     "classes: [{'kind': 'symmetric', 'polynomial': ['1', '-3', '9/4'], "
+     "'roots': [{'lo': '0', 'hi': '2', 'multiplicity': 2}], 'positive_count': 1, "
+     "'note': ''}, {'kind': 'off-diagonal', 'polynomial': None, 'roots': [], "
+     "'positive_count': 3, 'note': 'coordinates (1/a, 1/a, 1/3) and permutations'}]\n"
+     "positive_orthant_count: 4\n"
+     "cubic_discriminant: 0\n"
+     "verdict: inconclusive\n"
+     "reason: locus-member: test inapplicable\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["1", "-1", "3/4", "0"], "name": "hab"},
+      "smooth": False,
+      "locus_value": "0",
+      "classes": [{"kind": "symmetric",
+                   "polynomial": ["1", "-3", "9/4"],
+                   "roots": [{"lo": "0", "hi": "2", "multiplicity": 2}],
+                   "positive_count": 1,
+                   "note": ""},
+                  {"kind": "off-diagonal",
+                   "polynomial": None,
+                   "roots": [],
+                   "positive_count": 3,
+                   "note": "coordinates (1/a, 1/a, 1/3) and permutations"}],
+      "positive_orthant_count": 4,
+      "cubic_discriminant": "0",
+      "verdict": "inconclusive",
+      "reason": "locus-member: test inapplicable"}),
 ]
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diagonalis import geometry, seriesbox
 from diagonalis.exactalg import UniPoly, plain
@@ -11,7 +11,8 @@ from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
                                  sturm_isolate)
 from diagonalis.multipoly import MultiPoly
 from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
-from oracles import asymptotic_ratio_2d, nonsmooth_locus_4d
+from oracles import (asymptotic_ratio_2d, fraction_critical_points_diag,
+                     fraction_sturm_chain, fraction_variations, nonsmooth_locus_4d)
 from unipoly_oracle import FractionUniPoly
 
 
@@ -159,9 +160,36 @@ def test_sturm_isolate_matches_the_squarefree_route(factors, scale):
                 .map(UniPoly), max_size=6),
        st.fractions(min_value=-6, max_value=6, max_denominator=12))
 def test_variations_read_signs_as_fraction_values_do(chain, x):
-    # the oracle evaluates each member to a Fraction and reads its sign
-    signs = [v > 0 for v in (FractionUniPoly(q.coeffs)(x) for q in chain) if v]
-    assert geometry._variations(chain, x) == sum(s != t for s, t in zip(signs, signs[1:]))
+    # the oracle evaluates each member to a Fraction and reads its sign; the
+    # integer numerators are the members times den > 0
+    want = fraction_variations([FractionUniPoly(q.coeffs) for q in chain], x)
+    assert geometry._variations([list(q.nums) for q in chain], *x.as_integer_ratio()) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4),
+       st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+       st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                min_size=1, max_size=4))
+def test_integer_chain_is_the_fraction_chain_up_to_positive_scalars(factors, scale, xs):
+    # level by level, each member of the integer chain of primitive
+    # pseudo-remainders is a positive multiple of the remainder over Q, so the
+    # variations agree with those of the FractionUniPoly chain at every x
+    p = UniPoly.const(scale)
+    for f, m in factors:
+        p = p * f ** m
+    g, G = list(p.nums), FractionUniPoly(p.coeffs)
+    while len(g) > 1:
+        (chain, g), (CHAIN, G) = geometry._sturm_chain(g), fraction_sturm_chain(G)
+        assert len(chain) == len(CHAIN)
+        for q, Q in zip(chain + [g], CHAIN + [G]):
+            ratio = q[-1] / Q.leading_coefficient()
+            assert ratio > 0 and FractionUniPoly(q) == Q * ratio
+            assert all(type(c) is int for c in q)
+        for x in xs:
+            assert (geometry._variations(chain, *x.as_integer_ratio())
+                    == fraction_variations(CHAIN, x))
+    assert G.degree < 1
 
 
 def test_one_sturm_chain_per_gcd_level(monkeypatch):
@@ -178,7 +206,23 @@ def test_one_sturm_chain_per_gcd_level(monkeypatch):
     # (x-1)^3 (x+2)^2: levels p, (x-1)^2 (x+2) and x-1 up to constants
     p = UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]) ** 2
     assert [r.multiplicity for r in sturm_isolate(p)] == [3]
-    assert [q.degree for q in calls] == [5, 3, 1]
+    assert [len(q) - 1 for q in calls] == [5, 3, 1]
+
+
+def test_isolation_builds_a_fraction_only_for_each_reported_end(monkeypatch):
+    # the chains, the sign reads and the bisection points are all integers
+    made = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+    monkeypatch.setattr(geometry, "Fraction", Counted)
+    for p in (UniPoly([1, -3, 1, F(-1, 27)]),
+              UniPoly([-1, 1]) ** 3 * UniPoly([2, 1]) ** 2 * UniPoly([-3, 1])):
+        made.clear()
+        roots = sturm_isolate(p)
+        assert len(made) == 2 * len(roots) and len(roots) in (2, 3)
 
 
 def test_sturm_rejects_zero():
@@ -290,6 +334,74 @@ def test_every_verdict_branch(name, params, verdict, reason, count, notes):
     assert rep.positive_orthant_count == count
     assert tuple(c.note for c in rep.classes) == notes
     assert rep.smooth == (reason != _MEMBER)
+
+
+def _same_as_the_fraction_route(fam):
+    rep, want = critical_points_diag(fam), fraction_critical_points_diag(fam)
+    assert rep == want
+    # plain() keeps a Fraction a string and an int a number, so this also
+    # checks that every reported value is still a Fraction
+    assert plain(rep) == plain(want)
+    return rep
+
+
+def test_critical_points_match_the_fraction_route_on_the_benchmark_grid():
+    # the grid of `geometry grid --a=0:1:1/8 --b=-1:4:1/4`
+    for a in (F(k, 8) for k in range(9)):
+        for b in (F(k, 4) for k in range(-4, 17)):
+            _same_as_the_fraction_route(named_instance("hab", a=a, b=b))
+
+
+_hab_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=30)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_hab_rationals, _hab_rationals)
+def test_critical_points_match_the_fraction_route_on_hab(a, b):
+    _same_as_the_fraction_route(named_instance("hab", a=a, b=b))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_hab_rationals)
+def test_critical_points_match_the_fraction_route_on_h2var(a):
+    _same_as_the_fraction_route(named_instance("h2var", a=a))
+
+
+_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3]), _nonzero, _nonzero,
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                min_size=2, max_size=2))
+@example(3, F(-2), F(3), [F(1), F(5)])
+@example(3, F(-1), F(1), [F(0), F(5)])
+@example(3, F(-3, 2), F(1, 4), [F(2, 7), F(-5, 9)])
+@example(2, F(3), F(-6), [F(2), F(0)])
+@example(2, F(-4), F(1), [F(1, 3), F(0)])
+@example(3, F(2, 5), F(-3, 7), [F(-1, 2), F(0)])
+def test_critical_points_match_the_fraction_route_on_any_c0(d, c0, c1, rest):
+    # as `--coeffs` gives them: c_0 not 1, negative or not, and c_1/c_0 < 0
+    if c0 * c1 > 0:
+        c1 = -c1
+    _same_as_the_fraction_route(make_family(d, [c0, c1, *rest[:d - 1]]))
+
+
+@pytest.mark.parametrize("a, b", [
+    (0, 2), (0, F(-3, 5)),                      # a = 0: the class is empty
+    (F(1, 3), F(-1, 27)), (F(1, 2), F(-1, 8)),  # b = -a^3
+    (F(-2, 3), F(8, 27)),
+    (2, -4), (F(1, 3), F(-1, 9)),               # a^2 + b = 0
+    (0, 4), (1, -1), (0, 0),                    # locus members
+    (F(3, 4), 0),                               # a double root
+], ids=str)
+def test_critical_points_match_the_fraction_route_on_degenerate_branches(a, b):
+    rep = _same_as_the_fraction_route(named_instance("hab", a=a, b=b))
+    if (a, b) == (F(1, 3), F(-1, 27)):
+        # 1 - 3t + t^2 - t^3/27 has three simple positive roots
+        assert [r.multiplicity for r in rep.classes[0].roots] == [1, 1, 1]
+    if (a, b) == (F(3, 4), 0):
+        assert [r.multiplicity for r in rep.classes[0].roots] == [2]
 
 
 def test_crit_analyses_the_canonical_form():

@@ -32,8 +32,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         recurrence_check, recurrence_extend, recurrence_guess,
                         recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers, expand_reciprocal,
-                        first_nonpositive, load_cache, save_cache,
-                        streamed_first_nonpositive)
+                        load_cache, save_cache, streamed_first_nonpositive)
 
 
 _PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
@@ -95,45 +94,49 @@ def cmd_expand(args) -> int:
     if args.non_strict and (lam or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
-    p, strict, limit = fam.denominator(), not args.non_strict, _entry_limit(args)
+    p, N, strict = fam.denominator(), args.N, not args.non_strict
+    # one pass over the layers: every refusal comes with the scale, before any
+    # file is opened, and plain expand draws no layer past it
+    layers = expand_layers(p, N, _entry_limit(args))
+    scale = next(layers)
     hit = None
-    if args.cache:  # the cache needs every entry
-        box = expand_reciprocal(p, args.N, entry_limit=limit)
-        if args.check_positive:
-            hit = first_nonpositive(box, strict=strict)
-    elif args.check_positive:
-        # stops at the first layer with a hit, holding deg(p) + 1 layers
-        hit = streamed_first_nonpositive(p, args.N, strict, entry_limit=limit)
-    else:  # the report reads no entry, and every refusal comes before the scale
-        next(expand_layers(p, args.N, limit))
-    report = {"family": fam, "N": args.N, "entries": (args.N + 1) ** p.dim,
-              "entries_stored": math.comb(args.N + p.dim, p.dim),
-              "ring": "Qlambda" if lam else "Q"}
-    status = 0
-    if args.check_positive:
-        if hit is None and lam:
-            report["check"] = (f"all lambda-coefficients in [0..{args.N}]^"
-                               f"{p.dim} have nonnegative coefficients")
-        elif hit is None:
-            word = "nonpositive" if not args.non_strict else "negative"
-            report["check"] = f"no {word} coefficient in [0..{args.N}]^{p.dim}"
-        else:
-            n, c = hit
-            report["check"] = ("flagged " if lam else "") + f"{_fmt_index(n)} -> {c}"
-            status = 1
+
+    def scanned():  # each layer on its way to the cache, scanned up to the first hit
+        nonlocal hit
+        for item in layers:
+            hit = hit or streamed_first_nonpositive([item], scale, p.dim, N, strict)
+            yield item
     if args.cache:
         path = _cache_path(args.cache)
         # renamed over the path only when whole: a failed write keeps the old cache
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                save_cache(box, fh)
+                save_cache(p, N, scale, scanned() if args.check_positive else layers, fh)
             os.replace(tmp, path)
         except OSError as exc:  # name the given path, not the temporary one
             raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+    elif args.check_positive:  # stops at the first layer with a hit
+        hit = streamed_first_nonpositive(layers, scale, p.dim, N, strict)
+    report = {"family": fam, "N": N, "entries": (N + 1) ** p.dim,
+              "entries_stored": math.comb(N + p.dim, p.dim),
+              "ring": "Qlambda" if lam else "Q"}
+    status = 0
+    if args.check_positive:
+        if hit is None and lam:
+            report["check"] = (f"all lambda-coefficients in [0..{N}]^"
+                               f"{p.dim} have nonnegative coefficients")
+        elif hit is None:
+            word = "nonpositive" if not args.non_strict else "negative"
+            report["check"] = f"no {word} coefficient in [0..{N}]^{p.dim}"
+        else:
+            n, c = hit
+            report["check"] = ("flagged " if lam else "") + f"{_fmt_index(n)} -> {c}"
+            status = 1
+    if args.cache:
         report["cache"] = path
     _emit(args, report)
     return status

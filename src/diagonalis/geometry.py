@@ -30,7 +30,8 @@ from .exactalg import UniPoly, over_lcm, rat
 from .family import FamilySpec, canonicalize, named_instance
 # expand_reciprocal is bound here for perfbench's self-test, which checks that
 # its tracer wraps a name that `from x import y` binds
-from .seriesbox import expand_reciprocal, streamed_first_nonpositive  # noqa: F401
+from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers,  # noqa: F401
+                        expand_reciprocal, streamed_first_nonpositive)
 
 
 # --- nonsmooth locus --------------------------------------------------------
@@ -275,7 +276,9 @@ def box_positivity_bisect(N: int, prec, b_lo, strict: bool) -> tuple[Fraction, F
 
     def box_ok(b: Fraction) -> bool:
         denom = named_instance("h0b", b=b).denominator()
-        return streamed_first_nonpositive(denom, N, strict) is None
+        layers = expand_layers(denom, N, DEFAULT_ENTRY_LIMIT)
+        hit = streamed_first_nonpositive(layers, next(layers), denom.dim, N, strict)
+        return hit is None
 
     lo = rat(b_lo)
     if not box_ok(lo):

@@ -30,10 +30,12 @@ past 4300 digits and packed Q[lambda] weights grow with N.  The compiled
 code is memoized by its text, so a box whose shapes and N recur (the boxes
 of a bisection) compiles nothing anew.
 `expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
-is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads, so
-a positivity scan can stop at the first layer with a hit;
-`CoeffBox.layers[t]` keeps every layer.  The exact u_n, a `Fraction` or
-`UniPoly`, is built only when an entry is read.
+is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
+The positivity scan and the cache writer read that stream as it comes: the
+scan stops at the first layer with a hit, and `save_cache` writes each layer
+and drops it.  `CoeffBox.layers[t]` keeps every layer, for the diagonals and
+a loaded cache.  The exact u_n, a `Fraction` or `UniPoly`, is built only
+when an entry is read.
 
 The denominator must be symmetric, so u_n depends only on the orbit of n:
 a box stores the sorted representative of each index orbit, whose shape is
@@ -136,18 +138,13 @@ class CoeffBox:
     with scale (c_0, L, B), B = 0 over Q: layers[t] maps the code of each
     sorted n with |n| = t to v_n."""
 
-    def __init__(self, denom: MultiPoly, N: int, layers: list[dict[int, int]],
+    def __init__(self, dim: int, N: int, layers: list[dict[int, int]],
                  scale: tuple):
-        self.denom = denom
-        self.dim = denom.dim
+        self.dim = dim
         self.N = N
         self.layers = layers
         self.scale = scale
         self.ring = "Qlambda" if scale[2] else "Q"
-
-    def value(self, n: Exponent) -> Coeff:
-        """The exact coefficient v_n / (c_0 * L^|n|) at a stored index n."""
-        return _exact(self.scale, sum(n), self.layers[sum(n)][_code(n, self.N)])
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
@@ -159,7 +156,8 @@ class CoeffBox:
         n = tuple(n)
         if len(n) != self.dim or any(e < 0 or e > self.N for e in n):
             raise IndexError(f"index {n} outside box [0..{self.N}]^{self.dim}")
-        return self.value(tuple(sorted(n)))
+        t = sum(n)  # the stored orbit representative is the sorted index
+        return _exact(self.scale, t, self.layers[t][_code(tuple(sorted(n)), self.N)])
 
 
 def _smallest_scale(requirements) -> int:
@@ -294,13 +292,15 @@ def expand_reciprocal(p: MultiPoly, N: int,
     term, keeping every layer."""
     layers = expand_layers(p, N, entry_limit)
     scale = next(layers)
-    return CoeffBox(p, N, [layer for _, layer in layers], scale)
+    return CoeffBox(p.dim, N, [layer for _, layer in layers], scale)
 
 
-def _scan(layers, scale: tuple, d: int, N: int, strict: bool):
-    """(index, coefficient) at the graded-lex-first flagged index of the
-    layers (t, layers[t]), taken in order of t, or None; it reads no layer
-    past the first with a hit."""
+def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: bool):
+    """(index, coefficient) at the graded-lex-first index of the box on
+    [0..N]^d with this scale and layers (t, layers[t]), taken in order of t,
+    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
+    only), whose coefficient is not a nonzero polynomial with coefficients
+    >= 0.  It reads no layer past the first with a hit."""
     c0, _, B = scale
     if B and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
@@ -325,40 +325,30 @@ def _scan(layers, scale: tuple, d: int, N: int, strict: bool):
     return None
 
 
-def first_nonpositive(box: CoeffBox, strict: bool = True):
-    """(index, coefficient) at the graded-lex-first index of the full box
-    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
-    only), whose coefficient is not a nonzero polynomial with coefficients >= 0."""
-    return _scan(enumerate(box.layers), box.scale, box.dim, box.N, strict)
-
-
-def streamed_first_nonpositive(p: MultiPoly, N: int, strict: bool,
-                               entry_limit: int = DEFAULT_ENTRY_LIMIT):
-    """`first_nonpositive(expand_reciprocal(p, N, entry_limit), strict)`,
-    expanding only up to the first layer with a hit and holding deg(p) + 1
-    layers at a time."""
-    layers = expand_layers(p, N, entry_limit)
-    return _scan(layers, next(layers), p.dim, N, strict)
-
-
-def save_cache(box: CoeffBox, fh: TextIO) -> None:
-    """Write cache format v2: a header line, one `i,j,...:v_n` line per stored
-    entry in graded-lex order with the kernel's integer v_n in hexadecimal,
-    and a last line `crc32=` of every byte before it."""
-    d, N = box.dim, box.N
-    denom = json.dumps(box.denom.to_json(), separators=(",", ":"))
+def save_cache(denom: MultiPoly, N: int, scale: tuple, layers, fh: TextIO) -> None:
+    """Write cache format v2 of the box of 1/denom on [0..N]^d with this scale
+    and layers (t, layers[t]), as `expand_layers` yields them: a header line,
+    one `i,j,...:v_n` line per stored entry in graded-lex order with the
+    kernel's integer v_n in hexadecimal, and a last line `crc32=` of every byte
+    before it.  Each layer is written, and added to the CRC, as it comes."""
+    d = denom.dim
     index = _index_text(d, N)
+    spelled = json.dumps(denom.to_json(), separators=(",", ":"))
+    # sym=1: sorted orbit representatives only; at d = 1 every orbit is one index
+    header = (f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(d > 1)}; "
+              f"L={scale[1]}; B={scale[2]}; denom={spelled}\n")
     # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
     # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear
     # time.  Within a layer, graded-lex order is descending code order.
-    # sym=1: sorted orbit representatives only; at d = 1 every orbit is one index
-    body = "".join([f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(d > 1)}; "
-                    f"L={box.scale[1]}; B={box.scale[2]}; denom={denom}\n"]
-                   + [f"{index(c)}:{layer[c]:x}\n"
-                      for layer in box.layers for c in sorted(layer, reverse=True)])
+    texts = ("".join([f"{index(c)}:{layer[c]:x}\n" for c in sorted(layer, reverse=True)])
+             for _, layer in layers)
     # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
     # hash that anyone can recompute detects only accidental damage, as a CRC does
-    fh.write(f"{body}crc32={zlib.crc32(body.encode()):08x}\n")
+    crc = 0
+    for text in chain([header], texts):
+        fh.write(text)
+        crc = zlib.crc32(text.encode(), crc)
+    fh.write(f"crc32={crc:08x}\n")
 
 
 def load_cache(fh: TextIO) -> CoeffBox:
@@ -436,4 +426,4 @@ def load_cache(fh: TextIO) -> CoeffBox:
         if meta.get(key) != str(want):
             raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
                              f"give {key}={want}")
-    return CoeffBox(denom, N, layers, (c0, L, B))
+    return CoeffBox(dim, N, layers, (c0, L, B))

@@ -3,11 +3,15 @@ nonsmooth locus, the two-variable asymptotic ratio (the one float check)
 and two substitutions on a `MultiPoly` back the acceptance criteria and
 the box-expansion generators.  The `Fraction` route of the critical-point
 analysis, which the integer one in `geometry` replaced, backs its
-differential tests."""
+differential tests, as a per-entry scan of a collected box backs the
+streamed sign scan, and a one-string cache writer the streamed one."""
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,7 +20,7 @@ from diagonalis.exactalg import UniPoly, rat
 from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
-from diagonalis.multipoly import Coeff, Exponent, MultiPoly
+from diagonalis.multipoly import Coeff, Exponent, MultiPoly, grlex_key
 from diagonalis.sequences import binomial_oracle
 from unipoly_oracle import FractionUniPoly
 
@@ -57,6 +61,36 @@ def asymptotic_ratio_2d(a, n: int) -> float:
     s = math.sqrt(1 - a)
     log_formula = (2 * n + 1) * math.log1p(s) - math.log(2 * math.sqrt(math.pi * n * s))
     return math.exp(math.log(u.numerator) - math.log(u.denominator) - log_formula)
+
+
+def brute_force_first_nonpositive(box, strict: bool):
+    """Graded-lex-first flagged index of the full box, reading every entry
+    through `coefficient_at`."""
+    for n in sorted(itertools.product(range(box.N + 1), repeat=box.dim),
+                    key=grlex_key):
+        c = box.coefficient_at(n)
+        if isinstance(c, UniPoly):
+            flagged = not c.coeffs or any(q < 0 for q in c.coeffs)
+        else:
+            flagged = c <= 0 if strict else c < 0
+        if flagged:
+            return n, c
+    return None
+
+
+def collected_cache_text(denom: MultiPoly, box) -> str:
+    """The cache file (format v2) of a collected box of 1/denom, built as one
+    string and sealed under the CRC-32 of its whole body."""
+    d, N, R = box.dim, box.N, box.N + 1
+    spelled = json.dumps(denom.to_json(), separators=(",", ":"))
+
+    def index(code: int) -> str:  # the code read back as n_1,...,n_d
+        return ",".join(str(code // R ** i % R) for i in range(d - 1, -1, -1))
+    body = "".join([f"diagonalis-box v2; d={d}; N={N}; sym={int(d > 1)}; "
+                    f"L={box.scale[1]}; B={box.scale[2]}; denom={spelled}\n"]
+                   + [f"{index(c)}:{layer[c]:x}\n"
+                      for layer in box.layers for c in sorted(layer, reverse=True)])
+    return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
 
 
 def scale_variables(p: MultiPoly, scales: Sequence) -> MultiPoly:

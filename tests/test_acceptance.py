@@ -14,8 +14,9 @@ from diagonalis.multipoly import MultiPoly
 from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   extract_diagonal, recurrence_check,
                                   recurrence_guess, recurrence_seed)
-from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
-from oracles import asymptotic_ratio_2d, nonsmooth_locus_4d, scale_variables
+from diagonalis.seriesbox import expand_reciprocal
+from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive,
+                     nonsmooth_locus_4d, scale_variables)
 
 
 def _report(capsys, criterion: int, ok: bool, detail: str = "") -> None:
@@ -103,7 +104,7 @@ def test_criterion_5_two_variable_region(capsys):
     ok = True
     for a in (F(1), F(1, 2), F(0), F(-3)):
         box = expand_reciprocal(named_instance("h2var", a=a).denominator(), 20)
-        ok &= first_nonpositive(box, strict=True) is None
+        ok &= brute_force_first_nonpositive(box, True) is None
     scan_bound = 40
     for a in (F(3, 2), F(2)):
         seq = tuple(binomial_oracle("2var", n, a=a)
@@ -139,7 +140,7 @@ def test_criterion_6_geometry(capsys):
 def test_criterion_7_lambda_positivity(capsys):
     fam = named_instance("StraubLambda")
     box = expand_reciprocal(fam.denominator(), 10)
-    ok = box.ring == "Qlambda" and first_nonpositive(box) is None
+    ok = box.ring == "Qlambda" and brute_force_first_nonpositive(box, True) is None
     _report(capsys, 7, ok, "all coefficients with indices <= 10 are lambda-"
                    "polynomials with nonnegative coefficients")
 
@@ -156,8 +157,8 @@ def test_criterion_9_property_substitution(capsys):
     # is out of desk scope; it is substituted by the exact finite suites of
     # criteria 5-7.  This test re-asserts a sample of each substitute.
     box = expand_reciprocal(named_instance("h2var", a=F(1, 2)).denominator(), 8)
-    ok = first_nonpositive(box, strict=True) is None
+    ok = brute_force_first_nonpositive(box, True) is None
     lam_box = expand_reciprocal(named_instance("StraubLambda").denominator(), 4)
-    ok &= first_nonpositive(lam_box) is None
+    ok &= brute_force_first_nonpositive(lam_box, True) is None
     ok &= critical_points_diag(make_family(3, [1, -1, 0, 5])).verdict == "violated"
     _report(capsys, 9, ok, "substituted by the exact finite-box suites of criteria 5-7")

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import diagonalis
-from diagonalis import cli, seriesbox
+from diagonalis import cli, geometry, seriesbox
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 from diagonalis.sequences import binomial_oracle
 
@@ -59,9 +60,15 @@ def test_expand_text_reports_stored_entries(capsys):
     assert "entries: 256\n" in out and "entries_stored: 35\n" in out
 
 
-def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatch):
+def _report(argv):
+    """The pinned (argv, text, JSON data) of `_REPORTS` or `_FLAGGED_REPORTS`."""
+    return next(r for r in _REPORTS + _FLAGGED_REPORTS if r[0] == argv)
+
+
+def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatch,
+                                                               tmp_path):
     def no_box(*args, **kwargs):
-        raise AssertionError("plain expand collected a box")
+        raise AssertionError("expand collected a box")
     monkeypatch.setattr(cli, "expand_reciprocal", no_box)
     drawn, enumerated = [], []
 
@@ -73,12 +80,27 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
     enumerate_layer = seriesbox._layer
     monkeypatch.setattr(seriesbox, "_layer",
                         lambda *args: enumerated.append(args) or enumerate_layer(*args))
-    argv, text, data = _REPORTS[2]  # plain expand, as the collected box reported it
-    assert argv[0] == "expand" and "--check-positive" not in argv
+    argv, text, data = _report(["expand", "--family", "StraubLambda", "--N", "2"])
     assert run(capsys, *argv) == (0, text)
     assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
     assert len(drawn) == 2  # the scale, twice
     assert enumerated == []  # no layer past the scale is made
+    # the scan alone stops at the flagged layer 17; with the cache it reads all 37
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIAGONALIS_CACHE", raising=False)
+    for argv, layers in ((["expand", "--family", "hab", "--a", "1/4", "--b", "21/8",
+                           "--N", "30", "--check-positive"], 18),
+                         (["expand", "--family", "hab", "--a", "1/4", "--b", "23/8",
+                           "--N", "12", "--check-positive", "--cache", "flagged.box"], 37)):
+        drawn.clear()
+        argv, text, data = _report(argv)
+        assert run(capsys, *argv) == (1, text)
+        assert len(drawn) == 1 + layers
+    assert (tmp_path / "flagged.box").read_text().endswith(_CACHE_TRAILERS["flagged.box"])
+    drawn.clear()  # the cache alone, with the trailer of the file pinned in test_seriesbox
+    code, out = run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", "kzd3.box")
+    assert code == 0 and out.endswith("cache: ./kzd3.box\n") and len(drawn) == 1 + 13
+    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=2cf71c74\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -184,7 +206,7 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
     before = path.read_bytes()
 
-    def fail_midway(box, fh):
+    def fail_midway(denom, N, scale, layers, fh):
         fh.write("diagonalis-box v2; d=3")
         raise OSError("No space left on device")
 
@@ -193,6 +215,70 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
         main(["expand", "--family", "AG3", "--N", "3", "--cache", str(path)])
     assert exc.value.code == 2
     assert "No space left on device" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kzd3.box"]
+
+
+class _FullDisk:
+    """A file whose `write` fails with ENOSPC from its fourth call on."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes >= 4:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+
+def test_write_failing_on_a_later_layer_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "kzd3.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    before = path.read_bytes()
+    opened = []
+
+    def full_disk(name, mode):
+        # the header and layers 0 and 1 reach the temporary file; layer 2 fails
+        opened.append(_FullDisk(open(name, mode)))
+        return opened[-1]
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "AG3", "--N", "3", "--check-positive",
+              "--cache", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write cache {path}: No space left on device" in err
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert [f.writes for f in opened] == [4]
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kzd3.box"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "AG3", "--N", "3", "--entry-limit", "63"],
+    ["--family", "AG3", "--N", "3", "--entry-limit", "63", "--check-positive"],
+    ["--coeffs", "0,-1,0,4", "--N", "3"],
+], ids=["entry-limit", "entry-limit-check", "zero-constant"])
+def test_refused_expand_opens_no_file_over_the_old_cache(capsys, tmp_path, monkeypatch,
+                                                         argv):
+    path = tmp_path / "kzd3.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    before = path.read_bytes()
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("a file was opened")
+    monkeypatch.setattr(cli, "open", no_file, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", *argv, "--cache", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["kzd3.box"]
 
@@ -350,7 +436,7 @@ def test_geometry_bisect_searches_upward_from_b_lo(capsys, monkeypatch):
         boxes.append(p)
         return expand(p, N, entry_limit)
     expand = seriesbox.expand_layers
-    monkeypatch.setattr(seriesbox, "expand_layers", counted)
+    monkeypatch.setattr(geometry, "expand_layers", counted)
     code, out = run(capsys, "geometry", "bisect", "--N", "2", "--prec", "1/2",
                     "--b-lo", "2", "--format", "json")
     assert code == 0

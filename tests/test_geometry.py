@@ -3,16 +3,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagonalis import geometry, seriesbox
+from diagonalis import geometry
 from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
                                  cubic_discriminant, nonsmooth_locus_3d,
                                  sturm_isolate)
 from diagonalis.multipoly import MultiPoly
-from diagonalis.seriesbox import expand_reciprocal, first_nonpositive
-from oracles import (asymptotic_ratio_2d, fraction_critical_points_diag,
-                     fraction_sturm_chain, fraction_variations, nonsmooth_locus_4d)
+from diagonalis.seriesbox import expand_reciprocal
+from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive,
+                     fraction_critical_points_diag, fraction_sturm_chain,
+                     fraction_variations, nonsmooth_locus_4d)
 from unipoly_oracle import FractionUniPoly
 
 
@@ -431,7 +432,7 @@ def test_violated_verdict_backed_by_box():
     fam = make_family(3, [1, -1, 0, 5])
     assert critical_points_diag(fam).verdict == "violated"
     box = expand_reciprocal(fam.denominator(), 12)
-    assert first_nonpositive(box, strict=True) is not None
+    assert brute_force_first_nonpositive(box, True) is not None
 
 
 def test_disc_consistency_with_boundary():
@@ -468,7 +469,7 @@ def test_box_positivity_bisect_small():
 def test_box_positivity_bisect_rejects_nonpositive_prec(monkeypatch):
     def no_box(*args, **kwargs):
         raise AssertionError("a box was expanded before prec was checked")
-    monkeypatch.setattr(seriesbox, "expand_layers", no_box)
+    monkeypatch.setattr(geometry, "expand_layers", no_box)
     for prec in (0, F(-1, 64)):
         with pytest.raises(ValueError, match="precision must be positive"):
             box_positivity_bisect(4, prec, 4, False)

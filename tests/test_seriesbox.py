@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -10,16 +11,39 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagonalis import exactalg, seriesbox
+from diagonalis import cli, exactalg, seriesbox
 from diagonalis.cli import main
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
-from diagonalis.multipoly import MultiPoly, grlex_key, symmetric_denominator
+from diagonalis.multipoly import MultiPoly, symmetric_denominator
 from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
                                   _unpack, expand_layers, expand_reciprocal,
-                                  first_nonpositive, load_cache, save_cache,
-                                  streamed_first_nonpositive)
-from oracles import scale_variables, substitute_zero
+                                  load_cache, save_cache, streamed_first_nonpositive)
+from oracles import (brute_force_first_nonpositive, collected_cache_text,
+                     scale_variables, substitute_zero)
+
+
+def _streamed(p: MultiPoly, N: int, strict: bool = True):
+    """The sign scan of the box of 1/p on [0..N]^d, streamed from the kernel
+    as `expand --check-positive` runs it."""
+    layers = expand_layers(p, N, 10 ** 8)
+    return streamed_first_nonpositive(layers, next(layers), p.dim, N, strict)
+
+
+def _cache_text(p: MultiPoly, N: int) -> str:
+    """The cache file of the box of 1/p on [0..N]^d, streamed from the kernel
+    as `expand --cache` writes it."""
+    layers = expand_layers(p, N, 10 ** 8)
+    buf = io.StringIO()
+    save_cache(p, N, next(layers), layers, buf)
+    return buf.getvalue()
+
+
+def _resaved(p: MultiPoly, box) -> str:
+    """The cache file of a collected or loaded box of 1/p."""
+    buf = io.StringIO()
+    save_cache(p, box.N, box.scale, enumerate(box.layers), buf)
+    return buf.getvalue()
 
 
 def geometric_oracle(p: MultiPoly, N: int) -> dict:
@@ -113,21 +137,18 @@ def test_restriction_consistency():
 
 
 def test_first_nonpositive_one_plus_x_plus_y():
-    box = expand_reciprocal(symmetric_denominator([1, 1, 0]), 3)
-    assert first_nonpositive(box, strict=True) == ((1, 0), F(-1))
+    assert _streamed(symmetric_denominator([1, 1, 0]), 3) == ((1, 0), F(-1))
 
 
 def test_first_nonpositive_positive_family():
-    box = expand_reciprocal(symmetric_denominator([1, -1, 1]), 5)
-    assert first_nonpositive(box, strict=True) is None
+    assert _streamed(symmetric_denominator([1, -1, 1]), 5) is None
 
 
 def test_first_nonpositive_koornwinder_nonstrict():
     # brute-force control via the independent geometric oracle
     p = symmetric_denominator([1, -1, 0, 4, -16])
     N = 4
-    box = expand_reciprocal(p, N)
-    assert first_nonpositive(box, strict=False) is None
+    assert _streamed(p, N, strict=False) is None
     oracle = geometric_oracle(p, N)
     assert all(v >= 0 for v in oracle.values())
 
@@ -135,18 +156,16 @@ def test_first_nonpositive_koornwinder_nonstrict():
 def test_first_nonpositive_lambda_box_refuses_non_strict():
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
-    box = expand_reciprocal(p, 3)
     with pytest.raises(ValueError, match="no non-strict check"):
-        first_nonpositive(box, strict=False)
+        _streamed(p, 3, strict=False)
 
 
 def test_lambda_check_geometric():
     # 1/(1 - lambda x): coefficients lambda^n
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
-    box = expand_reciprocal(p, 3)
-    assert first_nonpositive(box) is None
-    assert box.coefficient_at((3,)) == lam ** 3
+    assert _streamed(p, 3) is None
+    assert expand_reciprocal(p, 3).coefficient_at((3,)) == lam ** 3
 
 
 def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
@@ -171,9 +190,7 @@ def test_lambda_check_flags_negative():
     # 1/(1 - (lambda - 1) x): coefficient of x is lambda - 1
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)})
-    box = expand_reciprocal(p, 2)
-    hit = first_nonpositive(box)
-    assert hit == ((1,), lam - 1)
+    assert _streamed(p, 2) == ((1,), lam - 1)
 
 
 def test_lambda_check_flags_graded_lex_first_of_full_box():
@@ -181,13 +198,14 @@ def test_lambda_check_flags_graded_lex_first_of_full_box():
     # and (1,0,0) precedes (0,1,0) and the stored (0,0,1) in graded-lex order
     lam = UniPoly.x()
     p = symmetric_denominator([UniPoly.const(1), -(lam - 1), 0, 0])
-    assert first_nonpositive(expand_reciprocal(p, 2)) == ((1, 0, 0), lam - 1)
+    assert _streamed(p, 2) == ((1, 0, 0), lam - 1)
 
 
 def _same_scan(p, N, strict=True):
-    """The streamed check returns what the scan of the collected box returns."""
-    hit = streamed_first_nonpositive(p, N, strict)
-    assert hit == first_nonpositive(expand_reciprocal(p, N), strict)
+    """The streamed check returns what the per-entry oracle reads off the
+    collected box."""
+    hit = _streamed(p, N, strict)
+    assert hit == brute_force_first_nonpositive(expand_reciprocal(p, N), strict)
     return hit
 
 
@@ -247,7 +265,7 @@ def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
             drawn.append(t)
             yield t, layer
     expand = seriesbox.expand_layers
-    monkeypatch.setattr(seriesbox, "expand_layers", counted)
+    monkeypatch.setattr(cli, "expand_layers", counted)
     assert main(["expand", "--coeffs", "1,1,0", "--N", "3", "--check-positive"]) == 1
     assert "check: (1,0) -> -1\n" in capsys.readouterr().out
     assert drawn == [0, 1]
@@ -280,47 +298,54 @@ def test_a_weight_past_4300_digits_expands():
     assert expand_reciprocal(p, 3).data == geometric_oracle(p, 3)
 
 
+def _peak(run) -> tuple:
+    """run() and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@functools.cache
+def _kzd26_box_peak() -> int:
+    """The peak of collecting the box of KZ-D on [0..26]^4, all 105 layers."""
+    return _peak(lambda: expand_reciprocal(named_instance("KZ-D").denominator(), 26))[1]
+
+
 def test_streamed_check_holds_a_window_of_layers():
-    # KZ-D has no nonpositive coefficient, so both routes expand every layer;
-    # the streamed one holds deg(p) + 1 = 5 of its 105
-    p, N = named_instance("KZ-D").denominator(), 26
-    peaks = []
-    for check in (lambda: streamed_first_nonpositive(p, N, True),
-                  lambda: first_nonpositive(expand_reciprocal(p, N), True)):
-        tracemalloc.start()
-        try:
-            assert check() is None
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    streamed, collected = peaks
-    assert 3 * streamed < collected
+    # KZ-D has no nonpositive coefficient, so the scan expands every layer;
+    # it holds deg(p) + 1 = 5 of the 105
+    hit, streamed = _peak(lambda: _streamed(named_instance("KZ-D").denominator(), 26))
+    assert hit is None
+    assert 3 * streamed < _kzd26_box_peak()
+
+
+def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
+    # `expand --cache` writes each layer as it comes, so it holds a window of
+    # layers, neither the box nor the text of the whole file
+    argv = ["expand", "--family", "KZ-D", "--N", "26", "--cache", str(tmp_path / "k.box")]
+    code, written = _peak(lambda: main(argv))
+    assert code == 0 and capsys.readouterr().out.endswith(f"cache: {tmp_path}/k.box\n")
+    assert 3 * written < _kzd26_box_peak()
 
 
 def test_cache_roundtrip_rational():
     p = symmetric_denominator([1, -1, 0, 4])
     box = expand_reciprocal(p, 3)
-    buf = io.StringIO()
-    save_cache(box, buf)
-    buf.seek(0)
-    loaded = load_cache(buf)
+    text = _cache_text(p, 3)
+    loaded = load_cache(io.StringIO(text))
     assert loaded.N == box.N and loaded.dim == box.dim and loaded.ring == "Q"
     for n in itertools.product(range(4), repeat=3):
         assert loaded.coefficient_at(n) == box.coefficient_at(n)
     # bit-exact round trip
-    buf2 = io.StringIO()
-    save_cache(loaded, buf2)
-    assert buf2.getvalue() == buf.getvalue()
+    assert _resaved(p, loaded) == text
 
 
 def test_cache_roundtrip_lambda():
     lam = UniPoly.x()
     p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
-    box = expand_reciprocal(p, 4)
-    buf = io.StringIO()
-    save_cache(box, buf)
-    buf.seek(0)
-    loaded = load_cache(buf)
+    loaded = load_cache(io.StringIO(_cache_text(p, 4)))
     assert loaded.ring == "Qlambda"
     assert loaded.coefficient_at((4,)) == lam ** 4
 
@@ -388,21 +413,6 @@ def test_kernel_matches_geometric_oracle(case):
         assert box.coefficient_at(n) == oracle.get(n, 0), n
 
 
-def brute_force_first_nonpositive(box, strict: bool):
-    """Graded-lex-first flagged index of the full box, reading every entry
-    through `coefficient_at`."""
-    for n in sorted(itertools.product(range(box.N + 1), repeat=box.dim),
-                    key=grlex_key):
-        c = box.coefficient_at(n)
-        if isinstance(c, UniPoly):
-            flagged = not c.coeffs or any(q < 0 for q in c.coeffs)
-        else:
-            flagged = c <= 0 if strict else c < 0
-        if flagged:
-            return n, c
-    return None
-
-
 @settings(deadline=None, max_examples=60)
 @given(reciprocal_cases(), st.booleans())
 @example((MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)}), 3), True)
@@ -417,7 +427,7 @@ def test_first_nonpositive_matches_brute_force(case, strict):
     p, N = case
     box = expand_reciprocal(p, N)
     strict = strict or box.ring == "Qlambda"  # a lambda box has no other check
-    assert first_nonpositive(box, strict) == brute_force_first_nonpositive(box, strict)
+    assert _streamed(p, N, strict) == brute_force_first_nonpositive(box, strict)
 
 
 @st.composite
@@ -468,9 +478,8 @@ def test_smallest_scale():
 
 def _kzd3_cache_lines():
     """The header and entry lines of a KZ-D N=3 cache, without its trailer."""
-    buf = io.StringIO()
-    save_cache(expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 3), buf)
-    return buf.getvalue().splitlines(keepends=True)[:-1]
+    return _cache_text(symmetric_denominator([1, -1, 0, 2, 4]), 3).splitlines(
+        keepends=True)[:-1]
 
 
 def _resealed(lines):
@@ -494,10 +503,9 @@ def test_cache_rejects_wrong_entry_count():
 
 
 def test_cache_rejects_changed_digit_under_old_trailer():
-    buf = io.StringIO()
-    save_cache(expand_reciprocal(symmetric_denominator([1, -1, 0, 2, 4]), 3), buf)
-    assert "\n3,3,3,3:220\ncrc32=" in buf.getvalue()
-    damaged = buf.getvalue().replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n")
+    text = _cache_text(symmetric_denominator([1, -1, 0, 2, 4]), 3)
+    assert "\n3,3,3,3:220\ncrc32=" in text
+    damaged = text.replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n")
     with pytest.raises(ValueError, match=r"does not match its crc32= trailer"):
         load_cache(io.StringIO(damaged))
 
@@ -554,9 +562,7 @@ def test_cache_rejects_malformed_line():
 def test_cache_rejects_scale_that_disagrees_with_denom(key, lam_box):
     p = (MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam}) if lam_box
          else symmetric_denominator([1, -1, 0, 2, 4]))
-    buf = io.StringIO()
-    save_cache(expand_reciprocal(p, 3), buf)
-    lines = buf.getvalue().splitlines(keepends=True)[:-1]
+    lines = _cache_text(p, 3).splitlines(keepends=True)[:-1]
     lines[0] = re.sub(rf"; {key}=\d+;", f"; {key}=7;", lines[0])
     with pytest.raises(ValueError, match=rf"cache header: {key}=7 but denom and N give"):
         load_cache(_resealed(lines))
@@ -617,10 +623,9 @@ _D1_FILE = ('diagonalis-box v2; d=1; N=5; sym=0; L=2; B=0; denom={"dim":1,"terms
 ], ids=["KZ-D", "d1"])
 def test_cache_files_of_the_two_layouts_still_load(text, coeffs, N):
     box = load_cache(io.StringIO(text))
-    assert box.layers == expand_reciprocal(symmetric_denominator(coeffs), N).layers
-    again = io.StringIO()
-    save_cache(box, again)
-    assert again.getvalue() == text
+    p = symmetric_denominator(coeffs)
+    assert box.layers == expand_reciprocal(p, N).layers
+    assert _resaved(p, box) == text
 
 
 @settings(deadline=None, max_examples=40)
@@ -632,13 +637,10 @@ def test_cache_files_of_the_two_layouts_still_load(text, coeffs, N):
 def test_cache_roundtrip_keeps_the_kernel_integers(case):
     p, N = case
     box = expand_reciprocal(p, N)
-    buf = io.StringIO()
-    save_cache(box, buf)
-    loaded = load_cache(io.StringIO(buf.getvalue()))
+    text = _cache_text(p, N)
+    loaded = load_cache(io.StringIO(text))
     assert (loaded.layers, loaded.scale) == (box.layers, box.scale)
-    again = io.StringIO()
-    save_cache(loaded, again)
-    assert again.getvalue() == buf.getvalue()
+    assert _resaved(p, loaded) == text
 
 
 # --- differential test: layer kernel vs the per-entry kernel -----------------
@@ -763,28 +765,37 @@ def test_symmetric_mode_matches_full():
 ])
 @pytest.mark.parametrize("reloaded", [True, False])
 def test_scan_breaks_ties_within_the_first_flagged_layer(b, a, want, reloaded):
-    box = expand_reciprocal(_power_sum_denominator(b, a), 3)
+    p = _power_sum_denominator(b, a)
+    box = expand_reciprocal(p, 3)
     if reloaded:  # read back from its cache, whose layers hold the codes in another order
-        buf = io.StringIO()
-        save_cache(box, buf)
-        box = load_cache(io.StringIO(buf.getvalue()))
+        box = load_cache(io.StringIO(_cache_text(p, 3)))
     flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
                if sum(n) == 2 and box.coefficient_at(n) <= 0}
     assert len(flagged) == 1 + (b == 2 and a == 3)
     for strict in (True, False):
-        hit = first_nonpositive(box, strict)
+        hit = streamed_first_nonpositive(enumerate(box.layers), box.scale, 3, 3, strict)
         assert hit == brute_force_first_nonpositive(box, strict)
         assert hit[0] == want
 
 
+_CACHED = [named_instance("KZ-D").denominator(), named_instance("Kauers").denominator(),
+           named_instance("StraubLambda").denominator(),
+           named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator()]
+_CACHED_IDS = ["KZ-D", "Kauers", "StraubLambda", "hab-failing"]
+
+
 @pytest.mark.parametrize("p, N, crc", [
-    (named_instance("KZ-D").denominator(), 8, "82e6476a"),
-    (named_instance("Kauers").denominator(), 6, "e9ef6463"),
-    (named_instance("StraubLambda").denominator(), 6, "3c0ce671"),
-    (named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator(), 12, "fbb156c8"),
-], ids=["KZ-D", "Kauers", "StraubLambda", "hab-failing"])
+    (_CACHED[0], 8, "82e6476a"),
+    (_CACHED[1], 6, "e9ef6463"),
+    (_CACHED[2], 6, "3c0ce671"),
+    (_CACHED[3], 12, "fbb156c8"),
+], ids=_CACHED_IDS)
 def test_cache_bytes_are_pinned(p, N, crc):
-    box = expand_reciprocal(p, N)
-    buf = io.StringIO()
-    save_cache(box, buf)
-    assert buf.getvalue().endswith(f"\ncrc32={crc}\n")
+    assert _cache_text(p, N).endswith(f"\ncrc32={crc}\n")
+
+
+@pytest.mark.parametrize("p", _CACHED, ids=_CACHED_IDS)
+def test_streamed_cache_matches_the_collected_writer(p):
+    # hab-failing is flagged at (3,3,2) from N = 8 on
+    for N in (0, 1, 3, 8):
+        assert _cache_text(p, N) == collected_cache_text(p, expand_reciprocal(p, N))

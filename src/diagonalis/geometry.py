@@ -143,7 +143,9 @@ def sturm_isolate(p: UniPoly) -> list[RootInterval]:
     by bisecting (0, 1 + max|c_i|/|c_k|], the root bound of its first
     member, and a root of p has multiplicity 1 plus the number of levels
     >= 1 with a root in its interval.  An interval is (lo/den, hi/den] on
-    integers, with the sign variations at both ends."""
+    integers, with the sign variations at both ends.  ArithmeticError if an
+    interval narrower than the root separation of the first member still
+    shows more than one root, which only a broken chain can give."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     levels, g = [], list(p.nums)
@@ -153,8 +155,15 @@ def sturm_isolate(p: UniPoly) -> list[RootInterval]:
     if not levels:
         return []
     chain = levels[0]
-    den = abs(chain[0][-1])
-    hi = den + max(map(abs, chain[0]))
+    q, k = chain[0], len(chain[0]) - 1
+    den = abs(q[-1])
+    hi = den + max(map(abs, q))
+    # Every interval below is hi/den wide, for this hi.  The square-free q
+    # of degree k has its roots more than sqrt(3) k^(-(k+2)/2)
+    # ||q||_2^(1-k) apart (K. Mahler, Michigan Math. J. 11, 1964), and
+    # ||q||_2 <= sum |c|; so once den reaches `deepest`, an interval holds
+    # at most one root of q.
+    deepest = hi * k ** ((k + 3) // 2) * sum(map(abs, q)) ** (k - 1)
     stack = [(0, hi, den, _variations(chain, 0, 1), _variations(chain, hi, den))]
     found = []
     while stack:
@@ -162,6 +171,10 @@ def sturm_isolate(p: UniPoly) -> list[RootInterval]:
         if v_lo - v_hi == 1:
             found.append((lo, hi, den))
         elif v_lo - v_hi > 1:
+            if den >= deepest:
+                raise ArithmeticError(
+                    f"a root-separation-wide interval ({lo}/{den}, {hi}/{den}] "
+                    f"shows {v_lo - v_hi} roots: the Sturm chain is broken")
             v_mid = _variations(chain, lo + hi, 2 * den)
             stack.append((2 * lo, lo + hi, 2 * den, v_lo, v_mid))
             stack.append((lo + hi, 2 * hi, 2 * den, v_mid, v_hi))

@@ -12,7 +12,9 @@ rejects it, and otherwise the reduced row-echelon nullspace basis of the
 primes whose pivot columns agree with Q is lifted by CRT and rational
 reconstruction, and returned at the first prime where the lift checks
 exactly over Z.  So the result is the basis that exact elimination over
-Q gives, whatever its dimension.  A sequence is a plain tuple (or any
+Q gives, whatever its dimension.  Each elimination mod p runs on packed
+rows: a row is one int with an unreduced slot per column, and a row update
+is one big-integer multiply-add.  A sequence is a plain tuple (or any
 sequence) u_0, u_1, ... of rationals, indexed from 0.
 """
 
@@ -249,8 +251,9 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
     return None
 
 
-# the largest prime below 2^30: residues are one CPython digit, so their
-# products take the interpreter's small-int paths
+# the largest prime below 2^30: a packed row of `_nullspace_mod` then has
+# slots of at most 60 + bits(ncols) bits, and the factor of each row update
+# is one CPython digit
 _SCREEN_PRIME = 2 ** 30 - 35
 
 
@@ -380,33 +383,57 @@ def _nullspace_mod(matrix: list[list[int]],
                    p: int) -> tuple[list[list[int]], list[int]]:
     """The reduced row-echelon nullspace basis of an integer matrix over
     GF(p), and its pivot columns in increasing order: the basis vector of
-    each free column has a 1 there."""
+    each free column has a 1 there.
+
+    Gauss-Jordan on packed rows, with delayed reduction (J.-G. Dumas,
+    P. Giorgi and C. Pernet, ACM TOMS 35, 2008): a row is one int whose
+    column c is the S-bit slot at bit c*S, and a slot holds a nonnegative
+    residue that no row update reduces.  A row update adds f times the
+    pivot row negated mod p, so it is one multiply-add, and a slot is
+    reduced only where it is read."""
     ncols = len(matrix[0])
-    rows = [[a % p for a in row] for row in matrix]
+    # A slot starts below p and only grows, by at most (p-1)^2 per update
+    # (f and every slot of `neg` are below p).  Each pivot updates a row at
+    # most once, and a pivot row is re-packed reduced, so no slot exceeds
+    # (p-1) + ncols (p-1)^2 < 2^S: no slot carries into the next.
+    S = (p - 1 + ncols * (p - 1) ** 2).bit_length()
+    mask = (1 << S) - 1
+    rows = [_pack([a % p for a in row], S) for row in matrix]
     pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
     for col in range(ncols):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]),
-                         None)
+        rank, shift = len(pivots), col * S
+        pivot_row = next((r for r in range(rank, len(rows))
+                          if (rows[r] >> shift & mask) % p), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        # the columns before col are zero in the pivot row
-        tail = rows[rank][col:] = [a * inv % p for a in rows[rank][col:]]
+        # the columns before col are zero mod p in the pivot row
+        inv = pow(rows[rank] >> shift & mask, -1, p)
+        tail = [(rows[rank] >> c & mask) * inv % p
+                for c in range(shift, ncols * S, S)]
+        rows[rank] = _pack(tail, S) << shift
+        neg = _pack([(p - a) % p for a in tail], S) << shift
         for r, row in enumerate(rows):
-            f = row[col]
+            f = (row >> shift & mask) % p
             if f and r != rank:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+                rows[r] = row + f * neg
         pivots.append(col)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[fc] = 1
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc] % p
+            vec[pc] = -(row >> (fc * S) & mask) % p
         basis.append(vec)
     return basis, pivots
+
+
+def _pack(values: list[int], S: int) -> int:
+    """The int whose S-bit slot i, at bit i*S, holds values[i] >= 0."""
+    v = 0
+    for a in reversed(values):
+        v = v << S | a
+    return v
 
 
 def _rational_reconstruction(a: int, m: int) -> Optional[Fraction]:

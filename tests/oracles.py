@@ -4,7 +4,9 @@ and two substitutions on a `MultiPoly` back the acceptance criteria and
 the box-expansion generators.  The `Fraction` route of the critical-point
 analysis, which the integer one in `geometry` replaced, backs its
 differential tests, as a per-entry scan of a collected box backs the
-streamed sign scan, and a one-string cache writer the streamed one."""
+streamed sign scan, a one-string cache writer the streamed one, and
+Gauss-Jordan mod p on lists of residues the packed elimination of
+`sequences._nullspace_mod`."""
 
 from __future__ import annotations
 
@@ -118,6 +120,38 @@ def substitute_zero(p: MultiPoly, var_index: int) -> MultiPoly:
         if exp[var_index] == 0:
             out[exp[:var_index] + exp[var_index + 1:]] = c
     return MultiPoly(p.dim - 1, out)
+
+
+def list_nullspace_mod(matrix: list[list[int]],
+                       p: int) -> tuple[list[list[int]], list[int]]:
+    """`sequences._nullspace_mod` on lists: Gauss-Jordan mod p with one
+    list of residues per row, every entry reduced at every row update."""
+    ncols = len(matrix[0])
+    rows = [[a % p for a in row] for row in matrix]
+    pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        # the columns before col are zero in the pivot row
+        tail = rows[rank][col:] = [a * inv % p for a in rows[rank][col:]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] % p
+        basis.append(vec)
+    return basis, pivots
 
 
 # --- the Fraction route of geometry.critical_points_diag -------------------

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -149,6 +150,9 @@ _factor = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=4),
        st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool))
+# roots 1 and 1.0001 part after 15 halvings, within the 19 that the
+# separation bound allows
+@example([(UniPoly([-1, 1]), 1), (UniPoly([-10001, 10000]), 2)], F(1))
 def test_sturm_isolate_matches_the_squarefree_route(factors, scale):
     p = UniPoly.const(scale)
     for f, m in factors:
@@ -224,6 +228,26 @@ def test_isolation_builds_a_fraction_only_for_each_reported_end(monkeypatch):
         made.clear()
         roots = sturm_isolate(p)
         assert len(made) == 2 * len(roots) and len(roots) in (2, 3)
+
+
+def test_broken_sturm_chain_raises_and_does_not_hang(monkeypatch):
+    # remainders of the wrong sign break the chain: without the separation
+    # bound, some interval shows two roots at every depth and bisection
+    # never ends
+    real = geometry._signed_prem
+    monkeypatch.setattr(geometry, "_signed_prem",
+                        lambda a, b: [-c for c in real(a, b)])
+
+    def hung(signum, frame):
+        raise TimeoutError("sturm_isolate still bisecting after 5 s")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ArithmeticError, match="Sturm chain is broken"):
+            sturm_isolate(UniPoly([1, -3, 0, 3]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sturm_rejects_zero():

@@ -18,6 +18,7 @@ from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
                                   recurrence_check, recurrence_extend,
                                   recurrence_guess, recurrence_seed)
 from diagonalis.seriesbox import expand_reciprocal
+from oracles import list_nullspace_mod
 
 
 def test_readme_quick_tour():
@@ -597,6 +598,43 @@ def test_nullspace_matches_the_fraction_oracle(unlucky, matrix):
     with mock.patch.object(sequences, "_primes",
                            _unlucky_primes() if unlucky else sequences._primes):
         assert sequences._nullspace(matrix) == nullspace_oracle(matrix)
+
+
+@st.composite
+def _matrix_mod_a_prime(draw):
+    """(B C, p) for B rows x rank and C rank x cols with random entries of
+    one size, small, residue-sized or wide: rank 0 gives the zero matrix,
+    a rank below min(rows, cols) a rank-deficient one, and a small p
+    drops more rank."""
+    p = draw(st.sampled_from([2, 3, 5, 7, sequences._SCREEN_PRIME]))
+    cols = draw(st.integers(1, 30))
+    rows = draw(st.integers(1, cols + 4))
+    rank = draw(st.integers(0, min(rows, cols)))
+    size = draw(st.sampled_from([9, p, 2 ** 64]))
+    rnd = draw(st.randoms(use_true_random=False))
+    b = [[rnd.randint(-size, size) for _ in range(rank)] for _ in range(rows)]
+    c = [[rnd.randint(-size, size) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(b[i][k] * c[k][j] for k in range(rank)) for j in range(cols)]
+            for i in range(rows)], p
+
+
+def _slot_near_its_bound():
+    """At p = 3 on 15 columns a slot is 6 bits, for values up to
+    2 + 15 * 2^2 = 62.  Rows e_k + e_14 (k < 13) are the pivots of columns
+    0 to 12, and each adds 2 * 2 to column 14 of the last row, which is 2
+    in those columns: that slot reaches 2 + 13 * 4 = 54 before the row
+    becomes the pivot of column 13 and column 14 is read for the basis."""
+    return ([[int(c == k) + int(c == 14) for c in range(15)] for k in range(13)]
+            + [[2] * 13 + [1, 2]], 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_mod_a_prime())
+@example(_slot_near_its_bound())
+@example(([[0, 0, 0]] * 2, 2))
+def test_packed_elimination_matches_the_list_oracle(case):
+    matrix, p = case
+    assert sequences._nullspace_mod(matrix, p) == list_nullspace_mod(matrix, p)
 
 
 def test_is_prime_agrees_with_trial_division():

@@ -226,7 +226,8 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
     _SCREEN_PRIME of the ansatz at max_degree, with its columns in
     degree-major order, finds the first degree whose ansatz can have a
     nonzero nullspace; only the ansätze from that degree on are solved,
-    each by `_nullspace`, exactly over Q through its lift mod primes.
+    each by `_nullspace`, exactly over Q through its lift mod primes.  The
+    ansatz at max_degree is built once, for the screen and for its solve.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
@@ -237,9 +238,10 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
             f"need >= {min_needed} terms to guess at max_order={max_order}, "
             f"max_degree={max_degree}; got {len(seq)}")
     for order in range(1, max_order + 1):
-        for degree in range(_first_degree(seq, order, max_degree),
-                            max_degree + 1):
-            for vec in _nullspace(_ansatz_matrix(seq, order, degree)):
+        top = _ansatz_matrix(seq, order, max_degree)
+        for degree in range(_first_degree(top, order), max_degree + 1):
+            matrix = top if degree == max_degree else _ansatz_matrix(seq, order, degree)
+            for vec in _nullspace(matrix):
                 ps = tuple(
                     UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
                     for j in range(order + 1))
@@ -257,18 +259,17 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
 _SCREEN_PRIME = 2 ** 30 - 35
 
 
-def _first_degree(seq: Sequence[Fraction], order: int, max_degree: int) -> int:
+def _first_degree(top: list[list[int]], order: int) -> int:
     """The lowest degree whose ansatz of this order can have a nonzero
     nullspace over Q, or max_degree + 1 if none can: one elimination
-    mod _SCREEN_PRIME of the ansatz at max_degree.  In degree-major column
+    mod _SCREEN_PRIME of `top`, the ansatz at max_degree.  In degree-major column
     order (n^0 of every p_j, then n^1, ...) the ansatz of degree d is the
     first (order+1)(d+1) columns.  Gauss-Jordan leaves a column free iff it
     depends on the columns before it, so a degree below the first free
     column has full column rank mod the prime, hence over Q."""
-    width = max_degree + 1
+    width = len(top[0]) // (order + 1)  # max_degree + 1
     _, pivots = _nullspace_mod([[a for k in range(width) for a in row[k::width]]
-                                for row in _ansatz_matrix(seq, order, max_degree)],
-                               _SCREEN_PRIME)
+                                for row in top], _SCREEN_PRIME)
     # the pivots are increasing, so the first free column is the first c
     # that is not the c-th pivot; with none, it is (order+1) * width
     free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))

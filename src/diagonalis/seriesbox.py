@@ -15,9 +15,12 @@ An index n is keyed by its code, n read as a base-(N+1) number, so the
 predecessor n - m is one integer subtraction away.  Which predecessors
 exist, and their code offsets, depend only on the shape of n: each
 coordinate capped at the largest exponent K of p (the zero pattern for
-p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape;
-each shape is compiled once per call into one comprehension over its
-group, such as
+p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape,
+each derived from the layers before it: the indices of total degree t whose
+last j+1 coordinates are equal are those whose last j+2 are equal, and those
+of degree t-j-1 with their last j+1 (equal) coordinates raised by one, one
+addition to each code (`_shape_groups`).  Each shape is compiled once per
+call into one comprehension over its group, such as
 
     lambda codes, P1, P2, P3: [w0 * (P1[c - 5] + P1[c - 41]) + w1 * (P3[c - 46])
                                for c in codes]
@@ -48,7 +51,6 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from operator import sub
@@ -70,41 +72,41 @@ class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _layer(d: int, N: int, t: int, cap: int) -> dict[int, list[int]]:
-    """The non-decreasing indices n in [0..N]^d with |n| = t, as {shape: codes
-    in ascending order}.  code reads n in base N+1; shape reads in base cap+1
-    the gaps n_i - n_{i-1} (n_{-1} = 0) of n, each capped at `cap`."""
-    if d == 1:
-        return {min(t, cap): [t]} if t <= N else {}
+def _shape_groups(d: int, N: int, cap: int):
+    """Yield, for t = 0..dN, the non-decreasing indices n in [0..N]^d with
+    |n| = t as {shape: codes}, the codes of a group in no set order.  code
+    reads n in base N+1; shape reads in base cap+1 the gaps n_i - n_{i-1}
+    (n_{-1} = 0) of n, each capped at `cap`, so digit j is the gap before
+    the last j+1 coordinates.
+
+    G_j(t), the n with |n| = t whose last j+1 coordinates are equal, is
+    G_{j+1}(t) (gap digit j is 0) and, disjoint from it, G_j(t-j-1) with
+    those coordinates raised by one (gap digit j >= 1): code + 1 + R + ...
+    + R^j, dropping the n whose last coordinate is N, and digit j raised
+    unless it is at the cap.  G_d(0) is {0}, and layer t is G_0(t)."""
     R, base = N + 1, cap + 1
-    groups: dict[int, list[int]] = defaultdict(list)
-    parts = [(0, 0, 0, t)]  # code, shape, last coordinate, rest of the first d-2
-    for slots in range(d, 2, -1):
-        grown = []
-        for code, shape, prev, rest in parts:
-            code, shape = code * R, shape * base
-            for v in range(max(prev, rest - (slots - 1) * N), min(rest // slots, N) + 1):
-                g = v - prev
-                grown.append((code + v, shape + (g if g < cap else cap), v, rest - v))
-        parts = grown
-    # the last two coordinates (a, rest - a) have codes start + a * N; the run
-    # of a with both gaps at the cap is one range (one loop over a: +4% wall)
-    for code, shape, prev, rest in parts:
-        lo = rest - N if rest - N > prev else prev
-        hi, ihi = (rest // 2 if rest // 2 < N else N), (rest - cap) // 2
-        ilo, ihi = prev + cap if prev + cap > lo else lo, ihi if ihi < hi else hi
-        start, shape = code * R * R + rest, shape * base * base
-        if ilo <= ihi:
-            groups[shape + cap * base + cap].extend(
-                range(start + ilo * N, start + ihi * N + 1, N))
-            edges = [*range(lo, ilo), *range(ihi + 1, hi + 1)]
-        else:
-            edges = range(lo, hi + 1)
-        for a in edges:
-            g, gap = a - prev, rest - 2 * a
-            groups[shape + (g if g < cap else cap) * base
-                   + (gap if gap < cap else cap)].append(start + a * N)
-    return groups
+    steps, units = [1] * d, [1] * d  # (R^(j+1) - 1) / N and base^j
+    for j in range(1, d):
+        steps[j], units[j] = steps[j - 1] * R + 1, units[j - 1] * base
+    # past[j][t % (j+1)] holds G_j(t-j-1) until G_j(t) replaces it
+    past: list[list[dict[int, list[int]]]] = [[{}] * (j + 1) for j in range(d)]
+    for t in range(d * N + 1):
+        groups = {0: [0]} if t == 0 else {}  # G_d(t)
+        for j in range(d - 1, -1, -1):
+            step, unit, slot = steps[j], units[j], t % (j + 1)
+            raised: dict[int, list[int]] = {}
+            for shape, codes in past[j][slot].items():
+                codes = [c + step for c in codes if c % R != N]
+                if codes:
+                    if shape // unit % base != cap:
+                        shape += unit
+                    if shape in raised:
+                        raised[shape] += codes
+                    else:
+                        raised[shape] = codes
+            raised.update(groups)
+            groups = past[j][slot] = raised
+        yield groups
 
 
 def _code(n: Exponent, N: int) -> int:
@@ -275,9 +277,11 @@ def expand_layers(p: MultiPoly, N: int, entry_limit: int):
     current: dict[int, int] = {0: 1}
     window = (current, *[None] * deg)[:deg]  # layers t - 1, ..., t - deg
     yield 0, current
-    for t in range(1, d * N + 1):
+    layers = enumerate(_shape_groups(d, N, K))
+    next(layers)  # layer 0, v_0 = 1, is yielded above
+    for t, groups in layers:
         current = {}
-        for shape, codes in _layer(d, N, t, K).items():
+        for shape, codes in groups.items():
             sweep = sweeps.get(shape)
             if sweep is None:
                 sweep = sweeps[shape] = compile_stencil(codes[0])
@@ -405,9 +409,10 @@ def load_cache(fh: TextIO) -> CoeffBox:
     # line by line, the indices `save_cache` writes: each layer's codes in
     # descending order (the cap only groups them)
     index, entries = _index_text(dim, N), iter(enumerate(lines, 2))
-    layers: list[dict[int, int]] = [{} for _ in range(dim * N + 1)]
-    for t, layer in enumerate(layers):
-        codes = chain.from_iterable(_layer(dim, N, t, 1).values())
+    layers: list[dict[int, int]] = []
+    for groups in _shape_groups(dim, N, 1):
+        layers.append(layer := {})
+        codes = chain.from_iterable(groups.values())
         for code, (lineno, line) in zip(sorted(codes, reverse=True), entries):
             try:
                 idx_s, v_s = line.split(":")

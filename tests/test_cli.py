@@ -77,9 +77,13 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
             drawn.append(item)
             yield item
     monkeypatch.setattr(cli, "expand_layers", counted)
-    enumerate_layer = seriesbox._layer
-    monkeypatch.setattr(seriesbox, "_layer",
-                        lambda *args: enumerated.append(args) or enumerate_layer(*args))
+    shape_groups = seriesbox._shape_groups
+
+    def enumerating(*args):
+        for groups in shape_groups(*args):
+            enumerated.append(groups)
+            yield groups
+    monkeypatch.setattr(seriesbox, "_shape_groups", enumerating)
     argv, text, data = _report(["expand", "--family", "StraubLambda", "--N", "2"])
     assert run(capsys, *argv) == (0, text)
     assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")

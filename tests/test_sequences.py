@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -464,7 +465,7 @@ def test_screened_guess_matches_fraction_oracle(seq):
     assert recurrence_guess(seq, 2, 3) == guess_oracle(seq, 2, 3)
     # every degree the screen skips has a trivial nullspace over Q
     for order in (1, 2):
-        first = sequences._first_degree(seq, order, 3)
+        first = sequences._first_degree(sequences._ansatz_matrix(seq, order, 3), order)
         assert 0 <= first <= 4
         for degree in range(first):
             matrix = sequences._ansatz_matrix(seq, order, degree)
@@ -473,8 +474,9 @@ def test_screened_guess_matches_fraction_oracle(seq):
 
 def test_screen_flags_the_first_degree_with_a_nullspace():
     seq = _oracle_window("kzd", 24)
-    assert sequences._first_degree(seq, 1, 3) == 4  # no degree up to 3
-    assert sequences._first_degree(seq, 2, 3) == 3
+    # no degree up to 3 at order 1
+    assert sequences._first_degree(sequences._ansatz_matrix(seq, 1, 3), 1) == 4
+    assert sequences._first_degree(sequences._ansatz_matrix(seq, 2, 3), 2) == 3
 
 
 def _perturbed_franel():
@@ -521,6 +523,28 @@ def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
     assert {2, 3, 5, 7} <= set(primes)
 
 
+@functools.cache
+def _kauers_diagonal():
+    """The 36 diagonal terms of the Kauers box at N=35, as box-guess reads them."""
+    box = expand_reciprocal(named_instance("Kauers").denominator(), 35)
+    return sequences.extract_diagonal(box)
+
+
+def test_each_ansatz_is_built_once(monkeypatch):
+    built = []
+    build = sequences._ansatz_matrix
+
+    def counted(seq, order, degree):
+        built.append((order, degree))
+        return build(seq, order, degree)
+    monkeypatch.setattr(sequences, "_ansatz_matrix", counted)
+    rec = recurrence_guess(_kauers_diagonal(), 3, 6)
+    assert (rec.order, rec.degree) == (3, 6)
+    # each order's screen finds no lower degree, so its one ansatz at
+    # max_degree is screened and then, for order 3, solved
+    assert built == [(1, 6), (2, 6), (3, 6)]
+
+
 def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
     bounds = []
     bound = sequences._hadamard_bound
@@ -536,8 +560,7 @@ def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
     assert (bounds, primes) == ([], _first_primes(1))
     # the Kauers (3, 6) lift needs a third prime: one bound, after the
     # first lift fails
-    box = expand_reciprocal(named_instance("Kauers").denominator(), 35)
-    kauers = sequences._ansatz_matrix(sequences.extract_diagonal(box), 3, 6)
+    kauers = sequences._ansatz_matrix(_kauers_diagonal(), 3, 6)
     del primes[:]
     assert len(sequences._nullspace(kauers)) == 1
     assert (bounds, primes) == ([33], _first_primes(3))

@@ -502,6 +502,18 @@ def test_cache_rejects_wrong_entry_count():
         load_cache(_resealed(_kzd3_cache_lines()[:30]))
 
 
+def test_cache_refuses_a_forged_huge_N_before_enumerating(monkeypatch):
+    lines = _kzd3_cache_lines()
+    lines[0] = lines[0].replace("; N=3; ", f"; N={10 ** 6}; ")
+
+    def no_layers(*args):
+        raise AssertionError("a layer was enumerated")
+    monkeypatch.setattr(seriesbox, "_shape_groups", no_layers)
+    with pytest.raises(ValueError, match=rf"^line 36: cache ends after 35 entries; "
+                                         rf"expected {math.comb(10 ** 6 + 4, 4)} for sym=1$"):
+        load_cache(_resealed(lines))
+
+
 def test_cache_rejects_changed_digit_under_old_trailer():
     text = _cache_text(symmetric_denominator([1, -1, 0, 2, 4]), 3)
     assert "\n3,3,3,3:220\ncrc32=" in text
@@ -745,6 +757,22 @@ def test_layer_kernel_matches_per_entry_kernel(p, N):
 def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
     p, N = case
     assert expand_reciprocal(p, N).data == per_entry_data(p, N, True)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_shape_groups_match_the_per_entry_enumeration(d):
+    # each layer derived from the earlier ones against the entries of that
+    # layer enumerated one by one, grouped by shape, as sets
+    for N, cap in itertools.product(range(9), range(1, 4)):
+        layers = list(seriesbox._shape_groups(d, N, cap))
+        assert len(layers) == d * N + 1
+        for t, groups in enumerate(layers):
+            want: dict = {}
+            for _, code, shape in _entry_layer(d, N, t, True, cap):
+                want.setdefault(functools.reduce(lambda s, g: s * (cap + 1) + g, shape),
+                                set()).add(code)
+            assert all(len(set(codes)) == len(codes) for codes in groups.values())
+            assert {shape: set(codes) for shape, codes in groups.items()} == want
 
 
 def test_symmetric_mode_matches_full():

@@ -3,7 +3,6 @@ functions 1 / sum_k c_k e_k(x_1, ..., x_d) and their diagonals."""
 
 from .exactalg import UniPoly, binomial, plain, rat
 from .family import FamilySpec, canonicalize, make_family, named_instance
-from .multipoly import MultiPoly, elementary_symmetric, symmetric_denominator
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, extract_diagonal,
                         recurrence_check, recurrence_extend, recurrence_guess,

@@ -76,8 +76,7 @@ def _family_box(args):
     if args.N is None:
         raise ValueError("--N is required to expand a box")
     fam = _resolve_family(args)
-    return fam, expand_reciprocal(fam.denominator(), args.N,
-                                  entry_limit=_entry_limit(args))
+    return fam, expand_reciprocal(fam.coeffs, args.N, entry_limit=_entry_limit(args))
 
 
 def _cache_path(path: str) -> str:
@@ -94,17 +93,17 @@ def cmd_expand(args) -> int:
     if args.non_strict and (lam or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
-    p, N, strict = fam.denominator(), args.N, not args.non_strict
+    c, d, N, strict = fam.coeffs, fam.dim, args.N, not args.non_strict
     # one pass over the layers: every refusal comes with the scale, before any
     # file is opened, and plain expand draws no layer past it
-    layers = expand_layers(p, N, _entry_limit(args))
+    layers = expand_layers(c, N, _entry_limit(args))
     scale = next(layers)
     hit = None
 
     def scanned():  # each layer on its way to the cache, scanned up to the first hit
         nonlocal hit
         for item in layers:
-            hit = hit or streamed_first_nonpositive([item], scale, p.dim, N, strict)
+            hit = hit or streamed_first_nonpositive([item], scale, d, N, strict)
             yield item
     if args.cache:
         path = _cache_path(args.cache)
@@ -112,7 +111,7 @@ def cmd_expand(args) -> int:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                save_cache(p, N, scale, scanned() if args.check_positive else layers, fh)
+                save_cache(c, N, scale, scanned() if args.check_positive else layers, fh)
             os.replace(tmp, path)
         except OSError as exc:  # name the given path, not the temporary one
             raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
@@ -120,18 +119,18 @@ def cmd_expand(args) -> int:
             if os.path.exists(tmp):
                 os.remove(tmp)
     elif args.check_positive:  # stops at the first layer with a hit
-        hit = streamed_first_nonpositive(layers, scale, p.dim, N, strict)
-    report = {"family": fam, "N": N, "entries": (N + 1) ** p.dim,
-              "entries_stored": math.comb(N + p.dim, p.dim),
+        hit = streamed_first_nonpositive(layers, scale, d, N, strict)
+    report = {"family": fam, "N": N, "entries": (N + 1) ** d,
+              "entries_stored": math.comb(N + d, d),
               "ring": "Qlambda" if lam else "Q"}
     status = 0
     if args.check_positive:
         if hit is None and lam:
             report["check"] = (f"all lambda-coefficients in [0..{N}]^"
-                               f"{p.dim} have nonnegative coefficients")
+                               f"{d} have nonnegative coefficients")
         elif hit is None:
             word = "nonpositive" if not args.non_strict else "negative"
-            report["check"] = f"no {word} coefficient in [0..{N}]^{p.dim}"
+            report["check"] = f"no {word} coefficient in [0..{N}]^{d}"
         else:
             n, c = hit
             report["check"] = ("flagged " if lam else "") + f"{_fmt_index(n)} -> {c}"

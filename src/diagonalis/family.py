@@ -9,8 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import UniPoly, over_lcm, rat
-from .multipoly import (Coeff, MultiPoly, _coerce_coeff, depends_on_lambda,
-                        symmetric_denominator)
+from .multipoly import Coeff, _coerce_coeff, depends_on_lambda
 from .registry import build, catalog
 
 
@@ -27,9 +26,6 @@ class FamilySpec:
         c0 = self.coeffs[0]
         if not c0:
             raise ValueError("c_0 must be nonzero")
-
-    def denominator(self) -> MultiPoly:
-        return symmetric_denominator(self.coeffs)
 
     def has_lambda(self) -> bool:
         return any(map(depends_on_lambda, self.coeffs))

@@ -288,9 +288,8 @@ def box_positivity_bisect(N: int, prec, b_lo, strict: bool) -> tuple[Fraction, F
         raise ValueError(f"bisection precision must be positive, got {prec}")
 
     def box_ok(b: Fraction) -> bool:
-        denom = named_instance("h0b", b=b).denominator()
-        layers = expand_layers(denom, N, DEFAULT_ENTRY_LIMIT)
-        hit = streamed_first_nonpositive(layers, next(layers), denom.dim, N, strict)
+        layers = expand_layers(named_instance("h0b", b=b).coeffs, N, DEFAULT_ENTRY_LIMIT)
+        hit = streamed_first_nonpositive(layers, next(layers), 4, N, strict)
         return hit is None
 
     lo = rat(b_lo)

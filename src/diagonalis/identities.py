@@ -10,10 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .family import named_instance
-from .sequences import (binomial_oracle, builtin_recurrence, extract_diagonal,
-                        recurrence_seed)
-from .seriesbox import expand_reciprocal
+from .sequences import binomial_oracle, builtin_recurrence, recurrence_seed
 from .uniseries import (UniSeries, hypergeometric_2f1, recurrence_to_frobenius,
                         theta_hexagonal, verify_series_identity)
 
@@ -99,17 +96,6 @@ def check_theta_modular(M: int) -> Mismatch:
     return verify_series_identity(sol.y0, theta_hexagonal(M).compose(q * 2))
 
 
-def check_lewy_askey_binomial(M: int) -> Mismatch:
-    """Box diagonal of h_{2/3,0,0}, scaled by 9^n, against C(2n,n) u_n with
-    u_n from the three-term recurrence.  M is the box bound; keep it modest."""
-    fam = named_instance("LewyAskey")
-    box = expand_reciprocal(fam.denominator(), M)
-    diag = extract_diagonal(box)
-    lhs = UniSeries([Fraction(9) ** n * diag[n] for n in range(M + 1)], M)
-    rhs = UniSeries([binomial_oracle("lewy-askey", n) for n in range(M + 1)], M)
-    return verify_series_identity(lhs, rhs)
-
-
 IDENTITIES: dict[str, Callable[[int], Mismatch]] = {
     "fran": check_fran,
     "sd-gf": check_sd_gf,
@@ -118,7 +104,6 @@ IDENTITIES: dict[str, Callable[[int], Mismatch]] = {
     "ramanujan-cubic": check_ramanujan_cubic,
     "szego-binomial": check_szego_binomial,
     "theta-modular": check_theta_modular,
-    "lewy-askey-binomial": check_lewy_askey_binomial,
 }
 
 

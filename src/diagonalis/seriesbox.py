@@ -1,33 +1,38 @@
-"""Exact Taylor expansion of 1/p on a coefficient box.
+"""Exact Taylor expansion of 1/p, p = sum_k c_k e_k(x_1, ..., x_d), on a
+coefficient box.
 
+A denominator is its coefficient vector c_0, ..., c_d over Q or Q[lambda].
 The box holds the coefficients u_n of 1/p for n in [0..N]^d, computed a
 layer (total degree t = |n|) at a time from the convolution recurrence
-c_0 * u_n = [n = 0] - sum_{0 != m <= n} p_m * u_{n-m}, run on integers.
-With L > 0 the smallest integer that makes every w_m = L^|m| * p_m / c_0
+c_0 * u_n = [n = 0] - sum_k c_k sum_{S, |S| = k} u_{n - 1_S}, over the
+k-subsets S of the coordinates with n - 1_S >= 0, run on integers.  With
+L > 0 the smallest integer that makes every w_k = -c_k * L^k / c_0
 integral, v_n = c_0 * L^|n| * u_n satisfies v_0 = 1 and
 
-    v_n = - sum_{0 != m <= n} w_m * v_{n-m};
+    v_n = sum_k w_k sum_{S, |S| = k} v_{n - 1_S};
 
-over Q[lambda] the weights are packed as w(2^B) (Kronecker substitution),
+over Q[lambda] the weights are packed as w_k(2^B) (Kronecker substitution),
 and the balanced base-2^B digits of v_n(2^B) are the lambda-coefficients.
 
-An index n is keyed by its code, n read as a base-(N+1) number, so the
-predecessor n - m is one integer subtraction away.  Which predecessors
-exist, and their code offsets, depend only on the shape of n: each
-coordinate capped at the largest exponent K of p (the zero pattern for
-p = sum c_k e_k).  A layer is enumerated as groups of codes of one shape,
-each derived from the layers before it: the indices of total degree t whose
-last j+1 coordinates are equal are those whose last j+2 are equal, and those
-of degree t-j-1 with their last j+1 (equal) coordinates raised by one, one
-addition to each code (`_shape_groups`).  Each shape is compiled once per
-call into one comprehension over its group, such as
+u_n depends only on the orbit of n under permuting the coordinates, so a
+box stores the sorted representative of each orbit.  An index n is keyed
+by its code, n read as a base-(N+1) number, so the predecessor n - 1_S is
+one integer subtraction away.  Which predecessors exist, and their code
+offsets, depend only on the shape of n: which of its gaps n_i - n_{i-1}
+(n_{-1} = 0) are nonzero, at most 2^d shapes, with orbit multiplicities
+merged into the stencils.  A layer is enumerated as groups of codes of one
+shape, each derived from the layers before it: the indices of total degree
+t whose last j+1 coordinates are equal are those whose last j+2 are equal,
+and those of degree t-j-1 with their last j+1 (equal) coordinates raised by
+one, one addition to each code (`_shape_groups`).  Each shape is compiled
+once per call into one comprehension over its group, such as
 
     lambda codes, P1, P2, P3: [w0 * (P1[c - 5] + P1[c - 41]) + w1 * (P3[c - 46])
                                for c in codes]
 
 with P_k the layer t - k: the (lag, offset) terms of the shape's stencil,
 those that share a merged weight under one product.  The source text holds
-only lags and offsets; the negated merged weights are bound by name in the
+only lags and offsets; the merged weights are bound by name in the
 namespace the text is evaluated in, since CPython refuses str() of an int
 past 4300 digits and packed Q[lambda] weights grow with N.  The compiled
 code is memoized by its text, so a box whose shapes and N recur (the boxes
@@ -39,11 +44,6 @@ scan stops at the first layer with a hit, and `save_cache` writes each layer
 and drops it.  `CoeffBox.layers[t]` keeps every layer, for the diagonals and
 a loaded cache.  The exact u_n, a `Fraction` or `UniPoly`, is built only
 when an entry is read.
-
-The denominator must be symmetric, so u_n depends only on the orbit of n:
-a box stores the sorted representative of each index orbit, whose shape is
-its gaps capped at K (at most 2^d stencils for K = 1), with orbit
-multiplicities merged into the stencils.
 """
 
 from __future__ import annotations
@@ -52,16 +52,17 @@ import json
 import math
 import zlib
 from fractions import Fraction
-from itertools import chain
-from operator import sub
-from typing import TextIO
+from itertools import chain, combinations
+from typing import Sequence, TextIO
 
-from .exactalg import UniPoly
-from .multipoly import Coeff, Exponent, MultiPoly, depends_on_lambda
+from .exactalg import UniPoly, plain, rat
+from .multipoly import Coeff, _coerce_coeff, depends_on_lambda
+
+Exponent = tuple[int, ...]
 
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
-CACHE_MAGIC = "diagonalis-box v2"
+CACHE_MAGIC = "diagonalis-box v3"
 
 # the compiled code of each stencil sweep, by its source text: a shape's text
 # recurs in every expansion of the same stencil at the same N
@@ -72,34 +73,33 @@ class BoxTooLargeError(ValueError):
     """Raised when a requested box exceeds the entry limit."""
 
 
-def _shape_groups(d: int, N: int, cap: int):
+def _shape_groups(d: int, N: int):
     """Yield, for t = 0..dN, the non-decreasing indices n in [0..N]^d with
     |n| = t as {shape: codes}, the codes of a group in no set order.  code
-    reads n in base N+1; shape reads in base cap+1 the gaps n_i - n_{i-1}
-    (n_{-1} = 0) of n, each capped at `cap`, so digit j is the gap before
-    the last j+1 coordinates.
+    reads n in base N+1; bit j of shape is set iff the gap before the last
+    j+1 coordinates of n is nonzero, the gaps being n_i - n_{i-1}
+    (n_{-1} = 0).
 
     G_j(t), the n with |n| = t whose last j+1 coordinates are equal, is
-    G_{j+1}(t) (gap digit j is 0) and, disjoint from it, G_j(t-j-1) with
-    those coordinates raised by one (gap digit j >= 1): code + 1 + R + ...
-    + R^j, dropping the n whose last coordinate is N, and digit j raised
-    unless it is at the cap.  G_d(0) is {0}, and layer t is G_0(t)."""
-    R, base = N + 1, cap + 1
-    steps, units = [1] * d, [1] * d  # (R^(j+1) - 1) / N and base^j
+    G_{j+1}(t) (gap j is 0) and, disjoint from it, G_j(t-j-1) with those
+    coordinates raised by one (gap j is nonzero): code + 1 + R + ... + R^j,
+    dropping the n whose last coordinate is N, and bit j set.  G_d(0) is
+    {0}, and layer t is G_0(t)."""
+    R = N + 1
+    steps = [1] * d  # (R^(j+1) - 1) / N
     for j in range(1, d):
-        steps[j], units[j] = steps[j - 1] * R + 1, units[j - 1] * base
+        steps[j] = steps[j - 1] * R + 1
     # past[j][t % (j+1)] holds G_j(t-j-1) until G_j(t) replaces it
     past: list[list[dict[int, list[int]]]] = [[{}] * (j + 1) for j in range(d)]
     for t in range(d * N + 1):
         groups = {0: [0]} if t == 0 else {}  # G_d(t)
         for j in range(d - 1, -1, -1):
-            step, unit, slot = steps[j], units[j], t % (j + 1)
+            step, slot = steps[j], t % (j + 1)
             raised: dict[int, list[int]] = {}
             for shape, codes in past[j][slot].items():
                 codes = [c + step for c in codes if c % R != N]
                 if codes:
-                    if shape // unit % base != cap:
-                        shape += unit
+                    shape |= 1 << j
                     if shape in raised:
                         raised[shape] += codes
                     else:
@@ -201,69 +201,63 @@ def _unpack(v: int, B: int) -> list[int]:
     return digits
 
 
-def _kernel_scale(p: MultiPoly, N: int) -> tuple:
-    """(c_0, L, B, packed weights [(m, w_m(2^B))]) of the kernel for 1/p on
-    [0..N]^d; B = 0 over Q.  Requires an invertible constant term."""
-    c0 = p.constant_term()
-    if isinstance(c0, UniPoly):
-        if not c0.is_constant() or not c0:
-            raise ValueError("not expandable at origin: constant term not invertible")
-        c0 = c0.constant_value()
-    elif not c0:
+def _kernel_scale(c: Sequence[Coeff], N: int) -> tuple:
+    """(c_0, L, B, packed weights [(k, w_k(2^B))] for each k >= 1 with
+    c_k != 0) of the kernel for 1/sum c_k e_k on [0..N]^d, d = len(c) - 1;
+    B = 0 over Q.  Requires an invertible c_0."""
+    c0 = c[0]
+    if depends_on_lambda(c0):
+        raise ValueError("not expandable at origin: constant term not invertible")
+    c0 = Fraction(c0.constant_value() if isinstance(c0, UniPoly) else c0)
+    if not c0:
         raise ValueError("not expandable at origin: zero constant term")
-    c0 = Fraction(c0)
-    lam = any(map(depends_on_lambda, p.terms.values()))
-    monomials = []  # (m, p_m / c_0 as lambda-coefficients; one over Q)
-    for m, c in p.terms.items():
-        if any(m):
-            qs = c.coeffs if isinstance(c, UniPoly) else [c]
-            monomials.append((m, [Fraction(q) / c0 for q in qs]))
-    L = _smallest_scale((q.denominator, sum(m)) for m, qs in monomials for q in qs)
-    weights = [(m, [int(q * L ** sum(m)) for q in qs]) for m, qs in monomials]
+    ratios = [(k, [Fraction(q) / c0 for q in (ck.coeffs if isinstance(ck, UniPoly) else [ck])])
+              for k, ck in enumerate(c) if k and ck]  # c_k / c_0, lambda-coefficients
+    L = _smallest_scale((q.denominator, k) for k, qs in ratios for q in qs)
+    weights = [(k, [-int(q * L ** k) for q in qs]) for k, qs in ratios]
     # Over Q[lambda] each weight w is packed as w(2^B), a ring homomorphism
     # Z[lambda] -> Z, so the loop computes v_n(2^B).  With W the sum of |c|
-    # over all weight coefficients, ||v_n||_1 <= W^|n| by induction (every
-    # predecessor is at least one layer lower; merged weights only add terms
-    # already counted), so 2^(B-1) > max(1, W^(dN)) lets `_unpack` decode v_n.
-    W = sum(abs(c) for _, w in weights for c in w)
-    B = max(1, W ** (p.dim * N)).bit_length() + 1 if lam else 0
-    return c0, L, B, [(m, int(UniPoly(w)(1 << B))) for m, w in weights]
+    # over the weight coefficients of all C(d, k) monomials of each e_k,
+    # ||v_n||_1 <= W^|n| by induction (every predecessor is at least one
+    # layer lower; merged weights only add terms already counted), so
+    # 2^(B-1) > max(1, W^(dN)) lets `_unpack` decode v_n.
+    d = len(c) - 1
+    W = sum(math.comb(d, k) * abs(q) for k, w in weights for q in w)
+    B = max(1, W ** (d * N)).bit_length() + 1 if any(map(depends_on_lambda, c)) else 0
+    return c0, L, B, [(k, int(UniPoly(w)(1 << B))) for k, w in weights]
 
 
-def expand_layers(p: MultiPoly, N: int, entry_limit: int):
-    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant
-    term: yield the scale (c_0, L, B), then (t, layers[t]) for t = 0..dN.
+def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
+    """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
+    c_0: yield the scale (c_0, L, B), then (t, layers[t]) for t = 0..dN.
     Only the deg(p) + 1 layers t - deg(p) .. t that the kernel reads are
     held; an earlier one is dropped once it is yielded and no longer read."""
+    d = len(c) - 1
+    if d < 1:
+        raise ValueError("need at least c_0 and c_1")
     if N < 0:
         raise ValueError("box bound must be >= 0")
-    if not p.is_symmetric():
-        raise ValueError("a box needs a symmetric denominator")
-    if (N + 1) ** p.dim > entry_limit:
+    if (N + 1) ** d > entry_limit:
         raise BoxTooLargeError(
-            f"box [0..{N}]^{p.dim} has {(N + 1) ** p.dim} entries, "
-            f"limit {entry_limit}")
-    c0, L, B, weights = _kernel_scale(p, N)
+            f"box [0..{N}]^{d} has {(N + 1) ** d} entries, limit {entry_limit}")
+    c0, L, B, weights = _kernel_scale(c, N)
     yield c0, L, B
-    d = p.dim
-    K = max((max(m) for m, _ in weights), default=1)
-    deg = max((sum(m) for m, _ in weights), default=0)  # deg(p)
+    deg = max((k for k, _ in weights), default=0)  # deg(p)
 
     def compile_stencil(code: int):
         """The sweep of a shape, (codes, P1, ..., P_deg) -> [v_n for n in
         codes] with P_k the layer t - k, as the module docstring spells it."""
         n = _index(code, d, N)
-        merged: dict = {}
-        for m, w in weights:
-            prev = tuple(map(sub, n, m))
-            if min(prev) < 0:
-                continue
-            key = (sum(m), code - _code(tuple(sorted(prev)), N))
-            merged[key] = merged.get(key, 0) - w
-        reads: dict[int, list[str]] = {}  # negated merged weight -> its reads
+        merged: dict = {}  # (lag k, code offset) -> merged weight, never 0
+        for k, w in weights:
+            for subset in combinations(range(d), k):
+                prev = [e - (i in subset) for i, e in enumerate(n)]
+                if min(prev) >= 0:
+                    key = (k, code - _code(sorted(prev), N))
+                    merged[key] = merged.get(key, 0) + w
+        reads: dict[int, list[str]] = {}  # merged weight -> its reads
         for (k, off), w in merged.items():
-            if w:
-                reads.setdefault(w, []).append(f"P{k}[c - {off}]")
+            reads.setdefault(w, []).append(f"P{k}[c - {off}]")
         names = {f"w{i}": w for i, w in enumerate(reads)}
         terms = [f"{name} * ({' + '.join(r)})" for name, r in zip(names, reads.values())]
         text = f"lambda codes{params}: [{' + '.join(terms) or '0'} for c in codes]"
@@ -277,7 +271,7 @@ def expand_layers(p: MultiPoly, N: int, entry_limit: int):
     current: dict[int, int] = {0: 1}
     window = (current, *[None] * deg)[:deg]  # layers t - 1, ..., t - deg
     yield 0, current
-    layers = enumerate(_shape_groups(d, N, K))
+    layers = enumerate(_shape_groups(d, N))
     next(layers)  # layer 0, v_0 = 1, is yielded above
     for t, groups in layers:
         current = {}
@@ -290,13 +284,13 @@ def expand_layers(p: MultiPoly, N: int, entry_limit: int):
         yield t, current
 
 
-def expand_reciprocal(p: MultiPoly, N: int,
+def expand_reciprocal(c: Sequence[Coeff], N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
-    """Expand 1/p on [0..N]^d for a symmetric p with an invertible constant
-    term, keeping every layer."""
-    layers = expand_layers(p, N, entry_limit)
+    """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
+    c_0, keeping every layer."""
+    layers = expand_layers(c, N, entry_limit)
     scale = next(layers)
-    return CoeffBox(p.dim, N, [layer for _, layer in layers], scale)
+    return CoeffBox(len(c) - 1, N, [layer for _, layer in layers], scale)
 
 
 def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: bool):
@@ -329,22 +323,21 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     return None
 
 
-def save_cache(denom: MultiPoly, N: int, scale: tuple, layers, fh: TextIO) -> None:
-    """Write cache format v2 of the box of 1/denom on [0..N]^d with this scale
-    and layers (t, layers[t]), as `expand_layers` yields them: a header line,
-    one `i,j,...:v_n` line per stored entry in graded-lex order with the
-    kernel's integer v_n in hexadecimal, and a last line `crc32=` of every byte
-    before it.  Each layer is written, and added to the CRC, as it comes."""
-    d = denom.dim
-    index = _index_text(d, N)
-    spelled = json.dumps(denom.to_json(), separators=(",", ":"))
-    # sym=1: sorted orbit representatives only; at d = 1 every orbit is one index
-    header = (f"{CACHE_MAGIC}; d={d}; N={N}; sym={int(d > 1)}; "
-              f"L={scale[1]}; B={scale[2]}; denom={spelled}\n")
+def save_cache(c: Sequence[Coeff], N: int, scale: tuple, layers, fh: TextIO) -> None:
+    """Write cache format v3 of the box of 1/sum c_k e_k on [0..N]^d with this
+    scale and layers (t, layers[t]), as `expand_layers` yields them: a header
+    line, one `i,j,...:v_n` line per stored entry (sorted orbit
+    representatives) in graded-lex order with the kernel's integer v_n in
+    hexadecimal, and a last line `crc32=` of every byte before it.  Each
+    layer is written, and added to the CRC, as it comes."""
+    index = _index_text(len(c) - 1, N)
+    spelled = json.dumps(plain(list(map(_coerce_coeff, c))), separators=(",", ":"))
+    header = f"{CACHE_MAGIC}; N={N}; L={scale[1]}; B={scale[2]}; c={spelled}\n"
     # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
     # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear
     # time.  Within a layer, graded-lex order is descending code order.
-    texts = ("".join([f"{index(c)}:{layer[c]:x}\n" for c in sorted(layer, reverse=True)])
+    texts = ("".join([f"{index(code)}:{layer[code]:x}\n"
+                      for code in sorted(layer, reverse=True)])
              for _, layer in layers)
     # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
     # hash that anyone can recompute detects only accidental damage, as a CRC does
@@ -355,21 +348,30 @@ def save_cache(denom: MultiPoly, N: int, scale: tuple, layers, fh: TextIO) -> No
     fh.write(f"crc32={crc:08x}\n")
 
 
+def _coefficient_vector(spelled: str) -> list[Coeff]:
+    """The c= of a cache header: a JSON list of c_0, ..., c_d, d >= 1, each
+    a rational string or a list of them (a lambda-polynomial)."""
+    c = json.loads(spelled)
+    if not isinstance(c, list) or len(c) < 2:
+        raise ValueError("need a list c_0, ..., c_d with d >= 1")
+    return [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck) for ck in c]
+
+
 def load_cache(fh: TextIO) -> CoeffBox:
     """Read a cache file written by `save_cache`.
 
-    Raises ValueError for a v1 file or a full box (sym=0 at d >= 2), both to
-    be re-created, a missing crc32= trailer (truncated) or a body that does
-    not match it; naming the header field, for a missing or malformed d, N,
-    sym or denom (in d variables, symmetric, invertible at 0) and an L or B
-    that is not the kernel's for denom and N; and, naming the line, for an
-    entry count other than C(N+d, d), a malformed entry and an index other
-    than the one the header fixes there: `save_cache` writes the kernel's
-    enumeration of the box, layer by layer in graded-lex order."""
+    Raises ValueError for a v1 or v2 file, to be re-created, a missing
+    crc32= trailer (truncated) or a body that does not match it; naming the
+    header field, for a missing or malformed N or c (c_0 invertible) and an
+    L or B that is not the kernel's for c and N; and, naming the line, for
+    an entry count other than C(N+d, d), a malformed entry and an index
+    other than the one the header fixes there: `save_cache` writes the
+    kernel's enumeration of the box, layer by layer in graded-lex order."""
     text = fh.read()
-    if text.startswith("diagonalis-box v1;"):
-        raise ValueError("cache format v1 is no longer read; "
-                         "re-create it with expand --cache")
+    for old in ("v1", "v2"):
+        if text.startswith(f"diagonalis-box {old};"):
+            raise ValueError(f"cache format {old} is no longer read; "
+                             "re-create it with expand --cache")
     if not text.startswith(CACHE_MAGIC + "; "):
         raise ValueError("not a diagonalis box cache file")
     body, _, trailer = text.removesuffix("\n").rpartition("\n")
@@ -378,7 +380,7 @@ def load_cache(fh: TextIO) -> CoeffBox:
     if trailer != "crc32=%08x" % zlib.crc32(f"{body}\n".encode()):
         raise ValueError("cache body does not match its crc32= trailer (damaged file)")
     header, *lines = body.split("\n")
-    fields = header[len(CACHE_MAGIC) + 2:].split("; ", 5)
+    fields = header[len(CACHE_MAGIC) + 2:].split("; ", 3)
     meta = dict(f.partition("=")[::2] for f in fields)
 
     def field(key: str, parse):
@@ -389,28 +391,20 @@ def load_cache(fh: TextIO) -> CoeffBox:
             raise ValueError(f"cache header: missing or malformed {key}= "
                              f"({exc})") from None
 
-    dim = field("d", int)
     N = field("N", int)
-    sym = field("sym", {"0": 0, "1": 1}.__getitem__)
-    denom = field("denom", lambda s: MultiPoly.from_json(json.loads(s)))
-    if dim > 1 and not sym:
-        raise ValueError("a full-box cache (sym=0) is no longer read; "
-                         "re-create it with expand --cache")
+    c = field("c", _coefficient_vector)
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
-    if denom.dim != dim:
-        raise ValueError(f"cache header: denom has {denom.dim} variables, not d={dim}")
-    if not denom.is_symmetric():
-        raise ValueError("cache header: sym=1 but denom is not symmetric")
+    dim = len(c) - 1
     expected = math.comb(N + dim, dim)
     if len(lines) != expected:  # before the loop: a forged huge N never enumerates
         raise ValueError(f"line {len(lines) + 1}: cache ends after {len(lines)} "
-                         f"entries; expected {expected} for sym={sym}")
+                         f"entries; expected {expected}")
     # line by line, the indices `save_cache` writes: each layer's codes in
-    # descending order (the cap only groups them)
+    # descending order (the shapes only group them)
     index, entries = _index_text(dim, N), iter(enumerate(lines, 2))
     layers: list[dict[int, int]] = []
-    for groups in _shape_groups(dim, N, 1):
+    for groups in _shape_groups(dim, N):
         layers.append(layer := {})
         codes = chain.from_iterable(groups.values())
         for code, (lineno, line) in zip(sorted(codes, reverse=True), entries):
@@ -424,11 +418,11 @@ def load_cache(fh: TextIO) -> CoeffBox:
                 raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
     # after the count check, so that a forged huge N never reaches W^(dN)
     try:
-        c0, L, B, _ = _kernel_scale(denom, N)
+        c0, L, B, _ = _kernel_scale(c, N)
     except ValueError as exc:
-        raise ValueError(f"cache header: denom= {exc}") from None
+        raise ValueError(f"cache header: c= {exc}") from None
     for key, want in (("L", L), ("B", B)):
         if meta.get(key) != str(want):
-            raise ValueError(f"cache header: {key}={meta.get(key)} but denom and N "
+            raise ValueError(f"cache header: {key}={meta.get(key)} but c and N "
                              f"give {key}={want}")
     return CoeffBox(dim, N, layers, (c0, L, B))

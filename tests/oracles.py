@@ -1,12 +1,15 @@
 """Test oracles: independent routes that no command needs.  The d = 4
-nonsmooth locus, the two-variable asymptotic ratio (the one float check)
-and two substitutions on a `MultiPoly` back the acceptance criteria and
-the box-expansion generators.  The `Fraction` route of the critical-point
-analysis, which the integer one in `geometry` replaced, backs its
-differential tests, as a per-entry scan of a collected box backs the
-streamed sign scan, a one-string cache writer the streamed one, and
-Gauss-Jordan mod p on lists of residues the packed elimination of
-`sequences._nullspace_mod`."""
+nonsmooth locus and the two-variable asymptotic ratio (the one float check)
+back the acceptance criteria.  The monomial route of a denominator
+sum_k c_k e_k, its terms as a dict exponent -> coefficient, backs the box
+kernel, which reads the coefficient vector c_0, ..., c_d alone: a geometric
+series and a per-entry kernel expand 1/p from the dict, and two vector maps
+(scaling the variables, setting one to 0) have their dict counterparts.  The
+`Fraction` route of the critical-point analysis, which the integer one in
+`geometry` replaced, backs its differential tests, as a per-entry scan of a
+collected box backs the streamed sign scan, a one-string cache writer the
+streamed one, and Gauss-Jordan mod p on lists of residues the packed
+elimination of `sequences._nullspace_mod`."""
 
 from __future__ import annotations
 
@@ -18,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from diagonalis.exactalg import UniPoly, rat
+from diagonalis.exactalg import UniPoly, plain, rat
 from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
-from diagonalis.multipoly import Coeff, Exponent, MultiPoly, grlex_key
+from diagonalis.seriesbox import _kernel_scale, _unpack
 from diagonalis.sequences import binomial_oracle
 from unipoly_oracle import FractionUniPoly
 
@@ -65,6 +68,135 @@ def asymptotic_ratio_2d(a, n: int) -> float:
     return math.exp(math.log(u.numerator) - math.log(u.denominator) - log_formula)
 
 
+# --- the monomial route of a denominator sum_k c_k e_k ---------------------
+
+def grlex_key(exp: tuple) -> tuple:
+    # graded lex with x1 > x2 > ...: within a degree layer, (1,0) precedes (0,1)
+    return (sum(exp), tuple(-e for e in exp))
+
+
+def elementary_symmetric(d: int, k: int) -> dict:
+    """e_k(x_1, ..., x_d) as {exponent: 1}: every squarefree degree-k
+    monomial; e_0 = 1."""
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+    return {tuple(int(j in combo) for j in range(d)): 1
+            for combo in itertools.combinations(range(d), k)}
+
+
+def symmetric_denominator(c: Sequence) -> dict:
+    """sum_k c_k e_k(x_1, ..., x_d), d = len(c) - 1, as {exponent: c_k},
+    without the zero terms."""
+    return {exp: ck for k, ck in enumerate(c) if ck
+            for exp in elementary_symmetric(len(c) - 1, k)}
+
+
+def scale_variables(c: Sequence, s) -> list:
+    """The coefficient vector of p(s x_1, ..., s x_d): c_k -> c_k s^k."""
+    s = rat(s)
+    return [ck * s ** k for k, ck in enumerate(c)]
+
+
+def substitute_zero(c: Sequence) -> list:
+    """The coefficient vector of p(x_1, ..., x_{d-1}, 0): c_d dropped."""
+    if len(c) < 3:
+        raise ValueError("cannot drop below one variable")
+    return list(c[:-1])
+
+
+def geometric_oracle(c: Sequence, N: int) -> dict:
+    """Independent expansion of 1/p on [0..N]^d, every index: truncated
+    geometric series in (1 - p/c0) on the monomial dict of p.  Works over Q
+    and over Q[lambda] (c_0 must be a number)."""
+    d = len(c) - 1
+    c0 = Fraction(c[0].constant_value() if isinstance(c[0], UniPoly) else c[0])
+    r = {exp: -pm / c0 for exp, pm in symmetric_denominator(c).items() if any(exp)}
+    total = {(0,) * d: Fraction(1)}
+    power = {(0,) * d: Fraction(1)}
+    for _ in range(d * N):
+        nxt = {}
+        for e1, a in power.items():
+            for e2, b in r.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if all(x <= N for x in e):
+                    nxt[e] = nxt.get(e, Fraction(0)) + a * b
+        power = nxt
+        for e, a in power.items():
+            total[e] = total.get(e, Fraction(0)) + a
+        if not power:
+            break
+    return {e: v / c0 for e, v in total.items()}
+
+
+def entry_layer(d: int, N: int, t: int, symmetric: bool) -> list:
+    """(n, code, shape) for every index n in [0..N]^d of total degree t, in
+    lexicographic order; only the non-decreasing n when `symmetric`.  code
+    is n read in base N+1; shape caps at 1 each coordinate of n, or in
+    symmetric mode each gap n_i - n_{i-1} (n_{-1} = 0)."""
+    parts = [((), 0, (), 0, t)]  # prefix, code, shape, last coordinate, rest
+    for slots in range(d, 1, -1):
+        grown = []
+        for prefix, code, shape, prev, rest in parts:
+            lo = prev if symmetric else 0
+            hi = min(rest // slots if symmetric else rest, N)
+            for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
+                grown.append((prefix + (v,), code * (N + 1) + v,
+                              shape + (min(v - lo, 1),), v, rest - v))
+        parts = grown
+    return [(prefix + (rest,), code * (N + 1) + rest,
+             shape + (min(rest - (prev if symmetric else 0), 1),))
+            for prefix, code, shape, prev, rest in parts if rest <= N]
+
+
+def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
+    """The exact box of 1/p by the per-entry kernel on the monomial dict of
+    p, with the box kernel's scale (c_0, L, B): one index tuple, one shape
+    tuple and one stencil sum per entry, every v_n keyed by n."""
+    c0, L, B, _ = _kernel_scale(c, N)
+    d = len(c) - 1
+    weights = []  # (m, w_m(2^B)), w_m = L^|m| p_m / c_0
+    for m, pm in symmetric_denominator(c).items():
+        if any(m):
+            qs = pm.coeffs if isinstance(pm, UniPoly) else [pm]
+            ints = [int(Fraction(q) * L ** sum(m) / c0) for q in qs]
+            weights.append((m, sum(w << (B * i) for i, w in enumerate(ints))))
+    deg = max((sum(m) for m, _ in weights), default=0)
+    radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
+
+    def compile_stencil(n, code):
+        merged = {}
+        for m, w in weights:
+            prev = tuple(a - b for a, b in zip(n, m))
+            if min(prev) < 0:
+                continue
+            if symmetric:
+                prev = tuple(sorted(prev))
+            key = (sum(m), code - sum(a * r for a, r in zip(prev, radix)))
+            merged[key] = merged.get(key, 0) + w
+        return [(k, off, w) for (k, off), w in merged.items() if w]
+
+    stencils, ints = {}, {(0,) * d: 1}
+    recent = [{0: 1}]  # recent[k - 1] holds layer t - k
+    for t in range(1, d * N + 1):
+        current = {}
+        for n, code, shape in entry_layer(d, N, t, symmetric):
+            if shape not in stencils:
+                stencils[shape] = compile_stencil(n, code)
+            acc = 0
+            for k, off, w in stencils[shape]:
+                acc -= w * recent[k - 1][code - off]
+            current[code] = ints[n] = acc
+        recent.insert(0, current)
+        del recent[deg:]
+
+    def exact(n, v):
+        den = c0.numerator * L ** sum(n)
+        if B:
+            return UniPoly([Fraction(x * c0.denominator, den) for x in _unpack(v, B)])
+        return Fraction(v * c0.denominator, den)
+    return {n: exact(n, v) for n, v in ints.items()}
+
+
 def brute_force_first_nonpositive(box, strict: bool):
     """Graded-lex-first flagged index of the full box, reading every entry
     through `coefficient_at`."""
@@ -80,46 +212,19 @@ def brute_force_first_nonpositive(box, strict: bool):
     return None
 
 
-def collected_cache_text(denom: MultiPoly, box) -> str:
-    """The cache file (format v2) of a collected box of 1/denom, built as one
-    string and sealed under the CRC-32 of its whole body."""
+def collected_cache_text(c: Sequence, box) -> str:
+    """The cache file (format v3) of a collected box of 1/sum c_k e_k, built
+    as one string and sealed under the CRC-32 of its whole body."""
     d, N, R = box.dim, box.N, box.N + 1
-    spelled = json.dumps(denom.to_json(), separators=(",", ":"))
+    spelled = json.dumps(plain(list(c)), separators=(",", ":"))
 
     def index(code: int) -> str:  # the code read back as n_1,...,n_d
         return ",".join(str(code // R ** i % R) for i in range(d - 1, -1, -1))
-    body = "".join([f"diagonalis-box v2; d={d}; N={N}; sym={int(d > 1)}; "
-                    f"L={box.scale[1]}; B={box.scale[2]}; denom={spelled}\n"]
-                   + [f"{index(c)}:{layer[c]:x}\n"
-                      for layer in box.layers for c in sorted(layer, reverse=True)])
+    body = "".join([f"diagonalis-box v3; N={N}; L={box.scale[1]}; B={box.scale[2]}; "
+                    f"c={spelled}\n"]
+                   + [f"{index(code)}:{layer[code]:x}\n"
+                      for layer in box.layers for code in sorted(layer, reverse=True)])
     return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
-
-
-def scale_variables(p: MultiPoly, scales: Sequence) -> MultiPoly:
-    """Substitute x_j <- s_j * x_j."""
-    if len(scales) != p.dim:
-        raise ValueError("scale vector has wrong length")
-    ss = [rat(s) for s in scales]
-    out: dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        factor = Fraction(1)
-        for s, e in zip(ss, exp):
-            factor *= s ** e
-        out[exp] = c * factor
-    return MultiPoly(p.dim, out)
-
-
-def substitute_zero(p: MultiPoly, var_index: int) -> MultiPoly:
-    """Set x_{var_index} = 0, dropping to d-1 variables."""
-    if not 0 <= var_index < p.dim:
-        raise IndexError(f"variable index {var_index} out of range for d={p.dim}")
-    if p.dim == 1:
-        raise ValueError("cannot drop below one variable")
-    out: dict[Exponent, Coeff] = {}
-    for exp, c in p.terms.items():
-        if exp[var_index] == 0:
-            out[exp[:var_index] + exp[var_index + 1:]] = c
-    return MultiPoly(p.dim - 1, out)
 
 
 def list_nullspace_mod(matrix: list[list[int]],

@@ -10,7 +10,6 @@ from diagonalis.exactalg import UniPoly, binomial
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import critical_points_diag, cubic_discriminant
 from diagonalis.identities import verify_identity
-from diagonalis.multipoly import MultiPoly
 from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   extract_diagonal, recurrence_check,
                                   recurrence_guess, recurrence_seed)
@@ -35,16 +34,16 @@ def _diag(denom, N):
 def test_criterion_1_diagonal_identities(capsys):
     N = 12
     ok = True
-    diag = _diag(named_instance("AG3").denominator(), N)
+    diag = _diag(named_instance("AG3").coeffs, N)
     ok &= all(diag[n] == binomial_oracle("franel", n) for n in range(N + 1))
-    diag = _diag(named_instance("KZ-D").denominator(), N)
+    diag = _diag(named_instance("KZ-D").coeffs, N)
     ok &= all(diag[n] == binomial_oracle("kzd", n) for n in range(N + 1))
-    diag = _diag(named_instance("Koornwinder").denominator(), N)
+    diag = _diag(named_instance("Koornwinder").coeffs, N)
     ok &= all(diag[n] == binomial_oracle("koornwinder", n) for n in range(N + 1))
-    scaled = scale_variables(named_instance("Szego3").denominator(), (2, 2, 2))
+    scaled = scale_variables(named_instance("Szego3").coeffs, 2)
     diag = _diag(scaled, N)
     ok &= all(diag[n] == binomial_oracle("szego3", n) for n in range(N + 1))
-    diag = _diag(named_instance("LewyAskey").denominator(), N)
+    diag = _diag(named_instance("LewyAskey").coeffs, N)
     u = recurrence_seed(builtin_recurrence("lewyaskey"), N)
     ok &= all(F(9) ** n * diag[n] == binomial(2 * n, n) * u[n]
               for n in range(N + 1))
@@ -59,7 +58,7 @@ def test_criterion_2_recurrence_suite(capsys):
         "kzd": tuple(binomial_oracle("kzd", n) for n in range(terms)),
     }
     # Lewy-Askey u_n oracle: u_n = 9^n diag_n / C(2n,n) from the box
-    diag = _diag(named_instance("LewyAskey").denominator(), terms - 1)
+    diag = _diag(named_instance("LewyAskey").coeffs, terms - 1)
     windows["lewyaskey"] = tuple(F(9) ** n * diag[n] / binomial(2 * n, n)
                                  for n in range(terms))
     ok = True
@@ -70,7 +69,7 @@ def test_criterion_2_recurrence_suite(capsys):
         ok &= recurrence_check(rec, win) is None
         guessed = recurrence_guess(win, *bounds[name])
         ok &= guessed == rec.normalized()
-    kauers = _diag(named_instance("Kauers").denominator(), 40)
+    kauers = _diag(named_instance("Kauers").coeffs, 40)
     guessed = recurrence_guess(kauers, 3, 6)
     ok &= guessed is not None and (guessed.order, guessed.degree) == (3, 6)
     _report(capsys, 2, ok, "four recurrences verified and re-guessed from 30 terms; "
@@ -85,7 +84,7 @@ def test_criterion_3_literal_values(capsys):
         [1, 24, 1080, 58560, 3490200, 220739904]
     for c in (0, 24, 25):
         fam = named_instance("GRZ", d=4, c=c)
-        box = expand_reciprocal(fam.denominator(), 1)
+        box = expand_reciprocal(fam.coeffs, 1)
         ok &= box.coefficient_at((1, 1, 1, 1)) == 24 - c
     _report(capsys, 3, ok, "sequence literals and GRZ-4 coefficient 24 - c")
 
@@ -103,7 +102,7 @@ def test_criterion_4_series_identities(capsys):
 def test_criterion_5_two_variable_region(capsys):
     ok = True
     for a in (F(1), F(1, 2), F(0), F(-3)):
-        box = expand_reciprocal(named_instance("h2var", a=a).denominator(), 20)
+        box = expand_reciprocal(named_instance("h2var", a=a).coeffs, 20)
         ok &= brute_force_first_nonpositive(box, True) is None
     scan_bound = 40
     for a in (F(3, 2), F(2)):
@@ -123,13 +122,14 @@ def test_criterion_6_geometry(capsys):
     disc_b = cubic_discriminant(b, UniPoly.const(0), UniPoly.const(-3),
                                 UniPoly.const(1))
     ok &= disc_b == 27 * b * (UniPoly.const(4) - b)
-    # cubic-factor discriminant identity over Q[a, b]
-    A, B = MultiPoly(2, {(1, 0): F(1)}), MultiPoly(2, {(0, 1): F(1)})
-    one = MultiPoly.constant(2, 1)
-    disc = cubic_discriminant(one, 3 * B - 27 * (one - A),
-                              3 * B ** 2 + 27 * (A ** 3 + A * B), B ** 3)
-    locus = 4 * A ** 3 - 3 * A ** 2 + 6 * A * B + B ** 2 - 4 * B
-    ok &= disc == (A ** 3 - 3 * A ** 2 - B) ** 2 * locus * (-(3 ** 9))
+    # cubic-factor discriminant identity over Q[a, b], of degree <= 9 in a
+    # and <= 6 in b: it holds on a 10 x 7 grid, so identically
+    for A in range(-5, 5):
+        for B in range(-3, 4):
+            disc = cubic_discriminant(1, 3 * B - 27 * (1 - A),
+                                      3 * B ** 2 + 27 * (A ** 3 + A * B), B ** 3)
+            locus = 4 * A ** 3 - 3 * A ** 2 + 6 * A * B + B ** 2 - 4 * B
+            ok &= disc == (A ** 3 - 3 * A ** 2 - B) ** 2 * locus * (-(3 ** 9))
     for a, b_, c in [(0, 2, 4), (F(2, 3), 0, 0), (0, 4, -16),
                      (F(8, 9), F(-16, 27), 0)]:
         ok &= nonsmooth_locus_4d(a, b_, c).member
@@ -139,7 +139,7 @@ def test_criterion_6_geometry(capsys):
 
 def test_criterion_7_lambda_positivity(capsys):
     fam = named_instance("StraubLambda")
-    box = expand_reciprocal(fam.denominator(), 10)
+    box = expand_reciprocal(fam.coeffs, 10)
     ok = box.ring == "Qlambda" and brute_force_first_nonpositive(box, True) is None
     _report(capsys, 7, ok, "all coefficients with indices <= 10 are lambda-"
                    "polynomials with nonnegative coefficients")
@@ -156,9 +156,9 @@ def test_criterion_9_property_substitution(capsys):
     # Full-scale certification (CAD positivity proofs, the N=100 lambda run)
     # is out of desk scope; it is substituted by the exact finite suites of
     # criteria 5-7.  This test re-asserts a sample of each substitute.
-    box = expand_reciprocal(named_instance("h2var", a=F(1, 2)).denominator(), 8)
+    box = expand_reciprocal(named_instance("h2var", a=F(1, 2)).coeffs, 8)
     ok = brute_force_first_nonpositive(box, True) is None
-    lam_box = expand_reciprocal(named_instance("StraubLambda").denominator(), 4)
+    lam_box = expand_reciprocal(named_instance("StraubLambda").coeffs, 4)
     ok &= brute_force_first_nonpositive(lam_box, True) is None
     ok &= critical_points_diag(make_family(3, [1, -1, 0, 5])).verdict == "violated"
     _report(capsys, 9, ok, "substituted by the exact finite-box suites of criteria 5-7")

@@ -104,7 +104,7 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
     drawn.clear()  # the cache alone, with the trailer of the file pinned in test_seriesbox
     code, out = run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", "kzd3.box")
     assert code == 0 and out.endswith("cache: ./kzd3.box\n") and len(drawn) == 1 + 13
-    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=2cf71c74\n")
+    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=ba43cb2f\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -182,18 +182,23 @@ def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
         (text[:len(text) // 2], "crc32= trailer"),
         (text.replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n"), "crc32= trailer"),
         (_sealed("".join(body.splitlines(keepends=True)[:30])), "line 30"),  # 29 of 35
-        (_sealed(body.replace("d=4; ", "", 1)), "d="),
-        (_sealed(body.replace(header[header.index("denom="):], "denom=[1]", 1)), "denom="),
-        (_sealed(body.replace(header[header.index("denom="):], "denom=" + _NESTED, 1)),
-         "malformed denom= (maximum recursion depth exceeded"),
-        (_sealed(body.replace("d=4", "d=3", 1)), "denom has 4 variables"),
+        (_sealed(body.replace("N=3; ", "", 1)), "N="),
+        (_sealed(body.replace(header[header.index("c="):], "c=[1]", 1)),
+         "malformed c= (need a list c_0, ..., c_d with d >= 1)"),
+        (_sealed(body.replace(header[header.index("c="):], 'c={"dim":4}', 1)),
+         "malformed c= (need a list c_0, ..., c_d with d >= 1)"),
+        (_sealed(body.replace(header[header.index("c="):], "c=" + _NESTED, 1)),
+         "malformed c= (maximum recursion depth exceeded"),
+        (_sealed(body.replace('c=["1","-1","0","2","4"]', 'c=["1","-1","0","2"]', 1)),
+         "line 36: cache ends after 35 entries; expected 20"),  # d = 3
         (_sealed(body.replace("L=1", "L=2", 1)), "L="),
         (_sealed(body.replace("N=3", "N=-1", 1)), "cache header: negative N=-1"),
-        (_sealed(body.replace('{"exp":[0,0,0,0],"coeff":"1"},', "", 1)),
-         "cache header: denom= not expandable at origin: zero constant term"),
+        (_sealed(body.replace('c=["1",', 'c=["0",', 1)),
+         "cache header: c= not expandable at origin: zero constant term"),
         (_sealed(body.replace(":1\n", ':["1"]\n', 1)), "line 2"),  # a v1 Q[lambda] entry
-        (header.replace("v2", "v1").replace("sym=1; L=1; B=0", "ring=Q") + "\n0,0,0,0:1\n",
-         "v1 is no longer read"),
+        ('diagonalis-box v1; d=4; N=3; ring=Q; denom={}\n0,0,0,0:1\n', "v1 is no longer read"),
+        ('diagonalis-box v2; d=4; N=3; sym=1; L=1; B=0; denom={}\n0,0,0,0:1\n',
+         "v2 is no longer read"),
     ]
     for bad, named in damaged:
         path.write_text(bad)
@@ -211,7 +216,7 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
     before = path.read_bytes()
 
     def fail_midway(denom, N, scale, layers, fh):
-        fh.write("diagonalis-box v2; d=3")
+        fh.write("diagonalis-box v3; N=3")
         raise OSError("No space left on device")
 
     monkeypatch.setattr(cli, "save_cache", fail_midway)
@@ -658,7 +663,7 @@ _FLAGGED_REPORTS = [
       "check": "(3,3,2) -> -23/256",
       "cache": "./flagged.box"}),
 ]
-_CACHE_TRAILERS = {"flagged.box": "\ncrc32=fbb156c8\n"}
+_CACHE_TRAILERS = {"flagged.box": "\ncrc32=6063b462\n"}
 
 
 @pytest.mark.parametrize("argv, code, text, data",
@@ -928,13 +933,13 @@ def test_refusal_after_some_work_names_its_cause(capsys, argv, message):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ('"coeff":"1"}', '"coeff":true}', "not a rational number: True"),
-    ('"exp":[1,0,0]', '"exp":[1.0,0,0]', "exponent (1.0, 0, 0) is not a tuple"),
-    ('"exp":[1,0,0]', '"exp":[true,0,0]', "exponent (True, 0, 0) is not a tuple"),
-    ('"dim":3,', '"dim":3.0,', "dimension must be an integer >= 1, got 3.0"),
-], ids=["coeff true", "exp 1.0", "exp true", "dim 3.0"])
+    ('c=["1",', 'c=[true,', "not a rational number: True"),
+    ('c=["1",', 'c=[1.0,', "not an exact rational: float 1.0"),
+    ('"0","4"]', '"0",["4",true]]', "not a rational number: True"),
+    ("N=3;", "N=3.0;", "malformed N= (invalid literal for int() with base 10: '3.0')"),
+], ids=["coeff true", "coeff 1.0", "lambda coeff true", "N 3.0"])
 def test_cache_denom_of_json_bools_or_floats_is_refused(capsys, tmp_path, old, new, message):
-    # each was read as a number, true as 1 and 1.0 as an exponent or dimension
+    # each would read as a number, true as 1 and 1.0 as a coefficient or bound
     path = tmp_path / "ag3.box"
     run(capsys, "expand", "--family", "AG3", "--N", "3", "--cache", str(path))
     text = path.read_text()

@@ -7,6 +7,7 @@ from diagonalis.family import (_FAMILIES, FamilySpec, canonicalize,
                                make_family, named_instance)
 from diagonalis.sequences import extract_diagonal
 from diagonalis.seriesbox import expand_reciprocal
+from oracles import symmetric_denominator
 
 
 @pytest.mark.parametrize("k, c", [(0, 1), (1, -1), (2, F(3, 4)), (3, 0)])
@@ -23,9 +24,9 @@ def test_a_constant_unipoly_coefficient_keeps_the_family_hash(k, c):
 def test_a_constant_unipoly_coefficient_keeps_the_rational_box(k, c):
     # equal families expand alike: a constant UniPoly is no lambda
     cs = [1, -1, F(3, 4), 0]
-    plain_box = expand_reciprocal(make_family(3, cs).denominator(), 4)
+    plain_box = expand_reciprocal(make_family(3, cs).coeffs, 4)
     cs[k] = UniPoly.const(c)
-    box = expand_reciprocal(make_family(3, cs).denominator(), 4)
+    box = expand_reciprocal(make_family(3, cs).coeffs, 4)
     assert box.ring == plain_box.ring == "Q"
     assert box.scale == plain_box.scale and box.layers == plain_box.layers
     assert extract_diagonal(box) == extract_diagonal(plain_box)
@@ -81,10 +82,11 @@ def test_koornwinder_is_habc_point():
 
 
 def test_denominator_matches_coefficients():
-    fam = named_instance("KZ-D")
-    p = fam.denominator()
-    assert p.terms.get((1, 1, 1, 0), 0) == 2
-    assert p.terms.get((1, 1, 1, 1), 0) == 4
+    # KZ-D is 1 - e_1 + 2 e_3 + 4 e_4, spelled out monomial by monomial
+    terms = symmetric_denominator(named_instance("KZ-D").coeffs)
+    assert terms.get((1, 1, 1, 0), 0) == 2
+    assert terms.get((1, 1, 1, 1), 0) == 4
+    assert len(terms) == 1 + 4 + 4 + 1
 
 
 def test_catalog_names_resolve():

@@ -10,7 +10,6 @@ from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
                                  cubic_discriminant, nonsmooth_locus_3d,
                                  sturm_isolate)
-from diagonalis.multipoly import MultiPoly
 from diagonalis.seriesbox import expand_reciprocal
 from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive,
                      fraction_critical_points_diag, fraction_sturm_chain,
@@ -265,18 +264,19 @@ def test_cubic_discriminant_b_identity():
 
 def test_charpoly_cubic_factor_discriminant_identity():
     # the cubic factor (x+b)^3 + 27x(a^3 + ab - (1-a)x), as a cubic in x over
-    # Q[a, b], has discriminant -3^9 (a^3 - 3a^2 - b)^2 (4a^3 - 3a^2 + 6ab + b^2 - 4b)
-    A = MultiPoly(2, {(1, 0): F(1)})
-    B = MultiPoly(2, {(0, 1): F(1)})
-    one = MultiPoly.constant(2, 1)
-    c3 = one
-    c2 = 3 * B - 27 * (one - A)
-    c1 = 3 * B ** 2 + 27 * (A ** 3 + A * B)
-    c0 = B ** 3
-    disc = cubic_discriminant(c3, c2, c1, c0)
-    locus = 4 * A ** 3 - 3 * A ** 2 + 6 * A * B + B ** 2 - 4 * B
-    expected = (A ** 3 - 3 * A ** 2 - B) ** 2 * locus * (-(3 ** 9))
-    assert disc == expected
+    # Q[a, b], has discriminant -3^9 (a^3 - 3a^2 - b)^2 (4a^3 - 3a^2 + 6ab + b^2 - 4b).
+    # Both sides have degree <= 9 in a and <= 6 in b, so their difference,
+    # zero on 10 values of a times 7 of b, is zero identically
+    for A in range(-5, 5):
+        for B in range(-3, 4):
+            c3 = 1
+            c2 = 3 * B - 27 * (1 - A)
+            c1 = 3 * B ** 2 + 27 * (A ** 3 + A * B)
+            c0 = B ** 3
+            disc = cubic_discriminant(c3, c2, c1, c0)
+            locus = 4 * A ** 3 - 3 * A ** 2 + 6 * A * B + B ** 2 - 4 * B
+            expected = (A ** 3 - 3 * A ** 2 - B) ** 2 * locus * (-(3 ** 9))
+            assert disc == expected, (A, B)
 
 
 def test_necessity_violated_h05():
@@ -455,7 +455,7 @@ def test_report_json_shape():
 def test_violated_verdict_backed_by_box():
     fam = make_family(3, [1, -1, 0, 5])
     assert critical_points_diag(fam).verdict == "violated"
-    box = expand_reciprocal(fam.denominator(), 12)
+    box = expand_reciprocal(fam.coeffs, 12)
     assert brute_force_first_nonpositive(box, True) is not None
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from diagonalis import identities
+from diagonalis.cli import main
 from diagonalis.identities import IDENTITIES, verify_identity
 from diagonalis.sequences import builtin_recurrence, recurrence_seed
 from diagonalis.uniseries import (UniSeries, recurrence_to_frobenius, theta_hexagonal,
@@ -17,7 +18,6 @@ FAST_ORDERS = {
     "ramanujan-cubic": 15,
     "szego-binomial": 15,
     "theta-modular": 8,
-    "lewy-askey-binomial": 6,
 }
 
 
@@ -34,6 +34,20 @@ def test_identity_passes_at_order_zero(name):
 def test_unknown_identity():
     with pytest.raises(ValueError, match="unknown identity"):
         verify_identity("nope", 5)
+
+
+def test_lewy_askey_binomial_is_the_diag_route(capsys):
+    # the scaled LewyAskey box diagonal against C(2n,n) u_n is `diag`'s
+    # lewy-askey oracle; the identity that duplicated it is no more
+    assert main(["diag", "--family", "LewyAskey", "--N", "6", "--scale", "9-power",
+                 "--oracle", "lewy-askey"]) == 0
+    assert capsys.readouterr().out.endswith("oracle: match (lewy-askey, n <= 6)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", "lewy-askey-binomial", "--M", "6"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'lewy-askey-binomial'" in err
+    assert all(name in err for name in IDENTITIES) and err.count("\n") == 1
 
 
 def test_seed_normalization_feeds_identities():

@@ -128,7 +128,7 @@ def test_unknown_names_raise(lookup, kind):
 
 
 def test_lewy_askey_oracle_is_scaled_box_diagonal():
-    box = expand_reciprocal(named_instance("LewyAskey").denominator(), 8)
+    box = expand_reciprocal(named_instance("LewyAskey").coeffs, 8)
     diag = extract_diagonal(box)
     assert [binomial_oracle("lewyaskey", n) for n in range(9)] == [
         9 ** n * diag[n] for n in range(9)]

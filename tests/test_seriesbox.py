@@ -15,72 +15,47 @@ from diagonalis import cli, exactalg, seriesbox
 from diagonalis.cli import main
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
-from diagonalis.multipoly import MultiPoly, symmetric_denominator
-from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
-                                  _unpack, expand_layers, expand_reciprocal,
-                                  load_cache, save_cache, streamed_first_nonpositive)
-from oracles import (brute_force_first_nonpositive, collected_cache_text,
-                     scale_variables, substitute_zero)
+from diagonalis.multipoly import _coerce_coeff, depends_on_lambda
+from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale, _unpack,
+                                  expand_layers, expand_reciprocal, load_cache,
+                                  save_cache, streamed_first_nonpositive)
+from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_layer,
+                     geometric_oracle, per_entry_data, scale_variables,
+                     substitute_zero, symmetric_denominator)
 
 
-def _streamed(p: MultiPoly, N: int, strict: bool = True):
+def vec(*cs) -> tuple:
+    """The coefficient vector c_0, ..., c_d of 1/sum c_k e_k, as a family holds it."""
+    return tuple(map(_coerce_coeff, cs))
+
+
+def _streamed(c, N: int, strict: bool = True):
     """The sign scan of the box of 1/p on [0..N]^d, streamed from the kernel
     as `expand --check-positive` runs it."""
-    layers = expand_layers(p, N, 10 ** 8)
-    return streamed_first_nonpositive(layers, next(layers), p.dim, N, strict)
+    layers = expand_layers(c, N, 10 ** 8)
+    return streamed_first_nonpositive(layers, next(layers), len(c) - 1, N, strict)
 
 
-def _cache_text(p: MultiPoly, N: int) -> str:
+def _cache_text(c, N: int) -> str:
     """The cache file of the box of 1/p on [0..N]^d, streamed from the kernel
     as `expand --cache` writes it."""
-    layers = expand_layers(p, N, 10 ** 8)
+    layers = expand_layers(c, N, 10 ** 8)
     buf = io.StringIO()
-    save_cache(p, N, next(layers), layers, buf)
+    save_cache(c, N, next(layers), layers, buf)
     return buf.getvalue()
 
 
-def _resaved(p: MultiPoly, box) -> str:
+def _resaved(c, box) -> str:
     """The cache file of a collected or loaded box of 1/p."""
     buf = io.StringIO()
-    save_cache(p, box.N, box.scale, enumerate(box.layers), buf)
+    save_cache(c, box.N, box.scale, enumerate(box.layers), buf)
     return buf.getvalue()
-
-
-def geometric_oracle(p: MultiPoly, N: int) -> dict:
-    """Independent expansion of 1/p: truncated geometric series in (1 - p/c0).
-
-    Completely separate route from the layered convolution recurrence.
-    Works over Q and over Q[lambda] (the constant term must be a number).
-    """
-    d = p.dim
-    c0 = p.constant_term()
-    if isinstance(c0, UniPoly):
-        c0 = c0.constant_value()
-    r = {}  # r = 1 - p/c0, no constant term
-    for exp, c in p.terms.items():
-        if any(exp):
-            r[exp] = -c / c0
-    total = {(0,) * d: F(1)}
-    power = {(0,) * d: F(1)}
-    for _ in range(d * N):
-        nxt = {}
-        for e1, a in power.items():
-            for e2, b in r.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if all(x <= N for x in e):
-                    nxt[e] = nxt.get(e, F(0)) + a * b
-        power = nxt
-        for e, a in power.items():
-            total[e] = total.get(e, F(0)) + a
-        if not power:
-            break
-    return {e: v / c0 for e, v in total.items()}
 
 
 def test_geometric_two_var_binomials():
-    p = MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(-1)})
-    box = expand_reciprocal(p, 3)
-    oracle = geometric_oracle(p, 3)
+    c = vec(1, -1, 0)
+    box = expand_reciprocal(c, 3)
+    oracle = geometric_oracle(c, 3)
     for n in range(4):
         for m in range(4):
             assert box.coefficient_at((n, m)) == oracle[(n, m)] == math.comb(n + m, n)
@@ -88,40 +63,35 @@ def test_geometric_two_var_binomials():
 
 
 def test_factored_denominator_all_ones():
-    p = symmetric_denominator([1, -1, 1])  # (1-x)(1-y)
-    box = expand_reciprocal(p, 5)
+    box = expand_reciprocal(vec(1, -1, 1), 5)  # (1-x)(1-y)
     assert all(box.coefficient_at(e) == 1
                for e in itertools.product(range(6), repeat=2))
 
 
 def test_one_plus_x_plus_y():
-    p = symmetric_denominator([1, 1, 0])
-    box = expand_reciprocal(p, 2)
+    box = expand_reciprocal(vec(1, 1, 0), 2)
     assert box.coefficient_at((1, 0)) == -1
     assert box.coefficient_at((0, 0)) == 1
 
 
 def test_zero_constant_term_rejected():
-    p = MultiPoly(2, {(1, 0): F(1), (0, 1): F(1)})
     with pytest.raises(ValueError, match="not expandable at origin"):
-        expand_reciprocal(p, 2)
+        expand_reciprocal(vec(0, 1, 0), 2)  # x + y
 
 
 def test_entry_limit_guard():
-    p = symmetric_denominator([1, -1, 0, 4])
     with pytest.raises(BoxTooLargeError):
-        expand_reciprocal(p, 100, entry_limit=1000)
+        expand_reciprocal(vec(1, -1, 0, 4), 100, entry_limit=1000)
 
 
 def test_reconstruction_invariant():
     # p * (truncated series) == 1 inside the box, exactly
     for coeffs in ([1, -1, 0, 4], [1, -1, F(3, 4), 0], [2, -3, F(1, 2)]):
-        p = symmetric_denominator(coeffs)
         N = 4
-        box = expand_reciprocal(p, N)
-        for n in itertools.product(range(N + 1), repeat=p.dim):
+        box = expand_reciprocal(vec(*coeffs), N)
+        for n in itertools.product(range(N + 1), repeat=len(coeffs) - 1):
             acc = F(0)
-            for m, pm in p.terms.items():
+            for m, pm in symmetric_denominator(coeffs).items():
                 prev = tuple(a - b for a, b in zip(n, m))
                 if all(x >= 0 for x in prev):
                     acc += pm * box.coefficient_at(prev)
@@ -129,50 +99,48 @@ def test_reconstruction_invariant():
 
 
 def test_restriction_consistency():
-    p = symmetric_denominator([1, -1, F(1, 3), F(-2)])
-    box = expand_reciprocal(p, 4)
-    sub = expand_reciprocal(substitute_zero(p, 2), 4)
+    c = vec(1, -1, F(1, 3), F(-2))
+    box = expand_reciprocal(c, 4)
+    sub = expand_reciprocal(substitute_zero(c), 4)
     for n in itertools.product(range(5), repeat=2):
         assert sub.coefficient_at(n) == box.coefficient_at(n + (0,))
 
 
 def test_first_nonpositive_one_plus_x_plus_y():
-    assert _streamed(symmetric_denominator([1, 1, 0]), 3) == ((1, 0), F(-1))
+    assert _streamed(vec(1, 1, 0), 3) == ((1, 0), F(-1))
 
 
 def test_first_nonpositive_positive_family():
-    assert _streamed(symmetric_denominator([1, -1, 1]), 5) is None
+    assert _streamed(vec(1, -1, 1), 5) is None
 
 
 def test_first_nonpositive_koornwinder_nonstrict():
     # brute-force control via the independent geometric oracle
-    p = symmetric_denominator([1, -1, 0, 4, -16])
+    c = vec(1, -1, 0, 4, -16)
     N = 4
-    assert _streamed(p, N, strict=False) is None
-    oracle = geometric_oracle(p, N)
+    assert _streamed(c, N, strict=False) is None
+    oracle = geometric_oracle(c, N)
     assert all(v >= 0 for v in oracle.values())
 
 
 def test_first_nonpositive_lambda_box_refuses_non_strict():
-    lam = UniPoly.x()
-    p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
     with pytest.raises(ValueError, match="no non-strict check"):
-        _streamed(p, 3, strict=False)
+        _streamed(vec(1, -UniPoly.x()), 3, strict=False)
 
 
 def test_lambda_check_geometric():
     # 1/(1 - lambda x): coefficients lambda^n
     lam = UniPoly.x()
-    p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
-    assert _streamed(p, 3) is None
-    assert expand_reciprocal(p, 3).coefficient_at((3,)) == lam ** 3
+    c = vec(1, -lam)
+    assert _streamed(c, 3) is None
+    assert expand_reciprocal(c, 3).coefficient_at((3,)) == lam ** 3
 
 
 def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
     # 1/(-2 + w x) with w = 3 lambda^2 - lambda: coefficients -w^n / 2^(n+1)
     lam = UniPoly.x()
     w = 3 * lam ** 2 - lam
-    box = expand_reciprocal(MultiPoly(1, {(0,): UniPoly.const(-2), (1,): w}), 4)
+    box = expand_reciprocal(vec(-2, w), 4)
     made = []
 
     class Counted(F):
@@ -189,23 +157,21 @@ def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
 def test_lambda_check_flags_negative():
     # 1/(1 - (lambda - 1) x): coefficient of x is lambda - 1
     lam = UniPoly.x()
-    p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)})
-    assert _streamed(p, 2) == ((1,), lam - 1)
+    assert _streamed(vec(1, -(lam - 1)), 2) == ((1,), lam - 1)
 
 
 def test_lambda_check_flags_graded_lex_first_of_full_box():
     # 1/(1 - (lambda - 1) e_1) at d = 3: every degree-1 entry is lambda - 1,
     # and (1,0,0) precedes (0,1,0) and the stored (0,0,1) in graded-lex order
     lam = UniPoly.x()
-    p = symmetric_denominator([UniPoly.const(1), -(lam - 1), 0, 0])
-    assert _streamed(p, 2) == ((1, 0, 0), lam - 1)
+    assert _streamed(vec(1, -(lam - 1), 0, 0), 2) == ((1, 0, 0), lam - 1)
 
 
-def _same_scan(p, N, strict=True):
+def _same_scan(c, N, strict=True):
     """The streamed check returns what the per-entry oracle reads off the
     collected box."""
-    hit = _streamed(p, N, strict)
-    assert hit == brute_force_first_nonpositive(expand_reciprocal(p, N), strict)
+    hit = _streamed(c, N, strict)
+    assert hit == brute_force_first_nonpositive(expand_reciprocal(c, N), strict)
     return hit
 
 
@@ -216,7 +182,7 @@ _eighths = st.integers(-40, 40).map(lambda k: F(k, 8))
 @given(_eighths, _eighths, st.booleans())
 @example(F(1, 4), F(23, 8), True)  # flagged at (3,3,2) from N = 8 on
 def test_streamed_check_matches_the_box_scan_on_hab(a, b, strict):
-    _same_scan(named_instance("hab", a=a, b=b).denominator(), 8, strict)
+    _same_scan(named_instance("hab", a=a, b=b).coeffs, 8, strict)
 
 
 @settings(deadline=None, max_examples=15)
@@ -224,7 +190,7 @@ def test_streamed_check_matches_the_box_scan_on_hab(a, b, strict):
 @example(F(-1, 8), True)  # positive
 @example(F(9, 2), False)  # flagged at (4,1,1,1), in the last layer but one
 def test_streamed_check_matches_the_box_scan_on_h0b(b, strict):
-    _same_scan(named_instance("h0b", b=b).denominator(), 4, strict)
+    _same_scan(named_instance("h0b", b=b).coeffs, 4, strict)
 
 
 _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -237,12 +203,12 @@ _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
        st.integers(0, 9), st.booleans())
 def test_streamed_check_matches_the_box_scan_on_coeffs(rest_c0, N, strict):
     rest, c0 = rest_c0
-    _same_scan(symmetric_denominator([c0, *rest]), N, strict)
+    _same_scan(vec(c0, *rest), N, strict)
 
 
 @pytest.mark.parametrize("N", [1, 4, 8, 12])
 def test_streamed_check_matches_the_box_scan_on_straub_lambda(N):
-    assert _same_scan(named_instance("StraubLambda").denominator(), N) is None
+    assert _same_scan(named_instance("StraubLambda").coeffs, N) is None
 
 
 _lam_coeff = st.lists(st.integers(-2, 2), max_size=3).map(UniPoly)
@@ -251,15 +217,15 @@ _lam_coeff = st.lists(st.integers(-2, 2), max_size=3).map(UniPoly)
 @settings(deadline=None, max_examples=30)
 @given(_lam_coeff, _lam_coeff, st.integers(0, 5))
 def test_streamed_check_matches_the_box_scan_over_q_lambda(c1, c2, N):
-    _same_scan(symmetric_denominator([UniPoly.const(1), c1, c2]), N)
+    _same_scan(vec(1, c1, c2), N)
 
 
 def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
     # 1/(1 + x + y) is flagged at (1,0): layers 0 and 1 are drawn, no more
     drawn = []
 
-    def counted(p, N, entry_limit):
-        layers = expand(p, N, entry_limit)
+    def counted(c, N, entry_limit):
+        layers = expand(c, N, entry_limit)
         yield next(layers)
         for t, layer in layers:
             drawn.append(t)
@@ -272,30 +238,30 @@ def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
 
 
 def test_expand_layers_yields_the_scale_then_each_layer():
-    p = named_instance("AG3").denominator()
-    layers = expand_layers(p, 4, 10 ** 8)
-    box = expand_reciprocal(p, 4)
+    c = named_instance("AG3").coeffs
+    layers = expand_layers(c, 4, 10 ** 8)
+    box = expand_reciprocal(c, 4)
     assert next(layers) == box.scale
     assert list(layers) == list(enumerate(box.layers))
 
 
-@pytest.mark.parametrize("p, N, limit", [
-    (named_instance("AG3").denominator(), -1, 10 ** 8),
-    (MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1)}), 3, 10 ** 8),
-    (named_instance("AG3").denominator(), 3, 63),
-    (MultiPoly(1, {(1,): F(1)}), 3, 10 ** 8),
-], ids=["negative-N", "not-symmetric", "entry-limit", "zero-constant"])
-def test_expand_layers_refuses_before_the_scale(p, N, limit):
+@pytest.mark.parametrize("c, N, limit", [
+    (named_instance("AG3").coeffs, -1, 10 ** 8),
+    (vec(1), 3, 10 ** 8),
+    (named_instance("AG3").coeffs, 3, 63),
+    (vec(0, 1), 3, 10 ** 8),
+], ids=["negative-N", "no-variable", "entry-limit", "zero-constant"])
+def test_expand_layers_refuses_before_the_scale(c, N, limit):
     # so a caller that reads only the scale gets every refusal a full expansion gets
     with pytest.raises(ValueError):
-        next(expand_layers(p, N, limit))
+        next(expand_layers(c, N, limit))
 
 
 def test_a_weight_past_4300_digits_expands():
     # each sweep binds its weights by name; formatting 10**5000 into the
     # sweep's source text would raise ValueError
-    p = MultiPoly(1, {(0,): F(1), (1,): F(-10 ** 5000)})
-    assert expand_reciprocal(p, 3).data == geometric_oracle(p, 3)
+    c = vec(1, -10 ** 5000)
+    assert expand_reciprocal(c, 3).data == geometric_oracle(c, 3)
 
 
 def _peak(run) -> tuple:
@@ -310,13 +276,13 @@ def _peak(run) -> tuple:
 @functools.cache
 def _kzd26_box_peak() -> int:
     """The peak of collecting the box of KZ-D on [0..26]^4, all 105 layers."""
-    return _peak(lambda: expand_reciprocal(named_instance("KZ-D").denominator(), 26))[1]
+    return _peak(lambda: expand_reciprocal(named_instance("KZ-D").coeffs, 26))[1]
 
 
 def test_streamed_check_holds_a_window_of_layers():
     # KZ-D has no nonpositive coefficient, so the scan expands every layer;
     # it holds deg(p) + 1 = 5 of the 105
-    hit, streamed = _peak(lambda: _streamed(named_instance("KZ-D").denominator(), 26))
+    hit, streamed = _peak(lambda: _streamed(named_instance("KZ-D").coeffs, 26))
     assert hit is None
     assert 3 * streamed < _kzd26_box_peak()
 
@@ -331,21 +297,20 @@ def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
 
 
 def test_cache_roundtrip_rational():
-    p = symmetric_denominator([1, -1, 0, 4])
-    box = expand_reciprocal(p, 3)
-    text = _cache_text(p, 3)
+    c = vec(1, -1, 0, 4)
+    box = expand_reciprocal(c, 3)
+    text = _cache_text(c, 3)
     loaded = load_cache(io.StringIO(text))
     assert loaded.N == box.N and loaded.dim == box.dim and loaded.ring == "Q"
     for n in itertools.product(range(4), repeat=3):
         assert loaded.coefficient_at(n) == box.coefficient_at(n)
     # bit-exact round trip
-    assert _resaved(p, loaded) == text
+    assert _resaved(c, loaded) == text
 
 
 def test_cache_roundtrip_lambda():
     lam = UniPoly.x()
-    p = MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam})
-    loaded = load_cache(io.StringIO(_cache_text(p, 4)))
+    loaded = load_cache(io.StringIO(_cache_text(vec(1, -lam), 4)))
     assert loaded.ring == "Qlambda"
     assert loaded.coefficient_at((4,)) == lam ** 4
 
@@ -355,18 +320,20 @@ def test_cache_rejects_other_files():
         load_cache(io.StringIO("not a cache\n"))
 
 
-# --- differential test: integer stencil kernel vs geometric series ---------
+# --- differential test: integer stencil kernel vs the monomial route -------
 
 denominators = st.sampled_from([1, 1, 2, 3, 4, 9])
 small_rationals = st.builds(F, st.integers(-4, 4), denominators)
 nonzero_rationals = st.builds(F, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), denominators)
 lambda_polys = st.lists(small_rationals, min_size=1, max_size=3).map(UniPoly)
+# the largest N per d: the oracles read every index of [0..N]^d
+_MAX_N = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}
 
 
 @st.composite
 def reciprocal_cases(draw):
-    """(p, N) for small boxes of a symmetric p over Q or Q[lambda]."""
-    d = draw(st.integers(1, 3))
+    """(c, N) for small boxes of 1/sum c_k e_k, d = 1..5, over Q or Q[lambda]."""
+    d = draw(st.integers(1, 5))
     over_lambda = draw(st.booleans())
     coeff = st.one_of(small_rationals, lambda_polys) if over_lambda else small_rationals
     c0 = draw(nonzero_rationals)
@@ -374,15 +341,13 @@ def reciprocal_cases(draw):
         rest = [F(0)] * d
     else:
         rest = [draw(coeff) for _ in range(d)]
-    p = symmetric_denominator([c0] + rest)
-    reshape = draw(st.sampled_from(["none", "scale", "drop", "square"]))
-    if reshape == "square":  # exponents up to 2: shapes are capped at 2
-        p = p * p
-    elif reshape == "scale":  # one factor for every variable keeps p symmetric
-        p = scale_variables(p, [draw(nonzero_rationals)] * d)
+    c = vec(c0, *rest)
+    reshape = draw(st.sampled_from(["none", "scale", "drop"]))
+    if reshape == "scale":
+        c = vec(*scale_variables(c, draw(nonzero_rationals)))
     elif reshape == "drop" and d > 1:
-        p = substitute_zero(p, draw(st.integers(0, d - 1)))
-    return p, draw(st.integers(0, 4))
+        c = vec(*substitute_zero(c))
+    return c, draw(st.integers(0, _MAX_N[len(c) - 1]))
 
 
 lam = UniPoly.x()
@@ -390,44 +355,44 @@ lam = UniPoly.x()
 
 @settings(deadline=None, max_examples=40)
 @given(reciprocal_cases())
-@example((symmetric_denominator([F(-2), F(1, 2), F(2, 9), F(-4, 3)]), 4))
-@example((symmetric_denominator([F(3), F(0), F(0)]), 3))
-@example((symmetric_denominator([1, -1, 0, F(1, 4)]), 4))
-@example((symmetric_denominator([1, -1, F(1, 3), 2]) ** 2, 4))
-@example((scale_variables(symmetric_denominator([1, -1, F(3, 4), 1]), [F(1, 3)] * 3), 3))
-@example((substitute_zero(symmetric_denominator([1, -1, F(1, 3), -2]), 1), 4))
-@example((symmetric_denominator([UniPoly([F(-1)]), -(lam + 1), lam * (lam + F(1, 2)),
-                                 UniPoly([F(1, 4), 0, -1])]), 3))
-@example((symmetric_denominator([1, -lam, lam * lam - 1]), 4))
-@example((symmetric_denominator([F(1, 3), UniPoly([4, -3, 9]),
-                                 UniPoly([F(-9, 2), 0, -4])]), 4))
+@example((vec(F(-2), F(1, 2), F(2, 9), F(-4, 3)), 4))
+@example((vec(F(3), F(0), F(0)), 3))
+@example((vec(1, -1, 0, F(1, 4)), 4))
+@example((vec(*scale_variables([1, -1, F(3, 4), 1], F(1, 3))), 3))
+@example((vec(*substitute_zero([1, -1, F(1, 3), -2])), 4))
+@example((vec(UniPoly([F(-1)]), -(lam + 1), lam * (lam + F(1, 2)),
+              UniPoly([F(1, 4), 0, -1])), 3))
+@example((vec(1, -lam, lam * lam - 1), 4))
+@example((vec(F(1, 3), UniPoly([4, -3, 9]), UniPoly([F(-9, 2), 0, -4])), 4))
+@example((vec(1, -1, F(2, 3), 0, 0, -lam), 2))  # d = 5 over Q[lambda]
+@example((named_instance("GRZ", d=5).coeffs, 2))
 def test_kernel_matches_geometric_oracle(case):
-    p, N = case
-    box = expand_reciprocal(p, N)
+    c, N = case
+    box = expand_reciprocal(c, N)
     # a constant UniPoly coefficient is a rational and leaves the box over Q
-    lam_ring = any(isinstance(c, UniPoly) and c.degree > 0 for c in p.terms.values())
+    lam_ring = any(map(depends_on_lambda, c))
     assert box.ring == ("Qlambda" if lam_ring else "Q")
     assert all(isinstance(v, UniPoly if lam_ring else F) for v in box.data.values())
-    oracle = geometric_oracle(p, N)
-    for n in itertools.product(range(N + 1), repeat=p.dim):
+    oracle = geometric_oracle(c, N)
+    for n in itertools.product(range(N + 1), repeat=len(c) - 1):
         assert box.coefficient_at(n) == oracle.get(n, 0), n
 
 
 @settings(deadline=None, max_examples=60)
 @given(reciprocal_cases(), st.booleans())
-@example((MultiPoly(1, {(0,): UniPoly.const(1), (1,): -(lam - 1)}), 3), True)
-@example((symmetric_denominator([1, -(lam + 1), lam * (lam + 2),  # StraubLambda
-                                 UniPoly([4, 0, -3, -1])]), 4), True)
-@example((symmetric_denominator([-1, lam + 1, 0, lam]), 2), True)
-@example((symmetric_denominator([-1, 1, 0, -4]), 3), False)
-@example((symmetric_denominator([1, -1, 0, 4, -16]), 3), False)
-@example((symmetric_denominator([1, -1, 0, 4, -16]), 3), True)
-@example((symmetric_denominator([1, 1, 0]), 3), True)
+@example((vec(1, -(lam - 1)), 3), True)
+@example((vec(1, -(lam + 1), lam * (lam + 2), UniPoly([4, 0, -3, -1])), 4),  # StraubLambda
+         True)
+@example((vec(-1, lam + 1, 0, lam), 2), True)
+@example((vec(-1, 1, 0, -4), 3), False)
+@example((vec(1, -1, 0, 4, -16), 3), False)
+@example((vec(1, -1, 0, 4, -16), 3), True)
+@example((vec(1, 1, 0), 3), True)
 def test_first_nonpositive_matches_brute_force(case, strict):
-    p, N = case
-    box = expand_reciprocal(p, N)
+    c, N = case
+    box = expand_reciprocal(c, N)
     strict = strict or box.ring == "Qlambda"  # a lambda box has no other check
-    assert _streamed(p, N, strict) == brute_force_first_nonpositive(box, strict)
+    assert _streamed(c, N, strict) == brute_force_first_nonpositive(box, strict)
 
 
 @st.composite
@@ -453,7 +418,7 @@ def test_pack_unpack_roundtrip(case):
 
 def test_constant_lambda_denominator():
     # a constant UniPoly is a rational, so the box is over Q
-    box = expand_reciprocal(MultiPoly.constant(2, UniPoly.const(3)), 2)
+    box = expand_reciprocal(vec(UniPoly.const(3), 0, 0), 2)
     assert box.ring == "Q"
     assert box.data[(0, 0)] == F(1, 3) and isinstance(box.data[(0, 0)], F)
     for n in itertools.product(range(3), repeat=2):
@@ -478,7 +443,7 @@ def test_smallest_scale():
 
 def _kzd3_cache_lines():
     """The header and entry lines of a KZ-D N=3 cache, without its trailer."""
-    return _cache_text(symmetric_denominator([1, -1, 0, 2, 4]), 3).splitlines(
+    return _cache_text(vec(1, -1, 0, 2, 4), 3).splitlines(
         keepends=True)[:-1]
 
 
@@ -498,7 +463,7 @@ def test_cache_rejects_truncated_file():
 
 def test_cache_rejects_wrong_entry_count():
     with pytest.raises(ValueError, match=r"line 30: cache ends after 29 entries; "
-                                         r"expected 35 for sym=1"):
+                                         r"expected 35$"):
         load_cache(_resealed(_kzd3_cache_lines()[:30]))
 
 
@@ -510,12 +475,12 @@ def test_cache_refuses_a_forged_huge_N_before_enumerating(monkeypatch):
         raise AssertionError("a layer was enumerated")
     monkeypatch.setattr(seriesbox, "_shape_groups", no_layers)
     with pytest.raises(ValueError, match=rf"^line 36: cache ends after 35 entries; "
-                                         rf"expected {math.comb(10 ** 6 + 4, 4)} for sym=1$"):
+                                         rf"expected {math.comb(10 ** 6 + 4, 4)}$"):
         load_cache(_resealed(lines))
 
 
 def test_cache_rejects_changed_digit_under_old_trailer():
-    text = _cache_text(symmetric_denominator([1, -1, 0, 2, 4]), 3)
+    text = _cache_text(vec(1, -1, 0, 2, 4), 3)
     assert "\n3,3,3,3:220\ncrc32=" in text
     damaged = text.replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n")
     with pytest.raises(ValueError, match=r"does not match its crc32= trailer"):
@@ -572,61 +537,26 @@ def test_cache_rejects_malformed_line():
 
 @pytest.mark.parametrize("key,lam_box", [("L", False), ("B", False), ("B", True)])
 def test_cache_rejects_scale_that_disagrees_with_denom(key, lam_box):
-    p = (MultiPoly(1, {(0,): UniPoly.const(1), (1,): -lam}) if lam_box
-         else symmetric_denominator([1, -1, 0, 2, 4]))
-    lines = _cache_text(p, 3).splitlines(keepends=True)[:-1]
+    c = vec(1, -lam) if lam_box else vec(1, -1, 0, 2, 4)
+    lines = _cache_text(c, 3).splitlines(keepends=True)[:-1]
     lines[0] = re.sub(rf"; {key}=\d+;", f"; {key}=7;", lines[0])
-    with pytest.raises(ValueError, match=rf"cache header: {key}=7 but denom and N give"):
+    with pytest.raises(ValueError, match=rf"cache header: {key}=7 but c and N give"):
         load_cache(_resealed(lines))
 
 
-def test_cache_rejects_symmetric_flag_on_nonsymmetric_denom():
-    # the KZ-D header with 1 - x_1 - 2 x_2 - x_3 - x_4 as its denom
-    p = MultiPoly(4, {(0, 0, 0, 0): F(1), (1, 0, 0, 0): F(-1), (0, 1, 0, 0): F(-2),
-                      (0, 0, 1, 0): F(-1), (0, 0, 0, 1): F(-1)})
-    lines = _kzd3_cache_lines()
-    head, _, _ = lines[0].partition("; denom=")
-    lines[0] = f"{head}; denom={json.dumps(p.to_json(), separators=(',', ':'))}\n"
-    with pytest.raises(ValueError, match=r"sym=1 but denom is not symmetric"):
-        load_cache(_resealed(lines))
-
-
-def test_symmetric_box_needs_symmetric_denominator():
-    # 1/(1 - x - 2y): u_(1,0) = 1, but a sorted-representative box would
-    # store u_(0,1) = 2 for it
-    p = MultiPoly(2, {(0, 0): F(1), (1, 0): F(-1), (0, 1): F(-2)})
-    with pytest.raises(ValueError, match="^a box needs a symmetric denominator$"):
-        expand_reciprocal(p, 3)
-
-
-def test_cache_refuses_a_full_box():
-    # only the library could write sym=0 at d >= 2: a box of every index
-    lines = _kzd3_cache_lines()
-    lines[0] = lines[0].replace("; sym=1; ", "; sym=0; ")
-    with pytest.raises(ValueError, match=r"^a full-box cache \(sym=0\) is no longer read; "
-                                         r"re-create it with expand --cache$"):
-        load_cache(_resealed(lines))
-
-
-# cache files as written before a box had one layout, byte for byte: sym=1 at
-# d >= 2 and sym=0 at d = 1, where every orbit is one index
+# the bodies of these files are those that format v2 wrote, byte for byte:
+# only the header line and the crc32= trailer changed with format v3
 _KZD3_FILE = (
-    'diagonalis-box v2; d=4; N=3; sym=1; L=1; B=0; denom={"dim":4,"terms":['
-    '{"exp":[0,0,0,0],"coeff":"1"},{"exp":[1,0,0,0],"coeff":"-1"},'
-    '{"exp":[0,1,0,0],"coeff":"-1"},{"exp":[0,0,1,0],"coeff":"-1"},'
-    '{"exp":[0,0,0,1],"coeff":"-1"},{"exp":[1,1,1,0],"coeff":"2"},'
-    '{"exp":[1,1,0,1],"coeff":"2"},{"exp":[1,0,1,1],"coeff":"2"},'
-    '{"exp":[0,1,1,1],"coeff":"2"},{"exp":[1,1,1,1],"coeff":"4"}]}\n'
+    'diagonalis-box v3; N=3; L=1; B=0; c=["1","-1","0","2","4"]\n'
     + "".join(f"{line}\n" for line in """
         0,0,0,0:1 0,0,0,1:1 0,0,1,1:2 0,0,0,2:1 0,1,1,1:4 0,0,1,2:3 0,0,0,3:1
         1,1,1,1:4 0,1,1,2:8 0,0,2,2:6 0,0,1,3:4 1,1,1,2:a 0,1,2,2:12 0,1,1,3:e
         0,0,2,3:a 1,1,2,2:14 1,1,1,3:1c 0,2,2,2:2e 0,1,2,3:24 0,0,3,3:14
         1,2,2,2:22 1,1,2,3:38 0,2,2,3:66 0,1,3,3:50 2,2,2,2:28 1,2,2,3:60
         1,1,3,3:88 0,2,3,3:f8 2,2,2,3:70 1,2,3,3:e4 0,3,3,3:28c 2,2,3,3:f0
-        1,3,3,3:1d8 2,3,3,3:190 3,3,3,3:220 crc32=2cf71c74""".split()))
-_D1_FILE = ('diagonalis-box v2; d=1; N=5; sym=0; L=2; B=0; denom={"dim":1,"terms":['
-            '{"exp":[0],"coeff":"2"},{"exp":[1],"coeff":"-3"}]}\n'
-            '0:1\n1:3\n2:9\n3:1b\n4:51\n5:f3\ncrc32=7fe8b043\n')
+        1,3,3,3:1d8 2,3,3,3:190 3,3,3,3:220 crc32=ba43cb2f""".split()))
+_D1_FILE = ('diagonalis-box v3; N=5; L=2; B=0; c=["2","-3"]\n'
+            '0:1\n1:3\n2:9\n3:1b\n4:51\n5:f3\ncrc32=7fd5ffe7\n')
 
 
 @pytest.mark.parametrize("text, coeffs, N", [
@@ -634,142 +564,84 @@ _D1_FILE = ('diagonalis-box v2; d=1; N=5; sym=0; L=2; B=0; denom={"dim":1,"terms
     (_D1_FILE, [2, -3], 5),
 ], ids=["KZ-D", "d1"])
 def test_cache_files_of_the_two_layouts_still_load(text, coeffs, N):
+    # sorted orbit representatives at d >= 2, and at d = 1, where every orbit is one index
     box = load_cache(io.StringIO(text))
-    p = symmetric_denominator(coeffs)
-    assert box.layers == expand_reciprocal(p, N).layers
-    assert _resaved(p, box) == text
+    c = vec(*coeffs)
+    assert box.layers == expand_reciprocal(c, N).layers
+    assert _resaved(c, box) == text
+
+
+# the same two boxes as format v2 wrote them, with the nested denom= header
+_V2_FILES = [
+    'diagonalis-box v2; d=4; N=3; sym=1; L=1; B=0; denom={"dim":4,"terms":['
+    '{"exp":[0,0,0,0],"coeff":"1"},{"exp":[1,0,0,0],"coeff":"-1"},'
+    '{"exp":[0,1,0,0],"coeff":"-1"},{"exp":[0,0,1,0],"coeff":"-1"},'
+    '{"exp":[0,0,0,1],"coeff":"-1"},{"exp":[1,1,1,0],"coeff":"2"},'
+    '{"exp":[1,1,0,1],"coeff":"2"},{"exp":[1,0,1,1],"coeff":"2"},'
+    '{"exp":[0,1,1,1],"coeff":"2"},{"exp":[1,1,1,1],"coeff":"4"}]}\n'
+    + _KZD3_FILE.split("\n", 1)[1].replace("crc32=ba43cb2f", "crc32=2cf71c74"),
+    'diagonalis-box v2; d=1; N=5; sym=0; L=2; B=0; denom={"dim":1,"terms":['
+    '{"exp":[0],"coeff":"2"},{"exp":[1],"coeff":"-3"}]}\n'
+    '0:1\n1:3\n2:9\n3:1b\n4:51\n5:f3\ncrc32=7fe8b043\n',
+]
+
+
+@pytest.mark.parametrize("text", _V2_FILES, ids=["KZ-D", "d1"])
+def test_cache_refuses_format_v2(text):
+    with pytest.raises(ValueError, match=r"^cache format v2 is no longer read; "
+                                         r"re-create it with expand --cache$"):
+        load_cache(io.StringIO(text))
 
 
 @settings(deadline=None, max_examples=40)
 @given(reciprocal_cases())
-@example((symmetric_denominator([F(-2), F(1, 2), F(2, 9), F(-4, 3)]), 4))
-@example((MultiPoly.constant(2, -4), 0))  # one entry, in layer 0
-@example((symmetric_denominator([F(1, 3), UniPoly([4, -3, 9]),
-                                 UniPoly([F(-9, 2), 0, -4])]), 4))
+@example((vec(F(-2), F(1, 2), F(2, 9), F(-4, 3)), 4))
+@example((vec(-4, 0, 0), 0))  # one entry, in layer 0
+@example((vec(F(1, 3), UniPoly([4, -3, 9]), UniPoly([F(-9, 2), 0, -4])), 4))
 def test_cache_roundtrip_keeps_the_kernel_integers(case):
-    p, N = case
-    box = expand_reciprocal(p, N)
-    text = _cache_text(p, N)
+    c, N = case
+    box = expand_reciprocal(c, N)
+    text = _cache_text(c, N)
     loaded = load_cache(io.StringIO(text))
     assert (loaded.layers, loaded.scale) == (box.layers, box.scale)
-    assert _resaved(p, loaded) == text
+    assert _resaved(c, loaded) == text
 
 
 # --- differential test: layer kernel vs the per-entry kernel -----------------
 
-def _entry_layer(d: int, N: int, t: int, symmetric: bool, cap: int) -> list:
-    """(n, code, shape) for every index n in [0..N]^d of total degree t, in
-    lexicographic order; only the non-decreasing n when `symmetric`.  code
-    is n read in base N+1; shape caps at `cap` each coordinate of n, or in
-    symmetric mode each gap n_i - n_{i-1} (n_{-1} = 0)."""
-    parts = [((), 0, (), 0, t)]  # prefix, code, shape, last coordinate, rest
-    for slots in range(d, 1, -1):
-        grown = []
-        for prefix, code, shape, prev, rest in parts:
-            lo = prev if symmetric else 0
-            hi = min(rest // slots if symmetric else rest, N)
-            for v in range(max(lo, rest - (slots - 1) * N), hi + 1):
-                grown.append((prefix + (v,), code * (N + 1) + v,
-                              shape + (min(v - lo, cap),), v, rest - v))
-        parts = grown
-    return [(prefix + (rest,), code * (N + 1) + rest,
-             shape + (min(rest - (prev if symmetric else 0), cap),))
-            for prefix, code, shape, prev, rest in parts if rest <= N]
-
-
-def per_entry_data(p: MultiPoly, N: int, symmetric: bool) -> dict:
-    """The exact box of 1/p by the per-entry kernel: one index tuple, one
-    shape tuple and one stencil sum per entry, every v_n keyed by n."""
-    c0, L, B, weights = _kernel_scale(p, N)
-    d = p.dim
-    K = max((max(m) for m, _ in weights), default=1)
-    deg = max((sum(m) for m, _ in weights), default=0)
-    radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
-
-    def compile_stencil(n, code):
-        merged = {}
-        for m, w in weights:
-            prev = tuple(a - b for a, b in zip(n, m))
-            if min(prev) < 0:
-                continue
-            if symmetric:
-                prev = tuple(sorted(prev))
-            key = (sum(m), code - sum(a * r for a, r in zip(prev, radix)))
-            merged[key] = merged.get(key, 0) + w
-        return [(k, off, w) for (k, off), w in merged.items() if w]
-
-    stencils, ints = {}, {(0,) * d: 1}
-    recent = [{0: 1}]  # recent[k - 1] holds layer t - k
-    for t in range(1, d * N + 1):
-        current = {}
-        for n, code, shape in _entry_layer(d, N, t, symmetric, K):
-            if shape not in stencils:
-                stencils[shape] = compile_stencil(n, code)
-            acc = 0
-            for k, off, w in stencils[shape]:
-                acc -= w * recent[k - 1][code - off]
-            current[code] = ints[n] = acc
-        recent.insert(0, current)
-        del recent[deg:]
-
-    def exact(n, v):
-        den = c0.numerator * L ** sum(n)
-        if B:
-            return UniPoly([F(c * c0.denominator, den) for c in _unpack(v, B)])
-        return F(v * c0.denominator, den)
-    return {n: exact(n, v) for n, v in ints.items()}
-
-
-def _power_sum_denominator(b, a):
-    """1 - e_1 + b (x^2 + y^2 + z^2) + a e_2: u_(2,0,0) = 1 - b and
-    u_(1,1,0) = 2 - a, so layer 2 is the first flagged one when either
-    is <= 0."""
-    terms = {(0, 0, 0): F(1)}
-    for i in range(3):
-        terms[tuple(int(j == i) for j in range(3))] = F(-1)
-        terms[tuple(2 * int(j == i) for j in range(3))] = F(b)
-        terms[tuple(int(j != i) for j in range(3))] = F(a)
-    return MultiPoly(3, terms)
-
-
-@pytest.mark.parametrize("p, N", [
-    (named_instance("Kauers").denominator(), 12),
-    (named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator(), 30),
-    (named_instance("hab", a=F(0), b=F(-3, 8)).denominator(), 30),
-    (named_instance("GRZ", d=5).denominator(), 8),
-    (named_instance("StraubLambda").denominator(), 16),
-    # every variable has exponent 2, so that every gap of a shape reaches 2
-    (_power_sum_denominator(F(1, 2), F(-1, 3)), 7),
-], ids=["Kauers-sym", "hab-1/4-23/8", "hab-0--3/8", "GRZ5", "StraubLambda",
-        "power-sum"])
-def test_layer_kernel_matches_per_entry_kernel(p, N):
-    assert expand_reciprocal(p, N).data == per_entry_data(p, N, True)
+@pytest.mark.parametrize("c, N", [
+    (named_instance("Kauers").coeffs, 12),
+    (named_instance("hab", a=F(1, 4), b=F(23, 8)).coeffs, 30),
+    (named_instance("hab", a=F(0), b=F(-3, 8)).coeffs, 30),
+    (named_instance("GRZ", d=5).coeffs, 8),
+    (named_instance("StraubLambda").coeffs, 16),
+], ids=["Kauers-sym", "hab-1/4-23/8", "hab-0--3/8", "GRZ5", "StraubLambda"])
+def test_layer_kernel_matches_per_entry_kernel(c, N):
+    assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
 
 
 @settings(deadline=None, max_examples=40)
 @given(reciprocal_cases())
-@example((symmetric_denominator([1, -1, F(1, 3), 2]) ** 2, 4))
-@example((symmetric_denominator([1, -lam, lam * lam - 1]), 4))
-# x^2 and yz reach one predecessor with weights 1 and -1: 12 merged terms cancel
-@example((_power_sum_denominator(1, -1), 4))
+@example((vec(1, -lam, lam * lam - 1), 4))
 # x, y and xy reach distinct predecessors with one weight: one product
-@example((symmetric_denominator([1, -1, -1]), 4))
+@example((vec(1, -1, -1), 4))
+@example((vec(1, -1, F(2, 3), 0, 0, -lam), 2))  # d = 5 over Q[lambda]
 def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
-    p, N = case
-    assert expand_reciprocal(p, N).data == per_entry_data(p, N, True)
+    c, N = case
+    assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
 
 
 @pytest.mark.parametrize("d", range(1, 6))
 def test_shape_groups_match_the_per_entry_enumeration(d):
     # each layer derived from the earlier ones against the entries of that
     # layer enumerated one by one, grouped by shape, as sets
-    for N, cap in itertools.product(range(9), range(1, 4)):
-        layers = list(seriesbox._shape_groups(d, N, cap))
+    for N in range(9):
+        layers = list(seriesbox._shape_groups(d, N))
         assert len(layers) == d * N + 1
         for t, groups in enumerate(layers):
             want: dict = {}
-            for _, code, shape in _entry_layer(d, N, t, True, cap):
-                want.setdefault(functools.reduce(lambda s, g: s * (cap + 1) + g, shape),
+            for _, code, shape in entry_layer(d, N, t, True):
+                want.setdefault(functools.reduce(lambda s, g: 2 * s + g, shape),
                                 set()).add(code)
             assert all(len(set(codes)) == len(codes) for codes in groups.values())
             assert {shape: set(codes) for shape, codes in groups.items()} == want
@@ -777,53 +649,70 @@ def test_shape_groups_match_the_per_entry_enumeration(d):
 
 def test_symmetric_mode_matches_full():
     # the sorted representatives against the per-entry kernel on every index
-    p = symmetric_denominator([1, -1, 0, 2, 4])
-    full = per_entry_data(p, 3, False)
+    c = vec(1, -1, 0, 2, 4)
+    full = per_entry_data(c, 3, False)
     assert len(full) == 4 ** 4
-    box = expand_reciprocal(p, 3)
+    box = expand_reciprocal(c, 3)
     assert all(box.coefficient_at(n) == v for n, v in full.items())
+
+
+@functools.cache
+def _straub_lambda_box():
+    return expand_reciprocal(named_instance("StraubLambda").coeffs, 16)
+
+
+@pytest.mark.parametrize("r", ["-3", "-1/2", "0", "1", "7/2", "1000000"])
+def test_lambda_box_at_r_is_the_rational_box_of_lam_r(r):
+    # the packed Q[lambda] box at N = 16, where B is tight, specialized entry
+    # by entry, against the box over Q of the family with lam = r
+    lam_box = _straub_lambda_box()
+    box = expand_reciprocal(named_instance("StraubLambda", lam=r).coeffs, 16)
+    assert box.ring == "Q" and len(box.data) == math.comb(19, 3)
+    assert {n: u(F(r)) for n, u in lam_box.data.items()} == box.data
 
 
 # --- pinned scan and cache behaviour ------------------------------------------
 
-@pytest.mark.parametrize("b, a, want", [
-    (2, 3, (2, 0, 0)),  # both orbits flagged: (2,0,0) precedes (1,1,0)
-    (0, 3, (1, 1, 0)),
-    (2, 0, (2, 0, 0)),
+@pytest.mark.parametrize("a, b, want", [
+    (F(7, 4), 0, (2, 1, 0)),  # both orbits flagged: (2,1,0) precedes (1,1,1)
+    (F(5, 4), 0, (1, 1, 1)),
+    (F(7, 4), -5, (2, 1, 0)),
 ])
 @pytest.mark.parametrize("reloaded", [True, False])
-def test_scan_breaks_ties_within_the_first_flagged_layer(b, a, want, reloaded):
-    p = _power_sum_denominator(b, a)
-    box = expand_reciprocal(p, 3)
+def test_scan_breaks_ties_within_the_first_flagged_layer(a, b, want, reloaded):
+    # 1 - e_1 + a e_2 + b e_3: layers 0..2 are positive for a < 2, and in
+    # layer 3, u_(2,1,0) = 3 - 2a and u_(1,1,1) = 6 - 6a - b
+    c = named_instance("hab", a=a, b=b).coeffs
+    box = expand_reciprocal(c, 3)
     if reloaded:  # read back from its cache, whose layers hold the codes in another order
-        box = load_cache(io.StringIO(_cache_text(p, 3)))
+        box = load_cache(io.StringIO(_cache_text(c, 3)))
     flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
-               if sum(n) == 2 and box.coefficient_at(n) <= 0}
-    assert len(flagged) == 1 + (b == 2 and a == 3)
+               if sum(n) == 3 and box.coefficient_at(n) <= 0}
+    assert len(flagged) == 1 + (a == F(7, 4) and b == 0)
     for strict in (True, False):
         hit = streamed_first_nonpositive(enumerate(box.layers), box.scale, 3, 3, strict)
         assert hit == brute_force_first_nonpositive(box, strict)
         assert hit[0] == want
 
 
-_CACHED = [named_instance("KZ-D").denominator(), named_instance("Kauers").denominator(),
-           named_instance("StraubLambda").denominator(),
-           named_instance("hab", a=F(1, 4), b=F(23, 8)).denominator()]
+_CACHED = [named_instance("KZ-D").coeffs, named_instance("Kauers").coeffs,
+           named_instance("StraubLambda").coeffs,
+           named_instance("hab", a=F(1, 4), b=F(23, 8)).coeffs]
 _CACHED_IDS = ["KZ-D", "Kauers", "StraubLambda", "hab-failing"]
 
 
-@pytest.mark.parametrize("p, N, crc", [
-    (_CACHED[0], 8, "82e6476a"),
-    (_CACHED[1], 6, "e9ef6463"),
-    (_CACHED[2], 6, "3c0ce671"),
-    (_CACHED[3], 12, "fbb156c8"),
+@pytest.mark.parametrize("c, N, crc", [
+    (_CACHED[0], 8, "96d2e475"),
+    (_CACHED[1], 6, "01c5f478"),
+    (_CACHED[2], 6, "00f0f23e"),
+    (_CACHED[3], 12, "6063b462"),
 ], ids=_CACHED_IDS)
-def test_cache_bytes_are_pinned(p, N, crc):
-    assert _cache_text(p, N).endswith(f"\ncrc32={crc}\n")
+def test_cache_bytes_are_pinned(c, N, crc):
+    assert _cache_text(c, N).endswith(f"\ncrc32={crc}\n")
 
 
-@pytest.mark.parametrize("p", _CACHED, ids=_CACHED_IDS)
-def test_streamed_cache_matches_the_collected_writer(p):
+@pytest.mark.parametrize("c", _CACHED, ids=_CACHED_IDS)
+def test_streamed_cache_matches_the_collected_writer(c):
     # hab-failing is flagged at (3,3,2) from N = 8 on
     for N in (0, 1, 3, 8):
-        assert _cache_text(p, N) == collected_cache_text(p, expand_reciprocal(p, N))
+        assert _cache_text(c, N) == collected_cache_text(c, expand_reciprocal(c, N))

@@ -8,8 +8,8 @@ checks its --oracle before any box is expanded or cache read.  Reports are
 text by default and JSON with --format json; `geometry grid` always writes
 CSV.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
 bad input, with a one-line message on stderr.  Box caches use the versioned
-text format from `seriesbox`; relative cache paths resolve against
-$DIAGONALIS_CACHE.
+text format from `seriesbox`, and `diag --from-cache` reads only their
+diagonal; relative cache paths resolve against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -141,37 +141,32 @@ def cmd_expand(args) -> int:
     return status
 
 
-def _diag_values(args):
+def cmd_diag(args) -> int:
+    if args.oracle:  # a bad name or --a is refused before any box or cache
+        binomial_oracle(args.oracle, 0, args.a)
     if args.from_cache:
         path = _cache_path(args.from_cache)
         with open(path) as fh:
             try:
-                box = load_cache(fh)
+                d, vals = load_cache(fh)
             except ValueError as exc:
                 raise ValueError(f"cannot load cache {path}: {exc}") from None
-        if args.N not in (None, box.N):
-            raise ValueError(f"--N {args.N} differs from the cache's N={box.N}")
+        if args.N not in (None, len(vals) - 1):
+            raise ValueError(f"--N {args.N} differs from the cache's N={len(vals) - 1}")
         fam = None
     else:
         fam, box = _family_box(args)
-    vals = list(extract_diagonal(box))
+        d, vals = box.dim, extract_diagonal(box)
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
-        ratio = 9 if args.scale == "9-power" else args.scale ** box.dim
+        ratio = 9 if args.scale == "9-power" else args.scale ** d
         vals = [ratio ** n * v for n, v in enumerate(vals)]
-    return fam, vals
-
-
-def cmd_diag(args) -> int:
-    if args.oracle:  # a bad name or --a is refused before any box or cache
-        binomial_oracle(args.oracle, 0, args.a)
-    fam, vals = _diag_values(args)
     report = {"N": len(vals) - 1, "diagonal": vals}
     if fam is not None:
         report["family"] = fam
     status = 0
     if args.oracle:
-        expected = [binomial_oracle(args.oracle, n, args.a) for n in range(len(vals))]
+        expected = binomial_oracle(args.oracle, len(vals) - 1, args.a)
         for n, (got, want) in enumerate(zip(vals, expected)):
             if got != want:
                 report["oracle"] = f"mismatch at n={n}: box {got} vs oracle {want}"
@@ -379,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "diag", help="extract and optionally cross-check a diagonal")
     _add_family_args(p).add_argument(
-        "--from-cache", help="load box from cache instead of expanding")
+        "--from-cache", help="read the diagonal from a box cache instead of expanding")
     _add_box_args(p)
     p.add_argument("--scale", type=_scale,
                    help="variable prescale s, or '9-power' for 9^n")

@@ -23,7 +23,7 @@ def _series_from_recurrence(name: str, M: int) -> UniSeries:
 
 def check_fran(M: int) -> Mismatch:
     """Franel generating function: sum a_n z^n = (1-2z)^-1 2F1(1/3,2/3;1;27z^2/(1-2z)^3)."""
-    lhs = UniSeries([binomial_oracle("franel", n) for n in range(M + 1)], M)
+    lhs = UniSeries(binomial_oracle("franel", M), M)
     inv = UniSeries([1, -2], M).inverse()
     arg = UniSeries([0, 0, 27], M) * inv * inv * inv
     rhs = inv * hypergeometric_2f1("1/3", "2/3", 1, M).compose(arg)
@@ -72,7 +72,7 @@ def check_ramanujan_cubic(M: int) -> Mismatch:
 def check_szego_binomial(M: int) -> Mismatch:
     """Recurrence-generated s_n against the alternating binomial sum."""
     lhs = _series_from_recurrence("szego3", M)
-    rhs = UniSeries([binomial_oracle("szego3", n) for n in range(M + 1)], M)
+    rhs = UniSeries(binomial_oracle("szego3", M), M)
     return verify_series_identity(lhs, rhs)
 
 

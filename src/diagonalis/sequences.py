@@ -79,49 +79,43 @@ def extract_diagonal(box: CoeffBox) -> tuple[Fraction, ...]:
 
 # --- closed-form oracles ----------------------------------------------------
 
-def _szego3(n: int) -> Fraction:
-    s = Fraction(0)
-    for k in range(n + 1):
-        s += (Fraction(-27) ** (n - k) * Fraction(2) ** (2 * k - n)
-              * Fraction(factorial(3 * k), factorial(k) ** 3)
-              * binomial(k, n - k))
-    return s
+def _twovar(a: Fraction, M: int) -> list[Fraction]:
+    return [sum((Fraction(factorial(2 * n - k), factorial(k) * factorial(n - k) ** 2)
+                 * (-a) ** k for k in range(n + 1)), Fraction(0))
+            for n in range(M + 1)]
 
 
-def _twovar(n: int, a) -> Fraction:
-    a = rat(a)
-    s = Fraction(0)
-    for k in range(n + 1):
-        s += (Fraction(factorial(2 * n - k), factorial(k) * factorial(n - k) ** 2)
-              * (-a) ** k)
-    return s
+def _each(term):
+    """The oracle (parameters, M) -> u_0..u_M of a closed form term(n)."""
+    return lambda p, M: [Fraction(term(n)) for n in range(M + 1)]
 
 
-# oracle name -> (parameters, n) -> closed-form diagonal value; an oracle
-# that takes the parameter a pops it from the parameters
+# oracle name -> (parameters, M) -> the closed-form diagonal values u_0..u_M;
+# an oracle that takes the parameter a pops it from the parameters
 _ORACLES = catalog({
-    "franel": lambda p, n: Fraction(sum(comb(n, k) ** 3 for k in range(n + 1))),
-    "kzd": lambda p, n: Fraction(sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2
-                                     for k in range(n + 1))),
-    "koornwinder": lambda p, n: Fraction(sum(
-        comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
-        for k in range(n + 1))),
-    "szego3": lambda p, n: _szego3(n),
-    "2var": lambda p, n: _twovar(n, p.pop("a")),
-    # C(2n, n) u_n with u_n from the seeded recurrence: 9^n times the
-    # LewyAskey diagonal
-    "lewy-askey": lambda p, n: binomial(2 * n, n) * recurrence_seed(
-        builtin_recurrence("lewyaskey"), n)[n],
+    "franel": _each(lambda n: sum(comb(n, k) ** 3 for k in range(n + 1))),
+    "kzd": _each(lambda n: sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2
+                               for k in range(n + 1))),
+    "koornwinder": _each(lambda n: sum(comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
+                                       for k in range(n + 1))),
+    "szego3": _each(lambda n: sum(Fraction(-27) ** (n - k) * Fraction(2) ** (2 * k - n)
+                                  * Fraction(factorial(3 * k), factorial(k) ** 3)
+                                  * binomial(k, n - k) for k in range(n + 1))),
+    "2var": lambda p, M: _twovar(rat(p.pop("a")), M),
+    # C(2n, n) u_n with u_n from one run of the seeded recurrence: 9^n times
+    # the LewyAskey diagonal
+    "lewy-askey": lambda p, M: [binomial(2 * n, n) * u for n, u in enumerate(
+        recurrence_seed(builtin_recurrence("lewyaskey"), M))],
 }, szego3binomial="szego3")
 
 
-def binomial_oracle(name: str, n: int, a=None) -> Fraction:
-    """Closed-form diagonal value for the named family.  ValueError if the
-    oracle needs the parameter `a` and it is None, or takes none and it is
-    given."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return build(_ORACLES, name, "oracle", {} if a is None else {"a": a}, n)
+def binomial_oracle(name: str, M: int, a=None) -> tuple[Fraction, ...]:
+    """The closed-form diagonal values u_0..u_M of the named family.
+    ValueError if the oracle needs the parameter `a` and it is None, or
+    takes none and it is given."""
+    if M < 0:
+        raise ValueError("order must be >= 0")
+    return tuple(build(_ORACLES, name, "oracle", {} if a is None else {"a": a}, M))
 
 
 # --- built-in paper recurrences --------------------------------------------

@@ -41,9 +41,9 @@ of a bisection) compiles nothing anew.
 is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
 The positivity scan and the cache writer read that stream as it comes: the
 scan stops at the first layer with a hit, and `save_cache` writes each layer
-and drops it.  `CoeffBox.layers[t]` keeps every layer, for the diagonals and
-a loaded cache.  The exact u_n, a `Fraction` or `UniPoly`, is built only
-when an entry is read.
+and drops it.  `CoeffBox.layers[t]` keeps every layer, for the diagonals;
+`load_cache` parses only the N + 1 diagonal lines of a cache.  The exact
+u_n, a `Fraction` or `UniPoly`, is built only when an entry is read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import json
 import math
 import zlib
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Sequence, TextIO
 
 from .exactalg import UniPoly, plain, rat
@@ -357,30 +357,36 @@ def _coefficient_vector(spelled: str) -> list[Coeff]:
     return [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck) for ck in c]
 
 
-def load_cache(fh: TextIO) -> CoeffBox:
-    """Read a cache file written by `save_cache`.
+def load_cache(fh: TextIO) -> tuple[int, tuple[Fraction, ...]]:
+    """(d, (u_(n,...,n) for n = 0..N)) of a rational cache file written by
+    `save_cache`, without its box: one chunked pass takes the CRC-32 and
+    counts the lines, and a second parses only the line of each (n,...,n).
 
-    Raises ValueError for a v1 or v2 file, to be re-created, a missing
-    crc32= trailer (truncated) or a body that does not match it; naming the
-    header field, for a missing or malformed N or c (c_0 invertible) and an
-    L or B that is not the kernel's for c and N; and, naming the line, for
-    an entry count other than C(N+d, d), a malformed entry and an index
-    other than the one the header fixes there: `save_cache` writes the
-    kernel's enumeration of the box, layer by layer in graded-lex order."""
-    text = fh.read()
+    Raises ValueError for a v1 or v2 file, a missing crc32= trailer
+    (truncated) or a body that does not match it; naming the header field,
+    for a missing or malformed N or c (c_0 invertible), an L or B that is
+    not the kernel's for c and N, and a Q[lambda] box; and naming the line,
+    for an entry count other than C(N+d, d) and a bad diagonal line."""
+    header = fh.readline()
     for old in ("v1", "v2"):
-        if text.startswith(f"diagonalis-box {old};"):
+        if header.startswith(f"diagonalis-box {old};"):
             raise ValueError(f"cache format {old} is no longer read; "
                              "re-create it with expand --cache")
-    if not text.startswith(CACHE_MAGIC + "; "):
+    if not header.startswith(CACHE_MAGIC + "; "):
         raise ValueError("not a diagonalis box cache file")
-    body, _, trailer = text.removesuffix("\n").rpartition("\n")
-    if not trailer.startswith("crc32="):
+    # the CRC and the line count of every line before the last, the trailer
+    crc, count, last = 0, 0, header
+    while chunk := fh.read(1 << 16):
+        last += chunk
+        cut = last.rfind("\n", 0, -1) + 1
+        crc = zlib.crc32(last[:cut].encode(), crc)
+        count += last.count("\n", 0, cut)
+        last = last[cut:]
+    if not last.startswith("crc32="):
         raise ValueError("cache has no crc32= trailer (truncated file)")
-    if trailer != "crc32=%08x" % zlib.crc32(f"{body}\n".encode()):
+    if last.removesuffix("\n") != "crc32=%08x" % crc:
         raise ValueError("cache body does not match its crc32= trailer (damaged file)")
-    header, *lines = body.split("\n")
-    fields = header[len(CACHE_MAGIC) + 2:].split("; ", 3)
+    fields = header.removesuffix("\n")[len(CACHE_MAGIC) + 2:].split("; ", 3)
     meta = dict(f.partition("=")[::2] for f in fields)
 
     def field(key: str, parse):
@@ -395,34 +401,37 @@ def load_cache(fh: TextIO) -> CoeffBox:
     c = field("c", _coefficient_vector)
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
-    dim = len(c) - 1
-    expected = math.comb(N + dim, dim)
-    if len(lines) != expected:  # before the loop: a forged huge N never enumerates
-        raise ValueError(f"line {len(lines) + 1}: cache ends after {len(lines)} "
+    d, entries = len(c) - 1, count - 1
+    expected = math.comb(N + d, d)
+    if entries != expected:  # before any enumeration: a forged huge N never enumerates
+        raise ValueError(f"line {entries + 1}: cache ends after {entries} "
                          f"entries; expected {expected}")
-    # line by line, the indices `save_cache` writes: each layer's codes in
-    # descending order (the shapes only group them)
-    index, entries = _index_text(dim, N), iter(enumerate(lines, 2))
-    layers: list[dict[int, int]] = []
-    for groups in _shape_groups(dim, N):
-        layers.append(layer := {})
-        codes = chain.from_iterable(groups.values())
-        for code, (lineno, line) in zip(sorted(codes, reverse=True), entries):
-            try:
-                idx_s, v_s = line.split(":")
-                layer[code] = int(v_s, 16)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
-            want = index(code)
-            if idx_s != want:
-                raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
     # after the count check, so that a forged huge N never reaches W^(dN)
     try:
-        c0, L, B, _ = _kernel_scale(c, N)
+        scale = _kernel_scale(c, N)[:3]
     except ValueError as exc:
         raise ValueError(f"cache header: c= {exc}") from None
-    for key, want in (("L", L), ("B", B)):
+    for key, want in zip("LB", scale[1:]):
         if meta.get(key) != str(want):
             raise ValueError(f"cache header: {key}={meta.get(key)} but c and N "
                              f"give {key}={want}")
-    return CoeffBox(dim, N, layers, (c0, L, B))
+    if scale[2]:
+        raise ValueError("diagonal extraction requires a rational box")
+    # Layer d*n opens with (n,...,n): no other sorted index there has first
+    # coordinate n, so none has a larger code.  `skip` counts the lines
+    # before it: the header, then the layers that `save_cache` wrote.
+    fh.seek(0)
+    diagonal, lineno, skip = [], 0, 1
+    for t, groups in enumerate(_shape_groups(d, N)):
+        if t % d == 0:
+            line = next(islice(fh, skip, None)).removesuffix("\n")
+            lineno, skip = lineno + skip + 1, -1
+            try:
+                idx_s, v_s = line.split(":")
+                diagonal.append(_exact(scale, t, int(v_s, 16)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
+            if idx_s != (want := ",".join([str(t // d)] * d)):
+                raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
+        skip += sum(map(len, groups.values()))
+    return d, tuple(diagonal)

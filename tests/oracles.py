@@ -8,8 +8,9 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 `Fraction` route of the critical-point analysis, which the integer one in
 `geometry` replaced, backs its differential tests, as a per-entry scan of a
 collected box backs the streamed sign scan, a one-string cache writer the
-streamed one, and Gauss-Jordan mod p on lists of residues the packed
-elimination of `sequences._nullspace_mod`."""
+streamed one, a whole-box cache reader the diagonal one, and Gauss-Jordan
+mod p on lists of residues the packed elimination of
+`sequences._nullspace_mod`."""
 
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from diagonalis.exactalg import UniPoly, plain, rat
 from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
-from diagonalis.seriesbox import _kernel_scale, _unpack
-from diagonalis.sequences import binomial_oracle
+from diagonalis.seriesbox import CoeffBox, _kernel_scale, _unpack
 from unipoly_oracle import FractionUniPoly
 
 
@@ -52,8 +52,9 @@ def nonsmooth_locus_4d(a, b, c) -> Locus4d:
 
 
 def asymptotic_ratio_2d(a, n: int) -> float:
-    """Ratio of the exact diagonal term u_{n,n} of 1/(1-(x+y)+axy) to the
-    smooth-point asymptotic (1+sqrt(1-a))^(2n+1) / (2 sqrt(pi n sqrt(1-a))).
+    """Ratio of the exact diagonal term u_{n,n} of 1/(1-(x+y)+axy),
+    sum_k (2n-k)! / (k! (n-k)!^2) (-a)^k, to the smooth-point asymptotic
+    (1+sqrt(1-a))^(2n+1) / (2 sqrt(pi n sqrt(1-a))).
 
     Both sides are taken in log space, where doubles suffice for terms far
     beyond the float range; log(num) and log(den) read the exact integers."""
@@ -62,7 +63,8 @@ def asymptotic_ratio_2d(a, n: int) -> float:
         raise ValueError("asymptotic formula requires a < 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    u = binomial_oracle("2var", n, a=a)
+    u = sum(Fraction(math.factorial(2 * n - k), math.factorial(k) * math.factorial(n - k) ** 2)
+            * (-a) ** k for k in range(n + 1))
     s = math.sqrt(1 - a)
     log_formula = (2 * n + 1) * math.log1p(s) - math.log(2 * math.sqrt(math.pi * n * s))
     return math.exp(math.log(u.numerator) - math.log(u.denominator) - log_formula)
@@ -225,6 +227,29 @@ def collected_cache_text(c: Sequence, box) -> str:
                    + [f"{index(code)}:{layer[code]:x}\n"
                       for layer in box.layers for code in sorted(layer, reverse=True)])
     return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
+
+
+def load_cache_box(fh) -> CoeffBox:
+    """The whole box of a cache file (format v3), every entry line parsed
+    and filed under the layer and code of its index, in any order: the
+    reader that `seriesbox.load_cache`, which reads the diagonal alone,
+    replaced.  The file must be sealed and its L and B the kernel's."""
+    text = fh.read()
+    body, trailer = text.removesuffix("\n").rsplit("\n", 1)
+    assert trailer == "crc32=%08x" % zlib.crc32((body + "\n").encode())
+    header, *lines = body.split("\n")
+    meta = dict(f.partition("=")[::2] for f in header.split("; ")[1:])
+    c = [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck)
+         for ck in json.loads(meta["c"])]
+    d, N = len(c) - 1, int(meta["N"])
+    scale = _kernel_scale(c, N)[:3]
+    assert [meta["L"], meta["B"]] == [str(scale[1]), str(scale[2])]
+    layers: list[dict] = [{} for _ in range(d * N + 1)]
+    for line in lines:
+        index, v = line.split(":")
+        n = [int(e) for e in index.split(",")]
+        layers[sum(n)][sum(e * (N + 1) ** i for i, e in enumerate(reversed(n)))] = int(v, 16)
+    return CoeffBox(d, N, layers, scale)
 
 
 def list_nullspace_mod(matrix: list[list[int]],

@@ -35,14 +35,14 @@ def test_criterion_1_diagonal_identities(capsys):
     N = 12
     ok = True
     diag = _diag(named_instance("AG3").coeffs, N)
-    ok &= all(diag[n] == binomial_oracle("franel", n) for n in range(N + 1))
+    ok &= diag == binomial_oracle("franel", N)
     diag = _diag(named_instance("KZ-D").coeffs, N)
-    ok &= all(diag[n] == binomial_oracle("kzd", n) for n in range(N + 1))
+    ok &= diag == binomial_oracle("kzd", N)
     diag = _diag(named_instance("Koornwinder").coeffs, N)
-    ok &= all(diag[n] == binomial_oracle("koornwinder", n) for n in range(N + 1))
+    ok &= diag == binomial_oracle("koornwinder", N)
     scaled = scale_variables(named_instance("Szego3").coeffs, 2)
     diag = _diag(scaled, N)
-    ok &= all(diag[n] == binomial_oracle("szego3", n) for n in range(N + 1))
+    ok &= diag == binomial_oracle("szego3", N)
     diag = _diag(named_instance("LewyAskey").coeffs, N)
     u = recurrence_seed(builtin_recurrence("lewyaskey"), N)
     ok &= all(F(9) ** n * diag[n] == binomial(2 * n, n) * u[n]
@@ -53,9 +53,7 @@ def test_criterion_1_diagonal_identities(capsys):
 def test_criterion_2_recurrence_suite(capsys):
     terms = 30
     windows = {
-        "franel": tuple(binomial_oracle("franel", n) for n in range(terms)),
-        "szego3": tuple(binomial_oracle("szego3", n) for n in range(terms)),
-        "kzd": tuple(binomial_oracle("kzd", n) for n in range(terms)),
+        name: binomial_oracle(name, terms - 1) for name in ("franel", "szego3", "kzd")
     }
     # Lewy-Askey u_n oracle: u_n = 9^n diag_n / C(2n,n) from the box
     diag = _diag(named_instance("LewyAskey").coeffs, terms - 1)
@@ -77,8 +75,7 @@ def test_criterion_2_recurrence_suite(capsys):
 
 
 def test_criterion_3_literal_values(capsys):
-    ok = [binomial_oracle("szego3", n) for n in range(6)] == \
-        [1, 12, 198, 3720, 75690, 1626912]
+    ok = binomial_oracle("szego3", 5) == (1, 12, 198, 3720, 75690, 1626912)
     u = recurrence_seed(builtin_recurrence("lewyaskey"), 5)
     ok &= [binomial(2 * n, n) * u[n] for n in range(6)] == \
         [1, 24, 1080, 58560, 3490200, 220739904]
@@ -106,8 +103,7 @@ def test_criterion_5_two_variable_region(capsys):
         ok &= brute_force_first_nonpositive(box, True) is None
     scan_bound = 40
     for a in (F(3, 2), F(2)):
-        seq = tuple(binomial_oracle("2var", n, a=a)
-                    for n in range(scan_bound + 1))
+        seq = binomial_oracle("2var", scan_bound, a=a)
         ok &= any(v <= 0 for v in seq)
     _report(capsys, 5, ok, f"boxes N=20 positive for a in {{1, 1/2, 0, -3}}; sign "
                    f"change on the diagonal within n <= {scan_bound} for "

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import diagonalis
-from diagonalis import cli, geometry, seriesbox
+from diagonalis import cli, geometry, sequences, seriesbox
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
 from diagonalis.sequences import binomial_oracle
 
@@ -138,6 +138,34 @@ def test_diag_oracle_mismatch_exit_code(capsys):
                     "--oracle", "franel")
     assert code == 1
     assert "mismatch" in out
+
+
+def test_lewy_askey_oracle_runs_its_recurrence_once(capsys, monkeypatch):
+    # the oracle's terms come from one run of the recurrence, which solves each
+    # of u_1..u_6 once (the early check of the name, at M = 0, solves none)
+    solved = []
+
+    def counted(coeffs, upto, initial, forcing=None):
+        solved.append(upto)
+        return run_extended(coeffs, upto, initial, forcing)
+    run_extended = sequences._run_extended
+    monkeypatch.setattr(sequences, "_run_extended", counted)
+    code, out = run(capsys, "diag", "--family", "LewyAskey", "--N", "6",
+                    "--scale", "9-power", "--oracle", "lewy-askey")
+    assert code == 0 and "oracle: match (lewy-askey, n <= 6)" in out
+    assert solved == [0, 6]
+
+
+def test_diag_from_a_lambda_cache_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "straub3.box"
+    run(capsys, "expand", "--family", "StraubLambda", "--N", "3", "--cache", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["diag", "--from-cache", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"diagonalis diag: error: cannot load cache {path}: "
+                            "diagonal extraction requires a rational box\n")
 
 
 def test_cache_roundtrip_via_env(capsys, tmp_path, monkeypatch):
@@ -811,7 +839,7 @@ def test_geometry_takes_no_entry_limit(capsys):
     assert err.count("\n") == 1
 
 
-FRANEL_20 = ",".join(str(binomial_oracle("franel", n)) for n in range(20))
+FRANEL_20 = ",".join(map(str, binomial_oracle("franel", 19)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,27 +32,26 @@ def test_readme_quick_tour():
 
 
 def test_franel_oracle_values():
-    assert [binomial_oracle("franel", n) for n in range(4)] == [1, 2, 10, 56]
+    assert binomial_oracle("franel", 3) == (1, 2, 10, 56)
 
 
 def test_kzd_oracle_values():
-    assert [binomial_oracle("kzd", n) for n in range(5)] == [1, 4, 40, 544, 8536]
+    assert binomial_oracle("kzd", 4) == (1, 4, 40, 544, 8536)
 
 
 def test_szego3_oracle_values():
-    assert [binomial_oracle("szego3", n) for n in range(6)] == \
-        [1, 12, 198, 3720, 75690, 1626912]
+    assert binomial_oracle("szego3", 5) == (1, 12, 198, 3720, 75690, 1626912)
 
 
 def test_koornwinder_oracle_values():
     # independent double-binomial sum at n = 2: 1*36 + 4*4 + 36*1
-    assert binomial_oracle("koornwinder", 2) == 36 + 16 + 36
+    assert binomial_oracle("koornwinder", 2)[2] == 36 + 16 + 36
 
 
 def test_twovar_oracle_edges():
-    assert binomial_oracle("2var", 0, a=F(1, 2)) == 1
-    assert binomial_oracle("2var", 1, a=1) == 1   # 2(n+... ) at a=1: 2-1 = 1
-    assert binomial_oracle("2var", 2, a=0) == binomial(4, 2)
+    assert binomial_oracle("2var", 0, a=F(1, 2)) == (1,)
+    assert binomial_oracle("2var", 1, a=1)[1] == 1   # 2(n+... ) at a=1: 2-1 = 1
+    assert binomial_oracle("2var", 2, a=0)[2] == binomial(4, 2)
 
 
 def test_oracle_validation():
@@ -64,21 +63,17 @@ def test_oracle_validation():
         binomial_oracle("nope", 0)
 
 
-def _oracle_window(name, upto, **kw):
-    return tuple(binomial_oracle(name, n, **kw) for n in range(upto + 1))
-
-
 def test_builtin_recurrences_verify_on_oracles():
     assert recurrence_check(builtin_recurrence("franel"),
-                            _oracle_window("franel", 25)) is None
+                            binomial_oracle("franel", 25)) is None
     assert recurrence_check(builtin_recurrence("szego3"),
-                            _oracle_window("szego3", 25)) is None
+                            binomial_oracle("szego3", 25)) is None
     assert recurrence_check(builtin_recurrence("kzd"),
-                            _oracle_window("kzd", 25)) is None
+                            binomial_oracle("kzd", 25)) is None
 
 
 def test_recurrence_check_flags_tampered_term():
-    vals = [binomial_oracle("franel", n) for n in range(10)]
+    vals = list(binomial_oracle("franel", 9))
     vals[7] += 1
     bad = recurrence_check(builtin_recurrence("franel"), tuple(vals))
     assert bad is not None and bad[0] <= 7
@@ -102,18 +97,18 @@ def test_seed_matches_extend_for_franel():
 def test_twovar_recurrence_matches_oracle():
     for a in (F(1, 2), F(3, 2), F(-3)):
         rec = builtin_recurrence("2var", a=a)
-        win = _oracle_window("2var", 20, a=a)
+        win = binomial_oracle("2var", 20, a=a)
         assert recurrence_check(rec, win) is None
 
 
 def test_guess_recovers_franel():
-    seq = _oracle_window("franel", 29)
+    seq = binomial_oracle("franel", 29)
     rec = recurrence_guess(seq, 2, 2)
     assert rec == builtin_recurrence("franel").normalized()
 
 
 def test_guess_recovers_kzd():
-    seq = _oracle_window("kzd", 29)
+    seq = binomial_oracle("kzd", 29)
     rec = recurrence_guess(seq, 2, 3)
     assert rec == builtin_recurrence("kzd").normalized()
 
@@ -212,7 +207,7 @@ def test_recurrence_from_json_rejects_non_nested_lists():
 
 
 def test_guess_rejects_empty_search_ranges():
-    seq = _oracle_window("franel", 29)
+    seq = binomial_oracle("franel", 29)
     for max_order, max_degree in ((0, 2), (2, -1)):
         with pytest.raises(ValueError, match="max_order >= 1 and max_degree >= 0"):
             recurrence_guess(seq, max_order, max_degree)
@@ -427,7 +422,7 @@ def _first_primes(k):
 def test_modular_route_needs_no_fraction_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     primes = _count_modular_solves(monkeypatch)
-    seq = _oracle_window("kzd", 29)
+    seq = binomial_oracle("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     # the screen skips every ansatz but (2, 3), the one solve
     assert calls == [len(seq) - 2]
@@ -452,7 +447,7 @@ def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
     monkeypatch.setattr(sequences, "_rational_reconstruction", wrong_once)
     calls = _count_solves(monkeypatch)
     primes = _count_modular_solves(monkeypatch)
-    seq = _oracle_window("kzd", 29)
+    seq = binomial_oracle("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     assert not first[0] and len(calls) == 1
     assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(2)
@@ -460,7 +455,7 @@ def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(_guessable_sequence(terms=25, degree=2))
-@example(_oracle_window("kzd", 24))
+@example(binomial_oracle("kzd", 24))
 def test_screened_guess_matches_fraction_oracle(seq):
     assert recurrence_guess(seq, 2, 3) == guess_oracle(seq, 2, 3)
     # every degree the screen skips has a trivial nullspace over Q
@@ -473,21 +468,21 @@ def test_screened_guess_matches_fraction_oracle(seq):
 
 
 def test_screen_flags_the_first_degree_with_a_nullspace():
-    seq = _oracle_window("kzd", 24)
+    seq = binomial_oracle("kzd", 24)
     # no degree up to 3 at order 1
     assert sequences._first_degree(sequences._ansatz_matrix(seq, 1, 3), 1) == 4
     assert sequences._first_degree(sequences._ansatz_matrix(seq, 2, 3), 2) == 3
 
 
 def _perturbed_franel():
-    seq = list(_oracle_window("franel", 29))
+    seq = list(binomial_oracle("franel", 29))
     seq[20] += 1
     return tuple(seq)
 
 
 @pytest.mark.parametrize("seq, max_order, max_degree", [
-    (_oracle_window("franel", 29), 2, 2),
-    (_oracle_window("kzd", 29), 2, 3),
+    (binomial_oracle("franel", 29), 2, 2),
+    (binomial_oracle("kzd", 29), 2, 3),
     (_perturbed_franel(), 2, 2),
     (tuple(F(3) ** n for n in range(20)), 2, 1),
     (tuple(F(n + 1, 3 ** n) for n in range(20)), 2, 2),
@@ -518,7 +513,7 @@ def _unlucky_primes():
 def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
     monkeypatch.setattr(sequences, "_primes", _unlucky_primes())
     primes = _count_modular_solves(monkeypatch)
-    seq = _oracle_window("franel", 29)
+    seq = binomial_oracle("franel", 29)
     assert recurrence_guess(seq, 2, 2) == builtin_recurrence("franel").normalized()
     assert {2, 3, 5, 7} <= set(primes)
 
@@ -555,7 +550,7 @@ def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
     monkeypatch.setattr(sequences, "_hadamard_bound", counted)
     primes = _count_modular_solves(monkeypatch)
     # the kzd (2, 3) lift passes at its first prime: no bound
-    kzd = sequences._ansatz_matrix(_oracle_window("kzd", 29), 2, 3)
+    kzd = sequences._ansatz_matrix(binomial_oracle("kzd", 29), 2, 3)
     assert len(sequences._nullspace(kzd)) == 1
     assert (bounds, primes) == ([], _first_primes(1))
     # the Kauers (3, 6) lift needs a third prime: one bound, after the
@@ -576,7 +571,7 @@ def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
     monkeypatch.setattr(sequences, "_rational_reconstruction",
                         lambda a, m: None)
     primes = _count_modular_solves(monkeypatch)
-    matrix = sequences._ansatz_matrix(_oracle_window("franel", 29), 2, 2)
+    matrix = sequences._ansatz_matrix(binomial_oracle("franel", 29), 2, 2)
     with pytest.raises(ArithmeticError, match="no exact nullspace lift"):
         sequences._nullspace(matrix)
     # the stop is twice the square of a Hadamard bound on the minors

@@ -19,8 +19,9 @@ from diagonalis.multipoly import _coerce_coeff, depends_on_lambda
 from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale, _unpack,
                                   expand_layers, expand_reciprocal, load_cache,
                                   save_cache, streamed_first_nonpositive)
+from diagonalis.sequences import extract_diagonal
 from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_layer,
-                     geometric_oracle, per_entry_data, scale_variables,
+                     geometric_oracle, load_cache_box, per_entry_data, scale_variables,
                      substitute_zero, symmetric_denominator)
 
 
@@ -296,23 +297,39 @@ def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
     assert 3 * written < _kzd26_box_peak()
 
 
+def test_cache_read_holds_a_window(tmp_path, capsys):
+    # `diag --from-cache` parses the diagonal lines of the file alone, so it
+    # holds neither the box nor the text of the whole file
+    path = str(tmp_path / "k.box")
+    assert main(["expand", "--family", "KZ-D", "--N", "26", "--cache", path]) == 0
+    capsys.readouterr()
+    code, read = _peak(lambda: main(["diag", "--from-cache", path, "--oracle", "kzd"]))
+    assert code == 0 and "oracle: match (kzd, n <= 26)" in capsys.readouterr().out
+    assert 3 * read < _kzd26_box_peak()
+
+
 def test_cache_roundtrip_rational():
     c = vec(1, -1, 0, 4)
     box = expand_reciprocal(c, 3)
     text = _cache_text(c, 3)
-    loaded = load_cache(io.StringIO(text))
+    loaded = load_cache_box(io.StringIO(text))
     assert loaded.N == box.N and loaded.dim == box.dim and loaded.ring == "Q"
     for n in itertools.product(range(4), repeat=3):
         assert loaded.coefficient_at(n) == box.coefficient_at(n)
     # bit-exact round trip
     assert _resaved(c, loaded) == text
+    assert load_cache(io.StringIO(text)) == (3, extract_diagonal(box))
 
 
 def test_cache_roundtrip_lambda():
     lam = UniPoly.x()
-    loaded = load_cache(io.StringIO(_cache_text(vec(1, -lam), 4)))
+    text = _cache_text(vec(1, -lam), 4)
+    loaded = load_cache_box(io.StringIO(text))
     assert loaded.ring == "Qlambda"
     assert loaded.coefficient_at((4,)) == lam ** 4
+    # the diagonal reader refuses it, after every check of the header
+    with pytest.raises(ValueError, match=r"^diagonal extraction requires a rational box$"):
+        load_cache(io.StringIO(text))
 
 
 def test_cache_rejects_other_files():
@@ -495,43 +512,57 @@ def test_cache_refuses_format_v1():
         load_cache(io.StringIO(v1))
 
 
+# the reader parses only the diagonal lines: line 2 holds (0,0,0,0), and
+# line 9, the first of layer 4, (1,1,1,1)
 def test_cache_rejects_duplicate_index():
     lines = _kzd3_cache_lines()
-    lines[5] = lines[4].split(":")[0] + ":" + lines[5].split(":", 1)[1]
-    with pytest.raises(ValueError, match=r"line 6: found index '0,0,0,2', expected 0,1,1,1$"):
+    assert [line.split(":")[0] for line in lines[7:9]] == ["0,0,0,3", "1,1,1,1"]
+    lines[8] = lines[7].split(":")[0] + ":" + lines[8].split(":", 1)[1]
+    with pytest.raises(ValueError, match=r"line 9: found index '0,0,0,3', expected 1,1,1,1$"):
         load_cache(_resealed(lines))
 
 
 @pytest.mark.parametrize("index", ["0,0,0,4", "0,0,1", "-1,0,0,2"])
 def test_cache_rejects_index_outside_box(index):
     lines = _kzd3_cache_lines()
-    lines[7] = index + ":" + lines[7].split(":", 1)[1]
-    with pytest.raises(ValueError, match=rf"line 8: found index '{index}', expected 0,0,0,3$"):
+    lines[8] = index + ":" + lines[8].split(":", 1)[1]
+    with pytest.raises(ValueError, match=rf"line 9: found index '{index}', expected 1,1,1,1$"):
         load_cache(_resealed(lines))
 
 
 def test_cache_rejects_unsorted_index_in_symmetric_file():
     lines = _kzd3_cache_lines()
-    assert lines[2].startswith("0,0,0,1:")
-    lines[2] = "1,0,0,0:" + lines[2].split(":", 1)[1]
-    with pytest.raises(ValueError, match=r"line 3: found index '1,0,0,0', expected 0,0,0,1$"):
+    assert lines[1].startswith("0,0,0,0:")
+    lines[1] = "0,1,0,0:" + lines[1].split(":", 1)[1]
+    with pytest.raises(ValueError, match=r"line 2: found index '0,1,0,0', expected 0,0,0,0$"):
         load_cache(_resealed(lines))
 
 
 def test_cache_rejects_entries_out_of_order():
-    # the two layer-2 entries swapped: each index is in the box, sorted and
-    # distinct, but not on the line where the kernel's enumeration puts it
+    # the first two layer-4 entries swapped: each index is in the box, sorted
+    # and distinct, but (1,1,1,1) is not on the line where the kernel's
+    # enumeration puts it
+    lines = _kzd3_cache_lines()
+    assert [line.split(":")[0] for line in lines[8:10]] == ["1,1,1,1", "0,1,1,2"]
+    lines[8], lines[9] = lines[9], lines[8]
+    with pytest.raises(ValueError, match=r"line 9: found index '0,1,1,2', expected 1,1,1,1$"):
+        load_cache(_resealed(lines))
+
+
+def test_cache_loads_a_resealed_swap_of_off_diagonal_lines():
+    # the two layer-2 entries swapped and sealed again: no diagonal line
+    # moved, so the diagonal is read as written
     lines = _kzd3_cache_lines()
     assert [line.split(":")[0] for line in lines[3:5]] == ["0,0,1,1", "0,0,0,2"]
     lines[3], lines[4] = lines[4], lines[3]
-    with pytest.raises(ValueError, match=r"line 4: found index '0,0,0,2', expected 0,0,1,1$"):
-        load_cache(_resealed(lines))
+    box = expand_reciprocal(vec(1, -1, 0, 2, 4), 3)
+    assert load_cache(_resealed(lines)) == (4, extract_diagonal(box))
 
 
 def test_cache_rejects_malformed_line():
     lines = _kzd3_cache_lines()
-    lines[3] = "0,0,1,1=c\n"
-    with pytest.raises(ValueError, match=r"line 4: malformed entry"):
+    lines[8] = "1,1,1,1=4\n"
+    with pytest.raises(ValueError, match=r"line 9: malformed entry '1,1,1,1=4'"):
         load_cache(_resealed(lines))
 
 
@@ -565,10 +596,11 @@ _D1_FILE = ('diagonalis-box v3; N=5; L=2; B=0; c=["2","-3"]\n'
 ], ids=["KZ-D", "d1"])
 def test_cache_files_of_the_two_layouts_still_load(text, coeffs, N):
     # sorted orbit representatives at d >= 2, and at d = 1, where every orbit is one index
-    box = load_cache(io.StringIO(text))
+    box = load_cache_box(io.StringIO(text))
     c = vec(*coeffs)
     assert box.layers == expand_reciprocal(c, N).layers
     assert _resaved(c, box) == text
+    assert load_cache(io.StringIO(text)) == (len(c) - 1, extract_diagonal(box))
 
 
 # the same two boxes as format v2 wrote them, with the nested denom= header
@@ -602,9 +634,28 @@ def test_cache_roundtrip_keeps_the_kernel_integers(case):
     c, N = case
     box = expand_reciprocal(c, N)
     text = _cache_text(c, N)
-    loaded = load_cache(io.StringIO(text))
+    loaded = load_cache_box(io.StringIO(text))
     assert (loaded.layers, loaded.scale) == (box.layers, box.scale)
     assert _resaved(c, loaded) == text
+
+
+@settings(deadline=None, max_examples=40)
+@given(reciprocal_cases())
+@example((vec(F(-2), F(1, 2), F(2, 9), F(-4, 3)), 4))
+@example((vec(2, -3), 5))  # d = 1: every layer is one line
+@example((vec(-4, 0, 0), 0))  # N = 0: one line, in layer 0
+@example((vec(1, -lam, lam * lam - 1), 4))
+def test_cache_diagonal_matches_the_box_and_the_whole_box_reader(case):
+    c, N = case
+    text = _cache_text(c, N)
+    if any(map(depends_on_lambda, c)):
+        with pytest.raises(ValueError, match=r"^diagonal extraction requires a rational box$"):
+            load_cache(io.StringIO(text))
+        return
+    d, diagonal = load_cache(io.StringIO(text))
+    assert d == len(c) - 1
+    assert diagonal == extract_diagonal(expand_reciprocal(c, N))
+    assert diagonal == extract_diagonal(load_cache_box(io.StringIO(text)))
 
 
 # --- differential test: layer kernel vs the per-entry kernel -----------------
@@ -685,7 +736,7 @@ def test_scan_breaks_ties_within_the_first_flagged_layer(a, b, want, reloaded):
     c = named_instance("hab", a=a, b=b).coeffs
     box = expand_reciprocal(c, 3)
     if reloaded:  # read back from its cache, whose layers hold the codes in another order
-        box = load_cache(io.StringIO(_cache_text(c, 3)))
+        box = load_cache_box(io.StringIO(_cache_text(c, 3)))
     flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
                if sum(n) == 3 and box.coefficient_at(n) <= 0}
     assert len(flagged) == 1 + (a == F(7, 4) and b == 0)

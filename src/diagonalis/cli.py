@@ -28,11 +28,12 @@ from .family import FamilySpec, make_family, named_instance
 from .geometry import box_positivity_bisect, critical_points_diag
 from .identities import IDENTITIES, verify_identity
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
-                        characteristic_polynomial, extract_diagonal,
-                        recurrence_check, recurrence_extend, recurrence_guess,
-                        recurrence_seed)
+                        characteristic_polynomial, recurrence_check,
+                        recurrence_extend, recurrence_guess, recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers, expand_reciprocal,
-                        load_cache, save_cache, streamed_first_nonpositive)
+                        extract_diagonal, load_cache, save_cache,
+                        streamed_first_nonpositive)
+from .uniseries import UniSeries, verify_series_identity
 
 
 _PARAMS = ("a", "b", "c", "lam", "d")  # the family parameters
@@ -151,29 +152,27 @@ def cmd_diag(args) -> int:
                 d, vals = load_cache(fh)
             except ValueError as exc:
                 raise ValueError(f"cannot load cache {path}: {exc}") from None
-        if args.N not in (None, len(vals) - 1):
-            raise ValueError(f"--N {args.N} differs from the cache's N={len(vals) - 1}")
+        if args.N not in (None, vals.order):
+            raise ValueError(f"--N {args.N} differs from the cache's N={vals.order}")
         fam = None
     else:
         fam, box = _family_box(args)
         d, vals = box.dim, extract_diagonal(box)
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
-        ratio = 9 if args.scale == "9-power" else args.scale ** d
-        vals = [ratio ** n * v for n, v in enumerate(vals)]
-    report = {"N": len(vals) - 1, "diagonal": vals}
+        vals = vals.scale_argument(9 if args.scale == "9-power" else args.scale ** d)
+    report = {"N": vals.order, "diagonal": vals.coeffs}
     if fam is not None:
         report["family"] = fam
     status = 0
     if args.oracle:
-        expected = binomial_oracle(args.oracle, len(vals) - 1, args.a)
-        for n, (got, want) in enumerate(zip(vals, expected)):
-            if got != want:
-                report["oracle"] = f"mismatch at n={n}: box {got} vs oracle {want}"
-                status = 1
-                break
+        bad = verify_series_identity(vals, binomial_oracle(args.oracle, vals.order, args.a))
+        if bad is None:
+            report["oracle"] = f"match ({args.oracle}, n <= {vals.order})"
         else:
-            report["oracle"] = f"match ({args.oracle}, n <= {len(vals) - 1})"
+            n, got, want = bad
+            report["oracle"] = f"mismatch at n={n}: box {got} vs oracle {want}"
+            status = 1
     _emit(args, report)
     return status
 
@@ -191,11 +190,11 @@ def _recur_object(args):
         raise ValueError(f"--rec-json nests too deeply ({exc})") from None
 
 
-def _recur_sequence(args) -> tuple[Fraction, ...]:
+def _recur_sequence(args) -> UniSeries:
     if args.terms:
         if args.N is not None:
             raise ValueError("--N bounds a family's box; --terms gives the values")
-        return _parse_terms(args.terms)
+        return UniSeries(args.terms.split(","))
     return extract_diagonal(_family_box(args)[1])
 
 
@@ -223,9 +222,9 @@ def cmd_recur(args) -> int:
             status = 1
     elif args.mode == "extend":
         rec = _recur_object(args)
-        seq = (recurrence_extend(rec, _parse_terms(args.terms), args.upto)
+        seq = (recurrence_extend(rec, UniSeries(args.terms.split(",")), args.upto)
                if args.terms else recurrence_seed(rec, args.upto))
-        report["values"] = seq
+        report["values"] = seq.coeffs
     elif args.mode == "charpoly":
         rec = _recur_object(args)
         cp = characteristic_polynomial(rec)

@@ -17,13 +17,9 @@ from .uniseries import (UniSeries, hypergeometric_2f1, recurrence_to_frobenius,
 Mismatch = Optional[tuple]
 
 
-def _series_from_recurrence(name: str, M: int) -> UniSeries:
-    return UniSeries(recurrence_seed(builtin_recurrence(name), M), M)
-
-
 def check_fran(M: int) -> Mismatch:
     """Franel generating function: sum a_n z^n = (1-2z)^-1 2F1(1/3,2/3;1;27z^2/(1-2z)^3)."""
-    lhs = UniSeries(binomial_oracle("franel", M), M)
+    lhs = binomial_oracle("franel", M)
     inv = UniSeries([1, -2], M).inverse()
     arg = UniSeries([0, 0, 27], M) * inv * inv * inv
     rhs = inv * hypergeometric_2f1("1/3", "2/3", 1, M).compose(arg)
@@ -32,7 +28,7 @@ def check_fran(M: int) -> Mismatch:
 
 def check_sd_gf(M: int) -> Mismatch:
     """Scaled Szego diagonal: sum s_n z^n = 2F1(1/3,2/3;1;27z(2-27z))."""
-    lhs = _series_from_recurrence("szego3", M)
+    lhs = recurrence_seed(builtin_recurrence("szego3"), M)
     arg = UniSeries([0, 54, -27 * 27], M)
     rhs = hypergeometric_2f1("1/3", "2/3", 1, M).compose(arg)
     return verify_series_identity(lhs, rhs)
@@ -40,7 +36,7 @@ def check_sd_gf(M: int) -> Mismatch:
 
 def check_duco(M: int) -> Mismatch:
     """Lewy-Askey u_n generating function, quartic-root form."""
-    lhs = _series_from_recurrence("lewyaskey", M)
+    lhs = recurrence_seed(builtin_recurrence("lewyaskey"), M)
     pref_poly = UniSeries([1, -48, 0, 12288], M)
     num = (UniSeries([0, 0, -1728], M) * UniSeries([3, -64], M)
            * UniSeries([1, -16], M) ** 6)
@@ -52,7 +48,7 @@ def check_duco(M: int) -> Mismatch:
 
 def check_ducox(M: int) -> Mismatch:
     """Lewy-Askey u_n generating function, square-root form."""
-    lhs = _series_from_recurrence("lewyaskey", M)
+    lhs = recurrence_seed(builtin_recurrence("lewyaskey"), M)
     pref_poly = UniSeries([1, -24], M)
     arg = UniSeries([0, 0, -64], M) * UniSeries([3, -64], M) / (pref_poly * pref_poly)
     rhs = pref_poly.power("-1/2") * hypergeometric_2f1("1/4", "3/4", 1, M).compose(arg)
@@ -71,8 +67,8 @@ def check_ramanujan_cubic(M: int) -> Mismatch:
 
 def check_szego_binomial(M: int) -> Mismatch:
     """Recurrence-generated s_n against the alternating binomial sum."""
-    lhs = _series_from_recurrence("szego3", M)
-    rhs = UniSeries(binomial_oracle("szego3", M), M)
+    lhs = recurrence_seed(builtin_recurrence("szego3"), M)
+    rhs = binomial_oracle("szego3", M)
     return verify_series_identity(lhs, rhs)
 
 

@@ -1,4 +1,4 @@
-"""Diagonals, binomial oracles, and the P-recurrence engine.
+"""Binomial oracles and the P-recurrence engine.
 
 A `PRecurrence` is sum_{j=0..r} p_j(n) * u_{n+j} = 0 with polynomial
 coefficients p_j; all paper recurrences are stored re-indexed into this
@@ -14,21 +14,21 @@ reconstruction, and returned at the first prime where the lift checks
 exactly over Z.  So the result is the basis that exact elimination over
 Q gives, whatever its dimension.  Each elimination mod p runs on packed
 rows: a row is one int with an unreduced slot per column, and a row update
-is one big-integer multiply-add.  A sequence is a plain tuple (or any
-sequence) u_0, u_1, ... of rationals, indexed from 0.
+is one big-integer multiply-add.  A sequence u_0, u_1, ... is a
+`UniSeries`, and the check and the guess read its integer numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, prod
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .exactalg import UniPoly, binomial, over_lcm, rat
 from .registry import build, catalog
-from .seriesbox import CoeffBox
+from .uniseries import UniSeries, _run_extended
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,6 @@ class PRecurrence:
         return cls(tuple(UniPoly.from_json(p) for p in data))
 
 
-def extract_diagonal(box: CoeffBox) -> tuple[Fraction, ...]:
-    """u_{n,...,n} for n = 0..N."""
-    if box.ring != "Q":
-        raise ValueError("diagonal extraction requires a rational box")
-    return tuple(box.coefficient_at((n,) * box.dim) for n in range(box.N + 1))
-
-
 # --- closed-form oracles ----------------------------------------------------
 
 def _twovar(a: Fraction, M: int) -> list[Fraction]:
@@ -87,7 +80,7 @@ def _twovar(a: Fraction, M: int) -> list[Fraction]:
 
 def _each(term):
     """The oracle (parameters, M) -> u_0..u_M of a closed form term(n)."""
-    return lambda p, M: [Fraction(term(n)) for n in range(M + 1)]
+    return lambda p, M: [term(n) for n in range(M + 1)]
 
 
 # oracle name -> (parameters, M) -> the closed-form diagonal values u_0..u_M;
@@ -105,17 +98,17 @@ _ORACLES = catalog({
     # C(2n, n) u_n with u_n from one run of the seeded recurrence: 9^n times
     # the LewyAskey diagonal
     "lewy-askey": lambda p, M: [binomial(2 * n, n) * u for n, u in enumerate(
-        recurrence_seed(builtin_recurrence("lewyaskey"), M))],
+        recurrence_seed(builtin_recurrence("lewyaskey"), M).coeffs)],
 }, szego3binomial="szego3")
 
 
-def binomial_oracle(name: str, M: int, a=None) -> tuple[Fraction, ...]:
-    """The closed-form diagonal values u_0..u_M of the named family.
-    ValueError if the oracle needs the parameter `a` and it is None, or
-    takes none and it is given."""
+def binomial_oracle(name: str, M: int, a=None) -> UniSeries:
+    """The series of the closed-form diagonal values u_0..u_M of the named
+    family.  ValueError if the oracle needs the parameter `a` and it is
+    None, or takes none and it is given."""
     if M < 0:
         raise ValueError("order must be >= 0")
-    return tuple(build(_ORACLES, name, "oracle", {} if a is None else {"a": a}, M))
+    return UniSeries(build(_ORACLES, name, "oracle", {} if a is None else {"a": a}, M))
 
 
 # --- built-in paper recurrences --------------------------------------------
@@ -155,63 +148,46 @@ def builtin_recurrence(name: str, a=None) -> PRecurrence:
 
 # --- recurrence operations --------------------------------------------------
 
-def recurrence_check(rec: PRecurrence, seq: Sequence[Fraction]):
-    """None if the recurrence holds on every checkable n; else (n, residual)."""
+def recurrence_check(rec: PRecurrence, seq: UniSeries):
+    """None if the recurrence holds on every checkable n; else (n, residual).
+    Each instance is the integer sum D * seq.den * residual = sum_j
+    (D p_j)(n) * seq.nums[n + j], D the lcm of the denominators of the p_j."""
     r = rec.order
-    if len(seq) < r + 1:
+    if seq.order < r:
         raise ValueError(f"window too short: need at least {r + 1} terms")
-    for n in range(len(seq) - r):
-        resid = sum((rec.coeffs[j](n) * seq[n + j] for j in range(r + 1)),
-                    Fraction(0))
+    D = lcm(*(p.den for p in rec.coeffs))
+    polys = [[c * (D // p.den) for c in p.nums] for p in rec.coeffs]  # the D p_j
+    nums, width = seq.nums, max(map(len, polys))
+    for n in range(len(nums) - r):
+        npows = [n ** k for k in range(width)]
+        resid = sum(sum(map(mul, cs, npows)) * u
+                    for cs, u in zip(polys, nums[n:n + r + 1]))
         if resid:
-            return (n, resid)
+            return (n, Fraction(resid, D * seq.den))
     return None
 
 
-def _run_extended(coeffs, upto: int, initial, forcing=None) -> list[Fraction]:
-    """u_0..u_upto of sum_j p_j(n) u_{n+j} = -forcing(n), extended by
-    u_k = 0 for k < 0: u_0, u_1, ... are `initial`, then the instances
-    n = len(initial)-r .. upto-r are each solved for u_{n+r}.  `coeffs` are
-    the p_j; no forcing means the homogeneous case.  Initial terms past
-    `upto` are kept."""
-    if upto < 0:
-        raise ValueError(f"cannot extend up to a negative index {upto}")
-    r = len(coeffs) - 1
-    vals = [rat(u) for u in initial] + [Fraction(0)] * (upto + 1 - len(initial))
-    for n in range(len(initial) - r, upto - r + 1):
-        lead = coeffs[r](n)
-        if lead == 0:
-            raise ValueError(f"leading coefficient vanishes at n={n}; "
-                             f"extension blocked at index {n + r}")
-        s = forcing(n) if forcing else Fraction(0)
-        for j in range(max(0, -n), r):
-            s += coeffs[j](n) * vals[n + j]
-        vals[n + r] = -s / lead
-    return vals
-
-
-def recurrence_extend(rec: PRecurrence, initial: Sequence[Fraction],
-                      upto: int) -> tuple[Fraction, ...]:
+def recurrence_extend(rec: PRecurrence, initial: UniSeries, upto: int) -> UniSeries:
     """Extend u_0, u_1, ... forward to index `upto` (inclusive) by solving
-    for u_{n+r}."""
-    if len(initial) < rec.order:
+    for u_{n+r}; initial terms past `upto` are kept."""
+    if initial.order < rec.order - 1:
         raise ValueError(f"need at least {rec.order} initial terms")
-    return tuple(_run_extended(rec.coeffs, upto, initial))
+    return _run_extended(rec.coeffs, upto, initial.coeffs)
 
 
-def recurrence_seed(rec: PRecurrence, upto: int) -> tuple[Fraction, ...]:
+def recurrence_seed(rec: PRecurrence, upto: int) -> UniSeries:
     """Run the recurrence extended by u_k = 0 for k < 0, starting from u_0 = 1.
 
     For the paper's second-order recurrences this reproduces the analytic
     normalization (u_1 is forced by the n = -1 instance).
     """
-    return tuple(_run_extended(rec.coeffs, upto, (1,)))
+    return _run_extended(rec.coeffs, upto, (1,))
 
 
 GUESS_SAFETY_MARGIN = 5
 
 
-def recurrence_guess(seq: Sequence[Fraction], max_order: int,
+def recurrence_guess(seq: UniSeries, max_order: int,
                      max_degree: int) -> Optional[PRecurrence]:
     """Smallest (order, degree) recurrence verifying on all supplied terms.
 
@@ -227,10 +203,10 @@ def recurrence_guess(seq: Sequence[Fraction], max_order: int,
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
                          f"max_order={max_order}, max_degree={max_degree}")
     min_needed = (max_order + 1) * (max_degree + 1) + max_order + GUESS_SAFETY_MARGIN
-    if len(seq) < min_needed:
+    if seq.order < min_needed - 1:
         raise ValueError(
             f"need >= {min_needed} terms to guess at max_order={max_order}, "
-            f"max_degree={max_degree}; got {len(seq)}")
+            f"max_degree={max_degree}; got {seq.order + 1}")
     for order in range(1, max_order + 1):
         top = _ansatz_matrix(seq, order, max_degree)
         for degree in range(_first_degree(top, order), max_degree + 1):
@@ -270,17 +246,15 @@ def _first_degree(top: list[list[int]], order: int) -> int:
     return free // (order + 1)
 
 
-def _ansatz_matrix(seq: Sequence[Fraction], order: int,
-                   degree: int) -> list[list[int]]:
+def _ansatz_matrix(seq: UniSeries, order: int, degree: int) -> list[list[int]]:
     """The ansatz system sum_j p_j(n) u_{n+j} = 0 in the coefficients of
-    p_0, ..., p_order (n^0 .. n^degree each), one row per n, each row scaled
-    by the lcm of its terms' denominators.  Row scaling keeps the
-    nullspace, and the entries are integers."""
-    matrix = []
-    for n in range(len(seq) - order):
-        window = seq[n:n + order + 1]
+    p_0, ..., p_order (n^0 .. n^degree each), one row per n, read on the
+    numerators of the sequence: each row is scaled by its one denominator,
+    which keeps the nullspace, and the entries are integers."""
+    nums, matrix = seq.nums, []
+    for n in range(len(nums) - order):
         npows = [n ** k for k in range(degree + 1)]
-        matrix.append([x * npow for x in over_lcm(window)[0] for npow in npows])
+        matrix.append([x * npow for x in nums[n:n + order + 1] for npow in npows])
     return matrix
 
 

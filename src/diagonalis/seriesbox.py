@@ -41,9 +41,10 @@ of a bisection) compiles nothing anew.
 is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
 The positivity scan and the cache writer read that stream as it comes: the
 scan stops at the first layer with a hit, and `save_cache` writes each layer
-and drops it.  `CoeffBox.layers[t]` keeps every layer, for the diagonals;
-`load_cache` parses only the N + 1 diagonal lines of a cache.  The exact
-u_n, a `Fraction` or `UniPoly`, is built only when an entry is read.
+and drops it.  `CoeffBox.layers[t]` keeps every layer, for `extract_diagonal`;
+`load_cache` parses only the N + 1 diagonal lines of a cache.  Both give the
+diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of order N.  The exact u_n,
+a `Fraction` or `UniPoly`, is built only when an entry is read.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from typing import Sequence, TextIO
 
 from .exactalg import UniPoly, plain, rat
 from .multipoly import Coeff, _coerce_coeff, depends_on_lambda
+from .uniseries import UniSeries
 
 Exponent = tuple[int, ...]
 
@@ -357,9 +359,16 @@ def _coefficient_vector(spelled: str) -> list[Coeff]:
     return [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck) for ck in c]
 
 
-def load_cache(fh: TextIO) -> tuple[int, tuple[Fraction, ...]]:
-    """(d, (u_(n,...,n) for n = 0..N)) of a rational cache file written by
-    `save_cache`, without its box: one chunked pass takes the CRC-32 and
+def extract_diagonal(box: CoeffBox) -> UniSeries:
+    """The series of u_(n,...,n), n = 0..N, of a rational box."""
+    if box.ring != "Q":
+        raise ValueError("diagonal extraction requires a rational box")
+    return UniSeries([box.coefficient_at((n,) * box.dim) for n in range(box.N + 1)])
+
+
+def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
+    """(d, the series of u_(n,...,n), n = 0..N) of a rational cache file written
+    by `save_cache`, without its box: one chunked pass takes the CRC-32 and
     counts the lines, and a second parses only the line of each (n,...,n).
 
     Raises ValueError for a v1 or v2 file, a missing crc32= trailer
@@ -434,4 +443,4 @@ def load_cache(fh: TextIO) -> tuple[int, tuple[Fraction, ...]]:
             if idx_s != (want := ",".join([str(t // d)] * d)):
                 raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
         skip += sum(map(len, groups.values()))
-    return d, tuple(diagonal)
+    return d, UniSeries(diagonal)

@@ -7,10 +7,11 @@ exactly to the reported order, no further.
 Coefficients are integers over one common denominator, so an operation
 reduces once, not once per coefficient.
 
-Also here: the hypergeometric 2F1 truncation, run from its term recurrence
-by the `sequences` runner, Frobenius log-solutions of the ODE attached to a
-second-order polynomial recurrence, and the theta series of the planar
-hexagonal lattice.
+A `UniSeries` is also every exact sequence u_0, u_1, ...: a diagonal, an
+oracle, and the terms that `_run_extended`, the one runner of an extended
+recurrence, gives.  Also here: the 2F1 truncation run from its term
+recurrence, Frobenius log-solutions of the ODE attached to a second-order
+polynomial recurrence, and the theta series of the hexagonal lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import RatLike, UniPoly, binary_power, over_lcm, rat, reduce_nums
-from .sequences import _run_extended
 
 
 class UniSeries:
@@ -239,12 +239,34 @@ class UniSeries:
         return f"UniSeries([{shown}{tail}]; order={self.order})"
 
 
+def _run_extended(coeffs, upto: int, initial, forcing=None) -> UniSeries:
+    """u_0..u_upto of sum_j p_j(n) u_{n+j} = -forcing(n), extended by
+    u_k = 0 for k < 0: u_0, u_1, ... are `initial`, then the instances
+    n = len(initial)-r .. upto-r are each solved for u_{n+r}.  `coeffs` are
+    the p_j; no forcing means the homogeneous case.  Initial terms past
+    `upto` are kept, so the order is max(upto, len(initial) - 1)."""
+    if upto < 0:
+        raise ValueError(f"cannot extend up to a negative index {upto}")
+    r = len(coeffs) - 1
+    vals = [rat(u) for u in initial] + [Fraction(0)] * (upto + 1 - len(initial))
+    for n in range(len(initial) - r, upto - r + 1):
+        lead = coeffs[r](n)
+        if lead == 0:
+            raise ValueError(f"leading coefficient vanishes at n={n}; "
+                             f"extension blocked at index {n + r}")
+        s = forcing(n) if forcing else Fraction(0)
+        for j in range(max(0, -n), r):
+            s += coeffs[j](n) * vals[n + j]
+        vals[n + r] = -s / lead
+    return UniSeries(vals)
+
+
 def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
     """Truncated 2F1(a, b; c; z) = sum t_n z^n, from its term recurrence
     (n+a)(n+b) t_n - (n+1)(n+c) t_(n+1) = 0 with t_0 = 1."""
     a, b, c = rat(a), rat(b), rat(c)
     rec = (UniPoly([a * b, a + b, 1]), UniPoly([-c, -1 - c, -1]))
-    return UniSeries(_run_extended(rec, M, (1,)), M)
+    return _run_extended(rec, M, (1,))
 
 
 def verify_series_identity(lhs: UniSeries, rhs: UniSeries):
@@ -298,7 +320,7 @@ def recurrence_to_frobenius(rec, M: int) -> LogSolution:
         raise ValueError("no log solution at origin: indicial roots not doubled at 0")
 
     y0 = _run_extended(ps, M, (1,))
-    dps = [p.derivative() for p in ps]
+    u, dps = y0.coeffs, [p.derivative() for p in ps]
     g = _run_extended(ps, M, (0,), lambda n: sum(
-        (dps[j](n) * y0[n + j] for j in range(max(0, -n), r + 1)), Fraction(0)))
-    return LogSolution(UniSeries(y0, M), UniSeries(g, M))
+        (dps[j](n) * u[n + j] for j in range(max(0, -n), r + 1)), Fraction(0)))
+    return LogSolution(y0, g)

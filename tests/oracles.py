@@ -8,9 +8,10 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 `Fraction` route of the critical-point analysis, which the integer one in
 `geometry` replaced, backs its differential tests, as a per-entry scan of a
 collected box backs the streamed sign scan, a one-string cache writer the
-streamed one, a whole-box cache reader the diagonal one, and Gauss-Jordan
+streamed one, a whole-box cache reader the diagonal one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
-`sequences._nullspace_mod`."""
+`sequences._nullspace_mod`, and a `Fraction` loop over the terms the
+integer recurrence check of `sequences.recurrence_check`."""
 
 from __future__ import annotations
 
@@ -282,6 +283,21 @@ def list_nullspace_mod(matrix: list[list[int]],
             vec[pc] = -row[fc] % p
         basis.append(vec)
     return basis, pivots
+
+
+def fraction_recurrence_check(rec, terms: Sequence[Fraction]):
+    """`sequences.recurrence_check` on a list of `Fraction`s: each residual
+    sum_j p_j(n) u_{n+j} summed in `Fraction` arithmetic, with the
+    polynomials evaluated by `UniPoly.__call__`."""
+    r = rec.order
+    if len(terms) < r + 1:
+        raise ValueError(f"window too short: need at least {r + 1} terms")
+    for n in range(len(terms) - r):
+        resid = sum((rec.coeffs[j](n) * terms[n + j] for j in range(r + 1)),
+                    Fraction(0))
+        if resid:
+            return (n, resid)
+    return None
 
 
 # --- the Fraction route of geometry.critical_points_diag -------------------

@@ -839,7 +839,7 @@ def test_geometry_takes_no_entry_limit(capsys):
     assert err.count("\n") == 1
 
 
-FRANEL_20 = ",".join(map(str, binomial_oracle("franel", 19)))
+FRANEL_20 = ",".join(map(str, binomial_oracle("franel", 19).coeffs))
 
 
 @pytest.mark.parametrize("argv", [

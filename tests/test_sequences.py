@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import re
@@ -15,11 +16,13 @@ from diagonalis.family import named_instance
 from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
                                   binomial_oracle,
                                   builtin_recurrence,
-                                  characteristic_polynomial, extract_diagonal,
+                                  characteristic_polynomial,
                                   recurrence_check, recurrence_extend,
                                   recurrence_guess, recurrence_seed)
-from diagonalis.seriesbox import expand_reciprocal
-from oracles import list_nullspace_mod
+from diagonalis.seriesbox import (expand_layers, expand_reciprocal, extract_diagonal,
+                                  load_cache, save_cache)
+from diagonalis.uniseries import UniSeries
+from oracles import fraction_recurrence_check, list_nullspace_mod
 
 
 def test_readme_quick_tour():
@@ -27,20 +30,20 @@ def test_readme_quick_tour():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tour = {}
     exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), tour)
-    assert tour["diag"][:4] == (1, 2, 10, 56)
+    assert tour["diag"].coeffs[:4] == [1, 2, 10, 56]
     assert tour["rec"] == builtin_recurrence("franel").normalized()
 
 
 def test_franel_oracle_values():
-    assert binomial_oracle("franel", 3) == (1, 2, 10, 56)
+    assert binomial_oracle("franel", 3).coeffs == [1, 2, 10, 56]
 
 
 def test_kzd_oracle_values():
-    assert binomial_oracle("kzd", 4) == (1, 4, 40, 544, 8536)
+    assert binomial_oracle("kzd", 4).coeffs == [1, 4, 40, 544, 8536]
 
 
 def test_szego3_oracle_values():
-    assert binomial_oracle("szego3", 5) == (1, 12, 198, 3720, 75690, 1626912)
+    assert binomial_oracle("szego3", 5).coeffs == [1, 12, 198, 3720, 75690, 1626912]
 
 
 def test_koornwinder_oracle_values():
@@ -49,7 +52,7 @@ def test_koornwinder_oracle_values():
 
 
 def test_twovar_oracle_edges():
-    assert binomial_oracle("2var", 0, a=F(1, 2)) == (1,)
+    assert binomial_oracle("2var", 0, a=F(1, 2)).coeffs == [1]
     assert binomial_oracle("2var", 1, a=1)[1] == 1   # 2(n+... ) at a=1: 2-1 = 1
     assert binomial_oracle("2var", 2, a=0)[2] == binomial(4, 2)
 
@@ -73,25 +76,25 @@ def test_builtin_recurrences_verify_on_oracles():
 
 
 def test_recurrence_check_flags_tampered_term():
-    vals = list(binomial_oracle("franel", 9))
+    vals = binomial_oracle("franel", 9).coeffs
     vals[7] += 1
-    bad = recurrence_check(builtin_recurrence("franel"), tuple(vals))
+    bad = recurrence_check(builtin_recurrence("franel"), UniSeries(vals))
     assert bad is not None and bad[0] <= 7
 
 
 def test_recurrence_check_window_too_short():
     with pytest.raises(ValueError, match="window too short"):
-        recurrence_check(builtin_recurrence("franel"), (1, 2))
+        recurrence_check(builtin_recurrence("franel"), UniSeries([1, 2]))
 
 
 def test_extend_franel():
-    ext = recurrence_extend(builtin_recurrence("franel"), (1, 2), 5)
-    assert ext == (1, 2, 10, 56, 346, 2252)
+    ext = recurrence_extend(builtin_recurrence("franel"), UniSeries([1, 2]), 5)
+    assert ext.coeffs == [1, 2, 10, 56, 346, 2252]
 
 
 def test_seed_matches_extend_for_franel():
     rec = builtin_recurrence("franel")
-    assert recurrence_seed(rec, 8) == recurrence_extend(rec, (1, 2), 8)
+    assert recurrence_seed(rec, 8).coeffs == recurrence_extend(rec, UniSeries([1, 2]), 8).coeffs
 
 
 def test_twovar_recurrence_matches_oracle():
@@ -115,19 +118,19 @@ def test_guess_recovers_kzd():
 
 def test_guess_needs_enough_terms():
     with pytest.raises(ValueError, match="need >= "):
-        recurrence_guess(tuple(range(1, 9)), 3, 3)
+        recurrence_guess(UniSeries(range(1, 9)), 3, 3)
 
 
 def test_guess_prefers_minimal_order():
     # geometric sequence: order 1 suffices even when order 2 is allowed
-    seq = tuple(F(3) ** n for n in range(20))
+    seq = UniSeries([F(3) ** n for n in range(20)])
     rec = recurrence_guess(seq, 2, 1)
     assert rec.order == 1
 
 
 def test_guess_labels_nothing_for_random_junk():
-    seq = (1, 1, 2, 3, 5, 8, 14, 21, 34, 55, 89, 144,
-           233, 378, 610, 987, 1597, 2584)
+    seq = UniSeries([1, 1, 2, 3, 5, 8, 14, 21, 34, 55, 89, 144,
+                     233, 378, 610, 987, 1597, 2584])
     assert recurrence_guess(seq, 1, 1) is None
 
 
@@ -171,7 +174,7 @@ def test_sign_scan_on_mixed_two_var_diagonal():
     # 1/(1 - x - y + 2xy): diagonal changes sign
     fam = named_instance("h2var", a=2)
     seq = extract_diagonal(expand_reciprocal(fam.coeffs, 12))
-    assert any(v <= 0 for v in seq)
+    assert any(v <= 0 for v in seq.coeffs)
 
 
 def test_diagonal_requires_rational_box():
@@ -193,11 +196,11 @@ def test_guess_then_extend_reproduces_data(u0):
     vals = [u0]
     for n in range(15):
         vals.append((n + 2) * vals[-1])
-    seq = tuple(vals)
+    seq = UniSeries(vals)
     rec = recurrence_guess(seq, 1, 1)
     assert rec is not None
-    ext = recurrence_extend(rec, tuple(vals[:2]), len(vals) - 1)
-    assert ext == seq
+    ext = recurrence_extend(rec, UniSeries(vals[:2]), len(vals) - 1)
+    assert ext.coeffs == seq.coeffs
 
 
 def test_recurrence_from_json_rejects_non_nested_lists():
@@ -218,12 +221,12 @@ def test_extension_rejects_negative_upto():
     with pytest.raises(ValueError, match="negative index -3"):
         recurrence_seed(rec, -3)
     with pytest.raises(ValueError, match="negative index -1"):
-        recurrence_extend(rec, (1, 2, 10), -1)
+        recurrence_extend(rec, UniSeries([1, 2, 10]), -1)
 
 
 def test_extend_keeps_initial_terms_past_upto():
-    assert recurrence_extend(builtin_recurrence("franel"), (1, 2, 10, 7), 1) == \
-        (1, 2, 10, 7)
+    assert recurrence_extend(builtin_recurrence("franel"), UniSeries([1, 2, 10, 7]),
+                             1).coeffs == [1, 2, 10, 7]
 
 
 _small_ints = st.integers(-3, 3)
@@ -249,16 +252,16 @@ def _recurrence_and_upto(draw):
 def test_one_runner_extends_and_resumes_the_seed(rec_upto, init, data):
     rec, upto = rec_upto
     r = rec.order
-    ext = recurrence_extend(rec, init[:r], upto)
-    assert len(ext) == upto + 1 and ext[:r] == tuple(init[:r])
+    ext = recurrence_extend(rec, UniSeries(init[:r]), upto)
+    assert ext.order == upto and ext.coeffs[:r] == init[:r]
     assert recurrence_check(rec, ext) is None
     # the seed starts from u_0 = 1; the recurrence is linear, so scale it to init[0]
-    seed = tuple(init[0] * u for u in recurrence_seed(rec, upto))
+    seed = [init[0] * u for u in recurrence_seed(rec, upto).coeffs]
     # the seed also solves the instances n < 0, read with u_k = 0 for k < 0
     assert all(sum(rec.coeffs[j](n) * seed[n + j] for j in range(-n, r + 1)) == 0
                for n in range(1 - r, 0))
     k = data.draw(st.integers(r, upto + 1))
-    assert recurrence_extend(rec, seed[:k], upto) == seed
+    assert recurrence_extend(rec, UniSeries(seed[:k]), upto).coeffs == seed
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,7 +275,7 @@ def test_vanishing_leading_coefficient_names_the_blocked_index(r, m, lower):
     with pytest.raises(ValueError, match=blocked):
         recurrence_seed(rec, m + r + 2)
     with pytest.raises(ValueError, match=blocked):
-        recurrence_extend(rec, (1,) * r, m + r + 2)
+        recurrence_extend(rec, UniSeries([1] * r), m + r + 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -289,6 +292,55 @@ def test_normalized_is_primitive_and_proportional(ps):
     ratio = (norm.coeffs[-1].leading_coefficient()
              / rec.coeffs[-1].leading_coefficient())
     assert norm.coeffs == tuple(p * ratio for p in rec.coeffs)
+
+
+@st.composite
+def _recurrence_and_terms(draw):
+    """A recurrence of order r = 1 to 3 with small rational coefficients of
+    degree <= 2, and r + 1 to r + 12 terms on which it holds, run from
+    random initial terms."""
+    r = draw(st.integers(1, 3))
+    coeffs = [UniPoly(draw(st.lists(_small_fracs, max_size=3))) for _ in range(r + 1)]
+    length = draw(st.integers(r + 1, r + 12))
+    assume(all(coeffs[r](n) for n in range(length - r)))
+    rec = PRecurrence(tuple(coeffs))
+    init = draw(st.lists(_small_fracs, min_size=r, max_size=r))
+    return rec, recurrence_extend(rec, UniSeries(init), length - 1).coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_recurrence_and_terms(),
+       st.lists(st.tuples(st.integers(0, 14), _small_fracs.filter(bool)), max_size=2))
+@example((builtin_recurrence("franel"), [1, 2, 10, 56, 346]), [(4, F(1, 3))])
+@example((builtin_recurrence("kzd"), [1, 4, 40, 544]), [(0, F(-1)), (3, F(1, 2))])
+def test_integer_check_matches_the_fraction_loop(case, tampers):
+    # the check on one denominator gives the (n, residual) of the Fraction
+    # loop it replaced, with tampered terms too
+    rec, terms = case
+    for index, delta in tampers:
+        terms[index % len(terms)] += delta
+    want = fraction_recurrence_check(rec, terms)
+    assert recurrence_check(rec, UniSeries(terms)) == want
+    assert tampers or want is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_every_producer_returns_the_order_asked_for(n):
+    # a UniSeries compares equal to its truncations, so each length is
+    # checked here by its order
+    c = named_instance("AG3").coeffs
+    assert extract_diagonal(expand_reciprocal(c, n)).order == n
+    layers = expand_layers(c, n, 10 ** 8)
+    cache = io.StringIO()
+    save_cache(c, n, next(layers), layers, cache)
+    cache.seek(0)
+    assert load_cache(cache)[1].order == n
+    for name, a in (("franel", None), ("szego3", None), ("2var", 2), ("lewy-askey", None)):
+        assert binomial_oracle(name, n, a).order == n
+    rec = builtin_recurrence("franel")
+    assert recurrence_seed(rec, n).order == n
+    for terms in ([1, 2], [1, 2, 10, 56]):
+        assert recurrence_extend(rec, UniSeries(terms), n).order == max(n, len(terms) - 1)
 
 
 # Test-only oracles: the Fraction route that recurrence_guess took before it
@@ -335,6 +387,7 @@ def nullspace_oracle(matrix):
 
 
 def guess_oracle(seq, max_order, max_degree):
+    seq = seq.coeffs
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
             unknowns = (order + 1) * (degree + 1)
@@ -358,7 +411,7 @@ def guess_oracle(seq, max_order, max_degree):
                 if ps[-1].is_zero():
                     continue
                 cand = PRecurrence(ps).normalized()
-                if recurrence_check(cand, seq) is None:
+                if fraction_recurrence_check(cand, seq) is None:
                     return cand
     return None
 
@@ -376,7 +429,7 @@ def _guessable_sequence(draw, terms=_GUESS_TERMS, degree=1):
               for _ in range(r + 1)]
     assume(all(coeffs[r](n) for n in range(terms - r)))
     init = draw(st.lists(_small_fracs, min_size=r, max_size=r))
-    return recurrence_extend(PRecurrence(tuple(coeffs)), init, terms - 1)
+    return recurrence_extend(PRecurrence(tuple(coeffs)), UniSeries(init), terms - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,7 +442,9 @@ def test_guess_matches_fraction_oracle(seq):
 @given(_guessable_sequence(), st.integers(0, _GUESS_TERMS - 1),
        _small_fracs.filter(bool))
 def test_guess_matches_fraction_oracle_on_a_perturbed_term(seq, index, delta):
-    seq = seq[:index] + (seq[index] + delta,) + seq[index + 1:]
+    terms = seq.coeffs
+    terms[index] += delta
+    seq = UniSeries(terms)
     assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
 
 
@@ -425,7 +480,7 @@ def test_modular_route_needs_no_fraction_solve(monkeypatch):
     seq = binomial_oracle("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     # the screen skips every ansatz but (2, 3), the one solve
-    assert calls == [len(seq) - 2]
+    assert calls == [seq.order - 1]
     # one screen per order, then the (2, 3) ansatz checks exactly at its
     # first prime: 3 eliminations, where solving every ansatz and
     # waiting for two equal lifts took 9
@@ -475,17 +530,17 @@ def test_screen_flags_the_first_degree_with_a_nullspace():
 
 
 def _perturbed_franel():
-    seq = list(binomial_oracle("franel", 29))
+    seq = binomial_oracle("franel", 29).coeffs
     seq[20] += 1
-    return tuple(seq)
+    return UniSeries(seq)
 
 
 @pytest.mark.parametrize("seq, max_order, max_degree", [
     (binomial_oracle("franel", 29), 2, 2),
     (binomial_oracle("kzd", 29), 2, 3),
     (_perturbed_franel(), 2, 2),
-    (tuple(F(3) ** n for n in range(20)), 2, 1),
-    (tuple(F(n + 1, 3 ** n) for n in range(20)), 2, 2),
+    (UniSeries([F(3) ** n for n in range(20)]), 2, 1),
+    (UniSeries([F(n + 1, 3 ** n) for n in range(20)]), 2, 2),
 ])
 def test_unlucky_screen_prime_gives_the_same_answer(monkeypatch, seq,
                                                     max_order, max_degree):
@@ -522,7 +577,7 @@ def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
 def _kauers_diagonal():
     """The 36 diagonal terms of the Kauers box at N=35, as box-guess reads them."""
     box = expand_reciprocal(named_instance("Kauers").coeffs, 35)
-    return sequences.extract_diagonal(box)
+    return extract_diagonal(box)
 
 
 def test_each_ansatz_is_built_once(monkeypatch):
@@ -581,8 +636,8 @@ def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
 
 
 @pytest.mark.parametrize("seq", [
-    (F(1), F(1)) + (F(0),) * 23,
-    (F(0),) * 25,
+    UniSeries([1, 1] + [0] * 23),
+    UniSeries([0] * 25),
 ])
 def test_degenerate_windows_match_the_oracle_at_nullity_2(seq):
     # both have an ansatz of nullity 2 below the recurrence they give

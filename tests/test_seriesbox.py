@@ -17,9 +17,8 @@ from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
 from diagonalis.multipoly import _coerce_coeff, depends_on_lambda
 from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale, _unpack,
-                                  expand_layers, expand_reciprocal, load_cache,
-                                  save_cache, streamed_first_nonpositive)
-from diagonalis.sequences import extract_diagonal
+                                  expand_layers, expand_reciprocal, extract_diagonal,
+                                  load_cache, save_cache, streamed_first_nonpositive)
 from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_layer,
                      geometric_oracle, load_cache_box, per_entry_data, scale_variables,
                      substitute_zero, symmetric_denominator)
@@ -44,6 +43,13 @@ def _cache_text(c, N: int) -> str:
     buf = io.StringIO()
     save_cache(c, N, next(layers), layers, buf)
     return buf.getvalue()
+
+
+def _loaded(fh) -> tuple:
+    """(d, the diagonal's values) of a cache file: a list has one length,
+    where two series are equal up to the lower order."""
+    d, diagonal = load_cache(fh)
+    return d, diagonal.coeffs
 
 
 def _resaved(c, box) -> str:
@@ -318,7 +324,7 @@ def test_cache_roundtrip_rational():
         assert loaded.coefficient_at(n) == box.coefficient_at(n)
     # bit-exact round trip
     assert _resaved(c, loaded) == text
-    assert load_cache(io.StringIO(text)) == (3, extract_diagonal(box))
+    assert _loaded(io.StringIO(text)) == (3, extract_diagonal(box).coeffs)
 
 
 def test_cache_roundtrip_lambda():
@@ -556,7 +562,7 @@ def test_cache_loads_a_resealed_swap_of_off_diagonal_lines():
     assert [line.split(":")[0] for line in lines[3:5]] == ["0,0,1,1", "0,0,0,2"]
     lines[3], lines[4] = lines[4], lines[3]
     box = expand_reciprocal(vec(1, -1, 0, 2, 4), 3)
-    assert load_cache(_resealed(lines)) == (4, extract_diagonal(box))
+    assert _loaded(_resealed(lines)) == (4, extract_diagonal(box).coeffs)
 
 
 def test_cache_rejects_malformed_line():
@@ -600,7 +606,7 @@ def test_cache_files_of_the_two_layouts_still_load(text, coeffs, N):
     c = vec(*coeffs)
     assert box.layers == expand_reciprocal(c, N).layers
     assert _resaved(c, box) == text
-    assert load_cache(io.StringIO(text)) == (len(c) - 1, extract_diagonal(box))
+    assert _loaded(io.StringIO(text)) == (len(c) - 1, extract_diagonal(box).coeffs)
 
 
 # the same two boxes as format v2 wrote them, with the nested denom= header
@@ -652,10 +658,10 @@ def test_cache_diagonal_matches_the_box_and_the_whole_box_reader(case):
         with pytest.raises(ValueError, match=r"^diagonal extraction requires a rational box$"):
             load_cache(io.StringIO(text))
         return
-    d, diagonal = load_cache(io.StringIO(text))
+    d, diagonal = _loaded(io.StringIO(text))
     assert d == len(c) - 1
-    assert diagonal == extract_diagonal(expand_reciprocal(c, N))
-    assert diagonal == extract_diagonal(load_cache_box(io.StringIO(text)))
+    assert diagonal == extract_diagonal(expand_reciprocal(c, N)).coeffs
+    assert diagonal == extract_diagonal(load_cache_box(io.StringIO(text))).coeffs
 
 
 # --- differential test: layer kernel vs the per-entry kernel -----------------

@@ -1,7 +1,7 @@
 """Checks on the source of `diagonalis` itself: every definition and
 module-level name is reached from the package, every defaulted parameter
-takes more than one value there, and nothing in it computes in floating
-point."""
+takes more than one value there, nothing in it computes in floating point,
+and the series layer imports no recurrence engine, which imports no box."""
 
 import ast
 from pathlib import Path
@@ -16,7 +16,6 @@ OUTSIDE_READERS = {
     "seriesbox.CoeffBox.data": "perfbench/spans.py: box_stats reads it",
     "uniseries.UniSeries.log": "perfbench/spans.py: METHODS names it",
     "uniseries.UniSeries.reversion": "perfbench/spans.py: METHODS names it",
-    "uniseries.UniSeries.scale_argument": "perfbench/spans.py: METHODS names it",
     "cli._Parser.error": "argparse: ArgumentParser calls it on a usage error",
     "__init__.__version__": "users: the package's version, as pyproject.toml gives it",
 }
@@ -57,13 +56,13 @@ def _references():
             if isinstance(node, (ast.Name, ast.Attribute))]
 
 
-def _unreached() -> list[str]:
+def _unreached(exempt) -> list[str]:
     """Definitions that nothing in the package references outside their own
     body, repeated until none is left, so that code reached only from
     unreached code counts as unreached.  A method counts as referenced by an
     attribute of its name, anything else by a name or an attribute.  Dunders,
-    the cmd_* handlers that `cli.main` looks up by name and OUTSIDE_READERS
-    are reached."""
+    the cmd_* handlers that `cli.main` looks up by name and `exempt` are
+    reached."""
     defs, refs = _definitions(), _references()
     unreached: set[str] = set()
     while True:
@@ -74,7 +73,7 @@ def _unreached() -> list[str]:
         new = {qual for qual, name, method, module, lo, hi in defs
                if qual not in unreached
                and not (name.startswith("__") and name.endswith("__"))
-               and not qual.startswith("cli.cmd_") and qual not in OUTSIDE_READERS
+               and not qual.startswith("cli.cmd_") and qual not in exempt
                and not any(n == name and (attribute or not method)
                            and not (m == module and lo <= line <= hi)
                            for n, attribute, m, line in live)}
@@ -84,7 +83,7 @@ def _unreached() -> list[str]:
 
 
 def test_every_definition_is_reached():
-    unreached = _unreached()
+    unreached = _unreached(OUTSIDE_READERS)
     assert not unreached, "referenced by nothing in src: " + ", ".join(unreached)
 
 
@@ -92,6 +91,15 @@ def test_outside_readers_name_existing_definitions():
     known = {qual for qual, *_ in _definitions()} | {qual for qual, *_ in _module_names()}
     missing = set(OUTSIDE_READERS) - known
     assert not missing, "no such definition: " + ", ".join(sorted(missing))
+
+
+def test_outside_readers_are_not_reached_from_src():
+    # an entry is stale once src reaches it, with every other entry still
+    # exempt: its reader outside is then not the only one
+    stale = [qual for qual in OUTSIDE_READERS
+             if qual not in _unreached(set(OUTSIDE_READERS) - {qual})
+             + _unread(set(OUTSIDE_READERS) - {qual})]
+    assert not stale, "src itself reaches these: " + ", ".join(stale)
 
 
 def _module_names():
@@ -104,12 +112,18 @@ def _module_names():
             if isinstance(target, ast.Name)]
 
 
-def test_every_module_name_is_read():
+def _unread(exempt) -> list[str]:
+    """Module-level names that nothing in the package reads outside their
+    own assignment, other than those in `exempt`."""
     refs = _references()
-    unread = [qual for qual, name, module, lo, hi in _module_names()
-              if qual not in OUTSIDE_READERS
-              and not any(n == name and not (m == module and lo <= line <= hi)
-                          for n, _, m, line in refs)]
+    return [qual for qual, name, module, lo, hi in _module_names()
+            if qual not in exempt
+            and not any(n == name and not (m == module and lo <= line <= hi)
+                        for n, _, m, line in refs)]
+
+
+def test_every_module_name_is_read():
+    unread = _unread(OUTSIDE_READERS)
     assert not unread, "read by nothing in src: " + ", ".join(unread)
 
 
@@ -237,3 +251,28 @@ def test_code_is_generated_in_one_place():
         walk(tree, module)
     assert sorted(users) == ["seriesbox.expand_layers.compile_stencil:compile",
                              "seriesbox.expand_layers.compile_stencil:eval"]
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that `module` imports, relatively or by
+    their full name."""
+    found = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.ImportFrom):
+            path = ("diagonalis." * node.level + (node.module or "")).split(".")
+            if path[0] == "diagonalis":
+                found |= {path[1]} if path[1:] and path[1] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("diagonalis.")}
+    return found
+
+
+def test_a_sequence_needs_no_recurrence_engine_and_no_box():
+    # a sequence is a `UniSeries`, and its runner lives beside it: the series
+    # layer imports no recurrence engine, and the engine takes its sequences
+    # from a series, not from a box
+    assert "sequences" not in _package_imports("uniseries")
+    assert "seriesbox" not in _package_imports("sequences")
+    # and the helper finds imports at all: cli's are there
+    assert {"exactalg", "seriesbox", "uniseries"} <= _package_imports("cli")

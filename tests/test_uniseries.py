@@ -258,7 +258,7 @@ def test_frobenius_analytic_solution_is_seed():
     rec = builtin_recurrence("szego3")
     sol = recurrence_to_frobenius(rec, 8)
     seed = recurrence_seed(rec, 8)
-    assert sol.y0.coeffs == list(seed)
+    assert sol.y0.coeffs == seed.coeffs
     assert sol.g[0] == 0
 
 

@@ -1,7 +1,7 @@
 """Exact-arithmetic laboratory for positivity of symmetric rational
 functions 1 / sum_k c_k e_k(x_1, ..., x_d) and their diagonals."""
 
-from .exactalg import UniPoly, binomial, plain, rat
+from .exactalg import UniPoly, plain, rat
 from .family import FamilySpec, canonicalize, make_family, named_instance
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, recurrence_check,

@@ -1,4 +1,4 @@
-"""Exact arithmetic foundation: rationals, univariate polynomials, binomials.
+"""Exact arithmetic foundation: rationals and univariate polynomials.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 `UniPoly` is a dense univariate polynomial over the rationals, used for
@@ -74,15 +74,6 @@ def binary_power(x, k: int, one):
         if k:
             x = x * x
     return one if result is None else result
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
 
 
 def over_lcm(qs: Iterable) -> tuple[list[int], int]:

@@ -17,19 +17,13 @@ def catalog(table: dict, **aliases: str) -> dict:
     return out
 
 
-def lookup(table: dict, name: str, kind: str):
-    """The entry of a `catalog` table for `name`; ValueError if there is none."""
-    try:
-        return table[catalog_key(name)]
-    except KeyError:
-        raise ValueError(f"unknown {kind} {name!r}") from None
-
-
 def build(table: dict, name: str, kind: str, params: dict, *args):
     """The entry of a `catalog` table for `name`, called as
     entry(params, *args); it pops from `params` the parameters it takes.
-    ValueError if it needs one that is missing, or one is left over."""
-    entry = lookup(table, name, kind)
+    ValueError if there is no such entry, if it needs a parameter that is
+    missing, or if one is left over."""
+    if (entry := table.get(catalog_key(name))) is None:
+        raise ValueError(f"unknown {kind} {name!r}")
     try:
         value = entry(params, *args)
     except KeyError as exc:

@@ -5,8 +5,8 @@ coefficients p_j; all paper recurrences are stored re-indexed into this
 homogeneous convention.  Guessing accepts the smallest (order, degree)
 recurrence that verifies on every supplied term.  Each ansatz is an
 integer linear system.  For each order, one elimination mod a prime below
-2^30 of the ansatz at the largest degree, with its columns in degree-major
-order, rejects every degree whose ansatz has full column rank.  Each
+2^30 of the ansatz at the largest degree, whose first columns are each
+lower degree's ansatz, rejects every degree of full column rank.  Each
 remaining ansatz is solved mod primes below 2^30: full column rank mod p
 rejects it, and otherwise the reduced row-echelon nullspace basis of the
 primes whose pivot columns agree with Q is lifted by CRT and rational
@@ -15,20 +15,21 @@ exactly over Z.  So the result is the basis that exact elimination over
 Q gives, whatever its dimension.  Each elimination mod p runs on packed
 rows: a row is one int with an unreduced slot per column, and a row update
 is one big-integer multiply-add.  A sequence u_0, u_1, ... is a
-`UniSeries`, and the check and the guess read its integer numerators.
+`UniSeries`; the check sums each instance on its numerators, as the runner
+does, and the ansatz rows read them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Iterator, Optional
 
-from .exactalg import UniPoly, binomial, over_lcm, rat
+from .exactalg import UniPoly, over_lcm, rat
 from .registry import build, catalog
-from .uniseries import UniSeries, _run_extended
+from .uniseries import UniSeries, _cleared, _instance, _run_extended
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,14 @@ _ORACLES = catalog({
                                for k in range(n + 1))),
     "koornwinder": _each(lambda n: sum(comb(2 * k, k) ** 2 * comb(2 * (n - k), n - k) ** 2
                                        for k in range(n + 1))),
-    "szego3": _each(lambda n: sum(Fraction(-27) ** (n - k) * Fraction(2) ** (2 * k - n)
-                                  * Fraction(factorial(3 * k), factorial(k) ** 3)
-                                  * binomial(k, n - k) for k in range(n + 1))),
+    # C(k, n-k) = 0 for 2k < n, so every power of 2 is whole
+    "szego3": _each(lambda n: sum((-27) ** (n - k) * 2 ** (2 * k - n)
+                                  * (factorial(3 * k) // factorial(k) ** 3)
+                                  * comb(k, n - k) for k in range((n + 1) // 2, n + 1))),
     "2var": lambda p, M: _twovar(rat(p.pop("a")), M),
     # C(2n, n) u_n with u_n from one run of the seeded recurrence: 9^n times
     # the LewyAskey diagonal
-    "lewy-askey": lambda p, M: [binomial(2 * n, n) * u for n, u in enumerate(
+    "lewy-askey": lambda p, M: [comb(2 * n, n) * u for n, u in enumerate(
         recurrence_seed(builtin_recurrence("lewyaskey"), M).coeffs)],
 }, szego3binomial="szego3")
 
@@ -155,14 +157,9 @@ def recurrence_check(rec: PRecurrence, seq: UniSeries):
     r = rec.order
     if seq.order < r:
         raise ValueError(f"window too short: need at least {r + 1} terms")
-    D = lcm(*(p.den for p in rec.coeffs))
-    polys = [[c * (D // p.den) for c in p.nums] for p in rec.coeffs]  # the D p_j
-    nums, width = seq.nums, max(map(len, polys))
-    for n in range(len(nums) - r):
-        npows = [n ** k for k in range(width)]
-        resid = sum(sum(map(mul, cs, npows)) * u
-                    for cs, u in zip(polys, nums[n:n + r + 1]))
-        if resid:
+    polys, D = _cleared(rec.coeffs)
+    for n in range(seq.order - r + 1):
+        if resid := _instance(polys, n, seq.nums):
             return (n, Fraction(resid, D * seq.den))
     return None
 
@@ -172,7 +169,7 @@ def recurrence_extend(rec: PRecurrence, initial: UniSeries, upto: int) -> UniSer
     for u_{n+r}; initial terms past `upto` are kept."""
     if initial.order < rec.order - 1:
         raise ValueError(f"need at least {rec.order} initial terms")
-    return _run_extended(rec.coeffs, upto, initial.coeffs)
+    return _run_extended(rec.coeffs, upto, initial)
 
 
 def recurrence_seed(rec: PRecurrence, upto: int) -> UniSeries:
@@ -181,7 +178,7 @@ def recurrence_seed(rec: PRecurrence, upto: int) -> UniSeries:
     For the paper's second-order recurrences this reproduces the analytic
     normalization (u_1 is forced by the n = -1 instance).
     """
-    return _run_extended(rec.coeffs, upto, (1,))
+    return _run_extended(rec.coeffs, upto, UniSeries([1]))
 
 
 GUESS_SAFETY_MARGIN = 5
@@ -192,12 +189,12 @@ def recurrence_guess(seq: UniSeries, max_order: int,
     """Smallest (order, degree) recurrence verifying on all supplied terms.
 
     Requires at least (max_order+1)(max_degree+1) + max_order +
-    GUESS_SAFETY_MARGIN terms.  For each order, one elimination mod
-    _SCREEN_PRIME of the ansatz at max_degree, with its columns in
-    degree-major order, finds the first degree whose ansatz can have a
-    nonzero nullspace; only the ansätze from that degree on are solved,
-    each by `_nullspace`, exactly over Q through its lift mod primes.  The
-    ansatz at max_degree is built once, for the screen and for its solve.
+    GUESS_SAFETY_MARGIN terms.  For each order, the ansatz at max_degree
+    is built once; each lower degree's is a slice of its first columns.
+    One elimination of it mod _SCREEN_PRIME finds the first degree whose
+    ansatz can have a nonzero nullspace; only the ansätze from that degree
+    on are solved, each by `_nullspace`, exactly over Q through its lift
+    mod primes.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
@@ -210,11 +207,8 @@ def recurrence_guess(seq: UniSeries, max_order: int,
     for order in range(1, max_order + 1):
         top = _ansatz_matrix(seq, order, max_degree)
         for degree in range(_first_degree(top, order), max_degree + 1):
-            matrix = top if degree == max_degree else _ansatz_matrix(seq, order, degree)
-            for vec in _nullspace(matrix):
-                ps = tuple(
-                    UniPoly(vec[j * (degree + 1):(j + 1) * (degree + 1)])
-                    for j in range(order + 1))
+            for vec in _nullspace([row[:(order + 1) * (degree + 1)] for row in top]):
+                ps = tuple(UniPoly(vec[j::order + 1]) for j in range(order + 1))
                 if ps[-1].is_zero():
                     continue  # really a lower-order relation
                 cand = PRecurrence(ps).normalized()
@@ -232,29 +226,27 @@ _SCREEN_PRIME = 2 ** 30 - 35
 def _first_degree(top: list[list[int]], order: int) -> int:
     """The lowest degree whose ansatz of this order can have a nonzero
     nullspace over Q, or max_degree + 1 if none can: one elimination
-    mod _SCREEN_PRIME of `top`, the ansatz at max_degree.  In degree-major column
-    order (n^0 of every p_j, then n^1, ...) the ansatz of degree d is the
-    first (order+1)(d+1) columns.  Gauss-Jordan leaves a column free iff it
-    depends on the columns before it, so a degree below the first free
-    column has full column rank mod the prime, hence over Q."""
-    width = len(top[0]) // (order + 1)  # max_degree + 1
-    _, pivots = _nullspace_mod([[a for k in range(width) for a in row[k::width]]
-                                for row in top], _SCREEN_PRIME)
+    mod _SCREEN_PRIME of `top`, the ansatz at max_degree, whose first
+    (order+1)(d+1) columns are the ansatz of degree d.  Gauss-Jordan leaves
+    a column free iff it depends on the columns before it, so a degree
+    below the first free column has full column rank mod the prime, hence
+    over Q."""
+    _, pivots = _nullspace_mod(top, _SCREEN_PRIME)
     # the pivots are increasing, so the first free column is the first c
-    # that is not the c-th pivot; with none, it is (order+1) * width
+    # that is not the c-th pivot; with none, it is the number of columns
     free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
     return free // (order + 1)
 
 
 def _ansatz_matrix(seq: UniSeries, order: int, degree: int) -> list[list[int]]:
     """The ansatz system sum_j p_j(n) u_{n+j} = 0 in the coefficients of
-    p_0, ..., p_order (n^0 .. n^degree each), one row per n, read on the
-    numerators of the sequence: each row is scaled by its one denominator,
-    which keeps the nullspace, and the entries are integers."""
+    p_0, ..., p_order, one row per n, read on the numerators of the
+    sequence (each row scaled by its one denominator, which keeps the
+    nullspace).  Column k(order+1) + j is the n^k coefficient of p_j."""
     nums, matrix = seq.nums, []
     for n in range(len(nums) - order):
-        npows = [n ** k for k in range(degree + 1)]
-        matrix.append([x * npow for x in nums[n:n + order + 1] for npow in npows])
+        window, npows = nums[n:n + order + 1], [n ** k for k in range(degree + 1)]
+        matrix.append([npow * x for npow in npows for x in window])
     return matrix
 
 

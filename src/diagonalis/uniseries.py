@@ -8,8 +8,8 @@ Coefficients are integers over one common denominator, so an operation
 reduces once, not once per coefficient.
 
 A `UniSeries` is also every exact sequence u_0, u_1, ...: a diagonal, an
-oracle, and the terms that `_run_extended`, the one runner of an extended
-recurrence, gives.  Also here: the 2F1 truncation run from its term
+oracle, and the terms of `_run_extended`, the one recurrence runner, which
+appends them by the rule of `_ode`.  Also here: 2F1 run from its term
 recurrence, Frobenius log-solutions of the ODE attached to a second-order
 polynomial recurrence, and the theta series of the hexagonal lattice.
 """
@@ -199,12 +199,7 @@ class UniSeries:
             rev = G[::-1]
             t = (sum(map(operator.mul, AF[1:n + 1], rev))
                  - n * sum(map(operator.mul, BF[1:n + 1], rev)))
-            g = Fraction(t * c.denominator, lower * n * D)
-            grow = g.denominator // math.gcd(D, g.denominator)
-            if grow > 1:
-                G = [x * grow for x in G]
-                D *= grow
-            G.append(g.numerator * (D // g.denominator))
+            D = _append(G, D, Fraction(t * c.denominator, lower * n * D))
         return UniSeries._of(G, D)
 
     def reversion(self) -> "UniSeries":
@@ -239,26 +234,54 @@ class UniSeries:
         return f"UniSeries([{shown}{tail}]; order={self.order})"
 
 
-def _run_extended(coeffs, upto: int, initial, forcing=None) -> UniSeries:
-    """u_0..u_upto of sum_j p_j(n) u_{n+j} = -forcing(n), extended by
-    u_k = 0 for k < 0: u_0, u_1, ... are `initial`, then the instances
-    n = len(initial)-r .. upto-r are each solved for u_{n+r}.  `coeffs` are
-    the p_j; no forcing means the homogeneous case.  Initial terms past
-    `upto` are kept, so the order is max(upto, len(initial) - 1)."""
+def _append(nums: list[int], den: int, q: Fraction) -> int:
+    """Append q to the numerators `nums` over `den`, rescaling them only when
+    q needs it, and return their new denominator lcm(den, q.denominator)."""
+    grow = q.denominator // math.gcd(den, q.denominator)
+    if grow > 1:
+        nums[:] = [x * grow for x in nums]
+        den *= grow
+    nums.append(q.numerator * (den // q.denominator))
+    return den
+
+
+def _cleared(ps: Sequence[UniPoly]) -> tuple[list[tuple[int, ...]], int]:
+    """Each D p_j as integer coefficients, and D, the lcm of their denominators."""
+    D = math.lcm(*(p.den for p in ps))
+    return [tuple(c * (D // p.den) for c in p.nums) for p in ps], D
+
+
+def _instance(polys: list[tuple[int, ...]], n: int, nums: Sequence[int]) -> int:
+    """Instance n of a recurrence with integer coefficients P_j, read on
+    numerators: sum_j P_j(n) nums[n+j] over 0 <= n+j < len(nums)."""
+    npows = [n ** k for k in range(max(map(len, polys), default=0))]
+    return sum(sum(map(operator.mul, cs, npows)) * u
+               for cs, u in zip(polys[max(0, -n):], nums[max(0, n):n + len(polys)]))
+
+
+def _run_extended(coeffs: Sequence[UniPoly], upto: int, initial: UniSeries,
+                  forcing: Optional[tuple] = None) -> UniSeries:
+    """u_0..u_upto of sum_j p_j(n) u_{n+j} = -sum_j q_j(n) v_{n+j}, extended
+    by u_k = v_k = 0 for k < 0: u_0, u_1, ... are `initial`, then the
+    instances n = len(initial)-r .. upto-r are each solved for u_{n+r}.
+    `coeffs` are the p_j and `forcing` is (q_j, v), none for 0.  Initial
+    terms past `upto` are kept, so the order is max(upto, initial.order).
+    With P_j = D p_j, u = U/E and the forcing F/fden, each term is the one
+    `Fraction` -(fden (instance n on U) + D E F) / (P_r(n) E fden)."""
     if upto < 0:
         raise ValueError(f"cannot extend up to a negative index {upto}")
-    r = len(coeffs) - 1
-    vals = [rat(u) for u in initial] + [Fraction(0)] * (upto + 1 - len(initial))
-    for n in range(len(initial) - r, upto - r + 1):
-        lead = coeffs[r](n)
+    qs, v = forcing or ((), UniSeries([0]))
+    (polys, D), (fpolys, fden) = _cleared(coeffs), _cleared(qs)
+    r, fden, U, E = len(polys) - 1, fden * v.den, list(initial.nums), initial.den
+    for n in range(len(U) - r, upto - r + 1):
+        lead = sum(c * n ** k for k, c in enumerate(polys[r]))
         if lead == 0:
             raise ValueError(f"leading coefficient vanishes at n={n}; "
                              f"extension blocked at index {n + r}")
-        s = forcing(n) if forcing else Fraction(0)
-        for j in range(max(0, -n), r):
-            s += coeffs[j](n) * vals[n + j]
-        vals[n + r] = -s / lead
-    return UniSeries(vals)
+        # U holds u_0..u_{n+r-1}, so the instance on it leaves out j = r
+        s = _instance(polys, n, U) * fden + D * E * _instance(fpolys, n, v.nums)
+        E = _append(U, E, Fraction(-s, lead * E * fden))
+    return UniSeries._of(U, E)
 
 
 def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
@@ -266,7 +289,7 @@ def hypergeometric_2f1(a: RatLike, b: RatLike, c: RatLike, M: int) -> UniSeries:
     (n+a)(n+b) t_n - (n+1)(n+c) t_(n+1) = 0 with t_0 = 1."""
     a, b, c = rat(a), rat(b), rat(c)
     rec = (UniPoly([a * b, a + b, 1]), UniPoly([-c, -1 - c, -1]))
-    return _run_extended(rec, M, (1,))
+    return _run_extended(rec, M, UniSeries([1]))
 
 
 def verify_series_identity(lhs: UniSeries, rhs: UniSeries):
@@ -319,8 +342,6 @@ def recurrence_to_frobenius(rec, M: int) -> LogSolution:
     if pr(-r) != 0 or pr.derivative()(-r) != 0:
         raise ValueError("no log solution at origin: indicial roots not doubled at 0")
 
-    y0 = _run_extended(ps, M, (1,))
-    u, dps = y0.coeffs, [p.derivative() for p in ps]
-    g = _run_extended(ps, M, (0,), lambda n: sum(
-        (dps[j](n) * u[n + j] for j in range(max(0, -n), r + 1)), Fraction(0)))
+    y0 = _run_extended(ps, M, UniSeries([1]))
+    g = _run_extended(ps, M, UniSeries([0]), ([p.derivative() for p in ps], y0))
     return LogSolution(y0, g)

@@ -10,8 +10,9 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 collected box backs the streamed sign scan, a one-string cache writer the
 streamed one, a whole-box cache reader the diagonal one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
-`sequences._nullspace_mod`, and a `Fraction` loop over the terms the
-integer recurrence check of `sequences.recurrence_check`."""
+`sequences._nullspace_mod`, a `Fraction` loop over the terms the
+integer recurrence check of `sequences.recurrence_check`, and a `Fraction`
+runner the integer one of `uniseries._run_extended`."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
 from diagonalis.seriesbox import CoeffBox, _kernel_scale, _unpack
+from diagonalis.uniseries import UniSeries
 from unipoly_oracle import FractionUniPoly
 
 
@@ -298,6 +300,27 @@ def fraction_recurrence_check(rec, terms: Sequence[Fraction]):
         if resid:
             return (n, resid)
     return None
+
+
+def fraction_run_extended(coeffs, upto: int, initial, forcing=None) -> UniSeries:
+    """`uniseries._run_extended` summed in `Fraction` arithmetic, with the
+    polynomials evaluated by `UniPoly.__call__`: u_0..u_upto of
+    sum_j p_j(n) u_{n+j} = -forcing(n), extended by u_k = 0 for k < 0, from
+    the rationals `initial`; `forcing` maps n to a rational."""
+    if upto < 0:
+        raise ValueError(f"cannot extend up to a negative index {upto}")
+    r = len(coeffs) - 1
+    vals = [rat(u) for u in initial] + [Fraction(0)] * (upto + 1 - len(initial))
+    for n in range(len(initial) - r, upto - r + 1):
+        lead = coeffs[r](n)
+        if lead == 0:
+            raise ValueError(f"leading coefficient vanishes at n={n}; "
+                             f"extension blocked at index {n + r}")
+        s = forcing(n) if forcing else Fraction(0)
+        for j in range(max(0, -n), r):
+            s += coeffs[j](n) * vals[n + j]
+        vals[n + r] = -s / lead
+    return UniSeries(vals)
 
 
 # --- the Fraction route of geometry.critical_points_diag -------------------

@@ -5,8 +5,9 @@ Lines are emitted with capture suspended so they show up in the live run log.
 
 import sys
 from fractions import Fraction as F
+from math import comb
 
-from diagonalis.exactalg import UniPoly, binomial
+from diagonalis.exactalg import UniPoly
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import critical_points_diag, cubic_discriminant
 from diagonalis.identities import verify_identity
@@ -46,7 +47,7 @@ def test_criterion_1_diagonal_identities(capsys):
     ok &= diag.coeffs == binomial_oracle("szego3", N).coeffs
     diag = _diag(named_instance("LewyAskey").coeffs, N)
     u = recurrence_seed(builtin_recurrence("lewyaskey"), N)
-    ok &= all(F(9) ** n * diag[n] == binomial(2 * n, n) * u[n]
+    ok &= all(F(9) ** n * diag[n] == comb(2 * n, n) * u[n]
               for n in range(N + 1))
     _report(capsys, 1, ok, "five diagonal/oracle identities, N=12, exact")
 
@@ -58,7 +59,7 @@ def test_criterion_2_recurrence_suite(capsys):
     }
     # Lewy-Askey u_n oracle: u_n = 9^n diag_n / C(2n,n) from the box
     diag = _diag(named_instance("LewyAskey").coeffs, terms - 1)
-    windows["lewyaskey"] = UniSeries([F(9) ** n * diag[n] / binomial(2 * n, n)
+    windows["lewyaskey"] = UniSeries([F(9) ** n * diag[n] / comb(2 * n, n)
                                       for n in range(terms)])
     ok = True
     bounds = {"franel": (2, 2), "szego3": (2, 2), "kzd": (2, 3),
@@ -78,7 +79,7 @@ def test_criterion_2_recurrence_suite(capsys):
 def test_criterion_3_literal_values(capsys):
     ok = binomial_oracle("szego3", 5).coeffs == [1, 12, 198, 3720, 75690, 1626912]
     u = recurrence_seed(builtin_recurrence("lewyaskey"), 5)
-    ok &= [binomial(2 * n, n) * u[n] for n in range(6)] == \
+    ok &= [comb(2 * n, n) * u[n] for n in range(6)] == \
         [1, 24, 1080, 58560, 3490200, 220739904]
     for c in (0, 24, 25):
         fam = named_instance("GRZ", d=4, c=c)

@@ -6,30 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diagonalis import exactalg
-from diagonalis.exactalg import UniPoly, binomial, over_lcm, plain, rat, reduce_nums
+from diagonalis.exactalg import UniPoly, over_lcm, plain, rat, reduce_nums
 from unipoly_oracle import FractionUniPoly
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 4)
-
-
-def test_binomial_pascal():
-    assert binomial(4, 2) == 6
-
-
-def test_binomial_factorial_oracle():
-    # oracle: 6!/(3! 3!)
-    expected = F(math.factorial(6), math.factorial(3) * math.factorial(3))
-    assert binomial(6, 3) == expected == 20
-
-
-def test_binomial_out_of_range():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-def test_binomial_negative_n_rejected():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_unipoly_eval_franel_step():

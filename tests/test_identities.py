@@ -57,10 +57,10 @@ def test_seed_normalization_feeds_identities():
 
 
 def test_lewy_askey_seed_literal():
-    from diagonalis.exactalg import binomial
+    from math import comb
     seq = recurrence_seed(builtin_recurrence("lewyaskey"), 5)
     assert seq.coeffs == [1, 12, 180, 2928, 49860, 875952]
-    assert [binomial(2 * n, n) * seq[n] for n in range(6)] == \
+    assert [comb(2 * n, n) * seq[n] for n in range(6)] == \
         [1, 24, 1080, 58560, 3490200, 220739904]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from diagonalis import sequences
-from diagonalis.exactalg import UniPoly, binomial
+from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
 from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
                                   binomial_oracle,
@@ -54,7 +54,7 @@ def test_koornwinder_oracle_values():
 def test_twovar_oracle_edges():
     assert binomial_oracle("2var", 0, a=F(1, 2)).coeffs == [1]
     assert binomial_oracle("2var", 1, a=1)[1] == 1   # 2(n+... ) at a=1: 2-1 = 1
-    assert binomial_oracle("2var", 2, a=0)[2] == binomial(4, 2)
+    assert binomial_oracle("2var", 2, a=0)[2] == math.comb(4, 2)
 
 
 def test_oracle_validation():
@@ -520,6 +520,22 @@ def test_screened_guess_matches_fraction_oracle(seq):
         for degree in range(first):
             matrix = sequences._ansatz_matrix(seq, order, degree)
             assert nullspace_oracle(matrix) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_small_fracs, min_size=5, max_size=16), st.integers(1, 3),
+       st.integers(0, 4))
+def test_each_lower_ansatz_is_a_column_slice_of_the_top_one(terms, order, top):
+    # degree-major columns: column k(order+1) + j of row n is n^k u_(n+j),
+    # read on the numerators, so the ansatz of degree d is the first
+    # (order+1)(d+1) columns of any higher one
+    seq = UniSeries(terms)
+    matrix = sequences._ansatz_matrix(seq, order, top)
+    assert matrix == [[n ** k * seq.nums[n + j] for k in range(top + 1)
+                       for j in range(order + 1)] for n in range(len(terms) - order)]
+    for d in range(top + 1):
+        width = (order + 1) * (d + 1)
+        assert sequences._ansatz_matrix(seq, order, d) == [row[:width] for row in matrix]
 
 
 def test_screen_flags_the_first_degree_with_a_nullspace():

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diagonalis.exactalg import UniPoly
 from diagonalis.identities import Q_EXPANSION_LITERAL
 from diagonalis.sequences import builtin_recurrence, recurrence_seed
-from diagonalis.uniseries import (LogSolution, UniSeries, hypergeometric_2f1,
-                                  recurrence_to_frobenius, theta_hexagonal,
-                                  verify_series_identity)
+from diagonalis.uniseries import (LogSolution, UniSeries, _run_extended,
+                                  hypergeometric_2f1, recurrence_to_frobenius,
+                                  theta_hexagonal, verify_series_identity)
+from oracles import fraction_run_extended
 
 
 # Test-only oracles: the plain O(M^2) coefficient loops and the compose-based
@@ -277,6 +279,58 @@ def test_frobenius_g_solves_forced_recurrence():
     for n in range(-1, 11):
         assert sum(rec.coeffs[j](n) * sol.g[n + j] + dps[j](n) * sol.y0[n + j]
                    for j in range(3) if n + j >= 0) == 0
+
+
+_run_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _extended_runs(draw):
+    """(p_j, upto, initial, forcing) for a recurrence of order r = 1 to 3
+    with rational coefficients of degree <= 2, 1 to r + 1 initial terms (so
+    that the instances n < 0 run from one term), and half the time a
+    forcing (q_j, v) with v long enough for every instance."""
+    r = draw(st.integers(1, 3))
+    polys = st.lists(_run_fracs, max_size=3).map(UniPoly)
+    ps = draw(st.lists(polys, min_size=r + 1, max_size=r + 1).filter(lambda ps: ps[-1]))
+    upto = draw(st.integers(0, 25))
+    initial = draw(st.lists(_run_fracs, min_size=1, max_size=r + 1))
+    forcing = None
+    if draw(st.booleans()):
+        forcing = (draw(st.lists(polys, min_size=1, max_size=r + 1)),
+                   draw(st.lists(_run_fracs, min_size=upto + 1, max_size=upto + 1)))
+    return ps, upto, initial, forcing
+
+
+def _outcome(run):
+    """The coefficients and order a run returns, or its ValueError message."""
+    try:
+        seq = run()
+    except ValueError as exc:
+        return str(exc)
+    return seq.coeffs, seq.order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extended_runs())
+@example((builtin_recurrence("franel").coeffs, -1, [1], None))
+@example(([UniPoly([1]), UniPoly([-3, 1])], 8, [2], None))
+@example(([UniPoly([1]), UniPoly([1]), UniPoly([0, 1])], 5, [1],
+          ([UniPoly([0, 1])], [1, 2, 3, 4, 5, 6])))
+def test_integer_runner_matches_the_fraction_runner(case):
+    # the running denominator and the integer instance sums give the terms,
+    # the order and the pinned errors of the Fraction runner they replaced
+    ps, upto, initial, forcing = case
+    fraction_forcing = series_forcing = None
+    if forcing:
+        qs, v = forcing
+
+        def fraction_forcing(n):
+            return sum((q(n) * v[n + j] for j, q in enumerate(qs) if n + j >= 0), F(0))
+        series_forcing = (qs, UniSeries(v))
+    want = _outcome(lambda: fraction_run_extended(ps, upto, initial, fraction_forcing))
+    got = _outcome(lambda: _run_extended(ps, upto, UniSeries(initial), series_forcing))
+    assert got == want
 
 
 def test_frobenius_rejects_simple_indicial_root():

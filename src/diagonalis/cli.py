@@ -72,12 +72,12 @@ def _resolve_family(args) -> FamilySpec:
     return named_instance(args.family, **params)
 
 
-def _family_box(args):
-    """The family and its box on [0..N]^d."""
+def _family_diagonal(args):
+    """The family and the diagonal of its box on [0..N]^d."""
     if args.N is None:
         raise ValueError("--N is required to expand a box")
     fam = _resolve_family(args)
-    return fam, expand_reciprocal(fam.coeffs, args.N, entry_limit=_entry_limit(args))
+    return fam, extract_diagonal(expand_reciprocal(fam.coeffs, args.N, _entry_limit(args)))
 
 
 def _cache_path(path: str) -> str:
@@ -156,8 +156,8 @@ def cmd_diag(args) -> int:
             raise ValueError(f"--N {args.N} differs from the cache's N={vals.order}")
         fam = None
     else:
-        fam, box = _family_box(args)
-        d, vals = box.dim, extract_diagonal(box)
+        fam, vals = _family_diagonal(args)
+        d = fam.dim
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
         vals = vals.scale_argument(9 if args.scale == "9-power" else args.scale ** d)
@@ -195,7 +195,7 @@ def _recur_sequence(args) -> UniSeries:
         if args.N is not None:
             raise ValueError("--N bounds a family's box; --terms gives the values")
         return UniSeries(args.terms.split(","))
-    return extract_diagonal(_family_box(args)[1])
+    return _family_diagonal(args)[1]
 
 
 def cmd_recur(args) -> int:

@@ -189,13 +189,13 @@ def recurrence_guess(seq: UniSeries, max_order: int,
     """Smallest (order, degree) recurrence verifying on all supplied terms.
 
     Requires at least (max_order+1)(max_degree+1) + max_order +
-    GUESS_SAFETY_MARGIN terms.  For each order, the ansatz at max_degree
-    is built once; each lower degree's is a slice of its first columns.
-    One elimination of it mod _SCREEN_PRIME finds the first degree whose
-    ansatz can have a nonzero nullspace; only the ansätze from that degree
-    on are solved, each by `_nullspace`, exactly over Q through its lift
-    mod primes.
-    """
+    GUESS_SAFETY_MARGIN terms.  For each order, the ansatz at max_degree is
+    built once; each lower degree's is a slice of its first columns.  One
+    elimination of it mod _SCREEN_PRIME finds the first degree whose ansatz
+    can have a nonzero nullspace; only the ansätze from that degree on are
+    solved, each by `_nullspace`, exactly over Q through its lift mod primes.
+    A nullspace of dimension >= 2 is tried in the order of its reduced echelon
+    basis on the degree-major columns of `_ansatz_matrix`."""
     if max_order < 1 or max_degree < 0:
         raise ValueError(f"need max_order >= 1 and max_degree >= 0; got "
                          f"max_order={max_order}, max_degree={max_degree}")

@@ -43,8 +43,8 @@ The positivity scan and the cache writer read that stream as it comes: the
 scan stops at the first layer with a hit, and `save_cache` writes each layer
 and drops it.  `CoeffBox.layers[t]` keeps every layer, for `extract_diagonal`;
 `load_cache` parses only the N + 1 diagonal lines of a cache.  Both give the
-diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of order N.  The exact u_n,
-a `Fraction` or `UniPoly`, is built only when an entry is read.
+diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of order N rescaled from the
+kernel's integers (`_diagonal`); any other exact u_n is built only when read.
 """
 
 from __future__ import annotations
@@ -155,13 +155,6 @@ class CoeffBox:
         """Every stored (sorted) entry as an exact value, built on each read."""
         return {_index(code, self.dim, self.N): _exact(self.scale, t, v)
                 for t, layer in enumerate(self.layers) for code, v in layer.items()}
-
-    def coefficient_at(self, n) -> Coeff:
-        n = tuple(n)
-        if len(n) != self.dim or any(e < 0 or e > self.N for e in n):
-            raise IndexError(f"index {n} outside box [0..{self.N}]^{self.dim}")
-        t = sum(n)  # the stored orbit representative is the sorted index
-        return _exact(self.scale, t, self.layers[t][_code(tuple(sorted(n)), self.N)])
 
 
 def _smallest_scale(requirements) -> int:
@@ -359,11 +352,18 @@ def _coefficient_vector(spelled: str) -> list[Coeff]:
     return [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck) for ck in c]
 
 
+def _diagonal(scale: tuple, d: int, vs: list[int]) -> UniSeries:
+    """The series of u_n = v_n / (c_0 * L^(dn)), n = 0..N, from the kernel's
+    integers v_n at (n,...,n) of a rational box on [0..N]^d with this scale."""
+    return UniSeries._of(vs, 1).scale_argument(Fraction(1, scale[1] ** d)) / scale[0]
+
+
 def extract_diagonal(box: CoeffBox) -> UniSeries:
     """The series of u_(n,...,n), n = 0..N, of a rational box."""
     if box.ring != "Q":
         raise ValueError("diagonal extraction requires a rational box")
-    return UniSeries([box.coefficient_at((n,) * box.dim) for n in range(box.N + 1)])
+    d, step = box.dim, _code((1,) * box.dim, box.N)  # (n,...,n): code n * step
+    return _diagonal(box.scale, d, [box.layers[d * n][n * step] for n in range(box.N + 1)])
 
 
 def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
@@ -437,10 +437,10 @@ def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
             lineno, skip = lineno + skip + 1, -1
             try:
                 idx_s, v_s = line.split(":")
-                diagonal.append(_exact(scale, t, int(v_s, 16)))
+                diagonal.append(int(v_s, 16))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
             if idx_s != (want := ",".join([str(t // d)] * d)):
                 raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
         skip += sum(map(len, groups.values()))
-    return d, UniSeries(diagonal)
+    return d, _diagonal(scale, d, diagonal)

@@ -7,7 +7,8 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 (scaling the variables, setting one to 0) have their dict counterparts.  The
 `Fraction` route of the critical-point analysis, which the integer one in
 `geometry` replaced, backs its differential tests, as a per-entry scan of a
-collected box backs the streamed sign scan, a one-string cache writer the
+collected box (`entry_at`, one exact entry read at its orbit representative)
+backs the streamed sign scan, a one-string cache writer the
 streamed one, a whole-box cache reader the diagonal one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
 `sequences._nullspace_mod`, a `Fraction` loop over the terms the
@@ -28,7 +29,7 @@ from diagonalis.exactalg import UniPoly, plain, rat
 from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
-from diagonalis.seriesbox import CoeffBox, _kernel_scale, _unpack
+from diagonalis.seriesbox import CoeffBox, _code, _exact, _kernel_scale, _unpack
 from diagonalis.uniseries import UniSeries
 from unipoly_oracle import FractionUniPoly
 
@@ -202,12 +203,19 @@ def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
     return {n: exact(n, v) for n, v in ints.items()}
 
 
+def entry_at(box: CoeffBox, n):
+    """The exact entry u_n of a collected box, read at its stored orbit
+    representative, the sorted n."""
+    t = sum(n)
+    return _exact(box.scale, t, box.layers[t][_code(tuple(sorted(n)), box.N)])
+
+
 def brute_force_first_nonpositive(box, strict: bool):
     """Graded-lex-first flagged index of the full box, reading every entry
-    through `coefficient_at`."""
+    through `entry_at`."""
     for n in sorted(itertools.product(range(box.N + 1), repeat=box.dim),
                     key=grlex_key):
-        c = box.coefficient_at(n)
+        c = entry_at(box, n)
         if isinstance(c, UniPoly):
             flagged = not c.coeffs or any(q < 0 for q in c.coeffs)
         else:

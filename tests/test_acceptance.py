@@ -16,7 +16,7 @@ from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   recurrence_seed)
 from diagonalis.seriesbox import expand_reciprocal, extract_diagonal
 from diagonalis.uniseries import UniSeries
-from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive,
+from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive, entry_at,
                      nonsmooth_locus_4d, scale_variables)
 
 
@@ -84,7 +84,7 @@ def test_criterion_3_literal_values(capsys):
     for c in (0, 24, 25):
         fam = named_instance("GRZ", d=4, c=c)
         box = expand_reciprocal(fam.coeffs, 1)
-        ok &= box.coefficient_at((1, 1, 1, 1)) == 24 - c
+        ok &= entry_at(box, (1, 1, 1, 1)) == 24 - c
     _report(capsys, 3, ok, "sequence literals and GRZ-4 coefficient 24 - c")
 
 

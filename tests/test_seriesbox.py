@@ -19,9 +19,9 @@ from diagonalis.multipoly import _coerce_coeff, depends_on_lambda
 from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale, _unpack,
                                   expand_layers, expand_reciprocal, extract_diagonal,
                                   load_cache, save_cache, streamed_first_nonpositive)
-from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_layer,
-                     geometric_oracle, load_cache_box, per_entry_data, scale_variables,
-                     substitute_zero, symmetric_denominator)
+from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_at,
+                     entry_layer, geometric_oracle, load_cache_box, per_entry_data,
+                     scale_variables, substitute_zero, symmetric_denominator)
 
 
 def vec(*cs) -> tuple:
@@ -65,20 +65,20 @@ def test_geometric_two_var_binomials():
     oracle = geometric_oracle(c, 3)
     for n in range(4):
         for m in range(4):
-            assert box.coefficient_at((n, m)) == oracle[(n, m)] == math.comb(n + m, n)
-    assert box.coefficient_at((2, 1)) == 3
+            assert entry_at(box, (n, m)) == oracle[(n, m)] == math.comb(n + m, n)
+    assert entry_at(box, (2, 1)) == 3
 
 
 def test_factored_denominator_all_ones():
     box = expand_reciprocal(vec(1, -1, 1), 5)  # (1-x)(1-y)
-    assert all(box.coefficient_at(e) == 1
+    assert all(entry_at(box, e) == 1
                for e in itertools.product(range(6), repeat=2))
 
 
 def test_one_plus_x_plus_y():
     box = expand_reciprocal(vec(1, 1, 0), 2)
-    assert box.coefficient_at((1, 0)) == -1
-    assert box.coefficient_at((0, 0)) == 1
+    assert entry_at(box, (1, 0)) == -1
+    assert entry_at(box, (0, 0)) == 1
 
 
 def test_zero_constant_term_rejected():
@@ -101,7 +101,7 @@ def test_reconstruction_invariant():
             for m, pm in symmetric_denominator(coeffs).items():
                 prev = tuple(a - b for a, b in zip(n, m))
                 if all(x >= 0 for x in prev):
-                    acc += pm * box.coefficient_at(prev)
+                    acc += pm * entry_at(box, prev)
             assert acc == (1 if not any(n) else 0)
 
 
@@ -110,7 +110,7 @@ def test_restriction_consistency():
     box = expand_reciprocal(c, 4)
     sub = expand_reciprocal(substitute_zero(c), 4)
     for n in itertools.product(range(5), repeat=2):
-        assert sub.coefficient_at(n) == box.coefficient_at(n + (0,))
+        assert entry_at(sub, n) == entry_at(box, n + (0,))
 
 
 def test_first_nonpositive_one_plus_x_plus_y():
@@ -140,7 +140,7 @@ def test_lambda_check_geometric():
     lam = UniPoly.x()
     c = vec(1, -lam)
     assert _streamed(c, 3) is None
-    assert expand_reciprocal(c, 3).coefficient_at((3,)) == lam ** 3
+    assert entry_at(expand_reciprocal(c, 3), (3,)) == lam ** 3
 
 
 def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
@@ -156,7 +156,7 @@ def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
             return super().__new__(cls, *args, **kwargs)
     monkeypatch.setattr(seriesbox, "Fraction", Counted)
     monkeypatch.setattr(exactalg, "Fraction", Counted)
-    entry = box.coefficient_at((4,))
+    entry = entry_at(box, (4,))
     assert not made
     assert entry == -(w ** 4) / 32
 
@@ -321,7 +321,7 @@ def test_cache_roundtrip_rational():
     loaded = load_cache_box(io.StringIO(text))
     assert loaded.N == box.N and loaded.dim == box.dim and loaded.ring == "Q"
     for n in itertools.product(range(4), repeat=3):
-        assert loaded.coefficient_at(n) == box.coefficient_at(n)
+        assert entry_at(loaded, n) == entry_at(box, n)
     # bit-exact round trip
     assert _resaved(c, loaded) == text
     assert _loaded(io.StringIO(text)) == (3, extract_diagonal(box).coeffs)
@@ -332,7 +332,7 @@ def test_cache_roundtrip_lambda():
     text = _cache_text(vec(1, -lam), 4)
     loaded = load_cache_box(io.StringIO(text))
     assert loaded.ring == "Qlambda"
-    assert loaded.coefficient_at((4,)) == lam ** 4
+    assert entry_at(loaded, (4,)) == lam ** 4
     # the diagonal reader refuses it, after every check of the header
     with pytest.raises(ValueError, match=r"^diagonal extraction requires a rational box$"):
         load_cache(io.StringIO(text))
@@ -398,7 +398,7 @@ def test_kernel_matches_geometric_oracle(case):
     assert all(isinstance(v, UniPoly if lam_ring else F) for v in box.data.values())
     oracle = geometric_oracle(c, N)
     for n in itertools.product(range(N + 1), repeat=len(c) - 1):
-        assert box.coefficient_at(n) == oracle.get(n, 0), n
+        assert entry_at(box, n) == oracle.get(n, 0), n
 
 
 @settings(deadline=None, max_examples=60)
@@ -446,7 +446,7 @@ def test_constant_lambda_denominator():
     assert box.data[(0, 0)] == F(1, 3) and isinstance(box.data[(0, 0)], F)
     for n in itertools.product(range(3), repeat=2):
         if any(n):
-            assert box.coefficient_at(n) == 0
+            assert entry_at(box, n) == 0
 
 
 def test_smallest_scale():
@@ -664,6 +664,36 @@ def test_cache_diagonal_matches_the_box_and_the_whole_box_reader(case):
     assert diagonal == extract_diagonal(load_cache_box(io.StringIO(text))).coeffs
 
 
+def _refuse_exact(*args):
+    raise AssertionError("a diagonal read went through seriesbox._exact")
+
+
+def _diagonal_routes(c, N: int) -> tuple:
+    """The diagonal of the box of 1/p on [0..N]^d by `extract_diagonal` and by
+    `load_cache`, each run with `seriesbox._exact` refusing: both rescale the
+    kernel's integers, and neither builds an exact entry of its own."""
+    box, text = expand_reciprocal(c, N), _cache_text(c, N)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seriesbox, "_exact", _refuse_exact)
+        return extract_diagonal(box).coeffs, load_cache(io.StringIO(text))[1].coeffs
+
+
+def _oracle_diagonal(c, N: int) -> list:
+    data = per_entry_data(c, N, True)
+    return [data[(n,) * (len(c) - 1)] for n in range(N + 1)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(reciprocal_cases().filter(lambda case: not any(map(depends_on_lambda, case[0]))))
+@example((vec(-2, 1, F(1, 3), F(5, 7)), 9))  # c_0 = -2, L = 42
+@example((named_instance("Kauers").coeffs, 12))  # 64/27 on e_3: L = 3
+@example((vec(F(3, 2), F(-5, 4)), 11))  # d = 1, L = 6
+@example((vec(-2, 1, F(1, 3), F(5, 7)), 0))  # N = 0
+def test_both_diagonal_routes_rescale_the_kernel_integers(case):
+    c, N = case
+    assert _diagonal_routes(c, N) == (_oracle_diagonal(c, N),) * 2
+
+
 # --- differential test: layer kernel vs the per-entry kernel -----------------
 
 @pytest.mark.parametrize("c, N", [
@@ -710,7 +740,7 @@ def test_symmetric_mode_matches_full():
     full = per_entry_data(c, 3, False)
     assert len(full) == 4 ** 4
     box = expand_reciprocal(c, 3)
-    assert all(box.coefficient_at(n) == v for n, v in full.items())
+    assert all(entry_at(box, n) == v for n, v in full.items())
 
 
 @functools.cache
@@ -744,7 +774,7 @@ def test_scan_breaks_ties_within_the_first_flagged_layer(a, b, want, reloaded):
     if reloaded:  # read back from its cache, whose layers hold the codes in another order
         box = load_cache_box(io.StringIO(_cache_text(c, 3)))
     flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
-               if sum(n) == 3 and box.coefficient_at(n) <= 0}
+               if sum(n) == 3 and entry_at(box, n) <= 0}
     assert len(flagged) == 1 + (a == F(7, 4) and b == 0)
     for strict in (True, False):
         hit = streamed_first_nonpositive(enumerate(box.layers), box.scale, 3, 3, strict)

@@ -24,19 +24,24 @@ merged into the stencils.  A layer is enumerated as groups of codes of one
 shape, each derived from the layers before it: the indices of total degree
 t whose last j+1 coordinates are equal are those whose last j+2 are equal,
 and those of degree t-j-1 with their last j+1 (equal) coordinates raised by
-one, one addition to each code (`_shape_groups`).  Each shape is compiled
-once per call into one comprehension over its group, such as
+one, one addition to each code (`_shape_groups`).  A shape's sweep is one
+comprehension over its group, such as
 
     lambda codes, P1, P2, P3: [w0 * (P1[c - 5] + P1[c - 41]) + w1 * (P3[c - 46])
                                for c in codes]
 
-with P_k the layer t - k: the (lag, offset) terms of the shape's stencil,
-those that share a merged weight under one product.  The source text holds
-only lags and offsets; the merged weights are bound by name in the
-namespace the text is evaluated in, since CPython refuses str() of an int
-past 4300 digits and packed Q[lambda] weights grow with N.  The compiled
-code is memoized by its text, so a box whose shapes and N recur (the boxes
-of a bisection) compiles nothing anew.
+with P_k the layer t - k: the (lag k, offset) terms of the shape's stencil,
+those of one k and one multiplicity m (of the k-subsets S that reach one
+predecessor) under one product by the merged weight w_k * m.  The text holds
+only lags and offsets: it is compiled as a factory `lambda w0, w1: <sweep>`,
+and each box binds its merged weights as the arguments, since CPython
+refuses str() of an int past 4300 digits and packed Q[lambda] weights grow
+with N.  The boxes of one d, N and support (the k with c_k != 0) share a box
+plan, memoized for the life of the interpreter: each shape's factory,
+compiled the first time a box meets the shape, and the layer groups of
+(d, N), held if the box stores at most 2^13 entries, C(N+d, d), and else
+enumerated anew by each box, so that a large box holds a window of them.
+The boxes of a bisection enumerate their layers and compile once.
 `expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
 is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
 The positivity scan and the cache writer read that stream as it comes: the
@@ -66,9 +71,9 @@ DEFAULT_ENTRY_LIMIT = 10 ** 8
 
 CACHE_MAGIC = "diagonalis-box v3"
 
-# the compiled code of each stencil sweep, by its source text: a shape's text
-# recurs in every expansion of the same stencil at the same N
-_SWEEPS: dict = {}
+# (d, N) -> the box plan, (its layer groups if held, else None,
+# {(support, shape): `_sweep` of the shape}), as the module docstring spells it
+_PLANS: dict = {}
 
 
 class BoxTooLargeError(ValueError):
@@ -222,6 +227,28 @@ def _kernel_scale(c: Sequence[Coeff], N: int) -> tuple:
     return c0, L, B, [(k, int(UniPoly(w)(1 << B))) for k, w in weights]
 
 
+def _sweep(d: int, N: int, support: tuple, code: int) -> tuple:
+    """(factory, keys) of the shape of index `code` for the weights w_k, k in
+    `support`, as the module docstring spells them: factory(*[w_k * m for
+    (k, m) in keys]) is the shape's sweep."""
+    n = _index(code, d, N)
+    merged: dict = {}  # (lag k, code offset) -> multiplicity m
+    for k in support:
+        for subset in combinations(range(d), k):
+            prev = [e - (i in subset) for i, e in enumerate(n)]
+            if min(prev) >= 0:
+                key = (k, code - _code(sorted(prev), N))
+                merged[key] = merged.get(key, 0) + 1
+    reads: dict = {}  # (k, m) -> its reads
+    for (k, off), m in merged.items():
+        reads.setdefault((k, m), []).append(f"P{k}[c - {off}]")
+    terms = [f"w{i} * ({' + '.join(r)})" for i, r in enumerate(reads.values())]
+    params = "".join(f", P{k}" for k in range(1, max(support, default=0) + 1))
+    text = (f"lambda {', '.join(f'w{i}' for i in range(len(reads)))}: lambda codes"
+            f"{params}: [{' + '.join(terms) or '0'} for c in codes]")
+    return eval(compile(text, "<stencil>", "eval")), list(reads)
+
+
 def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
     c_0: yield the scale (c_0, L, B), then (t, layers[t]) for t = 0..dN.
@@ -237,43 +264,27 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
             f"box [0..{N}]^{d} has {(N + 1) ** d} entries, limit {entry_limit}")
     c0, L, B, weights = _kernel_scale(c, N)
     yield c0, L, B
-    deg = max((k for k, _ in weights), default=0)  # deg(p)
-
-    def compile_stencil(code: int):
-        """The sweep of a shape, (codes, P1, ..., P_deg) -> [v_n for n in
-        codes] with P_k the layer t - k, as the module docstring spells it."""
-        n = _index(code, d, N)
-        merged: dict = {}  # (lag k, code offset) -> merged weight, never 0
-        for k, w in weights:
-            for subset in combinations(range(d), k):
-                prev = [e - (i in subset) for i, e in enumerate(n)]
-                if min(prev) >= 0:
-                    key = (k, code - _code(sorted(prev), N))
-                    merged[key] = merged.get(key, 0) + w
-        reads: dict[int, list[str]] = {}  # merged weight -> its reads
-        for (k, off), w in merged.items():
-            reads.setdefault(w, []).append(f"P{k}[c - {off}]")
-        names = {f"w{i}": w for i, w in enumerate(reads)}
-        terms = [f"{name} * ({' + '.join(r)})" for name, r in zip(names, reads.values())]
-        text = f"lambda codes{params}: [{' + '.join(terms) or '0'} for c in codes]"
-        sweep = _SWEEPS.get(text)
-        if sweep is None:
-            sweep = _SWEEPS[text] = compile(text, "<stencil>", "eval")
-        return eval(sweep, names)
-
-    params = "".join(f", P{k}" for k in range(1, deg + 1))
-    sweeps: dict = {}
+    support, w = tuple(k for k, _ in weights), dict(weights)
+    deg = max(support, default=0)  # deg(p)
+    if (d, N) not in _PLANS:
+        _PLANS[d, N] = (list(_shape_groups(d, N)) if math.comb(N + d, d) <= 1 << 13
+                        else None, {})
+    held, sweeps = _PLANS[d, N]
+    bound: dict = {}  # shape -> its sweep, bound to this box's weights
     current: dict[int, int] = {0: 1}
     window = (current, *[None] * deg)[:deg]  # layers t - 1, ..., t - deg
     yield 0, current
-    layers = enumerate(_shape_groups(d, N))
+    layers = enumerate(held or _shape_groups(d, N))
     next(layers)  # layer 0, v_0 = 1, is yielded above
     for t, groups in layers:
         current = {}
         for shape, codes in groups.items():
-            sweep = sweeps.get(shape)
+            sweep = bound.get(shape)
             if sweep is None:
-                sweep = sweeps[shape] = compile_stencil(codes[0])
+                if (support, shape) not in sweeps:
+                    sweeps[support, shape] = _sweep(d, N, support, codes[0])
+                factory, keys = sweeps[support, shape]
+                sweep = bound[shape] = factory(*[w[k] * m for k, m in keys])
             current.update(zip(codes, sweep(codes, *window)))
         window = (current, *window)[:deg]
         yield t, current
@@ -297,7 +308,8 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     c0, _, B = scale
     if B and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
-    # u_n = v_n / (c_0 L^|n|) has the sign of s * v_n, s = sign(c_0).  Over
+    # u_n = v_n / (c_0 L^|n|) has the sign of s * v_n, s = sign(c_0), and is
+    # flagged over Q iff s * v_n < lo: one comparison of v_n, picked by s.  Over
     # Q[lambda], the lambda-coefficients of u_n times |c_0| L^|n| are the
     # balanced base-2^B digits of s * v_n, each of absolute value < 2^(B-1).
     # They are all >= 0 iff they are also its plain base-2^B digits, i.e. iff
@@ -305,9 +317,14 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     # every digit of the layer's widest value.
     s, lo = (1 if c0 > 0 else -1), (1 if strict else 0)
     for t, layer in layers:
-        top = max(map(abs, layer.values())).bit_length() // B + 1 if B else 0
-        mask = sum(1 << (B * i + B - 1) for i in range(top))
-        hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
+        if B:
+            top = max(map(abs, layer.values())).bit_length() // B + 1
+            mask = sum(1 << (B * i + B - 1) for i in range(top))
+            hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
+        elif s > 0:
+            hits = [c for c, v in layer.items() if v < lo]
+        else:
+            hits = [c for c, v in layer.items() if v > -lo]
         if hits:
             # grlex order puts the total degree first, so the first layer with
             # a hit holds the answer: its lex-largest index, taking for a

@@ -66,7 +66,7 @@ def _report(argv):
 
 
 def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatch,
-                                                               tmp_path):
+                                                               tmp_path, cold_plans):
     def no_box(*args, **kwargs):
         raise AssertionError("expand collected a box")
     monkeypatch.setattr(cli, "expand_reciprocal", no_box)
@@ -479,6 +479,29 @@ def test_geometry_bisect_searches_upward_from_b_lo(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["threshold_interval"] == ["9/2", "5"]
     assert len(boxes) == 5
+
+
+def test_geometry_bisect_builds_one_plan_for_its_boxes(capsys, monkeypatch, cold_plans):
+    # the ten h0b boxes of this run share (d, N, support) = (4, 10, (1, 3, 4)):
+    # the layer groups are enumerated once and each shape's sweep factory,
+    # of the 2^4 - 1 shapes past layer 0, is compiled once
+    entered, texts = [], []
+    shape_groups = seriesbox._shape_groups
+
+    def enumerating(*args):
+        entered.append(args)
+        return shape_groups(*args)
+
+    def compiling(text, *args):
+        texts.append(text)
+        return compile(text, *args)
+    monkeypatch.setattr(seriesbox, "_shape_groups", enumerating)
+    monkeypatch.setattr(seriesbox, "compile", compiling, raising=False)
+    code, out = run(capsys, "geometry", "bisect", "--N", "10", "--prec", "1/256",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["threshold_interval"] == ["1031/256", "129/32"]
+    assert entered == [(4, 10)]
+    assert len(texts) == len(set(texts)) == 2 ** 4 - 1
 
 
 def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):

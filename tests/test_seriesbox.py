@@ -9,16 +9,17 @@ import zlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diagonalis import cli, exactalg, seriesbox
 from diagonalis.cli import main
 from diagonalis.exactalg import UniPoly
 from diagonalis.family import named_instance
 from diagonalis.multipoly import _coerce_coeff, depends_on_lambda
-from diagonalis.seriesbox import (BoxTooLargeError, _smallest_scale, _unpack,
-                                  expand_layers, expand_reciprocal, extract_diagonal,
-                                  load_cache, save_cache, streamed_first_nonpositive)
+from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_scale,
+                                  _unpack, expand_layers, expand_reciprocal,
+                                  extract_diagonal, load_cache, save_cache,
+                                  streamed_first_nonpositive)
 from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_at,
                      entry_layer, geometric_oracle, load_cache_box, per_entry_data,
                      scale_variables, substitute_zero, symmetric_denominator)
@@ -208,6 +209,10 @@ _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
            lambda d: st.tuples(st.lists(_coeff, min_size=d, max_size=d),
                                _coeff.filter(bool))),
        st.integers(0, 9), st.booleans())
+# c_0 < 0, where the scan compares v_n the other way: u_0 = 1/c_0 < 0 is the
+# first hit, strict or not
+@example(([F(1)], F(-1)), 3, True)
+@example(([F(-1), F(2)], F(-2)), 4, False)
 def test_streamed_check_matches_the_box_scan_on_coeffs(rest_c0, N, strict):
     rest, c0 = rest_c0
     _same_scan(vec(c0, *rest), N, strict)
@@ -490,7 +495,7 @@ def test_cache_rejects_wrong_entry_count():
         load_cache(_resealed(_kzd3_cache_lines()[:30]))
 
 
-def test_cache_refuses_a_forged_huge_N_before_enumerating(monkeypatch):
+def test_cache_refuses_a_forged_huge_N_before_enumerating(monkeypatch, cold_plans):
     lines = _kzd3_cache_lines()
     lines[0] = lines[0].replace("; N=3; ", f"; N={10 ** 6}; ")
 
@@ -716,6 +721,41 @@ def test_layer_kernel_matches_per_entry_kernel(c, N):
 def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
     c, N = case
     assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
+
+
+@st.composite
+def boxes_of_one_plan(draw):
+    """(N, [c, ...]): two to four denominators of one d and one support, the
+    k >= 1 with c_k != 0, over Q or Q[lambda], each with kernel weights other
+    than those of the one before it."""
+    d = draw(st.integers(1, 5))
+    support = draw(st.sets(st.integers(1, d)))
+    N = draw(st.integers(0, _MAX_N[d]))
+    over_lambda = draw(st.booleans())
+    coeff = (st.one_of(nonzero_rationals, lambda_polys.filter(bool)) if over_lambda
+             else nonzero_rationals)
+    box = st.tuples(nonzero_rationals, *[coeff if k in support else st.just(F(0))
+                                         for k in range(1, d + 1)]).map(lambda c: vec(*c))
+    boxes = draw(st.lists(box, min_size=2, max_size=4))
+    assume(all(_kernel_scale(a, N)[3] != _kernel_scale(b, N)[3]
+               for a, b in zip(boxes, boxes[1:])))
+    return N, boxes
+
+
+@settings(deadline=None, max_examples=30)
+@given(boxes_of_one_plan())
+# at (1, 1), 2 * w_1 = 1 * w_2 = 2 in the first box but not in the second: a
+# sweep text that put equal merged weights under one product fails the second
+@example((4, [vec(1, -1, -2), vec(1, -1, -3), vec(1, -1, -2)]))
+@example((3, [named_instance("StraubLambda").coeffs, vec(1, -lam, lam * lam - 1, lam)]))
+# past 2^13 entries the plan holds no groups, and each box streams its own
+@example((9000, [vec(1, -1), vec(1, -2), vec(1, 1)]))
+def test_boxes_of_one_plan_match_the_per_entry_kernel(case):
+    N, boxes = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seriesbox, "_PLANS", {})  # the first box cold, the others warm
+        for c in boxes:
+            assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
 
 
 @pytest.mark.parametrize("d", range(1, 6))

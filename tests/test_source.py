@@ -229,9 +229,10 @@ def test_arithmetic_is_exact():
 
 
 def test_code_is_generated_in_one_place():
-    # the stencil compiler builds its source text from the kernel's own ints
-    # and binds the weights by name, so no user text reaches eval, exec or
-    # compile; a second code-generation site would need its own such argument
+    # the sweep factory builds its source text from the kernel's own ints,
+    # lags, multiplicities and code offsets, and takes the weights as its
+    # arguments, so no user text reaches eval, exec or compile; a second
+    # code-generation site would need its own such argument
     users = []
 
     def walk(node, owner):
@@ -249,8 +250,7 @@ def test_code_is_generated_in_one_place():
 
     for module, tree in TREES.items():
         walk(tree, module)
-    assert sorted(users) == ["seriesbox.expand_layers.compile_stencil:compile",
-                             "seriesbox.expand_layers.compile_stencil:eval"]
+    assert sorted(users) == ["seriesbox._sweep:compile", "seriesbox._sweep:eval"]
 
 
 def _package_imports(module: str) -> set[str]:

@@ -7,9 +7,10 @@ source reads (`_READS`), are refused before the command runs, and `diag`
 checks its --oracle before any box is expanded or cache read.  Reports are
 text by default and JSON with --format json; `geometry grid` always writes
 CSV.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
-bad input, with a one-line message on stderr.  Box caches use the versioned
-text format from `seriesbox`, and `diag --from-cache` reads only their
-diagonal; relative cache paths resolve against $DIAGONALIS_CACHE.
+bad input, with a one-line message on stderr.  `expand --cache` writes the
+diagonal of a rational box in the versioned text format of `seriesbox`,
+after the last layer, and `diag --from-cache` reads it; relative cache
+paths resolve against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         recurrence_extend, recurrence_guess, recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers, expand_reciprocal,
                         extract_diagonal, load_cache, save_cache,
-                        streamed_first_nonpositive)
+                        streamed_first_nonpositive, tap_diagonal)
 from .uniseries import UniSeries, verify_series_identity
 
 
@@ -94,33 +95,35 @@ def cmd_expand(args) -> int:
     if args.non_strict and (lam or not args.check_positive):
         raise ValueError("--non-strict applies only to --check-positive on a rational "
                          "box; a Q[lambda] box is checked coefficient by coefficient")
+    if args.cache and lam:
+        raise ValueError("--cache applies only to a rational box: a cache holds the "
+                         "diagonal that diag --from-cache reads")
     c, d, N, strict = fam.coeffs, fam.dim, args.N, not args.non_strict
-    # one pass over the layers: every refusal comes with the scale, before any
-    # file is opened, and plain expand draws no layer past it
+    # one pass over the layers: every refusal comes with the scale, and plain
+    # expand draws no layer past it
     layers = expand_layers(c, N, _entry_limit(args))
     scale = next(layers)
-    hit = None
-
-    def scanned():  # each layer on its way to the cache, scanned up to the first hit
-        nonlocal hit
-        for item in layers:
-            hit = hit or streamed_first_nonpositive([item], scale, d, N, strict)
-            yield item
+    hit, diagonal = None, []
     if args.cache:
+        layers = tap_diagonal(layers, d, N, diagonal)
+    if args.check_positive:  # stops at the first layer with a hit
+        hit = streamed_first_nonpositive(layers, scale, d, N, strict)
+    if args.cache:
+        for _ in layers:  # the rest of the diagonal
+            pass
         path = _cache_path(args.cache)
-        # renamed over the path only when whole: a failed write keeps the old cache
+        # opened after the last layer, and renamed over the path only when
+        # whole: a refused or failed expansion or write keeps the old cache
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                save_cache(c, N, scale, scanned() if args.check_positive else layers, fh)
+                save_cache(c, N, scale, diagonal, fh)
             os.replace(tmp, path)
         except OSError as exc:  # name the given path, not the temporary one
             raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    elif args.check_positive:  # stops at the first layer with a hit
-        hit = streamed_first_nonpositive(layers, scale, d, N, strict)
     report = {"family": fam, "N": N, "entries": (N + 1) ** d,
               "entries_stored": math.comb(N + d, d),
               "ring": "Qlambda" if lam else "Q"}

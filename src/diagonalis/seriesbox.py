@@ -44,12 +44,14 @@ enumerated anew by each box, so that a large box holds a window of them.
 The boxes of a bisection enumerate their layers and compile once.
 `expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
 is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
-The positivity scan and the cache writer read that stream as it comes: the
-scan stops at the first layer with a hit, and `save_cache` writes each layer
-and drops it.  `CoeffBox.layers[t]` keeps every layer, for `extract_diagonal`;
-`load_cache` parses only the N + 1 diagonal lines of a cache.  Both give the
-diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of order N rescaled from the
-kernel's integers (`_diagonal`); any other exact u_n is built only when read.
+The positivity scan reads that stream as it comes and stops at the first
+layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
+layer as the stream passes, for `save_cache`.  A cache (format v4) holds
+those N + 1 integers alone, the only entries its reader reads.
+`CoeffBox.layers[t]` keeps every layer, for `extract_diagonal`.  It and
+`load_cache` give the diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of
+order N rescaled from the kernel's integers (`_diagonal`); any other exact
+u_n is built only when read.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import json
 import math
 import zlib
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations
 from typing import Sequence, TextIO
 
 from .exactalg import UniPoly, plain, rat
@@ -69,7 +71,7 @@ Exponent = tuple[int, ...]
 
 DEFAULT_ENTRY_LIMIT = 10 ** 8
 
-CACHE_MAGIC = "diagonalis-box v3"
+CACHE_MAGIC = "diagonalis-diagonal v4"
 
 # (d, N) -> the box plan, (its layer groups if held, else None,
 # {(support, shape): `_sweep` of the shape}), as the module docstring spells it
@@ -124,13 +126,6 @@ def _code(n: Exponent, N: int) -> int:
 def _index(code: int, d: int, N: int) -> Exponent:
     """The index n in [0..N]^d whose base-(N+1) reading is `code`."""
     return tuple(code // (N + 1) ** i % (N + 1) for i in range(d - 1, -1, -1))
-
-
-def _index_text(d: int, N: int):
-    """code -> the index n as a cache line spells it, `n_1,...,n_d`."""
-    R = N + 1
-    powers, digits = [R ** i for i in range(d - 1, -1, -1)], [str(e) for e in range(R)]
-    return lambda code: ",".join([digits[code // p % R] for p in powers])
 
 
 def _exact(scale: tuple, t: int, v: int) -> Coeff:
@@ -304,27 +299,26 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     [0..N]^d with this scale and layers (t, layers[t]), taken in order of t,
     whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
     only), whose coefficient is not a nonzero polynomial with coefficients
-    >= 0.  It reads no layer past the first with a hit."""
+    >= 0.  It reads no layer past the first with a hit, and none if c_0 < 0."""
     c0, _, B = scale
     if B and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
-    # u_n = v_n / (c_0 L^|n|) has the sign of s * v_n, s = sign(c_0), and is
-    # flagged over Q iff s * v_n < lo: one comparison of v_n, picked by s.  Over
-    # Q[lambda], the lambda-coefficients of u_n times |c_0| L^|n| are the
-    # balanced base-2^B digits of s * v_n, each of absolute value < 2^(B-1).
+    if c0 < 0:  # u_0 = 1/c_0 < 0 is flagged, strict or not
+        return (0,) * d, _exact(scale, 0, 1)
+    # u_n = v_n / (c_0 L^|n|) has the sign of v_n, and is flagged over Q iff
+    # v_n < lo.  Over Q[lambda], the lambda-coefficients of u_n times c_0 L^|n|
+    # are the balanced base-2^B digits of v_n, each of absolute value < 2^(B-1).
     # They are all >= 0 iff they are also its plain base-2^B digits, i.e. iff
-    # s * v_n >= 0 and no digit has its top bit (`mask`) set; the mask covers
+    # v_n >= 0 and no digit has its top bit (`mask`) set; the mask covers
     # every digit of the layer's widest value.
-    s, lo = (1 if c0 > 0 else -1), (1 if strict else 0)
+    lo = 1 if strict else 0
     for t, layer in layers:
         if B:
             top = max(map(abs, layer.values())).bit_length() // B + 1
             mask = sum(1 << (B * i + B - 1) for i in range(top))
-            hits = [c for c, v in layer.items() if s * v < lo or s * v & mask]
-        elif s > 0:
-            hits = [c for c, v in layer.items() if v < lo]
+            hits = [c for c, v in layer.items() if v < lo or v & mask]
         else:
-            hits = [c for c, v in layer.items() if v > -lo]
+            hits = [c for c, v in layer.items() if v < lo]
         if hits:
             # grlex order puts the total degree first, so the first layer with
             # a hit holds the answer: its lex-largest index, taking for a
@@ -335,29 +329,30 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     return None
 
 
-def save_cache(c: Sequence[Coeff], N: int, scale: tuple, layers, fh: TextIO) -> None:
-    """Write cache format v3 of the box of 1/sum c_k e_k on [0..N]^d with this
-    scale and layers (t, layers[t]), as `expand_layers` yields them: a header
-    line, one `i,j,...:v_n` line per stored entry (sorted orbit
-    representatives) in graded-lex order with the kernel's integer v_n in
-    hexadecimal, and a last line `crc32=` of every byte before it.  Each
-    layer is written, and added to the CRC, as it comes."""
-    index = _index_text(len(c) - 1, N)
+def tap_diagonal(layers, d: int, N: int, diagonal: list):
+    """Pass the layers (t, layers[t]) of a box on [0..N]^d through, appending
+    the kernel's integer v_(n,...,n) of each layer t = d*n to `diagonal`."""
+    step = _code((1,) * d, N)  # (n,...,n) has code n * step
+    for t, layer in layers:
+        if t % d == 0:
+            diagonal.append(layer[t // d * step])
+        yield t, layer
+
+
+def save_cache(c: Sequence[Coeff], N: int, scale: tuple, diagonal: Sequence[int],
+               fh: TextIO) -> None:
+    """Write cache format v4 of the diagonal of 1/sum c_k e_k on [0..N]^d,
+    rational, with this scale and the kernel's integers v_n at (n,...,n),
+    n = 0..N: a header line, one `n:v_n` line per n with v_n in hexadecimal,
+    and a last line `crc32=` of every byte before it."""
     spelled = json.dumps(plain(list(map(_coerce_coeff, c))), separators=(",", ":"))
-    header = f"{CACHE_MAGIC}; N={N}; L={scale[1]}; B={scale[2]}; c={spelled}\n"
-    # hexadecimal: CPython refuses decimal conversion past 4300 digits (packed
-    # StraubLambda entries pass it at N = 19); power-of-two bases convert in linear
-    # time.  Within a layer, graded-lex order is descending code order.
-    texts = ("".join([f"{index(code)}:{layer[code]:x}\n"
-                      for code in sorted(layer, reverse=True)])
-             for _, layer in layers)
+    # hexadecimal: CPython refuses decimal conversion past 4300 digits, and
+    # power-of-two bases convert in linear time
+    body = "".join([f"{CACHE_MAGIC}; N={N}; L={scale[1]}; c={spelled}\n",
+                    *[f"{n}:{v:x}\n" for n, v in enumerate(diagonal)]])
     # CRC-32, not SHA-256: `hashlib` maps OpenSSL (3.6 MiB resident), and an unkeyed
     # hash that anyone can recompute detects only accidental damage, as a CRC does
-    crc = 0
-    for text in chain([header], texts):
-        fh.write(text)
-        crc = zlib.crc32(text.encode(), crc)
-    fh.write(f"crc32={crc:08x}\n")
+    fh.write(f"{body}crc32={zlib.crc32(body.encode()):08x}\n")
 
 
 def _coefficient_vector(spelled: str) -> list[Coeff]:
@@ -384,36 +379,29 @@ def extract_diagonal(box: CoeffBox) -> UniSeries:
 
 
 def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
-    """(d, the series of u_(n,...,n), n = 0..N) of a rational cache file written
-    by `save_cache`, without its box: one chunked pass takes the CRC-32 and
-    counts the lines, and a second parses only the line of each (n,...,n).
+    """(d, the series of u_(n,...,n), n = 0..N) of a cache file written by
+    `save_cache`, read whole.
 
-    Raises ValueError for a v1 or v2 file, a missing crc32= trailer
+    Raises ValueError for a v1, v2 or v3 file, a missing crc32= trailer
     (truncated) or a body that does not match it; naming the header field,
-    for a missing or malformed N or c (c_0 invertible), an L or B that is
-    not the kernel's for c and N, and a Q[lambda] box; and naming the line,
-    for an entry count other than C(N+d, d) and a bad diagonal line."""
+    for a missing or malformed N, L or c, a c that depends on lambda or has
+    no invertible c_0, and an L that is not the kernel's for c and N; and
+    naming the line, for a line count other than N + 1 and a malformed line
+    or one whose index is not its n."""
     header = fh.readline()
-    for old in ("v1", "v2"):
+    for old in ("v1", "v2", "v3"):
         if header.startswith(f"diagonalis-box {old};"):
             raise ValueError(f"cache format {old} is no longer read; "
                              "re-create it with expand --cache")
     if not header.startswith(CACHE_MAGIC + "; "):
-        raise ValueError("not a diagonalis box cache file")
-    # the CRC and the line count of every line before the last, the trailer
-    crc, count, last = 0, 0, header
-    while chunk := fh.read(1 << 16):
-        last += chunk
-        cut = last.rfind("\n", 0, -1) + 1
-        crc = zlib.crc32(last[:cut].encode(), crc)
-        count += last.count("\n", 0, cut)
-        last = last[cut:]
-    if not last.startswith("crc32="):
+        raise ValueError("not a diagonalis cache file")
+    body, _, trailer = (header + fh.read()).removesuffix("\n").rpartition("\n")
+    if not trailer.startswith("crc32="):
         raise ValueError("cache has no crc32= trailer (truncated file)")
-    if last.removesuffix("\n") != "crc32=%08x" % crc:
+    if trailer != "crc32=%08x" % zlib.crc32(f"{body}\n".encode()):
         raise ValueError("cache body does not match its crc32= trailer (damaged file)")
-    fields = header.removesuffix("\n")[len(CACHE_MAGIC) + 2:].split("; ", 3)
-    meta = dict(f.partition("=")[::2] for f in fields)
+    header, *lines = body.split("\n")
+    meta = dict(f.partition("=")[::2] for f in header[len(CACHE_MAGIC) + 2:].split("; ", 2))
 
     def field(key: str, parse):
         try:
@@ -424,40 +412,29 @@ def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
                              f"({exc})") from None
 
     N = field("N", int)
+    field("L", int)  # and checked against the kernel's below
     c = field("c", _coefficient_vector)
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
-    d, entries = len(c) - 1, count - 1
-    expected = math.comb(N + d, d)
-    if entries != expected:  # before any enumeration: a forged huge N never enumerates
-        raise ValueError(f"line {entries + 1}: cache ends after {entries} "
-                         f"entries; expected {expected}")
-    # after the count check, so that a forged huge N never reaches W^(dN)
+    # before the scale, so that a forged huge N never reaches W^(dN)
+    if len(lines) != N + 1:
+        raise ValueError(f"cache holds {len(lines)} diagonal lines; "
+                         f"N={N} needs N + 1 = {N + 1}")
+    if any(map(depends_on_lambda, c)):
+        raise ValueError("diagonal extraction requires a rational box")
     try:
         scale = _kernel_scale(c, N)[:3]
     except ValueError as exc:
         raise ValueError(f"cache header: c= {exc}") from None
-    for key, want in zip("LB", scale[1:]):
-        if meta.get(key) != str(want):
-            raise ValueError(f"cache header: {key}={meta.get(key)} but c and N "
-                             f"give {key}={want}")
-    if scale[2]:
-        raise ValueError("diagonal extraction requires a rational box")
-    # Layer d*n opens with (n,...,n): no other sorted index there has first
-    # coordinate n, so none has a larger code.  `skip` counts the lines
-    # before it: the header, then the layers that `save_cache` wrote.
-    fh.seek(0)
-    diagonal, lineno, skip = [], 0, 1
-    for t, groups in enumerate(_shape_groups(d, N)):
-        if t % d == 0:
-            line = next(islice(fh, skip, None)).removesuffix("\n")
-            lineno, skip = lineno + skip + 1, -1
-            try:
-                idx_s, v_s = line.split(":")
-                diagonal.append(int(v_s, 16))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed entry {line!r} ({exc})") from None
-            if idx_s != (want := ",".join([str(t // d)] * d)):
-                raise ValueError(f"line {lineno}: found index {idx_s!r}, expected {want}")
-        skip += sum(map(len, groups.values()))
-    return d, _diagonal(scale, d, diagonal)
+    if meta["L"] != str(scale[1]):
+        raise ValueError(f"cache header: L={meta['L']} but c and N give L={scale[1]}")
+    diagonal = []
+    for n, line in enumerate(lines):
+        try:
+            index, v = line.split(":")
+            diagonal.append(int(v, 16))
+        except ValueError as exc:
+            raise ValueError(f"line {n + 2}: malformed entry {line!r} ({exc})") from None
+        if index != str(n):
+            raise ValueError(f"line {n + 2}: found index {index!r}, expected {n}")
+    return len(c) - 1, _diagonal(scale, len(c) - 1, diagonal)

@@ -8,8 +8,8 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 `Fraction` route of the critical-point analysis, which the integer one in
 `geometry` replaced, backs its differential tests, as a per-entry scan of a
 collected box (`entry_at`, one exact entry read at its orbit representative)
-backs the streamed sign scan, a one-string cache writer the
-streamed one, a whole-box cache reader the diagonal one, Gauss-Jordan
+backs the streamed sign scan, a cache writer that reads the diagonal of a
+collected box the streamed one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
 `sequences._nullspace_mod`, a `Fraction` loop over the terms the
 integer recurrence check of `sequences.recurrence_check`, and a `Fraction`
@@ -226,41 +226,15 @@ def brute_force_first_nonpositive(box, strict: bool):
 
 
 def collected_cache_text(c: Sequence, box) -> str:
-    """The cache file (format v3) of a collected box of 1/sum c_k e_k, built
-    as one string and sealed under the CRC-32 of its whole body."""
-    d, N, R = box.dim, box.N, box.N + 1
+    """The cache file (format v4) of a collected box of 1/sum c_k e_k, its
+    diagonal read at each index (n,...,n) and the file built as one string,
+    sealed under the CRC-32 of its whole body."""
+    d, N = box.dim, box.N
     spelled = json.dumps(plain(list(c)), separators=(",", ":"))
-
-    def index(code: int) -> str:  # the code read back as n_1,...,n_d
-        return ",".join(str(code // R ** i % R) for i in range(d - 1, -1, -1))
-    body = "".join([f"diagonalis-box v3; N={N}; L={box.scale[1]}; B={box.scale[2]}; "
-                    f"c={spelled}\n"]
-                   + [f"{index(code)}:{layer[code]:x}\n"
-                      for layer in box.layers for code in sorted(layer, reverse=True)])
+    code = sum((N + 1) ** i for i in range(d))  # of (1,...,1)
+    body = "".join([f"diagonalis-diagonal v4; N={N}; L={box.scale[1]}; c={spelled}\n"]
+                   + [f"{n}:{box.layers[d * n][n * code]:x}\n" for n in range(N + 1)])
     return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
-
-
-def load_cache_box(fh) -> CoeffBox:
-    """The whole box of a cache file (format v3), every entry line parsed
-    and filed under the layer and code of its index, in any order: the
-    reader that `seriesbox.load_cache`, which reads the diagonal alone,
-    replaced.  The file must be sealed and its L and B the kernel's."""
-    text = fh.read()
-    body, trailer = text.removesuffix("\n").rsplit("\n", 1)
-    assert trailer == "crc32=%08x" % zlib.crc32((body + "\n").encode())
-    header, *lines = body.split("\n")
-    meta = dict(f.partition("=")[::2] for f in header.split("; ")[1:])
-    c = [UniPoly.from_json(ck) if isinstance(ck, list) else rat(ck)
-         for ck in json.loads(meta["c"])]
-    d, N = len(c) - 1, int(meta["N"])
-    scale = _kernel_scale(c, N)[:3]
-    assert [meta["L"], meta["B"]] == [str(scale[1]), str(scale[2])]
-    layers: list[dict] = [{} for _ in range(d * N + 1)]
-    for line in lines:
-        index, v = line.split(":")
-        n = [int(e) for e in index.split(",")]
-        layers[sum(n)][sum(e * (N + 1) ** i for i, e in enumerate(reversed(n)))] = int(v, 16)
-    return CoeffBox(d, N, layers, scale)
 
 
 def list_nullspace_mod(matrix: list[list[int]],

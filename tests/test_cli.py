@@ -89,7 +89,8 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
     assert run(capsys, *argv, "--format", "json") == (0, json.dumps(data, indent=2) + "\n")
     assert len(drawn) == 2  # the scale, twice
     assert enumerated == []  # no layer past the scale is made
-    # the scan alone stops at the flagged layer 17; with the cache it reads all 37
+    # the scan alone stops at the flagged layer 17; with the cache it reads all
+    # 37, for the diagonal
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("DIAGONALIS_CACHE", raising=False)
     for argv, layers in ((["expand", "--family", "hab", "--a", "1/4", "--b", "21/8",
@@ -104,7 +105,7 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
     drawn.clear()  # the cache alone, with the trailer of the file pinned in test_seriesbox
     code, out = run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", "kzd3.box")
     assert code == 0 and out.endswith("cache: ./kzd3.box\n") and len(drawn) == 1 + 13
-    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=ba43cb2f\n")
+    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=e65b112c\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -157,8 +158,12 @@ def test_lewy_askey_oracle_runs_its_recurrence_once(capsys, monkeypatch):
 
 
 def test_diag_from_a_lambda_cache_is_usage_error(capsys, tmp_path):
+    # no command writes one: a KZ-D cache re-sealed under StraubLambda's c=
     path = tmp_path / "straub3.box"
-    run(capsys, "expand", "--family", "StraubLambda", "--N", "3", "--cache", str(path))
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    text = path.read_text()
+    path.write_text(_sealed(text[:text.rindex("crc32=")].replace(
+        'c=["1","-1","0","2","4"]', 'c=["1",["-1","-1"],["0","2","1"],["4","0","-3","-1"]]')))
     with pytest.raises(SystemExit) as exc:
         main(["diag", "--from-cache", str(path)])
     assert exc.value.code == 2
@@ -181,6 +186,38 @@ def test_cache_roundtrip_via_env(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "diag", "--from-cache", "ag3.box", "--format", "json")
     assert code == 0
     assert json.loads(out)["N"] == 5  # the cache's bound, without --N
+
+
+@pytest.mark.parametrize("family, opts, cache_opts", [
+    ("--family KZ-D --N 8", "--oracle kzd", None),
+    ("--family AG3 --N 10", "--oracle franel", None),
+    ("--family Szego3 --N 8", "--scale 2 --oracle szego3", None),
+    ("--family LewyAskey --N 8", "--scale 9-power --oracle lewy-askey", None),
+    ("--family Koornwinder --N 6", "--oracle koornwinder", None),
+    ("--family h2var --a 2 --N 10", "--oracle 2var", "--oracle 2var --a 2"),
+    ("--family Kauers --N 12", "", None),
+    ("--family h0b --b=-1/8 --N 4", "", None),
+    ("--family hab --a 1/4 --b 23/8 --N 12", "", None),
+    ("--family KZ-D --N 4", "--oracle franel", None),  # a mismatch, exit 1
+    ("--family StraubLambda --lam 1/2 --N 6", "", None),
+], ids=lambda v: v)
+def test_diag_from_cache_reports_what_diag_family_reports(capsys, tmp_path, family, opts,
+                                                          cache_opts):
+    # every README family that a cache can hold, with its oracle where it has
+    # one: the report differs by the family line alone
+    path = str(tmp_path / "x.box")
+    assert run(capsys, "expand", *family.split(), "--cache", path)[0] == 0
+    for fmt in ("text", "json"):
+        code, out = run(capsys, "diag", *family.split(), *opts.split(), "--format", fmt)
+        if fmt == "json":
+            want = json.loads(out)
+            del want["family"]
+            out = json.dumps(want, indent=2) + "\n"
+        else:
+            out = "".join(line for line in out.splitlines(keepends=True)
+                          if not line.startswith("family: "))
+        assert run(capsys, "diag", "--from-cache", path, *(cache_opts or opts).split(),
+                   "--format", fmt) == (code, out)
 
 
 def test_diag_from_cache_applies_numeric_scale(capsys, tmp_path):
@@ -208,25 +245,31 @@ def test_diag_from_damaged_cache_is_usage_error(capsys, tmp_path):
     header = body.split("\n", 1)[0]
     damaged = [  # (file text, what the message must name)
         (text[:len(text) // 2], "crc32= trailer"),
-        (text.replace("\n3,3,3,3:220\n", "\n3,3,3,3:221\n"), "crc32= trailer"),
-        (_sealed("".join(body.splitlines(keepends=True)[:30])), "line 30"),  # 29 of 35
+        (body, "no crc32= trailer"),
+        (text.replace("\n3:220\n", "\n3:221\n"), "crc32= trailer"),
+        (text.replace("\ncrc32=", "\ncrc32=0", 1), "does not match its crc32= trailer"),
+        (_sealed("".join(body.splitlines(keepends=True)[:4])),
+         "cache holds 3 diagonal lines; N=3 needs N + 1 = 4"),
+        (_sealed(body + "4:0\n"), "cache holds 5 diagonal lines; N=3 needs N + 1 = 4"),
         (_sealed(body.replace("N=3; ", "", 1)), "N="),
+        (_sealed(body.replace("L=1; ", "L=one; ", 1)), "malformed L="),
         (_sealed(body.replace(header[header.index("c="):], "c=[1]", 1)),
          "malformed c= (need a list c_0, ..., c_d with d >= 1)"),
         (_sealed(body.replace(header[header.index("c="):], 'c={"dim":4}', 1)),
          "malformed c= (need a list c_0, ..., c_d with d >= 1)"),
         (_sealed(body.replace(header[header.index("c="):], "c=" + _NESTED, 1)),
          "malformed c= (maximum recursion depth exceeded"),
-        (_sealed(body.replace('c=["1","-1","0","2","4"]', 'c=["1","-1","0","2"]', 1)),
-         "line 36: cache ends after 35 entries; expected 20"),  # d = 3
-        (_sealed(body.replace("L=1", "L=2", 1)), "L="),
+        (_sealed(body.replace("L=1", "L=2", 1)), "L=2 but c and N give L=1"),
         (_sealed(body.replace("N=3", "N=-1", 1)), "cache header: negative N=-1"),
         (_sealed(body.replace('c=["1",', 'c=["0",', 1)),
          "cache header: c= not expandable at origin: zero constant term"),
-        (_sealed(body.replace(":1\n", ':["1"]\n', 1)), "line 2"),  # a v1 Q[lambda] entry
+        (_sealed(body.replace("\n2:", "\n3:", 1)), "line 4: found index '3', expected 2"),
+        (_sealed(body.replace(":4\n", ':["4"]\n', 1)), "line 3"),  # a v1 Q[lambda] entry
         ('diagonalis-box v1; d=4; N=3; ring=Q; denom={}\n0,0,0,0:1\n', "v1 is no longer read"),
         ('diagonalis-box v2; d=4; N=3; sym=1; L=1; B=0; denom={}\n0,0,0,0:1\n',
          "v2 is no longer read"),
+        ('diagonalis-box v3; N=3; L=1; B=0; c=["1","-1","0","2","4"]\n0,0,0,0:1\n',
+         "v3 is no longer read"),
     ]
     for bad, named in damaged:
         path.write_text(bad)
@@ -243,8 +286,8 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
     before = path.read_bytes()
 
-    def fail_midway(denom, N, scale, layers, fh):
-        fh.write("diagonalis-box v3; N=3")
+    def fail_midway(c, N, scale, diagonal, fh):
+        fh.write("diagonalis-diagonal v4; N=3")
         raise OSError("No space left on device")
 
     monkeypatch.setattr(cli, "save_cache", fail_midway)
@@ -257,7 +300,7 @@ def test_failed_cache_write_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
 
 
 class _FullDisk:
-    """A file whose `write` fails with ENOSPC from its fourth call on."""
+    """A file whose `write` fails with ENOSPC."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -270,21 +313,27 @@ class _FullDisk:
 
     def write(self, text: str) -> int:
         self.writes += 1
-        if self.writes >= 4:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return self.fh.write(text)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def test_write_failing_on_a_later_layer_keeps_the_old_cache(capsys, tmp_path, monkeypatch):
+    # the file is opened only after the last layer, so a write that fails
+    # fails after the whole expansion, and still leaves the old cache whole
     path = tmp_path / "kzd3.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
     before = path.read_bytes()
-    opened = []
+    drawn, opened = [], []
+
+    def counted(*args):
+        for item in seriesbox.expand_layers(*args):
+            drawn.append(item)
+            yield item
 
     def full_disk(name, mode):
-        # the header and layers 0 and 1 reach the temporary file; layer 2 fails
+        assert len(drawn) == 1 + 10  # the scale and the 10 layers of AG3 at N = 3
         opened.append(_FullDisk(open(name, mode)))
         return opened[-1]
+    monkeypatch.setattr(cli, "expand_layers", counted)
     monkeypatch.setattr(cli, "open", full_disk, raising=False)
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--family", "AG3", "--N", "3", "--check-positive",
@@ -293,7 +342,28 @@ def test_write_failing_on_a_later_layer_keeps_the_old_cache(capsys, tmp_path, mo
     err = capsys.readouterr().err
     assert f"cannot write cache {path}: No space left on device" in err
     assert err.count("\n") == 1 and ".tmp" not in err
-    assert [f.writes for f in opened] == [4]
+    assert [f.writes for f in opened] == [1]
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kzd3.box"]
+
+
+def test_expansion_failing_midway_opens_no_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "kzd3.box"
+    run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(path))
+    before = path.read_bytes()
+
+    def failing(*args):
+        layers = seriesbox.expand_layers(*args)
+        yield next(layers)  # the scale
+        yield next(layers)  # layer 0
+        raise MemoryError
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("a file was opened")
+    monkeypatch.setattr(cli, "expand_layers", failing)
+    monkeypatch.setattr(cli, "open", no_file, raising=False)
+    with pytest.raises(MemoryError):
+        main(["expand", "--family", "AG3", "--N", "3", "--cache", str(path)])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["kzd3.box"]
 
@@ -302,7 +372,8 @@ def test_write_failing_on_a_later_layer_keeps_the_old_cache(capsys, tmp_path, mo
     ["--family", "AG3", "--N", "3", "--entry-limit", "63"],
     ["--family", "AG3", "--N", "3", "--entry-limit", "63", "--check-positive"],
     ["--coeffs", "0,-1,0,4", "--N", "3"],
-], ids=["entry-limit", "entry-limit-check", "zero-constant"])
+    ["--family", "StraubLambda", "--N", "16"],
+], ids=["entry-limit", "entry-limit-check", "zero-constant", "lambda"])
 def test_refused_expand_opens_no_file_over_the_old_cache(capsys, tmp_path, monkeypatch,
                                                          argv):
     path = tmp_path / "kzd3.box"
@@ -678,8 +749,10 @@ _REPORTS = [
 ]
 
 
-# flagged checks exit 1; the first stops at layer 17 of 90, the second writes
-# the whole box, with the bytes of `test_cache_bytes_are_pinned`'s hab-failing
+# flagged checks exit 1; the first stops at layer 17 of 90, the second draws
+# every layer for its diagonal and writes the bytes of
+# `test_cache_bytes_are_pinned`'s hab-failing; with c_0 < 0 the scan flags the
+# origin and reads no layer, in the bytes that it printed when it scanned them
 _FLAGGED_REPORTS = [
     (["expand", "--family", "hab", "--a", "1/4", "--b", "21/8", "--N", "30",
       "--check-positive"],
@@ -713,8 +786,39 @@ _FLAGGED_REPORTS = [
       "ring": "Q",
       "check": "(3,3,2) -> -23/256",
       "cache": "./flagged.box"}),
+    (["expand", "--coeffs", "-2,1,1/3,5/7", "--N", "9", "--check-positive"],
+     "family: {'dim': 3, 'coeffs': ['-2', '1', '1/3', '5/7'], 'name': None}\n"
+     "N: 9\n"
+     "entries: 1000\n"
+     "entries_stored: 220\n"
+     "ring: Q\n"
+     "check: (0,0,0) -> -1/2\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["-2", "1", "1/3", "5/7"], "name": None},
+      "N": 9,
+      "entries": 1000,
+      "entries_stored": 220,
+      "ring": "Q",
+      "check": "(0,0,0) -> -1/2"}),
+    (["expand", "--coeffs", "-2,1,1/3,5/7", "--N", "9", "--check-positive",
+      "--non-strict", "--cache", "neg.box"],
+     "family: {'dim': 3, 'coeffs': ['-2', '1', '1/3', '5/7'], 'name': None}\n"
+     "N: 9\n"
+     "entries: 1000\n"
+     "entries_stored: 220\n"
+     "ring: Q\n"
+     "check: (0,0,0) -> -1/2\n"
+     "cache: ./neg.box\n",
+     {"schema": "v1",
+      "family": {"dim": 3, "coeffs": ["-2", "1", "1/3", "5/7"], "name": None},
+      "N": 9,
+      "entries": 1000,
+      "entries_stored": 220,
+      "ring": "Q",
+      "check": "(0,0,0) -> -1/2",
+      "cache": "./neg.box"}),
 ]
-_CACHE_TRAILERS = {"flagged.box": "\ncrc32=6063b462\n"}
+_CACHE_TRAILERS = {"flagged.box": "\ncrc32=67eb2db1\n", "neg.box": "\ncrc32=7cec9d04\n"}
 
 
 @pytest.mark.parametrize("argv, code, text, data",
@@ -942,6 +1046,7 @@ def no_work(tmp_path, monkeypatch):
     ("expand --coeffs 1,-1,0,4 --N 3 --b 7", "nothing in this command takes --b"),
     ("expand --family StraubLambda --N 3 --check-positive --non-strict",
      "--non-strict applies only"),
+    ("expand --family StraubLambda --N 16 --cache x.box", "--cache applies only"),
     (f"recur guess --terms {FRANEL_20} --max-order 2 --max-degree 2 --entry-limit 1",
      "nothing in this command takes --entry-limit"),
     ("recur guess --terms 1,3,9,27,81,243,729,2187,6561,19683 --max-order 1 "

@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 
 from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import canonicalize, make_family, named_instance
-from diagonalis.seriesbox import _coefficient_vector, expand_layers, save_cache
+from diagonalis.seriesbox import (_coefficient_vector, expand_layers, save_cache,
+                                  tap_diagonal)
 from oracles import (elementary_symmetric, scale_variables, substitute_zero,
                      symmetric_denominator)
 
@@ -153,6 +154,9 @@ def test_json_deterministic_order():
     # one way, whether the vector holds Fractions or ints
     for c in (named_instance("AG3").coeffs, [1, -1, 0, 4]):
         layers = expand_layers(c, 1, 10 ** 8)
+        scale, diagonal = next(layers), []
+        for _ in tap_diagonal(layers, 3, 1, diagonal):
+            pass
         buf = io.StringIO()
-        save_cache(c, 1, next(layers), layers, buf)
+        save_cache(c, 1, scale, diagonal, buf)
         assert buf.getvalue().split("\n", 1)[0].endswith('; c=["1","-1","0","4"]')

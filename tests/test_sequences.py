@@ -20,7 +20,7 @@ from diagonalis.sequences import (GUESS_SAFETY_MARGIN, PRecurrence,
                                   recurrence_check, recurrence_extend,
                                   recurrence_guess, recurrence_seed)
 from diagonalis.seriesbox import (expand_layers, expand_reciprocal, extract_diagonal,
-                                  load_cache, save_cache)
+                                  load_cache, save_cache, tap_diagonal)
 from diagonalis.uniseries import UniSeries
 from oracles import fraction_recurrence_check, list_nullspace_mod
 
@@ -331,8 +331,11 @@ def test_every_producer_returns_the_order_asked_for(n):
     c = named_instance("AG3").coeffs
     assert extract_diagonal(expand_reciprocal(c, n)).order == n
     layers = expand_layers(c, n, 10 ** 8)
+    scale, diagonal = next(layers), []
+    for _ in tap_diagonal(layers, 3, n, diagonal):
+        pass
     cache = io.StringIO()
-    save_cache(c, n, next(layers), layers, cache)
+    save_cache(c, n, scale, diagonal, cache)
     cache.seek(0)
     assert load_cache(cache)[1].order == n
     for name, a in (("franel", None), ("szego3", None), ("2var", 2), ("lewy-askey", None)):

@@ -16,6 +16,7 @@ paths resolve against $DIAGONALIS_CACHE.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -85,6 +86,22 @@ def _cache_path(path: str) -> str:
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Raise the error that writing the cache at `path` would end in, as far
+    as the path and its directory show it: the path a directory, or its
+    directory missing, not a directory or not writable."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(f"cannot write cache {path}: {os.strerror(code)}")
+
+
 def _fmt_index(n) -> str:
     return "(" + ",".join(map(str, n)) + ")"
 
@@ -105,13 +122,14 @@ def cmd_expand(args) -> int:
     scale = next(layers)
     hit, diagonal = None, []
     if args.cache:
+        path = _cache_path(args.cache)
+        _refuse_unwritable(path)  # before any layer is made
         layers = tap_diagonal(layers, d, N, diagonal)
     if args.check_positive:  # stops at the first layer with a hit
         hit = streamed_first_nonpositive(layers, scale, d, N, strict)
     if args.cache:
         for _ in layers:  # the rest of the diagonal
             pass
-        path = _cache_path(args.cache)
         # opened after the last layer, and renamed over the path only when
         # whole: a refused or failed expansion or write keeps the old cache
         tmp = f"{path}.{os.getpid()}.tmp"

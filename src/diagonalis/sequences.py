@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Iterator, Optional
@@ -206,8 +207,11 @@ def recurrence_guess(seq: UniSeries, max_order: int,
             f"max_degree={max_degree}; got {seq.order + 1}")
     for order in range(1, max_order + 1):
         top = _ansatz_matrix(seq, order, max_degree)
-        for degree in range(_first_degree(top, order), max_degree + 1):
-            for vec in _nullspace([row[:(order + 1) * (degree + 1)] for row in top]):
+        first, screen = _first_degree(top, order)
+        for degree in range(first, max_degree + 1):
+            # at max_degree the ansatz is `top`, which the screen has eliminated
+            matrix = [row[:(order + 1) * (degree + 1)] for row in top]
+            for vec in _nullspace(matrix, screen if degree == max_degree else None):
                 ps = tuple(UniPoly(vec[j::order + 1]) for j in range(order + 1))
                 if ps[-1].is_zero():
                     continue  # really a lower-order relation
@@ -223,19 +227,19 @@ def recurrence_guess(seq: UniSeries, max_order: int,
 _SCREEN_PRIME = 2 ** 30 - 35
 
 
-def _first_degree(top: list[list[int]], order: int) -> int:
-    """The lowest degree whose ansatz of this order can have a nonzero
-    nullspace over Q, or max_degree + 1 if none can: one elimination
-    mod _SCREEN_PRIME of `top`, the ansatz at max_degree, whose first
-    (order+1)(d+1) columns are the ansatz of degree d.  Gauss-Jordan leaves
-    a column free iff it depends on the columns before it, so a degree
-    below the first free column has full column rank mod the prime, hence
-    over Q."""
-    _, pivots = _nullspace_mod(top, _SCREEN_PRIME)
+def _first_degree(top: list[list[int]], order: int) -> tuple[int, tuple]:
+    """(the lowest degree whose ansatz of this order can have a nonzero
+    nullspace over Q, or max_degree + 1 if none can; the elimination
+    `_nullspace_mod(top, _SCREEN_PRIME)` that finds it) for `top`, the
+    ansatz at max_degree, whose first (order+1)(d+1) columns are the ansatz
+    of degree d.  Gauss-Jordan leaves a column free iff it depends on the
+    columns before it, so a degree below the first free column has full
+    column rank mod the prime, hence over Q."""
+    _, pivots = screen = _nullspace_mod(top, _SCREEN_PRIME)
     # the pivots are increasing, so the first free column is the first c
     # that is not the c-th pivot; with none, it is the number of columns
     free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
-    return free // (order + 1)
+    return free // (order + 1), screen
 
 
 def _ansatz_matrix(seq: UniSeries, order: int, degree: int) -> list[list[int]]:
@@ -278,14 +282,19 @@ def _primes() -> Iterator[int]:
     return filter(_is_prime, range(2 ** 30 - 1, 2, -2))
 
 
-def _nullspace(matrix: list[list[int]]) -> list[list[Fraction]]:
+def _nullspace(matrix: list[list[int]],
+               screen: Optional[tuple] = None) -> list[list[Fraction]]:
     """The reduced row-echelon basis of the nullspace over Q of an integer
     matrix, one vector per free column in increasing order, found mod
-    primes by CRT and rational reconstruction."""
+    primes by CRT and rational reconstruction.  `screen`, if given, is
+    `_nullspace_mod(matrix, _SCREEN_PRIME)`, taken as that prime's."""
     ncols = len(matrix[0])
     best, residues, modulus, hadamard = None, [], 1, None
-    for p in _primes():
-        basis, pivots = _nullspace_mod(matrix, p)
+    solves = ((p, _nullspace_mod(matrix, p)) for p in _primes()
+              if screen is None or p != _SCREEN_PRIME)
+    if screen is not None:
+        solves = chain([(_SCREEN_PRIME, screen)], solves)
+    for p, (basis, pivots) in solves:
         # A minor that is nonzero mod p is a nonzero integer, so every
         # prefix of the columns has rank mod p at most its rank over Q.
         # At the first column where a prime's pivots differ from those over

@@ -13,6 +13,12 @@ integral, v_n = c_0 * L^|n| * u_n satisfies v_0 = 1 and
 
 over Q[lambda] the weights are packed as w_k(2^B) (Kronecker substitution),
 and the balanced base-2^B digits of v_n(2^B) are the lambda-coefficients.
+The digit width B is certified layer by layer, not bounded once for the
+box: after each layer one bias add, one OR over the layer and one mask
+check that its digits leave bits(W) + 1 bits of room, W = sum_k C(d, k)
+||w_k||_1, so the next layer decodes exactly; a layer without that room
+still decodes, and the layers held and the weights are re-packed wider
+(`_fits`, `_repack`, the comment before `_LOOKAHEAD`).
 
 u_n depends only on the orbit of n under permuting the coordinates, so a
 box stores the sorted representative of each orbit.  An index n is keyed
@@ -42,16 +48,18 @@ compiled the first time a box meets the shape, and the layer groups of
 (d, N), held if the box stores at most 2^13 entries, C(N+d, d), and else
 enumerated anew by each box, so that a large box holds a window of them.
 The boxes of a bisection enumerate their layers and compile once.
-`expand_layers` yields each layer t, the kernel's dict code -> v_n, once it
-is finished, and holds only the deg(p) + 1 layers that layer t + 1 reads.
+`expand_layers` yields each layer t, the kernel's dict code -> v_n, with its
+digit width B_t once it is finished, and holds only the deg(p) + 1 layers
+that layer t + 1 reads.
 The positivity scan reads that stream as it comes and stops at the first
 layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
 layer as the stream passes, for `save_cache`.  A cache (format v4) holds
 those N + 1 integers alone, the only entries its reader reads.
-`CoeffBox.layers[t]` keeps every layer, for `extract_diagonal`.  It and
-`load_cache` give the diagonal u_(n,...,n), n = 0..N, as a `UniSeries` of
-order N rescaled from the kernel's integers (`_diagonal`); any other exact
-u_n is built only when read.
+`CoeffBox.layers[t]` keeps every layer and `CoeffBox.widths[t]` its width,
+for `extract_diagonal`.  It and `load_cache` give the diagonal
+u_(n,...,n), n = 0..N, as a `UniSeries` of order N rescaled from the
+kernel's integers (`_diagonal`); any other exact u_n is built only when
+read.
 """
 
 from __future__ import annotations
@@ -60,7 +68,9 @@ import json
 import math
 import zlib
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Sequence, TextIO
 
 from .exactalg import UniPoly, plain, rat
@@ -128,9 +138,9 @@ def _index(code: int, d: int, N: int) -> Exponent:
     return tuple(code // (N + 1) ** i % (N + 1) for i in range(d - 1, -1, -1))
 
 
-def _exact(scale: tuple, t: int, v: int) -> Coeff:
-    """The exact coefficient v / (c_0 * L^t) of a kernel integer v in layer t."""
-    c0, L, B = scale
+def _exact(c0: Fraction, L: int, B: int, t: int, v: int) -> Coeff:
+    """The exact coefficient v / (c_0 * L^t) of a kernel integer v in layer t
+    of digit width B."""
     den = c0.numerator * L ** t
     if B:
         return UniPoly.from_nums([c * c0.denominator for c in _unpack(v, B)], den)
@@ -139,22 +149,25 @@ def _exact(scale: tuple, t: int, v: int) -> Coeff:
 
 class CoeffBox:
     """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
-    with scale (c_0, L, B), B = 0 over Q: layers[t] maps the code of each
-    sorted n with |n| = t to v_n."""
+    with scale (c_0, L, B_0), B_0 = 0 over Q: layers[t] maps the code of each
+    sorted n with |n| = t to v_n, whose digit width is widths[t]."""
 
     def __init__(self, dim: int, N: int, layers: list[dict[int, int]],
-                 scale: tuple):
+                 scale: tuple, widths: list[int]):
         self.dim = dim
         self.N = N
         self.layers = layers
         self.scale = scale
+        self.widths = widths
         self.ring = "Qlambda" if scale[2] else "Q"
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
         """Every stored (sorted) entry as an exact value, built on each read."""
-        return {_index(code, self.dim, self.N): _exact(self.scale, t, v)
-                for t, layer in enumerate(self.layers) for code, v in layer.items()}
+        c0, L, _ = self.scale
+        return {_index(code, self.dim, self.N): _exact(c0, L, B, t, v)
+                for t, (layer, B) in enumerate(zip(self.layers, self.widths))
+                for code, v in layer.items()}
 
 
 def _smallest_scale(requirements) -> int:
@@ -196,10 +209,11 @@ def _unpack(v: int, B: int) -> list[int]:
     return digits
 
 
-def _kernel_scale(c: Sequence[Coeff], N: int) -> tuple:
-    """(c_0, L, B, packed weights [(k, w_k(2^B))] for each k >= 1 with
-    c_k != 0) of the kernel for 1/sum c_k e_k on [0..N]^d, d = len(c) - 1;
-    B = 0 over Q.  Requires an invertible c_0."""
+def _kernel_scale(c: Sequence[Coeff]) -> tuple:
+    """(c_0, L, B, weights [(k, the lambda-coefficients of w_k, one over Q)]
+    for each k >= 1 with c_k != 0) of the kernel for 1/sum c_k e_k,
+    d = len(c) - 1; B is the digit width of layer 0, 0 over Q.  Requires an
+    invertible c_0."""
     c0 = c[0]
     if depends_on_lambda(c0):
         raise ValueError("not expandable at origin: constant term not invertible")
@@ -210,16 +224,98 @@ def _kernel_scale(c: Sequence[Coeff], N: int) -> tuple:
               for k, ck in enumerate(c) if k and ck]  # c_k / c_0, lambda-coefficients
     L = _smallest_scale((q.denominator, k) for k, qs in ratios for q in qs)
     weights = [(k, [-int(q * L ** k) for q in qs]) for k, qs in ratios]
-    # Over Q[lambda] each weight w is packed as w(2^B), a ring homomorphism
-    # Z[lambda] -> Z, so the loop computes v_n(2^B).  With W the sum of |c|
-    # over the weight coefficients of all C(d, k) monomials of each e_k,
-    # ||v_n||_1 <= W^|n| by induction (every predecessor is at least one
-    # layer lower; merged weights only add terms already counted), so
-    # 2^(B-1) > max(1, W^(dN)) lets `_unpack` decode v_n.
-    d = len(c) - 1
-    W = sum(math.comb(d, k) * abs(q) for k, w in weights for q in w)
-    B = max(1, W ** (d * N)).bit_length() + 1 if any(map(depends_on_lambda, c)) else 0
-    return c0, L, B, [(k, int(UniPoly(w)(1 << B))) for k, w in weights]
+    # v_0 = 1 has the one digit 1, which b = 2 holds
+    B = _width(2, _growth(len(c) - 1, weights)) if any(map(depends_on_lambda, c)) else 0
+    return c0, L, B, weights
+
+
+# Over Q[lambda] each weight w is packed as w(2^B), a ring homomorphism
+# Z[lambda] -> Z, so the kernel computes v_n(2^B), whose balanced base-2^B
+# digits are the lambda-coefficients of v_n while they lie in
+# [-2^(B-1), 2^(B-1)).  A digit of v_n is a sum of products of a weight
+# coefficient and a digit of a predecessor, so it is at most W times the
+# widest digit of the layers read, W = sum_k C(d, k) ||w_k||_1.  If every
+# digit of the layers read lies in [-2^(b-1), 2^(b-1)) with
+# b = B - bits(W) - 1, every digit of the next layer is below
+# W * 2^(b-1) < 2^(B-1) and decodes exactly: by induction, the width is
+# certified layer by layer with `_fits`.  When a layer fails it, its digits
+# still decode; the layers held are re-packed (`_repack`) at the width of
+# their widest digit plus _LOOKAHEAD layers of growth by bits(W) bits.  A
+# narrow lookahead re-packs often and a wide one makes every product wider.
+# StraubLambda `expand --check-positive`, timed in one CPython 3.11
+# interpreter on a 2-vCPU x86-64 VM, took 2.8 ms at N = 16 for 3 to 8 layers
+# (3.6 at 1, 4.6 at 24) and 345 to 357 ms at N = 50 (423 at 1, 515 at 24);
+# 6 is the middle of that flat range.  Its digits grow by about 1.5 bits a
+# layer, against bits(W) = 5, so its starting width of 38 bits holds its
+# boxes up to N = 8 without a re-pack.
+_LOOKAHEAD = 6
+
+
+def _growth(d: int, weights) -> int:
+    """bits(W), W = sum_k C(d, k) ||w_k||_1 over the weights' lambda-coefficients."""
+    return sum(math.comb(d, k) * sum(map(abs, w)) for k, w in weights).bit_length()
+
+
+def _width(b: int, growth: int) -> int:
+    """The digit width B for layers with every digit in [-2^(b-1), 2^(b-1)),
+    whose digits grow by at most `growth` bits a layer: B - growth - 1 leaves
+    room for _LOOKAHEAD layers."""
+    return b + (_LOOKAHEAD + 1) * growth + 1
+
+
+def _pack(w: list[int], B: int) -> int:
+    """w(2^B) for the integer polynomial w, lowest coefficient first."""
+    return sum(q << (B * i) for i, q in enumerate(w))
+
+
+def _ones(B: int, slots: int) -> int:
+    """sum 2^(B i), i < slots: a 1 in each of `slots` base-2^B digits."""
+    return ((1 << B * slots) - 1) // ((1 << B) - 1)
+
+
+def _slots(top: int, B: int) -> int:
+    """A digit count that covers the balanced base-2^B digits of every value
+    of absolute value <= top: if digit j is the top one, |v| > 2^(Bj) / 3."""
+    return (top.bit_length() + 1) // B + 1
+
+
+def _fits(layer: dict[int, int], B: int, b: int) -> bool:
+    """Whether every balanced base-2^B digit of the layer's values lies in
+    [-2^(b-1), 2^(b-1)), 1 <= b < B, given that each lies in
+    [-2^(B-1), 2^(B-1)).  With the bias 2^(b-1) added to each digit, they
+    all do iff no biased value has a bit b..B-1 of a digit set, read in
+    two's complement: the digits below the lowest one out of range are
+    plain digits below 2^b, and that one reaches 2^b, or is negative and
+    borrows from the digit above it (or, at the top, makes the value
+    negative), which sets its bit B-1."""
+    values = layer.values()
+    ones = _ones(B, _slots(max(map(abs, values)), B))
+    bias = ones << (b - 1)
+    return not reduce(or_, map(bias.__add__, values)) & ones * ((1 << B) - (1 << b))
+
+
+def _repack(layers, B: int, B2: int) -> list[dict[int, int]]:
+    """The layers as fresh dicts, each value's balanced base-2^B digits
+    moved to base 2^B2, B2 > B.  With the bias 2^(B-1) on each digit they
+    are plain B-bit digits; log2(slots) rounds of a mask and a shift spread
+    them, each round moving the upper half of every block of digits to its
+    place at the new width."""
+    slots = _slots(max(max(map(abs, layer.values()), default=0) for layer in layers), B)
+    rounds, size = [], 1 << (slots - 1).bit_length()  # a power of two >= slots
+    while size > 1:  # blocks of `size` digits, each at its place
+        half = size // 2
+        upper = ((1 << size * B) - (1 << half * B)) * _ones(size * B2, -(-slots // size))
+        rounds.append((upper, half * (B2 - B)))
+        size = half
+    bias, bias2 = _ones(B, slots) << (B - 1), _ones(B2, slots) << (B - 1)
+
+    def spread(v: int) -> int:
+        x = v + bias
+        for upper, shift in rounds:
+            moved = x & upper
+            x = (x ^ moved) | (moved << shift)
+        return x - bias2
+    return [{code: spread(v) for code, v in layer.items()} for layer in layers]
 
 
 def _sweep(d: int, N: int, support: tuple, code: int) -> tuple:
@@ -246,9 +342,11 @@ def _sweep(d: int, N: int, support: tuple, code: int) -> tuple:
 
 def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
-    c_0: yield the scale (c_0, L, B), then (t, layers[t]) for t = 0..dN.
-    Only the deg(p) + 1 layers t - deg(p) .. t that the kernel reads are
-    held; an earlier one is dropped once it is yielded and no longer read."""
+    c_0: yield the scale (c_0, L, B_0), then (t, layers[t], B_t) for
+    t = 0..dN, B_t the digit width of layer t (0 over Q).  Only the
+    deg(p) + 1 layers t - deg(p) .. t that the kernel reads are held; an
+    earlier one is dropped once it is yielded and no longer read.  A layer
+    is never changed once yielded: a re-pack makes new ones."""
     d = len(c) - 1
     if d < 1:
         raise ValueError("need at least c_0 and c_1")
@@ -257,9 +355,10 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
     if (N + 1) ** d > entry_limit:
         raise BoxTooLargeError(
             f"box [0..{N}]^{d} has {(N + 1) ** d} entries, limit {entry_limit}")
-    c0, L, B, weights = _kernel_scale(c, N)
+    c0, L, B, weights = _kernel_scale(c)
     yield c0, L, B
-    support, w = tuple(k for k, _ in weights), dict(weights)
+    support, growth = tuple(k for k, _ in weights), _growth(d, weights)
+    w = {k: _pack(wk, B) for k, wk in weights}
     deg = max(support, default=0)  # deg(p)
     if (d, N) not in _PLANS:
         _PLANS[d, N] = (list(_shape_groups(d, N)) if math.comb(N + d, d) <= 1 << 13
@@ -267,8 +366,8 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
     held, sweeps = _PLANS[d, N]
     bound: dict = {}  # shape -> its sweep, bound to this box's weights
     current: dict[int, int] = {0: 1}
-    window = (current, *[None] * deg)[:deg]  # layers t - 1, ..., t - deg
-    yield 0, current
+    window = (current, *[{}] * deg)[:deg]  # layers t - 1, ..., t - deg
+    yield 0, current, B
     layers = enumerate(held or _shape_groups(d, N))
     next(layers)  # layer 0, v_0 = 1, is yielded above
     for t, groups in layers:
@@ -282,7 +381,16 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
                 sweep = bound[shape] = factory(*[w[k] * m for k, m in keys])
             current.update(zip(codes, sweep(codes, *window)))
         window = (current, *window)[:deg]
-        yield t, current
+        yield t, current, B
+        if B and not _fits(current, B, B - growth - 1):
+            # the other layers held fit B - growth - 1, and this one fits
+            # at most growth bits more
+            b = B - growth
+            while not _fits(current, B, b):
+                b += 1
+            B2 = _width(b, growth)
+            window = tuple(_repack(window, B, B2))
+            B, w, bound = B2, {k: _pack(wk, B2) for k, wk in weights}, {}
 
 
 def expand_reciprocal(c: Sequence[Coeff], N: int,
@@ -290,21 +398,23 @@ def expand_reciprocal(c: Sequence[Coeff], N: int,
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
     c_0, keeping every layer."""
     layers = expand_layers(c, N, entry_limit)
-    scale = next(layers)
-    return CoeffBox(len(c) - 1, N, [layer for _, layer in layers], scale)
+    scale, stream = next(layers), list(layers)
+    return CoeffBox(len(c) - 1, N, [layer for _, layer, _ in stream], scale,
+                    [B for _, _, B in stream])
 
 
 def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: bool):
     """(index, coefficient) at the graded-lex-first index of the box on
-    [0..N]^d with this scale and layers (t, layers[t]), taken in order of t,
-    whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda] (strict
-    only), whose coefficient is not a nonzero polynomial with coefficients
-    >= 0.  It reads no layer past the first with a hit, and none if c_0 < 0."""
-    c0, _, B = scale
-    if B and not strict:
+    [0..N]^d with this scale and layers (t, layers[t], B_t), taken in order
+    of t, whose coefficient is <= 0 (strict) or < 0, or None; over Q[lambda]
+    (strict only), whose coefficient is not a nonzero polynomial with
+    coefficients >= 0.  It reads no layer past the first with a hit, and none
+    if c_0 < 0."""
+    c0, L, B0 = scale
+    if B0 and not strict:
         raise ValueError("a Q[lambda] box has no non-strict check")
     if c0 < 0:  # u_0 = 1/c_0 < 0 is flagged, strict or not
-        return (0,) * d, _exact(scale, 0, 1)
+        return (0,) * d, _exact(c0, L, B0, 0, 1)
     # u_n = v_n / (c_0 L^|n|) has the sign of v_n, and is flagged over Q iff
     # v_n < lo.  Over Q[lambda], the lambda-coefficients of u_n times c_0 L^|n|
     # are the balanced base-2^B digits of v_n, each of absolute value < 2^(B-1).
@@ -312,10 +422,9 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
     # v_n >= 0 and no digit has its top bit (`mask`) set; the mask covers
     # every digit of the layer's widest value.
     lo = 1 if strict else 0
-    for t, layer in layers:
+    for t, layer, B in layers:
         if B:
-            top = max(map(abs, layer.values())).bit_length() // B + 1
-            mask = sum(1 << (B * i + B - 1) for i in range(top))
+            mask = _ones(B, _slots(max(map(abs, layer.values())), B)) << (B - 1)
             hits = [c for c, v in layer.items() if v < lo or v & mask]
         else:
             hits = [c for c, v in layer.items() if v < lo]
@@ -325,18 +434,19 @@ def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: boo
             # stored orbit representative its descending rearrangement
             first, code = max((tuple(sorted(_index(c, d, N), reverse=True)), c)
                               for c in hits)
-            return first, _exact(scale, t, layer[code])
+            return first, _exact(c0, L, B, t, layer[code])
     return None
 
 
 def tap_diagonal(layers, d: int, N: int, diagonal: list):
-    """Pass the layers (t, layers[t]) of a box on [0..N]^d through, appending
-    the kernel's integer v_(n,...,n) of each layer t = d*n to `diagonal`."""
+    """Pass the layers (t, layers[t], B_t) of a box on [0..N]^d through,
+    appending the kernel's integer v_(n,...,n) of each layer t = d*n to
+    `diagonal`."""
     step = _code((1,) * d, N)  # (n,...,n) has code n * step
-    for t, layer in layers:
+    for t, layer, B in layers:
         if t % d == 0:
             diagonal.append(layer[t // d * step])
-        yield t, layer
+        yield t, layer, B
 
 
 def save_cache(c: Sequence[Coeff], N: int, scale: tuple, diagonal: Sequence[int],
@@ -416,14 +526,15 @@ def load_cache(fh: TextIO) -> tuple[int, UniSeries]:
     c = field("c", _coefficient_vector)
     if N < 0:
         raise ValueError(f"cache header: negative N={N}")
-    # before the scale, so that a forged huge N never reaches W^(dN)
+    # the line count before the scale: a file whose N and lines disagree
+    # costs one comparison
     if len(lines) != N + 1:
         raise ValueError(f"cache holds {len(lines)} diagonal lines; "
                          f"N={N} needs N + 1 = {N + 1}")
     if any(map(depends_on_lambda, c)):
         raise ValueError("diagonal extraction requires a rational box")
     try:
-        scale = _kernel_scale(c, N)[:3]
+        scale = _kernel_scale(c)[:3]
     except ValueError as exc:
         raise ValueError(f"cache header: c= {exc}") from None
     if meta["L"] != str(scale[1]):

@@ -29,6 +29,7 @@ from diagonalis.exactalg import UniPoly, plain, rat
 from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
+from diagonalis.multipoly import depends_on_lambda
 from diagonalis.seriesbox import CoeffBox, _code, _exact, _kernel_scale, _unpack
 from diagonalis.uniseries import UniSeries
 from unipoly_oracle import FractionUniPoly
@@ -154,18 +155,24 @@ def entry_layer(d: int, N: int, t: int, symmetric: bool) -> list:
             for prefix, code, shape, prev, rest in parts if rest <= N]
 
 
-def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
-    """The exact box of 1/p by the per-entry kernel on the monomial dict of
-    p, with the box kernel's scale (c_0, L, B): one index tuple, one shape
-    tuple and one stencil sum per entry, every v_n keyed by n."""
-    c0, L, B, _ = _kernel_scale(c, N)
+def per_entry_kernel(c: Sequence, N: int, symmetric: bool) -> tuple:
+    """(c_0, L, B, {n: v_n}): the box of 1/p by the per-entry kernel on the
+    monomial dict of p, with the box kernel's c_0 and L, one index tuple, one
+    shape tuple and one stencil sum per entry.  Over Q[lambda] it packs at one
+    width B for the whole box, its own, from the l1 bound
+    ||v_n||_1 <= W^|n| with W the sum of |w| over the weights' coefficients,
+    so that it checks the width the box kernel certifies layer by layer
+    instead of sharing it; B = 0 over Q."""
+    c0, L, *_ = _kernel_scale(c)
     d = len(c) - 1
-    weights = []  # (m, w_m(2^B)), w_m = L^|m| p_m / c_0
+    terms = []  # (m, lambda-coefficients of w_m = L^|m| p_m / c_0)
     for m, pm in symmetric_denominator(c).items():
         if any(m):
             qs = pm.coeffs if isinstance(pm, UniPoly) else [pm]
-            ints = [int(Fraction(q) * L ** sum(m) / c0) for q in qs]
-            weights.append((m, sum(w << (B * i) for i, w in enumerate(ints))))
+            terms.append((m, [int(Fraction(q) * L ** sum(m) / c0) for q in qs]))
+    W = sum(abs(w) for _, ints in terms for w in ints)
+    B = max(1, W ** (d * N)).bit_length() + 1 if any(map(depends_on_lambda, c)) else 0
+    weights = [(m, sum(w << (B * i) for i, w in enumerate(ints))) for m, ints in terms]
     deg = max((sum(m) for m, _ in weights), default=0)
     radix = tuple((N + 1) ** (d - 1 - i) for i in range(d))
 
@@ -194,6 +201,12 @@ def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
             current[code] = ints[n] = acc
         recent.insert(0, current)
         del recent[deg:]
+    return c0, L, B, ints
+
+
+def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
+    """The exact box of 1/p by `per_entry_kernel`, every u_n keyed by n."""
+    c0, L, B, ints = per_entry_kernel(c, N, symmetric)
 
     def exact(n, v):
         den = c0.numerator * L ** sum(n)
@@ -207,7 +220,14 @@ def entry_at(box: CoeffBox, n):
     """The exact entry u_n of a collected box, read at its stored orbit
     representative, the sorted n."""
     t = sum(n)
-    return _exact(box.scale, t, box.layers[t][_code(tuple(sorted(n)), box.N)])
+    return _exact(*box.scale[:2], box.widths[t], t,
+                  box.layers[t][_code(tuple(sorted(n)), box.N)])
+
+
+def box_stream(box: CoeffBox):
+    """The layers (t, layers[t], B_t) of a collected box, as `expand_layers`
+    yields them."""
+    return zip(itertools.count(), box.layers, box.widths)
 
 
 def brute_force_first_nonpositive(box, strict: bool):

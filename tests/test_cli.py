@@ -405,6 +405,39 @@ def test_cache_write_error_names_the_given_path(capsys, tmp_path, name):
     assert os.listdir(tmp_path / "a-directory") == []
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing/x.box", "No such file or directory"),
+    ("a-file/x.box", "Not a directory"),
+    ("a-directory", "Is a directory"),
+    ("read-only/x.box", "Permission denied"),
+], ids=["missing", "file", "directory", "read-only"])
+def test_unwritable_cache_is_refused_before_any_layer(capsys, monkeypatch, tmp_path,
+                                                      cold_plans, name, reason):
+    # KZ-D at N = 60 took about a second of layers before the write failed
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "read-only").mkdir()
+    (tmp_path / "a-file").write_text("")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("read-only")
+                        and access(p, mode))
+    enumerated = []
+    shape_groups = seriesbox._shape_groups
+
+    def enumerating(*args):
+        for groups in shape_groups(*args):
+            enumerated.append(groups)
+            yield groups
+    monkeypatch.setattr(seriesbox, "_shape_groups", enumerating)
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "KZ-D", "--N", "60", "--cache", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"diagonalis expand: error: cannot write cache "
+                                       f"{path}: {reason}\n")
+    assert enumerated == []
+    assert sorted(os.listdir(tmp_path)) == ["a-directory", "a-file", "read-only"]
+
+
 def test_expand_deterministic_output(capsys, tmp_path):
     p1, p2 = tmp_path / "a.box", tmp_path / "b.box"
     run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", str(p1))

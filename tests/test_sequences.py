@@ -451,9 +451,9 @@ def _count_solves(monkeypatch):
     calls = []
     solve = sequences._nullspace
 
-    def counted(matrix):
+    def counted(matrix, screen=None):
         calls.append(len(matrix))
-        return solve(matrix)
+        return solve(matrix, screen)
     monkeypatch.setattr(sequences, "_nullspace", counted)
     return calls
 
@@ -480,10 +480,11 @@ def test_modular_route_needs_no_fraction_solve(monkeypatch):
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     # the screen skips every ansatz but (2, 3), the one solve
     assert calls == [seq.order - 1]
-    # one screen per order, then the (2, 3) ansatz checks exactly at its
-    # first prime: 3 eliminations, where solving every ansatz and
-    # waiting for two equal lifts took 9
-    assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(1)
+    # one screen per order; (2, 3) is the top ansatz of order 2, so its
+    # solve takes the screen's elimination as its first prime and checks
+    # exactly there: 2 eliminations, where solving every ansatz and waiting
+    # for two equal lifts took 9
+    assert primes == [sequences._SCREEN_PRIME] * 2
 
 
 def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
@@ -504,7 +505,9 @@ def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
     seq = binomial_oracle("kzd", 29)
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     assert not first[0] and len(calls) == 1
-    assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(2)
+    # the screen's elimination is the first prime of the lift, so the lift
+    # eliminates at one prime of its own, the next one
+    assert primes == [sequences._SCREEN_PRIME] * 2 + _first_primes(2)[1:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -514,7 +517,7 @@ def test_screened_guess_matches_fraction_oracle(seq):
     assert recurrence_guess(seq, 2, 3) == guess_oracle(seq, 2, 3)
     # every degree the screen skips has a trivial nullspace over Q
     for order in (1, 2):
-        first = sequences._first_degree(sequences._ansatz_matrix(seq, order, 3), order)
+        first, _ = sequences._first_degree(sequences._ansatz_matrix(seq, order, 3), order)
         assert 0 <= first <= 4
         for degree in range(first):
             matrix = sequences._ansatz_matrix(seq, order, degree)
@@ -540,8 +543,8 @@ def test_each_lower_ansatz_is_a_column_slice_of_the_top_one(terms, order, top):
 def test_screen_flags_the_first_degree_with_a_nullspace():
     seq = binomial_oracle("kzd", 24)
     # no degree up to 3 at order 1
-    assert sequences._first_degree(sequences._ansatz_matrix(seq, 1, 3), 1) == 4
-    assert sequences._first_degree(sequences._ansatz_matrix(seq, 2, 3), 2) == 3
+    assert sequences._first_degree(sequences._ansatz_matrix(seq, 1, 3), 1)[0] == 4
+    assert sequences._first_degree(sequences._ansatz_matrix(seq, 2, 3), 2)[0] == 3
 
 
 def _perturbed_franel():
@@ -584,7 +587,10 @@ def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
     monkeypatch.setattr(sequences, "_primes", _unlucky_primes())
     primes = _count_modular_solves(monkeypatch)
     seq = binomial_oracle("franel", 29)
-    assert recurrence_guess(seq, 2, 2) == builtin_recurrence("franel").normalized()
+    # franel's (2, 2) recurrence lies below max_degree 3, so its solve lifts
+    # from the supply of primes alone; at max_degree it would start from the
+    # screen's elimination and could lift before it reached them
+    assert recurrence_guess(seq, 2, 3) == builtin_recurrence("franel").normalized()
     assert {2, 3, 5, 7} <= set(primes)
 
 

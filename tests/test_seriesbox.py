@@ -20,8 +20,8 @@ from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_sca
                                   _unpack, expand_layers, expand_reciprocal,
                                   extract_diagonal, load_cache, save_cache,
                                   streamed_first_nonpositive, tap_diagonal)
-from oracles import (brute_force_first_nonpositive, collected_cache_text, entry_at,
-                     entry_layer, geometric_oracle, per_entry_data,
+from oracles import (box_stream, brute_force_first_nonpositive, collected_cache_text,
+                     entry_at, entry_layer, geometric_oracle, per_entry_data, per_entry_kernel,
                      scale_variables, substitute_zero, symmetric_denominator)
 
 
@@ -60,7 +60,7 @@ def _resaved(c, diagonal) -> str:
     """The cache file of a loaded diagonal of 1/p, its kernel integers
     v_n = c_0 * L^(dn) * u_n taken back from the series."""
     d, N = len(c) - 1, diagonal.order
-    c0, L, B, _ = _kernel_scale(c, N)
+    c0, L, B, _ = _kernel_scale(c)
     vs = [u * c0 * L ** (d * n) for n, u in enumerate(diagonal.coeffs)]
     assert B == 0 and all(v.denominator == 1 for v in vs)
     buf = io.StringIO()
@@ -145,7 +145,7 @@ def test_first_nonpositive_lambda_box_refuses_non_strict():
     # also where c_0 < 0 would flag the origin without reading a layer
     c = vec(-1, UniPoly([1, 1]), 0, UniPoly.x())
     with pytest.raises(ValueError, match="no non-strict check"):
-        streamed_first_nonpositive(_no_layers(), _kernel_scale(c, 3)[:3], 3, 3, False)
+        streamed_first_nonpositive(_no_layers(), _kernel_scale(c)[:3], 3, 3, False)
 
 
 def test_lambda_check_geometric():
@@ -243,7 +243,7 @@ def _no_layers():
 ], ids=["strict", "non-strict", "d1", "lambda"])
 def test_negative_constant_term_flags_the_origin_before_any_layer(c, strict):
     d, N = len(c) - 1, 3
-    hit = streamed_first_nonpositive(_no_layers(), _kernel_scale(c, N)[:3], d, N, strict)
+    hit = streamed_first_nonpositive(_no_layers(), _kernel_scale(c)[:3], d, N, strict)
     assert hit == brute_force_first_nonpositive(expand_reciprocal(c, N), strict)
     assert hit[0] == (0,) * d
 
@@ -269,9 +269,9 @@ def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
     def counted(c, N, entry_limit):
         layers = expand(c, N, entry_limit)
         yield next(layers)
-        for t, layer in layers:
+        for t, layer, B in layers:
             drawn.append(t)
-            yield t, layer
+            yield t, layer, B
     expand = seriesbox.expand_layers
     monkeypatch.setattr(cli, "expand_layers", counted)
     assert main(["expand", "--coeffs", "1,1,0", "--N", "3", "--check-positive"]) == 1
@@ -284,7 +284,7 @@ def test_expand_layers_yields_the_scale_then_each_layer():
     layers = expand_layers(c, 4, 10 ** 8)
     box = expand_reciprocal(c, 4)
     assert next(layers) == box.scale
-    assert list(layers) == list(enumerate(box.layers))
+    assert list(layers) == list(box_stream(box))
 
 
 @pytest.mark.parametrize("c, N, limit", [
@@ -533,8 +533,7 @@ def test_cache_rejects_wrong_entry_count():
 
 
 def test_cache_refuses_a_forged_huge_N_before_enumerating(monkeypatch, cold_plans):
-    # refused by its line count, before the kernel's scale, whose digit width
-    # over Q[lambda] is W^(dN), or any layer
+    # refused by its line count, before the kernel's scale or any layer
     lines = _kzd3_cache_lines()
     lines[0] = lines[0].replace("; N=3; ", f"; N={10 ** 6}; ")
 
@@ -776,7 +775,7 @@ def boxes_of_one_plan(draw):
     box = st.tuples(nonzero_rationals, *[coeff if k in support else st.just(F(0))
                                          for k in range(1, d + 1)]).map(lambda c: vec(*c))
     boxes = draw(st.lists(box, min_size=2, max_size=4))
-    assume(all(_kernel_scale(a, N)[3] != _kernel_scale(b, N)[3]
+    assume(all(_kernel_scale(a)[3] != _kernel_scale(b)[3]
                for a, b in zip(boxes, boxes[1:])))
     return N, boxes
 
@@ -837,6 +836,123 @@ def test_lambda_box_at_r_is_the_rational_box_of_lam_r(r):
     assert {n: u(F(r)) for n, u in lam_box.data.items()} == box.data
 
 
+# --- the certified Q[lambda] digit width -------------------------------------
+
+@st.composite
+def digit_rows(draw):
+    """(B, b, rows of balanced base-2^B digits, each in [-2^(B-1), 2^(B-1))),
+    1 <= b < B, with digits at and around the edges of both ranges."""
+    B = draw(st.integers(2, 40))
+    b = draw(st.integers(1, B - 1))
+    edges = [-(1 << (B - 1)), (1 << (B - 1)) - 1, -(1 << (b - 1)), (1 << (b - 1)) - 1,
+             -(1 << (b - 1)) - 1, 1 << (b - 1), 0]
+    digit = st.one_of(st.sampled_from(edges), st.integers(-(1 << (B - 1)), (1 << (B - 1)) - 1))
+    return B, b, draw(st.lists(st.lists(digit, max_size=6), min_size=1, max_size=5))
+
+
+@settings(max_examples=150)
+@given(digit_rows())
+@example((2, 1, [[-2, 1, -1]]))
+@example((5, 3, [[0, 0, -5]]))  # out of range at the top digit only
+@example((8, 7, [[63, 0], [-64]]))
+def test_certificate_fits_iff_every_digit_is_in_range(case):
+    B, b, rows = case
+    layer = {i: seriesbox._pack(row, B) for i, row in enumerate(rows)}
+    fits = all(-(1 << (b - 1)) <= x < 1 << (b - 1) for row in rows for x in row)
+    assert seriesbox._fits(layer, B, b) == fits
+
+
+@settings(max_examples=150)
+@given(digit_rows(), st.integers(1, 70))
+# 6 = 1 * 4^2 - 2 * 4 - 2: three digits, where 6 < 2^3 looks like two
+@example((2, 1, [[-2, -2, 1]]), 1)
+def test_certificate_repack_keeps_every_digit(case, wider):
+    B, _, rows = case
+    held = [{i: seriesbox._pack(row, B) for i, row in enumerate(rows)}, {}]
+    snapshot = [dict(layer) for layer in held]
+    repacked = seriesbox._repack(held, B, B + wider)
+    assert held == snapshot  # fresh dicts; the old ones are left as they were
+    assert repacked[1] == {}
+    assert all(_unpack(repacked[0][i], B + wider) == _unpack(held[0][i], B)
+               for i in range(len(rows)))
+
+
+@st.composite
+def lambda_boxes(draw):
+    """(c, N) over Q[lambda] for d = 1..3, with more layers than the oracle
+    properties above draw, so that a narrow width is re-packed many times."""
+    d = draw(st.integers(1, 3))
+    c = vec(draw(nonzero_rationals), *[draw(st.one_of(small_rationals, lambda_polys))
+                                       for _ in range(d)])
+    assume(any(map(depends_on_lambda, c)))
+    return c, draw(st.integers(0, {1: 16, 2: 8, 3: 5}[d]))
+
+
+def _yielded(c, N: int) -> list:
+    """The scale and every layer that `expand_layers` yields, each with a
+    copy taken as it was yielded."""
+    layers = expand_layers(c, N, 10 ** 8)
+    return [next(layers)] + [(t, layer, B, dict(layer)) for t, layer, B in layers]
+
+
+@settings(deadline=None, max_examples=60)
+@given(lambda_boxes(), st.integers(0, 2))
+@example((named_instance("StraubLambda").coeffs, 5), 0)
+@example((vec(1, -lam, lam * lam - 1), 8), 0)
+def test_lambda_kernel_matches_per_entry_kernel_at_any_lookahead(case, lookahead):
+    # a lookahead of 0 to 2 layers re-packs every few layers, so each box
+    # here starts too narrow and must widen as it goes
+    c, N = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seriesbox, "_LOOKAHEAD", lookahead)
+        box = expand_reciprocal(c, N)
+        yielded = _yielded(c, N)
+        streamed = _streamed(c, N)
+    assert box.data == per_entry_data(c, N, True)
+    assert all(layer == before for _, layer, _, before in yielded[1:])
+    assert streamed == brute_force_first_nonpositive(box, True)
+
+
+@pytest.mark.parametrize("c, N", [
+    (vec(1, -10 ** 40 * lam), 30),
+    (vec(1, -10 ** 40 * lam, 0, lam), 5),
+    (vec(3, 10 ** 40 * lam - 1, lam * lam), 8),
+], ids=["d1", "d3", "d2"])
+def test_a_huge_lambda_weight_widens_and_matches_the_oracle(c, N):
+    # bits(W) = 134: the starting width holds _LOOKAHEAD layers of it, and
+    # each layer past them is wider by 133 bits, so the kernel must widen
+    box = expand_reciprocal(c, N)
+    assert len(set(box.widths)) > 2
+    assert box.data == per_entry_data(c, N, True)
+    if len(c) == 2:
+        assert box.data == geometric_oracle(c, N)
+
+
+@pytest.mark.parametrize("c, N", [
+    (named_instance("StraubLambda").coeffs, 40),
+    (vec(1, -10 ** 40 * lam, 0, lam), 5),
+], ids=["StraubLambda", "huge-weight"])
+def test_no_yielded_layer_is_changed_afterwards(c, N):
+    # each re-pack builds new dicts: a layer that was yielded, and may be
+    # kept (`CoeffBox`) or read later, stays as it was yielded
+    yielded = _yielded(c, N)
+    assert len({B for _, _, B, _ in yielded[1:]}) > 2
+    assert all(layer == before for _, layer, _, before in yielded[1:])
+
+
+def test_straub_lambda_digits_match_the_l1_width_for_every_N_to_24():
+    # the lambda-coefficients of each v_n, read at the certified width of its
+    # layer, against those read at the one width of the per-entry kernel,
+    # from the l1 bound W^(dN)
+    c = named_instance("StraubLambda").coeffs
+    for N in range(25):
+        box = expand_reciprocal(c, N)
+        _, _, B, ints = per_entry_kernel(c, N, True)
+        for t, (layer, width) in enumerate(zip(box.layers, box.widths)):
+            for code, v in layer.items():
+                assert _unpack(v, width) == _unpack(ints[seriesbox._index(code, 3, N)], B)
+
+
 # --- pinned scan and cache behaviour ------------------------------------------
 
 @pytest.mark.parametrize("a, b, want", [
@@ -856,7 +972,7 @@ def test_scan_breaks_ties_within_the_first_flagged_layer(a, b, want, reloaded):
                if sum(n) == 3 and entry_at(box, n) <= 0}
     assert len(flagged) == 1 + (a == F(7, 4) and b == 0)
     for strict in (True, False):
-        hit = streamed_first_nonpositive(enumerate(box.layers), box.scale, 3, 3, strict)
+        hit = streamed_first_nonpositive(box_stream(box), box.scale, 3, 3, strict)
         assert hit == brute_force_first_nonpositive(box, strict)
         assert hit[0] == want
 

@@ -4,19 +4,20 @@ A `PRecurrence` is sum_{j=0..r} p_j(n) * u_{n+j} = 0 with polynomial
 coefficients p_j; all paper recurrences are stored re-indexed into this
 homogeneous convention.  Guessing accepts the smallest (order, degree)
 recurrence that verifies on every supplied term.  Each ansatz is an
-integer linear system.  For each order, one elimination mod a prime below
-2^30 of the ansatz at the largest degree, whose first columns are each
-lower degree's ansatz, rejects every degree of full column rank.  Each
-remaining ansatz is solved mod primes below 2^30: full column rank mod p
-rejects it, and otherwise the reduced row-echelon nullspace basis of the
-primes whose pivot columns agree with Q is lifted by CRT and rational
-reconstruction, and returned at the first prime where the lift checks
-exactly over Z.  So the result is the basis that exact elimination over
-Q gives, whatever its dimension.  Each elimination mod p runs on packed
-rows: a row is one int with an unreduced slot per column, and a row update
-is one big-integer multiply-add.  A sequence u_0, u_1, ... is a
-`UniSeries`; the check sums each instance on its numerators, as the runner
-does, and the ansatz rows read them too.
+integer linear system.  For each order, the ansatz at the largest degree,
+whose first columns are each lower degree's ansatz, is eliminated once mod
+a prime below 2^30, and each degree's elimination mod that prime is read
+off it as a column prefix: a degree of full column rank is rejected there.
+Each remaining ansatz is solved from its prefix on, mod further primes
+below 2^30: the reduced row-echelon nullspace basis of the primes whose
+pivot columns agree with Q is lifted by CRT and rational reconstruction,
+and returned at the first prime where the lift checks exactly over Z.  So
+the result is the basis that exact elimination over Q gives, whatever its
+dimension.  Each elimination mod p runs on packed rows: a row is one int
+with an unreduced slot per column, and a row update is one big-integer
+multiply-add.  A sequence u_0, u_1, ... is a `UniSeries`; the check sums
+each instance on its numerators, as the runner does, and the ansatz rows
+read them too.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def recurrence_guess(seq: UniSeries, max_order: int,
 
     Requires at least (max_order+1)(max_degree+1) + max_order +
     GUESS_SAFETY_MARGIN terms.  For each order, the ansatz at max_degree is
-    built once; each lower degree's is a slice of its first columns.  One
-    elimination of it mod _SCREEN_PRIME finds the first degree whose ansatz
-    can have a nonzero nullspace; only the ansätze from that degree on are
-    solved, each by `_nullspace`, exactly over Q through its lift mod primes.
+    built and eliminated mod _SCREEN_PRIME once; each lower degree's is a
+    slice of its first columns, whose elimination is read off that one by
+    `_echelon_prefix`.  A degree with a free column there is solved from it
+    by `_nullspace`, exactly over Q; the others have full column rank.
     A nullspace of dimension >= 2 is tried in the order of its reduced echelon
     basis on the degree-major columns of `_ansatz_matrix`."""
     if max_order < 1 or max_degree < 0:
@@ -207,11 +208,13 @@ def recurrence_guess(seq: UniSeries, max_order: int,
             f"max_degree={max_degree}; got {seq.order + 1}")
     for order in range(1, max_order + 1):
         top = _ansatz_matrix(seq, order, max_degree)
-        first, screen = _first_degree(top, order)
-        for degree in range(first, max_degree + 1):
-            # at max_degree the ansatz is `top`, which the screen has eliminated
-            matrix = [row[:(order + 1) * (degree + 1)] for row in top]
-            for vec in _nullspace(matrix, screen if degree == max_degree else None):
+        screen = _nullspace_mod(top, _SCREEN_PRIME)
+        for degree in range(max_degree + 1):
+            ncols = (order + 1) * (degree + 1)
+            first = _echelon_prefix(screen, ncols)
+            if not first[0]:
+                continue  # full column rank mod the prime, hence over Q
+            for vec in _nullspace([row[:ncols] for row in top], first):
                 ps = tuple(UniPoly(vec[j::order + 1]) for j in range(order + 1))
                 if ps[-1].is_zero():
                     continue  # really a lower-order relation
@@ -227,19 +230,15 @@ def recurrence_guess(seq: UniSeries, max_order: int,
 _SCREEN_PRIME = 2 ** 30 - 35
 
 
-def _first_degree(top: list[list[int]], order: int) -> tuple[int, tuple]:
-    """(the lowest degree whose ansatz of this order can have a nonzero
-    nullspace over Q, or max_degree + 1 if none can; the elimination
-    `_nullspace_mod(top, _SCREEN_PRIME)` that finds it) for `top`, the
-    ansatz at max_degree, whose first (order+1)(d+1) columns are the ansatz
-    of degree d.  Gauss-Jordan leaves a column free iff it depends on the
-    columns before it, so a degree below the first free column has full
-    column rank mod the prime, hence over Q."""
-    _, pivots = screen = _nullspace_mod(top, _SCREEN_PRIME)
-    # the pivots are increasing, so the first free column is the first c
-    # that is not the c-th pivot; with none, it is the number of columns
-    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
-    return free // (order + 1), screen
+def _echelon_prefix(solve: tuple, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """`_nullspace_mod` of a matrix's first ncols columns, read off `solve`,
+    that of all its columns at the same prime.  Gauss-Jordan sets each pivot
+    and row update on the columns up to it alone, and an echelon row is zero
+    left of its pivot, so the prefix's elimination is the prefix of the whole."""
+    basis, pivots = solve
+    pivots = [c for c in pivots if c < ncols]
+    # one basis vector per free column, in increasing order
+    return [vec[:ncols] for vec in basis[:ncols - len(pivots)]], pivots
 
 
 def _ansatz_matrix(seq: UniSeries, order: int, degree: int) -> list[list[int]]:
@@ -278,22 +277,21 @@ def _is_prime(n: int) -> bool:
 
 def _primes() -> Iterator[int]:
     """The odd primes below 2^30, largest first; the first is _SCREEN_PRIME,
-    so the screen and the lift eliminate on one word size."""
+    the prime of each order's one screen, so every lift starts from it."""
     return filter(_is_prime, range(2 ** 30 - 1, 2, -2))
 
 
-def _nullspace(matrix: list[list[int]],
-               screen: Optional[tuple] = None) -> list[list[Fraction]]:
+def _nullspace(matrix: list[list[int]], first: tuple) -> list[list[Fraction]]:
     """The reduced row-echelon basis of the nullspace over Q of an integer
     matrix, one vector per free column in increasing order, found mod
-    primes by CRT and rational reconstruction.  `screen`, if given, is
-    `_nullspace_mod(matrix, _SCREEN_PRIME)`, taken as that prime's."""
+    primes by CRT and rational reconstruction.  The first prime's solve is
+    `first`, `_nullspace_mod(matrix, _SCREEN_PRIME)`; the other primes come
+    from `_primes` less that one, so no prime is combined with itself."""
     ncols = len(matrix[0])
     best, residues, modulus, hadamard = None, [], 1, None
-    solves = ((p, _nullspace_mod(matrix, p)) for p in _primes()
-              if screen is None or p != _SCREEN_PRIME)
-    if screen is not None:
-        solves = chain([(_SCREEN_PRIME, screen)], solves)
+    solves = chain([(_SCREEN_PRIME, first)],
+                   ((p, _nullspace_mod(matrix, p)) for p in _primes()
+                    if p != _SCREEN_PRIME))
     for p, (basis, pivots) in solves:
         # A minor that is nonzero mod p is a nonzero integer, so every
         # prefix of the columns has rank mod p at most its rank over Q.

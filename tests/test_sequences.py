@@ -451,11 +451,18 @@ def _count_solves(monkeypatch):
     calls = []
     solve = sequences._nullspace
 
-    def counted(matrix, screen=None):
+    def counted(matrix, first):
         calls.append(len(matrix))
-        return solve(matrix, screen)
+        return solve(matrix, first)
     monkeypatch.setattr(sequences, "_nullspace", counted)
     return calls
+
+
+def _solve(matrix):
+    """`_nullspace` from the matrix's own first elimination, mod
+    `_SCREEN_PRIME`, where the guess passes it the screen's cut."""
+    return sequences._nullspace(
+        matrix, sequences._nullspace_mod(matrix, sequences._SCREEN_PRIME))
 
 
 def _count_modular_solves(monkeypatch):
@@ -480,10 +487,19 @@ def test_modular_route_needs_no_fraction_solve(monkeypatch):
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("kzd").normalized()
     # the screen skips every ansatz but (2, 3), the one solve
     assert calls == [seq.order - 1]
-    # one screen per order; (2, 3) is the top ansatz of order 2, so its
-    # solve takes the screen's elimination as its first prime and checks
-    # exactly there: 2 eliminations, where solving every ansatz and waiting
-    # for two equal lifts took 9
+    # one screen per order; the (2, 3) solve takes the screen's elimination
+    # as its first prime and checks exactly there: 2 eliminations, where
+    # solving every ansatz and waiting for two equal lifts took 9
+    assert primes == [sequences._SCREEN_PRIME] * 2
+
+
+def test_each_order_eliminates_once_mod_the_screen_prime(monkeypatch):
+    primes = _count_modular_solves(monkeypatch)
+    seq = binomial_oracle("kzd", 44)
+    assert recurrence_guess(seq, 4, 6) == builtin_recurrence("kzd").normalized()
+    # the (2, 3) solve lies below max_degree 6, and it starts from the cut
+    # of order 2's screen rather than eliminating its 12 columns again mod
+    # the screen's prime, so its lift at that prime costs no elimination
     assert primes == [sequences._SCREEN_PRIME] * 2
 
 
@@ -515,13 +531,16 @@ def test_lift_goes_on_past_a_wrong_reconstruction(monkeypatch):
 @example(binomial_oracle("kzd", 24))
 def test_screened_guess_matches_fraction_oracle(seq):
     assert recurrence_guess(seq, 2, 3) == guess_oracle(seq, 2, 3)
-    # every degree the screen skips has a trivial nullspace over Q
+    # every degree whose cut of the screen has no basis vector has a
+    # trivial nullspace over Q
     for order in (1, 2):
-        first, _ = sequences._first_degree(sequences._ansatz_matrix(seq, order, 3), order)
-        assert 0 <= first <= 4
-        for degree in range(first):
-            matrix = sequences._ansatz_matrix(seq, order, degree)
-            assert nullspace_oracle(matrix) == []
+        screen = sequences._nullspace_mod(sequences._ansatz_matrix(seq, order, 3),
+                                          sequences._SCREEN_PRIME)
+        for degree in range(4):
+            cut, _ = sequences._echelon_prefix(screen, (order + 1) * (degree + 1))
+            if not cut:
+                matrix = sequences._ansatz_matrix(seq, order, degree)
+                assert nullspace_oracle(matrix) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -540,11 +559,20 @@ def test_each_lower_ansatz_is_a_column_slice_of_the_top_one(terms, order, top):
         assert sequences._ansatz_matrix(seq, order, d) == [row[:width] for row in matrix]
 
 
+def _cut_sizes(seq, order, top):
+    """The number of basis vectors in each degree's cut of the screen."""
+    screen = sequences._nullspace_mod(sequences._ansatz_matrix(seq, order, top),
+                                      sequences._SCREEN_PRIME)
+    return [len(sequences._echelon_prefix(screen, (order + 1) * (d + 1))[0])
+            for d in range(top + 1)]
+
+
 def test_screen_flags_the_first_degree_with_a_nullspace():
     seq = binomial_oracle("kzd", 24)
-    # no degree up to 3 at order 1
-    assert sequences._first_degree(sequences._ansatz_matrix(seq, 1, 3), 1)[0] == 4
-    assert sequences._first_degree(sequences._ansatz_matrix(seq, 2, 3), 2)[0] == 3
+    # no degree up to 3 at order 1; at order 2, degree 3 first, with kzd's
+    # one recurrence
+    assert _cut_sizes(seq, 1, 3) == [0, 0, 0, 0]
+    assert _cut_sizes(seq, 2, 3) == [0, 0, 0, 1]
 
 
 def _perturbed_franel():
@@ -584,14 +612,15 @@ def _unlucky_primes():
 
 
 def test_unlucky_primes_give_the_same_recurrence(monkeypatch):
+    # every solve starts from the screen's cut, so the screen is mod 2 too:
+    # its lifts start there and go on through 3, 5 and 7
+    monkeypatch.setattr(sequences, "_SCREEN_PRIME", 2)
     monkeypatch.setattr(sequences, "_primes", _unlucky_primes())
     primes = _count_modular_solves(monkeypatch)
     seq = binomial_oracle("franel", 29)
-    # franel's (2, 2) recurrence lies below max_degree 3, so its solve lifts
-    # from the supply of primes alone; at max_degree it would start from the
-    # screen's elimination and could lift before it reached them
     assert recurrence_guess(seq, 2, 3) == builtin_recurrence("franel").normalized()
     assert {2, 3, 5, 7} <= set(primes)
+    assert primes.count(2) == 2  # one screen per order, never a lift
 
 
 @functools.cache
@@ -627,19 +656,19 @@ def test_hadamard_bound_waits_for_a_failed_lift(monkeypatch):
     primes = _count_modular_solves(monkeypatch)
     # the kzd (2, 3) lift passes at its first prime: no bound
     kzd = sequences._ansatz_matrix(binomial_oracle("kzd", 29), 2, 3)
-    assert len(sequences._nullspace(kzd)) == 1
+    assert len(_solve(kzd)) == 1
     assert (bounds, primes) == ([], _first_primes(1))
     # the Kauers (3, 6) lift needs a third prime: one bound, after the
     # first lift fails
     kauers = sequences._ansatz_matrix(_kauers_diagonal(), 3, 6)
     del primes[:]
-    assert len(sequences._nullspace(kauers)) == 1
+    assert len(_solve(kauers)) == 1
     assert (bounds, primes) == ([33], _first_primes(3))
     # a lift that never passes computes it once per solve, not per prime
     del bounds[:], primes[:]
     monkeypatch.setattr(sequences, "_rational_reconstruction", lambda a, m: None)
     with pytest.raises(ArithmeticError, match="no exact nullspace lift"):
-        sequences._nullspace(kzd)
+        _solve(kzd)
     assert bounds == [len(kzd)] and len(primes) > 1
 
 
@@ -649,7 +678,7 @@ def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
     primes = _count_modular_solves(monkeypatch)
     matrix = sequences._ansatz_matrix(binomial_oracle("franel", 29), 2, 2)
     with pytest.raises(ArithmeticError, match="no exact nullspace lift"):
-        sequences._nullspace(matrix)
+        _solve(matrix)
     # the stop is twice the square of a Hadamard bound on the minors
     norms = sorted(math.isqrt(sum(a * a for a in row)) + 1 for row in matrix)
     stop = 2 * math.prod(norms[-len(matrix[0]):]) ** 2
@@ -662,7 +691,7 @@ def test_broken_reconstruction_raises_and_does_not_hang(monkeypatch):
 ])
 def test_degenerate_windows_match_the_oracle_at_nullity_2(seq):
     # both have an ansatz of nullity 2 below the recurrence they give
-    assert any(len(sequences._nullspace(sequences._ansatz_matrix(seq, 1, d))) == 2
+    assert any(len(_solve(sequences._ansatz_matrix(seq, 1, d))) == 2
                for d in range(3))
     assert recurrence_guess(seq, 2, 2) == guess_oracle(seq, 2, 2)
 
@@ -689,9 +718,12 @@ def _matrix_of_prescribed_rank(draw):
 @example([[2, 1]])  # pivot 0 over Q, pivot 1 mod 2
 @example([[6, 35, 1], [0, 0, 0]])  # 6 vanishes mod 2 and 3, 35 mod 5 and 7
 def test_nullspace_matches_the_fraction_oracle(unlucky, matrix):
+    # unlucky: the first solve is mod 2, then 3, 5 and 7
     with mock.patch.object(sequences, "_primes",
-                           _unlucky_primes() if unlucky else sequences._primes):
-        assert sequences._nullspace(matrix) == nullspace_oracle(matrix)
+                           _unlucky_primes() if unlucky else sequences._primes), \
+         mock.patch.object(sequences, "_SCREEN_PRIME",
+                           2 if unlucky else sequences._SCREEN_PRIME):
+        assert _solve(matrix) == nullspace_oracle(matrix)
 
 
 @st.composite
@@ -729,6 +761,35 @@ def _slot_near_its_bound():
 def test_packed_elimination_matches_the_list_oracle(case):
     matrix, p = case
     assert sequences._nullspace_mod(matrix, p) == list_nullspace_mod(matrix, p)
+
+
+@st.composite
+def _matrix_with_multiples_of_p(draw):
+    """(M, p) for a small integer M whose entries are often multiples of p,
+    so that it loses rank mod p where it keeps it over Q."""
+    p = draw(st.sampled_from([2, 3, 5, 7, sequences._SCREEN_PRIME]))
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, cols + 3))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * p))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrix_mod_a_prime(), _matrix_with_multiples_of_p()))
+@example(_slot_near_its_bound())
+@example(([[0, 0, 0]] * 2, 2))
+@example(([[2, 1, 1], [4, 2, 3]], 2))  # pivot 1 mod 2 where Q has pivot 0
+def test_echelon_prefix_matches_the_prefix_elimination(case):
+    # the guess reads each degree's elimination mod p off the screen's; the
+    # cut to every column prefix must be that prefix's own elimination
+    matrix, p = case
+    whole = sequences._nullspace_mod(matrix, p)
+    for ncols in range(1, len(matrix[0]) + 1):
+        prefix = [row[:ncols] for row in matrix]
+        assert (sequences._echelon_prefix(whole, ncols)
+                == sequences._nullspace_mod(prefix, p)
+                == list_nullspace_mod(prefix, p))
 
 
 def test_is_prime_agrees_with_trial_division():

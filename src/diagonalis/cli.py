@@ -296,15 +296,23 @@ def _positive_rational(s: str) -> Fraction:
     return q
 
 
+_GRID_POINTS = 10 ** 5  # the most points of a grid axis, and of the a x b grid
+
+
 def _grid(spec: str) -> list[Fraction]:
-    """lo, lo + step, ... <= hi for the spec "lo:hi:step"; lo <= hi, step > 0."""
+    """lo, lo + step, ... <= hi for the spec "lo:hi:step"; lo <= hi, step > 0,
+    and at most _GRID_POINTS points, counted before any is built."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {spec!r}")
     lo, hi, step = _rational(parts[0]), _rational(parts[1]), _positive_rational(parts[2])
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range: lo > hi in {spec!r}")
-    return [lo + k * step for k in range((hi - lo) // step + 1)]
+    count = (hi - lo) // step + 1
+    if count > _GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} has {count} points; a grid takes at most {_GRID_POINTS}")
+    return [lo + k * step for k in range(count)]
 
 
 def cmd_geometry(args) -> int:
@@ -312,6 +320,10 @@ def cmd_geometry(args) -> int:
         _emit(args, critical_points_diag(_resolve_family(args)))
         return 0
     if args.mode == "grid":
+        count = len(args.a_range) * len(args.b_range)
+        if count > _GRID_POINTS:
+            raise ValueError(f"the a x b grid has {count} points; "
+                             f"a grid takes at most {_GRID_POINTS}")
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
         for a in args.a_range:
             for b in args.b_range:

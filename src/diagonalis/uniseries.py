@@ -111,10 +111,8 @@ class UniSeries:
             return self._scaled(rat(other))
         if not isinstance(other, UniSeries):
             return NotImplemented
-        # schoolbook convolution on the numerators, reduced once
         a, b = self.nums, other.nums
-        return UniSeries._of([sum(map(operator.mul, a[:n + 1], b[n::-1]))
-                              for n in range(min(len(a), len(b)))], self.den * other.den)
+        return UniSeries._of(_convolve(a, b, min(len(a), len(b))), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -136,18 +134,47 @@ class UniSeries:
         return self * other.inverse()
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
-        """self(inner(z)); requires inner(0) = 0."""
+        """self(inner(z)) to the lower order m of the two; requires inner(0) = 0.
+
+        Baby steps and giant steps (M. S. Paterson and L. J. Stockmeyer, SIAM
+        J. Comput. 2(1), 1973; R. P. Brent and H. T. Kung, J. ACM 25(4),
+        1978): about 2 sqrt(K) series products where Horner takes K.  With v
+        the valuation of g = inner, c_i g^i starts past z^m when v*i > m, so
+        K = m//v + 1 coefficients count.  Each block
+        B_j = sum_{i<b} c_(jb+i) g^i, b = ceil(sqrt(K)), is one integer
+        combination of g^0 .. g^(b-1) over one denominator, and Horner in
+        G = g^b runs over the blocks from the top.  G^j starts at z^(v*b*j),
+        so B_j, and the partial sum from B_j up, count only to z^(m-v*b*j).
+        Every power is held as g^i = z^(v*i) h^i, and a product by G as the
+        product by h^b shifted up v*b places, so no product runs over zeros.
+        """
         if inner.nums[0]:
             raise ValueError("composition requires inner constant term 0")
         m = min(self.order, inner.order)
-        v = next((n for n, x in enumerate(inner.nums) if x), m + 1)  # valuation
-        # Horner from the top down.  The partial sum at c_i, multiplied by
-        # inner i more times, reaches the result only up to z^(m-v*i): so c_i
-        # with v*i > m never does, and the unknown top v terms may be 0.
-        acc = UniSeries([self[m // v]], m % v)
-        for i in range(m // v - 1, -1, -1):
-            acc = (UniSeries._of(acc.nums + [0] * v, acc.den) * inner.truncate(m - v * i)
-                   + UniSeries([self[i]], m - v * i))
+        v = next((n for n, x in enumerate(inner.nums[:m + 1]) if x), m + 1)  # valuation
+        K = m // v + 1
+        b = math.isqrt(K - 1) + 1
+        h, hden = reduce_nums(inner.nums[v:m + 1], inner.den)  # g = z^v h
+        powers = [([1] + [0] * m, 1)]  # h^i to z^(m-v*i), over its denominator
+        for i in range(1, b + 1):
+            nums, den = powers[-1]
+            powers.append(reduce_nums(_convolve(nums, h, m - v * i + 1), den * hden))
+        H, Hden = powers.pop()  # G = z^(v*b) H / Hden
+        # column n holds L [z^n] g^i for i < b, L the lcm of their denominators
+        L = math.lcm(*(den for _, den in powers))
+        columns = list(zip(*([0] * (v * i) + [x * (L // den) for x in nums]
+                             for i, (nums, den) in enumerate(powers))))
+        cs, step = self.nums[:K], v * b
+
+        def block(j: int) -> UniSeries:
+            c = cs[j * b:j * b + b]
+            return UniSeries._of([sum(map(operator.mul, c, col))
+                                  for col in columns[:m - step * j + 1]], self.den * L)
+
+        acc = block((K - 1) // b)
+        for j in range((K - 1) // b - 1, -1, -1):
+            acc = (UniSeries._of([0] * step + _convolve(acc.nums, H, len(acc.nums)),
+                                 acc.den * Hden) + block(j))
         return acc
 
     def derivative(self) -> "UniSeries":
@@ -232,6 +259,11 @@ class UniSeries:
         shown = ", ".join(str(Fraction(x, self.den)) for x in self.nums[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"UniSeries([{shown}{tail}]; order={self.order})"
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of a and b, by schoolbook."""
+    return [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(n)]
 
 
 def _append(nums: list[int], den: int, q: Fraction) -> int:

@@ -1263,6 +1263,27 @@ def test_grid_step_is_validated():
             _grid(bad)
 
 
+def test_grid_past_its_point_bound_is_refused_before_any_point(capsys, monkeypatch):
+    # an axis is counted before it is built, and the a x b product before any
+    # point is reported: built, the 10^18 + 1 points of the first would run
+    # until memory runs out, and the 10^6 of the second would take minutes
+    assert len(_grid(f"0:{cli._GRID_POINTS - 1}:1")) == cli._GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match="at most"):
+        _grid(f"0:{cli._GRID_POINTS}:1")
+
+    def no_point(*args):
+        raise AssertionError("a grid past the bound reached a point")
+
+    monkeypatch.setattr(cli, "critical_points_diag", no_point)
+    for a, b, shown in (("0:1000000000:1/1000000000", "0:1:1", "1000000000000000001"),
+                        ("0:999:1", "0:999:1", "1000000")):
+        with pytest.raises(SystemExit) as exc:
+            main(["geometry", "grid", "--a", a, "--b", b])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.count("\n") == 1, err
+        assert err.startswith("diagonalis geometry grid: error: ") and shown in err
+
+
 def test_cli_import_needs_no_mpmath():
     # modular arithmetic is plain int and pow(x, -1, p); hashlib once cost
     # 3.6 MiB of peak memory in a CLI run

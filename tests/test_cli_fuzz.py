@@ -8,8 +8,10 @@ Sizes stay bounded so that each run is fast.  A huge integer goes only to
 --N, --max-order and --entry-limit, which refuse it before any work: a box
 of a huge --N has more entries than even the huge --entry-limit, and a
 huge --entry-limit alone is bounded by the small --N and --d.  --M, --upto,
---d and --max-degree stay small, and every grid range has at most 4
-points, as `cli._grid` builds every point of a range before any check."""
+--d and --max-degree stay small, and every grid range that may run has at
+most 4 points; a hostile range of 10^18 + 1 points must be refused with
+exit 2 before any point is built, as `cli._grid` counts a range's points
+first."""
 
 import argparse
 import contextlib
@@ -26,6 +28,7 @@ from diagonalis.cli import _READS, build_parser, main
 from diagonalis.sequences import binomial_oracle
 
 _HUGE = "9" * 40
+_HUGE_RANGE = "0:1000000000:1/1000000000"  # 10^18 + 1 points
 _FRANEL = ",".join(map(str, binomial_oracle("franel", 29).coeffs))
 _RATIONALS = (["0", "1/2", "3/2", "-1", "4"], ["", "-0", "1/0", "x"])
 _SMALL = (["0", "2", "5"], ["", "-1", "-0"])
@@ -57,8 +60,9 @@ _VALUES = {
                   '[["1/0"],["1"]]', "null", "[[],[]]", '[["0"],["0"]]']),
     "upto": _SMALL, "M": _SMALL,
     "a_range": (["0:1:1/3", "0:1:1", "-1:2:1", "3/2:3/2:1"],
-                ["1:0:1", "0:1:0", "0:1:-1", "1/0:1:1", "0:1", ""]),
-    "b_range": (["4:5:1", "0:1:1/3", "-1:2:1"], ["1:0:1", "0:1:0", "x:1:1", ""]),
+                ["1:0:1", "0:1:0", "0:1:-1", "1/0:1:1", "0:1", "", _HUGE_RANGE]),
+    "b_range": (["4:5:1", "0:1:1/3", "-1:2:1"],
+                ["1:0:1", "0:1:0", "x:1:1", "", _HUGE_RANGE]),
     "output": (["{dir}/out.csv"], ["{dir}", "{dir}/missing/out.csv", ""]),
     "prec": (["1/2", "1/16", "3/2"], ["", "1/0", "-1", "0"]),
     "b_lo": (["4", "3/2", "0", "5"], ["", "-1", "1/0"]),
@@ -151,9 +155,12 @@ def test_every_option_has_an_alphabet():
 @example(["geometry", "grid", "--a", "0:1:1/3", "--b", "4:5:1",
           "--output", "{dir}/missing/out.csv"])
 @example(["expand", "--family", "KZ-D", "--N", _HUGE, "--entry-limit", _HUGE[1:]])
+@example(["geometry", "grid", "--a", _HUGE_RANGE, "--b", "4:5:1"])
 def test_fuzzed_argv_keeps_the_exit_contract(cache_dir, argv):
     code, out, err = _run(argv, cache_dir)
     assert code in (0, 1, 2), (argv, code)
+    if _HUGE_RANGE in argv:
+        assert code == 2, argv
     if code == 2:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
     elif "json" in argv and argv[argv.index("json") - 1] == "--format" \

@@ -413,14 +413,42 @@ def test_power_against_log_exp_oracle(tail, r):
     assert got.coeffs == ode_oracle(f, 1, 1, r + 1, 1)
 
 
-@settings(max_examples=40)
-@given(st.lists(small_fractions, min_size=1, max_size=8), small_tails)
-@example([F(1, 3), 2, -1, F(5, 7), 1, 1, 3, F(-2, 9)], [0, F(27, 2), 0, -1, 4])
-@example([1, 2, 3, 4, 5, 6, 7], [0, 0, 5])  # inner of valuation 3
-@example([1, 2, 3, 4], [0, 0, 0])  # inner 0 to the order
-def test_compose_against_full_horner(outer, tail):
-    f, inner = UniSeries(outer), UniSeries([0] + tail)
-    assert f.compose(inner).coeffs == compose_oracle(f, inner).coeffs
+# about half the coefficients 0, so outer and inner series come sparse
+sparse_fractions = st.one_of(st.just(F(0)), small_fractions)
+
+
+@st.composite
+def compositions(draw):
+    """(outer, inner): outer to order up to 40; inner of valuation 1-4, or 0
+    to its order, of an order above, equal to or below the outer one."""
+    order = draw(st.integers(0, 40))
+    outer = draw(st.lists(sparse_fractions, min_size=order + 1, max_size=order + 1))
+    inner_order = max(0, order + draw(st.sampled_from([-7, -1, 0, 0, 1, 7])))
+    v = draw(st.integers(1, 4))
+    lead = draw(st.one_of(st.just(F(0)), nonzero_fractions))
+    tail = draw(st.lists(sparse_fractions, max_size=inner_order)) if lead else []
+    return UniSeries(outer), UniSeries([0] * v + [lead] + tail, inner_order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(compositions())
+# M = 0 and M = 1, with an inner of order below, equal to and above the outer
+@example((UniSeries([F(3, 2)]), UniSeries([0, 5])))
+@example((UniSeries([1, -2]), UniSeries([0])))
+@example((UniSeries([F(1, 3), 2, -1]), UniSeries([0, F(-7, 2)])))
+@example((UniSeries([F(1, 3), 2, -1, F(5, 7), 1, 1, 3, F(-2, 9)]),
+          UniSeries([0, 0, F(27, 2), 0, -1, 4])))
+@example((UniSeries([1, 2, 3, 4, 5, 6, 7]), UniSeries([0, 0, 0, 5])))  # valuation 3
+@example((UniSeries([1, 2, 3, 4]), UniSeries([0, 0, 0, 0])))  # inner 0 to the order
+# K = 40 coefficients in blocks of 7: 5 full blocks and a partial top one of 5;
+# a square K = 36 of 6 full blocks; and K = 11 at valuation 4, blocks 4, 4, 3
+@example((UniSeries(range(1, 41)), UniSeries([0, 1, F(-1, 2), 3], 39)))
+@example((UniSeries([F(1, n) for n in range(1, 37)]), UniSeries([0, 2, 0, 0, 1], 38)))
+@example((UniSeries([0] * 10 + [1] * 31), UniSeries([0, 0, 0, 0, F(3, 4), 1], 40)))
+def test_compose_against_full_horner(pair):
+    f, inner = pair
+    got, want = reduced(f.compose(inner)), compose_oracle(f, inner)
+    assert (got.nums, got.den, got.order) == (want.nums, want.den, want.order)
 
 
 @settings(max_examples=40)

@@ -55,11 +55,10 @@ The positivity scan reads that stream as it comes and stops at the first
 layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
 layer as the stream passes, for `save_cache`.  A cache (format v4) holds
 those N + 1 integers alone, the only entries its reader reads.
-`CoeffBox.layers[t]` keeps every layer and `CoeffBox.widths[t]` its width,
-for `extract_diagonal`.  It and `load_cache` give the diagonal
-u_(n,...,n), n = 0..N, as a `UniSeries` of order N rescaled from the
-kernel's integers (`_diagonal`); any other exact u_n is built only when
-read.
+`expand_reciprocal` taps them into a `CoeffBox`, which holds no layer.
+`extract_diagonal` and `load_cache` give the diagonal u_(n,...,n), n = 0..N,
+as a `UniSeries` of order N rescaled from the kernel's integers
+(`_diagonal`); `CoeffBox.data` expands the box anew to read any other u_n.
 """
 
 from __future__ import annotations
@@ -148,26 +147,24 @@ def _exact(c0: Fraction, L: int, B: int, t: int, v: int) -> Coeff:
 
 
 class CoeffBox:
-    """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
-    with scale (c_0, L, B_0), B_0 = 0 over Q: layers[t] maps the code of each
-    sorted n with |n| = t to v_n, whose digit width is widths[t]."""
+    """The box of 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, as the kernel's
+    scale (c_0, L, B_0), B_0 = 0 over Q, and integers v_(n,...,n), n = 0..N,
+    of its diagonal; a Q[lambda] box keeps none, as its diagonal is not read."""
 
-    def __init__(self, dim: int, N: int, layers: list[dict[int, int]],
-                 scale: tuple, widths: list[int]):
-        self.dim = dim
+    def __init__(self, c: Sequence[Coeff], N: int, scale: tuple, diagonal: list[int]):
+        self.c = c
         self.N = N
-        self.layers = layers
         self.scale = scale
-        self.widths = widths
-        self.ring = "Qlambda" if scale[2] else "Q"
+        self.diagonal = diagonal
 
     @property
     def data(self) -> dict[Exponent, Coeff]:
-        """Every stored (sorted) entry as an exact value, built on each read."""
-        c0, L, _ = self.scale
-        return {_index(code, self.dim, self.N): _exact(c0, L, B, t, v)
-                for t, (layer, B) in enumerate(zip(self.layers, self.widths))
-                for code, v in layer.items()}
+        """Every stored (sorted) entry as an exact value, re-expanded on each read."""
+        d = len(self.c) - 1
+        layers = expand_layers(self.c, self.N, (self.N + 1) ** d)
+        c0, L, _ = next(layers)
+        return {_index(code, d, self.N): _exact(c0, L, B, t, v)
+                for t, layer, B in layers for code, v in layer.items()}
 
 
 def _smallest_scale(requirements) -> int:
@@ -395,12 +392,14 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
 
 def expand_reciprocal(c: Sequence[Coeff], N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
-    """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible
-    c_0, keeping every layer."""
+    """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible c_0,
+    keeping its diagonal (`tap_diagonal`); a Q[lambda] box draws no layer."""
     layers = expand_layers(c, N, entry_limit)
-    scale, stream = next(layers), list(layers)
-    return CoeffBox(len(c) - 1, N, [layer for _, layer, _ in stream], scale,
-                    [B for _, _, B in stream])
+    scale, diagonal = next(layers), []
+    if not scale[2]:
+        for _ in tap_diagonal(layers, len(c) - 1, N, diagonal):
+            pass
+    return CoeffBox(c, N, scale, diagonal)
 
 
 def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: bool):
@@ -482,10 +481,9 @@ def _diagonal(scale: tuple, d: int, vs: list[int]) -> UniSeries:
 
 def extract_diagonal(box: CoeffBox) -> UniSeries:
     """The series of u_(n,...,n), n = 0..N, of a rational box."""
-    if box.ring != "Q":
+    if box.scale[2]:
         raise ValueError("diagonal extraction requires a rational box")
-    d, step = box.dim, _code((1,) * box.dim, box.N)  # (n,...,n): code n * step
-    return _diagonal(box.scale, d, [box.layers[d * n][n * step] for n in range(box.N + 1)])
+    return _diagonal(box.scale, len(box.c) - 1, box.diagonal)
 
 
 def load_cache(fh: TextIO) -> tuple[int, UniSeries]:

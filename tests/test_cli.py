@@ -368,6 +368,42 @@ def test_expansion_failing_midway_opens_no_file(capsys, tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["kzd3.box"]
 
 
+_LAMBDA_DIAGONAL = "diagonal extraction requires a rational box"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("diag --family StraubLambda --N 40", _LAMBDA_DIAGONAL),
+    ("recur guess --family StraubLambda --N 40 --max-order 2 --max-degree 2",
+     _LAMBDA_DIAGONAL),
+    ("recur check --builtin franel --family StraubLambda --N 40", _LAMBDA_DIAGONAL),
+    # the scale's own refusals still come first
+    ("diag --family StraubLambda --N -1", "box bound must be >= 0"),
+    ("recur guess --family StraubLambda --N 40 --entry-limit 1000 --max-order 2 "
+     "--max-degree 2", "box [0..40]^3 has 68921 entries, limit 1000"),
+], ids=lambda v: v[:60])
+def test_a_lambda_family_diagonal_is_refused_before_any_layer(capsys, monkeypatch,
+                                                              argv, message):
+    drawn = []
+    expand = seriesbox.expand_layers
+
+    def counted(*args):
+        layers = expand(*args)
+        yield next(layers)  # the scale
+        for item in layers:
+            drawn.append(item[0])
+            yield item
+    # cli binds expand_layers, and expand_reciprocal reads it from seriesbox
+    monkeypatch.setattr(cli, "expand_layers", counted)
+    monkeypatch.setattr(seriesbox, "expand_layers", counted)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.endswith(f" error: {message}\n")
+    assert drawn == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "AG3", "--N", "3", "--entry-limit", "63"],
     ["--family", "AG3", "--N", "3", "--entry-limit", "63", "--check-positive"],

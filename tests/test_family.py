@@ -6,7 +6,7 @@ from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import (_FAMILIES, FamilySpec, canonicalize,
                                make_family, named_instance)
 from diagonalis.seriesbox import expand_reciprocal, extract_diagonal
-from oracles import symmetric_denominator
+from oracles import collect, symmetric_denominator
 
 
 @pytest.mark.parametrize("k, c", [(0, 1), (1, -1), (2, F(3, 4)), (3, 0)])
@@ -23,12 +23,14 @@ def test_a_constant_unipoly_coefficient_keeps_the_family_hash(k, c):
 def test_a_constant_unipoly_coefficient_keeps_the_rational_box(k, c):
     # equal families expand alike: a constant UniPoly is no lambda
     cs = [1, -1, F(3, 4), 0]
-    plain_box = expand_reciprocal(make_family(3, cs).coeffs, 4)
+    plain_c = make_family(3, cs).coeffs
     cs[k] = UniPoly.const(c)
-    box = expand_reciprocal(make_family(3, cs).coeffs, 4)
+    c = make_family(3, cs).coeffs
+    box, plain_box = collect(c, 4), collect(plain_c, 4)
     assert box.ring == plain_box.ring == "Q"
     assert box.scale == plain_box.scale and box.layers == plain_box.layers
-    assert extract_diagonal(box).coeffs == extract_diagonal(plain_box).coeffs
+    assert (extract_diagonal(expand_reciprocal(c, 4)).coeffs
+            == extract_diagonal(expand_reciprocal(plain_c, 4)).coeffs)
 
 
 def test_catalog_literals():

@@ -10,8 +10,7 @@ from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
                                  cubic_discriminant, nonsmooth_locus_3d,
                                  sturm_isolate)
-from diagonalis.seriesbox import expand_reciprocal
-from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive,
+from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive, collect,
                      fraction_critical_points_diag, fraction_sturm_chain,
                      fraction_variations, nonsmooth_locus_4d)
 from unipoly_oracle import FractionUniPoly
@@ -455,7 +454,7 @@ def test_report_json_shape():
 def test_violated_verdict_backed_by_box():
     fam = make_family(3, [1, -1, 0, 5])
     assert critical_points_diag(fam).verdict == "violated"
-    box = expand_reciprocal(fam.coeffs, 12)
+    box = collect(fam.coeffs, 12)
     assert brute_force_first_nonpositive(box, True) is not None
 
 

@@ -20,7 +20,7 @@ from diagonalis.seriesbox import (BoxTooLargeError, _kernel_scale, _smallest_sca
                                   _unpack, expand_layers, expand_reciprocal,
                                   extract_diagonal, load_cache, save_cache,
                                   streamed_first_nonpositive, tap_diagonal)
-from oracles import (box_stream, brute_force_first_nonpositive, collected_cache_text,
+from oracles import (box_stream, brute_force_first_nonpositive, collect, collected_cache_text,
                      entry_at, entry_layer, geometric_oracle, per_entry_data, per_entry_kernel,
                      scale_variables, substitute_zero, symmetric_denominator)
 
@@ -70,7 +70,7 @@ def _resaved(c, diagonal) -> str:
 
 def test_geometric_two_var_binomials():
     c = vec(1, -1, 0)
-    box = expand_reciprocal(c, 3)
+    box = collect(c, 3)
     oracle = geometric_oracle(c, 3)
     for n in range(4):
         for m in range(4):
@@ -79,13 +79,13 @@ def test_geometric_two_var_binomials():
 
 
 def test_factored_denominator_all_ones():
-    box = expand_reciprocal(vec(1, -1, 1), 5)  # (1-x)(1-y)
+    box = collect(vec(1, -1, 1), 5)  # (1-x)(1-y)
     assert all(entry_at(box, e) == 1
                for e in itertools.product(range(6), repeat=2))
 
 
 def test_one_plus_x_plus_y():
-    box = expand_reciprocal(vec(1, 1, 0), 2)
+    box = collect(vec(1, 1, 0), 2)
     assert entry_at(box, (1, 0)) == -1
     assert entry_at(box, (0, 0)) == 1
 
@@ -104,7 +104,7 @@ def test_reconstruction_invariant():
     # p * (truncated series) == 1 inside the box, exactly
     for coeffs in ([1, -1, 0, 4], [1, -1, F(3, 4), 0], [2, -3, F(1, 2)]):
         N = 4
-        box = expand_reciprocal(vec(*coeffs), N)
+        box = collect(vec(*coeffs), N)
         for n in itertools.product(range(N + 1), repeat=len(coeffs) - 1):
             acc = F(0)
             for m, pm in symmetric_denominator(coeffs).items():
@@ -116,8 +116,8 @@ def test_reconstruction_invariant():
 
 def test_restriction_consistency():
     c = vec(1, -1, F(1, 3), F(-2))
-    box = expand_reciprocal(c, 4)
-    sub = expand_reciprocal(substitute_zero(c), 4)
+    box = collect(c, 4)
+    sub = collect(substitute_zero(c), 4)
     for n in itertools.product(range(5), repeat=2):
         assert entry_at(sub, n) == entry_at(box, n + (0,))
 
@@ -153,14 +153,14 @@ def test_lambda_check_geometric():
     lam = UniPoly.x()
     c = vec(1, -lam)
     assert _streamed(c, 3) is None
-    assert entry_at(expand_reciprocal(c, 3), (3,)) == lam ** 3
+    assert entry_at(collect(c, 3), (3,)) == lam ** 3
 
 
 def test_lambda_entries_are_read_without_a_fraction_per_digit(monkeypatch):
     # 1/(-2 + w x) with w = 3 lambda^2 - lambda: coefficients -w^n / 2^(n+1)
     lam = UniPoly.x()
     w = 3 * lam ** 2 - lam
-    box = expand_reciprocal(vec(-2, w), 4)
+    box = collect(vec(-2, w), 4)
     made = []
 
     class Counted(F):
@@ -191,7 +191,7 @@ def _same_scan(c, N, strict=True):
     """The streamed check returns what the per-entry oracle reads off the
     collected box."""
     hit = _streamed(c, N, strict)
-    assert hit == brute_force_first_nonpositive(expand_reciprocal(c, N), strict)
+    assert hit == brute_force_first_nonpositive(collect(c, N), strict)
     return hit
 
 
@@ -244,7 +244,7 @@ def _no_layers():
 def test_negative_constant_term_flags_the_origin_before_any_layer(c, strict):
     d, N = len(c) - 1, 3
     hit = streamed_first_nonpositive(_no_layers(), _kernel_scale(c)[:3], d, N, strict)
-    assert hit == brute_force_first_nonpositive(expand_reciprocal(c, N), strict)
+    assert hit == brute_force_first_nonpositive(collect(c, N), strict)
     assert hit[0] == (0,) * d
 
 
@@ -282,7 +282,7 @@ def test_streamed_check_stops_at_the_first_flagged_layer(capsys, monkeypatch):
 def test_expand_layers_yields_the_scale_then_each_layer():
     c = named_instance("AG3").coeffs
     layers = expand_layers(c, 4, 10 ** 8)
-    box = expand_reciprocal(c, 4)
+    box = collect(c, 4)
     assert next(layers) == box.scale
     assert list(layers) == list(box_stream(box))
 
@@ -317,8 +317,9 @@ def _peak(run) -> tuple:
 
 @functools.cache
 def _kzd26_box_peak() -> int:
-    """The peak of collecting the box of KZ-D on [0..26]^4, all 105 layers."""
-    return _peak(lambda: expand_reciprocal(named_instance("KZ-D").coeffs, 26))[1]
+    """The peak of collecting the box of KZ-D on [0..26]^4, all 105 layers
+    (`collect`)."""
+    return _peak(lambda: collect(named_instance("KZ-D").coeffs, 26))[1]
 
 
 def test_streamed_check_holds_a_window_of_layers():
@@ -348,9 +349,24 @@ def test_cache_read_holds_a_window(tmp_path, capsys):
     assert 3 * read < _kzd26_box_peak()
 
 
+def test_family_diagonal_holds_a_window_of_layers(capsys):
+    # `diag --family` keeps the diagonal integers of the layers as they pass
+    argv = ["diag", "--family", "KZ-D", "--N", "26", "--oracle", "kzd"]
+    code, held = _peak(lambda: main(argv))
+    assert code == 0 and "oracle: match (kzd, n <= 26)" in capsys.readouterr().out
+    assert 3 * held < _kzd26_box_peak()
+
+
+def test_recurrence_check_of_a_family_holds_a_window_of_layers(capsys):
+    argv = ["recur", "check", "--builtin", "kzd", "--family", "KZ-D", "--N", "26"]
+    code, held = _peak(lambda: main(argv))
+    assert code == 0 and "result: pass\n" in capsys.readouterr().out
+    assert 3 * held < _kzd26_box_peak()
+
+
 def test_cache_roundtrip_rational():
     c = vec(1, -1, 0, 4)
-    box = expand_reciprocal(c, 3)
+    box = collect(c, 3)
     text = _cache_text(c, 3)
     d, diagonal = load_cache(io.StringIO(text))
     assert d == 3 and diagonal.order == 3
@@ -426,7 +442,7 @@ lam = UniPoly.x()
 @example((named_instance("GRZ", d=5).coeffs, 2))
 def test_kernel_matches_geometric_oracle(case):
     c, N = case
-    box = expand_reciprocal(c, N)
+    box = collect(c, N)
     # a constant UniPoly coefficient is a rational and leaves the box over Q
     lam_ring = any(map(depends_on_lambda, c))
     assert box.ring == ("Qlambda" if lam_ring else "Q")
@@ -448,7 +464,7 @@ def test_kernel_matches_geometric_oracle(case):
 @example((vec(1, 1, 0), 3), True)
 def test_first_nonpositive_matches_brute_force(case, strict):
     c, N = case
-    box = expand_reciprocal(c, N)
+    box = collect(c, N)
     strict = strict or box.ring == "Qlambda"  # a lambda box has no other check
     assert _streamed(c, N, strict) == brute_force_first_nonpositive(box, strict)
 
@@ -476,7 +492,7 @@ def test_pack_unpack_roundtrip(case):
 
 def test_constant_lambda_denominator():
     # a constant UniPoly is a rational, so the box is over Q
-    box = expand_reciprocal(vec(UniPoly.const(3), 0, 0), 2)
+    box = collect(vec(UniPoly.const(3), 0, 0), 2)
     assert box.ring == "Q"
     assert box.data[(0, 0)] == F(1, 3) and isinstance(box.data[(0, 0)], F)
     for n in itertools.product(range(3), repeat=2):
@@ -688,7 +704,7 @@ def test_cache_refuses_format_v2(text):
 def test_cache_roundtrip_keeps_the_kernel_integers(case):
     c, N = case
     text = _cache_text(c, N)
-    assert text == collected_cache_text(c, expand_reciprocal(c, N))
+    assert text == collected_cache_text(c, collect(c, N))
     assert _resaved(c, load_cache(io.StringIO(text))[1]) == text
 
 
@@ -745,7 +761,11 @@ def test_both_diagonal_routes_rescale_the_kernel_integers(case):
     (named_instance("hab", a=F(0), b=F(-3, 8)).coeffs, 30),
     (named_instance("GRZ", d=5).coeffs, 8),
     (named_instance("StraubLambda").coeffs, 16),
-], ids=["Kauers-sym", "hab-1/4-23/8", "hab-0--3/8", "GRZ5", "StraubLambda"])
+    # C(23, 4) = 8855 stored entries, past 2^13: the plan holds no groups, and
+    # the box and its re-expansion by `data` each enumerate their own
+    (named_instance("Kauers").coeffs, 19),
+], ids=["Kauers-sym", "hab-1/4-23/8", "hab-0--3/8", "GRZ5", "StraubLambda",
+        "Kauers-streamed-groups"])
 def test_layer_kernel_matches_per_entry_kernel(c, N):
     assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
 
@@ -817,13 +837,13 @@ def test_symmetric_mode_matches_full():
     c = vec(1, -1, 0, 2, 4)
     full = per_entry_data(c, 3, False)
     assert len(full) == 4 ** 4
-    box = expand_reciprocal(c, 3)
+    box = collect(c, 3)
     assert all(entry_at(box, n) == v for n, v in full.items())
 
 
 @functools.cache
 def _straub_lambda_box():
-    return expand_reciprocal(named_instance("StraubLambda").coeffs, 16)
+    return collect(named_instance("StraubLambda").coeffs, 16)
 
 
 @pytest.mark.parametrize("r", ["-3", "-1/2", "0", "1", "7/2", "1000000"])
@@ -831,7 +851,7 @@ def test_lambda_box_at_r_is_the_rational_box_of_lam_r(r):
     # the packed Q[lambda] box at N = 16, where B is tight, specialized entry
     # by entry, against the box over Q of the family with lam = r
     lam_box = _straub_lambda_box()
-    box = expand_reciprocal(named_instance("StraubLambda", lam=r).coeffs, 16)
+    box = collect(named_instance("StraubLambda", lam=r).coeffs, 16)
     assert box.ring == "Q" and len(box.data) == math.comb(19, 3)
     assert {n: u(F(r)) for n, u in lam_box.data.items()} == box.data
 
@@ -905,7 +925,7 @@ def test_lambda_kernel_matches_per_entry_kernel_at_any_lookahead(case, lookahead
     c, N = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seriesbox, "_LOOKAHEAD", lookahead)
-        box = expand_reciprocal(c, N)
+        box = collect(c, N)
         yielded = _yielded(c, N)
         streamed = _streamed(c, N)
     assert box.data == per_entry_data(c, N, True)
@@ -921,7 +941,7 @@ def test_lambda_kernel_matches_per_entry_kernel_at_any_lookahead(case, lookahead
 def test_a_huge_lambda_weight_widens_and_matches_the_oracle(c, N):
     # bits(W) = 134: the starting width holds _LOOKAHEAD layers of it, and
     # each layer past them is wider by 133 bits, so the kernel must widen
-    box = expand_reciprocal(c, N)
+    box = collect(c, N)
     assert len(set(box.widths)) > 2
     assert box.data == per_entry_data(c, N, True)
     if len(c) == 2:
@@ -934,7 +954,7 @@ def test_a_huge_lambda_weight_widens_and_matches_the_oracle(c, N):
 ], ids=["StraubLambda", "huge-weight"])
 def test_no_yielded_layer_is_changed_afterwards(c, N):
     # each re-pack builds new dicts: a layer that was yielded, and may be
-    # kept (`CoeffBox`) or read later, stays as it was yielded
+    # kept (`collect`) or read later, stays as it was yielded
     yielded = _yielded(c, N)
     assert len({B for _, _, B, _ in yielded[1:]}) > 2
     assert all(layer == before for _, layer, _, before in yielded[1:])
@@ -946,7 +966,7 @@ def test_straub_lambda_digits_match_the_l1_width_for_every_N_to_24():
     # from the l1 bound W^(dN)
     c = named_instance("StraubLambda").coeffs
     for N in range(25):
-        box = expand_reciprocal(c, N)
+        box = collect(c, N)
         _, _, B, ints = per_entry_kernel(c, N, True)
         for t, (layer, width) in enumerate(zip(box.layers, box.widths)):
             for code, v in layer.items():
@@ -965,7 +985,7 @@ def test_scan_breaks_ties_within_the_first_flagged_layer(a, b, want, reloaded):
     # 1 - e_1 + a e_2 + b e_3: layers 0..2 are positive for a < 2, and in
     # layer 3, u_(2,1,0) = 3 - 2a and u_(1,1,1) = 6 - 6a - b
     c = named_instance("hab", a=a, b=b).coeffs
-    box = expand_reciprocal(c, 3)
+    box = collect(c, 3)
     if reloaded:  # the same layers with their codes in reverse order
         box.layers = [dict(reversed(layer.items())) for layer in box.layers]
     flagged = {tuple(sorted(n)) for n in itertools.product(range(4), repeat=3)
@@ -998,4 +1018,4 @@ def test_cache_bytes_are_pinned(c, N, crc):
 def test_streamed_cache_matches_the_collected_writer(c):
     # hab-failing is flagged at (3,3,2) from N = 8 on
     for N in (0, 1, 3, 8):
-        assert _cache_text(c, N) == collected_cache_text(c, expand_reciprocal(c, N))
+        assert _cache_text(c, N) == collected_cache_text(c, collect(c, N))

@@ -25,9 +25,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactalg import plain, rat
+from .exactalg import over_lcm, plain, rat
 from .family import FamilySpec, make_family, named_instance
-from .geometry import box_positivity_bisect, critical_points_diag
+from .geometry import _classify_3d, box_positivity_bisect, critical_points_diag
 from .identities import IDENTITIES, verify_identity
 from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, recurrence_check,
@@ -86,10 +86,10 @@ def _cache_path(path: str) -> str:
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
-def _refuse_unwritable(path: str) -> None:
-    """Raise the error that writing the cache at `path` would end in, as far
-    as the path and its directory show it: the path a directory, or its
-    directory missing, not a directory or not writable."""
+def _refuse_unwritable(path: str, noun: str) -> None:
+    """Raise the error that writing the `noun` file at `path` would end in,
+    as far as the path and its directory show it: the path a directory, or
+    its directory missing, not a directory or not writable."""
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -99,7 +99,7 @@ def _refuse_unwritable(path: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise OSError(f"cannot write cache {path}: {os.strerror(code)}")
+    raise OSError(f"cannot write {noun} {path}: {os.strerror(code)}")
 
 
 def _fmt_index(n) -> str:
@@ -123,7 +123,7 @@ def cmd_expand(args) -> int:
     hit, diagonal = None, []
     if args.cache:
         path = _cache_path(args.cache)
-        _refuse_unwritable(path)  # before any layer is made
+        _refuse_unwritable(path, "cache")  # before any layer is made
         layers = tap_diagonal(layers, d, N, diagonal)
     if args.check_positive:  # stops at the first layer with a hit
         hit = streamed_first_nonpositive(layers, scale, d, N, strict)
@@ -324,16 +324,24 @@ def cmd_geometry(args) -> int:
         if count > _GRID_POINTS:
             raise ValueError(f"the a x b grid has {count} points; "
                              f"a grid takes at most {_GRID_POINTS}")
+        if args.output:
+            _refuse_unwritable(args.output, "output")  # before any point
         rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
+        # hab is canonical as given (c_0 = 1, c_1 = -1): each row is the
+        # point report's locus, count and verdict, with no root isolated
         for a in args.a_range:
             for b in args.b_range:
-                rep = critical_points_diag(named_instance("hab", a=a, b=b))
-                rows.append((a, b, rep.locus_value, "smooth" if rep.smooth else "member",
-                             rep.positive_orthant_count, rep.verdict))
+                (x, y), M = over_lcm((a, b))
+                locus, count, verdict, _ = _classify_3d(x, y, M)
+                rows.append((a, b, Fraction(locus, M ** 3),
+                             "smooth" if locus else "member", count, verdict))
         text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         if args.output:
-            with open(args.output, "w") as out:
-                out.write(text)
+            try:
+                with open(args.output, "w") as out:
+                    out.write(text)
+            except OSError as exc:  # worded as the refusal above
+                raise OSError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
         else:
             sys.stdout.write(text)
         return 0

@@ -1,14 +1,17 @@
 """Critical-point and smoothness analysis for the symmetric families.
 
-Implements the explicit nonsmooth-locus discriminant for d = 3, exact
-real-root isolation by Sturm chains, one diagonal-direction critical-point
-analysis for d = 2, 3 on the canonical form (c_0 = 1, c_1 = -1) of a family,
-and the box-positivity threshold bisection.
+Implements exact real-root isolation by Sturm chains, one diagonal-direction
+critical-point analysis for d = 2, 3 on the canonical form (c_0 = 1,
+c_1 = -1) of a family, and the box-positivity threshold bisection.
 
 The analysis runs on integers.  The canonical coefficients are put over one
 denominator M once; the cubic discriminant and the locus are integer
 polynomials in their numerators, divided by a power of M once at the end,
-and the off-diagonal class is decided by integer comparisons.  A Sturm
+and the off-diagonal class is decided by integer comparisons.  For d = 3,
+`_classify_3d` gives the locus, the critical-point count, with the
+symmetric points counted by Sturm's theorem at 0 and infinity, and the
+verdict.  Each `geometry grid` row is read off it alone; `geometry point`
+also isolates the symmetric roots, to report their intervals.  A Sturm
 chain is one signed remainder sequence per level of the gcd chain p,
 gcd(p, p'), ..., held as int lists: each member is the primitive part of a
 pseudo-remainder whose steps scale only by |lc| > 0 (W. S. Brown and
@@ -32,17 +35,6 @@ from .family import FamilySpec, canonicalize, named_instance
 # its tracer wraps a name that `from x import y` binds
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers,  # noqa: F401
                         expand_reciprocal, streamed_first_nonpositive)
-
-
-# --- nonsmooth locus --------------------------------------------------------
-
-def nonsmooth_locus_3d(a, b) -> tuple[Fraction, bool]:
-    """Evaluate 4a^3 - 3a^2 + 6ab + b^2 - 4b; zero iff the singular variety
-    of h_{a,b} has nonsmooth points.  With a = x/D and b = y/D it is the
-    integer 4x^3 + (6xy - 3x^2 + y^2) D - 4y D^2 over D^3."""
-    (x, y), D = over_lcm((rat(a), rat(b)))
-    v = Fraction(4 * x ** 3 + (6 * x * y - 3 * x * x + y * y) * D - 4 * y * D * D, D ** 3)
-    return v, v == 0
 
 
 # --- discriminants ----------------------------------------------------------
@@ -118,9 +110,10 @@ def _sturm_chain(p: list[int]) -> tuple[list[list[int]], list[int]]:
 
 
 def _variations(chain: list[list[int]], n: int, d: int) -> int:
-    """Sign changes of the chain at n/d, d > 0, zeros skipped.  A member of
-    degree k has the sign of its homogeneous Horner sum sum c_i n^i d^(k-i),
-    its value times d^k."""
+    """Sign changes of the chain at n/d, zeros skipped.  For d > 0 a member
+    of degree k has the sign of its homogeneous Horner sum
+    sum c_i n^i d^(k-i), its value times d^k; at 1/0, infinity, that sum is
+    its leading coefficient, whose sign it takes for all large x."""
     count = last = 0
     for q in chain:
         acc, dk = 0, 1
@@ -227,6 +220,42 @@ def _off_diagonal_3d(x: int, y: int, M: int) -> CritClass:
     return CritClass("off-diagonal", None, (), 0, note)
 
 
+def _verdict(d: int, locus, count: int) -> tuple[str, str]:
+    """The verdict and its reason from the nonsmooth locus (0 on it) and the
+    count of critical points in the open positive orthant."""
+    if locus == 0:
+        return "inconclusive", "locus-member: test inapplicable"
+    if d == 2 and count == 0:
+        return "violated", "no critical point in the open positive orthant"
+    if d == 2:
+        return "inconclusive", "positive critical points exist; minimality not decided here"
+    if count != 1:
+        return "violated", (
+            f"{count} critical points in the open positive orthant (need exactly 1)")
+    return "inconclusive", "necessary condition satisfied"
+
+
+def _positive_root_count(p: list[int]) -> int:
+    """The distinct positive roots of p, p(0) != 0: V(0) - V(infinity) over
+    its Sturm chain (C. Sturm, 1835), with no root isolated."""
+    chain = _sturm_chain(_primitive(p))[0]
+    return _variations(chain, 0, 1) - _variations(chain, 1, 0)
+
+
+def _classify_3d(x: int, y: int, M: int) -> tuple[int, int, str, str]:
+    """h_{a,b} for a = x/M and b = y/M, M > 0, on integers: the numerator of
+    its nonsmooth locus 4a^3 - 3a^2 + 6ab + b^2 - 4b over M^3, zero iff the
+    singular variety has nonsmooth points; its critical points in the open
+    positive orthant, the positive roots of M - 3Mt + 3xt^2 + yt^3 (p(0) =
+    M != 0) and the off-diagonal ones; and the verdict with its reason."""
+    locus = 4 * x ** 3 + (6 * x * y - 3 * x * x + y * y) * M - 4 * y * M * M
+    p = [M, -3 * M, 3 * x, y]
+    while not p[-1]:
+        p.pop()
+    count = _positive_root_count(p) + _off_diagonal_3d(x, y, M).positive_count
+    return (locus, count, *_verdict(3, locus, count))
+
+
 def critical_points_diag(family: FamilySpec) -> CritReport:
     """Critical points for the diagonal direction (1, ..., 1) for d = 2, 3.
 
@@ -236,7 +265,9 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
     The symmetric points (t, ..., t) are the positive roots of
     sum_k C(d, k) c_k t^k, that is 1 - 2t + at^2 or 1 - 3t + 3at^2 + bt^3.
     With c_k = m_k / M, the cubic's discriminant is that of its integer
-    numerators over M^4."""
+    numerators over M^4.  For d = 3 the locus, the count and the verdict
+    are `_classify_3d`'s, as in each `geometry grid` row; the isolation
+    gives the symmetric roots' intervals and multiplicities."""
     d = family.dim
     if d not in (2, 3):
         raise ValueError("critical-point analysis supports d = 2 and d = 3 only")
@@ -251,24 +282,13 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
     classes = [CritClass("symmetric", poly, roots, len(roots))]
     if d == 2:
         # all critical points for (1, 1) are symmetric; nonsmooth iff a = 1
-        locus, disc = Fraction(m[2] - M, M), None
+        locus, disc, count = Fraction(m[2] - M, M), None, len(roots)
+        verdict, reason = _verdict(2, locus, count)
     else:
-        locus = nonsmooth_locus_3d(*family.coeffs[2:])[0]
+        locus, count, verdict, reason = _classify_3d(m[2], m[3], M)
+        locus = Fraction(locus, M ** 3)
         disc = Fraction(cubic_discriminant(*reversed(cs)), M ** 4)
         classes.append(_off_diagonal_3d(m[2], m[3], M))
-    count = sum(c.positive_count for c in classes)
-    if locus == 0:
-        verdict, reason = "inconclusive", "locus-member: test inapplicable"
-    elif d == 2 and count == 0:
-        verdict, reason = "violated", "no critical point in the open positive orthant"
-    elif d == 2:
-        verdict, reason = "inconclusive", (
-            "positive critical points exist; minimality not decided here")
-    elif count != 1:
-        verdict, reason = "violated", (
-            f"{count} critical points in the open positive orthant (need exactly 1)")
-    else:
-        verdict, reason = "inconclusive", "necessary condition satisfied"
     return CritReport(family, locus != 0, locus, tuple(classes), count, disc,
                       verdict, reason)
 

@@ -15,6 +15,8 @@ import pytest
 import diagonalis
 from diagonalis import cli, geometry, sequences, seriesbox
 from diagonalis.cli import _grid, _positive_rational, build_parser, main
+from diagonalis.exactalg import UniPoly
+from diagonalis.family import FamilySpec
 from diagonalis.sequences import binomial_oracle
 
 
@@ -652,6 +654,59 @@ def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     assert run(capsys, *argv, "--output", str(path)) == (0, "")
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing/grid.csv", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+    ("read-only/grid.csv", "Permission denied"),
+], ids=["missing", "directory", "read-only"])
+def test_unwritable_grid_output_is_refused_before_any_point(capsys, monkeypatch, tmp_path,
+                                                            name, reason):
+    # the 10,465-point grid took 0.65 s of points before the write failed
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "read-only").mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("read-only")
+                        and access(p, mode))
+    classified = []
+    monkeypatch.setattr(cli, "_classify_3d", lambda *args: classified.append(args))
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "grid", "--a=0:1:1/64", "--b=-1:4:1/32", "--output", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"diagonalis geometry grid: error: cannot write "
+                                       f"output {path}: {reason}\n")
+    assert classified == []
+    assert sorted(os.listdir(tmp_path)) == ["a-directory", "read-only"]
+    assert os.listdir(tmp_path / "a-directory") == []
+
+
+def test_failed_grid_write_names_the_output(capsys, monkeypatch, tmp_path):
+    # a write that fails past the refusal, as on a full disk, gave
+    # "[Errno 28] No space left on device" without the path
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    path = str(tmp_path / "grid.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "grid", "--a=0:1:1", "--b=0:1:1", "--output", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"diagonalis geometry grid: error: cannot write "
+                                       f"output {path}: No space left on device\n")
+
+
+def test_grid_builds_no_report_per_point(capsys, monkeypatch):
+    # each row comes from the integer classifier alone
+    def built(*args, **kwargs):
+        raise AssertionError("a grid point built a report or isolated a root")
+    for owner, name in [(cli, "critical_points_diag"), (geometry, "canonicalize"),
+                        (geometry, "sturm_isolate"), (FamilySpec, "__init__"),
+                        (geometry.CritReport, "__init__"), (UniPoly, "__init__"),
+                        (UniPoly, "from_nums")]:
+        monkeypatch.setattr(owner, name, built)
+    code, out = run(capsys, "geometry", "grid", "--a=0:1:1/8", "--b=-1:4:1/4")
+    assert code == 0 and len(out.splitlines()) == 1 + 9 * 21
 
 
 def test_benchmark_grid_bytes_are_pinned(capsys):

@@ -1,30 +1,37 @@
+import contextlib
+import io
 import signal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diagonalis import geometry
-from diagonalis.exactalg import UniPoly, plain
+from diagonalis import cli, geometry
+from diagonalis.exactalg import UniPoly, over_lcm, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
-                                 cubic_discriminant, nonsmooth_locus_3d,
-                                 sturm_isolate)
+                                 cubic_discriminant, sturm_isolate)
 from oracles import (asymptotic_ratio_2d, brute_force_first_nonpositive, collect,
-                     fraction_critical_points_diag, fraction_sturm_chain,
-                     fraction_variations, nonsmooth_locus_4d)
+                     fraction_critical_points_diag, fraction_locus_3d,
+                     fraction_sturm_chain, fraction_variations, nonsmooth_locus_4d)
 from unipoly_oracle import FractionUniPoly
 
 
+def _locus_3d(a, b):
+    """The nonsmooth locus of h_{a,b}, from the classifier's numerator."""
+    (x, y), M = over_lcm((F(a), F(b)))
+    return F(geometry._classify_3d(x, y, M)[0], M ** 3)
+
+
 def test_locus_3d_members():
-    assert nonsmooth_locus_3d(0, 4) == (0, True)
-    assert nonsmooth_locus_3d(1, -1) == (0, True)
-    assert nonsmooth_locus_3d(0, 0) == (0, True)
+    for a, b in [(0, 4), (1, -1), (0, 0)]:
+        assert _locus_3d(a, b) == 0
 
 
 def test_locus_3d_nonmember():
-    val, member = nonsmooth_locus_3d(F(1, 2), 2)
-    assert val == F(7, 4) and not member
+    assert _locus_3d(F(1, 2), 2) == F(7, 4)
+    assert all(_locus_3d(a, b) == fraction_locus_3d(a, b)
+               for a in (F(-3, 2), F(1, 3), F(5, 6)) for b in (F(-2, 9), F(7, 4)))
 
 
 def test_locus_4d_table_points():
@@ -193,6 +200,35 @@ def test_integer_chain_is_the_fraction_chain_up_to_positive_scalars(factors, sca
             assert (geometry._variations(chain, *x.as_integer_ratio())
                     == fraction_variations(CHAIN, x))
     assert G.degree < 1
+
+
+# factors with a nonzero constant term, so that p(0) != 0: linear ones with
+# roots up to 1000, far past the scale of the other factors' coefficients,
+# and quadratics, each taken up to 3 times
+_root_factor = st.one_of(
+    st.tuples(st.integers(-1000, 1000).filter(bool), st.integers(-3, 3).filter(bool)),
+    st.tuples(st.integers(-9, 9).filter(bool), st.integers(-9, 9), st.integers(-3, 3)
+              .filter(bool))).map(UniPoly)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(_root_factor, st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(-5, 5).filter(bool))
+# roots 1 and 1.0001, one of them double
+@example([(UniPoly([-1, 1]), 1), (UniPoly([-10001, 10000]), 2)], 1)
+# a triple root at 1000 and a double pair at +-sqrt(2)
+@example([(UniPoly([-1000, 1]), 3), (UniPoly([-2, 0, 1]), 2)], -1)
+def test_sturm_count_at_0_and_infinity_matches_the_isolation(factors, scale):
+    p = UniPoly.const(scale)
+    for f, m in factors:
+        p = p * f ** m
+    count = geometry._positive_root_count(list(p.nums))
+    # the independent route: the Fraction chain's signs at 0 and past every
+    # root of every member
+    chain = fraction_sturm_chain(FractionUniPoly(p.coeffs))[0]
+    far = 1 + max(abs(c / q.leading_coefficient()) for q in chain for c in q.coeffs)
+    assert count == len(sturm_isolate(p)) == (
+        fraction_variations(chain, F(0)) - fraction_variations(chain, far))
 
 
 def test_one_sturm_chain_per_gcd_level(monkeypatch):
@@ -428,6 +464,29 @@ def test_critical_points_match_the_fraction_route_on_degenerate_branches(a, b):
         assert [r.multiplicity for r in rep.classes[0].roots] == [2]
 
 
+@settings(deadline=None, max_examples=80)
+@given(_hab_rationals, _hab_rationals)
+@example(F(0), F(0))                  # locus members
+@example(F(0), F(4))
+@example(F(1), F(-1))
+@example(F(3, 4), F(0))               # b = 0: the cubic drops to a quadratic
+@example(F(1, 2), F(-1, 8))           # b = -a^3
+@example(F(1, 2), F(-1, 4))           # a^2 + b = 0
+@example(F(0), F(-3, 5))              # a = 0, b != 0: the class is empty
+@example(F(2), F(0))                  # a > 1
+def test_a_grid_row_is_the_point_report(a, b):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["geometry", "grid", f"--a={a}:{a}:1", f"--b={b}:{b}:1"]) == 0
+    rep = critical_points_diag(named_instance("hab", a=a, b=b))
+    # the isolated roots bear out the count read off the Sturm chain
+    symmetric, off_diagonal = rep.classes
+    assert rep.positive_orthant_count == len(symmetric.roots) + off_diagonal.positive_count
+    row = (a, b, rep.locus_value, "smooth" if rep.smooth else "member",
+           rep.positive_orthant_count, rep.verdict)
+    assert out.getvalue().splitlines()[1:] == [",".join(map(str, row))]
+
+
 def test_crit_analyses_the_canonical_form():
     # 2 - 4x - 4y + 4xy and 1 - 2e1 + 3e2 are h2var a=1/2 and Szego3 after
     # dividing by c_0 and rescaling the variables by s = -c_0/c_1
@@ -464,7 +523,7 @@ def test_disc_consistency_with_boundary():
     for r in (F(1), F(1, 2), F(1, 3)):
         a = 1 - r ** 2
         b_plus = 2 - 3 * a + 2 * r ** 3
-        assert nonsmooth_locus_3d(a, b_plus)[1]
+        assert _locus_3d(a, b_plus) == 0
         for b in (b_plus + 1, b_plus + F(1, 7)):
             rep = critical_points_diag(make_family(3, [1, -1, a, b]))
             assert rep.cubic_discriminant < 0

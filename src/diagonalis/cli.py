@@ -4,13 +4,15 @@ Subcommands: expand, diag, recur, identity, geometry; recur and geometry
 take a mode, and each command or mode takes only the options it reads.  An
 empty option value, and a family parameter or --entry-limit that no given
 source reads (`_READS`), are refused before the command runs, and `diag`
-checks its --oracle before any box is expanded or cache read.  Reports are
-text by default and JSON with --format json; `geometry grid` always writes
-CSV.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
-bad input, with a one-line message on stderr.  `expand --cache` writes the
-diagonal of a rational box in the versioned text format of `seriesbox`,
-after the last layer, and `diag --from-cache` reads it; relative cache
-paths resolve against $DIAGONALIS_CACHE.
+checks its --oracle before any box is expanded or cache read; `_sequence`
+reads --terms, --from-cache or a family's diagonal for `diag` and `recur`.
+Reports are text by default and JSON with --format json; `geometry grid`
+always writes CSV, to an --output opened before the first point.  Exit
+code 0 iff all requested checks pass, 1 if a check fails, 2 on bad input,
+with a one-line message on stderr.  `expand --cache` writes the diagonal of
+a rational box in the versioned text format of `seriesbox`, after the last
+layer, and `diag --from-cache` reads it; relative cache paths resolve
+against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -74,20 +76,36 @@ def _resolve_family(args) -> FamilySpec:
     return named_instance(args.family, **params)
 
 
-def _family_diagonal(args):
-    """The family and the diagonal of its box on [0..N]^d."""
+def _sequence(args):
+    """(sequence, d, family or None): the --terms, the diagonal that a
+    --from-cache file holds, or the diagonal of a family's box on [0..N]^d."""
+    if getattr(args, "terms", None):
+        if args.N is not None:
+            raise ValueError("--N bounds a family's box; --terms gives the values")
+        return UniSeries(args.terms.split(",")), None, None
+    if getattr(args, "from_cache", None):
+        path = _cache_path(args.from_cache)
+        with open(path) as fh:
+            try:
+                d, vals = load_cache(fh)
+            except ValueError as exc:
+                raise ValueError(f"cannot load cache {path}: {exc}") from None
+        if args.N not in (None, vals.order):
+            raise ValueError(f"--N {args.N} differs from the cache's N={vals.order}")
+        return vals, d, None
     if args.N is None:
         raise ValueError("--N is required to expand a box")
     fam = _resolve_family(args)
-    return fam, extract_diagonal(expand_reciprocal(fam.coeffs, args.N, _entry_limit(args)))
+    box = expand_reciprocal(fam.coeffs, args.N, _entry_limit(args))
+    return extract_diagonal(box), fam.dim, fam
 
 
 def _cache_path(path: str) -> str:
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
-def _refuse_unwritable(path: str, noun: str) -> None:
-    """Raise the error that writing the `noun` file at `path` would end in,
+def _refuse_unwritable(path: str) -> None:
+    """Raise the error that renaming a cache file over `path` would end in,
     as far as the path and its directory show it: the path a directory, or
     its directory missing, not a directory or not writable."""
     directory = os.path.dirname(path) or "."
@@ -99,7 +117,7 @@ def _refuse_unwritable(path: str, noun: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise OSError(f"cannot write {noun} {path}: {os.strerror(code)}")
+    raise OSError(f"cannot write cache {path}: {os.strerror(code)}")
 
 
 def _fmt_index(n) -> str:
@@ -123,7 +141,7 @@ def cmd_expand(args) -> int:
     hit, diagonal = None, []
     if args.cache:
         path = _cache_path(args.cache)
-        _refuse_unwritable(path, "cache")  # before any layer is made
+        _refuse_unwritable(path)  # before any layer is made
         layers = tap_diagonal(layers, d, N, diagonal)
     if args.check_positive:  # stops at the first layer with a hit
         hit = streamed_first_nonpositive(layers, scale, d, N, strict)
@@ -166,19 +184,7 @@ def cmd_expand(args) -> int:
 def cmd_diag(args) -> int:
     if args.oracle:  # a bad name or --a is refused before any box or cache
         binomial_oracle(args.oracle, 0, args.a)
-    if args.from_cache:
-        path = _cache_path(args.from_cache)
-        with open(path) as fh:
-            try:
-                d, vals = load_cache(fh)
-            except ValueError as exc:
-                raise ValueError(f"cannot load cache {path}: {exc}") from None
-        if args.N not in (None, vals.order):
-            raise ValueError(f"--N {args.N} differs from the cache's N={vals.order}")
-        fam = None
-    else:
-        fam, vals = _family_diagonal(args)
-        d = fam.dim
+    vals, d, fam = _sequence(args)
     if args.scale is not None:
         # the diagonal of 1/p(s*x) is s^(d*n) * u_(n,...,n)
         vals = vals.scale_argument(9 if args.scale == "9-power" else args.scale ** d)
@@ -211,19 +217,11 @@ def _recur_object(args):
         raise ValueError(f"--rec-json nests too deeply ({exc})") from None
 
 
-def _recur_sequence(args) -> UniSeries:
-    if args.terms:
-        if args.N is not None:
-            raise ValueError("--N bounds a family's box; --terms gives the values")
-        return UniSeries(args.terms.split(","))
-    return _family_diagonal(args)[1]
-
-
 def cmd_recur(args) -> int:
     report: dict = {"mode": args.mode}
     status = 0
     if args.mode == "guess":
-        seq = _recur_sequence(args)
+        seq = _sequence(args)[0]
         rec = recurrence_guess(seq, args.max_order, args.max_degree)
         if rec is None:
             report["result"] = "no recurrence found"
@@ -233,7 +231,7 @@ def cmd_recur(args) -> int:
                           coefficients=rec.coeffs, label="empirical")
     elif args.mode == "check":
         rec = _recur_object(args)
-        seq = _recur_sequence(args)
+        seq = _sequence(args)[0]
         bad = recurrence_check(rec, seq)
         if bad is None:
             report["result"] = "pass"
@@ -315,6 +313,19 @@ def _grid(spec: str) -> list[Fraction]:
     return [lo + k * step for k in range(count)]
 
 
+def _grid_csv(a_range, b_range) -> str:
+    """The grid's CSV: hab is canonical as given (c_0 = 1, c_1 = -1), so each
+    row is the point report's locus, count and verdict, with no root isolated."""
+    rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
+    for a in a_range:
+        for b in b_range:
+            (x, y), M = over_lcm((a, b))
+            locus, count, verdict, _ = _classify_3d(x, y, M)
+            rows.append((a, b, Fraction(locus, M ** 3),
+                         "smooth" if locus else "member", count, verdict))
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def cmd_geometry(args) -> int:
     if args.mode == "point":
         _emit(args, critical_points_diag(_resolve_family(args)))
@@ -324,26 +335,14 @@ def cmd_geometry(args) -> int:
         if count > _GRID_POINTS:
             raise ValueError(f"the a x b grid has {count} points; "
                              f"a grid takes at most {_GRID_POINTS}")
-        if args.output:
-            _refuse_unwritable(args.output, "output")  # before any point
-        rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
-        # hab is canonical as given (c_0 = 1, c_1 = -1): each row is the
-        # point report's locus, count and verdict, with no root isolated
-        for a in args.a_range:
-            for b in args.b_range:
-                (x, y), M = over_lcm((a, b))
-                locus, count, verdict, _ = _classify_3d(x, y, M)
-                rows.append((a, b, Fraction(locus, M ** 3),
-                             "smooth" if locus else "member", count, verdict))
-        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
-        if args.output:
-            try:
-                with open(args.output, "w") as out:
-                    out.write(text)
-            except OSError as exc:  # worded as the refusal above
-                raise OSError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
-        else:
-            sys.stdout.write(text)
+        if not args.output:
+            sys.stdout.write(_grid_csv(args.a_range, args.b_range))
+            return 0
+        try:  # opened before any point, so that open refuses a bad path
+            with open(args.output, "w") as out:
+                out.write(_grid_csv(args.a_range, args.b_range))
+        except OSError as exc:
+            raise OSError(f"cannot write output {args.output}: {exc.strerror or exc}") from None
         return 0
     lo, hi = box_positivity_bisect(args.N, args.prec, b_lo=args.b_lo,
                                    strict=not args.non_strict)

@@ -7,8 +7,9 @@ expanded with a symbolic parameter, and for the symmetric polynomial of a
 critical-point report.  It is held as `UniSeries` is: integer numerators
 over one denominator, which `over_lcm` builds and `reduce_nums` keeps
 reduced; arithmetic runs on the integers.
-`plain` gives the one JSON form of these values, and `binary_power` the one
-square-and-multiply.
+`plain` gives the one JSON form of these values, `binary_power` the one
+square-and-multiply, `convolve` the one integer product of `UniPoly` and
+`UniSeries`, and `pack` the one packer of integers into the slots of an int.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -74,6 +76,20 @@ def binary_power(x, k: int, one):
         if k:
             x = x * x
     return one if result is None else result
+
+
+def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of a and b, by schoolbook."""
+    return [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(n)]
+
+
+def pack(values: Sequence[int], width: int) -> int:
+    """sum values[i] 2^(width i) by Horner: the int whose width-bit slot i holds
+    values[i] if each is in [0, 2^width), or the polynomial `values` at 2^width."""
+    v = 0
+    for a in reversed(values):
+        v = (v << width) + a
+    return v
 
 
 def over_lcm(qs: Iterable) -> tuple[list[int], int]:
@@ -194,11 +210,10 @@ class UniPoly:
             return UniPoly.from_nums([x * a for x in self.nums], self.den * b)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = [0] * max(0, len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return UniPoly.from_nums(out, self.den * other.den)
+        a, b = self.nums, other.nums
+        n = len(a) + len(b) - 1  # convolve reads a[:n] and b[:n]: pad both to n
+        return UniPoly.from_nums(convolve(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)), n),
+                                 self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -29,7 +29,7 @@ from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Iterator, Optional
 
-from .exactalg import UniPoly, over_lcm, rat
+from .exactalg import UniPoly, over_lcm, pack, rat
 from .registry import build, catalog
 from .uniseries import UniSeries, _cleared, _instance, _run_extended
 
@@ -366,7 +366,7 @@ def _nullspace_mod(matrix: list[list[int]],
     # (p-1) + ncols (p-1)^2 < 2^S: no slot carries into the next.
     S = (p - 1 + ncols * (p - 1) ** 2).bit_length()
     mask = (1 << S) - 1
-    rows = [_pack([a % p for a in row], S) for row in matrix]
+    rows = [pack([a % p for a in row], S) for row in matrix]
     pivots: list[int] = []  # pivots[i] is the pivot column of rows[i]
     for col in range(ncols):
         rank, shift = len(pivots), col * S
@@ -379,8 +379,8 @@ def _nullspace_mod(matrix: list[list[int]],
         inv = pow(rows[rank] >> shift & mask, -1, p)
         tail = [(rows[rank] >> c & mask) * inv % p
                 for c in range(shift, ncols * S, S)]
-        rows[rank] = _pack(tail, S) << shift
-        neg = _pack([(p - a) % p for a in tail], S) << shift
+        rows[rank] = pack(tail, S) << shift
+        neg = pack([(p - a) % p for a in tail], S) << shift
         for r, row in enumerate(rows):
             f = (row >> shift & mask) % p
             if f and r != rank:
@@ -394,14 +394,6 @@ def _nullspace_mod(matrix: list[list[int]],
             vec[pc] = -(row >> (fc * S) & mask) % p
         basis.append(vec)
     return basis, pivots
-
-
-def _pack(values: list[int], S: int) -> int:
-    """The int whose S-bit slot i, at bit i*S, holds values[i] >= 0."""
-    v = 0
-    for a in reversed(values):
-        v = v << S | a
-    return v
 
 
 def _rational_reconstruction(a: int, m: int) -> Optional[Fraction]:

@@ -72,7 +72,7 @@ from itertools import combinations
 from operator import or_
 from typing import Sequence, TextIO
 
-from .exactalg import UniPoly, plain, rat
+from .exactalg import UniPoly, pack, plain, rat
 from .multipoly import Coeff, _coerce_coeff, depends_on_lambda
 from .uniseries import UniSeries
 
@@ -260,11 +260,6 @@ def _width(b: int, growth: int) -> int:
     return b + (_LOOKAHEAD + 1) * growth + 1
 
 
-def _pack(w: list[int], B: int) -> int:
-    """w(2^B) for the integer polynomial w, lowest coefficient first."""
-    return sum(q << (B * i) for i, q in enumerate(w))
-
-
 def _ones(B: int, slots: int) -> int:
     """sum 2^(B i), i < slots: a 1 in each of `slots` base-2^B digits."""
     return ((1 << B * slots) - 1) // ((1 << B) - 1)
@@ -355,7 +350,7 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
     c0, L, B, weights = _kernel_scale(c)
     yield c0, L, B
     support, growth = tuple(k for k, _ in weights), _growth(d, weights)
-    w = {k: _pack(wk, B) for k, wk in weights}
+    w = {k: pack(wk, B) for k, wk in weights}
     deg = max(support, default=0)  # deg(p)
     if (d, N) not in _PLANS:
         _PLANS[d, N] = (list(_shape_groups(d, N)) if math.comb(N + d, d) <= 1 << 13
@@ -387,7 +382,7 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
                 b += 1
             B2 = _width(b, growth)
             window = tuple(_repack(window, B, B2))
-            B, w, bound = B2, {k: _pack(wk, B2) for k, wk in weights}, {}
+            B, w, bound = B2, {k: pack(wk, B2) for k, wk in weights}, {}
 
 
 def expand_reciprocal(c: Sequence[Coeff], N: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import RatLike, UniPoly, binary_power, over_lcm, rat, reduce_nums
+from .exactalg import RatLike, UniPoly, binary_power, convolve, over_lcm, rat, reduce_nums
 
 
 class UniSeries:
@@ -112,7 +112,7 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         a, b = self.nums, other.nums
-        return UniSeries._of(_convolve(a, b, min(len(a), len(b))), self.den * other.den)
+        return UniSeries._of(convolve(a, b, min(len(a), len(b))), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -158,7 +158,7 @@ class UniSeries:
         powers = [([1] + [0] * m, 1)]  # h^i to z^(m-v*i), over its denominator
         for i in range(1, b + 1):
             nums, den = powers[-1]
-            powers.append(reduce_nums(_convolve(nums, h, m - v * i + 1), den * hden))
+            powers.append(reduce_nums(convolve(nums, h, m - v * i + 1), den * hden))
         H, Hden = powers.pop()  # G = z^(v*b) H / Hden
         # column n holds L [z^n] g^i for i < b, L the lcm of their denominators
         L = math.lcm(*(den for _, den in powers))
@@ -173,7 +173,7 @@ class UniSeries:
 
         acc = block((K - 1) // b)
         for j in range((K - 1) // b - 1, -1, -1):
-            acc = (UniSeries._of([0] * step + _convolve(acc.nums, H, len(acc.nums)),
+            acc = (UniSeries._of([0] * step + convolve(acc.nums, H, len(acc.nums)),
                                  acc.den * Hden) + block(j))
         return acc
 
@@ -259,11 +259,6 @@ class UniSeries:
         shown = ", ".join(str(Fraction(x, self.den)) for x in self.nums[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"UniSeries([{shown}{tail}]; order={self.order})"
-
-
-def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The first n coefficients of the product of a and b, by schoolbook."""
-    return [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(n)]
 
 
 def _append(nums: list[int], den: int, q: Fraction) -> int:

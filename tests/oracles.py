@@ -11,9 +11,10 @@ collected box (`collect`, every layer kept; `entry_at`, one exact entry read
 at its orbit representative) backs the streamed sign scan, a cache writer
 that reads the diagonal of a collected box the streamed one, Gauss-Jordan
 mod p on lists of residues the packed elimination of
-`sequences._nullspace_mod`, a `Fraction` loop over the terms the
-integer recurrence check of `sequences.recurrence_check`, and a `Fraction`
-runner the integer one of `uniseries._run_extended`."""
+`sequences._nullspace_mod`, a double loop over the coefficient pairs the
+padded `exactalg.convolve` of `UniPoly.__mul__`, a `Fraction` loop over
+the terms the integer recurrence check of `sequences.recurrence_check`,
+and a `Fraction` runner the integer one of `uniseries._run_extended`."""
 
 from __future__ import annotations
 
@@ -287,6 +288,17 @@ def collected_cache_text(c: Sequence, box: CollectedBox) -> str:
     body = "".join([f"diagonalis-diagonal v4; N={N}; L={box.scale[1]}; c={spelled}\n"]
                    + [f"{n}:{box.layers[d * n][n * code]:x}\n" for n in range(N + 1)])
     return f"{body}crc32={zlib.crc32(body.encode()):08x}\n"
+
+
+def double_loop_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of the integer polynomials a and b, lowest coefficient
+    first, one term a_i b_j at a time: the oracle of `UniPoly.__mul__`,
+    which pads both to the product's length for `exactalg.convolve`."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def list_nullspace_mod(matrix: list[list[int]],

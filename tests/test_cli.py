@@ -663,12 +663,16 @@ def test_geometry_grid_output_writes_the_csv_stdout_gets(capsys, tmp_path):
 ], ids=["missing", "directory", "read-only"])
 def test_unwritable_grid_output_is_refused_before_any_point(capsys, monkeypatch, tmp_path,
                                                             name, reason):
-    # the 10,465-point grid took 0.65 s of points before the write failed
+    # the 10,465-point grid took 0.65 s of points before the write failed;
+    # root may write into a read-only directory, so `open` refuses it here
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "read-only").mkdir()
-    access = os.access
-    monkeypatch.setattr(os, "access", lambda p, mode: not p.endswith("read-only")
-                        and access(p, mode))
+
+    def opening(path, *args, **kwargs):
+        if os.path.basename(os.path.dirname(path)) == "read-only":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(cli, "open", opening, raising=False)
     classified = []
     monkeypatch.setattr(cli, "_classify_3d", lambda *args: classified.append(args))
     path = str(tmp_path / name)
@@ -680,6 +684,23 @@ def test_unwritable_grid_output_is_refused_before_any_point(capsys, monkeypatch,
     assert classified == []
     assert sorted(os.listdir(tmp_path)) == ["a-directory", "read-only"]
     assert os.listdir(tmp_path / "a-directory") == []
+
+
+def test_grid_output_writes_a_writable_file_in_a_read_only_directory(capsys, monkeypatch,
+                                                                     tmp_path):
+    # open(path, "w") of an existing file needs no write access to its
+    # directory, so the grid writes it; only the cache, renamed over its
+    # path, needs that access
+    path = tmp_path / "grid.csv"
+    path.write_text("an older grid\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: os.path.abspath(p) != str(tmp_path)
+                        and access(p, mode))
+    argv = ["geometry", "grid", "--a", "0:0:1", "--b", "0:0:1", "--output", str(path)]
+    assert run(capsys, *argv) == (0, "")
+    assert path.read_text() == ("a,b,locus_value,locus,orthant_count,verdict\n"
+                                "0,0,0,member,1,inconclusive\n")
+    assert os.listdir(tmp_path) == ["grid.csv"]
 
 
 def test_failed_grid_write_names_the_output(capsys, monkeypatch, tmp_path):
@@ -1079,6 +1100,29 @@ def test_diag_from_cache_refuses_another_n(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert "--N 9" in captured.err and "N=4" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diag", "--family", "KZ-D"], "--N is required to expand a box"),
+    (["recur", "guess", "--family", "KZ-D"], "--N is required to expand a box"),
+    (["recur", "check", "--builtin", "franel", "--family", "KZ-D"],
+     "--N is required to expand a box"),
+    (["recur", "guess", "--terms", "1,2,10,56", "--N", "3"],
+     "--N bounds a family's box; --terms gives the values"),
+    (["recur", "check", "--builtin", "franel", "--terms", "1,2,10,56", "--N", "3"],
+     "--N bounds a family's box; --terms gives the values"),
+], ids=["diag-no-N", "guess-no-N", "check-no-N", "guess-terms-N", "check-terms-N"])
+def test_sequence_source_refusals(capsys, monkeypatch, argv, message):
+    def reached(*args, **kwargs):
+        raise AssertionError("a box was expanded or a cache read")
+    monkeypatch.setattr(cli, "expand_reciprocal", reached)
+    monkeypatch.setattr(cli, "load_cache", reached)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    prog = " ".join(["diagonalis"] + argv[:2 if argv[0] == "recur" else 1])
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{prog}: error: {message}\n"
 
 
 def test_geometry_takes_no_entry_limit(capsys):

@@ -3,10 +3,11 @@ import operator
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diagonalis import exactalg
 from diagonalis.exactalg import UniPoly, over_lcm, plain, rat, reduce_nums
+from oracles import double_loop_product
 from unipoly_oracle import FractionUniPoly
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 4)
@@ -162,6 +163,41 @@ def test_over_lcm_and_reduce_nums(qs):
     assert [F(n, den) for n in nums] == qs
     assert math.gcd(den, *nums) == 1
     assert reduce_nums([n * 6 for n in nums], den * 6) == (nums, den)
+
+
+int_polys = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=7)
+
+
+@given(int_polys, int_polys, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+@example([], [], 1, 1)  # zero times zero
+@example([], [3, 0, -4], 1, 5)  # zero times a polynomial
+@example([7], [0, 2], 3, 1)  # a constant
+@example([-6], [5], 4, 9)  # two constants
+@example([1, 2, 3, 4, 5, 6], [0, -1], 1, 2)  # unequal degrees
+@example([0, 0, 1], [2, 0, 0, 0, 3], 1, 1)
+def test_unipoly_product_matches_the_double_loop(a, b, da, db):
+    p, q = UniPoly.from_nums(a, da), UniPoly.from_nums(b, db)
+    assert p * q == q * p == UniPoly.from_nums(double_loop_product(a, b), da * db)
+
+
+@given(st.lists(st.integers(-10 ** 40, 10 ** 40), max_size=8), st.integers(1, 140))
+@example([], 5)
+@example([-1], 1)
+@example([-1, 1, -1], 1)  # each slot borrows from the next
+def test_pack_is_the_sum_of_shifted_signed_values(values, width):
+    assert exactalg.pack(values, width) == sum(v << (width * i) for i, v in enumerate(values))
+
+
+@given(st.integers(1, 70).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=8))))
+@example((1, [1, 0, 1, 1]))
+@example((5, [31, 31, 0, 31]))
+def test_pack_puts_each_nonnegative_value_in_its_slot(case):
+    width, values = case
+    packed = exactalg.pack(values, width)
+    assert packed == sum(v << (width * i) for i, v in enumerate(values))
+    assert [packed >> (width * i) & ((1 << width) - 1)
+            for i in range(len(values))] == values
 
 
 class _Counted(F):

@@ -877,7 +877,7 @@ def digit_rows(draw):
 @example((8, 7, [[63, 0], [-64]]))
 def test_certificate_fits_iff_every_digit_is_in_range(case):
     B, b, rows = case
-    layer = {i: seriesbox._pack(row, B) for i, row in enumerate(rows)}
+    layer = {i: exactalg.pack(row, B) for i, row in enumerate(rows)}
     fits = all(-(1 << (b - 1)) <= x < 1 << (b - 1) for row in rows for x in row)
     assert seriesbox._fits(layer, B, b) == fits
 
@@ -888,7 +888,7 @@ def test_certificate_fits_iff_every_digit_is_in_range(case):
 @example((2, 1, [[-2, -2, 1]]), 1)
 def test_certificate_repack_keeps_every_digit(case, wider):
     B, _, rows = case
-    held = [{i: seriesbox._pack(row, B) for i, row in enumerate(rows)}, {}]
+    held = [{i: exactalg.pack(row, B) for i, row in enumerate(rows)}, {}]
     snapshot = [dict(layer) for layer in held]
     repacked = seriesbox._repack(held, B, B + wider)
     assert held == snapshot  # fresh dicts; the old ones are left as they were

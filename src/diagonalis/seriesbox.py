@@ -55,7 +55,16 @@ The positivity scan reads that stream as it comes and stops at the first
 layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
 layer as the stream passes, for `save_cache`.  A cache (format v4) holds
 those N + 1 integers alone, the only entries its reader reads.
-`expand_reciprocal` taps them into a `CoeffBox`, which holds no layer.
+`expand_reciprocal` keeps them in a `CoeffBox`, which holds no layer.  For
+d >= 4 and every k >= 1 with c_k != 0 in {1, d-1, d}, it counts them
+instead of tapping them (`_counted_diagonal`): with g full steps, b
+complement steps [d] - {i} and a = d*s + b singleton steps, s = n - g - b,
+
+    v_(n,...,n) = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
+    X_s(b) = (d*s + 2b)! [y^b] (sum_j y^j / (j! (s + j)!))^d,
+
+O(N^3) integer products where the box sweeps C(N + d, d) entries.  A d <= 3
+box keeps its layers.
 `extract_diagonal` and `load_cache` give the diagonal u_(n,...,n), n = 0..N,
 as a `UniSeries` of order N rescaled from the kernel's integers
 (`_diagonal`); `CoeffBox.data` expands the box anew to read any other u_n.
@@ -69,10 +78,10 @@ import zlib
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import mul, or_
 from typing import Sequence, TextIO
 
-from .exactalg import UniPoly, pack, plain, rat
+from .exactalg import UniPoly, convolve, pack, plain, rat
 from .multipoly import Coeff, _coerce_coeff, depends_on_lambda
 from .uniseries import UniSeries
 
@@ -385,14 +394,85 @@ def expand_layers(c: Sequence[Coeff], N: int, entry_limit: int):
             B, w, bound = B2, {k: pack(wk, B2) for k, wk in weights}, {}
 
 
+def _counted_diagonal(d: int, N: int, weights) -> list[int]:
+    """The kernel's integers v_(n,...,n), n = 0..N, of a rational box on
+    [0..N]^d, d >= 3, whose weights (k, [w_k]) have every k in {1, d-1, d}:
+    the integers `tap_diagonal` reads off the layers, counted instead.
+
+    v_n sums the weights of the paths from 0 to (n,...,n) whose steps are
+    1_S, each weighted w_|S|.  Such a path has g full steps, b complement
+    steps [d] - {i}, beta_i of which miss i, and alpha_i = s + beta_i
+    singleton steps on i, s = n - g - b: a = d*s + b >= 0 singletons in all.
+    Its a + b other steps have (a + b)! / prod(alpha_i! beta_i!) orders and
+    its full steps C(a + b + g, g) places among them, so
+
+        v_n = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
+        X_s(b) = (d*s + 2b)! [y^b] G_s(y)^d,
+        G_s(y) = sum_{j >= max(0, -s)} y^j / (j! (s + j)!).
+
+    G_{-r} = y^r G_r, so X_s(b) = Y_r(i) = (dr + 2i)! [y^i] G_r^d with
+    r = |s| and i = min(a, b).  By Vandermonde [y^i] G_r^2 = C(2r + 2i, i)
+    / (r + i)!^2, so G_r^d is ceil(d/2) - 1 products (`convolve`) of series
+    in i <= N - r, their terms scaled to integers by (r + top)!^2 and, for
+    G_r, top! (r + top)!.  If w_1 or w_{d-1} is 0, only i = 0 is read,
+    Y_r(0) = (dr)! / r!^d.  The count takes O(N^3) products, O(N^2) if
+    w_{d-1} = 0, where the box sweeps C(N + d, d) entries."""
+    w = {k: wk for k, (wk,) in weights}
+    w1, wc, wd = w.get(1, 0), w.get(d - 1, 0), w.get(d, 0)
+    Y = []  # Y[r][i]
+    for r in range(N + 1):
+        top = N - r if w1 and wc else 0
+        rising, lower = [1] * (top + 1), [1] * (top + 1)  # (r+top)!/(r+i)!, top!/i!
+        for i in range(top, 0, -1):
+            rising[i - 1], lower[i - 1] = rising[i] * (r + i), lower[i] * i
+        square = [math.comb(2 * r + 2 * i, i) * f * f for i, f in enumerate(rising)]
+        power = square
+        for _ in range(d // 2 - 1):
+            power = convolve(power, square, top + 1)
+        if d % 2:
+            power = convolve(power, list(map(mul, rising, lower)), top + 1)
+        den = math.factorial(r + top) ** d * math.factorial(top) ** (d % 2)
+        Y.append([math.factorial(d * r + 2 * i) * x // den for i, x in enumerate(power)])
+    terms = []  # terms[m]: (a + b, Y w_1^a w_{d-1}^b) of each nonzero term with s + b = m
+    for m in range(N + 1):
+        row = []
+        for b in range(d * m // (d - 1) + 1):
+            s = m - b
+            a = d * s + b
+            weight = w1 ** a * wc ** b
+            if weight:
+                row.append((a + b, Y[abs(s)][min(a, b)] * weight))
+        terms.append(row)
+    diagonal = []
+    for n in range(N + 1):
+        v = sum(z for _, z in terms[n])
+        for g in range(1, n + 1) if wd else ():
+            v += wd ** g * sum(math.comb(q + g, g) * z for q, z in terms[n - g])
+        diagonal.append(v)
+    return diagonal
+
+
 def expand_reciprocal(c: Sequence[Coeff], N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible c_0,
-    keeping its diagonal (`tap_diagonal`); a Q[lambda] box draws no layer."""
+    keeping its diagonal; a Q[lambda] box draws no layer.  The scale comes
+    from `expand_layers`, with every refusal.  If d >= 4 and every k >= 1
+    with c_k != 0 lies in {1, d-1, d}, the diagonal is counted
+    (`_counted_diagonal`),
+
+        v_n = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
+
+    s = n - g - b, a = d*s + b >= 0, in O(N^3) products; otherwise it is
+    read off the layers (`tap_diagonal`)."""
+    d = len(c) - 1
     layers = expand_layers(c, N, entry_limit)
     scale, diagonal = next(layers), []
-    if not scale[2]:
-        for _ in tap_diagonal(layers, len(c) - 1, N, diagonal):
+    if scale[2]:
+        return CoeffBox(c, N, scale, diagonal)
+    if d >= 4 and all(k in (1, d - 1, d) for k, ck in enumerate(c) if k and ck):
+        diagonal = _counted_diagonal(d, N, _kernel_scale(c)[3])
+    else:
+        for _ in tap_diagonal(layers, d, N, diagonal):
             pass
     return CoeffBox(c, N, scale, diagonal)
 

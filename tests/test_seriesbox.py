@@ -37,15 +37,22 @@ def _streamed(c, N: int, strict: bool = True):
     return streamed_first_nonpositive(layers, next(layers), len(c) - 1, N, strict)
 
 
-def _cache_text(c, N: int) -> str:
-    """The cache file of the diagonal of 1/p on [0..N]^d, tapped from the
-    kernel's layer stream as `expand --cache` takes it."""
+def _tapped(c, N: int) -> tuple:
+    """(scale, the kernel's integers v_(n,...,n)) of the box of 1/p on
+    [0..N]^d, tapped from the kernel's layer stream as `expand --cache`
+    takes them."""
     layers = expand_layers(c, N, 10 ** 8)
     scale, diagonal = next(layers), []
     for _ in tap_diagonal(layers, len(c) - 1, N, diagonal):
         pass
+    return scale, diagonal
+
+
+def _cache_text(c, N: int) -> str:
+    """The cache file of the diagonal of 1/p on [0..N]^d, tapped from the
+    kernel's layer stream as `expand --cache` takes it."""
     buf = io.StringIO()
-    save_cache(c, N, scale, diagonal, buf)
+    save_cache(c, N, *_tapped(c, N), buf)
     return buf.getvalue()
 
 
@@ -316,10 +323,10 @@ def _peak(run) -> tuple:
 
 
 @functools.cache
-def _kzd26_box_peak() -> int:
-    """The peak of collecting the box of KZ-D on [0..26]^4, all 105 layers
-    (`collect`)."""
-    return _peak(lambda: collect(named_instance("KZ-D").coeffs, 26))[1]
+def _box26_peak(family: str) -> int:
+    """The peak of collecting the box of a d = 4 family on [0..26]^4, all 105
+    layers (`collect`)."""
+    return _peak(lambda: collect(named_instance(family).coeffs, 26))[1]
 
 
 def test_streamed_check_holds_a_window_of_layers():
@@ -327,7 +334,7 @@ def test_streamed_check_holds_a_window_of_layers():
     # it holds deg(p) + 1 = 5 of the 105
     hit, streamed = _peak(lambda: _streamed(named_instance("KZ-D").coeffs, 26))
     assert hit is None
-    assert 3 * streamed < _kzd26_box_peak()
+    assert 3 * streamed < _box26_peak("KZ-D")
 
 
 def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
@@ -336,7 +343,7 @@ def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
     argv = ["expand", "--family", "KZ-D", "--N", "26", "--cache", str(tmp_path / "k.box")]
     code, written = _peak(lambda: main(argv))
     assert code == 0 and capsys.readouterr().out.endswith(f"cache: {tmp_path}/k.box\n")
-    assert 3 * written < _kzd26_box_peak()
+    assert 3 * written < _box26_peak("KZ-D")
 
 
 def test_cache_read_holds_a_window(tmp_path, capsys):
@@ -346,22 +353,153 @@ def test_cache_read_holds_a_window(tmp_path, capsys):
     capsys.readouterr()
     code, read = _peak(lambda: main(["diag", "--from-cache", path, "--oracle", "kzd"]))
     assert code == 0 and "oracle: match (kzd, n <= 26)" in capsys.readouterr().out
-    assert 3 * read < _kzd26_box_peak()
+    assert 3 * read < _box26_peak("KZ-D")
 
 
 def test_family_diagonal_holds_a_window_of_layers(capsys):
-    # `diag --family` keeps the diagonal integers of the layers as they pass
-    argv = ["diag", "--family", "KZ-D", "--N", "26", "--oracle", "kzd"]
+    # `diag --family` keeps the diagonal integers of the layers as they pass;
+    # LewyAskey (c_2 != 0) is tapped, where KZ-D is counted
+    argv = ["diag", "--family", "LewyAskey", "--N", "26", "--scale", "9-power",
+            "--oracle", "lewy-askey"]
     code, held = _peak(lambda: main(argv))
-    assert code == 0 and "oracle: match (kzd, n <= 26)" in capsys.readouterr().out
-    assert 3 * held < _kzd26_box_peak()
+    assert code == 0 and "oracle: match (lewy-askey, n <= 26)" in capsys.readouterr().out
+    assert 3 * held < _box26_peak("LewyAskey")
+
+
+# the lewyaskey recurrence of s_n = 9^n u_n / C(2n, n), carried over to the
+# LewyAskey diagonal u_n: 243 (n+1)(n+2)^3 u_(n+2) + ... = 0
+_LEWY_ASKEY_U = json.dumps([["11520", "55296", "93184", "65536", "16384"],
+                            ["-14040", "-41544", "-45648", "-22176", "-4032"],
+                            ["1944", "4860", "4374", "1701", "243"]])
 
 
 def test_recurrence_check_of_a_family_holds_a_window_of_layers(capsys):
-    argv = ["recur", "check", "--builtin", "kzd", "--family", "KZ-D", "--N", "26"]
+    argv = ["recur", "check", "--rec-json", _LEWY_ASKEY_U, "--family", "LewyAskey",
+            "--N", "26"]
     code, held = _peak(lambda: main(argv))
     assert code == 0 and "result: pass\n" in capsys.readouterr().out
-    assert 3 * held < _kzd26_box_peak()
+    assert 3 * held < _box26_peak("LewyAskey")
+
+
+# --- the counted diagonal vs the tapped box ---------------------------------
+
+@st.composite
+def counted_cases(draw):
+    """(c, N): d = 4..6, c_0 != 0 of either sign and c_k = 0 for k outside
+    {0, 1, d-1, d}, N = 0..8."""
+    d = draw(st.integers(4, 6))
+    c = [draw(nonzero_rationals)] + [F(0)] * d
+    for k in (1, d - 1, d):
+        c[k] = draw(small_rationals)
+    return vec(*c), draw(st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=80)
+@given(counted_cases(), st.sampled_from([0, 0, 0, 40]))
+# c_1 times 10^5000: hypothesis reprs an example, and CPython refuses str()
+# of an int past 4300 digits
+@example((vec(1, -1, 0, 3, 1), 4), 5000)
+@example((vec(-2, 0, 0, F(1, 3), F(-4, 9)), 8), 0)  # c_0 < 0, c_1 = 0
+@example((vec(1, -1, 0, 0, 0, F(5, 2)), 8), 0)  # d = 5, c_(d-1) = 0
+@example((vec(F(3, 4), -1, 0, 0, 0, 2, F(-1, 4)), 6), 0)  # d = 6
+@example((named_instance("Kauers").coeffs, 12), 0)
+@example((named_instance("KZ-D").coeffs, 12), 0)
+@example((named_instance("Koornwinder").coeffs, 12), 0)
+@example((named_instance("GRZ", d=4).coeffs, 12), 0)
+@example((named_instance("GRZ", d=5).coeffs, 12), 0)
+@example((named_instance("GRZ", d=6).coeffs, 12), 0)
+@example((named_instance("h0b", b=F(-1, 8)).coeffs, 12), 0)
+def test_counted_diagonal_matches_the_tapped_box(case, digits):
+    c, N = case
+    c = (c[0], c[1] * 10 ** digits, *c[2:])
+    d = len(c) - 1
+    assert seriesbox._counted_diagonal(d, N, _kernel_scale(c)[3]) == _tapped(c, N)[1]
+
+
+def _refuse_layers(*args):
+    raise AssertionError("a layer was enumerated")
+
+
+def _refuse_count(*args):
+    raise AssertionError("the diagonal was counted")
+
+
+def _collected_diagonal(c, N: int) -> list[str]:
+    box = collect(c, N)
+    return [str(entry_at(box, (n,) * box.dim)) for n in range(N + 1)]
+
+
+def _reported_diagonal(argv, capsys) -> list[str]:
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["diagonal"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["diag", "--family", "Kauers", "--N", "12"], "N: 12\n"),
+    (["diag", "--family", "KZ-D", "--N", "20", "--oracle", "kzd"],
+     "oracle: match (kzd, n <= 20)\n"),
+    (["recur", "guess", "--family", "KZ-D", "--N", "20", "--max-order", "2",
+      "--max-degree", "3"], "order: 2\ndegree: 3\n"),
+    (["recur", "check", "--builtin", "kzd", "--family", "KZ-D", "--N", "20"],
+     "result: pass\n"),
+], ids=["diag-Kauers", "diag-KZ-D", "guess", "check"])
+def test_a_counted_family_enumerates_no_layer(argv, want, capsys, monkeypatch, cold_plans):
+    monkeypatch.setattr(seriesbox, "_shape_groups", _refuse_layers)
+    assert main(argv) == 0 and want in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["diag", "--family", "LewyAskey", "--N", "8", "--scale", "9-power",
+      "--oracle", "lewy-askey"], "oracle: match (lewy-askey, n <= 8)\n"),
+    (["diag", "--family", "AG3", "--N", "10", "--oracle", "franel"],
+     "oracle: match (franel, n <= 10)\n"),
+], ids=["LewyAskey", "AG3"])
+def test_a_tapped_family_is_not_counted(argv, want, capsys, monkeypatch):
+    monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
+    assert main(argv) == 0 and want in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("c, family", [
+    (named_instance("Szego4").coeffs, ["--family", "Szego4"]),
+    (named_instance("hab", a=F(1, 4), b=F(23, 8)).coeffs,
+     ["--family", "hab", "--a", "1/4", "--b", "23/8"]),
+], ids=["Szego4", "hab"])
+def test_a_tapped_family_is_the_collected_one(c, family, capsys, monkeypatch):
+    monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
+    argv = ["diag", *family, "--N", "8"]
+    assert _reported_diagonal(argv, capsys) == _collected_diagonal(c, 8)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diag", "--family", "KZ-D", "--N", "20", "--entry-limit", "100"],
+     "diag: error: box [0..20]^4 has 194481 entries, limit 100"),
+    (["recur", "check", "--builtin", "kzd", "--family", "KZ-D", "--N", "20",
+      "--entry-limit", "100"],
+     "recur check: error: box [0..20]^4 has 194481 entries, limit 100"),
+    (["diag", "--family", "KZ-D", "--N", "-1"], "diag: error: box bound must be >= 0"),
+    (["diag", "--coeffs", "0,-1,0,2,4", "--N", "3"], "diag: error: c_0 must be nonzero"),
+    (["diag", "--family", "StraubLambda", "--N", "3"],
+     "diag: error: diagonal extraction requires a rational box"),
+], ids=["entry-limit", "check-entry-limit", "negative-N", "zero-c0", "lambda"])
+def test_refusals_come_before_any_count(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"diagonalis {message}\n"
+
+
+@pytest.mark.parametrize("c, limit, error, message", [
+    (vec(1, -1, 0, 2, 4), 100, BoxTooLargeError, "box [0..20]^4 has 194481 entries, limit 100"),
+    (vec(0, -1, 0, 2, 4), 10 ** 8, ValueError, "not expandable at origin: zero constant term"),
+    (vec(1, -UniPoly.x(), 0, UniPoly.x(), 1), 10 ** 8, ValueError,
+     "diagonal extraction requires a rational box"),
+], ids=["entry-limit", "zero-c0", "lambda"])
+def test_library_refusals_come_before_any_count(c, limit, error, message, monkeypatch):
+    monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
+    with pytest.raises(error) as exc:
+        extract_diagonal(expand_reciprocal(c, 20, limit))
+    assert str(exc.value) == message
 
 
 def test_cache_roundtrip_rational():

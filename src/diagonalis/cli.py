@@ -7,12 +7,12 @@ source reads (`_READS`), are refused before the command runs, and `diag`
 checks its --oracle before any box is expanded or cache read; `_sequence`
 reads --terms, --from-cache or a family's diagonal for `diag` and `recur`.
 Reports are text by default and JSON with --format json; `geometry grid`
-always writes CSV, to an --output opened before the first point.  Exit
-code 0 iff all requested checks pass, 1 if a check fails, 2 on bad input,
-with a one-line message on stderr.  `expand --cache` writes the diagonal of
-a rational box in the versioned text format of `seriesbox`, after the last
-layer, and `diag --from-cache` reads it; relative cache paths resolve
-against $DIAGONALIS_CACHE.
+writes `_classify_3d`'s rows as CSV, to an --output opened before the first
+point.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
+bad input, with a one-line message on stderr.  `expand --cache` writes the
+diagonal of a rational box in the versioned format of `seriesbox`, after the
+last layer, over the regular file its path names, symlinks followed, and
+`diag --from-cache` reads it; relative paths resolve against $DIAGONALIS_CACHE.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactalg import over_lcm, plain, rat
+from .exactalg import plain, rat
 from .family import FamilySpec, make_family, named_instance
 from .geometry import _classify_3d, box_positivity_bisect, critical_points_diag
 from .identities import IDENTITIES, verify_identity
@@ -104,20 +104,21 @@ def _cache_path(path: str) -> str:
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
-def _refuse_unwritable(path: str) -> None:
-    """Raise the error that renaming a cache file over `path` would end in,
-    as far as the path and its directory show it: the path a directory, or
-    its directory missing, not a directory or not writable."""
-    directory = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
+def _cache_target(path: str) -> str:
+    """`path` with its symlinks followed, which the cache is renamed over; raise
+    the error that the rename would end in, as far as the target and its
+    directory show it, or refuse a target that is not a regular file."""
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    if os.path.exists(target) and not os.path.isfile(target):
+        reason = os.strerror(errno.EISDIR) if os.path.isdir(target) else "not a regular file"
     elif not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        reason = os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
     elif not os.access(directory, os.W_OK | os.X_OK):
-        code = errno.EACCES
+        reason = os.strerror(errno.EACCES)
     else:
-        return
-    raise OSError(f"cannot write cache {path}: {os.strerror(code)}")
+        return target
+    raise OSError(f"cannot write cache {path}: {reason}")
 
 
 def _fmt_index(n) -> str:
@@ -141,7 +142,7 @@ def cmd_expand(args) -> int:
     hit, diagonal = None, []
     if args.cache:
         path = _cache_path(args.cache)
-        _refuse_unwritable(path)  # before any layer is made
+        target = _cache_target(path)  # before any layer is made
         layers = tap_diagonal(layers, d, N, diagonal)
     if args.check_positive:  # stops at the first layer with a hit
         hit = streamed_first_nonpositive(layers, scale, d, N, strict)
@@ -150,11 +151,11 @@ def cmd_expand(args) -> int:
             pass
         # opened after the last layer, and renamed over the path only when
         # whole: a refused or failed expansion or write keeps the old cache
-        tmp = f"{path}.{os.getpid()}.tmp"
+        tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
                 save_cache(c, N, scale, diagonal, fh)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:  # name the given path, not the temporary one
             raise OSError(f"cannot write cache {path}: {exc.strerror or exc}") from None
         finally:
@@ -319,10 +320,8 @@ def _grid_csv(a_range, b_range) -> str:
     rows = [("a", "b", "locus_value", "locus", "orthant_count", "verdict")]
     for a in a_range:
         for b in b_range:
-            (x, y), M = over_lcm((a, b))
-            locus, count, verdict, _ = _classify_3d(x, y, M)
-            rows.append((a, b, Fraction(locus, M ** 3),
-                         "smooth" if locus else "member", count, verdict))
+            locus, count, verdict, _, _ = _classify_3d(a, b)
+            rows.append((a, b, locus, "smooth" if locus else "member", count, verdict))
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 

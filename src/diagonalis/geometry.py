@@ -8,10 +8,10 @@ The analysis runs on integers.  The canonical coefficients are put over one
 denominator M once; the cubic discriminant and the locus are integer
 polynomials in their numerators, divided by a power of M once at the end,
 and the off-diagonal class is decided by integer comparisons.  For d = 3,
-`_classify_3d` gives the locus, the critical-point count, with the
-symmetric points counted by Sturm's theorem at 0 and infinity, and the
-verdict.  Each `geometry grid` row is read off it alone; `geometry point`
-also isolates the symmetric roots, to report their intervals.  A Sturm
+`_classify_3d` of the exact point (a, b) gives the locus, the count, with
+the symmetric points counted by Sturm's theorem at 0 and infinity, the
+verdict and the off-diagonal class.  Each `geometry grid` row is read off
+it alone; `geometry point` also isolates the symmetric roots.  A Sturm
 chain is one signed remainder sequence per level of the gcd chain p,
 gcd(p, p'), ..., held as int lists: each member is the primitive part of a
 pseudo-remainder whose steps scale only by |lc| > 0 (W. S. Brown and
@@ -242,18 +242,20 @@ def _positive_root_count(p: list[int]) -> int:
     return _variations(chain, 0, 1) - _variations(chain, 1, 0)
 
 
-def _classify_3d(x: int, y: int, M: int) -> tuple[int, int, str, str]:
-    """h_{a,b} for a = x/M and b = y/M, M > 0, on integers: the numerator of
-    its nonsmooth locus 4a^3 - 3a^2 + 6ab + b^2 - 4b over M^3, zero iff the
-    singular variety has nonsmooth points; its critical points in the open
-    positive orthant, the positive roots of M - 3Mt + 3xt^2 + yt^3 (p(0) =
-    M != 0) and the off-diagonal ones; and the verdict with its reason."""
+def _classify_3d(a, b) -> tuple[Fraction, int, str, str, CritClass]:
+    """h_{a,b} at the point a = x/M, b = y/M over one denominator M > 0: its
+    nonsmooth locus 4a^3 - 3a^2 + 6ab + b^2 - 4b, zero iff the singular
+    variety has nonsmooth points; its critical points in the open positive
+    orthant, the positive roots of M - 3Mt + 3xt^2 + yt^3 (p(0) = M != 0) and
+    the off-diagonal ones; the verdict, its reason and the off-diagonal class."""
+    (x, y), M = over_lcm((a, b))
     locus = 4 * x ** 3 + (6 * x * y - 3 * x * x + y * y) * M - 4 * y * M * M
     p = [M, -3 * M, 3 * x, y]
     while not p[-1]:
         p.pop()
-    count = _positive_root_count(p) + _off_diagonal_3d(x, y, M).positive_count
-    return (locus, count, *_verdict(3, locus, count))
+    off_diagonal = _off_diagonal_3d(x, y, M)
+    count = _positive_root_count(p) + off_diagonal.positive_count
+    return (Fraction(locus, M ** 3), count, *_verdict(3, locus, count), off_diagonal)
 
 
 def critical_points_diag(family: FamilySpec) -> CritReport:
@@ -265,9 +267,9 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
     The symmetric points (t, ..., t) are the positive roots of
     sum_k C(d, k) c_k t^k, that is 1 - 2t + at^2 or 1 - 3t + 3at^2 + bt^3.
     With c_k = m_k / M, the cubic's discriminant is that of its integer
-    numerators over M^4.  For d = 3 the locus, the count and the verdict
-    are `_classify_3d`'s, as in each `geometry grid` row; the isolation
-    gives the symmetric roots' intervals and multiplicities."""
+    numerators over M^4.  For d = 3 the locus, the count, the verdict and
+    the off-diagonal class are `_classify_3d`'s, as in each `geometry grid`
+    row; the isolation gives the symmetric roots and their multiplicities."""
     d = family.dim
     if d not in (2, 3):
         raise ValueError("critical-point analysis supports d = 2 and d = 3 only")
@@ -285,10 +287,9 @@ def critical_points_diag(family: FamilySpec) -> CritReport:
         locus, disc, count = Fraction(m[2] - M, M), None, len(roots)
         verdict, reason = _verdict(2, locus, count)
     else:
-        locus, count, verdict, reason = _classify_3d(m[2], m[3], M)
-        locus = Fraction(locus, M ** 3)
+        locus, count, verdict, reason, off_diagonal = _classify_3d(*family.coeffs[2:])
         disc = Fraction(cubic_discriminant(*reversed(cs)), M ** 4)
-        classes.append(_off_diagonal_3d(m[2], m[3], M))
+        classes.append(off_diagonal)
     return CritReport(family, locus != 0, locus, tuple(classes), count, disc,
                       verdict, reason)
 

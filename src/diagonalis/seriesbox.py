@@ -55,8 +55,8 @@ The positivity scan reads that stream as it comes and stops at the first
 layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
 layer as the stream passes, for `save_cache`.  A cache (format v4) holds
 those N + 1 integers alone, the only entries its reader reads.
-`expand_reciprocal` keeps them in a `CoeffBox`, which holds no layer.  For
-d >= 4 and every k >= 1 with c_k != 0 in {1, d-1, d}, it counts them
+`expand_reciprocal` keeps them in a `CoeffBox`, refusing a Q[lambda] box.
+For d >= 4 and every k >= 1 with c_k != 0 in {1, d-1, d}, it counts them
 instead of tapping them (`_counted_diagonal`): with g full steps, b
 complement steps [d] - {i} and a = d*s + b singleton steps, s = n - g - b,
 
@@ -156,9 +156,9 @@ def _exact(c0: Fraction, L: int, B: int, t: int, v: int) -> Coeff:
 
 
 class CoeffBox:
-    """The box of 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, as the kernel's
-    scale (c_0, L, B_0), B_0 = 0 over Q, and integers v_(n,...,n), n = 0..N,
-    of its diagonal; a Q[lambda] box keeps none, as its diagonal is not read."""
+    """The box of 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, over Q, as the
+    kernel's scale (c_0, L, 0) and integers v_(n,...,n), n = 0..N, of its
+    diagonal."""
 
     def __init__(self, c: Sequence[Coeff], N: int, scale: tuple, diagonal: list[int]):
         self.c = c
@@ -416,7 +416,8 @@ def _counted_diagonal(d: int, N: int, weights) -> list[int]:
     in i <= N - r, their terms scaled to integers by (r + top)!^2 and, for
     G_r, top! (r + top)!.  If w_1 or w_{d-1} is 0, only i = 0 is read,
     Y_r(0) = (dr)! / r!^d.  The count takes O(N^3) products, O(N^2) if
-    w_{d-1} = 0, where the box sweeps C(N + d, d) entries."""
+    w_{d-1} = 0, where the box sweeps C(N + d, d) entries; at d = 3, where
+    `expand_reciprocal` taps, it loses from about N = 80 if w_2 != 0."""
     w = {k: wk for k, (wk,) in weights}
     w1, wc, wd = w.get(1, 0), w.get(d - 1, 0), w.get(d, 0)
     Y = []  # Y[r][i]
@@ -455,9 +456,9 @@ def _counted_diagonal(d: int, N: int, weights) -> list[int]:
 def expand_reciprocal(c: Sequence[Coeff], N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible c_0,
-    keeping its diagonal; a Q[lambda] box draws no layer.  The scale comes
-    from `expand_layers`, with every refusal.  If d >= 4 and every k >= 1
-    with c_k != 0 lies in {1, d-1, d}, the diagonal is counted
+    keeping its diagonal.  The scale comes from `expand_layers`, with every
+    refusal, and a Q[lambda] box is refused right after it.  If d >= 4 and
+    every k >= 1 with c_k != 0 lies in {1, d-1, d}, the diagonal is counted
     (`_counted_diagonal`),
 
         v_n = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
@@ -468,7 +469,7 @@ def expand_reciprocal(c: Sequence[Coeff], N: int,
     layers = expand_layers(c, N, entry_limit)
     scale, diagonal = next(layers), []
     if scale[2]:
-        return CoeffBox(c, N, scale, diagonal)
+        raise ValueError("diagonal extraction requires a rational box")
     if d >= 4 and all(k in (1, d - 1, d) for k, ck in enumerate(c) if k and ck):
         diagonal = _counted_diagonal(d, N, _kernel_scale(c)[3])
     else:
@@ -555,9 +556,7 @@ def _diagonal(scale: tuple, d: int, vs: list[int]) -> UniSeries:
 
 
 def extract_diagonal(box: CoeffBox) -> UniSeries:
-    """The series of u_(n,...,n), n = 0..N, of a rational box."""
-    if box.scale[2]:
-        raise ValueError("diagonal extraction requires a rational box")
+    """The series of u_(n,...,n), n = 0..N, of a box."""
     return _diagonal(box.scale, len(box.c) - 1, box.diagonal)
 
 

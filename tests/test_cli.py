@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import zlib
@@ -474,6 +475,41 @@ def test_unwritable_cache_is_refused_before_any_layer(capsys, monkeypatch, tmp_p
                                        f"{path}: {reason}\n")
     assert enumerated == []
     assert sorted(os.listdir(tmp_path)) == ["a-directory", "a-file", "read-only"]
+
+
+@pytest.mark.parametrize("name", ["pipe", "link-to-pipe"])
+def test_a_cache_path_that_is_not_a_regular_file_is_refused_before_any_layer(
+        capsys, monkeypatch, tmp_path, cold_plans, name):
+    # renaming the cache over a FIFO, a socket or a device node would replace
+    # it with a regular file; a symlink is followed to what it names
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    (tmp_path / "link-to-pipe").symlink_to("pipe")
+
+    def no_layer(*args):
+        raise AssertionError("a layer was enumerated")
+    monkeypatch.setattr(seriesbox, "_shape_groups", no_layer)
+    path = str(tmp_path / name)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--family", "KZ-D", "--N", "3", "--cache", path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"diagonalis expand: error: cannot write cache "
+                                       f"{path}: not a regular file\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link-to-pipe", "pipe"]
+
+
+def test_a_cache_written_through_a_symlink_keeps_the_link(capsys, tmp_path):
+    (tmp_path / "real.box").write_text("an older cache\n")
+    link = tmp_path / "link.box"
+    link.symlink_to("real.box")
+    argv = ["expand", "--family", "KZ-D", "--N", "3", "--cache"]
+    assert run(capsys, *argv, str(tmp_path / "direct.box"))[0] == 0
+    code, out = run(capsys, *argv, str(link))
+    assert code == 0 and out.endswith(f"cache: {link}\n")
+    assert link.is_symlink() and os.readlink(link) == "real.box"
+    assert (tmp_path / "real.box").read_bytes() == (tmp_path / "direct.box").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["direct.box", "link.box", "real.box"]
 
 
 def test_expand_deterministic_output(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diagonalis import cli, geometry
-from diagonalis.exactalg import UniPoly, over_lcm, plain
+from diagonalis.exactalg import UniPoly, plain
 from diagonalis.family import make_family, named_instance
 from diagonalis.geometry import (box_positivity_bisect, critical_points_diag,
                                  cubic_discriminant, sturm_isolate)
@@ -18,9 +18,8 @@ from unipoly_oracle import FractionUniPoly
 
 
 def _locus_3d(a, b):
-    """The nonsmooth locus of h_{a,b}, from the classifier's numerator."""
-    (x, y), M = over_lcm((F(a), F(b)))
-    return F(geometry._classify_3d(x, y, M)[0], M ** 3)
+    """The nonsmooth locus of h_{a,b}, as the classifier gives it."""
+    return geometry._classify_3d(F(a), F(b))[0]
 
 
 def test_locus_3d_members():
@@ -485,6 +484,9 @@ def test_a_grid_row_is_the_point_report(a, b):
     row = (a, b, rep.locus_value, "smooth" if rep.smooth else "member",
            rep.positive_orthant_count, rep.verdict)
     assert out.getvalue().splitlines()[1:] == [",".join(map(str, row))]
+    # the report's off-diagonal class is the one the classifier built
+    assert geometry._classify_3d(a, b) == (rep.locus_value, rep.positive_orthant_count,
+                                           rep.verdict, rep.reason, off_diagonal)
 
 
 def test_crit_analyses_the_canonical_form():

@@ -502,6 +502,20 @@ def test_library_refusals_come_before_any_count(c, limit, error, message, monkey
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("limit, error, message", [
+    (10 ** 8, ValueError, "diagonal extraction requires a rational box"),
+    (100, BoxTooLargeError, "box [0..20]^3 has 9261 entries, limit 100"),
+], ids=["lambda", "entry-limit-first"])
+def test_a_lambda_box_is_refused_before_any_layer(limit, error, message, monkeypatch,
+                                                  cold_plans):
+    def no_layer(*args):
+        raise AssertionError("a layer was enumerated")
+    monkeypatch.setattr(seriesbox, "_shape_groups", no_layer)
+    with pytest.raises(error) as exc:
+        expand_reciprocal(named_instance("StraubLambda").coeffs, 20, limit)
+    assert str(exc.value) == message
+
+
 def test_cache_roundtrip_rational():
     c = vec(1, -1, 0, 4)
     box = collect(c, 3)
@@ -900,12 +914,12 @@ def test_both_diagonal_routes_rescale_the_kernel_integers(case):
     (named_instance("GRZ", d=5).coeffs, 8),
     (named_instance("StraubLambda").coeffs, 16),
     # C(23, 4) = 8855 stored entries, past 2^13: the plan holds no groups, and
-    # the box and its re-expansion by `data` each enumerate their own
+    # the box enumerates its own
     (named_instance("Kauers").coeffs, 19),
 ], ids=["Kauers-sym", "hab-1/4-23/8", "hab-0--3/8", "GRZ5", "StraubLambda",
         "Kauers-streamed-groups"])
 def test_layer_kernel_matches_per_entry_kernel(c, N):
-    assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
+    assert collect(c, N).data == per_entry_data(c, N, True)
 
 
 @settings(deadline=None, max_examples=40)
@@ -916,7 +930,7 @@ def test_layer_kernel_matches_per_entry_kernel(c, N):
 @example((vec(1, -1, F(2, 3), 0, 0, -lam), 2))  # d = 5 over Q[lambda]
 def test_layer_kernel_matches_per_entry_kernel_on_random_denominators(case):
     c, N = case
-    assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
+    assert collect(c, N).data == per_entry_data(c, N, True)
 
 
 @st.composite
@@ -951,7 +965,7 @@ def test_boxes_of_one_plan_match_the_per_entry_kernel(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seriesbox, "_PLANS", {})  # the first box cold, the others warm
         for c in boxes:
-            assert expand_reciprocal(c, N).data == per_entry_data(c, N, True)
+            assert collect(c, N).data == per_entry_data(c, N, True)
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -10,9 +10,13 @@ Reports are text by default and JSON with --format json; `geometry grid`
 writes `_classify_3d`'s rows as CSV, to an --output opened before the first
 point.  Exit code 0 iff all requested checks pass, 1 if a check fails, 2 on
 bad input, with a one-line message on stderr.  `expand --cache` writes the
-diagonal of a rational box in the versioned format of `seriesbox`, after the
-last layer, over the regular file its path names, symlinks followed, and
-`diag --from-cache` reads it; relative paths resolve against $DIAGONALIS_CACHE.
+diagonal of a rational box in the versioned format of `seriesbox`, counted or
+tapped as `kernel_diagonal` routes it (tapped under --check-positive, whose
+scan reads the layers), after the last layer or the count, over the regular
+file its path names, symlinks followed, and `diag --from-cache` reads it;
+relative paths resolve against $DIAGONALIS_CACHE.  A --cache, --from-cache or
+--output path that names an existing file other than a regular one is
+refused before any work (`_refuse_irregular`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 
@@ -35,7 +40,7 @@ from .sequences import (PRecurrence, binomial_oracle, builtin_recurrence,
                         characteristic_polynomial, recurrence_check,
                         recurrence_extend, recurrence_guess, recurrence_seed)
 from .seriesbox import (DEFAULT_ENTRY_LIMIT, expand_layers, expand_reciprocal,
-                        extract_diagonal, load_cache, save_cache,
+                        extract_diagonal, kernel_diagonal, load_cache, save_cache,
                         streamed_first_nonpositive, tap_diagonal)
 from .uniseries import UniSeries, verify_series_identity
 
@@ -85,6 +90,7 @@ def _sequence(args):
         return UniSeries(args.terms.split(",")), None, None
     if getattr(args, "from_cache", None):
         path = _cache_path(args.from_cache)
+        _refuse_irregular(path, "load cache")
         with open(path) as fh:
             try:
                 d, vals = load_cache(fh)
@@ -104,15 +110,29 @@ def _cache_path(path: str) -> str:
     return os.path.join(os.environ.get("DIAGONALIS_CACHE", "."), path)
 
 
+def _refuse_irregular(path: str, what: str) -> None:
+    """Refuse, as "cannot <what> <path>: <reason>", a path that names an
+    existing file other than a regular one, symlinks followed: a directory,
+    or a FIFO, socket or device, on which `open` may block or read without
+    end and over which a rename would put a regular file.  A path that names
+    nothing is left to `open` or the rename to report."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return
+    if not stat.S_ISREG(mode):
+        reason = os.strerror(errno.EISDIR) if stat.S_ISDIR(mode) else "not a regular file"
+        raise OSError(f"cannot {what} {path}: {reason}")
+
+
 def _cache_target(path: str) -> str:
-    """`path` with its symlinks followed, which the cache is renamed over; raise
-    the error that the rename would end in, as far as the target and its
-    directory show it, or refuse a target that is not a regular file."""
+    """`path` with its symlinks followed, which the cache is renamed over;
+    refuse what `_refuse_irregular` refuses, then raise the error that the
+    rename would end in, as far as the target's directory shows it."""
+    _refuse_irregular(path, "write cache")
     target = os.path.realpath(path)
     directory = os.path.dirname(target)
-    if os.path.exists(target) and not os.path.isfile(target):
-        reason = os.strerror(errno.EISDIR) if os.path.isdir(target) else "not a regular file"
-    elif not os.path.isdir(directory):
+    if not os.path.isdir(directory):
         reason = os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
     elif not os.access(directory, os.W_OK | os.X_OK):
         reason = os.strerror(errno.EACCES)
@@ -142,15 +162,20 @@ def cmd_expand(args) -> int:
     hit, diagonal = None, []
     if args.cache:
         path = _cache_path(args.cache)
-        target = _cache_target(path)  # before any layer is made
-        layers = tap_diagonal(layers, d, N, diagonal)
+        target = _cache_target(path)  # before any layer is made or counted
     if args.check_positive:  # stops at the first layer with a hit
+        if args.cache:  # the scan reads the layers, so the cache taps them
+            layers = tap_diagonal(layers, d, N, diagonal)
         hit = streamed_first_nonpositive(layers, scale, d, N, strict)
     if args.cache:
-        for _ in layers:  # the rest of the diagonal
-            pass
-        # opened after the last layer, and renamed over the path only when
-        # whole: a refused or failed expansion or write keeps the old cache
+        if args.check_positive:
+            for _ in layers:  # the rest of the tapped diagonal
+                pass
+        else:
+            diagonal = kernel_diagonal(c, N, layers)
+        # opened after the last layer or the count, and renamed over the path
+        # only when whole: a refused or failed expansion or write keeps the
+        # old cache
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
@@ -337,6 +362,7 @@ def cmd_geometry(args) -> int:
         if not args.output:
             sys.stdout.write(_grid_csv(args.a_range, args.b_range))
             return 0
+        _refuse_irregular(args.output, "write output")
         try:  # opened before any point, so that open refuses a bad path
             with open(args.output, "w") as out:
                 out.write(_grid_csv(args.a_range, args.b_range))

@@ -53,18 +53,22 @@ digit width B_t once it is finished, and holds only the deg(p) + 1 layers
 that layer t + 1 reads.
 The positivity scan reads that stream as it comes and stops at the first
 layer with a hit; `tap_diagonal` keeps the integer v_(n,...,n) of each d-th
-layer as the stream passes, for `save_cache`.  A cache (format v4) holds
-those N + 1 integers alone, the only entries its reader reads.
-`expand_reciprocal` keeps them in a `CoeffBox`, refusing a Q[lambda] box.
-For d >= 4 and every k >= 1 with c_k != 0 in {1, d-1, d}, it counts them
-instead of tapping them (`_counted_diagonal`): with g full steps, b
-complement steps [d] - {i} and a = d*s + b singleton steps, s = n - g - b,
+layer as the stream passes.  A cache (format v4) holds those N + 1 integers
+alone, the only entries its reader reads.
+`kernel_diagonal` is the one route rule for those integers: where every
+k >= 1 with c_k != 0 lies in {1, d-1, d}, and d >= 4, or d = 3 and
+c_1 c_2 = 0, it counts them instead of tapping them (`_counted_diagonal`):
+with g full steps, b complement steps [d] - {i} and a = d*s + b singleton
+steps, s = n - g - b,
 
     v_(n,...,n) = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
     X_s(b) = (d*s + 2b)! [y^b] (sum_j y^j / (j! (s + j)!))^d,
 
-O(N^3) integer products where the box sweeps C(N + d, d) entries.  A d <= 3
-box keeps its layers.
+O(N^3) integer products, O(N^2) if c_1 c_{d-1} = 0, where the box sweeps
+C(N + d, d) entries.  A d = 3 box with c_1 c_2 != 0, on which the count
+loses from about N = 80, is tapped, as is every box outside the rule.
+`expand_reciprocal` keeps the integers in a `CoeffBox`, refusing a Q[lambda]
+box, and `save_cache` writes them, whichever route gave them.
 `extract_diagonal` and `load_cache` give the diagonal u_(n,...,n), n = 0..N,
 as a `UniSeries` of order N rescaled from the kernel's integers
 (`_diagonal`); `CoeffBox.data` expands the box anew to read any other u_n.
@@ -416,8 +420,9 @@ def _counted_diagonal(d: int, N: int, weights) -> list[int]:
     in i <= N - r, their terms scaled to integers by (r + top)!^2 and, for
     G_r, top! (r + top)!.  If w_1 or w_{d-1} is 0, only i = 0 is read,
     Y_r(0) = (dr)! / r!^d.  The count takes O(N^3) products, O(N^2) if
-    w_{d-1} = 0, where the box sweeps C(N + d, d) entries; at d = 3, where
-    `expand_reciprocal` taps, it loses from about N = 80 if w_2 != 0."""
+    w_1 w_{d-1} = 0, where the box sweeps C(N + d, d) entries; at d = 3 that
+    box is small, and the count loses to it from about N = 80 if w_1 w_2 != 0
+    (`kernel_diagonal` taps it there)."""
     w = {k: wk for k, (wk,) in weights}
     w1, wc, wd = w.get(1, 0), w.get(d - 1, 0), w.get(d, 0)
     Y = []  # Y[r][i]
@@ -453,29 +458,36 @@ def _counted_diagonal(d: int, N: int, weights) -> list[int]:
     return diagonal
 
 
+def kernel_diagonal(c: Sequence[Coeff], N: int, layers) -> list[int]:
+    """The kernel's integers v_(n,...,n), n = 0..N, of the rational box of
+    1/sum c_k e_k on [0..N]^d, d = len(c) - 1, whose layers (t, layers[t],
+    B_t) past the scale are `layers`.  They are counted
+    (`_counted_diagonal`), with no layer drawn, where the count wins: every
+    k >= 1 with c_k != 0 lies in {1, d-1, d}, and d >= 4, or d = 3 and
+    c_1 c_2 = 0.  Otherwise they are tapped off the layers (`tap_diagonal`),
+    drawn to the last."""
+    d = len(c) - 1
+    support = {k for k, ck in enumerate(c) if k and ck}
+    if d >= 3 and support <= {1, d - 1, d} and not (d == 3 and {1, 2} <= support):
+        return _counted_diagonal(d, N, _kernel_scale(c)[3])
+    diagonal: list[int] = []
+    for _ in tap_diagonal(layers, d, N, diagonal):
+        pass
+    return diagonal
+
+
 def expand_reciprocal(c: Sequence[Coeff], N: int,
                       entry_limit: int = DEFAULT_ENTRY_LIMIT) -> CoeffBox:
     """Expand 1/sum c_k e_k on [0..N]^d, d = len(c) - 1, for an invertible c_0,
-    keeping its diagonal.  The scale comes from `expand_layers`, with every
-    refusal, and a Q[lambda] box is refused right after it.  If d >= 4 and
-    every k >= 1 with c_k != 0 lies in {1, d-1, d}, the diagonal is counted
-    (`_counted_diagonal`),
-
-        v_n = sum_{g, b} C(a + b + g, g) X_s(b) w_1^a w_{d-1}^b w_d^g,
-
-    s = n - g - b, a = d*s + b >= 0, in O(N^3) products; otherwise it is
-    read off the layers (`tap_diagonal`)."""
-    d = len(c) - 1
+    keeping its diagonal integers, counted or tapped as `kernel_diagonal`
+    routes them.  The scale comes from `expand_layers`, with every refusal,
+    and a Q[lambda] box is refused right after it, before any layer or
+    count."""
     layers = expand_layers(c, N, entry_limit)
-    scale, diagonal = next(layers), []
+    scale = next(layers)
     if scale[2]:
         raise ValueError("diagonal extraction requires a rational box")
-    if d >= 4 and all(k in (1, d - 1, d) for k, ck in enumerate(c) if k and ck):
-        diagonal = _counted_diagonal(d, N, _kernel_scale(c)[3])
-    else:
-        for _ in tap_diagonal(layers, d, N, diagonal):
-            pass
-    return CoeffBox(c, N, scale, diagonal)
+    return CoeffBox(c, N, scale, kernel_diagonal(c, N, layers))
 
 
 def streamed_first_nonpositive(layers, scale: tuple, d: int, N: int, strict: bool):

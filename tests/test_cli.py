@@ -105,10 +105,18 @@ def test_plain_expand_stops_after_the_scale_and_collects_none(capsys, monkeypatc
         assert run(capsys, *argv) == (1, text)
         assert len(drawn) == 1 + layers
     assert (tmp_path / "flagged.box").read_text().endswith(_CACHE_TRAILERS["flagged.box"])
-    drawn.clear()  # the cache alone, with the trailer of the file pinned in test_seriesbox
-    code, out = run(capsys, "expand", "--family", "KZ-D", "--N", "3", "--cache", "kzd3.box")
-    assert code == 0 and out.endswith("cache: ./kzd3.box\n") and len(drawn) == 1 + 13
-    assert (tmp_path / "kzd3.box").read_text().endswith("\ncrc32=e65b112c\n")
+    # the cache alone of a tapped diagonal (LewyAskey, c_2 != 0) reads all 13
+    # layers; KZ-D's is counted and draws the scale alone, but with the scan
+    # the cache taps the 13 layers that the scan reads; both KZ-D files are
+    # the one pinned in test_seriesbox
+    for family, opts, layers, trailer in (
+            ("LewyAskey", [], 13, "868cbbaf"), ("KZ-D", [], 0, "e65b112c"),
+            ("KZ-D", ["--check-positive"], 13, "e65b112c")):
+        drawn.clear()
+        code, out = run(capsys, "expand", "--family", family, "--N", "3", *opts,
+                        "--cache", "d3.box")
+        assert code == 0 and out.endswith("cache: ./d3.box\n") and len(drawn) == 1 + layers
+        assert (tmp_path / "d3.box").read_text().endswith(f"\ncrc32={trailer}\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -365,8 +373,8 @@ def test_expansion_failing_midway_opens_no_file(capsys, tmp_path, monkeypatch):
         raise AssertionError("a file was opened")
     monkeypatch.setattr(cli, "expand_layers", failing)
     monkeypatch.setattr(cli, "open", no_file, raising=False)
-    with pytest.raises(MemoryError):
-        main(["expand", "--family", "AG3", "--N", "3", "--cache", str(path)])
+    with pytest.raises(MemoryError):  # Szego3 (c_1 c_2 != 0) is tapped, not counted
+        main(["expand", "--family", "Szego3", "--N", "3", "--cache", str(path)])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["kzd3.box"]
 
@@ -497,6 +505,41 @@ def test_a_cache_path_that_is_not_a_regular_file_is_refused_before_any_layer(
                                        f"{path}: not a regular file\n")
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["link-to-pipe", "pipe"]
+
+
+_PATH_OPTIONS = {  # option -> (the argv before its path, the refusal's prefix)
+    "cache": (["expand", "--family", "KZ-D", "--N", "3", "--cache"],
+              "diagonalis expand: error: cannot write cache"),
+    "from-cache": (["diag", "--oracle", "kzd", "--from-cache"],
+                   "diagonalis diag: error: cannot load cache"),
+    "output": (["geometry", "grid", "--a", "0:0:1", "--b", "0:0:1", "--output"],
+               "diagonalis geometry grid: error: cannot write output"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_PATH_OPTIONS))
+@pytest.mark.parametrize("name, reason", [
+    ("pipe", "not a regular file"),
+    ("link-to-pipe", "not a regular file"),
+    ("a-directory", "Is a directory"),
+], ids=["fifo", "link-to-fifo", "directory"])
+def test_a_path_that_is_not_a_regular_file_is_refused_before_any_work(tmp_path, option,
+                                                                     name, reason):
+    # `open` blocks on a FIFO that no process opens from the other end, so
+    # each run is a child process cut at 60 s; it takes well under a second
+    os.mkfifo(tmp_path / "pipe")
+    (tmp_path / "link-to-pipe").symlink_to("pipe")
+    (tmp_path / "a-directory").mkdir()
+    argv, prefix = _PATH_OPTIONS[option]
+    path = str(tmp_path / name)
+    env = dict(os.environ, PYTHONPATH=str(Path(diagonalis.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "diagonalis.cli", *argv, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"{prefix} {path}: {reason}\n"
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "pipe").st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["a-directory", "link-to-pipe", "pipe"]
+    assert os.listdir(tmp_path / "a-directory") == []
 
 
 def test_a_cache_written_through_a_symlink_keeps_the_link(capsys, tmp_path):

@@ -11,7 +11,8 @@ huge --entry-limit alone is bounded by the small --N and --d.  --M, --upto,
 --d and --max-degree stay small, and every grid range that may run has at
 most 4 points; a hostile range of 10^18 + 1 points must be refused with
 exit 2 before any point is built, as `cli._grid` counts a range's points
-first."""
+first.  The path alphabet holds a FIFO that no process opens, on which `open`
+would block: every path option must refuse it with exit 2 before opening it."""
 
 import argparse
 import contextlib
@@ -46,8 +47,8 @@ _VALUES = {
     "a": _RATIONALS, "b": _RATIONALS, "c": _RATIONALS, "lam": _RATIONALS,
     "N": (["0", "2", "6"], ["", "-1", "-0", _HUGE]),
     "entry_limit": (["10", "100000", _HUGE[1:]], ["", "-1", "-0", "0"]),
-    "cache": (["new.box", "good.box"], ["missing/new.box", "dir", ""]),
-    "from_cache": (["good.box", "new.box"], ["bad.box", "missing.box", "dir", ""]),
+    "cache": (["new.box", "good.box"], ["missing/new.box", "dir", "fifo", ""]),
+    "from_cache": (["good.box", "new.box"], ["bad.box", "missing.box", "dir", "fifo", ""]),
     "scale": (["9-power", "3/2", "-1", "0"], ["", "1/0"]),
     "oracle": (["franel", "kzd", "2var"], ["nope", ""]),
     "terms": (["1,2,10,56", _FRANEL, "3/2,1,2", "-1,1,0,5"],
@@ -63,7 +64,7 @@ _VALUES = {
                 ["1:0:1", "0:1:0", "0:1:-1", "1/0:1:1", "0:1", "", _HUGE_RANGE]),
     "b_range": (["4:5:1", "0:1:1/3", "-1:2:1"],
                 ["1:0:1", "0:1:0", "x:1:1", "", _HUGE_RANGE]),
-    "output": (["{dir}/out.csv"], ["{dir}", "{dir}/missing/out.csv", ""]),
+    "output": (["{dir}/out.csv"], ["{dir}", "{dir}/missing/out.csv", "{dir}/fifo", ""]),
     "prec": (["1/2", "1/16", "3/2"], ["", "1/0", "-1", "0"]),
     "b_lo": (["4", "3/2", "0", "5"], ["", "-1", "1/0"]),
     "name": (["theta-modular", "duco", "fran"], ["nope", ""]),
@@ -120,13 +121,15 @@ def _argv(draw):
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
-    """$DIAGONALIS_CACHE for the fuzz runs: a good cache, a bad one and a
-    subdirectory; runs may add caches of their own."""
+    """$DIAGONALIS_CACHE for the fuzz runs: a good cache, a bad one, a
+    subdirectory and a FIFO that no process opens; runs may add caches of
+    their own."""
     root = tmp_path_factory.mktemp("fuzz")
     assert main(["expand", "--family", "KZ-D", "--N", "4",
                  "--cache", str(root / "good.box")]) == 0
     (root / "bad.box").write_text("not a cache\n")
     (root / "dir").mkdir()
+    os.mkfifo(root / "fifo")
     return root
 
 
@@ -156,6 +159,9 @@ def test_every_option_has_an_alphabet():
           "--output", "{dir}/missing/out.csv"])
 @example(["expand", "--family", "KZ-D", "--N", _HUGE, "--entry-limit", _HUGE[1:]])
 @example(["geometry", "grid", "--a", _HUGE_RANGE, "--b", "4:5:1"])
+@example(["diag", "--from-cache", "fifo"])
+@example(["expand", "--family", "KZ-D", "--N", "2", "--cache", "fifo"])
+@example(["geometry", "grid", "--a", "0:1:1", "--b", "4:5:1", "--output", "{dir}/fifo"])
 def test_fuzzed_argv_keeps_the_exit_contract(cache_dir, argv):
     code, out, err = _run(argv, cache_dir)
     assert code in (0, 1, 2), (argv, code)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import tracemalloc
 import zlib
@@ -338,12 +339,13 @@ def test_streamed_check_holds_a_window_of_layers():
 
 
 def test_cache_write_holds_a_window_of_layers(tmp_path, capsys):
-    # `expand --cache` keeps the diagonal integers of the layers as they pass,
-    # so it holds a window of layers, not the box
-    argv = ["expand", "--family", "KZ-D", "--N", "26", "--cache", str(tmp_path / "k.box")]
+    # `expand --cache` of a tapped diagonal (LewyAskey, c_2 != 0) keeps the
+    # diagonal integers of the layers as they pass, so it holds a window of
+    # layers, not the box
+    argv = ["expand", "--family", "LewyAskey", "--N", "26", "--cache", str(tmp_path / "l.box")]
     code, written = _peak(lambda: main(argv))
-    assert code == 0 and capsys.readouterr().out.endswith(f"cache: {tmp_path}/k.box\n")
-    assert 3 * written < _box26_peak("KZ-D")
+    assert code == 0 and capsys.readouterr().out.endswith(f"cache: {tmp_path}/l.box\n")
+    assert 3 * written < _box26_peak("LewyAskey")
 
 
 def test_cache_read_holds_a_window(tmp_path, capsys):
@@ -385,12 +387,14 @@ def test_recurrence_check_of_a_family_holds_a_window_of_layers(capsys):
 
 @st.composite
 def counted_cases(draw):
-    """(c, N): d = 4..6, c_0 != 0 of either sign and c_k = 0 for k outside
-    {0, 1, d-1, d}, N = 0..8."""
-    d = draw(st.integers(4, 6))
+    """(c, N): d = 3..6, c_0 != 0 of either sign, c_k = 0 for k outside
+    {0, 1, d-1, d} and, at d = 3, c_1 = 0 or c_2 = 0; N = 0..8."""
+    d = draw(st.integers(3, 6))
     c = [draw(nonzero_rationals)] + [F(0)] * d
     for k in (1, d - 1, d):
         c[k] = draw(small_rationals)
+    if d == 3:
+        c[draw(st.sampled_from([1, 2]))] = F(0)
     return vec(*c), draw(st.integers(0, 8))
 
 
@@ -409,6 +413,9 @@ def counted_cases(draw):
 @example((named_instance("GRZ", d=5).coeffs, 12), 0)
 @example((named_instance("GRZ", d=6).coeffs, 12), 0)
 @example((named_instance("h0b", b=F(-1, 8)).coeffs, 12), 0)
+@example((named_instance("AG3").coeffs, 12), 0)
+@example((named_instance("hab", a=0, b=F(31, 8)).coeffs, 12), 0)
+@example((vec(1, 0, F(-1, 2), 2), 12), 0)  # d = 3, c_1 = 0
 def test_counted_diagonal_matches_the_tapped_box(case, digits):
     c, N = case
     c = (c[0], c[1] * 10 ** digits, *c[2:])
@@ -442,7 +449,10 @@ def _reported_diagonal(argv, capsys) -> list[str]:
       "--max-degree", "3"], "order: 2\ndegree: 3\n"),
     (["recur", "check", "--builtin", "kzd", "--family", "KZ-D", "--N", "20"],
      "result: pass\n"),
-], ids=["diag-Kauers", "diag-KZ-D", "guess", "check"])
+    # d = 3 with c_2 = 0
+    (["diag", "--family", "AG3", "--N", "10", "--oracle", "franel"],
+     "oracle: match (franel, n <= 10)\n"),
+], ids=["diag-Kauers", "diag-KZ-D", "guess", "check", "diag-AG3"])
 def test_a_counted_family_enumerates_no_layer(argv, want, capsys, monkeypatch, cold_plans):
     monkeypatch.setattr(seriesbox, "_shape_groups", _refuse_layers)
     assert main(argv) == 0 and want in capsys.readouterr().out
@@ -451,9 +461,10 @@ def test_a_counted_family_enumerates_no_layer(argv, want, capsys, monkeypatch, c
 @pytest.mark.parametrize("argv, want", [
     (["diag", "--family", "LewyAskey", "--N", "8", "--scale", "9-power",
       "--oracle", "lewy-askey"], "oracle: match (lewy-askey, n <= 8)\n"),
-    (["diag", "--family", "AG3", "--N", "10", "--oracle", "franel"],
-     "oracle: match (franel, n <= 10)\n"),
-], ids=["LewyAskey", "AG3"])
+    (["diag", "--family", "Szego3", "--N", "10", "--scale", "2", "--oracle", "szego3"],
+     "oracle: match (szego3, n <= 10)\n"),
+    (["diag", "--family", "hab", "--a", "1/4", "--b", "23/8", "--N", "10"], "N: 10\n"),
+], ids=["LewyAskey", "Szego3", "hab"])
 def test_a_tapped_family_is_not_counted(argv, want, capsys, monkeypatch):
     monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
     assert main(argv) == 0 and want in capsys.readouterr().out
@@ -461,13 +472,34 @@ def test_a_tapped_family_is_not_counted(argv, want, capsys, monkeypatch):
 
 @pytest.mark.parametrize("c, family", [
     (named_instance("Szego4").coeffs, ["--family", "Szego4"]),
+    (named_instance("Szego3").coeffs, ["--family", "Szego3"]),
     (named_instance("hab", a=F(1, 4), b=F(23, 8)).coeffs,
      ["--family", "hab", "--a", "1/4", "--b", "23/8"]),
-], ids=["Szego4", "hab"])
+], ids=["Szego4", "Szego3", "hab"])
 def test_a_tapped_family_is_the_collected_one(c, family, capsys, monkeypatch):
     monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
     argv = ["diag", *family, "--N", "8"]
     assert _reported_diagonal(argv, capsys) == _collected_diagonal(c, 8)
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 16])
+@pytest.mark.parametrize("family, params", [
+    ("KZ-D", {}), ("Kauers", {}), ("AG3", {}), ("hab", {"a": "0", "b": "31/8"}),
+], ids=["KZ-D", "Kauers", "AG3", "hab"])
+def test_a_counted_cache_is_the_collected_one(family, params, N, tmp_path, capsys,
+                                              monkeypatch):
+    # `expand --cache` without a scan counts these diagonals, and writes the
+    # bytes of the cache read off the collected box
+    c = named_instance(family, **params).coeffs
+    want = collected_cache_text(c, collect(c, N))
+    monkeypatch.setattr(seriesbox, "_PLANS", {})  # no layer groups held from `collect`
+    monkeypatch.setattr(seriesbox, "_shape_groups", _refuse_layers)
+    path = tmp_path / "x.box"
+    argv = ["expand", "--family", family, *[f"--{k}={v}" for k, v in params.items()],
+            "--N", str(N), "--cache", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"cache: {path}\n")
+    assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -480,13 +512,25 @@ def test_a_tapped_family_is_the_collected_one(c, family, capsys, monkeypatch):
     (["diag", "--coeffs", "0,-1,0,2,4", "--N", "3"], "diag: error: c_0 must be nonzero"),
     (["diag", "--family", "StraubLambda", "--N", "3"],
      "diag: error: diagonal extraction requires a rational box"),
-], ids=["entry-limit", "check-entry-limit", "negative-N", "zero-c0", "lambda"])
-def test_refusals_come_before_any_count(argv, message, capsys, monkeypatch):
+    # --entry-limit stays a size guard on the (N+1)^d entries of a counted box
+    (["expand", "--family", "KZ-D", "--N", "20", "--cache", "k.box", "--entry-limit", "100"],
+     "expand: error: box [0..20]^4 has 194481 entries, limit 100"),
+    (["diag", "--family", "AG3", "--N", "40", "--entry-limit", "100"],
+     "diag: error: box [0..40]^3 has 68921 entries, limit 100"),
+], ids=["entry-limit", "check-entry-limit", "negative-N", "zero-c0", "lambda",
+        "cache-entry-limit", "d3-entry-limit"])
+def test_refusals_come_before_any_count(argv, message, capsys, monkeypatch, tmp_path):
+    def no_file(*args, **kwargs):
+        raise AssertionError("a file was opened")
     monkeypatch.setattr(seriesbox, "_counted_diagonal", _refuse_count)
+    monkeypatch.setattr(cli, "open", no_file, raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIAGONALIS_CACHE", raising=False)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"diagonalis {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("c, limit, error, message", [
